@@ -9,8 +9,7 @@ form, so the bound sweep costs the same as a fixed-rate solve.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,7 +158,6 @@ def fixed_rate_sweep(
     rate_grid: list[RateMatrix],
     tau: float | None = None,
     restrict: bool = False,
-    max_workers: int = 1,
 ) -> list[CdfField]:
     """Fixed-rate CDFs for a list of candidate rate matrices.
 
@@ -173,21 +171,8 @@ def fixed_rate_sweep(
             raise ConfigError(f"rate matrix {k} has the wrong mode count")
         if rb is not None and not rb.contains(rm):
             raise ConfigError(f"rate matrix {k} lies outside the problem's rate bounds")
-
-    def one(rm: RateMatrix) -> CdfField:
-        mc = None
-        if restrict:
-            mc = solve_min_cost(_fixed(spec, rm), grid)
-        return solve_cdf(spec, grid, tau=tau, restrict=mc, rates=rm)
-
-    if max_workers <= 1 or len(rate_grid) <= 1:
-        return [one(rm) for rm in rate_grid]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, rate_grid))
-
-
-def _fixed(spec: ProblemSpec, rates: RateMatrix) -> ProblemSpec:
-    return ProblemSpec(
-        dim=spec.dim, lo=spec.lo, hi=spec.hi, exit_set=spec.exit_set,
-        modes=spec.modes, rates=rates, controls=spec.controls, name=spec.name,
-    )
+    fields = []
+    for rm in rate_grid:
+        mc = solve_min_cost(replace(spec, rates=rm), grid) if restrict else None
+        fields.append(solve_cdf(spec, grid, tau=tau, restrict=mc, rates=rm))
+    return fields

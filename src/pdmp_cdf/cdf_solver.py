@@ -16,18 +16,23 @@ crossing: the crossing fraction theta is charged theta*tau*C_i of cost and
 the boundary condition is evaluated at the crossing point.  Segments that
 leave the domain off the exit set contribute zero (immediate failure).
 
+Expected exit costs, uncontrolled here and expectation-optimal in the
+control module, are solved by one routine: Howard's policy iteration over
+the steps of every (mode, action) pair, which alternates a minimization
+pass with an exact sparse solve of the frozen policy.  With one action per
+mode that is a single linear solve plus the pass that confirms it.
+
 The minimal attainable cost s0 (free mode switching) and its attainment
-probability w0 are computed by iterated upwind sweeps in 1D and by
-Dijkstra-like label setting (or vectorized monotone sweeps, for large
-control sets) in 2D; their conservatively rounded-up levels restrict the
-CDF computation and remove smearing at the lower envelope.
+probability w0 are computed by alternating-direction upwind sweeps in 1D
+and by vectorized monotone sweeps in 2D; their conservatively rounded-up
+levels restrict the CDF computation and remove smearing at the lower
+envelope.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -272,6 +277,19 @@ class SemiLagrangianStep:
         out[self.esc_nodes] = ESCAPE_COST
         return out
 
+    def bellman(self, u: np.ndarray) -> np.ndarray:
+        """One expected-cost application of this step to u[mode, node]."""
+        out = np.zeros(self.grid.n_nodes)
+        if self.reg_nodes.size:
+            acc = np.zeros(self.reg_nodes.size)
+            for j in range(u.shape[0]):
+                acc += self.probs[j] * np.einsum("cn,cn->n", self.reg_w, u[j][self.reg_idx])
+            out[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes] + acc
+        if self.cap_nodes.size:
+            out[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
+        out[self.esc_nodes] = ESCAPE_COST
+        return out
+
 
 def boundary_values(spec: ProblemSpec, grid: Grid, mode: int, s: float) -> np.ndarray:
     """Exit-node CDF values at threshold s (zero elsewhere)."""
@@ -308,7 +326,7 @@ def solve_cdf(
     lower envelope.
     """
     if rates is not None:
-        spec = _with_rates(spec, rates)
+        spec = replace(spec, rates=rates)
     spec.require_fixed_rates()
     if spec.controlled and velocities is None:
         raise ConfigError("controlled problems need the control module (or frozen fields)")
@@ -329,13 +347,6 @@ def solve_cdf(
     ]
     w = _sweep(spec, grid, steps, restrict, lambda step, w_arr, n: step.cdf_values(w_arr, n))
     return CdfField(grid, w, spec=spec, tau=tau, variant="fixed-rates")
-
-
-def _with_rates(spec: ProblemSpec, rates: RateMatrix) -> ProblemSpec:
-    return ProblemSpec(
-        dim=spec.dim, lo=spec.lo, hi=spec.hi, exit_set=spec.exit_set,
-        modes=spec.modes, rates=rates, controls=spec.controls, name=spec.name,
-    )
 
 
 def _sweep(spec, grid, steps, restrict, update) -> np.ndarray:
@@ -369,13 +380,14 @@ def solve_expected(
     spec: ProblemSpec,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 20000,
+    max_iter: int = 1000,
     tau: float | None = None,
 ) -> np.ndarray:
-    """Expected exit cost u[mode, node] by Gauss-Seidel sweeps.
+    """Expected exit cost u[mode, node] of an uncontrolled problem.
 
-    Sweeps run in axis-lexicographic node order, alternating direction
-    every sweep, until the sup-norm change drops below ``tol``.
+    This is policy iteration with one action per mode: one sparse solve of
+    the linear semi-Lagrangian system, then one pass that confirms the
+    residual is below ``tol``.
     """
     spec.require_fixed_rates()
     if spec.controlled:
@@ -383,48 +395,96 @@ def solve_expected(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    steps = [SemiLagrangianStep(spec, grid, tau, i) for i in range(spec.n_modes)]
+    steps = [[SemiLagrangianStep(spec, grid, tau, i)] for i in range(spec.n_modes)]
+    return policy_iteration(spec, grid, steps, None, tol, max_iter)
+
+
+def policy_iteration(
+    spec: ProblemSpec,
+    grid: Grid,
+    steps: list[list[SemiLagrangianStep]],
+    initial: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+) -> np.ndarray:
+    """Smallest expected exit cost over the actions of ``steps[mode][action]``.
+
+    Howard's policy iteration: each pass minimizes one Bellman application
+    over the actions, stops when that changes u by less than ``tol``, and
+    otherwise solves the sparse linear fixed point of the minimizing policy
+    exactly.  ``max_iter`` caps the number of passes.  A failed
+    factorization (improper interim policy) falls back to iterating the
+    frozen operator.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     m, n_nodes = spec.n_modes, grid.n_nodes
-    u = np.zeros((m, n_nodes))
-    q_exit = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
-    for i in range(m):
-        u[i, grid.exit_mask] = q_exit[i, grid.exit_mask]
-
-    # flatten per-step data for scalar Gauss-Seidel updates
-    plans = []
-    for i, st in enumerate(steps):
-        kind = np.zeros(n_nodes, dtype=np.int8)
-        kind[st.cap_nodes] = 1
-        kind[st.esc_nodes] = 2
-        cap_val = np.zeros(n_nodes)
-        if st.cap_nodes.size:
-            cap_val[st.cap_nodes] = st.cap_ds + np.einsum("kj,kj->k", st.cap_probs, st.cap_q)
-        reg_pos = np.full(n_nodes, -1, dtype=int)
-        reg_pos[st.reg_nodes] = np.arange(st.reg_nodes.size)
-        plans.append((kind, cap_val, reg_pos, st))
-
-    interior = np.where(~grid.exit_mask)[0]
-    orders = (interior, interior[::-1])
-    for it in range(max_iter):
-        delta = 0.0
-        for k in orders[it % 2]:
-            for i in range(m):
-                kind, cap_val, reg_pos, st = plans[i]
-                if kind[k] == 2:
-                    new = ESCAPE_COST
-                elif kind[k] == 1:
-                    new = cap_val[k]
-                else:
-                    r = reg_pos[k]
-                    foot = u[:, st.reg_idx[:, r]] @ st.reg_w[:, r]
-                    new = st.tau * st.node_cost[k] + float(st.probs @ foot)
-                delta = max(delta, abs(new - u[i, k]))
-                u[i, k] = new
+    size = m * n_nodes
+    ex = grid.exit_mask
+    q_rows = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
+    u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
+    u[:, ex] = q_rows[:, ex]
+    delta = math.inf
+    for _ in range(max_iter):
+        best = np.full((m, n_nodes), np.inf)
+        actions = np.zeros((m, n_nodes), dtype=np.int32)
+        for i in range(m):
+            for a, st in enumerate(steps[i]):
+                vals = st.bellman(u)
+                better = vals < best[i]
+                best[i][better] = vals[better]
+                actions[i][better] = a
+        best[:, ex] = q_rows[:, ex]
+        delta = float(np.max(np.abs(best - u)))
+        u = best
         if delta < tol:
             return u
-    raise ConvergenceError(
-        f"expected-cost sweeps did not converge in {max_iter} iterations", residual=delta
-    )
+        # assemble I*u - P_policy*u = rhs for the frozen policy
+        rows, cols, vals, rhs = [], [], [], np.zeros(size)
+        diag = np.ones(size)
+        for i in range(m):
+            base = i * n_nodes
+            rhs[base:base + n_nodes][ex] = q_rows[i, ex]
+            for a, st in enumerate(steps[i]):
+                chosen = np.zeros(n_nodes, dtype=bool)
+                chosen[~ex] = actions[i, ~ex] == a
+                if st.cap_nodes.size:
+                    cap_sel = chosen[st.cap_nodes]
+                    nodes = st.cap_nodes[cap_sel]
+                    rhs[base + nodes] = (st.cap_ds + np.einsum(
+                        "kj,kj->k", st.cap_probs, st.cap_q))[cap_sel]
+                if st.esc_nodes.size:
+                    rhs[base + st.esc_nodes[chosen[st.esc_nodes]]] = ESCAPE_COST
+                reg_sel = np.where(chosen[st.reg_nodes])[0]
+                if reg_sel.size == 0:
+                    continue
+                nodes = st.reg_nodes[reg_sel]
+                rhs[base + nodes] = st.tau * st.node_cost[nodes]
+                for j in range(m):
+                    for corner in range(st.reg_idx.shape[0]):
+                        rows.append(base + nodes)
+                        cols.append(j * n_nodes + st.reg_idx[corner, reg_sel])
+                        vals.append(np.full(reg_sel.size, -st.probs[j]) * st.reg_w[corner, reg_sel])
+        mat = sparse.coo_matrix(
+            (np.concatenate([diag, *vals]),
+             (np.concatenate([np.arange(size), *rows]),
+              np.concatenate([np.arange(size), *cols]))),
+            shape=(size, size),
+        ).tocsc()
+        try:
+            u = splu(mat).solve(rhs).reshape(m, n_nodes)
+        except RuntimeError:
+            for _ in range(50):  # improper interim policy: fall back to operator iteration
+                nxt = np.empty_like(u)
+                for i in range(m):
+                    per = np.stack([st.bellman(u) for st in steps[i]])
+                    nxt[i] = per[actions[i], np.arange(n_nodes)]
+                nxt[:, ex] = q_rows[:, ex]
+                u = nxt
+        u[:, ex] = q_rows[:, ex]
+    raise ConvergenceError(f"policy iteration did not converge in {max_iter} passes",
+                           residual=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +601,7 @@ def _rate_picker(spec: ProblemSpec, sense: str | None):
 
 def solve_min_cost(
     spec: ProblemSpec, grid: Grid, rate_sense: str | None = None,
-    argmin_rtol: float = 1e-9, max_sweeps: int | None = None,
-    method: str = "auto",
+    argmin_rtol: float = 1e-9,
 ) -> MinCostField:
     """Minimal attainable cost s0 and its attainment probability per mode.
 
@@ -550,9 +609,11 @@ def solve_min_cost(
     the fixed rate matrix, ``"upper"``/``"lower"`` extremize within rate
     bounds term by term.  s0 itself never depends on the rates.
 
-    In 2D the default is label setting; large candidate sets (many
-    control directions) switch to vectorized fixed-point sweeps, which
-    reach the same fixed point at far lower per-node overhead.
+    The grid's dimension picks the algorithm.  In 1D, alternating-direction
+    Gauss-Seidel sweeps over the nodes reach the fixed point in a few passes
+    and w0 is filled in increasing-s0 order.  In 2D, vectorized sweeps over
+    all nodes and candidates at once do both, at far lower per-node
+    overhead than a per-node loop; in 1D the per-node loop is the faster.
     """
     cands = _min_cost_candidates(spec, grid)
     rate_pick = _rate_picker(spec, rate_sense)
@@ -567,24 +628,10 @@ def solve_min_cost(
     if ex.size == 0:
         raise ConfigError("minimal-cost computation needs a nonempty exit set")
 
-    if method == "auto":
-        if grid.dim == 1:
-            method = "sweep_1d"
-        elif len(cands) * n > 2_000_000:
-            method = "sweep"
-        else:
-            method = "label_setting"
-    elif method == "label_setting" and grid.dim == 1:
-        method = "sweep_1d"
-
-    if method == "sweep_1d":
-        s0 = _min_cost_sweep_1d(grid, cands, s0, max_sweeps)
-    elif method == "label_setting":
-        s0 = _min_cost_dijkstra(grid, cands, s0)
-    elif method == "sweep":
-        s0 = _min_cost_sweep_vec(grid, cands, s0)
+    if grid.dim == 1:
+        s0 = _min_cost_sweep_1d(grid, cands, s0)
     else:
-        raise ConfigError(f"unknown minimal-cost method {method!r}")
+        s0 = _min_cost_sweep_vec(grid, cands, s0)
 
     if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
         bad = np.where(~np.isfinite(s0) & ~grid.exit_mask)[0]
@@ -598,10 +645,10 @@ def solve_min_cost(
         exit_argmin[i] = qi <= q_min[ex] + argmin_rtol * np.maximum(1.0, q_min[ex])
     w0[:, ex] = np.where(exit_argmin, 1.0, 0.0)
 
-    if method == "sweep" or len(cands) * n > 2_000_000:
-        _w0_fixed_point(spec, grid, cands, s0, w0, rate_pick, argmin_rtol)
-    else:
+    if grid.dim == 1:
         _w0_ordered(spec, grid, cands, s0, w0, rate_pick, argmin_rtol)
+    else:
+        _w0_fixed_point(spec, grid, cands, s0, w0, rate_pick, argmin_rtol)
     return MinCostField(grid, s0, w0)
 
 
@@ -700,10 +747,9 @@ def _w0_fixed_point(spec, grid, cands, s0, w0, rate_pick, argmin_rtol, max_iter=
     raise ConvergenceError("attainment-probability sweeps did not converge")
 
 
-def _min_cost_sweep_1d(grid: Grid, cands, s0: np.ndarray, max_sweeps: int | None) -> np.ndarray:
+def _min_cost_sweep_1d(grid: Grid, cands, s0: np.ndarray) -> np.ndarray:
     n = grid.n_nodes
-    limit = max_sweeps if max_sweeps is not None else n + 2
-    for sweep in range(limit):
+    for sweep in range(n + 2):
         changed = False
         order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
         for k in order:
@@ -721,60 +767,6 @@ def _min_cost_sweep_1d(grid: Grid, cands, s0: np.ndarray, max_sweeps: int | None
             break
     else:
         raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
-    return s0
-
-
-def _min_cost_dijkstra(grid: Grid, cands, s0: np.ndarray) -> np.ndarray:
-    n = grid.n_nodes
-    shape = np.array(grid.shape)
-    final = np.zeros(n, dtype=bool)
-    heap = [(s0[k], int(k)) for k in np.where(np.isfinite(s0))[0]]
-    heapq.heapify(heap)
-    # upstream nodes whose stencil can contain k: all nodes within one cell
-    offsets = []
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            if (da, db) != (0, 0):
-                offsets.append((da, db))
-
-    def relax(k: int) -> None:
-        best = s0[k]
-        for cand in cands:
-            val = cand.cost[k] * cand.h[k] + _foot_value(s0, cand, k)
-            if val < best - 1e-15:
-                best = val
-        if best < s0[k] - 1e-15:
-            s0[k] = best
-            heapq.heappush(heap, (best, k))
-
-    multi_all = np.array(np.unravel_index(np.arange(n), grid.shape)).T
-    while heap:
-        val, k = heapq.heappop(heap)
-        if final[k] or val > s0[k] + 1e-15:
-            continue
-        final[k] = True
-        mk = multi_all[k]
-        for off in offsets:
-            nb = mk + off
-            if np.any(nb < 0) or np.any(nb >= shape):
-                continue
-            k2 = int(grid.flat_index(nb))
-            if not final[k2] and not grid.exit_mask[k2]:
-                relax(k2)
-    # safety net: iterate to the exact fixed point (no-op for axis-aligned dynamics)
-    for _ in range(16):
-        changed = False
-        for k in np.where(~grid.exit_mask)[0]:
-            best = s0[k]
-            for cand in cands:
-                val = cand.cost[k] * cand.h[k] + _foot_value(s0, cand, k)
-                if val < best - 1e-12:
-                    best = val
-            if best < s0[k] - 1e-12:
-                s0[k] = best
-                changed = True
-        if not changed:
-            break
     return s0
 
 

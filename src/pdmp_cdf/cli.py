@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -216,7 +215,7 @@ def serialize_problem(spec: ProblemSpec) -> dict:
 _NUMERICS_KEYS = {"dx", "ds", "s_max", "tau", "n_angles", "tol", "max_iter", "prob_method"}
 _RUN_KEYS = {"slices", "thresholds", "threshold", "rates", "samples", "seed", "start",
              "restrict", "horizon_cap", "dump_samples"}
-_OUTPUT_KEYS = {"dir", "format"}
+_OUTPUT_KEYS = {"dir"}
 
 
 def load_config(path_or_name: str) -> dict:
@@ -294,17 +293,14 @@ def _fmt(v: float) -> str:
 class Exporter:
     """Writes long-form CSV slices plus a manifest for one run."""
 
-    def __init__(self, out_dir: str, config_doc: dict, grid: Grid, seed=None):
+    def __init__(self, out_dir: str, grid_desc: dict, config_doc: dict, seed=None):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
         self.t0 = time.time()
         canonical = json.dumps(config_doc, sort_keys=True, default=str).encode()
         self.config_hash = hashlib.sha256(canonical).hexdigest()
-        self.grid_desc = {
-            "lo": grid.lo.tolist(), "dx": grid.dx.tolist(), "shape": list(grid.shape),
-            "ds": grid.ds, "n_levels": grid.n_levels,
-        }
+        self.grid_desc = grid_desc
         self.seed = seed
 
     def write_rows(self, name: str, header: list[str], rows) -> Path:
@@ -331,6 +327,16 @@ class Exporter:
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         return path
+
+
+def _grid_desc(grid: Grid) -> dict:
+    return {"lo": grid.lo.tolist(), "dx": grid.dx.tolist(), "shape": list(grid.shape),
+            "ds": grid.ds, "n_levels": grid.n_levels}
+
+
+def _out_dir(args, output: dict) -> str:
+    """``--out``, else the config's ``output.dir``, else ``./out``."""
+    return args.out or output.get("dir", "out")
 
 
 def _parse_slices(texts: list[str], dim: int) -> list[tuple[str, list]]:
@@ -400,18 +406,16 @@ def _header(dim: int, with_bounds: bool = False, extra: list[str] | None = None)
     return cols + (extra or [])
 
 
-def _default_slices(run: dict, args, dim: int):
+def _default_slices(run: dict, args, grid: Grid):
+    """The requested slices, else sheets at 1/4, 1/2, 3/4 and all of s_max (nearest levels)."""
     texts = args.slice if args.slice else run.get("slices")
     if not texts:
-        texts = ["s=0.25,0.5,0.75,1.0"] if dim >= 1 else []
+        last = grid.n_levels - 1
+        levels = dict.fromkeys(round(f * last) for f in (0.25, 0.5, 0.75, 1.0))
+        return [("s", [n * grid.ds for n in levels])]
     if isinstance(texts, str):
         texts = [texts]
-    return _parse_slices(texts, dim)
-
-
-def _workers() -> int:
-    env = os.environ.get("PDMP_THREADS")
-    return max(1, int(env)) if env else 1
+    return _parse_slices(texts, grid.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +439,6 @@ def _graph_doc(args) -> dict | None:
     return None
 
 
-class _GraphExporter(Exporter):
-    def __init__(self, out_dir, config_doc, n_nodes, n_routes, ds, n_levels, seed=None):
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        self.dir = Path(out_dir)
-        self.files = []
-        self.t0 = time.time()
-        canonical = json.dumps(config_doc, sort_keys=True, default=str).encode()
-        self.config_hash = hashlib.sha256(canonical).hexdigest()
-        self.grid_desc = {"nodes": n_nodes, "routes": n_routes, "ds": ds, "n_levels": n_levels}
-        self.seed = seed
-
-
 def _cmd_solve_cdf(args) -> int:
     gdoc = _graph_doc(args)
     if gdoc is not None:
@@ -455,7 +447,9 @@ def _cmd_solve_cdf(args) -> int:
         ds = float(numerics.get("ds", 1.0))
         s_max = float(numerics.get("s_max", 10.0))
         w = discrete.solve_cdf(g, s_max=s_max, ds=ds)
-        exporter = _GraphExporter(args.out, gdoc, g.n_nodes, g.n_routes, ds, w.n_levels)
+        exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
+                            {"nodes": g.n_nodes, "routes": g.n_routes, "ds": ds,
+                             "n_levels": w.n_levels}, gdoc)
         rows = [[k, i + 1, float(n * ds), float(w.values[i, n, k])]
                 for k in range(g.n_nodes) for i in range(g.n_routes)
                 for n in range(w.n_levels)]
@@ -463,13 +457,14 @@ def _cmd_solve_cdf(args) -> int:
         exporter.finish()
         return EXIT_OK
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "solve-cdf", "problem": args.problem, "numerics": numerics, "run": run}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "solve-cdf", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
     if run.get("restrict", True):
         restrict = cdf_solver.solve_min_cost(spec, grid)
     field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict,
                                  prob_method=numerics.get("prob_method", "first_order"))
-    slices = _default_slices(run, args, spec.dim)
+    slices = _default_slices(run, args, grid)
     exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
     exporter.finish()
     return EXIT_OK
@@ -480,7 +475,9 @@ def _cmd_min_cost(args) -> int:
     if gdoc is not None:
         g = parse_graph(gdoc["problem"])
         s0, w0 = discrete.solve_min_cost(g)
-        exporter = _GraphExporter(args.out, gdoc, g.n_nodes, g.n_routes, 1.0, 0)
+        exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
+                            {"nodes": g.n_nodes, "routes": g.n_routes, "ds": 1.0, "n_levels": 0},
+                            gdoc)
         rows = [[k, i + 1, float(s0[i, k]) if np.isfinite(s0[i, k]) else "inf",
                  float(w0[i, k])]
                 for k in range(g.n_nodes) for i in range(g.n_routes)]
@@ -488,7 +485,8 @@ def _cmd_min_cost(args) -> int:
         exporter.finish()
         return EXIT_OK
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "min-cost", "problem": args.problem, "numerics": numerics}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "min-cost", "problem": args.problem, "numerics": numerics})
     mc = cdf_solver.solve_min_cost(spec, grid)
     rows = []
     for k in range(grid.n_nodes):
@@ -503,13 +501,14 @@ def _cmd_min_cost(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "bounds", "problem": args.problem, "numerics": numerics, "run": run}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "bounds", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
     if run.get("restrict", True):
         restrict = bounds_mod.solve_min_cost_bounds(spec, grid)
     pair = bounds_mod.solve_bounds(spec, grid, tau=numerics.get("tau"), restrict=restrict)
     mid = 0.5 * (pair.lower.values + pair.upper.values)
-    slices = _default_slices(run, args, spec.dim)
+    slices = _default_slices(run, args, grid)
     exporter.write_rows(
         "bounds.csv", _header(spec.dim, with_bounds=True),
         _field_rows(mid, grid, slices, lo=pair.lower.values, hi=pair.upper.values))
@@ -519,7 +518,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "sweep", "problem": args.problem, "numerics": numerics, "run": run}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "sweep", "problem": args.problem, "numerics": numerics, "run": run})
     if args.rates:
         levels = [float(v) for v in args.rates.split(",")]
     else:
@@ -528,9 +528,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
     rate_grid = bounds_mod.default_rate_grid(levels)
     fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid,
-                                         restrict=run.get("restrict", True),
-                                         max_workers=_workers())
-    slices = _default_slices(run, args, spec.dim)
+                                         restrict=run.get("restrict", True))
+    slices = _default_slices(run, args, grid)
     rows = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
@@ -543,9 +542,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hjb(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "hjb", "problem": args.problem, "numerics": numerics}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "hjb", "problem": args.problem, "numerics": numerics})
     value, policy = control.solve_hjb_expectation(
-        spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 100000)))
+        spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
     rows = []
     for k in range(grid.n_nodes):
         for i in range(spec.n_modes):
@@ -560,11 +560,12 @@ def _cmd_hjb(args) -> int:
 
 def _cmd_threshold(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(args.out, {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
     tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict,
                                  hjb_tol=numerics.get("tol", 1e-8))
-    slices = _default_slices(run, args, spec.dim)
+    slices = _default_slices(run, args, grid)
     thresholds = args.thresholds or run.get("thresholds")
     if thresholds:
         if isinstance(thresholds, str):
@@ -591,8 +592,9 @@ def _cmd_simulate(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
     seed = args.seed if args.seed is not None else int(run.get("seed", 0))
     n = args.n if args.n is not None else int(run.get("samples", 10000))
-    exporter = Exporter(args.out, {"cmd": "simulate", "problem": args.problem, "numerics": numerics,
-                                   "run": run, "n": n, "seed": seed}, grid, seed=seed)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "simulate", "problem": args.problem, "numerics": numerics,
+                         "run": run, "n": n, "seed": seed}, seed=seed)
     policy = control.load_policy(args.policy_in) if args.policy_in else None
     threshold = args.threshold if args.threshold is not None else run.get("threshold")
     start_doc = run.get("start")
@@ -609,7 +611,7 @@ def _cmd_simulate(args) -> int:
     rows = [[float(c), float(ecdf.evaluate(c))] for c in ecdf.costs]
     exporter.write_rows("empirical_cdf.csv", ["cost", "cdf"], rows)
     if args.dump_samples or run.get("dump_samples"):
-        simulate.write_samples_csv(batch, str(Path(args.out) / "samples.csv"))
+        simulate.write_samples_csv(batch, str(exporter.dir / "samples.csv"))
         exporter.files.append("samples.csv")
     extra = {
         "n_samples": n,
@@ -629,11 +631,12 @@ def _cmd_evaluate_policy(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
     if not args.policy_in:
         raise ConfigError("evaluate-policy requires --policy-in")
-    exporter = Exporter(args.out, {"cmd": "evaluate-policy", "problem": args.problem,
-                                   "numerics": numerics, "run": run}, grid)
+    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
+                        {"cmd": "evaluate-policy", "problem": args.problem,
+                         "numerics": numerics, "run": run})
     policy = control.load_policy(args.policy_in)
     field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics.get("tau"))
-    slices = _default_slices(run, args, spec.dim)
+    slices = _default_slices(run, args, grid)
     exporter.write_rows("policy_cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
     exporter.finish()
     return EXIT_OK
@@ -663,8 +666,8 @@ def _add_common(p: argparse.ArgumentParser, policy_io: bool = False) -> None:
                    help="control directions for unit-circle control sets")
     p.add_argument("--slice", action="append", default=None,
                    help="export slice: 's=0.25,0.5', 'x=0.3' (1D) or 'at=0.4:0.3' (2D)")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: the config's output.dir, else ./out)")
     if policy_io:
         p.add_argument("--policy-out", dest="policy_out", default=None,
                        help="write the synthesized policy to this file")

@@ -1,12 +1,13 @@
 """Controlled problems: expectation-optimal and threshold-optimal synthesis.
 
 Two value problems are solved on the same grids.  The expectation problem
-iterates the semi-Lagrangian form of the coupled Bellman system
+is the semi-Lagrangian form of the coupled Bellman system
 
-    u_i(x) <- min_a { tau C_i(x,a) + sum_j p_ij(tau) u_j(x + tau f_i(x,a)) }
+    u_i(x) = min_a { tau C_i(x,a) + sum_j p_ij(tau) u_j(x + tau f_i(x,a)) },
 
-to a fixed point.  The threshold problem maximizes the probability of
-keeping the cumulative cost under each threshold level simultaneously,
+solved by the policy iteration of ``cdf_solver.policy_iteration``.  The
+threshold problem maximizes the probability of keeping the cumulative cost
+under each threshold level simultaneously,
 
     W_i(x, s) = max_a sum_j p_ij(tau) W_j(x + tau f_i(x,a), s - tau C_i(x,a)),
 
@@ -22,19 +23,18 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cdf_solver import (
-    ESCAPE_COST,
     SemiLagrangianStep,
     boundary_values,
     check_causality,
+    policy_iteration,
     solve_cdf,
 )
-from .errors import ConfigError, ConvergenceError, NumericsError
+from .errors import ConfigError, NumericsError
 from .model import CdfField, ControlSet, Grid, MinCostField, ProblemSpec
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
@@ -112,8 +112,16 @@ class Policy:
         s_cell = int(np.floor(s_remaining / self.ds + 1e-12))
         return self.action_index_at_cell(mode, s_cell, flat)
 
-    def action_vector(self, mode: int, x, s_remaining: float | None = None) -> np.ndarray:
-        return self.control_set.action(self.action_index(mode, x, s_remaining))
+    def require_fits(self, spec: ProblemSpec) -> None:
+        """Reject a policy whose dimension, mode count or controls differ from the problem's."""
+        if len(self.shape) != spec.dim:
+            raise ConfigError(f"policy is {len(self.shape)}D but the problem is {spec.dim}D")
+        if self.actions.shape[0] != spec.n_modes:
+            raise ConfigError(f"policy has {self.actions.shape[0]} modes but the problem "
+                              f"has {spec.n_modes}")
+        if self.control_set.vectors.shape[1] != spec.dim:
+            raise ConfigError(f"policy control vectors have dimension "
+                              f"{self.control_set.vectors.shape[1]}, the problem {spec.dim}")
 
 
 @dataclass(frozen=True)
@@ -146,38 +154,21 @@ def _controlled_steps(spec, grid, tau, prob_method="first_order"):
     return steps
 
 
-def _spatial_expectation(step: SemiLagrangianStep, u: np.ndarray) -> np.ndarray:
-    """One Bellman application of a single (mode, action) step to u[mode, node]."""
-    out = np.zeros(step.grid.n_nodes)
-    if step.reg_nodes.size:
-        acc = np.zeros(step.reg_nodes.size)
-        for j in range(u.shape[0]):
-            acc += step.probs[j] * np.einsum("cn,cn->n", step.reg_w, u[j][step.reg_idx])
-        out[step.reg_nodes] = step.tau * step.node_cost[step.reg_nodes] + acc
-    if step.cap_nodes.size:
-        out[step.cap_nodes] = step.cap_ds + np.einsum("kj,kj->k", step.cap_probs, step.cap_q)
-    out[step.esc_nodes] = ESCAPE_COST
-    return out
-
-
 def solve_hjb_expectation(
     spec: ProblemSpec,
     grid: Grid,
     tol: float = 1e-8,
-    max_iter: int = 100000,
+    max_iter: int = 1000,
     tau: float | None = None,
-    method: str = "auto",
     initial: np.ndarray | None = None,
 ) -> tuple[ValueField, Policy]:
     """Expectation-optimal value and feedback policy.
 
-    ``method`` picks the iteration flavor: ``gauss_seidel`` sweeps with
-    alternating direction (1D default), vectorized ``jacobi`` value
-    iteration, or ``policy_iteration`` (2D default) which alternates a
-    full minimization pass with an exact sparse evaluation of the frozen
-    policy; the latter converges in a handful of passes where plain value
-    iteration needs thousands.  A coarse-grid solution can be passed
-    through ``initial`` to warm-start.
+    Policy iteration alternates a full minimization pass with an exact
+    sparse evaluation of the frozen policy and converges in a handful of
+    passes where plain value iteration needs thousands; ``max_iter`` caps
+    the number of passes.  A coarse-grid solution can be passed through
+    ``initial`` to warm-start.
     """
     spec.require_fixed_rates()
     if spec.controls.empty:
@@ -186,76 +177,7 @@ def solve_hjb_expectation(
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
     steps = _controlled_steps(spec, grid, tau)
-    m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
-    u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
-    for i in range(m):
-        q = spec.modes[i].exit_cost.node_values(grid)
-        u[i, grid.exit_mask] = q[grid.exit_mask]
-
-    if method == "auto":
-        method = "gauss_seidel" if grid.dim == 1 else "policy_iteration"
-
-    if method == "policy_iteration":
-        u = _howard(spec, grid, steps, u, tol, max_iter)
-    elif method == "jacobi":
-        interior = ~grid.exit_mask
-        for it in range(max_iter):
-            best = np.full((m, n_nodes), np.inf)
-            for i in range(m):
-                for a in range(n_act):
-                    np.minimum(best[i], _spatial_expectation(steps[i][a], u), out=best[i])
-            delta = float(np.max(np.abs(best[:, interior] - u[:, interior]))) if interior.any() else 0.0
-            u[:, interior] = best[:, interior]
-            if delta < tol:
-                break
-        else:
-            raise ConvergenceError(f"value iteration did not converge in {max_iter} sweeps",
-                                   residual=delta)
-    elif method == "gauss_seidel":
-        plans = []
-        for i in range(m):
-            row = []
-            for a in range(n_act):
-                st = steps[i][a]
-                kind = np.zeros(n_nodes, dtype=np.int8)
-                kind[st.cap_nodes] = 1
-                kind[st.esc_nodes] = 2
-                cap_val = np.zeros(n_nodes)
-                if st.cap_nodes.size:
-                    cap_val[st.cap_nodes] = st.cap_ds + np.einsum(
-                        "kj,kj->k", st.cap_probs, st.cap_q)
-                reg_pos = np.full(n_nodes, -1, dtype=int)
-                reg_pos[st.reg_nodes] = np.arange(st.reg_nodes.size)
-                row.append((kind, cap_val, reg_pos, st))
-            plans.append(row)
-        interior = np.where(~grid.exit_mask)[0]
-        orders = (interior, interior[::-1])
-        for it in range(max_iter):
-            delta = 0.0
-            for k in orders[it % 2]:
-                for i in range(m):
-                    best = np.inf
-                    for kind, cap_val, reg_pos, st in plans[i]:
-                        if kind[k] == 2:
-                            val = ESCAPE_COST
-                        elif kind[k] == 1:
-                            val = cap_val[k]
-                        else:
-                            r = reg_pos[k]
-                            foot = u[:, st.reg_idx[:, r]] @ st.reg_w[:, r]
-                            val = st.tau * st.node_cost[k] + float(st.probs @ foot)
-                        if val < best:
-                            best = val
-                    delta = max(delta, abs(best - u[i, k]))
-                    u[i, k] = best
-            if delta < tol:
-                break
-        else:
-            raise ConvergenceError(f"Gauss-Seidel sweeps did not converge in {max_iter} sweeps",
-                                   residual=delta)
-    else:
-        raise ConfigError(f"unknown iteration method {method!r}")
-
+    u = policy_iteration(spec, grid, steps, initial, tol, max_iter)
     actions = _argmin_actions(steps, u)
     fill = _nearest_interior(grid)
     actions[:, grid.exit_mask] = actions[:, fill[grid.exit_mask]]
@@ -269,7 +191,7 @@ def _argmin_actions(steps, u: np.ndarray) -> np.ndarray:
     n_nodes = u.shape[1]
     actions = np.zeros((m, n_nodes), dtype=np.int16)
     for i in range(m):
-        vals = np.stack([_spatial_expectation(st, u) for st in steps[i]])
+        vals = np.stack([st.bellman(u) for st in steps[i]])
         actions[i] = np.argmin(vals, axis=0).astype(np.int16)
     return actions
 
@@ -307,81 +229,6 @@ def _nearest_interior(grid: Grid) -> np.ndarray:
                         mapping[k2] = mapping[k]
                         queue.append(k2)
     return mapping
-
-
-def _howard(spec, grid, steps, u, tol, max_iter):
-    """Policy iteration: minimization pass + exact evaluation of the frozen policy.
-
-    Evaluation solves the sparse linear fixed point of the policy-frozen
-    semi-Lagrangian operator directly; a failed factorization (improper
-    policy) falls back to iterating the operator.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    m, n_nodes = u.shape
-    size = m * n_nodes
-    ex = grid.exit_mask
-    q_rows = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
-    delta = math.inf
-    for sweep in range(max(2, max_iter // 100)):
-        best = np.full((m, n_nodes), np.inf)
-        actions = np.zeros((m, n_nodes), dtype=np.int32)
-        for i in range(m):
-            for a, st in enumerate(steps[i]):
-                vals = _spatial_expectation(st, u)
-                better = vals < best[i]
-                best[i][better] = vals[better]
-                actions[i][better] = a
-        best[:, ex] = q_rows[:, ex]
-        delta = float(np.max(np.abs(best - u)))
-        u = best
-        if delta < tol:
-            return u
-        # assemble I*u - P_policy*u = rhs for the frozen policy
-        rows, cols, vals, rhs = [], [], [], np.zeros(size)
-        diag = np.ones(size)
-        for i in range(m):
-            base = i * n_nodes
-            rhs[base:base + n_nodes][ex] = q_rows[i, ex]
-            for a, st in enumerate(steps[i]):
-                chosen = np.zeros(n_nodes, dtype=bool)
-                chosen[~ex] = actions[i, ~ex] == a
-                if st.cap_nodes.size:
-                    cap_sel = chosen[st.cap_nodes]
-                    nodes = st.cap_nodes[cap_sel]
-                    rhs[base + nodes] = (st.cap_ds + np.einsum(
-                        "kj,kj->k", st.cap_probs, st.cap_q))[cap_sel]
-                if st.esc_nodes.size:
-                    rhs[base + st.esc_nodes[chosen[st.esc_nodes]]] = ESCAPE_COST
-                reg_sel = np.where(chosen[st.reg_nodes])[0]
-                if reg_sel.size == 0:
-                    continue
-                nodes = st.reg_nodes[reg_sel]
-                rhs[base + nodes] = st.tau * st.node_cost[nodes]
-                for j in range(m):
-                    for corner in range(st.reg_idx.shape[0]):
-                        rows.append(base + nodes)
-                        cols.append(j * n_nodes + st.reg_idx[corner, reg_sel])
-                        vals.append(np.full(reg_sel.size, -st.probs[j]) * st.reg_w[corner, reg_sel])
-        mat = sparse.coo_matrix(
-            (np.concatenate([diag, *vals]),
-             (np.concatenate([np.arange(size), *rows]),
-              np.concatenate([np.arange(size), *cols]))),
-            shape=(size, size),
-        ).tocsc()
-        try:
-            u = splu(mat).solve(rhs).reshape(m, n_nodes)
-        except RuntimeError:
-            for _ in range(50):  # improper interim policy: fall back to operator iteration
-                nxt = np.empty_like(u)
-                for i in range(m):
-                    per = np.stack([_spatial_expectation(st, u) for st in steps[i]])
-                    nxt[i] = per[actions[i], np.arange(n_nodes)]
-                nxt[:, ex] = q_rows[:, ex]
-                u = nxt
-        u[:, ex] = q_rows[:, ex]
-    raise ConvergenceError("policy iteration did not converge", residual=delta)
 
 
 def prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
@@ -520,6 +367,7 @@ def evaluate_policy_cdf(
         raise ConfigError(
             "level-dependent policies must be evaluated by Monte-Carlo simulation"
         )
+    policy.require_fits(spec)
     if tuple(policy.shape) != grid.shape:
         raise ConfigError("policy was synthesized on a different grid")
     m = spec.n_modes
@@ -561,6 +409,7 @@ def save_policy(policy: Policy, path: str) -> None:
             "ds": policy.ds,
             "n_levels": policy.n_levels,
         },
+        "n_modes": policy.actions.shape[0],
         "control_set": _control_to_json(policy.control_set),
         "dtype": "int16",
         "byte_order": "little",
@@ -580,19 +429,21 @@ def load_policy(path: str) -> Policy:
         doc = json.load(fh)
     if doc.get("format") != POLICY_FORMAT:
         raise ConfigError(f"not a policy file (format {doc.get('format')!r})")
+    if "n_modes" not in doc:
+        raise ConfigError("policy file does not state its mode count (n_modes)")
     g = doc["grid"]
     shape = tuple(int(v) for v in g["shape"])
-    n_nodes = int(np.prod(shape))
+    n_modes, n_levels, n_nodes = int(doc["n_modes"]), int(g["n_levels"]), int(np.prod(shape))
     cs = _control_from_json(doc["control_set"])
-    n_modes_total = len(base64.b64decode(doc["fallback_b64"])) // (2 * n_nodes)
-    actions = np.frombuffer(base64.b64decode(doc["actions_b64"]), dtype="<i2").reshape(
-        n_modes_total, int(g["n_levels"]), n_nodes
-    )
-    fallback = np.frombuffer(base64.b64decode(doc["fallback_b64"]), dtype="<i2").reshape(
-        n_modes_total, n_nodes
-    )
-    return Policy(cs, actions.copy(), fallback.copy(), np.array(g["lo"]), np.array(g["dx"]),
-                  shape, float(g["ds"]), provenance=doc.get("provenance", "unknown"))
+    actions = np.frombuffer(base64.b64decode(doc["actions_b64"]), dtype="<i2")
+    fallback = np.frombuffer(base64.b64decode(doc["fallback_b64"]), dtype="<i2")
+    if actions.size != n_modes * n_levels * n_nodes or fallback.size != n_modes * n_nodes:
+        raise ConfigError(f"policy arrays do not hold {n_modes} modes x {n_levels} levels "
+                          f"x {n_nodes} nodes")
+    return Policy(cs, actions.reshape(n_modes, n_levels, n_nodes).copy(),
+                  fallback.reshape(n_modes, n_nodes).copy(), np.array(g["lo"]),
+                  np.array(g["dx"]), shape, float(g["ds"]),
+                  provenance=doc.get("provenance", "unknown"))
 
 
 def _control_to_json(cs: ControlSet) -> dict:

@@ -563,10 +563,6 @@ class Grid:
         vals = np.asarray(node_values, dtype=float).reshape(-1)
         return np.einsum("cn,cn->n", w, vals[idx])
 
-    def snap_level(self, s: float) -> int:
-        """Index of the first level at or above ``s`` (tolerant ceiling)."""
-        return max(0, int(math.ceil(s / self.ds - GEOM_RTOL)))
-
 
 def _axis_counts(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray) -> list[int]:
     counts = []

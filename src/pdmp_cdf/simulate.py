@@ -175,8 +175,10 @@ def run_batch(
     for ms in spec.modes:
         if ms.cost.kind != "constant" or ms.exit_cost.kind != "constant":
             raise ConfigError("batch simulation needs constant running and exit costs")
-    if policy is not None and policy.s_dependent and threshold is None:
-        raise ConfigError("a level-dependent policy needs a cost threshold")
+    if policy is not None:
+        policy.require_fits(spec)
+        if policy.s_dependent and threshold is None:
+            raise ConfigError("a level-dependent policy needs a cost threshold")
     cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
     if cap <= 0:
         raise ConfigError("horizon cap must be positive")

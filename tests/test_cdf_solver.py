@@ -15,6 +15,7 @@ from pdmp_cdf.cdf_solver import (
 from pdmp_cdf.errors import NumericsError
 from pdmp_cdf.model import ExitSpec, MinCostField, ProblemSpec
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
+from reference_solvers import label_setting_min_cost
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,16 @@ class TestMinCost:
         p = grid.points
         expected = np.minimum.reduce([p[:, 0], 1 - p[:, 0], p[:, 1], 1 - p[:, 1]])
         assert np.abs(mc.s0 - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("name, n_angles, dx", [
+        ("example3", None, 0.025), ("example6", 16, 0.05)])
+    def test_two_dimensional_sweeps_match_label_setting(self, name, n_angles, dx):
+        spec = catalog.builtin(name, n_angles=n_angles)
+        grid = build_grid(spec, dx, dx, 0.5)
+        mc = solve_min_cost(spec, grid)
+        s0, w0 = label_setting_min_cost(spec, grid)
+        assert np.array_equal(mc.s0, s0)
+        assert np.array_equal(mc.w0, w0)
 
     def test_immobile_problem_rejected(self):
         spec = catalog.example1()

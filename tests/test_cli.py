@@ -12,7 +12,9 @@ from pdmp_cdf.cli import (
     main,
     serialize_problem,
 )
+from pdmp_cdf.control import Policy, save_policy
 from pdmp_cdf.errors import ConfigError, NumericsError
+from pdmp_cdf.model import ControlSet
 
 
 def specs_equal(a, b) -> bool:
@@ -128,6 +130,14 @@ class TestProblemLoading:
         spec, grid, *_ = load_problem(write_config(tmp_path, doc))
         assert grid.ds == 5e-2
 
+    def test_output_format_key_rejected(self, tmp_path):
+        doc = {"schema_version": 1, "problem": "example1",
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {},
+               "output": {"format": "csv"}}
+        rc = main(["solve-cdf", "--problem", write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     def test_inconsistent_rate_bounds_rejected(self, tmp_path):
         pdoc = serialize_problem(catalog.example4())
         pdoc["rates"] = {"kind": "bounds", "lower": [[0, 4], [4, 0]], "upper": [[0, 1], [1, 0]]}
@@ -152,6 +162,34 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == ["cdf.csv"]
         assert len(manifest["config_sha256"]) == 64
+
+    def test_default_sheets_follow_the_grid(self, tmp_path):
+        # quarter, half, three quarters and all of s_max, at the nearest levels
+        out = tmp_path / "short"
+        assert main(["solve-cdf", "--problem", "example1", "--dx", "0.02", "--ds", "0.02",
+                     "--s-max", "0.5", "--out", str(out)]) == 0
+        lines = (out / "cdf.csv").read_text().strip().splitlines()
+        sheets = sorted({float(l.split(",")[2]) for l in lines[1:]})
+        assert np.allclose(sheets, [0.12, 0.24, 0.38, 0.5])
+        # on a unit grid the defaults are the documented s = 0.25, 0.5, 0.75, 1.0
+        args = ["solve-cdf", "--problem", "example1", "--dx", "0.05", "--ds", "0.05",
+                "--s-max", "1.0"]
+        assert main(args + ["--out", str(tmp_path / "d")]) == 0
+        assert main(args + ["--slice", "s=0.25,0.5,0.75,1.0", "--out", str(tmp_path / "e")]) == 0
+        assert (tmp_path / "d" / "cdf.csv").read_bytes() == (tmp_path / "e" / "cdf.csv").read_bytes()
+
+    def test_output_dir_from_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = {"schema_version": 1, "problem": "example1",
+               "numerics": {"dx": 0.1, "ds": 0.1, "s_max": 1.0}, "run": {},
+               "output": {"dir": "wanted_dir"}}
+        assert main(["solve-cdf", "--problem", write_config(tmp_path, doc)]) == 0
+        assert (tmp_path / "wanted_dir" / "cdf.csv").exists()
+        assert not (tmp_path / "out").exists()
+        # --out still wins over the config
+        assert main(["solve-cdf", "--problem", write_config(tmp_path, doc),
+                     "--out", "given"]) == 0
+        assert (tmp_path / "given" / "cdf.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["solve-cdf", "--problem", "example1", "--dx", "0.05", "--ds", "0.05",
@@ -241,6 +279,46 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["hjb", "--problem", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
+
+
+EX5_GRID = ["--problem", "example5", "--dx", "0.02", "--ds", "0.01", "--s-max", "1.0"]
+
+
+def write_policy(path, control_set, n_modes, lo, dx, shape):
+    n_nodes = int(np.prod(shape))
+    policy = Policy(control_set, np.zeros((n_modes, 1, n_nodes)), np.zeros((n_modes, n_nodes)),
+                    lo, dx, shape, 0.01, provenance="expectation")
+    save_policy(policy, str(path))
+    return str(path)
+
+
+class TestPolicyFit:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "50", "--start", "0.4:1"], ["evaluate-policy"]])
+    @pytest.mark.parametrize("control_set, n_modes, lo, dx, shape", [
+        (ControlSet.unit_circle(16), 4, [0.0, 0.0], [0.1, 0.1], (11, 11)),  # dimension
+        (ControlSet.from_list([[-1.0], [1.0]]), 3, [0.0], [0.02], (51,)),   # mode count
+        (ControlSet.unit_circle(4), 2, [0.0], [0.02], (51,)),               # control dimension
+    ])
+    def test_mismatched_policy_rejected(self, tmp_path, command, control_set, n_modes, lo, dx,
+                                        shape):
+        pol = write_policy(tmp_path / "p.policy", control_set, n_modes, lo, dx, shape)
+        rc = main([*command, *EX5_GRID, "--policy-in", pol, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_modes", [3, None])
+    def test_policy_array_lengths_checked(self, tmp_path, n_modes):
+        path = tmp_path / "p.policy"
+        write_policy(path, ControlSet.from_list([[-1.0], [1.0]]), 2, [0.0], [0.02], (51,))
+        doc = json.loads(path.read_text())
+        if n_modes is None:
+            del doc["n_modes"]
+        else:
+            doc["n_modes"] = n_modes
+        path.write_text(json.dumps(doc))
+        rc = main(["evaluate-policy", *EX5_GRID, "--policy-in", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
 
 
 class TestGraphProblems:

@@ -24,6 +24,7 @@ from pdmp_cdf.model import (
     ScalarField,
     VectorField,
 )
+from reference_solvers import value_iteration
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +102,11 @@ class TestExpectationOptimal:
                     hi = mid
             assert abs(grid.points[main_flip, 0] - 0.5 * (lo + hi)) <= 2 * grid.dx[0]
 
-    def test_policy_iteration_matches_sweeps(self):
+    def test_policy_iteration_matches_value_iteration(self):
         spec = catalog.example5()
         grid = build_grid(spec, 0.01, 0.005, 1.0)
-        u_gs, _ = solve_hjb_expectation(spec, grid, tol=1e-10, method="gauss_seidel")
-        u_pi, _ = solve_hjb_expectation(spec, grid, tol=1e-10, method="policy_iteration")
-        assert np.abs(u_gs.u - u_pi.u).max() < 1e-8
+        u_pi, _ = solve_hjb_expectation(spec, grid, tol=1e-10)
+        assert np.abs(value_iteration(spec, grid) - u_pi.u).max() < 1e-8
 
     def test_prolongation_refines(self):
         spec = catalog.example5()
