@@ -1,4 +1,11 @@
-"""Exit-cost distributions, bounds, and threshold-optimal control for PDMPs."""
+"""Exit-cost distributions, bounds, and threshold-optimal control for PDMPs.
+
+The solvers report fallbacks (a failed sparse LU, monotonicity clamps) on
+the ``pdmp_cdf`` logger; attach a handler to see them.  The package never
+prints.
+"""
+
+import logging
 
 from .errors import ConfigError, ConvergenceError, NumericsError, PdmpError, SingularSystemError
 from .model import (
@@ -20,6 +27,8 @@ from .model import (
 from . import bounds, catalog, cdf_solver, control, discrete, simulate
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "CdfField", "ControlSet", "ExitSpec", "Grid", "MinCostField", "ModeSpec",

@@ -4,7 +4,15 @@ Rates are allowed to change over time within entrywise intervals
 [lower_ij, upper_ij]; nature plays against (or for) the process by picking
 the rate matrix pointwise.  Because each semi-Lagrangian update is affine
 in the rates, the pointwise optimizer is bang-bang and known in closed
-form, so the bound sweep costs the same as a fixed-rate solve.
+form, so the bound sweep costs the same as a fixed-rate solve: per level
+and mode, one sparse product of the step's operators with the previous
+level of every source mode gives the per-source foot values, and the
+bang-bang rate choice mixes them.
+
+Fixed-rate samples (``fixed_rate_sweep``) are plain ``solve_cdf`` runs, one
+per rate matrix.  The minimal attainable cost does not depend on the
+rates, so the restricted sweeps and ``solve_min_cost_bounds`` compute it
+once and fill only the attainment probabilities per rate choice.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdf_solver import SemiLagrangianStep, _sweep, causal_tau, check_causality, solve_cdf, solve_min_cost
+from .cdf_solver import MinimalCost, SemiLagrangianStep, _sweep, causal_tau, check_causality, solve_cdf
 from .errors import ConfigError, NumericsError
 from .model import CdfField, Grid, MinCostField, ProblemSpec, RateBounds, RateMatrix
 
@@ -64,30 +72,40 @@ def optimal_rates_pointwise(
     raise ConfigError(f"unknown optimization sense {sense!r}")
 
 
-def _bound_update(step: SemiLagrangianStep, bounds: RateBounds, sense: str):
-    """Level-update closure for one bound field."""
-    grid = step.grid
-    i = step.mode
-    step_len = np.full(grid.n_nodes, step.tau)
-    if step.cap_nodes.size:
-        step_len[step.cap_nodes] = step.cap_theta_tau
+def _bound_update(steps: list[SemiLagrangianStep], bounds: RateBounds, sense: str):
+    """Level update of one bound field: per-source foot values, then the bang-bang mix."""
+    grid = steps[0].grid
+    m = len(steps)
+    step_lens = []
+    for st in steps:
+        step_len = np.full(grid.n_nodes, st.tau)
+        step_len[st.cap_nodes] = st.cap_theta_tau
+        step_lens.append(step_len)
 
-    def update(st: SemiLagrangianStep, w: np.ndarray, n: int) -> np.ndarray:
-        src = st.per_source_values(w, n)
-        base = src[i]
-        acc = base.copy()
-        for j in range(src.shape[0]):
-            if j == i:
-                continue
-            diff = src[j] - base
-            rate = np.where(
-                (diff <= 0.0) if sense == "min" else (diff >= 0.0),
-                bounds.upper[i, j],
-                bounds.lower[i, j],
-            )
-            acc = acc + step_len * rate * diff
-        acc[st.esc_nodes] = 0.0
-        return acc
+    def update(w: np.ndarray, n: int) -> np.ndarray:
+        out = np.zeros((m, grid.n_nodes))
+        for i, st in enumerate(steps):
+            src = np.zeros((grid.n_nodes, m))
+            for shift, parts, op in st.level_ops:
+                lo = n - shift
+                if lo >= 0:  # a foot below threshold zero reads the flat zero extension
+                    src += op @ np.concatenate([w[:, lo + p].T for p in range(parts)])
+            src[st.cap_nodes] = st.cap_indicator(n)
+            base = src[:, i]
+            acc = base.copy()
+            for j in range(m):
+                if j == i:
+                    continue
+                diff = src[:, j] - base
+                rate = np.where(
+                    (diff <= 0.0) if sense == "min" else (diff >= 0.0),
+                    bounds.upper[i, j],
+                    bounds.lower[i, j],
+                )
+                acc = acc + step_lens[i] * rate * diff
+            acc[st.esc_nodes] = 0.0
+            out[i] = acc
+        return out
 
     return update
 
@@ -122,11 +140,10 @@ def solve_bounds(
     ]
     fields = {}
     for sense, name in (("max", "upper"), ("min", "lower")):
-        updates = [_bound_update(st, rb, sense) for st in steps]
         mc = None
         if restrict is not None:
             mc = restrict.upper_field() if sense == "max" else restrict.lower_field()
-        w = _sweep(spec, grid, steps, mc, lambda st, w_arr, n, _u=updates: _u[st.mode](st, w_arr, n))
+        w = _sweep(spec, grid, mc, _bound_update(steps, rb, sense))
         fields[name] = CdfField(grid, w, spec=spec, tau=tau, variant=f"rate-bounds-{name}")
     return BoundPair(lower=fields["lower"], upper=fields["upper"], rate_bounds=rb)
 
@@ -138,8 +155,9 @@ def solve_min_cost_bounds(spec: ProblemSpec, grid: Grid) -> MinCostBounds:
     transport term is extremized within the bounds.
     """
     spec.require_rate_bounds()
-    up = solve_min_cost(spec, grid, rate_sense="upper")
-    lo = solve_min_cost(spec, grid, rate_sense="lower")
+    base = MinimalCost(spec, grid)
+    up = base.field(spec, rate_sense="upper")
+    lo = base.field(spec, rate_sense="lower")
     return MinCostBounds(s0=up.s0, w0_upper=up.w0, w0_lower=lo.w0, grid=grid)
 
 
@@ -171,8 +189,9 @@ def fixed_rate_sweep(
             raise ConfigError(f"rate matrix {k} has the wrong mode count")
         if rb is not None and not rb.contains(rm):
             raise ConfigError(f"rate matrix {k} lies outside the problem's rate bounds")
+    base = MinimalCost(spec, grid) if restrict else None
     fields = []
     for rm in rate_grid:
-        mc = solve_min_cost(replace(spec, rates=rm), grid) if restrict else None
+        mc = base.field(replace(spec, rates=rm)) if restrict else None
         fields.append(solve_cdf(spec, grid, tau=tau, restrict=mc, rates=rm))
     return fields

@@ -16,21 +16,39 @@ crossing: the crossing fraction theta is charged theta*tau*C_i of cost and
 the boundary condition is evaluated at the crossing point.  Segments that
 leave the domain off the exit set contribute zero (immediate failure).
 
+Every kernel runs on one sparse-operator view of a step.  A
+``SemiLagrangianStep`` assembles its foot interpolation once as a CSR
+matrix, split by the threshold level the foot reads (one matrix per level
+shift).  A ``StepStack`` stacks several steps row-wise: the modes of a
+fixed-rate sweep block-diagonally, the actions of one mode on shared
+columns.  Because all actions of a mode share one row of transition
+probabilities, the mode mix is applied to the previous level first, and a
+level update is then one sparse product per level shift; capped and
+escaping nodes and the exit nodes are fixed up as vectors afterwards.
+
 Expected exit costs, uncontrolled here and expectation-optimal in the
 control module, are solved by one routine: Howard's policy iteration over
-the steps of every (mode, action) pair, which alternates a minimization
-pass with an exact sparse solve of the frozen policy.  With one action per
-mode that is a single linear solve plus the pass that confirms it.
+the stacked steps of every mode, which alternates a minimization pass (one
+product per mode) with an exact sparse solve of the frozen policy, whose
+matrix is a row selection of the stacks.  With one action per mode that is
+a single linear solve plus the pass that confirms it.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 are computed by alternating-direction upwind sweeps in 1D
 and by vectorized monotone sweeps in 2D; their conservatively rounded-up
 levels restrict the CDF computation and remove smearing at the lower
-envelope.
+envelope.  s0 does not depend on the switching rates, so ``MinimalCost``
+computes it once and fills w0 for each rate choice.
+
+scipy.sparse is imported inside the functions that use it, so importing
+the package (and starting the CLI) does not pay for it.  Fallbacks are
+reported on the ``pdmp_cdf`` logger: a failed sparse LU at WARNING, the
+monotonicity clamp of restricted sweeps at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -47,6 +65,9 @@ from .model import (
 )
 
 ESCAPE_COST = 1e30  # expected-cost sentinel for trajectories leaving off the exit set
+_FROZEN_ITERATIONS = 50  # operator iterations when the frozen policy's LU fails
+
+log = logging.getLogger(__name__)
 
 
 def causal_tau(spec: ProblemSpec, grid: Grid, costs: np.ndarray | None = None) -> float:
@@ -128,12 +149,24 @@ def _segment_exit(spec: ProblemSpec, x: np.ndarray, disp: np.ndarray) -> tuple[n
 
 
 class SemiLagrangianStep:
-    """Precomputed one-step update data for one (mode, action) pair.
+    """Precomputed one-step update of one (mode, action) pair, as sparse operators.
 
     Nodes are classified once: *regular* steps stay in the domain and read
     the interpolated previous solution, *capped* steps reach the exit set
     at a fraction theta of the step and evaluate the boundary condition at
     the crossing, and *escaping* steps leave the domain off the exit set.
+
+    The multilinear interpolation at the feet of the regular steps is
+    assembled once as a CSR matrix ``interp`` (row k holds node k's foot
+    stencil; rows of other nodes are empty).  ``level_ops`` splits it by the
+    threshold level the foot reads: one ``(shift, parts, matrix)`` triple
+    per distinct level shift, whose matrix applies the weights
+    ``(1 - frac)`` to level ``n - shift`` and, when ``parts`` is 2, the
+    weights ``frac`` to level ``n - shift + 1`` in a second block of
+    columns.  With a constant running cost and the default tau there is one
+    triple, ``(1, 1, interp)``.  ``expected_const`` is the constant part of
+    the expected-cost update: the running cost of a regular step, the
+    boundary value of a capped one, ``ESCAPE_COST`` for an escaping one.
     """
 
     def __init__(
@@ -153,6 +186,7 @@ class SemiLagrangianStep:
         self.tau = float(tau)
         self.mode = mode
         m = spec.n_modes
+        n_nodes = grid.n_nodes
         pts = grid.points
         vel = velocities if velocities is not None else spec.modes[mode].dynamics.at(grid, pts, action)
         cost = costs if costs is not None else spec.modes[mode].cost.at(grid, pts, action)
@@ -174,8 +208,11 @@ class SemiLagrangianStep:
         self.esc_nodes = np.where(escaped)[0]
 
         foot = np.clip(pts[self.reg_nodes] + disp[self.reg_nodes], grid.lo, grid.hi)
-        self.reg_idx, self.reg_w = grid.spatial_stencil(foot) if self.reg_nodes.size else (
+        idx, wts = grid.spatial_stencil(foot) if self.reg_nodes.size else (
             np.zeros((1 << grid.dim, 0), dtype=int), np.zeros((1 << grid.dim, 0)))
+        rows = np.broadcast_to(self.reg_nodes, idx.shape)
+        self.interp = _csr(rows, idx, wts, (n_nodes, n_nodes))
+
         off = tau * self.node_cost[self.reg_nodes] / grid.ds
         shift = np.ceil(off - 1e-12).astype(int)
         frac = shift - off
@@ -185,10 +222,19 @@ class SemiLagrangianStep:
         frac[shift <= 1] = 0.0
         if np.any(shift < 1):
             raise NumericsError("causality violated: some step reads its own threshold level")
-        self.reg_shift = shift
-        self.reg_frac = frac
-        # group regular nodes by level shift so each group is one vector gather
-        self.reg_groups = [np.where(shift == s)[0] for s in np.unique(shift)]
+        if np.all(shift == 1):
+            self.level_ops = ((1, 1, self.interp),)
+        else:
+            ops = []
+            for s in np.unique(shift):
+                g = shift == s
+                f = frac[g]
+                parts = 2 if np.any(f > 0.0) else 1
+                cols = [idx[:, g], idx[:, g] + n_nodes][:parts]
+                vals = [wts[:, g] * (1.0 - f), wts[:, g] * f][:parts]
+                ops.append((int(s), parts, _csr(np.tile(rows[:, g], parts), np.hstack(cols),
+                                                np.hstack(vals), (n_nodes, parts * n_nodes))))
+            self.level_ops = tuple(ops)
 
         # capped steps: transition probabilities over the shortened interval
         th = np.clip(theta[self.cap_nodes], 0.0, 1.0)
@@ -200,105 +246,135 @@ class SemiLagrangianStep:
         ) if self.cap_nodes.size else np.zeros((0, m))
         if rates is None:
             self.cap_probs = None
-        elif prob_method == "first_order":
+            self.expected_const = None
+            return
+        if prob_method == "first_order":
             qrow = rates.matrix[mode]
             self.cap_probs = np.zeros((self.cap_nodes.size, m))
             self.cap_probs[:, mode] = 1.0
             self.cap_probs += self.cap_theta_tau[:, None] * qrow[None, :]
         else:
-            rows = []
-            for t_k in self.cap_theta_tau:
-                rows.append(transition_probabilities(rates, float(t_k), "exact")[mode])
-            self.cap_probs = np.array(rows).reshape(self.cap_nodes.size, m)
+            per_node = [transition_probabilities(rates, float(t_k), "exact")[mode]
+                        for t_k in self.cap_theta_tau]
+            self.cap_probs = np.array(per_node).reshape(self.cap_nodes.size, m)
+        const = np.zeros(n_nodes)
+        const[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes]
+        const[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
+        const[self.esc_nodes] = ESCAPE_COST
+        self.expected_const = const
 
-    def _interp_one(self, w_level: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        return np.einsum("cn,cn->n", self.reg_w[:, sel], w_level[self.reg_idx[:, sel]])
-
-    def per_source_values(self, w: np.ndarray, n: int) -> np.ndarray:
-        """Interpolated W_j at this mode's foot points, shape (M, n_nodes).
-
-        Capped nodes carry the per-final-mode boundary indicator; escaping
-        nodes carry zero.  Exit-node columns are left at zero (callers
-        overwrite them with boundary values).
-        """
-        m = w.shape[0]
-        out = np.zeros((m, self.grid.n_nodes))
-        for sel in self.reg_groups:
-            shift = int(self.reg_shift[sel[0]])
-            lo_lvl = n - shift
-            frac = self.reg_frac[sel]
-            nodes = self.reg_nodes[sel]
-            if lo_lvl < 0:
-                continue  # threshold foot below zero: flat zero extension
-            for j in range(m):
-                vals = (1.0 - frac) * self._interp_one(w[j, lo_lvl], sel)
-                if lo_lvl + 1 <= n and np.any(frac > 0.0):
-                    vals = vals + frac * self._interp_one(w[j, lo_lvl + 1], sel)
-                out[j, nodes] = vals
-        if self.cap_nodes.size:
-            s_at_cross = n * self.grid.ds - self.cap_ds
-            bc = (s_at_cross[:, None] >= self.cap_q - 1e-15).astype(float)
-            out[:, self.cap_nodes] = bc.T
-        return out
-
-    def cdf_values(self, w: np.ndarray, n: int) -> np.ndarray:
-        """Fixed-rate CDF update for every node at level n."""
-        src = self.per_source_values(w, n)
-        vals = np.einsum("j,jk->k", self.probs, src)
-        if self.cap_nodes.size:
-            s_at_cross = n * self.grid.ds - self.cap_ds
-            bc = (s_at_cross[:, None] >= self.cap_q - 1e-15).astype(float)
-            vals[self.cap_nodes] = np.einsum("kj,kj->k", self.cap_probs, bc)
-        vals[self.esc_nodes] = 0.0
-        return vals
-
-    def expectation_values(self, v: np.ndarray, n: int) -> np.ndarray:
-        """Companion expected-cost update (used by the control synthesis)."""
-        m = v.shape[0]
-        out = np.zeros(self.grid.n_nodes)
-        tau_cost = self.tau * self.node_cost
-        for sel in self.reg_groups:
-            shift = int(self.reg_shift[sel[0]])
-            lo_lvl = n - shift
-            frac = self.reg_frac[sel]
-            nodes = self.reg_nodes[sel]
-            acc = np.zeros(sel.size)
-            for j in range(m):
-                if lo_lvl < 0:
-                    vals = self._interp_one(v[j, 0], sel)  # flat extension below level zero
-                else:
-                    vals = (1.0 - frac) * self._interp_one(v[j, lo_lvl], sel)
-                    if np.any(frac > 0.0):
-                        vals = vals + frac * self._interp_one(v[j, lo_lvl + 1], sel)
-                acc += self.probs[j] * vals
-            out[nodes] = tau_cost[nodes] + acc
-        if self.cap_nodes.size:
-            out[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
-        out[self.esc_nodes] = ESCAPE_COST
-        return out
-
-    def bellman(self, u: np.ndarray) -> np.ndarray:
-        """One expected-cost application of this step to u[mode, node]."""
-        out = np.zeros(self.grid.n_nodes)
-        if self.reg_nodes.size:
-            acc = np.zeros(self.reg_nodes.size)
-            for j in range(u.shape[0]):
-                acc += self.probs[j] * np.einsum("cn,cn->n", self.reg_w, u[j][self.reg_idx])
-            out[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes] + acc
-        if self.cap_nodes.size:
-            out[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
-        out[self.esc_nodes] = ESCAPE_COST
-        return out
+    def cap_indicator(self, n: int) -> np.ndarray:
+        """Per-final-mode boundary indicator of the capped steps at level n."""
+        s_at_cross = n * self.grid.ds - self.cap_ds
+        return (s_at_cross[:, None] >= self.cap_q - 1e-15).astype(float)
 
 
-def boundary_values(spec: ProblemSpec, grid: Grid, mode: int, s: float) -> np.ndarray:
-    """Exit-node CDF values at threshold s (zero elsewhere)."""
-    vals = np.zeros(grid.n_nodes)
-    ex = grid.exit_mask
-    if np.any(ex):
-        q = spec.modes[mode].exit_cost.at(grid, grid.points[ex])
-        vals[ex] = (s >= q - 1e-15).astype(float)
-    return vals
+def _csr(rows, cols, vals, shape):
+    """CSR matrix from (row, column, value) triples; duplicates summed, zeros dropped."""
+    from scipy import sparse
+
+    mat = sparse.csr_matrix((np.ravel(vals), (np.ravel(rows), np.ravel(cols))), shape=shape)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _stack_rows(mats, n_nodes: int, parts: int, diagonal: bool):
+    """Stack (N x p*N) matrices row-wise, block b giving rows b*N .. b*N + N - 1.
+
+    Columns run over (part, node) blocks of N.  With ``diagonal`` each row
+    block reads its own column block, so columns run over (part, block,
+    node).  ``None`` stands for an empty block.
+    """
+    n_blocks = len(mats)
+    width = n_blocks * n_nodes if diagonal else n_nodes
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for b, mat in enumerate(mats):
+        if mat is None:
+            continue
+        coo = mat.tocoo()
+        part, node = np.divmod(coo.col, n_nodes)
+        rows.append(b * n_nodes + coo.row)
+        cols.append(part * width + (b * n_nodes if diagonal else 0) + node)
+        vals.append(coo.data)
+    return _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                (n_blocks * n_nodes, parts * width))
+
+
+class StepStack:
+    """Several steps stacked row-wise, so that one product updates them all.
+
+    Row ``b * N + k`` is node k of ``steps[b]``.  ``level_ops`` holds one
+    ``(shift, parts, matrix)`` triple per level shift of any step; its
+    product with the previous levels, stacked part by part, gives every
+    step's regular-node interpolation at once.  With ``diagonal`` each step
+    reads its own block of that input (the modes of a fixed-rate sweep,
+    each reading its own mixed level); otherwise every step reads the same
+    input (the actions of one mode).  ``interp`` is the stacked plain foot
+    interpolation, ``probs`` the steps' probability rows, ``const`` the
+    stacked ``expected_const``, and the ``cap_*`` arrays collect the capped
+    steps under their stacked rows.  The stack keeps no reference to the
+    steps, so their own matrices can be freed once it is built.
+    """
+
+    def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False):
+        self.n_nodes = n = steps[0].grid.n_nodes
+        self.ds = steps[0].grid.ds
+        self.interp = _stack_rows([st.interp for st in steps], n, 1, diagonal)
+        if all(len(st.level_ops) == 1 and st.level_ops[0][2] is st.interp for st in steps):
+            self.level_ops = [(1, 1, self.interp)]
+        else:
+            self.level_ops = []
+            for shift in sorted({s for st in steps for s, _, _ in st.level_ops}):
+                parts = max(p for st in steps for s, p, _ in st.level_ops if s == shift)
+                mats = [next((op for s, _, op in st.level_ops if s == shift), None) for st in steps]
+                self.level_ops.append((shift, parts, _stack_rows(mats, n, parts, diagonal)))
+        self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
+        self.cap_ds = np.concatenate([st.cap_ds for st in steps])
+        self.cap_q = np.concatenate([st.cap_q for st in steps])
+        rated = steps[0].probs is not None
+        self.probs = np.array([st.probs for st in steps]) if rated else None
+        self.const = np.concatenate([st.expected_const for st in steps]) if rated else None
+        self.cap_probs = np.concatenate([st.cap_probs for st in steps]) if rated else None
+
+    def cap_cdf(self, n: int) -> np.ndarray:
+        """Fixed-rate CDF values of the capped rows at level n."""
+        bc = (n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15
+        return np.einsum("kj,kj->k", self.cap_probs, bc.astype(float))
+
+
+def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
+    """Exit cost of every mode at the exit nodes, shape (M, n_exit_nodes)."""
+    pts = grid.points[grid.exit_mask]
+    if pts.shape[0] == 0:
+        return np.zeros((spec.n_modes, 0))
+    return np.array([spec.modes[i].exit_cost.at(grid, pts) for i in range(spec.n_modes)])
+
+
+class MonotoneClamp:
+    """Keeps a restricted sweep's levels nondecreasing in s and reports the raises.
+
+    The seeded envelope is an O(ds) approximation, so the first updates
+    above it can dip below the previous level; ``apply`` raises them to it
+    and ``report`` logs how many live-node values were raised and the
+    largest raise.
+    """
+
+    def __init__(self, grid: Grid):
+        self.live = ~grid.exit_mask
+        self.count = 0
+        self.largest = 0.0
+
+    def apply(self, vals: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        gap = np.where(self.live, prev - vals, 0.0)
+        raised = gap > 0.0
+        if raised.any():
+            self.count += int(raised.sum())
+            self.largest = max(self.largest, float(gap.max()))
+        return np.maximum(vals, prev)
+
+    def report(self, what: str) -> None:
+        log.debug("%s: %d values raised to the previous level, largest raise %.3g",
+                  what, self.count, self.largest)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +400,10 @@ def solve_cdf(
     attainable cost and seeds the first active level with its attainment
     probability, which both speeds up the sweep and removes smearing at the
     lower envelope.
+
+    Each level update mixes the previous levels over the modes with the
+    one-step transition probabilities and applies the block-diagonal stack
+    of the modes' step operators: one sparse product per level shift.
     """
     if rates is not None:
         spec = replace(spec, rates=rates)
@@ -345,29 +425,40 @@ def solve_cdf(
         )
         for i in range(spec.n_modes)
     ]
-    w = _sweep(spec, grid, steps, restrict, lambda step, w_arr, n: step.cdf_values(w_arr, n))
+    stack = StepStack(steps, diagonal=True)
+
+    def update(w: np.ndarray, n: int) -> np.ndarray:
+        vals = np.zeros(spec.n_modes * grid.n_nodes)
+        for shift, parts, op in stack.level_ops:
+            lo = n - shift
+            if lo >= 0:  # a foot below threshold zero reads the flat zero extension
+                vals += op @ np.concatenate([(stack.probs @ w[:, lo + p]).ravel()
+                                             for p in range(parts)])
+        vals[stack.cap_rows] = stack.cap_cdf(n)
+        return vals.reshape(spec.n_modes, grid.n_nodes)
+
+    w = _sweep(spec, grid, restrict, update)
     return CdfField(grid, w, spec=spec, tau=tau, variant="fixed-rates")
 
 
-def _sweep(spec, grid, steps, restrict, update) -> np.ndarray:
-    m = spec.n_modes
-    w = np.zeros((m, grid.n_levels, grid.n_nodes))
+def _sweep(spec, grid, restrict, update) -> np.ndarray:
+    """Causal upward sweep; ``update(w, n)`` gives every mode's level n off the exit set."""
+    w = np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes))
+    ex = grid.exit_mask
+    q_exit = exit_costs(spec, grid)
     first_level = restrict.first_level() if restrict is not None else None
-    for i in range(m):
-        w[i, 0] = boundary_values(spec, grid, i, 0.0)
+    clamp = MonotoneClamp(grid)
+    w[:, 0, ex] = 0.0 >= q_exit - 1e-15
     for n in range(1, grid.n_levels):
-        s = n * grid.ds
-        for i in range(m):
-            vals = update(steps[i], w, n)
-            if first_level is not None:
-                vals = np.where(n < first_level, 0.0, vals)
-                vals = np.where(n == first_level, restrict.w0[i], vals)
-                # the seeded envelope is an O(ds) approximation, so the first
-                # updates above it can dip below the seed; keep the CDF shape
-                vals = np.maximum(vals, w[i, n - 1])
-            bc = boundary_values(spec, grid, i, s)
-            vals[grid.exit_mask] = bc[grid.exit_mask]
-            w[i, n] = vals
+        vals = update(w, n)
+        if first_level is not None:
+            vals = np.where(n < first_level, 0.0, vals)
+            vals = np.where(n == first_level, restrict.w0, vals)
+            vals = clamp.apply(vals, w[:, n - 1])
+        vals[:, ex] = n * grid.ds >= q_exit - 1e-15
+        w[:, n] = vals
+    if first_level is not None:
+        clamp.report("restricted CDF sweep")
     return w
 
 
@@ -395,93 +486,79 @@ def solve_expected(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    steps = [[SemiLagrangianStep(spec, grid, tau, i)] for i in range(spec.n_modes)]
-    return policy_iteration(spec, grid, steps, None, tol, max_iter)
+    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)]) for i in range(spec.n_modes)]
+    return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
 
 
 def policy_iteration(
     spec: ProblemSpec,
     grid: Grid,
-    steps: list[list[SemiLagrangianStep]],
+    stacks: list[StepStack],
     initial: np.ndarray | None,
     tol: float,
     max_iter: int,
-) -> np.ndarray:
-    """Smallest expected exit cost over the actions of ``steps[mode][action]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest expected exit cost over the actions stacked in ``stacks[mode]``.
 
     Howard's policy iteration: each pass minimizes one Bellman application
     over the actions, stops when that changes u by less than ``tol``, and
     otherwise solves the sparse linear fixed point of the minimizing policy
     exactly.  ``max_iter`` caps the number of passes.  A failed
-    factorization (improper interim policy) falls back to iterating the
-    frozen operator.
+    factorization (improper interim policy) is logged as a warning and
+    falls back to iterating the frozen operator.
+
+    Each mode's actions share one row of transition probabilities, so a
+    Bellman application mixes u over the modes once and applies the mode's
+    stacked interpolation (a ``StepStack`` of its actions' steps): one
+    sparse product for all its actions.  The
+    frozen policy's matrix is a row selection of those stacks.  Returns u
+    and the minimizing action index per (mode, node) at u.
     """
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
     m, n_nodes = spec.n_modes, grid.n_nodes
-    size = m * n_nodes
     ex = grid.exit_mask
+    ex_flat = np.tile(ex, m)
     q_rows = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
+    probs = np.array([stack.probs[0] for stack in stacks])
+    mix = sparse.kron(sparse.csr_matrix(probs), sparse.identity(n_nodes), format="csr")
+    eye = sparse.identity(m * n_nodes, format="csr")
+    nodes = np.arange(n_nodes)
+
+    def improve(u):
+        mixed = probs @ u
+        best = np.empty((m, n_nodes))
+        actions = np.empty((m, n_nodes), dtype=int)
+        for i, stack in enumerate(stacks):
+            vals = (stack.const + stack.interp @ mixed[i]).reshape(-1, n_nodes)
+            actions[i] = np.argmin(vals, axis=0)
+            best[i] = vals[actions[i], nodes]
+        return best, actions
+
     u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
     u[:, ex] = q_rows[:, ex]
     delta = math.inf
     for _ in range(max_iter):
-        best = np.full((m, n_nodes), np.inf)
-        actions = np.zeros((m, n_nodes), dtype=np.int32)
-        for i in range(m):
-            for a, st in enumerate(steps[i]):
-                vals = st.bellman(u)
-                better = vals < best[i]
-                best[i][better] = vals[better]
-                actions[i][better] = a
+        best, actions = improve(u)
         best[:, ex] = q_rows[:, ex]
         delta = float(np.max(np.abs(best - u)))
         u = best
         if delta < tol:
-            return u
-        # assemble I*u - P_policy*u = rhs for the frozen policy
-        rows, cols, vals, rhs = [], [], [], np.zeros(size)
-        diag = np.ones(size)
-        for i in range(m):
-            base = i * n_nodes
-            rhs[base:base + n_nodes][ex] = q_rows[i, ex]
-            for a, st in enumerate(steps[i]):
-                chosen = np.zeros(n_nodes, dtype=bool)
-                chosen[~ex] = actions[i, ~ex] == a
-                if st.cap_nodes.size:
-                    cap_sel = chosen[st.cap_nodes]
-                    nodes = st.cap_nodes[cap_sel]
-                    rhs[base + nodes] = (st.cap_ds + np.einsum(
-                        "kj,kj->k", st.cap_probs, st.cap_q))[cap_sel]
-                if st.esc_nodes.size:
-                    rhs[base + st.esc_nodes[chosen[st.esc_nodes]]] = ESCAPE_COST
-                reg_sel = np.where(chosen[st.reg_nodes])[0]
-                if reg_sel.size == 0:
-                    continue
-                nodes = st.reg_nodes[reg_sel]
-                rhs[base + nodes] = st.tau * st.node_cost[nodes]
-                for j in range(m):
-                    for corner in range(st.reg_idx.shape[0]):
-                        rows.append(base + nodes)
-                        cols.append(j * n_nodes + st.reg_idx[corner, reg_sel])
-                        vals.append(np.full(reg_sel.size, -st.probs[j]) * st.reg_w[corner, reg_sel])
-        mat = sparse.coo_matrix(
-            (np.concatenate([diag, *vals]),
-             (np.concatenate([np.arange(size), *rows]),
-              np.concatenate([np.arange(size), *cols]))),
-            shape=(size, size),
-        ).tocsc()
+            return u, improve(u)[1]
+        rows = actions * n_nodes + nodes
+        frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)], format="csr") @ mix
+        rhs = np.concatenate([st.const[r] for st, r in zip(stacks, rows)])
+        rhs[ex_flat] = q_rows[:, ex].ravel()
         try:
-            u = splu(mat).solve(rhs).reshape(m, n_nodes)
-        except RuntimeError:
-            for _ in range(50):  # improper interim policy: fall back to operator iteration
-                nxt = np.empty_like(u)
-                for i in range(m):
-                    per = np.stack([st.bellman(u) for st in steps[i]])
-                    nxt[i] = per[actions[i], np.arange(n_nodes)]
-                nxt[:, ex] = q_rows[:, ex]
-                u = nxt
+            u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
+        except RuntimeError as exc:
+            log.warning("policy iteration: sparse LU of the frozen policy failed (%s); "
+                        "iterating its operator %d times instead", exc, _FROZEN_ITERATIONS)
+            flat = u.ravel()
+            for _ in range(_FROZEN_ITERATIONS):
+                flat = rhs + frozen @ flat
+            u = flat.reshape(m, n_nodes)
         u[:, ex] = q_rows[:, ex]
     raise ConvergenceError(f"policy iteration did not converge in {max_iter} passes",
                            residual=delta)
@@ -607,7 +684,15 @@ def solve_min_cost(
 
     ``rate_sense`` selects the probability transport rates: ``None`` uses
     the fixed rate matrix, ``"upper"``/``"lower"`` extremize within rate
-    bounds term by term.  s0 itself never depends on the rates.
+    bounds term by term.  s0 itself never depends on the rates; callers
+    that need w0 for several rate choices build one ``MinimalCost`` and
+    ask it for each field.
+    """
+    return MinimalCost(spec, grid).field(spec, rate_sense, argmin_rtol)
+
+
+class MinimalCost:
+    """The rate-independent part of the minimal-cost solve: candidates and s0.
 
     The grid's dimension picks the algorithm.  In 1D, alternating-direction
     Gauss-Seidel sweeps over the nodes reach the fixed point in a few passes
@@ -615,41 +700,42 @@ def solve_min_cost(
     all nodes and candidates at once do both, at far lower per-node
     overhead than a per-node loop; in 1D the per-node loop is the faster.
     """
-    cands = _min_cost_candidates(spec, grid)
-    rate_pick = _rate_picker(spec, rate_sense)
-    n = grid.n_nodes
-    m = spec.n_modes
-    s0 = np.full(n, math.inf)
-    q_min = np.full(n, math.inf)
-    ex = np.where(grid.exit_mask)[0]
-    for i in range(m):
-        q_min[ex] = np.minimum(q_min[ex], spec.modes[i].exit_cost.at(grid, grid.points[ex]))
-    s0[ex] = q_min[ex]
-    if ex.size == 0:
-        raise ConfigError("minimal-cost computation needs a nonempty exit set")
 
-    if grid.dim == 1:
-        s0 = _min_cost_sweep_1d(grid, cands, s0)
-    else:
-        s0 = _min_cost_sweep_vec(grid, cands, s0)
+    def __init__(self, spec: ProblemSpec, grid: Grid):
+        self.grid = grid
+        self.cands = _min_cost_candidates(spec, grid)
+        n = grid.n_nodes
+        ex = np.where(grid.exit_mask)[0]
+        if ex.size == 0:
+            raise ConfigError("minimal-cost computation needs a nonempty exit set")
+        self.q_exit = exit_costs(spec, grid)
+        s0 = np.full(n, math.inf)
+        s0[ex] = self.q_exit.min(axis=0)
+        if grid.dim == 1:
+            s0 = _min_cost_sweep_1d(grid, self.cands, s0)
+        else:
+            s0 = _min_cost_sweep_vec(grid, self.cands, s0)
+        if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
+            bad = np.where(~np.isfinite(s0) & ~grid.exit_mask)[0]
+            if bad.size == n - ex.size:
+                raise NumericsError("no node can reach the exit set (all speeds vanish?)")
+        self.s0 = s0
 
-    if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
-        bad = np.where(~np.isfinite(s0) & ~grid.exit_mask)[0]
-        if bad.size == n - ex.size:
-            raise NumericsError("no node can reach the exit set (all speeds vanish?)")
+    def field(self, spec: ProblemSpec, rate_sense: str | None = None,
+              argmin_rtol: float = 1e-9) -> MinCostField:
+        """s0 with the attainment probability w0 under ``spec``'s rates.
 
-    w0 = np.zeros((m, n))
-    exit_argmin = np.zeros((m, ex.size), dtype=bool)
-    for i in range(m):
-        qi = spec.modes[i].exit_cost.at(grid, grid.points[ex])
-        exit_argmin[i] = qi <= q_min[ex] + argmin_rtol * np.maximum(1.0, q_min[ex])
-    w0[:, ex] = np.where(exit_argmin, 1.0, 0.0)
-
-    if grid.dim == 1:
-        _w0_ordered(spec, grid, cands, s0, w0, rate_pick, argmin_rtol)
-    else:
-        _w0_fixed_point(spec, grid, cands, s0, w0, rate_pick, argmin_rtol)
-    return MinCostField(grid, s0, w0)
+        ``spec`` may differ from the one this was built from in its rates only.
+        """
+        grid = self.grid
+        rate_pick = _rate_picker(spec, rate_sense)
+        q_min = self.q_exit.min(axis=0)
+        w0 = np.zeros((spec.n_modes, grid.n_nodes))
+        exit_argmin = self.q_exit <= q_min + argmin_rtol * np.maximum(1.0, q_min)
+        w0[:, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
+        fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
+        fill(spec, grid, self.cands, self.s0, w0, rate_pick, argmin_rtol)
+        return MinCostField(grid, self.s0, w0)
 
 
 def _w0_ordered(spec, grid, cands, s0, w0, rate_pick, argmin_rtol):
@@ -827,5 +913,5 @@ def eulerian_step(field: CdfField, n: int, mode: int) -> np.ndarray:
         diff_nodes = w_n[j] - w_n[mode]
         coupling += lam[j] * np.einsum("cn,cn->n", wts, diff_nodes[idx])
     out[k] = upwind + ds * coupling
-    out[grid.exit_mask] = boundary_values(spec, grid, mode, (n + 1) * grid.ds)[grid.exit_mask]
+    out[grid.exit_mask] = (n + 1) * grid.ds >= exit_costs(spec, grid)[mode] - 1e-15
     return out

@@ -563,8 +563,9 @@ def _cmd_threshold(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
-    tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict,
-                                 hjb_tol=numerics.get("tol", 1e-8))
+    hjb = control.solve_hjb_expectation(
+        spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
+    tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
     slices = _default_slices(run, args, grid)
     thresholds = args.thresholds or run.get("thresholds")
     if thresholds:

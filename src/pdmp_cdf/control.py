@@ -17,6 +17,12 @@ the surely-successful one) the tie is broken by the smallest companion
 expected cost V, then by action index.  On the hopeless region V is pinned
 to the expectation-optimal value so the stored action coincides with the
 expectation-optimal policy there.
+
+Both problems run on the stacked step operators of ``cdf_solver``: the
+steps of all actions of a mode share one probability row, so the previous
+level of ``[W, V]`` is mixed over the modes once and one sparse product per
+mode (and level shift) gives the candidates of every action; the policy
+iteration's Bellman pass is the same product on u.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf_solver import (
+    MonotoneClamp,
     SemiLagrangianStep,
-    boundary_values,
+    StepStack,
     check_causality,
+    exit_costs,
     policy_iteration,
     solve_cdf,
 )
@@ -143,15 +151,12 @@ class ThresholdValue:
 # ---------------------------------------------------------------------------
 
 
-def _controlled_steps(spec, grid, tau, prob_method="first_order"):
-    steps = []
-    for i in range(spec.n_modes):
-        row = []
-        for a in range(spec.controls.n_actions):
-            row.append(SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a),
-                                          prob_method=prob_method))
-        steps.append(row)
-    return steps
+def _action_stacks(spec, grid, tau, prob_method="first_order") -> list[StepStack]:
+    """One stack of all actions' steps per mode; each mode's steps are freed once stacked."""
+    return [StepStack([SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a),
+                                          prob_method=prob_method)
+                       for a in range(spec.controls.n_actions)])
+            for i in range(spec.n_modes)]
 
 
 def solve_hjb_expectation(
@@ -176,24 +181,14 @@ def solve_hjb_expectation(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    steps = _controlled_steps(spec, grid, tau)
-    u = policy_iteration(spec, grid, steps, initial, tol, max_iter)
-    actions = _argmin_actions(steps, u)
+    u, actions = policy_iteration(spec, grid, _action_stacks(spec, grid, tau), initial,
+                                  tol, max_iter)
+    actions = actions.astype(np.int16)
     fill = _nearest_interior(grid)
     actions[:, grid.exit_mask] = actions[:, fill[grid.exit_mask]]
     policy = Policy(spec.controls, actions[:, None, :], actions, grid.lo, grid.dx,
                     grid.shape, grid.ds, provenance="expectation")
     return ValueField(grid, u), policy
-
-
-def _argmin_actions(steps, u: np.ndarray) -> np.ndarray:
-    m = len(steps)
-    n_nodes = u.shape[1]
-    actions = np.zeros((m, n_nodes), dtype=np.int16)
-    for i in range(m):
-        vals = np.stack([st.bellman(u) for st in steps[i]])
-        actions[i] = np.argmin(vals, axis=0).astype(np.int16)
-    return actions
 
 
 def _nearest_interior(grid: Grid) -> np.ndarray:
@@ -280,31 +275,45 @@ def solve_threshold(
     if prob_method == "first_order" and tau * float(rm.total_rates().max()) > 1.0 + 1e-12:
         raise NumericsError("tau too large for first-order transition probabilities")
 
-    steps = _controlled_steps(spec, grid, tau, prob_method)
+    stacks = _action_stacks(spec, grid, tau, prob_method)
     m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
     ns = grid.n_levels
     w = np.zeros((m, ns, n_nodes))
     v = np.zeros((m, ns, n_nodes))
     actions = np.zeros((m, ns, n_nodes), dtype=np.int16)
     q_exit = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
+    q_bc = exit_costs(spec, grid)
     first_level = restrict.first_level() if restrict is not None else None
+    clamp = MonotoneClamp(grid)
 
     ex = grid.exit_mask
-    for i in range(m):
-        w[i, 0] = boundary_values(spec, grid, i, 0.0)
-        v[i, 0] = np.where(ex, q_exit[i], u[i])
-        actions[i, 0] = a_star[i]
+    w[:, 0, ex] = 0.0 >= q_bc - 1e-15
+    v[:, 0] = np.where(ex, q_exit, u)
+    actions[:, 0] = a_star
 
+    def mixed(arr, i, lvl):
+        return stacks[i].probs[0] @ arr[:, lvl]
+
+    cols = np.arange(n_nodes)
     for n in range(1, ns):
-        s = n * grid.ds
-        for i in range(m):
-            vals = np.stack([steps[i][a].cdf_values(w, n) for a in range(n_act)])
+        bc = n * grid.ds >= q_bc - 1e-15
+        for i, stack in enumerate(stacks):
+            # [W, V] candidates of every action: W reads the flat zero
+            # extension below threshold zero, V the flat extension of level 0
+            cand = np.zeros((n_act * n_nodes, 2))
+            for shift, parts, op in stack.level_ops:
+                lo = n - shift
+                x = [np.column_stack([mixed(w, i, lo + p) if lo >= 0 else np.zeros(n_nodes),
+                                      mixed(v, i, max(lo + p, 0))]) for p in range(parts)]
+                cand += op @ np.concatenate(x)
+            wc = cand[:, 0]
+            wc[stack.cap_rows] = stack.cap_cdf(n)
+            vals = wc.reshape(n_act, n_nodes)
+            vcand = (stack.const + cand[:, 1]).reshape(n_act, n_nodes)
             wmax = vals.max(axis=0)
-            vcand = np.stack([steps[i][a].expectation_values(v, n) for a in range(n_act)])
             tied = vals >= wmax[None, :] - TIE_TOL
             vmasked = np.where(tied, vcand, np.inf)
             a_hat = np.argmin(vmasked, axis=0)
-            cols = np.arange(n_nodes)
             v_new = vmasked[a_hat, cols]
             w_new = wmax
             hopeless = w_new <= 0.0
@@ -316,14 +325,14 @@ def solve_threshold(
                 w_new = np.where(below, 0.0, np.where(at, restrict.w0[i], w_new))
                 a_new = np.where(below | at, a_star[i].astype(np.int16), a_new)
                 v_new = np.where(below | at, u[i], v_new)
-                # guard the CDF shape against the O(ds) envelope seeding
-                w_new = np.maximum(w_new, w[i, n - 1])
-            bc = boundary_values(spec, grid, i, s)
-            w_new = np.where(ex, bc, w_new)
+                w_new = clamp.apply(w_new, w[i, n - 1])
+            w_new[ex] = bc[i]
             v_new = np.where(ex, q_exit[i], v_new)
             w[i, n] = w_new
             v[i, n] = v_new
             actions[i, n] = a_new
+    if first_level is not None:
+        clamp.report("restricted threshold sweep")
 
     # boundary-cell lookups read the exit-node entries; give them the law of
     # the nearest interior node instead of meaningless boundary updates

@@ -1,8 +1,10 @@
 """Slow, plain reference solvers that the tests compare the package against.
 
-They share the package's discretization (the semi-Lagrangian steps and the
-min-cost update candidates) but not its iterations, so a test against them
-checks the solver and not the scheme.
+They share the package's discretization (the semi-Lagrangian steps' node
+classification and boundary data, and the min-cost update candidates) but
+not its iterations or its sparse operators: feet are interpolated node by
+node with ``grid.interp_nodes``.  A test against them checks the solver and
+not the scheme.
 """
 
 import heapq
@@ -13,11 +15,19 @@ import numpy as np
 from pdmp_cdf.cdf_solver import ESCAPE_COST, SemiLagrangianStep, _min_cost_candidates
 
 
+def _feet(spec, grid, step, action=None):
+    """Foot points of every node's step, clipped to the box as the solver clips them."""
+    vel = spec.modes[step.mode].dynamics.at(grid, grid.points, action)
+    return np.clip(grid.points + step.tau * vel, grid.lo, grid.hi)
+
+
 def value_iteration(spec, grid, tol=1e-13, max_iter=200_000):
     """Expectation-optimal value u[mode, node] by plain value iteration."""
     tau = grid.dx.min() / spec.max_speed()
     steps = [[SemiLagrangianStep(spec, grid, tau, i, action=a) for a in spec.controls.vectors]
              for i in range(spec.n_modes)]
+    feet = [[_feet(spec, grid, st, a)[st.reg_nodes] for a, st in zip(spec.controls.vectors, row)]
+            for row in steps]
     ex = grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
     u = np.where(ex, q, 0.0)
@@ -25,9 +35,9 @@ def value_iteration(spec, grid, tol=1e-13, max_iter=200_000):
         new = np.empty_like(u)
         for i, row in enumerate(steps):
             per_action = []
-            for st in row:
+            for st, foot_pts in zip(row, feet[i]):
                 vals = np.full(grid.n_nodes, ESCAPE_COST)
-                foot = sum(st.probs[j] * (st.reg_w * u[j][st.reg_idx]).sum(axis=0)
+                foot = sum(st.probs[j] * grid.interp_nodes(u[j], foot_pts)
                            for j in range(spec.n_modes))
                 vals[st.reg_nodes] = st.tau * st.node_cost[st.reg_nodes] + foot
                 vals[st.cap_nodes] = st.cap_ds + (st.cap_probs * st.cap_q).sum(axis=1)
@@ -38,6 +48,53 @@ def value_iteration(spec, grid, tol=1e-13, max_iter=200_000):
             return new
         u = new
     raise AssertionError("value iteration did not converge")
+
+
+def level_sweep(spec, grid, tau, u=None, action=None):
+    """W and its companion expected cost V, swept level by level node by node.
+
+    Every regular node reads its foot point with ``grid.interp_nodes`` on
+    the levels n - shift and n - shift + 1 its running cost reaches, weighted
+    (1 - frac) and frac; a foot below threshold zero reads zero for W and
+    level 0 for V.  Capped and escaping nodes take the step's boundary data.
+    With ``u`` (the expectation-optimal value) V follows the one-action
+    threshold sweep: it is pinned to u where W is zero.
+    """
+    m, ns, nn = spec.n_modes, grid.n_levels, grid.n_nodes
+    ex = grid.exit_mask
+    q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
+    steps = [SemiLagrangianStep(spec, grid, tau, i, action=action) for i in range(m)]
+    feet = [_feet(spec, grid, st, action) for st in steps]
+    costs = [spec.modes[i].cost.at(grid, grid.points, action) for i in range(m)]
+    w = np.zeros((m, ns, nn))
+    v = np.zeros((m, ns, nn))
+    w[:, 0] = ex & (0.0 >= q - 1e-15)
+    v[:, 0] = np.where(ex, q, 0.0 if u is None else u)
+    for n in range(1, ns):
+        for i, st in enumerate(steps):
+            for k in st.reg_nodes:
+                off = tau * costs[i][k] / grid.ds
+                shift = math.ceil(off - 1e-12)
+                frac = shift - off if shift > 1 and shift - off >= 1e-12 else 0.0
+
+                def at(arr, lvl):
+                    return sum(st.probs[j] * grid.interp_nodes(arr[j, lvl], feet[i][k:k + 1])[0]
+                               for j in range(m))
+
+                lo = n - shift
+                if lo >= 0:
+                    w[i, n, k] = (1.0 - frac) * at(w, lo) + frac * at(w, lo + 1)
+                v[i, n, k] = tau * costs[i][k] + (1.0 - frac) * at(v, max(lo, 0)) \
+                    + frac * at(v, max(lo + 1, 0))
+            bc = (n * grid.ds - st.cap_ds)[:, None] >= st.cap_q - 1e-15
+            w[i, n, st.cap_nodes] = (st.cap_probs * bc).sum(axis=1)
+            v[i, n, st.cap_nodes] = st.cap_ds + (st.cap_probs * st.cap_q).sum(axis=1)
+            v[i, n, st.esc_nodes] = ESCAPE_COST
+            if u is not None:
+                v[i, n] = np.where(w[i, n] <= 0.0, u[i], v[i, n])
+            w[i, n, ex] = n * grid.ds >= q[i, ex] - 1e-15
+            v[i, n, ex] = q[i, ex]
+    return w, v
 
 
 def _candidate_value(cand, values, k):

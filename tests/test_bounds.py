@@ -12,7 +12,7 @@ from pdmp_cdf.bounds import (
     solve_bounds,
     solve_min_cost_bounds,
 )
-from pdmp_cdf.cdf_solver import solve_cdf
+from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.errors import ConfigError
 from pdmp_cdf.model import RateBounds, RateMatrix
 
@@ -95,6 +95,14 @@ class TestMinCostBounds:
         assert np.abs(mcb.w0_upper - plain.w0).max() <= 1e-12
         assert np.abs(mcb.w0_lower - plain.w0).max() <= 1e-12
 
+    def test_one_s0_serves_both_senses(self, ex4):
+        spec, grid = ex4
+        mcb = solve_min_cost_bounds(spec, grid)
+        for sense, w0 in (("upper", mcb.w0_upper), ("lower", mcb.w0_lower)):
+            own = solve_min_cost(spec, grid, rate_sense=sense)
+            assert np.array_equal(mcb.s0, own.s0)
+            assert np.array_equal(w0, own.w0)
+
     def test_characteristic_closed_forms(self, ex4):
         # best case decays at the slowest rate, worst case at the fastest
         spec, grid = ex4
@@ -139,3 +147,12 @@ class TestFixedRateSweep:
         rms = default_rate_grid((1.0, 4.0))
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms)):
             assert np.array_equal(field.values, solve_cdf(spec, grid, rates=rm).values)
+
+    def test_restricted_matrix_matches_its_own_restricted_solve(self, ex4):
+        # the sweep computes s0 once; each matrix's w0 and CDF must equal a
+        # solve that computes its own min-cost field from scratch
+        spec, grid = ex4
+        rms = default_rate_grid((1.0, 4.0))
+        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, restrict=True)):
+            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            assert np.array_equal(field.values, solve_cdf(spec, grid, restrict=own, rates=rm).values)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -13,9 +14,18 @@ from pdmp_cdf.cdf_solver import (
     solve_min_cost,
 )
 from pdmp_cdf.errors import NumericsError
-from pdmp_cdf.model import ExitSpec, MinCostField, ProblemSpec
+from pdmp_cdf.control import solve_hjb_expectation, solve_threshold
+from pdmp_cdf.model import (
+    ControlSet,
+    ExitSpec,
+    MinCostField,
+    ModeSpec,
+    ProblemSpec,
+    ScalarField,
+    VectorField,
+)
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
-from reference_solvers import label_setting_min_cost
+from reference_solvers import label_setting_min_cost, level_sweep
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +146,54 @@ class TestRestriction:
         ex = grid.exit_mask
         assert np.all(levels[ex] == 0)
         assert np.all(seeds[:, ex] == 1.0)
+
+    def test_clamp_is_reported(self, caplog):
+        # a seed alternating 1, 0 along the nodes: the next level reads the
+        # neighboring node, so every seeded 1 falls to 0 and is raised back
+        spec = catalog.example1()
+        grid = build_grid(spec, 0.01, 0.01, 0.5)
+        seed = np.tile(np.arange(grid.n_nodes) % 2 == 0, (2, 1)).astype(float)
+        mc = MinCostField(grid, np.full(grid.n_nodes, 0.1), seed)
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            field = solve_cdf(spec, grid, restrict=mc)
+        (rec,) = [r for r in caplog.records if r.name.startswith("pdmp_cdf")]
+        assert rec.levelno == logging.DEBUG
+        what, count, largest = rec.args
+        assert count > 0 and largest == 1.0
+        assert np.all(np.diff(field.values, axis=1) >= 0.0)
+
+
+class TestLevelShifts:
+    """Running costs that reach several levels back, with fractional weights."""
+
+    @staticmethod
+    def sloped_cost(grid, controlled):
+        # C(x) = 1 + x/2 with tau = 1.6 ds reads 1.6 to 2.4 levels back
+        base = catalog.example1()
+        cost = ScalarField("tabulated", values=1.0 + 0.5 * grid.points[:, 0])
+        dynamics = [VectorField.control_offset([v]) if controlled else VectorField.constant([v])
+                    for v in (1.0, -1.0)]
+        return ProblemSpec(
+            dim=1, lo=base.lo, hi=base.hi, exit_set=base.exit_set,
+            modes=tuple(ModeSpec(d, cost, ScalarField.constant(0.0)) for d in dynamics),
+            rates=base.rates,
+            controls=ControlSet.from_list([[0.0]]) if controlled else ControlSet.none())
+
+    def test_cdf_and_expected_cost_updates_match_per_node_reference(self):
+        grid = build_grid(catalog.example1(), 0.02, 0.02, 0.6)
+        tau = 1.6 * grid.ds
+        spec = self.sloped_cost(grid, controlled=False)
+        field = solve_cdf(spec, grid, tau=tau)
+        w_ref, _ = level_sweep(spec, grid, tau)
+        assert np.abs(field.values - w_ref).max() <= 1e-12
+        assert np.abs(field.values).max() > 0.5  # the sweep reached the exits
+
+        controlled = self.sloped_cost(grid, controlled=True)
+        tv = solve_threshold(controlled, grid, tau=tau,
+                             hjb=solve_hjb_expectation(controlled, grid, tol=1e-10))
+        w_ref, v_ref = level_sweep(controlled, grid, tau, u=tv.u, action=np.array([0.0]))
+        assert np.abs(tv.w.values - w_ref).max() <= 1e-12
+        assert np.abs(tv.v - v_ref).max() <= 1e-12
 
 
 class TestEulerianIdentity:

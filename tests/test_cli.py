@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmp_cdf
 from pdmp_cdf import build_grid, catalog
 from pdmp_cdf.cli import (
     EXIT_CONFIG,
@@ -279,6 +284,29 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["hjb", "--problem", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
+
+    def test_threshold_honours_max_iter(self, tmp_path):
+        # the threshold sweep's tie-breaking HJB solve obeys the same cap
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5,
+                            "tol": 1e-12, "max_iter": 1},
+               "run": {}, "output": {}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["threshold", "--problem", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse takes a noticeable share of start-up; only solvers load it
+    src_dir = str(Path(pdmp_cdf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, pdmp_cdf.cli; print('scipy.sparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 EX5_GRID = ["--problem", "example5", "--dx", "0.02", "--ds", "0.01", "--s-max", "1.0"]

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ class TestExpectationOptimal:
         right = x > 0.5 + 1e-9
         assert np.all(policy.actions[0, 0, left] == 0)
         assert np.all(policy.actions[0, 0, right] == 1)
+
+    def test_failed_lu_is_reported_and_recovered(self, caplog):
+        # staying put ties with moving on the first pass and wins by index,
+        # so the first frozen policy never exits and its LU is singular
+        spec = ProblemSpec(
+            dim=1, lo=np.array([0.0]), hi=np.array([1.0]), exit_set=ExitSpec("boundary"),
+            modes=(ModeSpec(VectorField.control_offset([0.0]), ScalarField.constant(1.0),
+                            ScalarField.constant(0.0)),),
+            rates=RateMatrix(np.zeros((1, 1))),
+            controls=ControlSet.from_list([[0.0], [-1.0], [1.0]]))
+        grid = build_grid(spec, 0.1, 0.1, 1.0)
+        with caplog.at_level(logging.WARNING, logger="pdmp_cdf"):
+            value, _ = solve_hjb_expectation(spec, grid, tol=1e-10)
+        warnings = [r for r in caplog.records if r.name.startswith("pdmp_cdf")]
+        assert warnings and all(r.levelno == logging.WARNING for r in warnings)
+        assert "LU" in warnings[0].getMessage()
+        x = grid.points[:, 0]
+        assert np.abs(value.u[0] - np.minimum(x, 1 - x)).max() < 1e-8
 
     def test_boundary_values(self, ex5):
         spec, grid, (value, policy), mc, tv = ex5
