@@ -589,33 +589,49 @@ def _cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+def _whole_number(value, what: str) -> int:
+    """An integer run value; integral floats such as ``1e5`` are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    seed = args.seed if args.seed is not None else int(run.get("seed", 0))
-    n = args.n if args.n is not None else int(run.get("samples", 10000))
+    seed = _whole_number(args.seed if args.seed is not None else run.get("seed", 0), "seed")
+    n = _whole_number(args.n if args.n is not None else run.get("samples", 10000), "sample count")
+    if n < 1:
+        raise ConfigError(f"sample count {n} must be at least 1")
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "simulate", "problem": args.problem, "numerics": numerics,
                          "run": run, "n": n, "seed": seed}, seed=seed)
     policy = control.load_policy(args.policy_in) if args.policy_in else None
     threshold = args.threshold if args.threshold is not None else run.get("threshold")
     start_doc = run.get("start")
-    if args.start:
-        coords, mode = args.start.rsplit(":", 1)
-        start = (np.array([float(v) for v in coords.split(",")]), int(mode) - 1)
-    elif start_doc:
-        start = (np.array(start_doc[0], dtype=float), int(start_doc[1]) - 1)
-    else:
-        start = (0.5 * (spec.lo + spec.hi), 0)
+    try:
+        if args.start:
+            coords, _, mode = args.start.rpartition(":")
+            start = (np.array([float(v) for v in coords.split(",")]), int(mode) - 1)
+        elif start_doc:
+            start = (np.array(start_doc[0], dtype=float).reshape(-1), int(start_doc[1]) - 1)
+        else:
+            start = (0.5 * (spec.lo + spec.hi), 0)
+    except (ValueError, TypeError, IndexError, KeyError):
+        raise ConfigError("bad start; use 'x[,y]:mode' or [[x, y], mode] (1-based mode)") from None
     batch = simulate.run_batch(spec, start, n, seed, policy=policy, threshold=threshold,
                                horizon_cap=run.get("horizon_cap"), grid=grid)
     ecdf = simulate.empirical_cdf(batch)
-    rows = [[float(c), float(ecdf.evaluate(c))] for c in ecdf.costs]
+    rows = list(zip(ecdf.costs.tolist(), ecdf.evaluate(ecdf.costs).tolist()))
     exporter.write_rows("empirical_cdf.csv", ["cost", "cdf"], rows)
     if args.dump_samples or run.get("dump_samples"):
         simulate.write_samples_csv(batch, str(exporter.dir / "samples.csv"))
         exporter.files.append("samples.csv")
     extra = {
         "n_samples": n,
+        "rng": simulate.RNG_CONTRACT,
+        "switches": int(batch.switch_counts.sum()),
         "exited": int(batch.exited.sum()),
         "escaped": int(batch.escaped.sum()),
         "censored": int(batch.censored.sum()),

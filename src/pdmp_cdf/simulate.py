@@ -7,11 +7,22 @@ exponential switch clock and the successor-mode draw.  Tabulated velocity
 fields fall back to a classical 4-stage one-step integrator with step
 length bounded by dx/|f|.
 
-Randomness contract: sample ``i`` of a run with master seed ``seed``
-consumes the counter-based stream Philox(key=(seed, i)) in a fixed order
-(one exponential per switch clock, one uniform per successor draw), so
-samples are independent, reproducible bitwise, and parallelizable by
-splitting the index range.
+Randomness contract v2 (``philox4x64-10/v2``): sample ``i`` of a run with
+seed ``s`` and stream offset ``o`` has the Philox4x64-10 key ``(s, o + i)``.
+Its events are numbered from 0: event 0 is the initial clock and event
+``k >= 1`` is the k-th switch.  Event ``k`` uses the four-word block that
+``np.random.Philox(key=np.array([s, o + i], dtype=np.uint64),
+counter=[k, 0, 0, 0]).random_raw(4)`` returns first (the Philox bijection
+of the counter ``(k + 1, 0, 0, 0)``).  Word 0 gives the successor uniform
+``u = (w0 >> 11) * 2**-53`` (unused by event 0); word 1 gives the next
+clock ``E = -log1p(-(w1 >> 11) * 2**-53)``, a unit exponential that the
+departure rate of the new mode divides.  The successor is the number of
+entries of the mode's cumulative successor table that are ``<= u``,
+clipped to the last mode.  Samples are therefore independent,
+reproducible bitwise, and parallelizable by splitting the index range;
+the blocks are computed in bulk (`philox4x64`), one per switching sample
+and event, with the 64x64->128-bit products done on 32-bit limbs
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ from .control import Policy
 from .errors import ConfigError, NumericsError
 from .model import Grid, ProblemSpec
 
-_CHUNK = 16          # random values pre-drawn per sample between refills
 _MAX_EVENTS = 2_000_000
+RNG_CONTRACT = "philox4x64-10/v2"
 
 
 @dataclass
@@ -81,35 +92,74 @@ def default_horizon(spec: ProblemSpec) -> float:
     return 50.0 * spec.diameter() / slowest
 
 
-class _Streams:
-    """Per-sample counter-based random streams with chunked refills."""
+# Philox4x64-10 multipliers and key increments, as in numpy.random.Philox
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+_MASK64 = (1 << 64) - 1
 
-    def __init__(self, seed: int, n: int, offset: int = 0):
-        self.gens = [np.random.Generator(np.random.Philox(key=[seed, offset + i])) for i in range(n)]
-        self.exp_buf = np.vstack([g.standard_exponential(_CHUNK) for g in self.gens])
-        self.uni_buf = np.vstack([g.random(_CHUNK) for g in self.gens])
-        self.exp_ptr = np.zeros(n, dtype=int)
-        self.uni_ptr = np.zeros(n, dtype=int)
 
-    def exponential(self, idx: np.ndarray) -> np.ndarray:
-        need = np.where(self.exp_ptr[idx] >= self.exp_buf.shape[1])[0]
-        for j in need:
-            i = idx[j]
-            self.exp_buf[i] = self.gens[i].standard_exponential(_CHUNK)
-            self.exp_ptr[i] = 0
-        out = self.exp_buf[idx, self.exp_ptr[idx]]
-        self.exp_ptr[idx] += 1
-        return out
+def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b`` (uint64 array, constant)."""
+    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = ((a0 * b0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(b)
 
-    def uniform(self, idx: np.ndarray) -> np.ndarray:
-        need = np.where(self.uni_ptr[idx] >= self.uni_buf.shape[1])[0]
-        for j in need:
-            i = idx[j]
-            self.uni_buf[i] = self.gens[i].random(_CHUNK)
-            self.uni_ptr[i] = 0
-        out = self.uni_buf[idx, self.uni_ptr[idx]]
-        self.uni_ptr[idx] += 1
-        return out
+
+def philox4x64(key0: int, key1: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 blocks of the counters ``(counter, 0, 0, 0)``.
+
+    ``key0`` is one integer in [0, 2**64); ``key1`` and ``counter`` are uint64
+    arrays of one shape.  Returns the four output words, each of that shape.
+    """
+    key0 = int(key0)
+    key1 = np.asarray(key1, dtype=np.uint64)
+    c0 = np.asarray(counter, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64)
+        k1 = key1 + np.uint64(r * _PHILOX_W[1] & _MASK64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _uniform(w: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from the top 53 bits of uint64 words."""
+    return (w >> _SHIFT11).astype(float) * 2.0**-53
+
+
+def _exponential(w: np.ndarray) -> np.ndarray:
+    """Unit exponentials by inversion; 0 at word 0, about 36.7 at word 2**64 - 1."""
+    return -np.log1p(-_uniform(w))
+
+
+def _event_draws(seed: int, index: np.ndarray, event: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Successor uniforms and unit exponential clocks of the given events."""
+    w0, w1, _, _ = philox4x64(seed, index, np.asarray(event, dtype=np.uint64) + np.uint64(1))
+    return _uniform(w0), _exponential(w1)
+
+
+def _successors(cum: np.ndarray, modes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Successor modes: ``searchsorted(cum[mode], u, side="right")`` clipped to the last mode."""
+    return np.minimum((cum[modes] <= u[:, None]).sum(axis=1), cum.shape[0] - 1)
+
+
+def _stream_indices(seed: int, offset: int, n: int) -> np.ndarray:
+    """The second key words ``offset + i`` of ``n`` samples, after range checks."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed {seed} is outside [0, 2**64)")
+    if offset < 0 or offset + n - 1 > _MASK64:
+        raise ConfigError("stream indices must lie in [0, 2**64)")
+    return np.uint64(offset) + np.arange(n, dtype=np.uint64)
 
 
 def _exit_face_names(spec: ProblemSpec) -> set[str]:
@@ -167,6 +217,10 @@ def run_batch(
     mode0 = int(start[1])
     if x0.size != spec.dim:
         raise ConfigError("start point has the wrong dimension")
+    if not np.all((x0 >= spec.lo) & (x0 <= spec.hi)):
+        raise ConfigError("start point lies outside the domain")
+    if not 0 <= mode0 < spec.n_modes:
+        raise ConfigError(f"start mode index {mode0} is outside [0, {spec.n_modes})")
     if any(ms.dynamics.kind == "tabulated" for ms in spec.modes):
         if policy is not None:
             raise ConfigError("policies over tabulated dynamics are not supported")
@@ -193,19 +247,20 @@ def run_batch(
     offsets = np.array([ms.dynamics.vector for ms in spec.modes])
     ctrl_vecs = policy.control_set.vectors if policy is not None else None
 
-    streams = _Streams(seed, n, offset=stream_offset)
+    index = _stream_indices(seed, stream_offset, n)
     x = np.tile(x0, (n, 1))
     mode = np.full(n, mode0, dtype=int)
     t = np.zeros(n)
     c = np.zeros(n)
-    all_idx = np.arange(n)
-    safe = np.where(totals[mode] > 0, totals[mode], 1.0)
-    next_switch = np.where(totals[mode] > 0, streams.exponential(all_idx) / safe, np.inf)
+    if totals[mode0] > 0:
+        next_switch = _event_draws(seed, index, np.zeros(n))[1] / totals[mode0]
+    else:
+        next_switch = np.full(n, np.inf)
     costs = np.full(n, np.inf)
     exited = np.zeros(n, dtype=bool)
     escaped = np.zeros(n, dtype=bool)
     censored = np.zeros(n, dtype=bool)
-    switch_counts = np.zeros(n, dtype=int)
+    switch_counts = np.zeros(n, dtype=np.uint64)  # also each sample's event counter
     exit_times = np.full(n, np.nan)
     exit_points = np.full((n, d), np.nan)
     occupancy = np.zeros((n, m))
@@ -337,14 +392,10 @@ def run_batch(
             if sel.size == 0:
                 continue
             if kname == "switch":
-                u_draw = streams.uniform(sel)
-                new_modes = np.empty(sel.size, dtype=int)
-                for pos, smp in enumerate(sel):
-                    new_modes[pos] = int(np.searchsorted(cum[mode[smp]], u_draw[pos], side="right"))
-                new_modes = np.minimum(new_modes, m - 1)
+                switch_counts[sel] += np.uint64(1)
+                u_draw, e_draw = _event_draws(seed, index[sel], switch_counts[sel])
+                new_modes = _successors(cum, mode[sel], u_draw)
                 mode[sel] = new_modes
-                switch_counts[sel] += 1
-                e_draw = streams.exponential(sel)
                 rates_new = totals[new_modes]
                 safe_new = np.where(rates_new > 0, rates_new, 1.0)
                 next_switch[sel] = np.where(rates_new > 0, t[sel] + e_draw / safe_new, np.inf)
@@ -418,7 +469,7 @@ def run_batch(
                 rec.exit_point = exit_points[i].copy()
     return BatchResult(
         start_x=x0, start_mode=mode0, seed=seed, costs=costs, exited=exited,
-        escaped=escaped, censored=censored, switch_counts=switch_counts,
+        escaped=escaped, censored=censored, switch_counts=switch_counts.astype(int),
         exit_times=exit_times, occupancy=occupancy, samples=recs,
     )
 
@@ -427,8 +478,8 @@ def _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid, of
     if grid is None:
         raise ConfigError("tabulated velocity fields need the grid for interpolation")
     samples = [
-        _sample_tabulated(spec, grid, x0, mode0, seed, offset + i, horizon_cap)
-        for i in range(n)
+        _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap)
+        for index in _stream_indices(seed, offset, n)
     ]
     costs = np.array([s.cost for s in samples])
     m = spec.n_modes
@@ -445,15 +496,19 @@ def _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid, of
 
 
 def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
-    """One-step 4-stage integration path for space-varying velocities."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    """One-step 4-stage integration path for space-varying velocities.
+
+    Draws from the stream ``(seed, index)`` exactly as `run_batch` does.
+    """
+    stream = np.array([index], dtype=np.uint64)
     cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
     rec = TrajectorySample(np.array(x0, float), mode0, modes=[mode0])
     x = np.array(x0, dtype=float)
     mode = mode0
     totals, cum = _jump_tables(spec)
     t = c = 0.0
-    t_next = t + (rng.standard_exponential() / totals[mode] if totals[mode] > 0 else math.inf)
+    clock = float(_event_draws(seed, stream, np.zeros(1))[1][0])
+    t_next = clock / totals[mode] if totals[mode] > 0 else math.inf
     dx_min = float(grid.dx.min())
 
     def vel(p, mode_now):
@@ -496,12 +551,12 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
                 rec.escaped = True
             return rec
         if t >= t_next:
-            u = rng.random()
-            mode = int(min(np.searchsorted(cum[mode], u, side="right"), spec.n_modes - 1))
+            u, e = _event_draws(seed, stream, np.array([len(rec.modes)]))
+            mode = int(_successors(cum, np.array([mode]), u)[0])
             rec.switch_times.append(t)
             rec.modes.append(mode)
             rec.cost_checkpoints.append((t, c))
-            t_next = t + (rng.standard_exponential() / totals[mode] if totals[mode] > 0 else math.inf)
+            t_next = t + (float(e[0]) / totals[mode] if totals[mode] > 0 else math.inf)
     rec.censored = True
     return rec
 
@@ -530,9 +585,15 @@ def sample_trajectory(
     horizon_cap: float | None = None,
     grid: Grid | None = None,
 ) -> TrajectorySample:
-    """Simulate one trajectory on the stream Philox(key=(seed, index)).
+    """Simulate one trajectory on the stream with Philox key ``(seed, index)``.
 
-    Identical to row ``index`` of a batch run with the same master seed.
+    Identical to row ``index`` of a batch run with the same seed.  Under
+    randomness contract v2 (see the module docstring) event ``k`` of the
+    trajectory (0: the initial clock, k >= 1: the k-th switch) uses the block
+    ``np.random.Philox(key=np.array([seed, index], dtype=np.uint64),
+    counter=[k, 0, 0, 0]).random_raw(4)``: word 0 gives the successor uniform
+    ``(w0 >> 11) * 2**-53`` and word 1 the clock
+    ``-log1p(-(w1 >> 11) * 2**-53)``.
     """
     batch = run_batch(spec, start, 1, seed, policy=policy, threshold=threshold,
                       horizon_cap=horizon_cap, record=True, grid=grid,
@@ -605,16 +666,15 @@ def estimate_mean(samples) -> tuple[float, float]:
 
 def write_samples_csv(batch: BatchResult, path: str) -> None:
     """One row per sample: stream index, start, outcome flags, cost, switches."""
+    start = [repr(float(v)) for v in batch.start_x]
+    mode0 = batch.start_mode + 1
+    costs = [repr(v) if math.isfinite(v) else "inf" for v in batch.costs.tolist()]
+    columns = zip(batch.exited.astype(int).tolist(), batch.escaped.astype(int).tolist(),
+                  batch.censored.astype(int).tolist(), costs, batch.switch_counts.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         coords = [f"x0_{a}" for a in range(batch.start_x.size)]
         writer.writerow(["sample", *coords, "mode0", "exited", "escaped", "censored",
                          "cost", "switches"])
-        for i in range(batch.n):
-            cost = batch.costs[i]
-            writer.writerow([
-                i, *[repr(float(v)) for v in batch.start_x], batch.start_mode + 1,
-                int(batch.exited[i]), int(batch.escaped[i]), int(batch.censored[i]),
-                repr(float(cost)) if np.isfinite(cost) else "inf",
-                int(batch.switch_counts[i]),
-            ])
+        writer.writerows([i, *start, mode0, ex, es, ce, cost, sw]
+                         for i, (ex, es, ce, cost, sw) in enumerate(columns))

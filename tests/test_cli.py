@@ -297,6 +297,60 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
 
 
+class TestRunValues:
+    SIM = ["simulate", "--problem", "example1", "--start", "0.4:1"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--n", "-3"],
+        ["--seed", "-1"], ["--seed", str(2**64)],
+    ])
+    def test_bad_flags_rejected(self, tmp_path, flags, capsys):
+        assert main(self.SIM + flags + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", [
+        {"samples": 0}, {"samples": -3}, {"samples": 2.5}, {"samples": "many"},
+        {"seed": -1}, {"seed": 2**64}, {"seed": 1.5}, {"seed": True},
+    ])
+    def test_bad_config_values_rejected(self, tmp_path, run):
+        doc = {"schema_version": 1, "problem": "example1", "numerics": {}, "run": run,
+               "output": {}}
+        assert main(["simulate", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("start", ["0.4:x", "0.4", "0.4:3", "0.4:0", "2.0:1", "nan:1"])
+    def test_bad_start_rejected(self, tmp_path, start):
+        assert main(["simulate", "--problem", "example1", "--n", "5", "--start", start,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("start", [[0.4], [[0.4]], [[0.4], "one"], [[0.4], 3]])
+    def test_bad_config_start_rejected(self, tmp_path, start):
+        doc = {"schema_version": 1, "problem": "example1", "numerics": {},
+               "run": {"samples": 5, "start": start}, "output": {}}
+        assert main(["simulate", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_range_ends_accepted(self, tmp_path):
+        doc = {"schema_version": 1, "problem": "example1", "numerics": {},
+               "run": {"samples": 1e1, "seed": 2**64 - 1, "start": [[0.4], 1]},
+               "output": {}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--problem", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_samples"], manifest["seed"]) == (10, 2**64 - 1)
+        assert main(self.SIM + ["--n", "1", "--seed", "0", "--out", str(tmp_path / "p")]) == 0
+
+    def test_manifest_names_the_stream_and_counts_switches(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(self.SIM + ["--n", "200", "--seed", "3", "--dump-samples",
+                                "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rng"] == "philox4x64-10/v2"
+        switches = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, -1]
+        assert manifest["switches"] == int(switches.sum()) > 0
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse takes a noticeable share of start-up; only solvers load it
     src_dir = str(Path(pdmp_cdf.__file__).resolve().parents[1])

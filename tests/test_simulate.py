@@ -17,9 +17,13 @@ from pdmp_cdf.model import (
 from pdmp_cdf.simulate import (
     EmpiricalCdf,
     TrajectorySample,
+    _exponential,
+    _successors,
+    _uniform,
     default_horizon,
     empirical_cdf,
     estimate_mean,
+    philox4x64,
     run_batch,
     sample_trajectory,
     write_samples_csv,
@@ -131,6 +135,98 @@ class TestTabulatedDynamics:
         s = sample_trajectory(spec, (np.array([0.4]), 0), seed=0, grid=grid)
         assert s.exited
         assert abs(s.cost - 0.6) < 1e-6
+
+
+def oracle_block(seed, index, event):
+    """The block of one event under randomness contract v2, from numpy's own Philox."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=[event, 0, 0, 0]).random_raw(4)
+
+
+def immobile_spec(rates, velocity="constant", grid=None):
+    """Zero-velocity modes with no exit set: only the switching law acts."""
+    m = len(rates)
+    if velocity == "constant":
+        field = VectorField.constant([0.0])
+    else:
+        field = VectorField("tabulated", values=np.zeros((grid.n_nodes, 1)))
+    modes = tuple(ModeSpec(field, ScalarField.constant(1.0), ScalarField.constant(0.0))
+                  for _ in range(m))
+    return ProblemSpec(dim=1, lo=EX1.lo, hi=EX1.hi, exit_set=ExitSpec("none"),
+                       modes=modes, rates=RateMatrix(rates))
+
+
+RATES3 = [[0.0, 2.0, 1.0], [0.5, 0.0, 3.0], [1.0, 1.0, 0.0]]
+
+
+class TestRandomnessContract:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 5, 2**63 + 1])
+    def test_block_matches_numpy_philox(self, seed, index):
+        events = np.arange(8, dtype=np.uint64)
+        words = philox4x64(seed, np.full(8, index, dtype=np.uint64), events + np.uint64(1))
+        got = np.stack(words, axis=1)
+        want = np.stack([oracle_block(seed, index, int(k)) for k in events])
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    def test_successor_draw_is_searchsorted_right(self):
+        # mode 1's row sums to just under one, as a rounded cumulative sum can
+        cum = np.array([[0.0, 0.25, 1.0], [0.5, 0.5, 1.0 - 2**-52], [0.4, 1.0, 1.0]])
+        u = np.array([0.0, 0.25, 0.2499999, 0.5, 0.75, 1.0 - 2**-53, 0.4, 1.0 - 2**-53, 0.0])
+        modes = np.array([0, 0, 0, 1, 1, 1, 2, 2, 1])
+        want = np.minimum([np.searchsorted(cum[k], v, side="right") for k, v in zip(modes, u)], 2)
+        got = _successors(cum, modes, u)
+        assert np.array_equal(got, want)
+        # u = 0 skips a zero-probability entry, u on a boundary goes right, and a
+        # u above the whole row is clipped to the last mode
+        assert got[0] == 1 and got[1] == 2 and got[3] == 2 and got[5] == 2 and got[8] == 0
+
+    def test_clock_range(self):
+        w = np.array([0, 2**64 - 1], dtype=np.uint64)
+        e = _exponential(w)
+        assert e[0] == 0.0
+        assert np.isfinite(e[1]) and e[1] == pytest.approx(53 * math.log(2.0), rel=1e-12)
+        assert _uniform(w)[1] == 1.0 - 2**-53
+
+    def test_trajectory_follows_the_documented_layout(self):
+        spec = immobile_spec(RATES3)
+        totals = np.array(RATES3).sum(axis=1)
+        cum = np.cumsum(np.array(RATES3) / totals[:, None], axis=1)
+        seed, index = 2**63 + 7, 12
+        s = sample_trajectory(spec, (np.array([0.5]), 1), seed=seed, index=index,
+                              horizon_cap=20.0)
+        assert s.censored and len(s.switch_times) >= 3
+        t, mode = 0.0, 1
+        w = oracle_block(seed, index, 0)
+        t += float(_exponential(w[1:2])[0]) / totals[mode]
+        for k, (t_k, mode_k) in enumerate(zip(s.switch_times, s.modes[1:]), start=1):
+            assert t_k == pytest.approx(t, abs=1e-12)
+            w = oracle_block(seed, index, k)
+            mode = int(np.searchsorted(cum[mode], _uniform(w[:1])[0], side="right"))
+            assert mode_k == mode
+            t += float(_exponential(w[1:2])[0]) / totals[mode]
+
+    @pytest.mark.parametrize("index", [0, 3, 2**40])
+    def test_tabulated_and_closed_form_paths_agree(self, index):
+        grid = build_grid(EX1, 0.05, 0.05, 1.0)
+        closed = immobile_spec(RATES3)
+        tabulated = immobile_spec(RATES3, velocity="tabulated", grid=grid)
+        kw = dict(start=(np.array([0.5]), 2), seed=31, index=index, horizon_cap=15.0)
+        a = sample_trajectory(closed, **kw)
+        b = sample_trajectory(tabulated, grid=grid, **kw)
+        assert a.censored and b.censored
+        assert len(a.switch_times) > 5
+        assert a.modes == b.modes
+        assert np.allclose(a.switch_times, b.switch_times, rtol=0.0, atol=1e-12)
+
+    def test_seed_range_checked(self):
+        with pytest.raises(ConfigError):
+            run_batch(EX1, (np.array([0.5]), 0), 3, seed=-1)
+        with pytest.raises(ConfigError):
+            run_batch(EX1, (np.array([0.5]), 0), 3, seed=2**64)
+        with pytest.raises(ConfigError):
+            run_batch(EX1, (np.array([0.5]), 0), 3, seed=0, stream_offset=2**64 - 2)
 
 
 class TestEmpiricalCdf:
