@@ -34,16 +34,23 @@ matrix is a row selection of the stacks.  With one action per mode that is
 a single linear solve plus the pass that confirms it.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
-probability w0 are computed by alternating-direction upwind sweeps in 1D
-and by vectorized monotone sweeps in 2D; their conservatively rounded-up
-levels restrict the CDF computation and remove smearing at the lower
-envelope.  s0 does not depend on the switching rates, so ``MinimalCost``
-computes it once and fills w0 for each rate choice.
+probability w0 restrict the CDF computation: their conservatively
+rounded-up levels remove smearing at the lower envelope.  Their upwind
+candidates are one ``CandidateTable``, a row per (mode, action) and a
+column per node, filled a block of actions at a time.  In 1D,
+alternating-direction Gauss-Seidel sweeps read its rows node by node.  In
+2D a frontier sweep evaluates only the dirty columns: first the live
+neighbours of the exit nodes, then the 3^d neighbourhood of the nodes
+that decreased, which gives the full Jacobi iteration's fixed point bit
+for bit because feet are grid neighbours; w0 is iterated the same way.
+s0 does not depend on the switching rates, so ``MinimalCost`` computes
+it once and fills w0 for each rate choice.
 
 scipy.sparse is imported inside the functions that use it, so importing
 the package (and starting the CLI) does not pay for it.  Fallbacks are
 reported on the ``pdmp_cdf`` logger: a failed sparse LU at WARNING, the
-monotonicity clamp of restricted sweeps at DEBUG.
+monotonicity clamp of restricted sweeps at DEBUG.  The minimal-cost solve
+logs its candidate count, pass counts and node updates at DEBUG.
 """
 
 from __future__ import annotations
@@ -568,93 +575,207 @@ def policy_iteration(
 # minimal attainable cost
 # ---------------------------------------------------------------------------
 
+_TABLE_BLOCK = 1 << 17  # candidate-node entries filled at once, so temporaries stay small
+
 
 @dataclass(frozen=True)
-class _Candidate:
-    """Upwind update candidate for one (mode, action): step time and foot stencil."""
+class CandidateTable:
+    """Upwind update candidates of the minimal-cost solve, one row per (mode, action).
 
-    mode: int
-    h: np.ndarray            # (n_nodes,) step duration to the first cell face
-    cost: np.ndarray         # (n_nodes,) running cost at the node
-    foot_a: np.ndarray       # (n_nodes,) first stencil node (flat, -1 if none)
-    foot_b: np.ndarray       # (n_nodes,) second stencil node (flat, -1 if none)
-    frac: np.ndarray         # (n_nodes,) weight of foot_b
-    h_at_foot: np.ndarray    # (n_nodes,) step duration evaluated with foot-point speed
+    Rows run mode by mode and, within a mode, action by action; ``mode[c]``
+    is row c's mode.  Columns are nodes.  Candidate c moves node k along
+    its velocity to the first cell face, and its value for a node field v is
+
+        const[c, k] + (1 - frac[c, k]) * v[foot_a[c, k]] + frac[c, k] * v[foot_b[c, k]]
+
+    ``const`` is the running cost times the step duration, ``inf`` where
+    the foot leaves the grid; ``foot_a`` is the neighbour across the face
+    and ``foot_b`` the diagonal neighbour the foot leans towards with
+    weight ``frac`` (-1 and 0 where the foot is ``foot_a`` itself).
+    ``h_at_foot`` is the step duration with the foot-point speed, which
+    transports the attainment probability.  Feet are always grid
+    neighbours of their node.
+    """
+
+    const: np.ndarray      # (C, n)
+    frac: np.ndarray       # (C, n)
+    foot_a: np.ndarray     # (C, n) int32
+    foot_b: np.ndarray     # (C, n) int32
+    h_at_foot: np.ndarray  # (C, n)
+    mode: np.ndarray       # (C,)
+
+    def mode_rows(self, i: int) -> slice:
+        rows = np.flatnonzero(self.mode == i)
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+
+    def values(self, vals: np.ndarray, rows: slice = slice(None),
+               cols: np.ndarray | None = None) -> np.ndarray:
+        """Values of candidates ``rows`` at nodes ``cols`` (all nodes if None).
+
+        A candidate is ``inf`` wherever a foot it reads is infinite, even
+        with zero weight.
+        """
+        def take(arr):  # (node, candidate) layout: each column is contiguous
+            return (arr.T if cols is None else arr.T.take(cols, axis=0))[:, rows]
+
+        padded = np.append(vals, 0.0)  # foot -1 reads 0: no diagonal foot adds 0 * 0
+        frac = take(self.frac)
+        with np.errstate(invalid="ignore"):
+            out = take(self.const) + (1.0 - frac) * padded.take(take(self.foot_a))
+            out += frac * padded.take(take(self.foot_b))
+        return np.fmin(out, np.inf, out=out).T  # nan (0 * inf) -> inf
 
 
-def _min_cost_candidates(spec: ProblemSpec, grid: Grid) -> list[_Candidate]:
+def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
+    """Fill the table one mode at a time, in blocks of about ``_TABLE_BLOCK`` entries.
+
+    The arrays are stored column by column (Fortran order), so that the
+    frontier sweep gathers each dirty node's candidates as one contiguous
+    run; blocks are computed node-major for the same reason.
+    """
     actions: list[np.ndarray | None]
     if spec.controlled:
         actions = [spec.controls.action(a) for a in range(spec.controls.n_actions)]
     else:
         actions = [None]
-    pts = grid.points
-    n = grid.n_nodes
-    shape = grid.shape
-    multi = np.array(np.unravel_index(np.arange(n), shape)).T
-    cands = []
-    for i in range(spec.n_modes):
-        for act in actions:
-            vel = spec.modes[i].dynamics.at(grid, pts, act)
-            cost = spec.modes[i].cost.at(grid, pts, act)
-            with np.errstate(divide="ignore"):
-                t_axis = np.where(np.abs(vel) > 0, grid.dx / np.abs(vel), np.inf)
-            h = t_axis.min(axis=1)
-            ok = np.isfinite(h)
-            axis = np.argmin(t_axis, axis=1)
-            step_dir = np.sign(vel[np.arange(n), axis]).astype(int)
-            nb = multi.copy()
-            nb[np.arange(n), axis] += step_dir
-            in_range = ok & np.all((nb >= 0) & (nb < np.array(shape)), axis=1)
-            foot_a = np.where(in_range, grid.flat_index(np.clip(nb, 0, np.array(shape) - 1)), -1)
-            foot_b = np.full(n, -1, dtype=int)
-            frac = np.zeros(n)
-            if spec.dim == 2:
-                other = 1 - axis
-                v_other = vel[np.arange(n), other]
-                frac_val = np.abs(v_other) * h / grid.dx[other]
-                frac_val = np.clip(np.where(np.isfinite(frac_val), frac_val, 0.0), 0.0, 1.0)
-                nb2 = nb.copy()
-                nb2[np.arange(n), other] += np.sign(v_other).astype(int)
-                ok2 = in_range & (frac_val > 1e-15) & np.all((nb2 >= 0) & (nb2 < np.array(shape)), axis=1)
-                foot_b = np.where(ok2, grid.flat_index(np.clip(nb2, 0, np.array(shape) - 1)), -1)
-                frac = np.where(ok2, frac_val, 0.0)
-            # duration evaluated with the foot-point (neighbor) speed, used for
-            # the probability transport term of the first-order recursion
-            h_foot = h.copy()
-            if spec.modes[i].dynamics.kind == "tabulated":
-                vel_at = np.where(in_range[:, None], vel[np.clip(foot_a, 0, n - 1)], vel)
-                with np.errstate(divide="ignore"):
-                    t_axis_f = np.where(np.abs(vel_at) > 0, grid.dx / np.abs(vel_at), np.inf)
-                h_foot = t_axis_f.min(axis=1)
-            cands.append(_Candidate(i, h, cost, foot_a, foot_b, frac, h_foot))
-    return cands
+    n, pts = grid.n_nodes, grid.points
+    shape = (spec.n_modes * len(actions), n)
+    table = CandidateTable(
+        const=np.empty(shape, order="F"), frac=np.empty(shape, order="F"),
+        foot_a=np.empty(shape, dtype=np.int32, order="F"),
+        foot_b=np.empty(shape, dtype=np.int32, order="F"),
+        h_at_foot=np.empty(shape, order="F"),
+        mode=np.repeat(np.arange(spec.n_modes), len(actions)))
+    multi = [m[:, None].astype(np.int32) for m in np.unravel_index(np.arange(n), grid.shape)]
+    per_block = max(1, _TABLE_BLOCK // n)
+    row = 0
+    for mode in spec.modes:
+        for lo in range(0, len(actions), per_block):
+            block = actions[lo:lo + per_block]
+            vel = [mode.dynamics.at(grid, pts, a) for a in block]
+            vel = [np.column_stack([v[:, axis] for v in vel]) for axis in range(grid.dim)]
+            cost = np.column_stack([mode.cost.at(grid, pts, a) for a in block])
+            cols = slice(row, row + len(block))
+            out = _fill_block(grid, multi, vel, cost, mode.dynamics.kind == "tabulated")
+            for arr, vals in zip((table.const, table.frac, table.foot_a, table.foot_b,
+                                  table.h_at_foot), out):
+                arr.T[:, cols] = vals
+            row += len(block)
+    return table
 
 
-def _foot_value(vals: np.ndarray, cand: _Candidate, k: int) -> float:
-    a = cand.foot_a[k]
-    if a < 0:
-        return math.inf
-    v = (1.0 - cand.frac[k]) * vals[a]
-    b = cand.foot_b[k]
-    if cand.frac[k] > 0.0:
-        if b < 0:
-            return math.inf
-        v += cand.frac[k] * vals[b]
-    return float(v)
+def _axis_times(grid: Grid, vel: list[np.ndarray]) -> list[np.ndarray]:
+    """Time to cross one cell along each axis, inf where that speed is zero."""
+    speed = [np.abs(v) for v in vel]
+    with np.errstate(divide="ignore"):
+        return [np.where(sp > 0, dx / sp, np.inf) for sp, dx in zip(speed, grid.dx)]
+
+
+def _inside(index: np.ndarray, size: int) -> np.ndarray:
+    return (index >= 0) & (index < size)
+
+
+def _fill_block(grid: Grid, multi, vel: list[np.ndarray], cost: np.ndarray, tabulated: bool):
+    """Table entries of one block of actions, node-major.
+
+    ``vel`` holds one (n, B) array per axis and ``cost`` is (n, B); returns
+    ``const``, ``frac``, ``foot_a``, ``foot_b`` and ``h_at_foot``, each
+    (n, B).  The step crosses the face of the axis it reaches first (axis 0
+    on a tie); the diagonal foot ``foot_b`` is the neighbour one step along
+    the sign of the velocity on every axis.
+    """
+    t = _axis_times(grid, vel)
+    step = [np.sign(v).astype(np.int32) for v in vel]
+    inside = [_inside(m + st, size) for m, st, size in zip(multi, step, grid.shape)]
+    if grid.dim == 1:
+        h = t[0]
+        in_range = np.isfinite(h) & inside[0]
+        foot_a = np.where(in_range, multi[0] + step[0], -1)
+        foot_b, frac = -1, 0.0
+    else:
+        node = multi[0] * grid.shape[1] + multi[1]
+        on1 = t[1] < t[0]
+        h = np.minimum(t[0], t[1])
+        in_range = np.isfinite(h) & np.where(on1, inside[1], inside[0])
+        foot_a = np.where(in_range, node + np.where(on1, step[1], step[0] * grid.shape[1]), -1)
+        with np.errstate(invalid="ignore"):  # inf * 0 where h is inf; masked below
+            frac = np.minimum(np.abs(np.where(on1, vel[0], vel[1])) * h
+                              / np.where(on1, grid.dx[0], grid.dx[1]), 1.0)
+        ok = in_range & (frac > 1e-15) & inside[0] & inside[1]
+        foot_b = np.where(ok, node + step[0] * grid.shape[1] + step[1], -1)
+        frac = np.where(ok, frac, 0.0)
+    h_at_foot = h
+    if tabulated:
+        # the duration with the foot-point (neighbour) speed, used for the
+        # probability transport term of the first-order recursion
+        foot = np.maximum(foot_a, 0), np.arange(cost.shape[1])
+        t = _axis_times(grid, [np.where(in_range, v[foot], v) for v in vel])
+        h_at_foot = t[0] if grid.dim == 1 else np.minimum(t[0], t[1])
+    return np.where(in_range, cost * h, np.inf), frac, foot_a, foot_b, h_at_foot
+
+
+def _near(grid: Grid, nodes: np.ndarray) -> np.ndarray:
+    """Mask of the nodes within one cell of ``nodes`` on every axis: their 3^d neighbourhood."""
+    grown = np.zeros(grid.n_nodes, dtype=bool)
+    grown[nodes] = True
+    grown = grown.reshape(grid.shape)
+    for a in range(grid.dim):
+        near = grown.copy()
+        up = (slice(None),) * a + (slice(1, None),)
+        down = (slice(None),) * a + (slice(None, -1),)
+        near[up] |= grown[down]
+        near[down] |= grown[up]
+        grown = near
+    return grown.reshape(-1)
+
+
+def _frontier_sweep(grid: Grid, table: CandidateTable, s0: np.ndarray,
+                    max_iter: int = 100000) -> tuple[np.ndarray, int, int]:
+    """Jacobi passes that evaluate only the columns whose feet changed.
+
+    Every pass updates its dirty nodes from the previous pass's values, as
+    a full Jacobi pass would.  Feet are grid neighbours, so only the 3^d
+    neighbourhood of the nodes that decreased can change in the next pass;
+    the iterates, and so the fixed point, are those of the full iteration.
+    Returns s0, the pass count and the number of node decreases.
+    """
+    live = ~grid.exit_mask
+    dirty = np.flatnonzero(_near(grid, np.flatnonzero(grid.exit_mask)) & live)
+    updates = 0
+    for passes in range(1, max_iter + 1):
+        old = s0[dirty]
+        best = np.minimum(old, table.values(s0, cols=dirty).min(axis=0))
+        s0[dirty] = best
+        lower = best < old
+        updates += int(np.count_nonzero(lower))
+        if not np.any(best < old - 1e-15):
+            return s0, passes, updates
+        dirty = np.flatnonzero(_near(grid, dirty[lower]) & live)
+    raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
+
+
+def _node_candidates(table: CandidateTable) -> list[list[tuple[float, int]]]:
+    """Per node, its candidates' (const, foot_a) in row order, for the 1D loops.
+
+    A 1D step has no diagonal foot: its value is ``const + v[foot_a]``.
+    """
+    return [list(zip(const, foot)) for const, foot in
+            zip(table.const.T.tolist(), table.foot_a.T.tolist())]
+
+
+def _step_value(cand: tuple[float, int], vals) -> float:
+    const, a = cand
+    return math.inf if a < 0 else const + vals[a]
 
 
 def _w0_update(
-    spec: ProblemSpec, w0: np.ndarray, cand: _Candidate, k: int,
+    spec: ProblemSpec, w0: np.ndarray, table: CandidateTable, c: int, k: int,
     rate_pick,
 ) -> float:
-    """First-order transport of the attainment probability along one step."""
-    a, b, frac = cand.foot_a[k], cand.foot_b[k], cand.frac[k]
-    i = cand.mode
-    vals = w0[:, a] * (1.0 - frac)
-    if frac > 0.0:
-        vals = vals + frac * w0[:, b]
-    h = float(cand.h_at_foot[k])
+    """First-order transport of the attainment probability along one 1D step."""
+    vals = w0[:, table.foot_a[c, k]]
+    i = table.mode[c]
+    h = float(table.h_at_foot[c, k])
     coupling = 0.0
     for j in range(spec.n_modes):
         if j == i:
@@ -692,18 +813,29 @@ def solve_min_cost(
 
 
 class MinimalCost:
-    """The rate-independent part of the minimal-cost solve: candidates and s0.
+    """The rate-independent part of the minimal-cost solve: the candidate table and s0.
 
-    The grid's dimension picks the algorithm.  In 1D, alternating-direction
-    Gauss-Seidel sweeps over the nodes reach the fixed point in a few passes
-    and w0 is filled in increasing-s0 order.  In 2D, vectorized sweeps over
-    all nodes and candidates at once do both, at far lower per-node
-    overhead than a per-node loop; in 1D the per-node loop is the faster.
+    Every (mode, action) is one row of a ``CandidateTable`` over all nodes,
+    and s0 is the fixed point of ``s0[k] = min(s0[k], min_c value_c(s0)[k])``
+    from the exit costs.  The grid's dimension picks the iteration.  In 1D,
+    alternating-direction Gauss-Seidel sweeps over the nodes reach it in a
+    few passes and w0 is filled in increasing-s0 order.  In 2D a frontier
+    sweep does Jacobi passes over the dirty columns of the table only: the
+    first dirty set is the live neighbours of the exit nodes, the next one
+    the 3^d neighbourhood of the nodes that decreased, so each pass costs
+    the frontier's width instead of the whole grid.  w0 is then the fixed
+    point of the transport along each mode's best candidate, read from the
+    table one mode block at a time and iterated over the neighbourhood of
+    the last changes in the same way.
+
+    ``passes`` and ``updates`` count the s0 passes and node decreases;
+    ``field`` logs them at DEBUG on the ``pdmp_cdf`` logger with the
+    candidate count and its w0 passes.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         self.grid = grid
-        self.cands = _min_cost_candidates(spec, grid)
+        self.table = _candidate_table(spec, grid)
         n = grid.n_nodes
         ex = np.where(grid.exit_mask)[0]
         if ex.size == 0:
@@ -711,10 +843,8 @@ class MinimalCost:
         self.q_exit = exit_costs(spec, grid)
         s0 = np.full(n, math.inf)
         s0[ex] = self.q_exit.min(axis=0)
-        if grid.dim == 1:
-            s0 = _min_cost_sweep_1d(grid, self.cands, s0)
-        else:
-            s0 = _min_cost_sweep_vec(grid, self.cands, s0)
+        sweep = _min_cost_sweep_1d if grid.dim == 1 else _frontier_sweep
+        s0, self.passes, self.updates = sweep(grid, self.table, s0)
         if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
             bad = np.where(~np.isfinite(s0) & ~grid.exit_mask)[0]
             if bad.size == n - ex.size:
@@ -734,126 +864,117 @@ class MinimalCost:
         exit_argmin = self.q_exit <= q_min + argmin_rtol * np.maximum(1.0, q_min)
         w0[:, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
         fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
-        fill(spec, grid, self.cands, self.s0, w0, rate_pick, argmin_rtol)
+        w0_passes = fill(spec, grid, self.table, self.s0, w0, rate_pick, argmin_rtol)
+        log.debug("minimal cost: %d candidates, %d s0 passes, %d node updates, %d w0 passes",
+                  self.table.mode.size, self.passes, self.updates, w0_passes)
         return MinCostField(grid, self.s0, w0)
 
 
-def _w0_ordered(spec, grid, cands, s0, w0, rate_pick, argmin_rtol):
-    """Attainment probabilities filled in increasing-s0 (accepted) order."""
+def _w0_ordered(spec, grid, table, s0, w0, rate_pick, argmin_rtol) -> int:
+    """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass."""
     interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
     order = interior[np.argsort(s0[interior], kind="stable")]
+    cands = _node_candidates(table)
     for k in order:
         best = math.inf
-        per_mode_best: dict[int, tuple[float, _Candidate]] = {}
-        for cand in cands:
-            val = cand.cost[k] * cand.h[k] + _foot_value(s0, cand, k)
+        per_mode_best: dict[int, tuple[float, int]] = {}
+        for c, cand in enumerate(cands[k]):
+            val = _step_value(cand, s0)
             if not math.isfinite(val):
                 continue
-            prev = per_mode_best.get(cand.mode)
+            i = int(table.mode[c])
+            prev = per_mode_best.get(i)
             if prev is None or val < prev[0]:
-                per_mode_best[cand.mode] = (val, cand)
+                per_mode_best[i] = (val, c)
             best = min(best, val)
         if not math.isfinite(best):
             continue
         tol = argmin_rtol * max(1.0, abs(best))
-        for i, (val, cand) in per_mode_best.items():
+        for i, (val, c) in per_mode_best.items():
             if val <= best + tol:
-                w0[i, k] = np.clip(_w0_update(spec, w0, cand, k, rate_pick), 0.0, 1.0)
+                w0[i, k] = np.clip(_w0_update(spec, w0, table, c, k, rate_pick), 0.0, 1.0)
+    return 1
 
 
-def _cand_values_vec(cand: _Candidate, s0: np.ndarray) -> np.ndarray:
-    """Vectorized update values of one candidate at every node."""
-    with np.errstate(invalid="ignore"):
-        ok = cand.foot_a >= 0
-        fa = np.where(ok, cand.foot_a, 0)
-        base = (1.0 - cand.frac) * s0[fa]
-        need_b = cand.frac > 0.0
-        fb_ok = cand.foot_b >= 0
-        fb = np.where(fb_ok, cand.foot_b, 0)
-        extra = np.where(need_b, cand.frac * s0[fb], 0.0)
-        vals = cand.cost * cand.h + base + extra
-        vals = np.where(ok & (~need_b | fb_ok), vals, np.inf)
-    return np.where(np.isnan(vals), np.inf, vals)
-
-
-def _min_cost_sweep_vec(grid: Grid, cands, s0: np.ndarray, max_iter: int = 100000) -> np.ndarray:
-    live = ~grid.exit_mask
-    for _ in range(max_iter):
-        best = s0.copy()
-        for cand in cands:
-            vals = _cand_values_vec(cand, s0)
-            np.minimum(best, np.where(live, vals, s0), out=best)
-        if not np.any(best < s0 - 1e-15):
-            return best
-        s0 = best
-    raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
-
-
-def _w0_fixed_point(spec, grid, cands, s0, w0, rate_pick, argmin_rtol, max_iter=100000):
+def _w0_fixed_point(spec, grid, table, s0, w0, rate_pick, argmin_rtol, max_iter=100000) -> int:
     """Vectorized transport of the attainment probability to its fixed point.
 
-    The update graph is acyclic (feet have strictly smaller s0), so plain
-    iteration converges in at most the longest chain length.
+    Each node takes, in every mode whose best candidate attains s0, the
+    transport along that candidate from its feet; other live nodes keep 0.
+    These are Jacobi passes over the nodes near the last changes only, as
+    in ``_frontier_sweep``.  A foot can have a larger s0 than its node (the
+    diagonal foot), so the order is not that of s0; while the dependencies
+    form no cycle the iteration is exact after the longest chain.  Returns
+    the pass count.
     """
     m = spec.n_modes
     n = grid.n_nodes
     live = ~grid.exit_mask & np.isfinite(s0)
-    per_mode = []
-    all_vals = np.stack([_cand_values_vec(c, s0) for c in cands])
-    best_all = all_vals.min(axis=0)
+    cols = np.arange(n)
+    picked = []
     for i in range(m):
-        idx = [c_idx for c_idx, c in enumerate(cands) if c.mode == i]
-        vals_i = all_vals[idx]
-        pick = np.argmin(vals_i, axis=0)
-        cols = np.arange(n)
-        best_i = vals_i[pick, cols]
+        rows = table.mode_rows(i)
+        vals = table.values(s0, rows)
+        pick = np.argmin(vals, axis=0)
+        c = rows.start + pick
+        picked.append((vals[pick, cols], table.foot_a[c, cols], table.foot_b[c, cols],
+                       table.frac[c, cols], table.h_at_foot[c, cols]))
+    best_all = np.min([best_i for best_i, *_ in picked], axis=0)
+    per_mode = []
+    for best_i, fa, fb, frac, h in picked:
         member = live & (best_i <= best_all + argmin_rtol * np.maximum(1.0, np.abs(best_all)))
-        sub = [cands[j] for j in idx]
-        fa = np.stack([c.foot_a for c in sub])[pick, cols]
-        fb = np.stack([c.foot_b for c in sub])[pick, cols]
-        frac = np.stack([c.frac for c in sub])[pick, cols]
-        h = np.stack([c.h_at_foot for c in sub])[pick, cols]
         per_mode.append((member, np.maximum(fa, 0), np.maximum(fb, 0), frac, h))
-    for _ in range(max_iter):
-        w_new = w0.copy()
+    dirty = np.flatnonzero(np.any([member for member, *_ in per_mode], axis=0))
+    for passes in range(1, max_iter + 1):
+        old = w0[:, dirty]
+        new = old.copy()
         for i, (member, fa, fb, frac, h) in enumerate(per_mode):
-            foot = (1.0 - frac)[None, :] * w0[:, fa] + frac[None, :] * w0[:, fb]
-            coupling = np.zeros(n)
+            sel = member[dirty]
+            k = dirty[sel]
+            foot = (1.0 - frac[k]) * w0[:, fa[k]] + frac[k] * w0[:, fb[k]]
+            coupling = np.zeros(k.size)
             for j in range(m):
                 if j == i:
                     continue
                 diff = foot[j] - foot[i]
                 lam = np.where(diff >= 0.0, rate_pick(i, j, 1.0), rate_pick(i, j, -1.0))
                 coupling += lam * diff
-            cand_val = np.clip(foot[i] + h * coupling, 0.0, 1.0)
-            w_new[i] = np.where(member, cand_val, np.where(grid.exit_mask, w0[i], 0.0))
-        if np.abs(w_new - w0).max() <= 1e-15:
-            return
-        w0[:] = w_new
+            new[i, sel] = np.clip(foot[i] + h[k] * coupling, 0.0, 1.0)
+        change = np.abs(new - old)
+        if not np.any(change > 1e-15):
+            return passes
+        w0[:, dirty] = new
+        dirty = np.flatnonzero(_near(grid, dirty[np.any(change > 0.0, axis=0)]))
     raise ConvergenceError("attainment-probability sweeps did not converge")
 
 
-def _min_cost_sweep_1d(grid: Grid, cands, s0: np.ndarray) -> np.ndarray:
+def _min_cost_sweep_1d(grid: Grid, table: CandidateTable,
+                       s0: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Alternating-direction Gauss-Seidel sweeps; returns s0, the sweep count and the decreases."""
     n = grid.n_nodes
+    cands = _node_candidates(table)
+    s = s0.tolist()
+    updates = 0
     for sweep in range(n + 2):
         changed = False
         order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
         for k in order:
             if grid.exit_mask[k]:
                 continue
-            best = s0[k]
-            for cand in cands:
-                val = cand.cost[k] * cand.h[k] + _foot_value(s0, cand, k)
+            best = s[k]
+            for cand in cands[k]:
+                val = _step_value(cand, s)
                 if val < best - 1e-15:
                     best = val
-            if best < s0[k] - 1e-15:
-                s0[k] = best
+            if best < s[k] - 1e-15:
+                s[k] = best
                 changed = True
+                updates += 1
         if not changed:
             break
     else:
         raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
-    return s0
+    return np.array(s), sweep + 1, updates
 
 
 def restrict_domain(mc: MinCostField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

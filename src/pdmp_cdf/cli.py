@@ -304,6 +304,7 @@ class Exporter:
         self.seed = seed
 
     def write_rows(self, name: str, header: list[str], rows) -> Path:
+        """Write one CSV file; ``rows`` must be a sized sequence (a list), not a generator."""
         path = self.dir / name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
@@ -495,7 +496,7 @@ def _cmd_min_cost(args) -> int:
                          float(mc.s0[k]) if np.isfinite(mc.s0[k]) else "inf",
                          float(mc.w0[i, k])])
     exporter.write_rows("min_cost.csv", ["x", "y"][:spec.dim] + ["mode", "min_cost", "attain_prob"], rows)
-    exporter.finish()
+    exporter.finish({"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask))})
     return EXIT_OK
 
 

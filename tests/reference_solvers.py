@@ -1,10 +1,11 @@
 """Slow, plain reference solvers that the tests compare the package against.
 
-They share the package's discretization (the semi-Lagrangian steps' node
-classification and boundary data, and the min-cost update candidates) but
-not its iterations or its sparse operators: feet are interpolated node by
-node with ``grid.interp_nodes``.  A test against them checks the solver and
-not the scheme.
+They share the package's semi-Lagrangian steps (node classification and
+boundary data) but not its iterations or its sparse operators: feet are
+interpolated node by node with ``grid.interp_nodes``.  The min-cost update
+candidates are built here too, node by node in scalar arithmetic, so the
+label-setting reference shares neither the package's candidate table nor
+its sweeps.  A test against them checks the solver and not the scheme.
 """
 
 import heapq
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from pdmp_cdf.cdf_solver import ESCAPE_COST, SemiLagrangianStep, _min_cost_candidates
+from pdmp_cdf.cdf_solver import ESCAPE_COST, SemiLagrangianStep
 
 
 def _feet(spec, grid, step, action=None):
@@ -97,17 +98,71 @@ def level_sweep(spec, grid, tau, u=None, action=None):
     return w, v
 
 
+def _cell_times(grid, v):
+    return [grid.dx[a] / abs(v[a]) if abs(v[a]) > 0 else math.inf for a in range(grid.dim)]
+
+
+def plain_candidates(spec, grid):
+    """Min-cost update candidates, one dict of per-node arrays per (mode, action).
+
+    Node by node: the step runs to the first cell face (the lower axis on
+    a tie), its foot is the neighbour across that face, and in 2D the
+    foot leans towards the diagonal neighbour by the fraction of a cell
+    the other velocity component covers meanwhile.  ``const`` is the
+    running cost times the step duration, inf when the foot leaves the
+    grid; ``h_at_foot`` is the duration with the foot node's velocity for
+    tabulated dynamics.  Rows come mode by mode, action by action.
+    """
+    actions = list(spec.controls.vectors) if spec.controlled else [None]
+    n, d = grid.n_nodes, grid.dim
+    multi = np.array(np.unravel_index(np.arange(n), grid.shape)).T
+    cands = []
+    for i, mode in enumerate(spec.modes):
+        for act in actions:
+            vel = mode.dynamics.at(grid, grid.points, act)
+            cost = mode.cost.at(grid, grid.points, act)
+            c = {"mode": i, "const": np.full(n, math.inf), "frac": np.zeros(n),
+                 "foot_a": np.full(n, -1), "foot_b": np.full(n, -1), "h_at_foot": np.zeros(n)}
+            for k in range(n):
+                t = _cell_times(grid, vel[k])
+                axis = 0 if d == 1 or t[0] <= t[1] else 1
+                h = t[axis]
+                nb = multi[k].copy()
+                nb[axis] += int(np.sign(vel[k, axis]))
+                inside = math.isfinite(h) and all(0 <= nb[a] < grid.shape[a] for a in range(d))
+                c["h_at_foot"][k] = h
+                if not inside:
+                    continue
+                c["const"][k] = cost[k] * h
+                c["foot_a"][k] = grid.flat_index(nb)
+                if d == 2:
+                    other = 1 - axis
+                    f = abs(vel[k, other]) * h / grid.dx[other]
+                    f = min(max(f if math.isfinite(f) else 0.0, 0.0), 1.0)
+                    nb2 = nb.copy()
+                    nb2[other] += int(np.sign(vel[k, other]))
+                    if f > 1e-15 and all(0 <= nb2[a] < grid.shape[a] for a in range(d)):
+                        c["foot_b"][k] = grid.flat_index(nb2)
+                        c["frac"][k] = f
+                if mode.dynamics.kind == "tabulated":
+                    c["h_at_foot"][k] = min(_cell_times(grid, vel[c["foot_a"][k]]))
+            cands.append(c)
+    return cands
+
+
 def _candidate_value(cand, values, k):
-    a, b, frac = cand.foot_a[k], cand.foot_b[k], cand.frac[k]
-    if a < 0 or (frac > 0.0 and b < 0):
+    a, b, frac = cand["foot_a"][k], cand["foot_b"][k], float(cand["frac"][k])
+    if a < 0:
         return math.inf
-    foot = (1.0 - frac) * values[a] + (frac * values[b] if frac > 0.0 else 0.0)
-    return cand.cost[k] * cand.h[k] + foot
+    val = cand["const"][k] + (1.0 - frac) * float(values[a])
+    if frac > 0.0:
+        val += frac * float(values[b])
+    return val if not math.isnan(val) else math.inf
 
 
 def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
-    """2D minimal cost s0 by label setting and w0 filled in increasing-s0 order."""
-    cands = _min_cost_candidates(spec, grid)
+    """2D minimal cost s0 by label setting, and w0 filled in dependency order."""
+    cands = plain_candidates(spec, grid)
     n, m, ex = grid.n_nodes, spec.n_modes, grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
     s0 = np.where(ex, q.min(axis=0), math.inf)
@@ -129,20 +184,41 @@ def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
                 s0[k2] = best
                 heapq.heappush(heap, (best, k2))
 
+    # w0 node by node, each after the feet of its best candidates: a foot
+    # can have a larger s0 than its node (the diagonal foot), so the order
+    # is the dependency graph's, which must be acyclic
     lam = spec.rates.off_diagonal()
     w0 = np.where(ex & (q <= s0 + argmin_rtol * np.maximum(1.0, s0)), 1.0, 0.0)
-    interior = np.where(~ex & np.isfinite(s0))[0]
-    for k in interior[np.argsort(s0[interior], kind="stable")]:
+    picks = {}
+    for k in np.where(~ex & np.isfinite(s0))[0]:
         per_mode = {}
         for c in cands:
             val = _candidate_value(c, s0, k)
-            if val < per_mode.get(c.mode, (math.inf, None))[0]:
-                per_mode[c.mode] = (val, c)
+            if val < per_mode.get(c["mode"], (math.inf, None))[0]:
+                per_mode[c["mode"]] = (val, c)
         best = min(val for val, _ in per_mode.values())
-        for i, (val, c) in per_mode.items():
-            if val <= best + argmin_rtol * max(1.0, abs(best)):
-                a, b, frac = c.foot_a[k], c.foot_b[k], c.frac[k]
-                foot = (1.0 - frac) * w0[:, a] + (frac * w0[:, b] if frac > 0.0 else 0.0)
-                drift = sum(lam[i, j] * (foot[j] - foot[i]) for j in range(m) if j != i)
-                w0[i, k] = np.clip(foot[i] + c.h_at_foot[k] * drift, 0.0, 1.0)
+        picks[k] = [(i, c) for i, (val, c) in per_mode.items()
+                    if val <= best + argmin_rtol * max(1.0, abs(best))]
+    waits = {k: {f for _, c in pk for f in (c["foot_a"][k], c["foot_b"][k]) if f in picks}
+             for k, pk in picks.items()}
+    users = {k: [] for k in picks}
+    for k, feet in waits.items():
+        for f in feet:
+            users[f].append(k)
+    ready = [k for k, feet in waits.items() if not feet]
+    filled = 0
+    while ready:
+        k = ready.pop()
+        filled += 1
+        for i, c in picks[k]:
+            a, b, frac = c["foot_a"][k], c["foot_b"][k], c["frac"][k]
+            foot = (1.0 - frac) * w0[:, a] + (frac * w0[:, b] if frac > 0.0 else 0.0)
+            drift = sum(lam[i, j] * (foot[j] - foot[i]) for j in range(m) if j != i)
+            w0[i, k] = np.clip(foot[i] + c["h_at_foot"][k] * drift, 0.0, 1.0)
+        for u in users[k]:
+            waits[u].discard(k)
+            if not waits[u]:
+                ready.append(u)
+    if filled != len(picks):
+        raise AssertionError("the attainment-probability dependencies form a cycle")
     return s0, w0

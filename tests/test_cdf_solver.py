@@ -1,11 +1,14 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pdmp_cdf import build_grid, catalog
+from pdmp_cdf import cdf_solver
 from pdmp_cdf.cdf_solver import (
+    MinimalCost,
     causal_tau,
     eulerian_step,
     restrict_domain,
@@ -21,11 +24,12 @@ from pdmp_cdf.model import (
     MinCostField,
     ModeSpec,
     ProblemSpec,
+    RateMatrix,
     ScalarField,
     VectorField,
 )
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
-from reference_solvers import label_setting_min_cost, level_sweep
+from reference_solvers import label_setting_min_cost, level_sweep, plain_candidates
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,35 @@ class TestSailboatAnalytics:
         assert np.all(np.diff(field.values, axis=1) >= -1e-12)
 
 
+def _min_cost_problem(name, n_angles, dx):
+    """A built-in, or one of two 2D problems that the built-ins do not cover."""
+    if name == "anisotropic":
+        # [0,2]x[0,1]: the x_max face and an interior box exit; nothing moves
+        # right, so the nodes left of the box cannot reach an exit
+        modes = tuple(
+            ModeSpec(VectorField.constant(v), ScalarField.constant(c), ScalarField.constant(q))
+            for v, c, q in (([-0.4, 1.0], 1.0, 0.0), ([0.0, -1.0], 2.0, 0.1),
+                            ([-1.0, -0.3], 1.5, 0.0)))
+        spec = ProblemSpec(
+            dim=2, lo=np.zeros(2), hi=np.array([2.0, 1.0]),
+            exit_set=ExitSpec("boxes", boxes=(((2.0, 2.0), (0.0, 1.0)),
+                                              ((0.5, 0.75), (0.4, 0.6)))),
+            modes=modes, rates=RateMatrix([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0], [0.5, 0.5, 0.0]]))
+        return spec, build_grid(spec, dx, 0.05, 1.0)
+    if name == "tabulated":
+        # example3 with its first mode's velocity tabulated and varying in space
+        base = catalog.example3()
+        grid = build_grid(base, dx, dx, 1.0)
+        p = grid.points
+        vel = np.column_stack([0.3 + p[:, 1], -0.5 + 0.8 * p[:, 0] * p[:, 1]])
+        first = base.modes[0]
+        modes = (ModeSpec(VectorField("tabulated", values=vel), first.cost, first.exit_cost),
+                 *base.modes[1:])
+        return replace(base, modes=modes), grid
+    spec = catalog.builtin(name, n_angles=n_angles)
+    return spec, build_grid(spec, dx, dx, 0.5)
+
+
 class TestMinCost:
     def test_distance_to_nearest_exit(self, ex1_coarse):
         spec, grid, mc, _ = ex1_coarse
@@ -102,14 +135,49 @@ class TestMinCost:
         assert np.abs(mc.s0 - expected).max() < 1e-12
 
     @pytest.mark.parametrize("name, n_angles, dx", [
-        ("example3", None, 0.025), ("example6", 16, 0.05)])
+        ("example3", None, 0.025), ("example6", 16, 0.05),
+        pytest.param("anisotropic", None, (0.05, 0.1), id="anisotropic"),
+        pytest.param("tabulated", None, 0.05, id="tabulated"),
+        ("example6", 200, 0.1)])
     def test_two_dimensional_sweeps_match_label_setting(self, name, n_angles, dx):
-        spec = catalog.builtin(name, n_angles=n_angles)
-        grid = build_grid(spec, dx, dx, 0.5)
+        spec, grid = _min_cost_problem(name, n_angles, dx)
         mc = solve_min_cost(spec, grid)
         s0, w0 = label_setting_min_cost(spec, grid)
         assert np.array_equal(mc.s0, s0)
         assert np.array_equal(mc.w0, w0)
+        if name == "anisotropic":  # the case is meant to leave some nodes unreachable
+            assert 0 < np.isinf(s0).sum() < np.isfinite(s0[~grid.exit_mask]).sum()
+
+    @pytest.mark.parametrize("name, n_angles, dx, block", [
+        ("example1", None, 0.05, 1 << 17), ("example3", None, 0.05, 1 << 17),
+        ("anisotropic", None, (0.05, 0.1), 1 << 17), ("tabulated", None, 0.05, 1 << 17),
+        ("example6", 16, 0.1, 1000)])
+    def test_candidate_table_matches_plain_builder(self, monkeypatch, name, n_angles, dx, block):
+        # a block of 1000 entries holds 8 of the 121-node rows: two blocks per mode
+        monkeypatch.setattr(cdf_solver, "_TABLE_BLOCK", block)
+        spec, grid = _min_cost_problem(name, n_angles, dx)
+        table = cdf_solver._candidate_table(spec, grid)
+        plain = plain_candidates(spec, grid)
+        assert table.mode.tolist() == [c["mode"] for c in plain]
+        for key in ("const", "foot_a", "foot_b", "frac", "h_at_foot"):
+            assert np.array_equal(getattr(table, key), np.array([c[key] for c in plain])), key
+        if name == "tabulated":  # row 0: cost 1, so const is the step time at the node
+            inside = table.foot_a[0] >= 0
+            assert np.any(table.h_at_foot[0, inside] != table.const[0, inside])
+
+    def test_passes_are_reported(self, caplog):
+        spec, grid = _min_cost_problem("example3", None, 0.05)
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            mc = MinimalCost(spec, grid)
+            mc.field(spec)
+        (rec,) = [r for r in caplog.records if r.name.startswith("pdmp_cdf")]
+        assert rec.levelno == logging.DEBUG
+        n_cands, s0_passes, updates, w0_passes = rec.args
+        interior = int((~grid.exit_mask).sum())
+        assert n_cands == spec.n_modes and (s0_passes, updates) == (mc.passes, mc.updates)
+        # every interior node decreases once, one ring of nodes per pass
+        assert updates == interior and s0_passes == grid.shape[0] // 2 + 1
+        assert w0_passes > 0
 
     def test_immobile_problem_rejected(self):
         spec = catalog.example1()

@@ -19,7 +19,15 @@ from pdmp_cdf.cli import (
 )
 from pdmp_cdf.control import Policy, save_policy
 from pdmp_cdf.errors import ConfigError, NumericsError
-from pdmp_cdf.model import ControlSet
+from pdmp_cdf.model import (
+    ControlSet,
+    ExitSpec,
+    ModeSpec,
+    ProblemSpec,
+    RateMatrix,
+    ScalarField,
+    VectorField,
+)
 
 
 def specs_equal(a, b) -> bool:
@@ -264,6 +272,25 @@ class TestCommands:
         assert rc == 0
         lines = (out / "min_cost.csv").read_text().strip().splitlines()
         assert lines[0] == "x,mode,min_cost,attain_prob"
+        assert json.loads((out / "manifest.json").read_text())["unreachable_nodes"] == 0
+
+    def test_min_cost_manifest_counts_unreachable_nodes(self, tmp_path):
+        # nothing moves right, so the nodes left of the exit box cannot reach an exit
+        modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
+                               ScalarField.constant(0.0)) for v in ([-0.4, 1.0], [0.0, -1.0]))
+        spec = ProblemSpec(
+            dim=2, lo=np.zeros(2), hi=np.array([2.0, 1.0]),
+            exit_set=ExitSpec("boxes", boxes=(((2.0, 2.0), (0.0, 1.0)), ((0.5, 0.75), (0.4, 0.6)))),
+            modes=modes, rates=RateMatrix.uniform(2, 1.0), name="one_way")
+        doc = {"schema_version": 1, "problem": serialize_problem(spec),
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+        out = tmp_path / "m"
+        assert main(["min-cost", "--problem", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = (out / "min_cost.csv").read_text().strip().splitlines()[1:]
+        inf_rows = sum(row.split(",")[3] == "inf" for row in rows)
+        unreachable = json.loads((out / "manifest.json").read_text())["unreachable_nodes"]
+        assert unreachable > 0
+        assert unreachable == inf_rows / spec.n_modes
 
 
 class TestExitCodes:
