@@ -290,6 +290,17 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+_CSV_BLOCK = 256  # rows formatted together by `Exporter.write_rows`
+
+
+def _format_column(col: tuple) -> list[str]:
+    """CSV cells of one column: ``repr`` of floats, ``str`` of everything else."""
+    try:
+        return list(map(float.__repr__, col))  # all floats: the common case
+    except TypeError:
+        return [_fmt(v) if isinstance(v, float) else str(v) for v in col]
+
+
 class Exporter:
     """Writes long-form CSV slices plus a manifest for one run."""
 
@@ -304,12 +315,21 @@ class Exporter:
         self.seed = seed
 
     def write_rows(self, name: str, header: list[str], rows) -> Path:
-        """Write one CSV file; ``rows`` must be a sized sequence (a list), not a generator."""
+        """Write one CSV file; ``rows`` must be a sized sequence (a list), not a generator.
+
+        Every row has the same length.  Cells are formatted one column at a
+        time (`_format_column`) and then joined by row, a block of rows at a
+        time so that the formatted text never holds the whole file.
+        """
+        if len(set(map(len, rows))) > 1:
+            raise ValueError(f"{name}: rows of different lengths")
         path = self.dir / name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            for start in range(0, len(rows), _CSV_BLOCK):
+                columns = [_format_column(col) for col in zip(*rows[start:start + _CSV_BLOCK])]
+                if columns:
+                    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
         self.files.append(name)
         return path
 
@@ -633,6 +653,7 @@ def _cmd_simulate(args) -> int:
         "n_samples": n,
         "rng": simulate.RNG_CONTRACT,
         "switches": int(batch.switch_counts.sum()),
+        "events": int(batch.events.sum()),
         "exited": int(batch.exited.sum()),
         "escaped": int(batch.escaped.sum()),
         "censored": int(batch.censored.sum()),

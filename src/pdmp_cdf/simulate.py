@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,7 @@ class BatchResult:
     escaped: np.ndarray
     censored: np.ndarray
     switch_counts: np.ndarray
+    events: np.ndarray     # event-loop steps per sample; integrator steps if tabulated
     exit_times: np.ndarray
     occupancy: np.ndarray  # (n, M) time spent per mode
     samples: list[TrajectorySample] | None = None
@@ -162,6 +164,13 @@ def _stream_indices(seed: int, offset: int, n: int) -> np.ndarray:
     return np.uint64(offset) + np.arange(n, dtype=np.uint64)
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float; strings, booleans and other non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 def _exit_face_names(spec: ProblemSpec) -> set[str]:
     if spec.exit_set.kind in ("boundary", "faces"):
         return set(spec.exit_set.face_names(spec.dim))
@@ -178,6 +187,89 @@ def _in_exit_box(spec: ProblemSpec, pts: np.ndarray) -> np.ndarray:
             inside &= (pts[:, a] >= b_lo - 1e-12) & (pts[:, a] <= b_hi + 1e-12)
         hit |= inside
     return hit
+
+
+def _chessboard_radii(actions: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Constant-action radii of ``actions`` (modes, *axes) as int16.
+
+    Entry ``p`` gets the largest ``r = 2**k`` such that the L-infinity box of
+    radius ``r`` around ``p`` in the trailing axes holds one action and no
+    ``blocked`` entry (``blocked`` broadcasts against one mode's axes); other
+    entries get 0.  This is a chessboard distance transform rounded down to a
+    power of two, by doubling: the box of radius 1 compares each entry with
+    its neighbours, and the box of radius ``2r`` is the union of the
+    radius-``r`` boxes at offsets ``-r``, 0 and ``r`` along each axis in
+    turn.  Those boxes all contain ``p``, so after the first pass each
+    doubling is two shifted ANDs per axis.
+    """
+    to_radius = np.array([0] + [1 << k for k in range(15)], dtype=np.int16)
+    radius = np.empty(actions.shape, dtype=np.int16)
+    for mode, act in enumerate(actions):
+        ok = np.broadcast_to(~blocked, act.shape)
+        buffers = (np.empty(act.shape, dtype=bool), np.empty(act.shape, dtype=bool))
+        passes = np.zeros(act.shape, dtype=np.uint8)  # radius 2**(passes - 1)
+        shift = 1
+        for k in range(to_radius.size - 1):
+            for axis, size in enumerate(act.shape):
+                grown = buffers[0] if ok is buffers[1] else buffers[1]
+                lead = (slice(None),) * axis
+                grown[lead + (slice(0, shift),)] = False
+                grown[lead + (slice(max(shift, size - shift), size),)] = False
+                if 2 * shift < size:
+                    mid = lead + (slice(shift, size - shift),)
+                    low = lead + (slice(0, size - 2 * shift),)
+                    high = lead + (slice(2 * shift, size),)
+                    out = grown[mid]
+                    np.logical_and(ok[mid], ok[low], out=out)
+                    out &= ok[high]
+                    if k == 0:
+                        out &= act[low] == act[mid]
+                        out &= act[high] == act[mid]
+                ok = grown
+            if not ok.any():
+                break
+            passes += ok
+            shift = 1 << k
+        radius[mode] = to_radius[passes]
+    return radius
+
+
+def _constant_action_radii(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length radii of a policy's actions and of its fallback, shaped like them.
+
+    A box may not touch a domain-boundary cell, a cell meeting an exit box
+    or, for a level-dependent policy, the first or the last level.  A sample
+    that crosses a box face therefore never lands on an exit or an escape,
+    never skips the fallback, and never starts from the top level, whose
+    budget may exceed one level when the threshold is above ``s_max``.  Nodes
+    on the last index of an axis start no cell and get 0.
+    """
+    shape = policy.shape
+    blocked = np.zeros(shape, dtype=bool)
+    for a, size in enumerate(shape):
+        edge = [slice(None)] * len(shape)
+        for k in (0, size - 2, size - 1):
+            edge[a] = k
+            blocked[tuple(edge)] = True
+    if spec.exit_set.kind == "boxes":
+        for box in spec.exit_set.boxes:
+            hit = np.ones(shape, dtype=bool)
+            for a, (b_lo, b_hi) in enumerate(box):
+                # cells meeting the box grown by half a cell: generous, never too few
+                lower = policy.lo[a] + np.arange(shape[a]) * policy.dx[a]
+                meets = (lower <= b_hi + 0.5 * policy.dx[a]) & (lower + 1.5 * policy.dx[a] >= b_lo)
+                hit &= meets.reshape([-1 if b == a else 1 for b in range(len(shape))])
+            blocked |= hit
+    m, n_levels = policy.actions.shape[:2]
+    actions = policy.actions.reshape(m, n_levels, *shape)
+    if policy.s_dependent:
+        levels = np.zeros((n_levels,) + (1,) * len(shape), dtype=bool)
+        levels[[0, -1]] = True
+        radius = _chessboard_radii(actions, blocked | levels)
+    else:
+        radius = _chessboard_radii(actions[:, 0], blocked)[:, None]
+    fallback = _chessboard_radii(policy.fallback.reshape(m, *shape), blocked)
+    return radius.reshape(policy.actions.shape), fallback.reshape(policy.fallback.shape)
 
 
 def _jump_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +304,22 @@ def run_batch(
     Constant (or control-offset) velocities and constant running/exit costs
     are integrated exactly; the whole batch advances in lockstep over
     events, so the cost is a few vector operations per generated event.
+
+    With a policy, events are run-length: each (mode, level, cell) of the
+    policy and (mode, cell) of its fallback has a precomputed radius, the
+    largest ``2**k`` (or 0) whose L-infinity box in (level, cell) index space
+    has one action and touches no domain-boundary cell, no cell meeting an
+    exit box and neither the first nor the last level (`_constant_action_radii`).
+    An event moves a sample to the first face of its box, to its next switch
+    or to the horizon; its cell and level then advance by ``r + 1`` and the
+    axes it merely moved along are recomputed (`_settle_in_boxes`).  At
+    radius 0 (action interfaces, next to the boundary, and while the sliding
+    or stuck guard is active) an event is the per-cell step.  ``events``
+    counts each sample's loop steps.
+
+    ``threshold`` is the cost budget of a level-dependent policy and must be
+    finite; it is rejected without one.  ``horizon_cap`` must be positive
+    (``inf`` is allowed).  Bad values raise `ConfigError`.
     """
     x0 = np.array(start[0], dtype=float).reshape(-1)
     mode0 = int(start[1])
@@ -221,6 +329,17 @@ def run_batch(
         raise ConfigError("start point lies outside the domain")
     if not 0 <= mode0 < spec.n_modes:
         raise ConfigError(f"start mode index {mode0} is outside [0, {spec.n_modes})")
+    if horizon_cap is not None:
+        horizon_cap = _number(horizon_cap, "horizon cap")
+        if not horizon_cap > 0.0:
+            raise ConfigError(f"horizon cap {horizon_cap} must be positive")
+    if threshold is not None:
+        if policy is None or not policy.s_dependent:
+            raise ConfigError("a cost threshold needs a level-dependent policy; "
+                              "only threshold policies read it")
+        threshold = _number(threshold, "cost threshold")
+        if not math.isfinite(threshold):
+            raise ConfigError(f"cost threshold {threshold} must be finite")
     if any(ms.dynamics.kind == "tabulated" for ms in spec.modes):
         if policy is not None:
             raise ConfigError("policies over tabulated dynamics are not supported")
@@ -234,8 +353,6 @@ def run_batch(
         if policy.s_dependent and threshold is None:
             raise ConfigError("a level-dependent policy needs a cost threshold")
     cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
-    if cap <= 0:
-        raise ConfigError("horizon cap must be positive")
 
     m = spec.n_modes
     d = spec.dim
@@ -260,7 +377,8 @@ def run_batch(
     exited = np.zeros(n, dtype=bool)
     escaped = np.zeros(n, dtype=bool)
     censored = np.zeros(n, dtype=bool)
-    switch_counts = np.zeros(n, dtype=np.uint64)  # also each sample's event counter
+    switch_counts = np.zeros(n, dtype=np.uint64)  # also each sample's contract event number
+    events = np.zeros(n, dtype=np.int64)
     exit_times = np.full(n, np.nan)
     exit_points = np.full((n, d), np.nan)
     occupancy = np.zeros((n, m))
@@ -268,6 +386,7 @@ def run_batch(
 
     use_cells = policy is not None
     if use_cells:
+        radius, fallback_radius = _constant_action_radii(spec, policy)
         cell = np.minimum(policy.cell_of(x), np.array(policy.shape) - 2)
         strides = policy._strides
         if policy.s_dependent:
@@ -277,7 +396,8 @@ def run_batch(
             s_cell = np.zeros(n, dtype=int)
         # guards against zero-length event cycles at policy interfaces: first
         # slide along a re-crossed face, then freeze entirely until the next
-        # switch (the stationary sliding-mode interpretation)
+        # switch (the stationary sliding-mode interpretation); a guarded
+        # sample steps one cell at a time
         prev_face_axis = np.full(n, -1, dtype=np.int8)
         slide_axis = np.full(n, -1, dtype=np.int8)
         zero_streak = np.zeros(n, dtype=np.int32)
@@ -288,6 +408,7 @@ def run_batch(
         act = np.where(alive)[0]
         if act.size == 0:
             break
+        events[act] += 1
         xm = x[act]
         md = mode[act]
         if use_cells:
@@ -296,16 +417,19 @@ def run_batch(
             below = sc < 0
             lvl = np.clip(sc, 0, policy.n_levels - 1)
             a_idx = np.where(below, policy.fallback[md, flat], policy.actions[md, lvl, flat])
+            rad = np.where(below, fallback_radius[md, flat], radius[md, lvl, flat]).astype(int)
             v = ctrl_vecs[a_idx] + offsets[md]
             sliding = slide_axis[act]
             if np.any(sliding >= 0):
                 rows = np.where(sliding >= 0)[0]
                 v = v.copy()
                 v[rows, sliding[rows]] = 0.0
+                rad[rows] = 0
             stuck = zero_streak[act] >= 6
             if np.any(stuck):
                 v = v.copy()
                 v[stuck] = 0.0
+                rad[stuck] = 0
         else:
             v = offsets[md]
         crate = cost_rate[md]
@@ -317,13 +441,13 @@ def run_batch(
         if use_cells:
             if policy.s_dependent:
                 s_rem = threshold - c[act]
-                dt_s = np.where(s_cell[act] >= 0,
-                                (s_rem - s_cell[act] * policy.ds) / crate, np.inf)
+                dt_s = np.where(sc >= 0, (s_rem - (sc - rad) * policy.ds) / crate, np.inf)
                 cands.append(np.maximum(dt_s, 0.0))
                 kinds.append("s_cell")
             for a in range(d):
-                lo_face = policy.lo[a] + cell[act, a] * policy.dx[a]
-                hi_face = lo_face + policy.dx[a]
+                # faces of the sample's box: its cell grown by `rad` cells each way
+                lo_face = policy.lo[a] + (cell[act, a] - rad) * policy.dx[a]
+                hi_face = lo_face + (2 * rad + 1) * policy.dx[a]
                 va = v[:, a]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     dt_a = np.where(va > 0, (hi_face - xm[:, a]) / va,
@@ -385,6 +509,10 @@ def run_batch(
             slide_axis[act[moved]] = -1
             zero_streak[act[moved]] = 0
             zero_streak[act[~moved]] += 1
+            wide = np.nonzero(rad > 0)[0]
+            if wide.size:
+                _settle_in_boxes(wide, act, which, kinds, rad, v, x, c, cell, s_cell,
+                                 policy, threshold)
 
         for k_id, kname in enumerate(kinds):
             hits = which == k_id
@@ -408,13 +536,14 @@ def run_batch(
                 censored[sel] = True
                 alive[sel] = False
             elif kname == "s_cell":
-                s_cell[sel] -= 1
+                s_cell[sel] -= 1 + rad[hits]
             elif kname.startswith("face"):
                 a = int(kname[4:])
                 dt_sel = dt[hits]
+                r_sel = rad[hits]
                 midpoint = policy.lo[a] + (cell[sel, a] + 0.5) * policy.dx[a]
                 going_up = x[sel, a] >= midpoint
-                new_face = np.where(going_up, cell[sel, a] + 1, cell[sel, a])
+                new_face = np.where(going_up, cell[sel, a] + r_sel + 1, cell[sel, a] - r_sel)
                 x[sel, a] = policy.lo[a] + new_face * policy.dx[a]
                 # zero-length re-crossing of the same axis: slide along the interface
                 pingpong = (dt_sel <= 0.0) & (prev_face_axis[sel] == a)
@@ -443,8 +572,8 @@ def run_batch(
                 move = ~done_exit & ~done_escape
                 mv = sel[move]
                 if mv.size:
-                    up = going_up[move]
-                    cell[mv, a] = np.clip(cell[mv, a] + np.where(up, 1, -1),
+                    jump = r_sel[move] + 1
+                    cell[mv, a] = np.clip(cell[mv, a] + np.where(going_up[move], jump, -jump),
                                           0, policy.shape[a] - 2)
             elif kname == "exit":
                 costs[sel] = c[sel] + q_exit[mode[sel]]
@@ -470,17 +599,43 @@ def run_batch(
     return BatchResult(
         start_x=x0, start_mode=mode0, seed=seed, costs=costs, exited=exited,
         escaped=escaped, censored=censored, switch_counts=switch_counts.astype(int),
-        exit_times=exit_times, occupancy=occupancy, samples=recs,
+        events=events, exit_times=exit_times, occupancy=occupancy, samples=recs,
     )
+
+
+def _settle_in_boxes(wide, act, which, kinds, rad, v, x, c, cell, s_cell, policy, threshold):
+    """Cell and level of the samples ``act[wide]`` after an event inside their box.
+
+    The event moved them straight across their constant-action box; the cells
+    and levels they entered are the ones the per-cell loop would have stepped
+    through.  An axis that moved up is in the cell whose lower face it last
+    reached, one that moved down in the cell below the upper face it last
+    reached (a face counts as crossed on contact, as there).  The axis of a
+    face event and the level of a level event are left to the event itself.
+    """
+    smp, r, kind = act[wide], rad[wide], which[wide]
+    for a in range(cell.shape[1]):
+        va = v[wide, a]
+        pos = (x[smp, a] - policy.lo[a]) / policy.dx[a]
+        entered = np.where(va > 0, np.floor(pos), np.ceil(pos) - 1)
+        k = cell[smp, a]
+        moved = (va != 0) & (kind != kinds.index(f"face{a}"))
+        cell[smp, a] = np.where(moved, np.clip(entered, k - r, k + r), k)
+    if policy.s_dependent:
+        level = s_cell[smp]
+        entered = np.ceil((threshold - c[smp]) / policy.ds) - 1
+        keep = (level < 0) | (kind == kinds.index("s_cell"))
+        s_cell[smp] = np.where(keep, level, np.clip(entered, level - r, level))
 
 
 def _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid, offset):
     if grid is None:
         raise ConfigError("tabulated velocity fields need the grid for interpolation")
-    samples = [
+    runs = [
         _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap)
         for index in _stream_indices(seed, offset, n)
     ]
+    samples = [rec for rec, _ in runs]
     costs = np.array([s.cost for s in samples])
     m = spec.n_modes
     return BatchResult(
@@ -489,6 +644,7 @@ def _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid, of
         escaped=np.array([s.escaped for s in samples]),
         censored=np.array([s.censored for s in samples]),
         switch_counts=np.array([s.n_switches for s in samples]),
+        events=np.array([steps for _, steps in runs], dtype=np.int64),
         exit_times=np.array([s.exit_time if s.exit_time is not None else np.nan for s in samples]),
         occupancy=np.zeros((n, m)),
         samples=samples if record else None,
@@ -499,6 +655,7 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
     """One-step 4-stage integration path for space-varying velocities.
 
     Draws from the stream ``(seed, index)`` exactly as `run_batch` does.
+    Returns the sample and its number of integrator steps.
     """
     stream = np.array([index], dtype=np.uint64)
     cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
@@ -510,11 +667,13 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
     clock = float(_event_draws(seed, stream, np.zeros(1))[1][0])
     t_next = clock / totals[mode] if totals[mode] > 0 else math.inf
     dx_min = float(grid.dx.min())
+    steps = 0
 
     def vel(p, mode_now):
         return spec.modes[mode_now].dynamics.at(grid, p[None, :])[0]
 
     while t < cap:
+        steps += 1
         v = vel(x, mode)
         speed = float(np.linalg.norm(v))
         h = dx_min / speed if speed > 0 else cap - t
@@ -549,7 +708,7 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
                 rec.exit_point = x.copy()
             else:
                 rec.escaped = True
-            return rec
+            return rec, steps
         if t >= t_next:
             u, e = _event_draws(seed, stream, np.array([len(rec.modes)]))
             mode = int(_successors(cum, np.array([mode]), u)[0])
@@ -558,7 +717,7 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
             rec.cost_checkpoints.append((t, c))
             t_next = t + (float(e[0]) / totals[mode] if totals[mode] > 0 else math.inf)
     rec.censored = True
-    return rec
+    return rec, steps
 
 
 def _point_on_exit(spec, grid, x) -> bool:

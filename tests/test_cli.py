@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pdmp_cdf.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
     EXIT_NUMERICS,
+    Exporter,
     load_problem,
     main,
     serialize_problem,
@@ -376,6 +378,79 @@ class TestRunValues:
         assert manifest["rng"] == "philox4x64-10/v2"
         switches = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, -1]
         assert manifest["switches"] == int(switches.sum()) > 0
+        # without a policy every event is a switch or the sample's last event
+        assert manifest["events"] == manifest["switches"] + 200
+
+    def ex5_policy(self, tmp_path, n_levels):
+        return write_policy(tmp_path / f"levels{n_levels}.policy",
+                            ControlSet.from_list([[-1.0], [1.0]]), 2, [0.0], [0.02], (51,),
+                            n_levels=n_levels)
+
+    def ex5_config(self, tmp_path, run):
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0},
+               "run": {"samples": 20, "start": [[0.4], 1], **run}, "output": {}}
+        return write_config(tmp_path, doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bad_threshold_flag_rejected(self, tmp_path, value, capsys):
+        pol = self.ex5_policy(tmp_path, 3)
+        argv = ["simulate", *EX5_GRID, "--n", "20", "--start", "0.4:1", "--policy-in", pol,
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ["--threshold", "0.3"]) == 0
+        assert main(argv + [f"--threshold={value}"]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "abc", [0.3], True])
+    def test_bad_threshold_value_rejected(self, tmp_path, value):
+        pol = self.ex5_policy(tmp_path, 3)
+        cfg = self.ex5_config(tmp_path, {"threshold": value})
+        assert main(["simulate", "--problem", cfg, "--policy-in", pol,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["abc", math.nan, 0, -1.0, -math.inf, [5.0]])
+    def test_bad_horizon_cap_rejected(self, tmp_path, value):
+        cfg = self.ex5_config(tmp_path, {"horizon_cap": value})
+        assert main(["simulate", "--problem", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_infinite_horizon_cap_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = self.ex5_config(tmp_path, {"horizon_cap": math.inf})
+        assert main(["simulate", "--problem", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["censored"] == 0 and manifest["exited"] == 20
+
+    @pytest.mark.parametrize("n_levels", [None, 1])
+    def test_threshold_without_level_dependent_policy_rejected(self, tmp_path, n_levels):
+        # no policy, or an expectation policy with one level: nothing reads a threshold
+        pol = [] if n_levels is None else ["--policy-in", self.ex5_policy(tmp_path, n_levels)]
+        argv = ["simulate", *EX5_GRID, "--n", "20", "--start", "0.4:1", *pol,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert main(argv + ["--threshold", "0.3"]) == EXIT_CONFIG
+        cfg = self.ex5_config(tmp_path, {"threshold": 0.3})
+        assert main(["simulate", "--problem", cfg, *pol, "--out", str(tmp_path / "p")]) == EXIT_CONFIG
+
+
+def test_write_rows_matches_row_wise_formatting(tmp_path):
+    # floats are written with repr(float(v)), everything else with str(v), row by row
+    tiny = 5e-324
+    rows = [
+        (1, 0.5, -0.0, "a"), (2, math.inf, -math.inf, "b"), (3, math.nan, tiny, "c"),
+        (np.int64(4), np.float64(2.5e-310), 1e300, True), (5, 7, np.float32(0.1), None),
+    ]
+    rows += [(i, i / 7.0, -i * tiny, f"r{i}") for i in range(6, 40)]
+    want = "a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+    exporter = Exporter(str(tmp_path), {}, {})
+    assert exporter.write_rows("t.csv", ["a", "b", "c", "d"], rows).read_text() == want
+    floats = [(0.1 * i, -0.0, tiny * i) for i in range(10_000)]  # several row blocks
+    want = "x,y,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in floats)
+    assert exporter.write_rows("f.csv", ["x", "y", "z"], floats).read_text() == want
+    assert exporter.write_rows("e.csv", ["x"], []).read_text() == "x\n"
+    with pytest.raises(ValueError):
+        exporter.write_rows("r.csv", ["x", "y"], [(1, 2), (3,)])
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -393,10 +468,11 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 EX5_GRID = ["--problem", "example5", "--dx", "0.02", "--ds", "0.01", "--s-max", "1.0"]
 
 
-def write_policy(path, control_set, n_modes, lo, dx, shape):
+def write_policy(path, control_set, n_modes, lo, dx, shape, n_levels=1):
     n_nodes = int(np.prod(shape))
-    policy = Policy(control_set, np.zeros((n_modes, 1, n_nodes)), np.zeros((n_modes, n_nodes)),
-                    lo, dx, shape, 0.01, provenance="expectation")
+    policy = Policy(control_set, np.zeros((n_modes, n_levels, n_nodes)),
+                    np.zeros((n_modes, n_nodes)), lo, dx, shape, 0.01,
+                    provenance="expectation" if n_levels == 1 else "threshold")
     save_policy(policy, str(path))
     return str(path)
 

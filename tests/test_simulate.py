@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from pdmp_cdf import build_grid, catalog
+from pdmp_cdf.cdf_solver import solve_min_cost
+from pdmp_cdf.control import Policy, solve_hjb_expectation, solve_threshold, synthesize_policy
 from pdmp_cdf.errors import ConfigError
 from pdmp_cdf.model import (
     ExitSpec,
@@ -17,6 +19,8 @@ from pdmp_cdf.model import (
 from pdmp_cdf.simulate import (
     EmpiricalCdf,
     TrajectorySample,
+    _chessboard_radii,
+    _constant_action_radii,
     _exponential,
     _successors,
     _uniform,
@@ -28,6 +32,7 @@ from pdmp_cdf.simulate import (
     sample_trajectory,
     write_samples_csv,
 )
+from reference_simulate import per_cell_batch
 
 EX1 = catalog.example1()
 
@@ -135,6 +140,9 @@ class TestTabulatedDynamics:
         s = sample_trajectory(spec, (np.array([0.4]), 0), seed=0, grid=grid)
         assert s.exited
         assert abs(s.cost - 0.6) < 1e-6
+        # events count integrator steps here: dx / |f| = 0.01 time units each
+        batch = run_batch(spec, (np.array([0.4]), 0), 3, seed=0, grid=grid)
+        assert np.all((batch.events >= 60) & (batch.events <= 61))
 
 
 def oracle_block(seed, index, event):
@@ -300,3 +308,154 @@ class TestHorizon:
             run_batch(spec, (np.array([0.5]), 0), 3, seed=0)
         batch = run_batch(spec, (np.array([0.5]), 0), 3, seed=0, horizon_cap=1.0)
         assert batch.censored.all()
+
+
+def brute_force_radii(actions, blocked):
+    """Largest power of two whose whole box is unblocked and holds one action, else 0."""
+    blocked = np.broadcast_to(blocked, actions.shape)
+    extent = np.array(actions.shape[1:])
+    out = np.zeros(actions.shape, dtype=int)
+    for idx in np.ndindex(actions.shape):
+        centre = np.array(idx[1:])
+        r = 0
+        while True:
+            grown = max(1, 2 * r)
+            lo, hi = centre - grown, centre + grown + 1
+            if np.any(lo < 0) or np.any(hi > extent):
+                break
+            box = (idx[0],) + tuple(slice(a, b) for a, b in zip(lo, hi))
+            if blocked[box].any() or np.any(actions[box] != actions[idx]):
+                break
+            r = grown
+        out[idx] = r
+    return out
+
+
+def patchy_actions(rng, shape, patch):
+    """Random actions constant on patches of about ``patch`` entries per axis."""
+    coarse = rng.integers(0, 3, size=(shape[0],) + tuple(-(-n // patch) for n in shape[1:]))
+    for axis in range(1, len(shape)):
+        coarse = np.repeat(coarse, patch, axis=axis)
+    return coarse[(slice(None),) + tuple(slice(0, n) for n in shape[1:])]
+
+
+def run_length_case(name):
+    """Problem, grid spacing, start, threshold and horizon cap of one comparison case."""
+    if name == "example5-bench":
+        return catalog.example5(), (8e-3, 4e-3, 0.8), (np.array([0.4]), 0), 0.38, None
+    if name == "example5-above-s-max":
+        # the budget starts above the top level, which the lookup clips to
+        return catalog.example5(), (8e-3, 4e-3, 0.8), (np.array([0.3]), 1), 0.95, None
+    if name == "example5-acceptance":
+        return catalog.example5(), (1e-3, 5e-4, 0.8), (np.array([0.4]), 0), 0.38, None
+    if name == "example6-16":
+        return catalog.example6(16), (5e-2, 1e-2, 0.5), (np.array([0.4, 0.3]), 0), 0.33, None
+    # an interior exit box; the domain boundary is an escape
+    spec = dataclasses.replace(catalog.example6(16),
+                               exit_set=ExitSpec("boxes", boxes=(((0.6, 0.8), (0.4, 0.6)),)))
+    return spec, (2.5e-2, 2.5e-2, 2.0), (np.array([0.3, 0.5]), 0), None, 20.0
+
+
+@pytest.fixture(scope="module")
+def run_length_policies():
+    cache = {}
+
+    def get(name, kind):
+        name = "example5-bench" if name == "example5-above-s-max" else name
+        if name not in cache:
+            spec, (dx, ds, s_max), _, threshold, _ = run_length_case(name)
+            grid = build_grid(spec, dx, ds, s_max)
+            hjb = solve_hjb_expectation(spec, grid, tol=1e-8)
+            policies = {"hjb": hjb[1]}
+            if threshold is not None:
+                tv = solve_threshold(spec, grid, hjb=hjb, restrict=solve_min_cost(spec, grid))
+                policies["threshold"] = synthesize_policy(tv, spec, grid)
+            cache[name] = policies
+        return cache[name][kind]
+
+    return get
+
+
+class TestRunLengthEvents:
+    @pytest.mark.parametrize("shape, patch", [((2, 60), 12), ((3, 30, 28), 10), ((2, 20, 22, 20), 10)])
+    def test_radii_match_brute_force(self, shape, patch):
+        rng = np.random.default_rng(len(shape))
+        actions = patchy_actions(rng, shape, patch)
+        blocked = np.zeros(shape[1:], dtype=bool)
+        blocked.flat[rng.choice(blocked.size, 3, replace=False)] = True
+        got = _chessboard_radii(actions, blocked)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, brute_force_radii(actions, blocked))
+        assert got.max() >= 4
+
+    def test_boxes_avoid_edges_exit_boxes_and_end_levels(self, run_length_policies):
+        spec = run_length_case("boxes")[0]
+        policy = run_length_policies("boxes", "hjb")
+        radius, fallback = _constant_action_radii(spec, policy)
+        assert radius.shape == policy.actions.shape and fallback.shape == policy.fallback.shape
+        nx, ny = policy.shape
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        x, y = policy.lo[0] + ix * policy.dx[0], policy.lo[1] + iy * policy.dx[1]
+        r = radius[:, 0].reshape(-1, nx, ny)
+        assert r.max() > 0
+        # every box stays one cell clear of the domain edge and off the exit box
+        wide = r > 0
+        assert np.all((ix - r >= 1)[wide]) and np.all((iy - r >= 1)[wide])
+        assert np.all((ix + r <= nx - 3)[wide]) and np.all((iy + r <= ny - 3)[wide])
+        box_lo_x, box_hi_x = x - r * policy.dx[0], x + (r + 1) * policy.dx[0]
+        box_lo_y, box_hi_y = y - r * policy.dx[1], y + (r + 1) * policy.dx[1]
+        clear = (box_hi_x < 0.6) | (box_lo_x > 0.8) | (box_hi_y < 0.4) | (box_lo_y > 0.6)
+        assert np.all(clear[wide])
+        # and, for a level-dependent policy, clear of the first and the last level
+        threshold_policy = run_length_policies("example5-bench", "threshold")
+        levels = _constant_action_radii(catalog.example5(), threshold_policy)[0]
+        level = np.arange(threshold_policy.n_levels)[None, :, None]
+        wide = levels > 0
+        assert wide.any()
+        assert np.all((level - levels >= 1)[wide])
+        assert np.all((level + levels <= threshold_policy.n_levels - 2)[wide])
+
+    @pytest.mark.parametrize("name, kind", [
+        ("example5-bench", "hjb"), ("example5-bench", "threshold"),
+        ("example5-above-s-max", "threshold"),
+        ("example5-acceptance", "hjb"), ("example5-acceptance", "threshold"),
+        ("example6-16", "hjb"), ("example6-16", "threshold"),
+        ("boxes", "hjb"),
+    ])
+    def test_matches_the_per_cell_reference(self, run_length_policies, name, kind):
+        spec, _, start, threshold, cap = run_length_case(name)
+        policy = run_length_policies(name, kind)
+        threshold = threshold if kind == "threshold" else None
+        batch = run_batch(spec, start, 400, seed=17, policy=policy, threshold=threshold,
+                          horizon_cap=cap, record=True)
+        ref = per_cell_batch(spec, start, 400, 17, policy, threshold=threshold, horizon_cap=cap)
+        for key in ("exited", "escaped", "censored", "switch_counts"):
+            assert np.array_equal(getattr(batch, key), ref[key]), key
+        assert np.array_equal([s.modes[-1] for s in batch.samples], ref["final_mode"])
+        finite = np.isfinite(ref["costs"])
+        assert np.array_equal(np.isfinite(batch.costs), finite) and finite.any()
+        assert np.max(np.abs(batch.costs[finite] - ref["costs"][finite])) <= 1e-12
+        # events: at least one per switch plus the last, fewer than one per cell
+        assert np.all(batch.events >= batch.switch_counts + 1)
+        assert np.all(batch.events <= ref["events"])
+        assert batch.events.sum() < ref["events"].sum()
+
+    def test_radius_zero_policy_is_the_per_cell_loop(self):
+        # actions alternate between neighbouring cells and levels: every radius is 0
+        spec = catalog.example5()
+        grid = build_grid(spec, 2e-2, 1e-2, 1.0)
+        actions = np.add.outer(np.arange(3), np.arange(grid.n_nodes)) % 2
+        policy = Policy(spec.controls, np.stack([actions, 1 - actions]), actions[:2, :],
+                        grid.lo, grid.dx, grid.shape, grid.ds, provenance="threshold")
+        radius, fallback = _constant_action_radii(spec, policy)
+        assert not radius.any() and not fallback.any()
+        start = (np.array([0.4]), 1)
+        batch = run_batch(spec, start, 300, seed=3, policy=policy, threshold=0.02)
+        ref = per_cell_batch(spec, start, 300, 3, policy, threshold=0.02)
+        for key in ("costs", "exited", "escaped", "censored", "switch_counts", "events"):
+            assert np.array_equal(getattr(batch, key), ref[key]), key
+
+    def test_uncontrolled_events_are_switches_plus_one(self):
+        for spec, start in ((EX1, (np.array([0.4]), 0)), (catalog.example3(), (np.array([0.5, 0.5]), 2))):
+            batch = run_batch(spec, start, 500, seed=4)
+            assert np.array_equal(batch.events, batch.switch_counts + 1)
