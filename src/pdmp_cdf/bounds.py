@@ -7,7 +7,8 @@ in the rates, the pointwise optimizer is bang-bang and known in closed
 form, so the bound sweep costs the same as a fixed-rate solve: per level
 and mode, one sparse product of the step's operators with the previous
 level of every source mode gives the per-source foot values, and the
-bang-bang rate choice mixes them.
+bang-bang rate choice (``RateBounds.extreme_rates``, which the minimal-cost
+solve's probability transport uses too) mixes them.
 
 Fixed-rate samples (``fixed_rate_sweep``) are plain ``solve_cdf`` runs, one
 per rate matrix.  The minimal attainable cost does not depend on the
@@ -54,22 +55,12 @@ class MinCostBounds:
 def optimal_rates_pointwise(
     diffs: np.ndarray, bounds: RateBounds, sense: str, mode: int
 ) -> np.ndarray:
-    """Bang-bang optimal rates for one node update.
+    """Bang-bang optimal rates out of ``mode`` for one node update.
 
-    ``diffs[j]`` is the interpolated value gap w_j - w_i at the step foot.
-    Minimizing picks the upper rate where the gap is nonpositive (drain as
-    much as possible) and the lower rate otherwise; maximizing flips the
-    inequalities.  Ties at zero gap take the upper rate in both senses; the
-    update value is unaffected there.
+    ``diffs[j]`` is the interpolated value gap w_j - w_i at the step foot;
+    the rule is `RateBounds.extreme_rates`.
     """
-    d = np.asarray(diffs, dtype=float)
-    lo = bounds.lower[mode]
-    hi = bounds.upper[mode]
-    if sense == "min":
-        return np.where(d <= 0.0, hi, lo)
-    if sense == "max":
-        return np.where(d >= 0.0, hi, lo)
-    raise ConfigError(f"unknown optimization sense {sense!r}")
+    return bounds.extreme_rates(sense, diffs, mode)
 
 
 def _bound_update(steps: list[SemiLagrangianStep], bounds: RateBounds, sense: str):
@@ -97,12 +88,7 @@ def _bound_update(steps: list[SemiLagrangianStep], bounds: RateBounds, sense: st
                 if j == i:
                     continue
                 diff = src[:, j] - base
-                rate = np.where(
-                    (diff <= 0.0) if sense == "min" else (diff >= 0.0),
-                    bounds.upper[i, j],
-                    bounds.lower[i, j],
-                )
-                acc = acc + step_lens[i] * rate * diff
+                acc = acc + step_lens[i] * bounds.extreme_rates(sense, diff, i, j) * diff
             acc[st.esc_nodes] = 0.0
             out[i] = acc
         return out

@@ -15,6 +15,9 @@ Steps whose characteristic reaches the boundary are capped at the exact
 crossing: the crossing fraction theta is charged theta*tau*C_i of cost and
 the boundary condition is evaluated at the crossing point.  Segments that
 leave the domain off the exit set contribute zero (immediate failure).
+The crossing times come from ``ExitSpec.first_hit``, the one exit geometry
+that the simulator uses as well; a tie between an exit and an escape is an
+exit.
 
 Every kernel runs on one sparse-operator view of a step.  A
 ``SemiLagrangianStep`` assembles its foot interpolation once as a CSR
@@ -103,58 +106,6 @@ def check_causality(tau: float, min_cost: float, ds: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _segment_exit(spec: ProblemSpec, x: np.ndarray, disp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First boundary event along the segments x -> x + disp.
-
-    Returns (theta, is_exit, crossing_point) with theta = inf where the
-    segment stays inside the closed box and enters no exit box.
-    """
-    n = x.shape[0]
-    theta = np.full(n, np.inf)
-    hit_exit = np.zeros(n, dtype=bool)
-    exit_faces = set(spec.exit_set.face_names(spec.dim)) if spec.exit_set.kind in ("boundary", "faces") else set()
-    names_min = ("x_min", "y_min")
-    names_max = ("x_max", "y_max")
-    for a in range(spec.dim):
-        for side, bound, name in ((0, spec.lo[a], names_min[a]), (1, spec.hi[a], names_max[a])):
-            d = disp[:, a]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (bound - x[:, a]) / d
-            moving = d < 0 if side == 0 else d > 0
-            t = np.where(moving, t, np.inf)
-            t = np.maximum(t, 0.0)
-            better = t < theta - 1e-15
-            theta = np.where(better, t, theta)
-            hit_exit = np.where(better, name in exit_faces, hit_exit)
-    if spec.exit_set.kind == "boxes":
-        for box in spec.exit_set.boxes:
-            t_in = np.zeros(n)
-            t_out = np.full(n, np.inf)
-            inside_possible = np.ones(n, dtype=bool)
-            for a, (b_lo, b_hi) in enumerate(box):
-                d = disp[:, a]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t0 = (b_lo - x[:, a]) / d
-                    t1 = (b_hi - x[:, a]) / d
-                swap = d < 0
-                lo_t = np.where(swap, t1, t0)
-                hi_t = np.where(swap, t0, t1)
-                stuck = np.abs(d) < 1e-300
-                in_slab = (x[:, a] >= b_lo) & (x[:, a] <= b_hi)
-                lo_t = np.where(stuck, np.where(in_slab, 0.0, np.inf), lo_t)
-                hi_t = np.where(stuck, np.where(in_slab, np.inf, -np.inf), hi_t)
-                t_in = np.maximum(t_in, lo_t)
-                t_out = np.minimum(t_out, hi_t)
-                inside_possible &= np.isfinite(lo_t) | in_slab
-            enters = inside_possible & (t_in <= t_out) & (t_in >= 0.0)
-            better = enters & (t_in < theta - 1e-15)
-            theta = np.where(better, t_in, theta)
-            hit_exit = np.where(better, True, hit_exit)
-    with np.errstate(invalid="ignore", over="ignore"):
-        cross = np.where(np.isfinite(theta)[:, None], x + theta[:, None] * disp, x)
-    return theta, hit_exit, cross
-
-
 class SemiLagrangianStep:
     """Precomputed one-step update of one (mode, action) pair, as sparse operators.
 
@@ -185,7 +136,6 @@ class SemiLagrangianStep:
         action: np.ndarray | None = None,
         velocities: np.ndarray | None = None,
         costs: np.ndarray | None = None,
-        prob_method: str = "first_order",
         rates: RateMatrix | None = None,
     ):
         self.spec = spec
@@ -202,13 +152,14 @@ class SemiLagrangianStep:
         if rates is None and spec.fixed_rates:
             rates = spec.rates
         self.rates = rates
-        self.probs = transition_probabilities(rates, tau, prob_method)[mode] if rates is not None else None
+        self.probs = transition_probabilities(rates, tau)[mode] if rates is not None else None
 
-        theta, hit_exit, cross = _segment_exit(spec, pts, disp)
-        live = ~grid.exit_mask
-        capped = live & hit_exit & (theta <= 1.0 + 1e-12)
-        escaped = live & ~hit_exit & (theta <= 1.0 + 1e-12)
-        regular = live & ~capped & ~escaped
+        t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, pts, disp)
+        theta = np.minimum(t_exit, t_escape)
+        ends = ~grid.exit_mask & (theta <= 1.0 + 1e-12)
+        capped = ends & (t_exit <= t_escape)
+        escaped = ends & ~capped
+        regular = ~grid.exit_mask & ~ends
 
         self.reg_nodes = np.where(regular)[0]
         self.cap_nodes = np.where(capped)[0]
@@ -244,10 +195,10 @@ class SemiLagrangianStep:
             self.level_ops = tuple(ops)
 
         # capped steps: transition probabilities over the shortened interval
-        th = np.clip(theta[self.cap_nodes], 0.0, 1.0)
-        self.cap_theta_tau = th * tau
+        th = theta[self.cap_nodes]
+        qx = pts[self.cap_nodes] + th[:, None] * disp[self.cap_nodes]
+        self.cap_theta_tau = np.clip(th, 0.0, 1.0) * tau
         self.cap_ds = self.cap_theta_tau * self.node_cost[self.cap_nodes]
-        qx = cross[self.cap_nodes]
         self.cap_q = np.column_stack(
             [spec.modes[j].exit_cost.at(grid, qx) for j in range(m)]
         ) if self.cap_nodes.size else np.zeros((0, m))
@@ -255,15 +206,9 @@ class SemiLagrangianStep:
             self.cap_probs = None
             self.expected_const = None
             return
-        if prob_method == "first_order":
-            qrow = rates.matrix[mode]
-            self.cap_probs = np.zeros((self.cap_nodes.size, m))
-            self.cap_probs[:, mode] = 1.0
-            self.cap_probs += self.cap_theta_tau[:, None] * qrow[None, :]
-        else:
-            per_node = [transition_probabilities(rates, float(t_k), "exact")[mode]
-                        for t_k in self.cap_theta_tau]
-            self.cap_probs = np.array(per_node).reshape(self.cap_nodes.size, m)
+        self.cap_probs = np.zeros((self.cap_nodes.size, m))
+        self.cap_probs[:, mode] = 1.0
+        self.cap_probs += self.cap_theta_tau[:, None] * rates.matrix[mode][None, :]
         const = np.zeros(n_nodes)
         const[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes]
         const[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
@@ -394,7 +339,6 @@ def solve_cdf(
     grid: Grid,
     tau: float | None = None,
     restrict: MinCostField | None = None,
-    prob_method: str = "first_order",
     velocities: np.ndarray | None = None,
     costs: np.ndarray | None = None,
     rates: RateMatrix | None = None,
@@ -428,7 +372,6 @@ def solve_cdf(
             spec, grid, tau, i,
             velocities=None if velocities is None else velocities[i],
             costs=node_costs[i],
-            prob_method=prob_method,
         )
         for i in range(spec.n_modes)
     ]
@@ -770,7 +713,7 @@ def _step_value(cand: tuple[float, int], vals) -> float:
 
 def _w0_update(
     spec: ProblemSpec, w0: np.ndarray, table: CandidateTable, c: int, k: int,
-    rate_pick,
+    rates: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """First-order transport of the attainment probability along one 1D step."""
     vals = w0[:, table.foot_a[c, k]]
@@ -781,20 +724,20 @@ def _w0_update(
         if j == i:
             continue
         diff = float(vals[j] - vals[i])
-        coupling += rate_pick(i, j, diff) * diff
+        coupling += rates[0 if diff >= 0.0 else 1][i, j] * diff
     return float(vals[i] + h * coupling)
 
 
-def _rate_picker(spec: ProblemSpec, sense: str | None):
+def _transport_rates(spec: ProblemSpec, sense: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of the attainment-probability transport for nonnegative and for negative gaps."""
     if sense is None:
         lam = spec.require_fixed_rates().off_diagonal()
-        return lambda i, j, diff: lam[i, j]
+        return lam, lam
+    extreme = {"upper": "max", "lower": "min"}.get(sense)
+    if extreme is None:
+        raise ConfigError(f"unknown rate sense {sense!r}")
     rb = spec.require_rate_bounds()
-    if sense == "upper":
-        return lambda i, j, diff: rb.upper[i, j] if diff >= 0.0 else rb.lower[i, j]
-    if sense == "lower":
-        return lambda i, j, diff: rb.lower[i, j] if diff >= 0.0 else rb.upper[i, j]
-    raise ConfigError(f"unknown rate sense {sense!r}")
+    return rb.extreme_rates(extreme, 1.0), rb.extreme_rates(extreme, -1.0)
 
 
 def solve_min_cost(
@@ -858,19 +801,19 @@ class MinimalCost:
         ``spec`` may differ from the one this was built from in its rates only.
         """
         grid = self.grid
-        rate_pick = _rate_picker(spec, rate_sense)
+        rates = _transport_rates(spec, rate_sense)
         q_min = self.q_exit.min(axis=0)
         w0 = np.zeros((spec.n_modes, grid.n_nodes))
         exit_argmin = self.q_exit <= q_min + argmin_rtol * np.maximum(1.0, q_min)
         w0[:, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
         fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
-        w0_passes = fill(spec, grid, self.table, self.s0, w0, rate_pick, argmin_rtol)
+        w0_passes = fill(spec, grid, self.table, self.s0, w0, rates, argmin_rtol)
         log.debug("minimal cost: %d candidates, %d s0 passes, %d node updates, %d w0 passes",
                   self.table.mode.size, self.passes, self.updates, w0_passes)
         return MinCostField(grid, self.s0, w0)
 
 
-def _w0_ordered(spec, grid, table, s0, w0, rate_pick, argmin_rtol) -> int:
+def _w0_ordered(spec, grid, table, s0, w0, rates, argmin_rtol) -> int:
     """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass."""
     interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
     order = interior[np.argsort(s0[interior], kind="stable")]
@@ -892,11 +835,11 @@ def _w0_ordered(spec, grid, table, s0, w0, rate_pick, argmin_rtol) -> int:
         tol = argmin_rtol * max(1.0, abs(best))
         for i, (val, c) in per_mode_best.items():
             if val <= best + tol:
-                w0[i, k] = np.clip(_w0_update(spec, w0, table, c, k, rate_pick), 0.0, 1.0)
+                w0[i, k] = np.clip(_w0_update(spec, w0, table, c, k, rates), 0.0, 1.0)
     return 1
 
 
-def _w0_fixed_point(spec, grid, table, s0, w0, rate_pick, argmin_rtol, max_iter=100000) -> int:
+def _w0_fixed_point(spec, grid, table, s0, w0, rates, argmin_rtol, max_iter=100000) -> int:
     """Vectorized transport of the attainment probability to its fixed point.
 
     Each node takes, in every mode whose best candidate attains s0, the
@@ -937,7 +880,7 @@ def _w0_fixed_point(spec, grid, table, s0, w0, rate_pick, argmin_rtol, max_iter=
                 if j == i:
                     continue
                 diff = foot[j] - foot[i]
-                lam = np.where(diff >= 0.0, rate_pick(i, j, 1.0), rate_pick(i, j, -1.0))
+                lam = np.where(diff >= 0.0, rates[0][i, j], rates[1][i, j])
                 coupling += lam * diff
             new[i, sel] = np.clip(foot[i] + h[k] * coupling, 0.0, 1.0)
         change = np.abs(new - old)
@@ -975,18 +918,6 @@ def _min_cost_sweep_1d(grid: Grid, table: CandidateTable,
     else:
         raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
     return np.array(s), sweep + 1, updates
-
-
-def restrict_domain(mc: MinCostField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node first active threshold level and the seed probabilities.
-
-    The level is the conservative ceiling of s0/ds (an exact multiple maps
-    to its own level); seeding the first level with w0 introduces an O(ds)
-    error but removes the smeared lower envelope entirely.
-    """
-    if mc.grid is not grid and (mc.grid.shape != grid.shape or mc.grid.ds != grid.ds):
-        raise ConfigError("restriction field was computed on a different grid")
-    return mc.first_level(), mc.w0
 
 
 # ---------------------------------------------------------------------------

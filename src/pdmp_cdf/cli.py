@@ -212,7 +212,7 @@ def serialize_problem(spec: ProblemSpec) -> dict:
     }
 
 
-_NUMERICS_KEYS = {"dx", "ds", "s_max", "tau", "n_angles", "tol", "max_iter", "prob_method"}
+_NUMERICS_KEYS = {"dx", "ds", "s_max", "tau", "n_angles", "tol", "max_iter"}
 _RUN_KEYS = {"slices", "thresholds", "threshold", "rates", "samples", "seed", "start",
              "restrict", "horizon_cap", "dump_samples"}
 _OUTPUT_KEYS = {"dir"}
@@ -483,8 +483,7 @@ def _cmd_solve_cdf(args) -> int:
     restrict = None
     if run.get("restrict", True):
         restrict = cdf_solver.solve_min_cost(spec, grid)
-    field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict,
-                                 prob_method=numerics.get("prob_method", "first_order"))
+    field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict)
     slices = _default_slices(run, args, grid)
     exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
     exporter.finish()
@@ -548,7 +547,7 @@ def _cmd_sweep(args) -> int:
     if spec.n_modes != 2:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
     rate_grid = bounds_mod.default_rate_grid(levels)
-    fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid,
+    fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics.get("tau"),
                                          restrict=run.get("restrict", True))
     slices = _default_slices(run, args, grid)
     rows = []

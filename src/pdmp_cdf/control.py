@@ -42,7 +42,7 @@ from .cdf_solver import (
     policy_iteration,
     solve_cdf,
 )
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .model import CdfField, ControlSet, Grid, MinCostField, ProblemSpec
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
@@ -151,10 +151,9 @@ class ThresholdValue:
 # ---------------------------------------------------------------------------
 
 
-def _action_stacks(spec, grid, tau, prob_method="first_order") -> list[StepStack]:
+def _action_stacks(spec, grid, tau) -> list[StepStack]:
     """One stack of all actions' steps per mode; each mode's steps are freed once stacked."""
-    return [StepStack([SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a),
-                                          prob_method=prob_method)
+    return [StepStack([SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a))
                        for a in range(spec.controls.n_actions)])
             for i in range(spec.n_modes)]
 
@@ -245,7 +244,6 @@ def solve_threshold(
     grid: Grid,
     tau: float | None = None,
     restrict: MinCostField | None = None,
-    prob_method: str = "first_order",
     hjb: tuple[ValueField, Policy] | None = None,
     hjb_tol: float = 1e-8,
 ) -> ThresholdValue:
@@ -271,11 +269,7 @@ def solve_threshold(
     if tau is None:
         tau = grid.ds / min_cost
     check_causality(tau, min_cost, grid.ds)
-    rm = spec.rates
-    if prob_method == "first_order" and tau * float(rm.total_rates().max()) > 1.0 + 1e-12:
-        raise NumericsError("tau too large for first-order transition probabilities")
-
-    stacks = _action_stacks(spec, grid, tau, prob_method)
+    stacks = _action_stacks(spec, grid, tau)
     m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
     ns = grid.n_levels
     w = np.zeros((m, ns, n_nodes))

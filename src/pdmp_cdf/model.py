@@ -5,6 +5,9 @@ exit set, M deterministic modes (velocity field, running cost, exit cost
 each), a switching-rate description (a fixed rate matrix or entrywise
 interval bounds), and an optional control set.  Everything downstream
 (solvers, bounds, control synthesis, simulation) consumes these types.
+Two rules live here once for all of them: the exit geometry on
+``ExitSpec`` (exit faces, exit boxes and the first hit of a segment) and
+the bang-bang rate choice on ``RateBounds.extreme_rates``.
 
 All types are immutable after construction and all operations here are
 pure, so they are safe to share across threads.
@@ -24,8 +27,8 @@ from .errors import ConfigError, NumericsError
 # point-in-domain checks.
 GEOM_RTOL = 1e-9
 
-_FACE_NAMES_1D = ("x_min", "x_max")
-_FACE_NAMES_2D = ("x_min", "x_max", "y_min", "y_max")
+# box faces by axis, lower face first
+_FACE_NAMES = ("x_min", "x_max", "y_min", "y_max")
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,24 @@ class RateBounds:
 
     def midpoint(self) -> RateMatrix:
         return RateMatrix(0.5 * (self.lower + self.upper))
+
+    def extreme_rates(self, sense: str, gap, i=slice(None), j=slice(None)) -> np.ndarray:
+        """Bang-bang rates i -> j that extremize the coupling ``rate * gap``.
+
+        ``gap`` is the value gap w_j - w_i at the step foot and broadcasts
+        against the bounds of the rates ``[i, j]`` (all of them by default).
+        Each update is affine in every rate, so ``"min"`` takes the upper rate
+        where the gap is nonpositive (drain as much as possible) and the lower
+        rate otherwise, and ``"max"`` takes the upper rate where the gap is
+        nonnegative.  Ties at zero gap take the upper rate in both senses;
+        the update value is unaffected there.
+        """
+        gap = np.asarray(gap, dtype=float)
+        if sense == "min":
+            return np.where(gap <= 0.0, self.upper[i, j], self.lower[i, j])
+        if sense == "max":
+            return np.where(gap >= 0.0, self.upper[i, j], self.lower[i, j])
+        raise ConfigError(f"unknown optimization sense {sense!r}")
 
 
 def transition_probabilities(rates: RateMatrix, tau: float, method: str = "first_order") -> np.ndarray:
@@ -349,11 +370,14 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class ExitSpec:
-    """Where the process terminates.
+    """Where the process terminates, and where a straight segment first meets it.
 
     ``boundary`` is the whole box boundary; ``faces`` lists box faces by name
     (x_min/x_max/y_min/y_max); ``boxes`` lists grid-aligned axis boxes inside
     the domain; ``none`` disables termination (simulation-only problems).
+    Every other module asks these methods for the exit geometry: the exit
+    faces as a mask (`face_exits`), membership of points in an exit box
+    (`in_boxes`) and the first hit of a segment (`first_hit`).
     """
 
     kind: str = "boundary"
@@ -368,22 +392,70 @@ class ExitSpec:
         if self.kind == "boxes" and not self.boxes:
             raise ConfigError("box exit set must list at least one box")
 
-    def face_names(self, dim: int) -> tuple[str, ...]:
-        all_names = _FACE_NAMES_1D if dim == 1 else _FACE_NAMES_2D
-        if self.kind == "boundary":
-            return all_names
-        if self.kind == "faces":
-            for f in self.faces:
-                if f not in all_names:
-                    raise ConfigError(f"unknown face name {f!r} for dimension {dim}")
-            return tuple(self.faces)
-        return ()
+    def face_exits(self, dim: int) -> np.ndarray:
+        """(dim, 2) mask of the domain faces that are exits; column 0 is the lower face."""
+        names = _FACE_NAMES[:2 * dim]
+        listed = names if self.kind == "boundary" else self.faces if self.kind == "faces" else ()
+        for f in listed:
+            if f not in names:
+                raise ConfigError(f"unknown face name {f!r} for dimension {dim}")
+        return np.array([f in listed for f in names], dtype=bool).reshape(dim, 2)
 
+    def in_boxes(self, pts: np.ndarray, tol: float) -> np.ndarray:
+        """Whether each point lies within ``tol`` (per axis, or one value) of an exit box."""
+        pts = np.atleast_2d(pts)
+        tol = np.broadcast_to(tol, (pts.shape[1],))
+        hit = np.zeros(pts.shape[0], dtype=bool)
+        for box in self.boxes if self.kind == "boxes" else ():
+            inside = np.ones(pts.shape[0], dtype=bool)
+            for a, (b_lo, b_hi) in enumerate(box):
+                inside &= (pts[:, a] >= b_lo - tol[a]) & (pts[:, a] <= b_hi + tol[a])
+            hit |= inside
+        return hit
 
-def _face_axis_side(name: str) -> tuple[int, int]:
-    axis = 0 if name.startswith("x") else 1
-    side = 0 if name.endswith("min") else 1
-    return axis, side
+    def first_hit(self, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                  disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First ``t >= 0`` at which ``x + t * disp`` reaches the exit set, and a non-exit face.
+
+        ``lo``/``hi`` are the domain box and ``x``, ``disp`` are (n, dim).
+        Returns ``(t_exit, t_escape)``, ``inf`` where the line never gets
+        there.  A face is reached only when moving towards it, so a segment
+        that starts on a face and leaves it does not hit it; an axis that
+        does not move lies in a box slab for all t or for none.  Callers that
+        compare the two times give a tie to the exit.
+        """
+        n, dim = x.shape
+        t_exit = np.full(n, np.inf)
+        t_escape = np.full(n, np.inf)
+        exits = self.face_exits(dim)
+        for a in range(dim):
+            d = disp[:, a]
+            for side, bound, toward in ((0, lo[a], d < 0), (1, hi[a], d > 0)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = np.maximum(np.where(toward, (bound - x[:, a]) / d, np.inf), 0.0)
+                if exits[a, side]:
+                    t_exit = np.minimum(t_exit, t)
+                else:
+                    t_escape = np.minimum(t_escape, t)
+        for box in self.boxes if self.kind == "boxes" else ():
+            t_in = np.zeros(n)
+            t_out = np.full(n, np.inf)
+            for a, (b_lo, b_hi) in enumerate(box):
+                d = disp[:, a]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t0 = (b_lo - x[:, a]) / d
+                    t1 = (b_hi - x[:, a]) / d
+                lo_t = np.where(d < 0, t1, t0)
+                hi_t = np.where(d < 0, t0, t1)
+                stuck = np.abs(d) < 1e-300
+                in_slab = (x[:, a] >= b_lo) & (x[:, a] <= b_hi)
+                lo_t = np.where(stuck, np.where(in_slab, 0.0, np.inf), lo_t)
+                hi_t = np.where(stuck, np.where(in_slab, np.inf, -np.inf), hi_t)
+                t_in = np.maximum(t_in, lo_t)
+                t_out = np.minimum(t_out, hi_t)
+            enters = (t_in <= t_out) & (t_in >= 0.0)
+            t_exit = np.minimum(t_exit, np.where(enters, t_in, np.inf))
+        return t_exit, t_escape
 
 
 # ---------------------------------------------------------------------------
@@ -581,31 +653,22 @@ def _axis_counts(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray) -> list[int]:
 def _exit_mask(spec: ProblemSpec, axes: list[np.ndarray], shape: tuple[int, ...], dx: np.ndarray) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     es = spec.exit_set
-    if es.kind == "none":
-        return mask.reshape(-1)
-    if es.kind in ("boundary", "faces"):
-        for name in es.face_names(spec.dim):
-            axis, side = _face_axis_side(name)
-            sl = [slice(None)] * spec.dim
-            sl[axis] = -1 if side == 1 else 0
-            mask[tuple(sl)] = True
+    for axis, side in zip(*np.nonzero(es.face_exits(spec.dim))):
+        sl = [slice(None)] * spec.dim
+        sl[axis] = -1 if side == 1 else 0
+        mask[tuple(sl)] = True
+    if es.kind != "boxes":
         return mask.reshape(-1)
     for box in es.boxes:
         if len(box) != spec.dim:
             raise ConfigError("exit box dimensionality does not match the domain")
-        sel = np.ones(shape, dtype=bool)
-        for a, (b_lo, b_hi) in enumerate(box):
-            tol = GEOM_RTOL * dx[a]
-            for edge in (b_lo, b_hi):
+        for a, edges in enumerate(box):
+            for edge in edges:
                 rel = (edge - spec.lo[a]) / dx[a]
                 if abs(rel - round(rel)) > GEOM_RTOL * max(1.0, abs(rel)):
                     raise NumericsError(f"exit box edge {edge:.6g} is not grid-aligned on axis {a}")
-            ax_sel = (axes[a] >= b_lo - tol) & (axes[a] <= b_hi + tol)
-            sh = [1] * spec.dim
-            sh[a] = shape[a]
-            sel &= ax_sel.reshape(sh)
-        mask |= sel
-    return mask.reshape(-1)
+    points = np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
+    return es.in_boxes(points, GEOM_RTOL * dx)
 
 
 def build_grid(

@@ -2,8 +2,10 @@
 
 Between switches the motion is deterministic, so for piecewise-constant
 velocities every trajectory is integrated in closed form: exit times come
-from exact segment/boundary intersections and the only randomness is the
-exponential switch clock and the successor-mode draw.  Tabulated velocity
+from exact segment/boundary intersections (``ExitSpec.first_hit``, which
+the CDF step uses too; a policy face event reads ``ExitSpec.face_exits``
+and ``ExitSpec.in_boxes``) and the only randomness is the exponential
+switch clock and the successor-mode draw.  Tabulated velocity
 fields fall back to a classical 4-stage one-step integrator with step
 length bounded by dx/|f|.
 
@@ -169,24 +171,6 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, not {value!r}")
     return float(value)
-
-
-def _exit_face_names(spec: ProblemSpec) -> set[str]:
-    if spec.exit_set.kind in ("boundary", "faces"):
-        return set(spec.exit_set.face_names(spec.dim))
-    return set()
-
-
-def _in_exit_box(spec: ProblemSpec, pts: np.ndarray) -> np.ndarray:
-    hit = np.zeros(pts.shape[0], dtype=bool)
-    if spec.exit_set.kind != "boxes":
-        return hit
-    for box in spec.exit_set.boxes:
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for a, (b_lo, b_hi) in enumerate(box):
-            inside &= (pts[:, a] >= b_lo - 1e-12) & (pts[:, a] <= b_hi + 1e-12)
-        hit |= inside
-    return hit
 
 
 def _chessboard_radii(actions: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -359,8 +343,7 @@ def run_batch(
     totals, cum = _jump_tables(spec)
     cost_rate = np.array([ms.cost.value for ms in spec.modes])
     q_exit = np.array([ms.exit_cost.value for ms in spec.modes])
-    exit_faces = _exit_face_names(spec)
-    whole_boundary = spec.exit_set.kind == "boundary"
+    face_exits = spec.exit_set.face_exits(d)
     offsets = np.array([ms.dynamics.vector for ms in spec.modes])
     ctrl_vecs = policy.control_set.vectors if policy is not None else None
 
@@ -455,42 +438,7 @@ def run_batch(
                 cands.append(np.maximum(dt_a, 0.0))
                 kinds.append(f"face{a}")
         else:
-            t_exit = np.full(act.size, np.inf)
-            t_escape = np.full(act.size, np.inf)
-            names_min = ("x_min", "y_min")
-            names_max = ("x_max", "y_max")
-            for a in range(d):
-                va = v[:, a]
-                for bound, name, toward in (
-                    (spec.lo[a], names_min[a], va < 0),
-                    (spec.hi[a], names_max[a], va > 0),
-                ):
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        tt = np.where(toward, (bound - xm[:, a]) / va, np.inf)
-                    tt = np.maximum(tt, 0.0)
-                    if whole_boundary or name in exit_faces:
-                        t_exit = np.minimum(t_exit, tt)
-                    else:
-                        t_escape = np.minimum(t_escape, tt)
-            if spec.exit_set.kind == "boxes":
-                for box in spec.exit_set.boxes:
-                    t_in = np.zeros(act.size)
-                    t_out = np.full(act.size, np.inf)
-                    for a, (b_lo, b_hi) in enumerate(box):
-                        va = v[:, a]
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            t0 = (b_lo - xm[:, a]) / va
-                            t1 = (b_hi - xm[:, a]) / va
-                        lo_t = np.where(va < 0, t1, t0)
-                        hi_t = np.where(va < 0, t0, t1)
-                        still = np.abs(va) < 1e-300
-                        in_slab = (xm[:, a] >= b_lo) & (xm[:, a] <= b_hi)
-                        lo_t = np.where(still, np.where(in_slab, 0.0, np.inf), lo_t)
-                        hi_t = np.where(still, np.where(in_slab, np.inf, -np.inf), hi_t)
-                        t_in = np.maximum(t_in, lo_t)
-                        t_out = np.minimum(t_out, hi_t)
-                    enters = (t_in <= t_out) & (t_in >= 0.0)
-                    t_exit = np.minimum(t_exit, np.where(enters, t_in, np.inf))
+            t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, xm, v)
             cands.extend([t_exit, t_escape])
             kinds.extend(["exit", "escape"])
 
@@ -551,12 +499,8 @@ def run_batch(
                 prev_face_axis[sel] = a
                 at_hi = going_up & (new_face >= policy.shape[a] - 1)
                 at_lo = ~going_up & (new_face <= 0)
-                names = (("x_min", "x_max"), ("y_min", "y_max"))[a]
-                hi_exit = whole_boundary or names[1] in exit_faces
-                lo_exit = whole_boundary or names[0] in exit_faces
-                is_exit_face = (at_hi & hi_exit) | (at_lo & lo_exit)
-                box_hit = _in_exit_box(spec, x[sel])
-                done_exit = is_exit_face | box_hit
+                is_exit_face = (at_hi & face_exits[a, 1]) | (at_lo & face_exits[a, 0])
+                done_exit = is_exit_face | spec.exit_set.in_boxes(x[sel], 1e-12)
                 done_escape = (at_hi | at_lo) & ~done_exit
                 ex_sel = sel[done_exit]
                 if ex_sel.size:
@@ -721,17 +665,9 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
 
 
 def _point_on_exit(spec, grid, x) -> bool:
-    tol = 1e-9 * float(grid.dx.min())
-    if spec.exit_set.kind == "boundary":
-        return bool(np.any(np.abs(x - spec.lo) <= tol) or np.any(np.abs(x - spec.hi) <= tol))
-    if spec.exit_set.kind == "faces":
-        for name in spec.exit_set.face_names(spec.dim):
-            axis = 0 if name.startswith("x") else 1
-            bound = spec.lo[axis] if name.endswith("min") else spec.hi[axis]
-            if abs(x[axis] - bound) <= tol:
-                return True
-        return False
-    return bool(_in_exit_box(spec, x[None, :])[0])
+    on_face = np.abs(x[:, None] - np.column_stack([spec.lo, spec.hi])) <= 1e-9 * float(grid.dx.min())
+    return bool(np.any(on_face & spec.exit_set.face_exits(spec.dim))
+                or spec.exit_set.in_boxes(x, 1e-12)[0])
 
 
 def sample_trajectory(

@@ -4,9 +4,9 @@ This is the lockstep event loop that `simulate.run_batch` ran before it
 crossed whole constant-action boxes: every event stops at the next face of
 the sample's policy cell, at the next cost level, at its next switch or at
 the horizon.  It shares only the randomness contract (`_event_draws`,
-`_successors`, `_jump_tables`, `_stream_indices`) and the exit-face and
-exit-box lookups with the package, so a test against it checks the run-length stepping and
-not the draws.
+`_successors`, `_jump_tables`, `_stream_indices`) and the exit geometry
+(`ExitSpec.face_exits`, `ExitSpec.in_boxes`) with the package, so a test
+against it checks the run-length stepping and not the draws.
 """
 
 import math
@@ -15,8 +15,6 @@ import numpy as np
 
 from pdmp_cdf.simulate import (
     _event_draws,
-    _exit_face_names,
-    _in_exit_box,
     _jump_tables,
     _stream_indices,
     _successors,
@@ -38,8 +36,7 @@ def per_cell_batch(spec, start, n, seed, policy, threshold=None, horizon_cap=Non
     totals, cum = _jump_tables(spec)
     cost_rate = np.array([ms.cost.value for ms in spec.modes])
     q_exit = np.array([ms.exit_cost.value for ms in spec.modes])
-    exit_faces = _exit_face_names(spec)
-    whole_boundary = spec.exit_set.kind == "boundary"
+    face_exits = spec.exit_set.face_exits(d)
     offsets = np.array([ms.dynamics.vector for ms in spec.modes])
     ctrl_vecs = policy.control_set.vectors
 
@@ -151,10 +148,8 @@ def per_cell_batch(spec, start, n, seed, policy, threshold=None, horizon_cap=Non
                 prev_face_axis[sel] = a
                 at_hi = going_up & (new_face >= policy.shape[a] - 1)
                 at_lo = ~going_up & (new_face <= 0)
-                names = (("x_min", "x_max"), ("y_min", "y_max"))[a]
-                hi_exit = whole_boundary or names[1] in exit_faces
-                lo_exit = whole_boundary or names[0] in exit_faces
-                done_exit = (at_hi & hi_exit) | (at_lo & lo_exit) | _in_exit_box(spec, x[sel])
+                done_exit = ((at_hi & face_exits[a, 1]) | (at_lo & face_exits[a, 0])
+                             | spec.exit_set.in_boxes(x[sel], 1e-12))
                 done_escape = (at_hi | at_lo) & ~done_exit
                 ex_sel = sel[done_exit]
                 costs[ex_sel] = c[ex_sel] + q_exit[mode[ex_sel]]

@@ -29,20 +29,33 @@ RB = RateBounds.uniform(2, 1.0, 4.0)
 
 class TestPointwiseRates:
     def test_minimizer_drains_negative_gaps(self):
-        rates = optimal_rates_pointwise(np.array([0.0, -0.3]), RB, "min", 0)
+        rates = RB.extreme_rates("min", np.array([0.0, -0.3]), 0)
         assert rates[1] == 4.0
 
     def test_tie_at_zero_takes_upper(self):
-        rates = optimal_rates_pointwise(np.array([0.0, 0.0]), RB, "min", 0)
+        rates = RB.extreme_rates("min", np.array([0.0, 0.0]), 0)
         assert rates[1] == 4.0
-        rates = optimal_rates_pointwise(np.array([0.0, 0.0]), RB, "max", 0)
+        rates = RB.extreme_rates("max", np.array([0.0, 0.0]), 0)
         assert rates[1] == 4.0
 
     def test_maximizer_feeds_positive_gaps(self):
-        rates = optimal_rates_pointwise(np.array([0.0, 0.3]), RB, "max", 0)
+        rates = RB.extreme_rates("max", np.array([0.0, 0.3]), 0)
         assert rates[1] == 4.0
-        rates = optimal_rates_pointwise(np.array([0.0, -0.3]), RB, "max", 0)
+        rates = RB.extreme_rates("max", np.array([0.0, -0.3]), 0)
         assert rates[1] == 1.0
+
+    def test_one_rule_for_every_shape(self):
+        rb = RateBounds(np.array([[0, 1, 2], [3, 0, 1], [1, 1, 0]]),
+                        np.array([[0, 5, 6], [7, 0, 8], [4, 9, 0]]))
+        gaps = np.array([-0.5, 0.0, 0.5])
+        for sense in ("min", "max"):
+            row = rb.extreme_rates(sense, gaps, 1)
+            assert np.array_equal(optimal_rates_pointwise(gaps, rb, sense, 1), row)
+            assert [rb.extreme_rates(sense, g, 1, j) for j, g in enumerate(gaps)] == list(row)
+            per_node = rb.extreme_rates(sense, gaps, 2, 0)
+            assert np.array_equal(per_node, [rb.extreme_rates(sense, g, 2, 0) for g in gaps])
+        with pytest.raises(ConfigError):
+            rb.extreme_rates("sideways", gaps)
 
 
 class TestBoundPair:
@@ -147,6 +160,17 @@ class TestFixedRateSweep:
         rms = default_rate_grid((1.0, 4.0))
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms)):
             assert np.array_equal(field.values, solve_cdf(spec, grid, rates=rm).values)
+
+    def test_each_matrix_matches_its_own_solve_at_a_given_tau(self, ex4):
+        spec, grid = ex4
+        rms = default_rate_grid((1.0, 4.0))
+        tau = 2.0 * grid.ds
+        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
+            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            plain = solve_cdf(spec, grid, tau=tau, restrict=own, rates=rm)
+            assert field.tau == tau
+            assert np.array_equal(field.values, plain.values)
+            assert not np.array_equal(field.values, solve_cdf(spec, grid, restrict=own, rates=rm).values)
 
     def test_restricted_matrix_matches_its_own_restricted_solve(self, ex4):
         # the sweep computes s0 once; each matrix's w0 and CDF must equal a

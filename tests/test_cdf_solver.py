@@ -11,7 +11,6 @@ from pdmp_cdf.cdf_solver import (
     MinimalCost,
     causal_tau,
     eulerian_step,
-    restrict_domain,
     solve_cdf,
     solve_expected,
     solve_min_cost,
@@ -198,19 +197,17 @@ class TestRestriction:
         grid = build_grid(spec, 1e-3, 1e-3, 1.0)
         s0 = np.full(grid.n_nodes, 0.2499)
         mc = MinCostField(grid, s0, np.zeros((2, grid.n_nodes)))
-        levels, _ = restrict_domain(mc, grid)
-        assert np.all(levels == 250)
+        assert np.all(mc.first_level() == 250)
 
     def test_exact_multiple_keeps_its_level(self):
         spec = catalog.example1()
         grid = build_grid(spec, 1e-3, 1e-3, 1.0)
         mc = MinCostField(grid, np.full(grid.n_nodes, 0.25), np.zeros((2, grid.n_nodes)))
-        levels, _ = restrict_domain(mc, grid)
-        assert np.all(levels == 250)
+        assert np.all(mc.first_level() == 250)
 
     def test_exit_node_starts_at_zero_with_unit_seed(self, ex1_coarse):
         spec, grid, mc, _ = ex1_coarse
-        levels, seeds = restrict_domain(mc, grid)
+        levels, seeds = mc.first_level(), mc.w0
         ex = grid.exit_mask
         assert np.all(levels[ex] == 0)
         assert np.all(seeds[:, ex] == 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import pdmp_cdf
 from pdmp_cdf import build_grid, catalog
+from pdmp_cdf.bounds import default_rate_grid
+from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -234,6 +237,29 @@ class TestCommands:
         assert lines[0].endswith("rate_12,rate_21,kind")
         assert all(line.endswith("sample") for line in lines[1:])
 
+    def test_sweep_honours_tau(self, tmp_path):
+        # every row of sweep.csv is its matrix's own restricted solve at the configured tau
+        doc = {"schema_version": 1, "problem": "example4",
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 0.5, "tau": 0.1},
+               "run": {}, "output": {}}
+        out = tmp_path / "s"
+        rc = main(["sweep", "--problem", write_config(tmp_path, doc), "--rates", "1,4",
+                   "--slice", "s=0.25,0.5", "--out", str(out)])
+        assert rc == 0
+        spec, grid, *_ = load_problem("example4", {"numerics": doc["numerics"]})
+        fields = {}
+        for rm in default_rate_grid((1.0, 4.0)):
+            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            off = rm.off_diagonal()
+            fields[off[0, 1], off[1, 0]] = solve_cdf(spec, grid, tau=0.1, restrict=own,
+                                                     rates=rm).values
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0] == "x,mode,s,value,rate_12,rate_21,kind"
+        for line in lines[1:]:
+            x, mode, s_val, value, r12, r21, _ = line.split(",")
+            node, level = round(float(x) / grid.dx[0]), round(float(s_val) / grid.ds)
+            assert float(value) == fields[float(r12), float(r21)][int(mode) - 1, level, node]
+
     def test_threshold_then_simulate_policy_file(self, tmp_path):
         out = tmp_path / "t"
         pol = tmp_path / "p.bin"
@@ -299,6 +325,17 @@ class TestExitCodes:
     def test_config_error(self, tmp_path):
         assert main(["solve-cdf", "--problem", "nonexistent.json",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,problem", [
+        ("solve-cdf", "example1"), ("min-cost", "example1"), ("sweep", "example4"),
+        ("bounds", "example4"), ("hjb", "example5"), ("threshold", "example5"),
+    ])
+    def test_prob_method_is_an_unknown_key(self, tmp_path, command, problem):
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 0.5, "prob_method": "exact"},
+               "run": {}, "output": {}}
+        assert main([command, "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_numerics_error(self, tmp_path):
         # spacing does not divide the domain extent

@@ -1,11 +1,15 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdmp_cdf
 from pdmp_cdf import build_grid, catalog, cfl_max_ds, transition_probabilities
+from pdmp_cdf.cdf_solver import SemiLagrangianStep
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import (
     CdfField,
@@ -18,6 +22,7 @@ from pdmp_cdf.model import (
     ScalarField,
     VectorField,
 )
+from pdmp_cdf.simulate import run_batch
 
 
 def two_state_exact(l12, l21, tau):
@@ -242,3 +247,133 @@ class TestStepInequalities:
             tau = ds_max / spec.min_cost_rate()
             assert tau * spec.min_cost_rate() >= ds_max - 1e-15
             assert tau * spec.max_speed() <= dx + 1e-15
+
+
+class TestExitSpec:
+    LO, HI = np.zeros(2), np.ones(2)
+    BOX = ExitSpec("boxes", boxes=(((0.4, 0.6), (0.4, 0.6)),))
+
+    def hit(self, es, x, disp, lo=None, hi=None):
+        x, disp = np.array([x], dtype=float), np.array([disp], dtype=float)
+        lo = self.LO[:x.shape[1]] if lo is None else lo
+        hi = self.HI[:x.shape[1]] if hi is None else hi
+        t_exit, t_escape = es.first_hit(lo, hi, x, disp)
+        return float(t_exit[0]), float(t_escape[0])
+
+    def test_face_exit_masks(self):
+        assert ExitSpec("boundary").face_exits(2).tolist() == [[True, True], [True, True]]
+        assert ExitSpec("boundary").face_exits(1).tolist() == [[True, True]]
+        faces = ExitSpec("faces", faces=("x_max", "y_min"))
+        assert faces.face_exits(2).tolist() == [[False, True], [True, False]]
+        assert not self.BOX.face_exits(2).any()
+        assert not ExitSpec("none").face_exits(2).any()
+        with pytest.raises(ConfigError):
+            ExitSpec("faces", faces=("y_min",)).face_exits(1)
+
+    def test_corner_tie_between_exit_and_escape_goes_to_the_exit(self):
+        es = ExitSpec("faces", faces=("x_max",))
+        assert self.hit(es, (0.5, 0.5), (1.0, 1.0)) == (0.5, 0.5)
+        # the step and the simulator both take the tie as an exit
+        mode = ModeSpec(VectorField.constant([1.0, 1.0]), ScalarField.constant(1.0),
+                        ScalarField.constant(0.0))
+        spec = ProblemSpec(dim=2, lo=self.LO, hi=self.HI, exit_set=es, modes=(mode,),
+                           rates=RateMatrix([[0.0]]))
+        grid = build_grid(spec, 0.25, 0.25, 1.0)
+        step = SemiLagrangianStep(spec, grid, 0.25, 0)
+        corner = int(np.flatnonzero(np.all(grid.points == [0.75, 0.75], axis=1))[0])
+        wall = int(np.flatnonzero(np.all(grid.points == [0.5, 0.75], axis=1))[0])
+        assert corner in step.cap_nodes and corner not in step.esc_nodes
+        assert wall in step.esc_nodes
+        batch = run_batch(spec, (np.array([0.5, 0.5]), 0), 3, seed=1)
+        assert batch.exited.all()
+
+    def test_ray_leaving_a_face_never_hits_it(self):
+        es = ExitSpec("faces", faces=("x_min",))
+        assert self.hit(es, (0.0, 0.5), (1.0, 0.0)) == (math.inf, 1.0)
+        assert self.hit(es, (0.0, 0.5), (-1.0, 0.0)) == (0.0, math.inf)
+        assert self.hit(es, (0.0, 0.5), (0.0, 0.0)) == (math.inf, math.inf)
+
+    def test_stuck_axis_inside_and_outside_a_box_slab(self):
+        assert self.hit(self.BOX, (0.1, 0.5), (1.0, 0.0)) == pytest.approx((0.3, 0.9))
+        assert self.hit(self.BOX, (0.1, 0.6), (1.0, 0.0))[0] == pytest.approx(0.3)  # closed slab
+        assert self.hit(self.BOX, (0.1, 0.7), (1.0, 0.0)) == pytest.approx((math.inf, 0.9))
+        assert self.hit(self.BOX, (0.5, 0.7), (0.0, 0.0)) == (math.inf, math.inf)
+
+    def test_start_inside_a_box_is_zero(self):
+        for disp in ((1.0, 0.0), (-0.3, 0.7), (0.0, 0.0)):
+            assert self.hit(self.BOX, (0.5, 0.45), disp)[0] == 0.0
+        assert self.BOX.in_boxes(np.array([[0.5, 0.45], [0.6 + 1e-13, 0.5], [0.7, 0.5]]),
+                                 1e-12).tolist() == [True, True, False]
+        assert not self.BOX.in_boxes(np.array([0.6 + 1e-13, 0.5]), 0.0)[0]
+        assert self.BOX.in_boxes(np.array([0.6 + 1e-13, 0.5]), np.array([1e-12, 0.0]))[0]
+
+    def test_kind_none_never_exits(self):
+        es = ExitSpec("none")
+        assert self.hit(es, (0.5, 0.5), (1.0, 0.5)) == (math.inf, 0.5)
+        assert not es.in_boxes(np.array([[0.5, 0.5]]), 1.0).any()
+
+    def test_one_dimension(self):
+        assert self.hit(ExitSpec("boundary"), (0.25,), (-1.0,)) == (0.25, math.inf)
+        assert self.hit(ExitSpec("faces", faces=("x_max",)), (0.25,), (-1.0,)) == (math.inf, 0.25)
+        box = ExitSpec("boxes", boxes=(((0.5, 0.75),),))
+        assert self.hit(box, (0.25,), (1.0,)) == (0.25, 0.75)
+        assert self.hit(box, (0.25,), (-1.0,)) == (math.inf, 0.25)
+
+
+_EIGHTHS = st.integers(0, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def _exit_sets(draw):
+    kind = draw(st.sampled_from(["boundary", "faces", "boxes", "none"]))
+    if kind == "faces":
+        names = st.sampled_from(["x_min", "x_max", "y_min", "y_max"])
+        return ExitSpec("faces", faces=tuple(draw(st.lists(names, min_size=1, unique=True))))
+    if kind == "boxes":
+        side = st.tuples(_EIGHTHS, _EIGHTHS).map(lambda e: tuple(sorted(e)))
+        return ExitSpec("boxes", boxes=tuple(draw(st.lists(st.tuples(side, side),
+                                                           min_size=1, max_size=3))))
+    return ExitSpec(kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(es=_exit_sets(),
+       x=st.tuples(*[st.integers(0, 64).map(lambda k: k / 64)] * 2),
+       disp=st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 2))
+def test_first_hit_is_the_first_point_on_the_exit_set(es, x, disp):
+    # dyadic starts, directions and box edges keep every hit a clear distance
+    # from the points sampled before it, so these checks need no tolerance
+    lo, hi = np.zeros(2), np.ones(2)
+    x, disp = np.array([x]), np.array([disp])
+    t_exit, t_escape = (float(t[0]) for t in es.first_hit(lo, hi, x, disp))
+    exits = es.face_exits(2)
+
+    def on_faces(p, exit_faces, tol):
+        """Points on (or past) a face of the given kind that the ray moves towards."""
+        out = np.zeros(p.shape[0], dtype=bool)
+        for a in range(2):
+            for side, past in ((0, p[:, a] <= lo[a] + tol), (1, p[:, a] >= hi[a] - tol)):
+                toward = disp[0, a] < 0 if side == 0 else disp[0, a] > 0
+                if exits[a, side] == exit_faces and toward:
+                    out |= past
+        return out
+
+    if math.isfinite(t_exit):
+        p = x + t_exit * disp
+        assert on_faces(p, True, 1e-12)[0] or es.in_boxes(p, 1e-12)[0]
+    if math.isfinite(t_escape):
+        assert on_faces(x + t_escape * disp, False, 1e-12)[0]
+    first = min(t_exit, t_escape)
+    ts = np.arange(50) / 50 * (first if math.isfinite(first) else 4.0)
+    pts = x + ts[ts < first, None] * disp
+    assert not np.any(on_faces(pts, True, 0.0) | es.in_boxes(pts, 0.0))
+    assert not np.any(on_faces(pts, False, 0.0))
+
+
+def test_only_the_model_spells_face_names():
+    # every other module reads the exit faces through ExitSpec.face_exits
+    src = Path(pdmp_cdf.__file__).parent
+    name = re.compile(r"\b[xy]_(min|max)\b")
+    assert name.search((src / "model.py").read_text())
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if p.name != "model.py" and name.search(p.read_text())] == []

@@ -9,6 +9,7 @@ from pdmp_cdf.cdf_solver import solve_min_cost
 from pdmp_cdf.control import Policy, solve_hjb_expectation, solve_threshold, synthesize_policy
 from pdmp_cdf.errors import ConfigError
 from pdmp_cdf.model import (
+    ControlSet,
     ExitSpec,
     ModeSpec,
     ProblemSpec,
@@ -94,6 +95,23 @@ class TestBatchStatistics:
         batch = run_batch(spec, (np.array([0.5]), 0), 100, seed=0)
         assert batch.escaped.all()
         assert np.all(np.isinf(batch.costs))
+
+    def test_policy_face_events_read_the_exit_faces(self):
+        # a policy-driven sample ends on a face event: an exit at x_min, an escape at x_max
+        controls = ControlSet.from_list([[-1.0], [1.0]])
+        mode = ModeSpec(VectorField.control_offset([0.0]), ScalarField.constant(1.0),
+                        ScalarField.constant(0.0))
+        spec = ProblemSpec(dim=1, lo=EX1.lo, hi=EX1.hi,
+                           exit_set=ExitSpec("faces", faces=("x_min",)), modes=(mode,),
+                           rates=RateMatrix([[0.0]]), controls=controls)
+        for action, exits in ((0, True), (1, False)):
+            actions = np.full((1, 1, 5), action, dtype=np.int16)
+            policy = Policy(controls, actions, actions[:, 0], spec.lo, np.array([0.25]), (5,),
+                            0.25, provenance="expectation")
+            batch = run_batch(spec, (np.array([0.6]), 0), 4, seed=2, policy=policy)
+            assert batch.exited.all() == exits and batch.escaped.all() != exits
+            if exits:
+                assert np.allclose(batch.costs, 0.6)
 
     def test_mode_occupancy_matches_stationary_distribution(self):
         # immobile modes, asymmetric switching: fraction of time per mode
