@@ -4,11 +4,11 @@ Rates are allowed to change over time within entrywise intervals
 [lower_ij, upper_ij]; nature plays against (or for) the process by picking
 the rate matrix pointwise.  Because each semi-Lagrangian update is affine
 in the rates, the pointwise optimizer is bang-bang and known in closed
-form, so the bound sweep costs the same as a fixed-rate solve: per level
-and mode, one sparse product of the step's operators with the previous
-level of every source mode gives the per-source foot values, and the
-bang-bang rate choice (``RateBounds.extreme_rates``, which the minimal-cost
-solve's probability transport uses too) mixes them.
+form, so the bound sweep costs the same as a fixed-rate solve: the modes'
+steps are one shared-column ``StepStack``, whose ``gather`` gives every
+mode's per-source foot values at once, and the bang-bang rate choice
+(``RateBounds.extreme_rates``, which the minimal-cost solve's probability
+transport uses too) mixes them.
 
 Fixed-rate samples (``fixed_rate_sweep``) are plain ``solve_cdf`` runs, one
 per rate matrix.  The minimal attainable cost does not depend on the
@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdf_solver import MinimalCost, SemiLagrangianStep, _sweep, causal_tau, check_causality, solve_cdf
+from .cdf_solver import (MinimalCost, SemiLagrangianStep, StepStack, _sweep, causal_tau,
+                         check_causality, solve_cdf)
 from .errors import ConfigError, NumericsError
 from .model import CdfField, Grid, MinCostField, ProblemSpec, RateBounds, RateMatrix
 
@@ -63,33 +64,28 @@ def optimal_rates_pointwise(
     return bounds.extreme_rates(sense, diffs, mode)
 
 
-def _bound_update(steps: list[SemiLagrangianStep], bounds: RateBounds, sense: str):
-    """Level update of one bound field: per-source foot values, then the bang-bang mix."""
-    grid = steps[0].grid
-    m = len(steps)
-    step_lens = []
-    for st in steps:
-        step_len = np.full(grid.n_nodes, st.tau)
-        step_len[st.cap_nodes] = st.cap_theta_tau
-        step_lens.append(step_len)
+def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds, sense: str):
+    """Level update of one bound field: per-source foot values, then the bang-bang mix.
+
+    Row ``i * N + k`` of the gather holds mode i's foot values of every
+    source mode; escaping rows are empty, so their mix is 0.
+    """
+    m, n_nodes = bounds.n_modes, stack.n_nodes
+    zero = np.zeros((n_nodes, m))
 
     def update(w: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros((m, grid.n_nodes))
-        for i, st in enumerate(steps):
-            src = np.zeros((grid.n_nodes, m))
-            for shift, parts, op in st.level_ops:
-                lo = n - shift
-                if lo >= 0:  # a foot below threshold zero reads the flat zero extension
-                    src += op @ np.concatenate([w[:, lo + p].T for p in range(parts)])
-            src[st.cap_nodes] = st.cap_indicator(n)
-            base = src[:, i]
+        src = stack.gather(n, lambda lo, p: w[:, lo + p].T if lo >= 0 else zero)
+        src[stack.cap_rows] = stack.cap_indicator(n)
+        out = np.zeros((m, n_nodes))
+        for i in range(m):
+            rows = slice(i * n_nodes, (i + 1) * n_nodes)
+            base = src[rows, i]
             acc = base.copy()
             for j in range(m):
                 if j == i:
                     continue
-                diff = src[:, j] - base
-                acc = acc + step_lens[i] * bounds.extreme_rates(sense, diff, i, j) * diff
-            acc[st.esc_nodes] = 0.0
+                diff = src[rows, j] - base
+                acc = acc + step_len[rows] * bounds.extreme_rates(sense, diff, i, j) * diff
             out[i] = acc
         return out
 
@@ -124,12 +120,15 @@ def solve_bounds(
         SemiLagrangianStep(spec, grid, tau, i, costs=node_costs[i], rates=None)
         for i in range(spec.n_modes)
     ]
+    stack = StepStack(steps)
+    step_len = np.full(stack.n_nodes * len(steps), tau)
+    step_len[stack.cap_rows] = np.concatenate([st.cap_theta_tau for st in steps])
     fields = {}
     for sense, name in (("max", "upper"), ("min", "lower")):
         mc = None
         if restrict is not None:
             mc = restrict.upper_field() if sense == "max" else restrict.lower_field()
-        w = _sweep(spec, grid, mc, _bound_update(steps, rb, sense))
+        w = _sweep(spec, grid, mc, _bound_update(stack, step_len, rb, sense), f"{name} bound")
         fields[name] = CdfField(grid, w, spec=spec, tau=tau, variant=f"rate-bounds-{name}")
     return BoundPair(lower=fields["lower"], upper=fields["upper"], rate_bounds=rb)
 

@@ -20,14 +20,13 @@ that the simulator uses as well; a tie between an exit and an escape is an
 exit.
 
 Every kernel runs on one sparse-operator view of a step.  A
-``SemiLagrangianStep`` assembles its foot interpolation once as a CSR
-matrix, split by the threshold level the foot reads (one matrix per level
-shift).  A ``StepStack`` stacks several steps row-wise: the modes of a
-fixed-rate sweep block-diagonally, the actions of one mode on shared
-columns.  Because all actions of a mode share one row of transition
-probabilities, the mode mix is applied to the previous level first, and a
-level update is then one sparse product per level shift; capped and
-escaping nodes and the exit nodes are fixed up as vectors afterwards.
+``SemiLagrangianStep`` classifies the nodes and keeps its raw foot
+stencils.  A ``StepStack`` stacks several steps row-wise (the modes of a
+fixed-rate sweep block-diagonally; the actions of one mode, or the modes
+of a bound sweep, on shared columns) and is the only code that assembles
+and applies level operators: ``gather``, one sparse product per level
+shift, is the level update of the CDF, bound and threshold sweeps alike,
+and all three run through ``_sweep``.
 
 Expected exit costs, uncontrolled here and expectation-optimal in the
 control module, are solved by one routine: Howard's policy iteration over
@@ -107,24 +106,22 @@ def check_causality(tau: float, min_cost: float, ds: float) -> None:
 
 
 class SemiLagrangianStep:
-    """Precomputed one-step update of one (mode, action) pair, as sparse operators.
+    """Precomputed one-step update of one (mode, action) pair: node classes and foot stencils.
 
     Nodes are classified once: *regular* steps stay in the domain and read
     the interpolated previous solution, *capped* steps reach the exit set
     at a fraction theta of the step and evaluate the boundary condition at
     the crossing, and *escaping* steps leave the domain off the exit set.
 
-    The multilinear interpolation at the feet of the regular steps is
-    assembled once as a CSR matrix ``interp`` (row k holds node k's foot
-    stencil; rows of other nodes are empty).  ``level_ops`` splits it by the
-    threshold level the foot reads: one ``(shift, parts, matrix)`` triple
-    per distinct level shift, whose matrix applies the weights
-    ``(1 - frac)`` to level ``n - shift`` and, when ``parts`` is 2, the
-    weights ``frac`` to level ``n - shift + 1`` in a second block of
-    columns.  With a constant running cost and the default tau there is one
-    triple, ``(1, 1, interp)``.  ``expected_const`` is the constant part of
-    the expected-cost update: the running cost of a regular step, the
-    boundary value of a capped one, ``ESCAPE_COST`` for an escaping one.
+    The foot stencils of the regular steps are kept raw: ``idx`` and ``wts``
+    (shape ``(2**dim, n_regular)``) are the multilinear interpolation at the
+    feet, and ``shift`` and ``frac`` say which threshold levels each foot
+    reads: weight ``1 - frac`` on level ``n - shift`` and ``frac`` on level
+    ``n - shift + 1``.  With a constant running cost and the default tau
+    every shift is 1 and every frac 0.  ``StepStack`` assembles the sparse
+    operators from them.  ``expected_const`` is the constant part of the
+    expected-cost update: the running cost of a regular step, the boundary
+    value of a capped one, ``ESCAPE_COST`` for an escaping one.
     """
 
     def __init__(
@@ -168,31 +165,18 @@ class SemiLagrangianStep:
         foot = np.clip(pts[self.reg_nodes] + disp[self.reg_nodes], grid.lo, grid.hi)
         idx, wts = grid.spatial_stencil(foot) if self.reg_nodes.size else (
             np.zeros((1 << grid.dim, 0), dtype=int), np.zeros((1 << grid.dim, 0)))
-        rows = np.broadcast_to(self.reg_nodes, idx.shape)
-        self.interp = _csr(rows, idx, wts, (n_nodes, n_nodes))
+        self.idx = idx.astype(np.int32)
+        self.wts = wts
 
         off = tau * self.node_cost[self.reg_nodes] / grid.ds
-        shift = np.ceil(off - 1e-12).astype(int)
-        frac = shift - off
-        frac[frac < 1e-12] = 0.0
+        self.shift = np.ceil(off - 1e-12).astype(int)
+        self.frac = self.shift - off
+        self.frac[self.frac < 1e-12] = 0.0
         # within the causality tolerance off may sit a hair below 1; snap so no
         # weight ever lands on the level being written
-        frac[shift <= 1] = 0.0
-        if np.any(shift < 1):
+        self.frac[self.shift <= 1] = 0.0
+        if np.any(self.shift < 1):
             raise NumericsError("causality violated: some step reads its own threshold level")
-        if np.all(shift == 1):
-            self.level_ops = ((1, 1, self.interp),)
-        else:
-            ops = []
-            for s in np.unique(shift):
-                g = shift == s
-                f = frac[g]
-                parts = 2 if np.any(f > 0.0) else 1
-                cols = [idx[:, g], idx[:, g] + n_nodes][:parts]
-                vals = [wts[:, g] * (1.0 - f), wts[:, g] * f][:parts]
-                ops.append((int(s), parts, _csr(np.tile(rows[:, g], parts), np.hstack(cols),
-                                                np.hstack(vals), (n_nodes, parts * n_nodes))))
-            self.level_ops = tuple(ops)
 
         # capped steps: transition probabilities over the shortened interval
         th = theta[self.cap_nodes]
@@ -215,71 +199,66 @@ class SemiLagrangianStep:
         const[self.esc_nodes] = ESCAPE_COST
         self.expected_const = const
 
-    def cap_indicator(self, n: int) -> np.ndarray:
-        """Per-final-mode boundary indicator of the capped steps at level n."""
-        s_at_cross = n * self.grid.ds - self.cap_ds
-        return (s_at_cross[:, None] >= self.cap_q - 1e-15).astype(float)
 
+def _assemble(steps: list[SemiLagrangianStep], width: int, diagonal: bool,
+              shift: int | None = None, parts: int = 1):
+    """CSR matrix of the steps' foot stencils; row ``b * N + k`` is node k of ``steps[b]``.
 
-def _csr(rows, cols, vals, shape):
-    """CSR matrix from (row, column, value) triples; duplicates summed, zeros dropped."""
+    Columns run over (part, node) blocks of ``width``, offset by ``b * N``
+    with ``diagonal``.  With ``shift`` only the nodes reading that level
+    shift, weighted ``1 - frac`` (part 0) and ``frac`` (part 1).
+    """
     from scipy import sparse
 
-    mat = sparse.csr_matrix((np.ravel(vals), (np.ravel(rows), np.ravel(cols))), shape=shape)
+    n = steps[0].grid.n_nodes
+    itype = np.int32 if max(len(steps) * n, parts * width) < 2**31 else np.int64
+    rows, cols, vals = [], [], []
+    for b, st in enumerate(steps):
+        sel = slice(None) if shift is None else st.shift == shift
+        wts = st.wts[:, sel]
+        weights = [wts] if shift is None else [wts * (1.0 - st.frac[sel]), wts * st.frac[sel]]
+        idx = st.idx[:, sel].astype(itype) + (b * n if diagonal else 0)
+        row = np.broadcast_to((b * n + st.reg_nodes[sel]).astype(itype), idx.shape).ravel()
+        for p, part in enumerate(weights[:parts]):
+            rows.append(row)
+            cols.append((idx + p * width).ravel())
+            vals.append(part.ravel())
+    mat = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(len(steps) * n, parts * width))
     mat.eliminate_zeros()
     return mat
 
 
-def _stack_rows(mats, n_nodes: int, parts: int, diagonal: bool):
-    """Stack (N x p*N) matrices row-wise, block b giving rows b*N .. b*N + N - 1.
-
-    Columns run over (part, node) blocks of N.  With ``diagonal`` each row
-    block reads its own column block, so columns run over (part, block,
-    node).  ``None`` stands for an empty block.
-    """
-    n_blocks = len(mats)
-    width = n_blocks * n_nodes if diagonal else n_nodes
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for b, mat in enumerate(mats):
-        if mat is None:
-            continue
-        coo = mat.tocoo()
-        part, node = np.divmod(coo.col, n_nodes)
-        rows.append(b * n_nodes + coo.row)
-        cols.append(part * width + (b * n_nodes if diagonal else 0) + node)
-        vals.append(coo.data)
-    return _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                (n_blocks * n_nodes, parts * width))
-
-
 class StepStack:
-    """Several steps stacked row-wise, so that one product updates them all.
+    """Several steps stacked row-wise: the only place level operators are built and applied.
 
-    Row ``b * N + k`` is node k of ``steps[b]``.  ``level_ops`` holds one
-    ``(shift, parts, matrix)`` triple per level shift of any step; its
-    product with the previous levels, stacked part by part, gives every
-    step's regular-node interpolation at once.  With ``diagonal`` each step
-    reads its own block of that input (the modes of a fixed-rate sweep,
-    each reading its own mixed level); otherwise every step reads the same
-    input (the actions of one mode).  ``interp`` is the stacked plain foot
-    interpolation, ``probs`` the steps' probability rows, ``const`` the
+    Row ``b * N + k`` is node k of ``steps[b]``.  ``interp`` is the stacked
+    plain foot interpolation.  ``level_ops`` holds one ``(shift, parts,
+    matrix)`` triple per level shift of any step, assembled from the steps'
+    stencils; ``gather`` applies them, one sparse product per shift, to the
+    previous levels stacked part by part.  With ``diagonal`` each step reads
+    its own block of that input (the modes of a fixed-rate sweep, each
+    reading its own mixed level); otherwise every step reads the same input
+    (the actions of one mode, or the modes of a bound sweep reading every
+    source mode).  ``probs`` holds the steps' probability rows, ``const`` the
     stacked ``expected_const``, and the ``cap_*`` arrays collect the capped
     steps under their stacked rows.  The stack keeps no reference to the
-    steps, so their own matrices can be freed once it is built.
+    steps, so their stencils can be freed once it is built.
     """
 
     def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False):
         self.n_nodes = n = steps[0].grid.n_nodes
         self.ds = steps[0].grid.ds
-        self.interp = _stack_rows([st.interp for st in steps], n, 1, diagonal)
-        if all(len(st.level_ops) == 1 and st.level_ops[0][2] is st.interp for st in steps):
+        width = len(steps) * n if diagonal else n
+        self.interp = _assemble(steps, width, diagonal)
+        if all(np.all(st.shift == 1) for st in steps):
             self.level_ops = [(1, 1, self.interp)]
         else:
             self.level_ops = []
-            for shift in sorted({s for st in steps for s, _, _ in st.level_ops}):
-                parts = max(p for st in steps for s, p, _ in st.level_ops if s == shift)
-                mats = [next((op for s, _, op in st.level_ops if s == shift), None) for st in steps]
-                self.level_ops.append((shift, parts, _stack_rows(mats, n, parts, diagonal)))
+            for shift in sorted({int(s) for st in steps for s in np.unique(st.shift)}):
+                parts = 2 if any(np.any(st.frac[st.shift == shift] > 0.0) for st in steps) else 1
+                self.level_ops.append((shift, parts,
+                                       _assemble(steps, width, diagonal, shift, parts)))
         self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
         self.cap_ds = np.concatenate([st.cap_ds for st in steps])
         self.cap_q = np.concatenate([st.cap_q for st in steps])
@@ -288,10 +267,26 @@ class StepStack:
         self.const = np.concatenate([st.expected_const for st in steps]) if rated else None
         self.cap_probs = np.concatenate([st.cap_probs for st in steps]) if rated else None
 
+    def gather(self, n: int, read) -> np.ndarray:
+        """Every stacked row's foot value at level n: one sparse product per level shift.
+
+        Shift s reads the stacked inputs ``read(n - s, p)`` of levels ``n - s + p``.
+        Below threshold zero ``read`` extends the field: W reads zero for a
+        whole shift whose lower level is negative, the threshold's V reads
+        level ``max(n - s + p, 0)``.  Capped rows are left to the caller.
+        """
+        total = 0.0
+        for shift, parts, op in self.level_ops:
+            total = total + op @ np.concatenate([read(n - shift, p) for p in range(parts)])
+        return total
+
+    def cap_indicator(self, n: int) -> np.ndarray:
+        """Per-final-mode boundary indicator of the capped rows at level n."""
+        return ((n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15).astype(float)
+
     def cap_cdf(self, n: int) -> np.ndarray:
-        """Fixed-rate CDF values of the capped rows at level n."""
-        bc = (n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15
-        return np.einsum("kj,kj->k", self.cap_probs, bc.astype(float))
+        """Fixed-rate CDF values of the capped rows at level n: the indicator's mode mix."""
+        return np.einsum("kj,kj->k", self.cap_probs, self.cap_indicator(n))
 
 
 def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -376,14 +371,11 @@ def solve_cdf(
         for i in range(spec.n_modes)
     ]
     stack = StepStack(steps, diagonal=True)
+    zero = np.zeros(spec.n_modes * grid.n_nodes)
 
     def update(w: np.ndarray, n: int) -> np.ndarray:
-        vals = np.zeros(spec.n_modes * grid.n_nodes)
-        for shift, parts, op in stack.level_ops:
-            lo = n - shift
-            if lo >= 0:  # a foot below threshold zero reads the flat zero extension
-                vals += op @ np.concatenate([(stack.probs @ w[:, lo + p]).ravel()
-                                             for p in range(parts)])
+        vals = stack.gather(n, lambda lo, p: (stack.probs @ w[:, lo + p]).ravel() if lo >= 0
+                            else zero)
         vals[stack.cap_rows] = stack.cap_cdf(n)
         return vals.reshape(spec.n_modes, grid.n_nodes)
 
@@ -391,8 +383,11 @@ def solve_cdf(
     return CdfField(grid, w, spec=spec, tau=tau, variant="fixed-rates")
 
 
-def _sweep(spec, grid, restrict, update) -> np.ndarray:
-    """Causal upward sweep; ``update(w, n)`` gives every mode's level n off the exit set."""
+def _sweep(spec, grid, restrict, update, what: str = "CDF") -> np.ndarray:
+    """Causal upward sweep; ``update(w, n)`` gives every mode's level n off the exit set.
+
+    It owns level 0, the restricted seeding with its clamp and the exit rows.
+    """
     w = np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes))
     ex = grid.exit_mask
     q_exit = exit_costs(spec, grid)
@@ -408,7 +403,7 @@ def _sweep(spec, grid, restrict, update) -> np.ndarray:
         vals[:, ex] = n * grid.ds >= q_exit - 1e-15
         w[:, n] = vals
     if first_level is not None:
-        clamp.report("restricted CDF sweep")
+        clamp.report(f"restricted {what} sweep")
     return w
 
 

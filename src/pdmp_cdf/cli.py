@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -360,44 +361,64 @@ def _out_dir(args, output: dict) -> str:
     return args.out or output.get("dir", "out")
 
 
-def _parse_slices(texts: list[str], dim: int) -> list[tuple[str, list]]:
-    """Parse slice requests: 's=0.25,0.5' sheets, 'x=0.3,0.7' or 'at=0.4:0.3' curves."""
+def _numbers(values, what: str) -> list[float]:
+    """Finite numbers from a comma list ('0.2,0.4') or a JSON list; anything else is a ConfigError."""
+    items = values.split(",") if isinstance(values, str) else values
+    try:
+        out = [float(v) for v in items]
+    except (TypeError, ValueError):
+        out = []
+    if not out or any(isinstance(v, bool) for v in items) or not all(map(math.isfinite, out)):
+        raise ConfigError(f"bad {what} {values!r}; use a comma list of finite numbers")
+    return out
+
+
+def _sheet_levels(values: list[float], grid: Grid) -> list[int]:
+    """Level indices of threshold sheets, each of which must be a level of the grid."""
+    levels = [int(round(s / grid.ds)) for s in values]
+    for s, n in zip(values, levels):
+        if not 0 <= n < grid.n_levels or abs(n * grid.ds - s) > 1e-9 * max(1.0, abs(s)):
+            raise ConfigError(f"slice threshold {s} is not a grid level "
+                              f"(0 to {grid.s_max:.6g} by {grid.ds:.6g})")
+    return levels
+
+
+def _parse_slices(texts: list[str], grid: Grid) -> list[tuple[str, list]]:
+    """Parse and check slice requests: 's=0.25,0.5' sheets, 'x=0.3,0.7' or 'at=0.4:0.3' curves.
+
+    Sheets become level indices and must be grid levels; curve points must
+    lie in the domain.  A bad request is a ConfigError, raised before any solve.
+    """
     out: list[tuple[str, list]] = []
     for text in texts:
-        if "=" not in text:
+        if not isinstance(text, str) or "=" not in text:
             raise ConfigError(f"bad slice {text!r}; use s=..., x=..., or at=...")
         axis, _, vals = text.partition("=")
         axis = axis.strip()
         if axis == "s":
-            out.append(("s", [float(v) for v in vals.split(",")]))
-        elif axis == "x" and dim == 1:
-            out.append(("point", [[float(v)] for v in vals.split(",")]))
+            out.append(("s", _sheet_levels(_numbers(vals, "slice thresholds"), grid)))
+            continue
+        if axis == "x" and grid.dim == 1:
+            pts = [[v] for v in _numbers(vals, "slice points")]
         elif axis == "at":
-            pts = []
-            for chunk in vals.split(","):
-                coords = [float(v) for v in chunk.split(":")]
-                if len(coords) != dim:
-                    raise ConfigError(f"slice point {chunk!r} has wrong dimension")
-                pts.append(coords)
-            out.append(("point", pts))
+            pts = [_numbers(chunk.split(":"), "slice point") for chunk in vals.split(",")]
+            if any(len(pt) != grid.dim for pt in pts):
+                raise ConfigError(f"slice points {vals!r} have the wrong dimension")
         else:
-            raise ConfigError(f"bad slice axis {axis!r} for dimension {dim}")
+            raise ConfigError(f"bad slice axis {axis!r} for dimension {grid.dim}")
+        if not np.all(grid.contains(np.array(pts))):
+            raise ConfigError(f"slice points {vals!r} lie outside the domain")
+        out.append(("point", pts))
     return out
 
 
 def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None):
-    """Long-form rows (x[, y], mode, s, value[, lo, hi]) for requested slices."""
+    """Long-form rows (x[, y], mode, s, value[, lo, hi]) for checked slices (`_parse_slices`)."""
     rows = []
     m = field_values.shape[0]
     for kind, items in slices:
         if kind == "s":
-            for s in items:
-                n = int(round(s / grid.ds))
-                if not 0 <= n < grid.n_levels:
-                    raise ConfigError(f"slice threshold {s} is outside the grid")
-                if abs(n * grid.ds - s) > 1e-9 * max(1.0, abs(s)):
-                    raise ConfigError(
-                        f"slice threshold {s} is not a grid level (spacing {grid.ds:.6g})")
+            for n in items:
                 for i in range(m):
                     for k in range(grid.n_nodes):
                         row = [*(float(c) for c in grid.points[k]), i + 1, float(n * grid.ds),
@@ -407,16 +428,11 @@ def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None):
                         rows.append(row)
         else:
             for pt in items:
-                idx, wts = grid.spatial_stencil(np.atleast_2d(np.array(pt, dtype=float)))
                 for i in range(m):
-                    curve = np.einsum("c,nc->n", wts[:, 0], field_values[i][:, idx[:, 0]])
+                    curves = [grid.curve(f[i], pt) for f in (field_values, lo, hi) if f is not None]
                     for n in range(grid.n_levels):
-                        row = [*(float(c) for c in pt), i + 1, float(n * grid.ds), float(curve[n])]
-                        if lo is not None:
-                            lo_c = np.einsum("c,nc->n", wts[:, 0], lo[i][:, idx[:, 0]])
-                            hi_c = np.einsum("c,nc->n", wts[:, 0], hi[i][:, idx[:, 0]])
-                            row += [float(lo_c[n]), float(hi_c[n])]
-                        rows.append(row)
+                        rows.append([*(float(c) for c in pt), i + 1, float(n * grid.ds),
+                                     *(float(c[n]) for c in curves)])
     return rows
 
 
@@ -432,11 +448,10 @@ def _default_slices(run: dict, args, grid: Grid):
     texts = args.slice if args.slice else run.get("slices")
     if not texts:
         last = grid.n_levels - 1
-        levels = dict.fromkeys(round(f * last) for f in (0.25, 0.5, 0.75, 1.0))
-        return [("s", [n * grid.ds for n in levels])]
+        return [("s", list(dict.fromkeys(round(f * last) for f in (0.25, 0.5, 0.75, 1.0))))]
     if isinstance(texts, str):
         texts = [texts]
-    return _parse_slices(texts, grid.dim)
+    return _parse_slices(texts, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +493,13 @@ def _cmd_solve_cdf(args) -> int:
         exporter.finish()
         return EXIT_OK
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    slices = _default_slices(run, args, grid)
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "solve-cdf", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
     if run.get("restrict", True):
         restrict = cdf_solver.solve_min_cost(spec, grid)
     field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict)
-    slices = _default_slices(run, args, grid)
     exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
     exporter.finish()
     return EXIT_OK
@@ -521,6 +536,7 @@ def _cmd_min_cost(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    slices = _default_slices(run, args, grid)
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "bounds", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
@@ -528,7 +544,6 @@ def _cmd_bounds(args) -> int:
         restrict = bounds_mod.solve_min_cost_bounds(spec, grid)
     pair = bounds_mod.solve_bounds(spec, grid, tau=numerics.get("tau"), restrict=restrict)
     mid = 0.5 * (pair.lower.values + pair.upper.values)
-    slices = _default_slices(run, args, grid)
     exporter.write_rows(
         "bounds.csv", _header(spec.dim, with_bounds=True),
         _field_rows(mid, grid, slices, lo=pair.lower.values, hi=pair.upper.values))
@@ -538,18 +553,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    slices = _default_slices(run, args, grid)
+    levels = _numbers(args.rates or run.get("rates", [1.0, 2.0, 3.0, 4.0]), "rate levels")
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "sweep", "problem": args.problem, "numerics": numerics, "run": run})
-    if args.rates:
-        levels = [float(v) for v in args.rates.split(",")]
-    else:
-        levels = run.get("rates", [1.0, 2.0, 3.0, 4.0])
     if spec.n_modes != 2:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
     rate_grid = bounds_mod.default_rate_grid(levels)
     fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics.get("tau"),
                                          restrict=run.get("restrict", True))
-    slices = _default_slices(run, args, grid)
     rows = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
@@ -580,18 +592,16 @@ def _cmd_hjb(args) -> int:
 
 def _cmd_threshold(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    slices = _default_slices(run, args, grid)
+    thresholds = args.thresholds or run.get("thresholds")
+    if thresholds:
+        slices = slices + [("s", _sheet_levels(_numbers(thresholds, "thresholds"), grid))]
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
     hjb = control.solve_hjb_expectation(
         spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
     tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
-    slices = _default_slices(run, args, grid)
-    thresholds = args.thresholds or run.get("thresholds")
-    if thresholds:
-        if isinstance(thresholds, str):
-            thresholds = [float(v) for v in thresholds.split(",")]
-        slices = slices + [("s", [float(v) for v in thresholds])]
     exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
                         _field_rows(tv.w.values, grid, slices))
     # synthesized action map at the fixed-threshold slices; actions are
@@ -672,9 +682,9 @@ def _cmd_evaluate_policy(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "evaluate-policy", "problem": args.problem,
                          "numerics": numerics, "run": run})
+    slices = _default_slices(run, args, grid)
     policy = control.load_policy(args.policy_in)
     field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics.get("tau"))
-    slices = _default_slices(run, args, grid)
     exporter.write_rows("policy_cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
     exporter.finish()
     return EXIT_OK

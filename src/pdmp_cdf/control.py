@@ -19,10 +19,13 @@ to the expectation-optimal value so the stored action coincides with the
 expectation-optimal policy there.
 
 Both problems run on the stacked step operators of ``cdf_solver``: the
-steps of all actions of a mode share one probability row, so the previous
-level of ``[W, V]`` is mixed over the modes once and one sparse product per
-mode (and level shift) gives the candidates of every action; the policy
-iteration's Bellman pass is the same product on u.
+steps of all actions of a mode are one ``StepStack`` and share one
+probability row.  The threshold sweep is the CDF's level update: per mode
+the previous levels of ``[W, V]`` are mixed over the modes and one
+``StepStack.gather`` (one sparse product per level shift) gives the
+candidates of every action; ``_sweep`` owns level 0, the restricted
+seeding, the monotone clamp and the exit rows, as for the CDF and the
+bounds.  The policy iteration's Bellman pass is the same product on u.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf_solver import (
-    MonotoneClamp,
     SemiLagrangianStep,
     StepStack,
+    _sweep,
+    causal_tau,
     check_causality,
-    exit_costs,
     policy_iteration,
     solve_cdf,
 )
@@ -263,70 +266,43 @@ def solve_threshold(
     u = value.u
     a_star = exp_policy.fallback
 
-    min_cost = min(
-        spec.modes[i].cost.min_value() for i in range(spec.n_modes)
-    )
     if tau is None:
-        tau = grid.ds / min_cost
-    check_causality(tau, min_cost, grid.ds)
+        tau = causal_tau(spec, grid)
+    check_causality(tau, spec.min_cost_rate(), grid.ds)
     stacks = _action_stacks(spec, grid, tau)
     m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
-    ns = grid.n_levels
-    w = np.zeros((m, ns, n_nodes))
-    v = np.zeros((m, ns, n_nodes))
-    actions = np.zeros((m, ns, n_nodes), dtype=np.int16)
+    v = np.zeros((m, grid.n_levels, n_nodes))
+    actions = np.zeros((m, grid.n_levels, n_nodes), dtype=np.int16)
     q_exit = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
-    q_bc = exit_costs(spec, grid)
-    first_level = restrict.first_level() if restrict is not None else None
-    clamp = MonotoneClamp(grid)
-
     ex = grid.exit_mask
-    w[:, 0, ex] = 0.0 >= q_bc - 1e-15
     v[:, 0] = np.where(ex, q_exit, u)
     actions[:, 0] = a_star
-
-    def mixed(arr, i, lvl):
-        return stacks[i].probs[0] @ arr[:, lvl]
-
+    # levels up to the first attainable one keep the expectation-optimal law
+    seeded = restrict.first_level() if restrict is not None else np.full(n_nodes, -1)
     cols = np.arange(n_nodes)
-    for n in range(1, ns):
-        bc = n * grid.ds >= q_bc - 1e-15
+    zero = np.zeros(n_nodes)
+
+    def update(w: np.ndarray, n: int) -> np.ndarray:
+        wmax = np.empty((m, n_nodes))
         for i, stack in enumerate(stacks):
-            # [W, V] candidates of every action: W reads the flat zero
-            # extension below threshold zero, V the flat extension of level 0
-            cand = np.zeros((n_act * n_nodes, 2))
-            for shift, parts, op in stack.level_ops:
-                lo = n - shift
-                x = [np.column_stack([mixed(w, i, lo + p) if lo >= 0 else np.zeros(n_nodes),
-                                      mixed(v, i, max(lo + p, 0))]) for p in range(parts)]
-                cand += op @ np.concatenate(x)
+            # [W, V] candidates of every action, the modes mixed first
+            probs = stack.probs[0]
+            cand = stack.gather(n, lambda lo, p: np.column_stack(
+                [probs @ w[:, lo + p] if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
             wc = cand[:, 0]
             wc[stack.cap_rows] = stack.cap_cdf(n)
             vals = wc.reshape(n_act, n_nodes)
             vcand = (stack.const + cand[:, 1]).reshape(n_act, n_nodes)
-            wmax = vals.max(axis=0)
-            tied = vals >= wmax[None, :] - TIE_TOL
+            wmax[i] = vals.max(axis=0)
+            tied = vals >= wmax[i][None, :] - TIE_TOL
             vmasked = np.where(tied, vcand, np.inf)
             a_hat = np.argmin(vmasked, axis=0)
-            v_new = vmasked[a_hat, cols]
-            w_new = wmax
-            hopeless = w_new <= 0.0
-            a_new = np.where(hopeless, a_star[i], a_hat).astype(np.int16)
-            v_new = np.where(hopeless, u[i], v_new)
-            if first_level is not None:
-                below = n < first_level
-                at = n == first_level
-                w_new = np.where(below, 0.0, np.where(at, restrict.w0[i], w_new))
-                a_new = np.where(below | at, a_star[i].astype(np.int16), a_new)
-                v_new = np.where(below | at, u[i], v_new)
-                w_new = clamp.apply(w_new, w[i, n - 1])
-            w_new[ex] = bc[i]
-            v_new = np.where(ex, q_exit[i], v_new)
-            w[i, n] = w_new
-            v[i, n] = v_new
-            actions[i, n] = a_new
-    if first_level is not None:
-        clamp.report("restricted threshold sweep")
+            fallback = (wmax[i] <= 0.0) | (n <= seeded)
+            actions[i, n] = np.where(fallback, a_star[i], a_hat)
+            v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
+        return wmax
+
+    w = _sweep(spec, grid, restrict, update, "threshold")
 
     # boundary-cell lookups read the exit-node entries; give them the law of
     # the nearest interior node instead of meaningless boundary updates

@@ -635,6 +635,11 @@ class Grid:
         vals = np.asarray(node_values, dtype=float).reshape(-1)
         return np.einsum("cn,cn->n", w, vals[idx])
 
+    def curve(self, level_values: np.ndarray, x) -> np.ndarray:
+        """A (levels, nodes) field's values over all its levels at one spatial point."""
+        idx, w = self.spatial_stencil(np.atleast_2d(np.asarray(x, dtype=float)))
+        return np.einsum("c,mc->m", w[:, 0], level_values[:, idx[:, 0]])
+
 
 def _axis_counts(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray) -> list[int]:
     counts = []
@@ -742,9 +747,7 @@ class CdfField:
 
     def curve(self, mode: int, x) -> np.ndarray:
         """CDF values over all grid levels at one spatial point."""
-        pt = np.atleast_2d(np.asarray(x, dtype=float))
-        idx, w = self.grid.spatial_stencil(pt)
-        return np.einsum("c,mc->m", w[:, 0], self.values[mode][:, idx[:, 0]])
+        return self.grid.curve(self.values[mode], x)
 
 
 class MinCostField:

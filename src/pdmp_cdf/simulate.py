@@ -41,6 +41,7 @@ from .errors import ConfigError, NumericsError
 from .model import Grid, ProblemSpec
 
 _MAX_EVENTS = 2_000_000
+_MOVE_RTOL = 1e-12  # a policy step shorter than this share of a cell crossing is roundoff
 RNG_CONTRACT = "philox4x64-10/v2"
 
 
@@ -451,8 +452,11 @@ def run_batch(
         t[act] += dt
         occupancy[act, md] += dt
         if use_cells:
-            # a strictly positive step clears the ping-pong memory
-            moved = dt > 0.0
+            # only a step longer than roundoff against a cell crossing (any
+            # positive step when frozen) clears the ping-pong and stuck guards
+            with np.errstate(divide="ignore"):
+                crossing = np.min(policy.dx / np.abs(v), axis=1)
+            moved = dt > _MOVE_RTOL * np.where(np.isfinite(crossing), crossing, 0.0)
             prev_face_axis[act[moved]] = -1
             slide_axis[act[moved]] = -1
             zero_streak[act[moved]] = 0
@@ -487,14 +491,13 @@ def run_batch(
                 s_cell[sel] -= 1 + rad[hits]
             elif kname.startswith("face"):
                 a = int(kname[4:])
-                dt_sel = dt[hits]
                 r_sel = rad[hits]
                 midpoint = policy.lo[a] + (cell[sel, a] + 0.5) * policy.dx[a]
                 going_up = x[sel, a] >= midpoint
                 new_face = np.where(going_up, cell[sel, a] + r_sel + 1, cell[sel, a] - r_sel)
                 x[sel, a] = policy.lo[a] + new_face * policy.dx[a]
                 # zero-length re-crossing of the same axis: slide along the interface
-                pingpong = (dt_sel <= 0.0) & (prev_face_axis[sel] == a)
+                pingpong = ~moved[hits] & (prev_face_axis[sel] == a)
                 slide_axis[sel[pingpong]] = a
                 prev_face_axis[sel] = a
                 at_hi = going_up & (new_face >= policy.shape[a] - 1)

@@ -113,7 +113,11 @@ def per_cell_batch(spec, start, n, seed, policy, threshold=None, horizon_cap=Non
         x[act] += v * dt[:, None]
         c[act] += crate * dt
         t[act] += dt
-        moved = dt > 0.0
+        # a move is longer than roundoff against a cell crossing (any
+        # positive step of a frozen sample), as in the package
+        with np.errstate(divide="ignore"):
+            crossing = np.min(policy.dx / np.abs(v), axis=1)
+        moved = dt > 1e-12 * np.where(np.isfinite(crossing), crossing, 0.0)
         prev_face_axis[act[moved]] = -1
         slide_axis[act[moved]] = -1
         zero_streak[act[moved]] = 0
@@ -143,7 +147,7 @@ def per_cell_batch(spec, start, n, seed, policy, threshold=None, horizon_cap=Non
                 going_up = x[sel, a] >= midpoint
                 new_face = np.where(going_up, cell[sel, a] + 1, cell[sel, a])
                 x[sel, a] = policy.lo[a] + new_face * policy.dx[a]
-                pingpong = (dt[hits] <= 0.0) & (prev_face_axis[sel] == a)
+                pingpong = ~moved[hits] & (prev_face_axis[sel] == a)
                 slide_axis[sel[pingpong]] = a
                 prev_face_axis[sel] = a
                 at_hi = going_up & (new_face >= policy.shape[a] - 1)

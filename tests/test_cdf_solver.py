@@ -1,12 +1,16 @@
+import ast
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmp_cdf
 from pdmp_cdf import build_grid, catalog
 from pdmp_cdf import cdf_solver
+from pdmp_cdf.bounds import solve_bounds
 from pdmp_cdf.cdf_solver import (
     MinimalCost,
     causal_tau,
@@ -23,6 +27,7 @@ from pdmp_cdf.model import (
     MinCostField,
     ModeSpec,
     ProblemSpec,
+    RateBounds,
     RateMatrix,
     ScalarField,
     VectorField,
@@ -260,6 +265,17 @@ class TestLevelShifts:
         assert np.abs(tv.w.values - w_ref).max() <= 1e-12
         assert np.abs(tv.v - v_ref).max() <= 1e-12
 
+    def test_bound_updates_match_per_node_reference(self):
+        # a degenerate rate interval: both envelopes are the fixed-rate CDF
+        grid = build_grid(catalog.example1(), 0.02, 0.02, 0.6)
+        tau = 1.6 * grid.ds
+        spec = self.sloped_cost(grid, controlled=False)
+        pair = solve_bounds(replace(spec, rates=RateBounds.uniform(2, 2.0, 2.0)), grid, tau=tau)
+        w_ref, _ = level_sweep(spec, grid, tau)
+        assert np.abs(pair.lower.values - w_ref).max() <= 1e-12
+        assert np.abs(pair.upper.values - w_ref).max() <= 1e-12
+        assert np.abs(w_ref).max() > 0.5
+
 
 class TestEulerianIdentity:
     def test_matches_semi_lagrangian_level_by_level(self):
@@ -427,3 +443,14 @@ class TestSchemeProperties:
         assert causal_tau(spec, grid) == pytest.approx(0.01)
         with pytest.raises(NumericsError):
             solve_cdf(spec, grid, tau=0.005)  # sub-causal step rejected
+
+
+def test_only_the_step_stack_reads_level_operators():
+    # the CDF, bound and threshold sweeps all gather through StepStack.gather
+    readers = set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "level_ops"
+                   for node in ast.walk(top)):
+                readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("cdf_solver.py", "StepStack")}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pdmp_cdf
-from pdmp_cdf import build_grid, catalog
+from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, control
 from pdmp_cdf.bounds import default_rate_grid
 from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.cli import (
@@ -456,6 +456,46 @@ class TestRunValues:
         assert main(["simulate", "--problem", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["censored"] == 0 and manifest["exited"] == 20
+
+    EX5_DS2 = ["--problem", "example5", "--dx", "0.02", "--ds", "0.02", "--s-max", "1.0"]
+
+    @pytest.mark.parametrize("argv, run", [
+        (["solve-cdf", "--problem", "example1", "--slice", "s=abc"], {}),
+        (["solve-cdf", "--problem", "example1", "--slice", "s=0.25,nan"], {}),
+        (["solve-cdf", "--problem", "example1", "--slice", "x=1.7"], {}),
+        (["solve-cdf", "--problem", "example1", "--slice", "x=0.3,"], {}),
+        (["solve-cdf", "--problem", "example3", "--slice", "at=0.4:1.2"], {}),
+        (["solve-cdf", "--problem", "example3", "--slice", "at=0.4"], {}),
+        (["bounds", "--problem", "example4", "--slice", "s=2.0"], {}),
+        (["sweep", "--problem", "example4", "--rates", "1,abc"], {}),
+        (["sweep", "--problem", "example4", "--rates", "1,inf"], {}),
+        (["sweep", "--problem", "example4", "--slice", "x=-0.5"], {}),
+        (["threshold", *EX5_DS2, "--thresholds", "abc"], {}),
+        (["threshold", *EX5_DS2, "--thresholds", "0.37"], {}),
+        (["evaluate-policy", *EX5_DS2, "--slice", "x=2", "--policy-in", "none.policy"], {}),
+        (["solve-cdf", "--problem", "example1"], {"slices": [0.25]}),
+        (["sweep", "--problem", "example4"], {"rates": ["1", "two"]}),
+        (["threshold", *EX5_DS2], {"thresholds": "0.2,abc"}),
+        (["threshold", *EX5_DS2], {"thresholds": [0.2, True]}),
+    ])
+    def test_bad_export_requests_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                          argv, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before the export request was checked")
+
+        for mod, name in ((cdf_solver, "solve_min_cost"), (cdf_solver, "solve_cdf"),
+                          (bounds, "solve_bounds"), (bounds, "solve_min_cost_bounds"),
+                          (bounds, "fixed_rate_sweep"), (control, "solve_hjb_expectation"),
+                          (control, "solve_threshold"), (control, "load_policy")):
+            monkeypatch.setattr(mod, name, refuse)
+        if run:
+            problem = argv[argv.index("--problem") + 1]
+            doc = {"schema_version": 1, "problem": problem, "numerics": {}, "run": run,
+                   "output": {}}
+            argv = [*argv]
+            argv[argv.index("--problem") + 1] = write_config(tmp_path, doc)
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_levels", [None, 1])
     def test_threshold_without_level_dependent_policy_rejected(self, tmp_path, n_levels):

@@ -170,6 +170,16 @@ class TestThresholdValue:
             acts = tv.actions[i].T
             assert not np.any((acts != policy.actions[i, 0][:, None]) & hopeless)
 
+    def test_seeded_levels_keep_the_expectation_law(self, ex5):
+        # up to and including the first attainable level, which the restricted
+        # sweep seeds, V and the actions are the expectation-optimal ones
+        spec, grid, (value, policy), mc, tv = ex5
+        seeded = (np.arange(grid.n_levels)[:, None] <= mc.first_level()) & ~grid.exit_mask
+        for i in range(2):
+            assert np.array_equal(tv.actions[i][seeded],
+                                  np.broadcast_to(tv.a_star[i], seeded.shape)[seeded])
+            assert np.array_equal(tv.v[i][seeded], np.broadcast_to(value.u[i], seeded.shape)[seeded])
+
     def test_singleton_control_reduces_to_plain_cdf(self):
         controlled = singleton_control_sailboat()
         grid = build_grid(controlled, 5e-3, 5e-3, 1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmp_cdf import build_grid, catalog
+from pdmp_cdf import build_grid, catalog, simulate
 from pdmp_cdf.cdf_solver import solve_min_cost
 from pdmp_cdf.control import Policy, solve_hjb_expectation, solve_threshold, synthesize_policy
 from pdmp_cdf.errors import ConfigError
@@ -472,6 +472,23 @@ class TestRunLengthEvents:
         ref = per_cell_batch(spec, start, 300, 3, policy, threshold=0.02)
         for key in ("costs", "exited", "escaped", "censored", "switch_counts", "events"):
             assert np.array_equal(getattr(batch, key), ref[key]), key
+
+    def test_roundoff_steps_do_not_cycle_at_a_cell_corner(self, monkeypatch):
+        # four policy cells meet at (0.65, 0.45): sample 2 reached it and took
+        # face steps of 0, 2.7e-16, 0, 0 in a cycle, and the roundoff-sized one
+        # cleared the ping-pong and stuck guards until the event budget ran out
+        monkeypatch.setattr(simulate, "_MAX_EVENTS", 20_000)
+        modes = tuple(ModeSpec(VectorField.control_offset(v), ScalarField.constant(1.0),
+                               ScalarField.constant(0.0)) for v in ((0.3, 0.0), (-0.3, 0.2)))
+        spec = ProblemSpec(dim=2, lo=np.zeros(2), hi=np.ones(2),
+                           exit_set=ExitSpec("boxes", boxes=(((0.6, 0.8), (0.2, 0.4)),)),
+                           modes=modes, rates=RateMatrix([[0.0, 1.0], [1.0, 0.0]]),
+                           controls=ControlSet.unit_circle(8))
+        policy = solve_hjb_expectation(spec, build_grid(spec, 0.05, 0.05, 1.0))[1]
+        batch = run_batch(spec, (np.array([0.2, 0.7]), 0), 300, seed=20, policy=policy,
+                          horizon_cap=4.0)
+        assert batch.events.max() <= 100
+        assert batch.exited.sum() + batch.censored.sum() == 300
 
     def test_uncontrolled_events_are_switches_plus_one(self):
         for spec, start in ((EX1, (np.array([0.4]), 0)), (catalog.example3(), (np.array([0.5, 0.5]), 2))):
