@@ -10,10 +10,12 @@ mode's per-source foot values at once, and the bang-bang rate choice
 (``RateBounds.extreme_rates``, which the minimal-cost solve's probability
 transport uses too) mixes them.
 
-Fixed-rate samples (``fixed_rate_sweep``) are plain ``solve_cdf`` runs, one
-per rate matrix.  The minimal attainable cost does not depend on the
-rates, so the restricted sweeps and ``solve_min_cost_bounds`` compute it
-once and fill only the attainment probabilities per rate choice.
+Fixed-rate samples (``fixed_rate_sweep``) come from one rate-stacked run
+of ``solve_cdf``'s sweep: the modes' steps are built once, and every level
+update carries all rate matrices together.  The minimal attainable cost
+does not depend on the rates either, so the restricted sweeps and
+``solve_min_cost_bounds`` compute it once and fill the attainment
+probabilities of every rate choice in one pass.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdf_solver import (MinimalCost, SemiLagrangianStep, StepStack, _sweep, causal_tau,
-                         check_causality, solve_cdf)
+from .cdf_solver import (MinimalCost, SemiLagrangianStep, StepStack, _solve_cdfs, _sweep,
+                         causal_tau, check_causality)
 from .errors import ConfigError, NumericsError
 from .model import CdfField, Grid, MinCostField, ProblemSpec, RateBounds, RateMatrix
 
@@ -73,8 +75,8 @@ def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds, se
     m, n_nodes = bounds.n_modes, stack.n_nodes
     zero = np.zeros((n_nodes, m))
 
-    def update(w: np.ndarray, n: int) -> np.ndarray:
-        src = stack.gather(n, lambda lo, p: w[:, lo + p].T if lo >= 0 else zero)
+    def update(level, n: int) -> np.ndarray:
+        src = stack.gather(n, lambda lo, p: level(lo + p).T if lo >= 0 else zero)
         src[stack.cap_rows] = stack.cap_indicator(n)
         out = np.zeros((m, n_nodes))
         for i in range(m):
@@ -128,8 +130,10 @@ def solve_bounds(
         mc = None
         if restrict is not None:
             mc = restrict.upper_field() if sense == "max" else restrict.lower_field()
-        w = _sweep(spec, grid, mc, _bound_update(stack, step_len, rb, sense), f"{name} bound")
-        fields[name] = CdfField(grid, w, spec=spec, tau=tau, variant=f"rate-bounds-{name}")
+        w, clamp = _sweep(spec, grid, mc, _bound_update(stack, step_len, rb, sense),
+                          f"{name} bound sweep")
+        fields[name] = CdfField(grid, w, spec=spec, tau=tau, variant=f"rate-bounds-{name}",
+                                clamp=clamp)
     return BoundPair(lower=fields["lower"], upper=fields["upper"], rate_bounds=rb)
 
 
@@ -140,10 +144,8 @@ def solve_min_cost_bounds(spec: ProblemSpec, grid: Grid) -> MinCostBounds:
     transport term is extremized within the bounds.
     """
     spec.require_rate_bounds()
-    base = MinimalCost(spec, grid)
-    up = base.field(spec, rate_sense="upper")
-    lo = base.field(spec, rate_sense="lower")
-    return MinCostBounds(s0=up.s0, w0_upper=up.w0, w0_lower=lo.w0, grid=grid)
+    both = MinimalCost(spec, grid).stacked([(spec, "upper"), (spec, "lower")])
+    return MinCostBounds(s0=both.s0, w0_upper=both.w0[0], w0_lower=both.w0[1], grid=grid)
 
 
 def default_rate_grid(levels=(1.0, 2.0, 3.0, 4.0)) -> list[RateMatrix]:
@@ -166,7 +168,11 @@ def fixed_rate_sweep(
 
     Every matrix must respect the problem's rate bounds when bounds are
     given.  These solves sample the fixed-unknown-rates uncertainty model;
-    they are labeled as samples, not bounds, in exported data.
+    they are labeled as samples, not bounds, in exported data.  One sweep
+    serves all matrices, and with ``restrict`` one s0 with the stacked w0 of
+    every matrix seeds it; each field equals its matrix's own
+    ``solve_cdf`` bit for bit.  The fields share the restricted sweep's
+    clamp.
     """
     rb = spec.rates if isinstance(spec.rates, RateBounds) else None
     for k, rm in enumerate(rate_grid):
@@ -174,9 +180,9 @@ def fixed_rate_sweep(
             raise ConfigError(f"rate matrix {k} has the wrong mode count")
         if rb is not None and not rb.contains(rm):
             raise ConfigError(f"rate matrix {k} lies outside the problem's rate bounds")
-    base = MinimalCost(spec, grid) if restrict else None
-    fields = []
-    for rm in rate_grid:
-        mc = base.field(replace(spec, rates=rm)) if restrict else None
-        fields.append(solve_cdf(spec, grid, tau=tau, restrict=mc, rates=rm))
-    return fields
+    if not rate_grid:
+        return []
+    mc = None
+    if restrict:
+        mc = MinimalCost(spec, grid).stacked([(replace(spec, rates=rm), None) for rm in rate_grid])
+    return _solve_cdfs(spec, grid, rate_grid, tau=tau, restrict=mc)

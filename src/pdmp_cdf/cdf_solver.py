@@ -26,7 +26,11 @@ fixed-rate sweep block-diagonally; the actions of one mode, or the modes
 of a bound sweep, on shared columns) and is the only code that assembles
 and applies level operators: ``gather``, one sparse product per level
 shift, is the level update of the CDF, bound and threshold sweeps alike,
-and all three run through ``_sweep``.
+and all three run through ``_sweep``.  The steps do not depend on the
+switching rates, so one fixed-rate CDF sweep serves several rate
+matrices: a leading rate axis rides through the mixing, the sparse
+products (one right-hand column per matrix) and ``_sweep``, and
+``solve_cdf`` is its one-matrix case.
 
 Expected exit costs, uncontrolled here and expectation-optimal in the
 control module, are solved by one routine: Howard's policy iteration over
@@ -46,7 +50,8 @@ neighbours of the exit nodes, then the 3^d neighbourhood of the nodes
 that decreased, which gives the full Jacobi iteration's fixed point bit
 for bit because feet are grid neighbours; w0 is iterated the same way.
 s0 does not depend on the switching rates, so ``MinimalCost`` computes
-it once and fills w0 for each rate choice.
+it once, selects each node's transport candidates once, and fills w0 for
+all rate choices at once.
 
 scipy.sparse is imported inside the functions that use it, so importing
 the package (and starting the CLI) does not pay for it.  Fallbacks are
@@ -60,6 +65,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -119,9 +125,15 @@ class SemiLagrangianStep:
     reads: weight ``1 - frac`` on level ``n - shift`` and ``frac`` on level
     ``n - shift + 1``.  With a constant running cost and the default tau
     every shift is 1 and every frac 0.  ``StepStack`` assembles the sparse
-    operators from them.  ``expected_const`` is the constant part of the
-    expected-cost update: the running cost of a regular step, the boundary
-    value of a capped one, ``ESCAPE_COST`` for an escaping one.
+    operators from them.
+
+    Everything above is independent of the switching rates.  The parts
+    that depend on them are computed from ``rates`` when first read:
+    ``probs`` (this mode's row of one-step transition probabilities),
+    ``cap_probs`` (the capped steps' mode mix) and ``expected_const``, the
+    constant part of the expected-cost update (the running cost of a
+    regular step, the boundary value of a capped one, ``ESCAPE_COST`` for
+    an escaping one); each is None without rates.
     """
 
     def __init__(
@@ -140,7 +152,6 @@ class SemiLagrangianStep:
         self.tau = float(tau)
         self.mode = mode
         m = spec.n_modes
-        n_nodes = grid.n_nodes
         pts = grid.points
         vel = velocities if velocities is not None else spec.modes[mode].dynamics.at(grid, pts, action)
         cost = costs if costs is not None else spec.modes[mode].cost.at(grid, pts, action)
@@ -149,7 +160,6 @@ class SemiLagrangianStep:
         if rates is None and spec.fixed_rates:
             rates = spec.rates
         self.rates = rates
-        self.probs = transition_probabilities(rates, tau)[mode] if rates is not None else None
 
         t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, pts, disp)
         theta = np.minimum(t_exit, t_escape)
@@ -186,18 +196,41 @@ class SemiLagrangianStep:
         self.cap_q = np.column_stack(
             [spec.modes[j].exit_cost.at(grid, qx) for j in range(m)]
         ) if self.cap_nodes.size else np.zeros((0, m))
-        if rates is None:
-            self.cap_probs = None
-            self.expected_const = None
-            return
-        self.cap_probs = np.zeros((self.cap_nodes.size, m))
-        self.cap_probs[:, mode] = 1.0
-        self.cap_probs += self.cap_theta_tau[:, None] * rates.matrix[mode][None, :]
-        const = np.zeros(n_nodes)
+
+    @cached_property
+    def probs(self) -> np.ndarray | None:
+        if self.rates is None:
+            return None
+        return transition_probabilities(self.rates, self.tau)[self.mode]
+
+    @cached_property
+    def cap_probs(self) -> np.ndarray | None:
+        if self.rates is None:
+            return None
+        modes = np.full(self.cap_nodes.size, self.mode)
+        return _cap_mix(modes, self.cap_theta_tau, self.rates.matrix)
+
+    @cached_property
+    def expected_const(self) -> np.ndarray | None:
+        if self.rates is None:
+            return None
+        const = np.zeros(self.grid.n_nodes)
         const[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes]
         const[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
         const[self.esc_nodes] = ESCAPE_COST
-        self.expected_const = const
+        return const
+
+
+def _cap_mix(modes: np.ndarray, theta_tau: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mode mix of capped steps out of ``modes`` over ``theta_tau``: I + theta*tau*Q, row by row.
+
+    ``q`` is one generator matrix (M, M), or several stacked (R, M, M),
+    which gives the mixes a leading rate axis: shape ``q.shape[:-2] + (K, M)``.
+    """
+    mix = np.zeros(q.shape[:-2] + (modes.size, q.shape[-1]))
+    mix[..., np.arange(modes.size), modes] = 1.0
+    mix += theta_tau[:, None] * q[..., modes, :]
+    return mix
 
 
 def _assemble(steps: list[SemiLagrangianStep], width: int, diagonal: bool,
@@ -242,11 +275,16 @@ class StepStack:
     (the actions of one mode, or the modes of a bound sweep reading every
     source mode).  ``probs`` holds the steps' probability rows, ``const`` the
     stacked ``expected_const``, and the ``cap_*`` arrays collect the capped
-    steps under their stacked rows.  The stack keeps no reference to the
-    steps, so their stencils can be freed once it is built.
+    steps under their stacked rows.  Given ``rates``, a list of R rate
+    matrices, ``probs`` (R, B, M) and ``cap_probs`` (R, n_cap, M) carry one
+    entry per matrix on a leading axis and the rate-dependent parts of the
+    steps are never computed (``const`` is None); this is how one sweep
+    serves every matrix of a fixed-rate sweep.  The stack keeps no
+    reference to the steps, so their stencils can be freed once it is built.
     """
 
-    def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False):
+    def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False,
+                 rates: list[RateMatrix] | None = None):
         self.n_nodes = n = steps[0].grid.n_nodes
         self.ds = steps[0].grid.ds
         width = len(steps) * n if diagonal else n
@@ -262,7 +300,16 @@ class StepStack:
         self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
         self.cap_ds = np.concatenate([st.cap_ds for st in steps])
         self.cap_q = np.concatenate([st.cap_q for st in steps])
-        rated = steps[0].probs is not None
+        if rates is not None:
+            modes = [st.mode for st in steps]
+            cap_modes = np.repeat(modes, [st.cap_nodes.size for st in steps])
+            theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
+            tau = steps[0].tau
+            self.probs = np.array([transition_probabilities(rm, tau)[modes] for rm in rates])
+            self.cap_probs = _cap_mix(cap_modes, theta_tau, np.array([rm.matrix for rm in rates]))
+            self.const = None
+            return
+        rated = steps[0].rates is not None
         self.probs = np.array([st.probs for st in steps]) if rated else None
         self.const = np.concatenate([st.expected_const for st in steps]) if rated else None
         self.cap_probs = np.concatenate([st.cap_probs for st in steps]) if rated else None
@@ -277,7 +324,9 @@ class StepStack:
         """
         total = 0.0
         for shift, parts, op in self.level_ops:
-            total = total + op @ np.concatenate([read(n - shift, p) for p in range(parts)])
+            x = read(n - shift, 0) if parts == 1 else np.concatenate(
+                [read(n - shift, p) for p in range(parts)])
+            total = total + op @ x
         return total
 
     def cap_indicator(self, n: int) -> np.ndarray:
@@ -285,8 +334,11 @@ class StepStack:
         return ((n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15).astype(float)
 
     def cap_cdf(self, n: int) -> np.ndarray:
-        """Fixed-rate CDF values of the capped rows at level n: the indicator's mode mix."""
-        return np.einsum("kj,kj->k", self.cap_probs, self.cap_indicator(n))
+        """Fixed-rate CDF values of the capped rows at level n: the indicator's mode mix.
+
+        With a leading rate axis on ``cap_probs`` the result has it too.
+        """
+        return np.einsum("...kj,kj->...k", self.cap_probs, self.cap_indicator(n))
 
 
 def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -349,11 +401,37 @@ def solve_cdf(
 
     Each level update mixes the previous levels over the modes with the
     one-step transition probabilities and applies the block-diagonal stack
-    of the modes' step operators: one sparse product per level shift.
+    of the modes' step operators: one sparse product per level shift.  This
+    is the one-matrix case of ``_solve_cdfs``.
     """
     if rates is not None:
         spec = replace(spec, rates=rates)
-    spec.require_fixed_rates()
+    (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict,
+                          velocities, costs)
+    return field
+
+
+def _solve_cdfs(
+    spec: ProblemSpec,
+    grid: Grid,
+    rates: list[RateMatrix],
+    tau: float | None = None,
+    restrict: MinCostField | None = None,
+    velocities: np.ndarray | None = None,
+    costs: np.ndarray | None = None,
+) -> list[CdfField]:
+    """The exit-cost CDF under each rate matrix of ``rates``, from one sweep.
+
+    The steps do not depend on the rates, so the modes' steps are built and
+    stacked once; ``spec``'s own rates are not read.  Level n of every
+    matrix comes from one mixing product per shift part, the stacked
+    probability matrices (R, M, M) times the previous levels (R, M, N), and
+    one sparse product per level shift with R right-hand columns.
+    ``restrict`` is one minimal-cost field (s0 does not depend on the rates)
+    whose w0 is a single (M, N) seed for every matrix or one per matrix,
+    stacked (R, M, N).  Each field keeps its own (M, L, N) values (see
+    ``_sweep``), and the fields share the restricted sweep's clamp.
+    """
     if spec.controlled and velocities is None:
         raise ConfigError("controlled problems need the control module (or frozen fields)")
     node_costs = costs if costs is not None else np.array(
@@ -370,41 +448,70 @@ def solve_cdf(
         )
         for i in range(spec.n_modes)
     ]
-    stack = StepStack(steps, diagonal=True)
-    zero = np.zeros(spec.n_modes * grid.n_nodes)
+    stack = StepStack(steps, diagonal=True, rates=rates)
+    n_rates, rows = len(rates), spec.n_modes * grid.n_nodes
+    zero = np.zeros((rows, n_rates))
 
-    def update(w: np.ndarray, n: int) -> np.ndarray:
-        vals = stack.gather(n, lambda lo, p: (stack.probs @ w[:, lo + p]).ravel() if lo >= 0
-                            else zero)
-        vals[stack.cap_rows] = stack.cap_cdf(n)
-        return vals.reshape(spec.n_modes, grid.n_nodes)
+    def update(level, n: int) -> np.ndarray:
+        # each part's level mixed over the modes, one column per matrix: (M * N, R)
+        vals = stack.gather(n, lambda lo, p: zero if lo < 0 else
+                            (stack.probs @ level(lo + p)).reshape(n_rates, rows).T)
+        vals[stack.cap_rows] = stack.cap_cdf(n).T
+        return vals.T.reshape(n_rates, spec.n_modes, grid.n_nodes)
 
-    w = _sweep(spec, grid, restrict, update)
-    return CdfField(grid, w, spec=spec, tau=tau, variant="fixed-rates")
+    matrices = "matrix" if n_rates == 1 else "matrices"
+    w, clamp = _sweep(spec, grid, restrict, update, f"CDF sweep over {n_rates} rate {matrices}",
+                      n_rates)
+    return [CdfField(grid, w[r], spec=spec if rm is spec.rates else replace(spec, rates=rm),
+                     tau=tau, variant="fixed-rates", clamp=clamp)
+            for r, rm in enumerate(rates)]
 
 
-def _sweep(spec, grid, restrict, update, what: str = "CDF") -> np.ndarray:
-    """Causal upward sweep; ``update(w, n)`` gives every mode's level n off the exit set.
+def _sweep(spec, grid, restrict, update, what: str, n_rates: int | None = None):
+    """Causal upward sweep; ``update(level, n)`` gives every mode's level n off the exit set.
 
-    It owns level 0, the restricted seeding with its clamp and the exit rows.
+    ``level(k)`` is the field's level k < n, shape (M, N).  With ``n_rates``
+    the sweep carries that many fields of a rate-stacked CDF sweep on a
+    leading axis: ``level(k)`` and the update have shape (R, M, N), and the
+    seeding uses one ``first_level`` with ``restrict.w0`` per field when it
+    is stacked.  Each field is its own (M, L, N) array, as separate solves
+    would allocate them: one (R, M, L, N) array needs fresh pages for all
+    of it, where arrays of one field's size reuse memory freed by earlier
+    work.  The level just below n is kept stacked, so the common
+    one-level-back read costs no copy.
+
+    It owns level 0, the restricted seeding with its clamp and the exit
+    rows.  Returns the field (a list of R fields with ``n_rates``) and the
+    clamp (None without ``restrict``).
     """
-    w = np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes))
     ex = grid.exit_mask
     q_exit = exit_costs(spec, grid)
+    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_rates or 1)]
+    for w in fields:
+        w[:, 0, ex] = 0.0 >= q_exit - 1e-15
+
+    def stored(k: int) -> np.ndarray:
+        return fields[0][:, k] if n_rates is None else np.stack([w[:, k] for w in fields])
+
+    def level(k: int) -> np.ndarray:
+        return prev if k == n - 1 else stored(k)
+
     first_level = restrict.first_level() if restrict is not None else None
-    clamp = MonotoneClamp(grid)
-    w[:, 0, ex] = 0.0 >= q_exit - 1e-15
+    clamp = MonotoneClamp(grid) if restrict is not None else None
+    prev = stored(0)
     for n in range(1, grid.n_levels):
-        vals = update(w, n)
+        vals = update(level, n)
         if first_level is not None:
             vals = np.where(n < first_level, 0.0, vals)
             vals = np.where(n == first_level, restrict.w0, vals)
-            vals = clamp.apply(vals, w[:, n - 1])
-        vals[:, ex] = n * grid.ds >= q_exit - 1e-15
-        w[:, n] = vals
-    if first_level is not None:
-        clamp.report(f"restricted {what} sweep")
-    return w
+            vals = clamp.apply(vals, prev)
+        vals[..., ex] = n * grid.ds >= q_exit - 1e-15
+        for w, v in zip(fields, [vals] if n_rates is None else vals):
+            w[:, n] = v
+        prev = vals
+    if clamp is not None:
+        clamp.report(f"restricted {what}")
+    return (fields[0] if n_rates is None else fields), clamp
 
 
 # ---------------------------------------------------------------------------
@@ -706,23 +813,6 @@ def _step_value(cand: tuple[float, int], vals) -> float:
     return math.inf if a < 0 else const + vals[a]
 
 
-def _w0_update(
-    spec: ProblemSpec, w0: np.ndarray, table: CandidateTable, c: int, k: int,
-    rates: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """First-order transport of the attainment probability along one 1D step."""
-    vals = w0[:, table.foot_a[c, k]]
-    i = table.mode[c]
-    h = float(table.h_at_foot[c, k])
-    coupling = 0.0
-    for j in range(spec.n_modes):
-        if j == i:
-            continue
-        diff = float(vals[j] - vals[i])
-        coupling += rates[0 if diff >= 0.0 else 1][i, j] * diff
-    return float(vals[i] + h * coupling)
-
-
 def _transport_rates(spec: ProblemSpec, sense: str | None) -> tuple[np.ndarray, np.ndarray]:
     """Rates of the attainment-probability transport for nonnegative and for negative gaps."""
     if sense is None:
@@ -745,7 +835,7 @@ def solve_min_cost(
     the fixed rate matrix, ``"upper"``/``"lower"`` extremize within rate
     bounds term by term.  s0 itself never depends on the rates; callers
     that need w0 for several rate choices build one ``MinimalCost`` and
-    ask it for each field.
+    ask it for all of them at once (``MinimalCost.stacked``).
     """
     return MinimalCost(spec, grid).field(spec, rate_sense, argmin_rtol)
 
@@ -766,8 +856,13 @@ class MinimalCost:
     table one mode block at a time and iterated over the neighbourhood of
     the last changes in the same way.
 
+    w0 is filled for all rate choices at once (``stacked``): the candidate
+    each node and mode transports along does not depend on the rates, so it
+    is selected once, and each transport step updates a length-R vector.
+    ``field`` is the one-choice case.
+
     ``passes`` and ``updates`` count the s0 passes and node decreases;
-    ``field`` logs them at DEBUG on the ``pdmp_cdf`` logger with the
+    every w0 fill logs them at DEBUG on the ``pdmp_cdf`` logger with the
     candidate count and its w0 passes.
     """
 
@@ -795,21 +890,50 @@ class MinimalCost:
 
         ``spec`` may differ from the one this was built from in its rates only.
         """
+        stacked = self.stacked([(spec, rate_sense)], argmin_rtol)
+        return MinCostField(self.grid, self.s0, stacked.w0[0])
+
+    def stacked(self, choices: list[tuple[ProblemSpec, str | None]],
+                argmin_rtol: float = 1e-9) -> MinCostField:
+        """s0 with one w0 per rate choice ``(spec, rate_sense)``, stacked: w0 is (R, M, N).
+
+        Each choice's w0 equals its own ``field`` bit for bit.
+        """
         grid = self.grid
-        rates = _transport_rates(spec, rate_sense)
+        transport = [_transport_rates(spec, sense) for spec, sense in choices]
+        rates = (np.array([up for up, _ in transport]), np.array([down for _, down in transport]))
         q_min = self.q_exit.min(axis=0)
-        w0 = np.zeros((spec.n_modes, grid.n_nodes))
+        w0 = np.zeros((len(choices), self.q_exit.shape[0], grid.n_nodes))
         exit_argmin = self.q_exit <= q_min + argmin_rtol * np.maximum(1.0, q_min)
-        w0[:, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
+        w0[:, :, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
         fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
-        w0_passes = fill(spec, grid, self.table, self.s0, w0, rates, argmin_rtol)
+        w0_passes = fill(grid, self.table, self.s0, w0, rates, argmin_rtol)
         log.debug("minimal cost: %d candidates, %d s0 passes, %d node updates, %d w0 passes",
                   self.table.mode.size, self.passes, self.updates, w0_passes)
         return MinCostField(grid, self.s0, w0)
 
 
-def _w0_ordered(spec, grid, table, s0, w0, rates, argmin_rtol) -> int:
-    """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass."""
+def _coupling(foot: np.ndarray, i: int, up: np.ndarray, down: np.ndarray):
+    """Switching term of mode i's transport: sum over j != i of rate * (foot_j - foot_i).
+
+    ``foot`` is (R, M, ...), and ``up[:, i, j]`` and ``down[:, i, j]`` are
+    the rates for nonnegative and for negative gaps, shaped to broadcast
+    against ``foot[:, j]``.  The terms are added in mode order.
+    """
+    coupling = 0.0
+    for j in range(foot.shape[1]):
+        if j != i:
+            diff = foot[:, j] - foot[:, i]
+            coupling = coupling + np.where(diff >= 0.0, up[:, i, j], down[:, i, j]) * diff
+    return coupling
+
+
+def _w0_ordered(grid, table, s0, w0, rates, argmin_rtol) -> int:
+    """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass.
+
+    A node's candidates and the modes that attain its s0 are selected once;
+    the transport then updates every rate choice's w0 (axis 0) together.
+    """
     interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
     order = interior[np.argsort(s0[interior], kind="stable")]
     cands = _node_candidates(table)
@@ -830,11 +954,13 @@ def _w0_ordered(spec, grid, table, s0, w0, rates, argmin_rtol) -> int:
         tol = argmin_rtol * max(1.0, abs(best))
         for i, (val, c) in per_mode_best.items():
             if val <= best + tol:
-                w0[i, k] = np.clip(_w0_update(spec, w0, table, c, k, rates), 0.0, 1.0)
+                foot = w0[:, :, table.foot_a[c, k]]
+                step = foot[:, i] + float(table.h_at_foot[c, k]) * _coupling(foot, i, *rates)
+                w0[:, i, k] = step.clip(0.0, 1.0)
     return 1
 
 
-def _w0_fixed_point(spec, grid, table, s0, w0, rates, argmin_rtol, max_iter=100000) -> int:
+def _w0_fixed_point(grid, table, s0, w0, rates, argmin_rtol, max_iter=100000) -> int:
     """Vectorized transport of the attainment probability to its fixed point.
 
     Each node takes, in every mode whose best candidate attains s0, the
@@ -842,10 +968,15 @@ def _w0_fixed_point(spec, grid, table, s0, w0, rates, argmin_rtol, max_iter=1000
     These are Jacobi passes over the nodes near the last changes only, as
     in ``_frontier_sweep``.  A foot can have a larger s0 than its node (the
     diagonal foot), so the order is not that of s0; while the dependencies
-    form no cycle the iteration is exact after the longest chain.  Returns
-    the pass count.
+    form no cycle the iteration is exact after the longest chain.
+
+    Every rate choice (axis 0 of ``w0``) runs its own iteration; the dirty
+    set is the union of theirs, which changes nothing for a choice whose own
+    feet did not move.  A choice whose changes on a pass are all at most
+    1e-15 has converged and is never written again, as if it ran alone.
+    Returns the pass count of the slowest choice.
     """
-    m = spec.n_modes
+    m = w0.shape[1]
     n = grid.n_nodes
     live = ~grid.exit_mask & np.isfinite(s0)
     cols = np.arange(n)
@@ -863,26 +994,23 @@ def _w0_fixed_point(spec, grid, table, s0, w0, rates, argmin_rtol, max_iter=1000
         member = live & (best_i <= best_all + argmin_rtol * np.maximum(1.0, np.abs(best_all)))
         per_mode.append((member, np.maximum(fa, 0), np.maximum(fb, 0), frac, h))
     dirty = np.flatnonzero(np.any([member for member, *_ in per_mode], axis=0))
+    up, down = (r[..., None] for r in rates)  # each rate against a row of nodes
+    active = np.ones(w0.shape[0], dtype=bool)
     for passes in range(1, max_iter + 1):
-        old = w0[:, dirty]
+        old = w0[:, :, dirty]
         new = old.copy()
         for i, (member, fa, fb, frac, h) in enumerate(per_mode):
             sel = member[dirty]
             k = dirty[sel]
-            foot = (1.0 - frac[k]) * w0[:, fa[k]] + frac[k] * w0[:, fb[k]]
-            coupling = np.zeros(k.size)
-            for j in range(m):
-                if j == i:
-                    continue
-                diff = foot[j] - foot[i]
-                lam = np.where(diff >= 0.0, rates[0][i, j], rates[1][i, j])
-                coupling += lam * diff
-            new[i, sel] = np.clip(foot[i] + h[k] * coupling, 0.0, 1.0)
+            foot = (1.0 - frac[k]) * w0[:, :, fa[k]] + frac[k] * w0[:, :, fb[k]]
+            new[:, i, sel] = np.clip(foot[:, i] + h[k] * _coupling(foot, i, up, down), 0.0, 1.0)
         change = np.abs(new - old)
-        if not np.any(change > 1e-15):
+        active &= np.any(change > 1e-15, axis=(1, 2))
+        if not active.any():
             return passes
-        w0[:, dirty] = new
-        dirty = np.flatnonzero(_near(grid, dirty[np.any(change > 0.0, axis=0)]))
+        w0[:, :, dirty] = np.where(active[:, None, None], new, old)
+        moved = np.any(change[active] > 0.0, axis=(0, 1))
+        dirty = np.flatnonzero(_near(grid, dirty[moved]))
     raise ConvergenceError("attainment-probability sweeps did not converge")
 
 

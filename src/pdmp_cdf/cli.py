@@ -412,27 +412,36 @@ def _parse_slices(texts: list[str], grid: Grid) -> list[tuple[str, list]]:
     return out
 
 
-def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None):
-    """Long-form rows (x[, y], mode, s, value[, lo, hi]) for checked slices (`_parse_slices`)."""
-    rows = []
+def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None, extra=()):
+    """Long-form rows (x[, y], mode, s, value[, lo, hi], *extra) for checked slices.
+
+    The slices come from `_parse_slices`.  A sheet runs over (level, mode,
+    node) and a point curve over (mode, level).  Each slice is built from
+    whole columns: index arithmetic picks the nodes, modes and levels,
+    ``tolist`` turns every column into Python numbers, and ``extra``
+    appends constant columns.
+    """
     m = field_values.shape[0]
+    fields = [f for f in (field_values, lo, hi) if f is not None]
+    rows = []
     for kind, items in slices:
         if kind == "s":
-            for n in items:
-                for i in range(m):
-                    for k in range(grid.n_nodes):
-                        row = [*(float(c) for c in grid.points[k]), i + 1, float(n * grid.ds),
-                               float(field_values[i, n, k])]
-                        if lo is not None:
-                            row += [float(lo[i, n, k]), float(hi[i, n, k])]
-                        rows.append(row)
+            per_level = m * grid.n_nodes
+            node = np.tile(np.arange(grid.n_nodes), len(items) * m)
+            mode = np.tile(np.repeat(np.arange(m), grid.n_nodes), len(items))
+            level = np.repeat(np.asarray(items, dtype=int), per_level)
+            coords = grid.points[node]
+            values = [f[mode, level, node] for f in fields]
         else:
-            for pt in items:
-                for i in range(m):
-                    curves = [grid.curve(f[i], pt) for f in (field_values, lo, hi) if f is not None]
-                    for n in range(grid.n_levels):
-                        rows.append([*(float(c) for c in pt), i + 1, float(n * grid.ds),
-                                     *(float(c[n]) for c in curves)])
+            per_point = m * grid.n_levels
+            coords = np.repeat(np.asarray(items, dtype=float), per_point, axis=0)
+            mode = np.tile(np.repeat(np.arange(m), grid.n_levels), len(items))
+            level = np.tile(np.arange(grid.n_levels), len(items) * m)
+            values = [np.concatenate([grid.curve(f[i], pt) for pt in items for i in range(m)])
+                      for f in fields]
+        columns = [*coords.T.tolist(), (mode + 1).tolist(), (level * grid.ds).tolist(),
+                   *(v.tolist() for v in values), *([c] * mode.size for c in extra)]
+        rows.extend(zip(*columns))
     return rows
 
 
@@ -565,10 +574,13 @@ def _cmd_sweep(args) -> int:
     rows = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
-        for row in _field_rows(field.values, grid, slices):
-            rows.append(row + [float(off[0, 1]), float(off[1, 0]), "sample"])
+        rows += _field_rows(field.values, grid, slices,
+                            extra=(float(off[0, 1]), float(off[1, 0]), "sample"))
     exporter.write_rows("sweep.csv", _header(spec.dim, extra=["rate_12", "rate_21", "kind"]), rows)
-    exporter.finish()
+    clamp = fields[0].clamp
+    exporter.finish({"rate_matrices": len(rate_grid),
+                     "clamp": None if clamp is None else {"count": clamp.count,
+                                                          "largest": clamp.largest}})
     return EXIT_OK
 
 
@@ -608,10 +620,8 @@ def _cmd_threshold(args) -> int:
     # per-node labels, so only node-exact sheets are exported
     sheet_slices = [(kind, items) for kind, items in slices if kind == "s"]
     if sheet_slices:
-        action_rows = [row[:-1] + [int(row[-1])]
-                       for row in _field_rows(tv.actions.astype(float), grid, sheet_slices)]
         exporter.write_rows("policy_map.csv", ["x", "y"][:spec.dim] + ["mode", "s", "action"],
-                            action_rows)
+                            _field_rows(tv.actions, grid, sheet_slices))
     policy = control.synthesize_policy(tv, spec, grid)
     if args.policy_out:
         control.save_policy(policy, args.policy_out)
@@ -721,6 +731,9 @@ def _add_common(p: argparse.ArgumentParser, policy_io: bool = False) -> None:
                        help="write the synthesized policy to this file")
 
 
+_WRITES_NO_SLICES = {"min-cost", "hjb", "simulate"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pdmp-cdf",
@@ -759,6 +772,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.slice and args.command in _WRITES_NO_SLICES:
+            raise ConfigError(f"{args.command} writes no slices; --slice is not read")
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -282,13 +282,13 @@ def solve_threshold(
     cols = np.arange(n_nodes)
     zero = np.zeros(n_nodes)
 
-    def update(w: np.ndarray, n: int) -> np.ndarray:
+    def update(level, n: int) -> np.ndarray:
         wmax = np.empty((m, n_nodes))
         for i, stack in enumerate(stacks):
             # [W, V] candidates of every action, the modes mixed first
             probs = stack.probs[0]
             cand = stack.gather(n, lambda lo, p: np.column_stack(
-                [probs @ w[:, lo + p] if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
+                [probs @ level(lo + p) if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
             wc = cand[:, 0]
             wc[stack.cap_rows] = stack.cap_cdf(n)
             vals = wc.reshape(n_act, n_nodes)
@@ -302,7 +302,7 @@ def solve_threshold(
             v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
         return wmax
 
-    w = _sweep(spec, grid, restrict, update, "threshold")
+    w, clamp = _sweep(spec, grid, restrict, update, "threshold sweep")
 
     # boundary-cell lookups read the exit-node entries; give them the law of
     # the nearest interior node instead of meaningless boundary updates
@@ -310,7 +310,7 @@ def solve_threshold(
     if np.any(ex):
         actions[:, :, ex] = actions[:, :, fill[ex]]
 
-    wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal")
+    wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal", clamp=clamp)
     return ThresholdValue(grid=grid, spec=spec, w=wf, v=v, actions=actions,
                           u=u, a_star=a_star, tau=tau)
 

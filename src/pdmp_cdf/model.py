@@ -711,16 +711,19 @@ class CdfField:
 
     ``evaluate`` interpolates multilinearly in space and linearly in the
     cost threshold; queries below threshold zero return the flat extension
-    (zero off the exit set, the exit-cost indicator on it).
+    (zero off the exit set, the exit-cost indicator on it).  ``clamp`` is
+    the monotone clamp of the restricted sweep that produced the field
+    (None when unrestricted); the fields of one rate-stacked sweep share it.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, spec: ProblemSpec | None = None,
-                 tau: float | None = None, variant: str = ""):
+                 tau: float | None = None, variant: str = "", clamp=None):
         self.grid = grid
         self.values = values
         self.spec = spec
         self.tau = tau
         self.variant = variant
+        self.clamp = clamp
 
     @property
     def n_modes(self) -> int:

@@ -12,7 +12,8 @@ from pdmp_cdf.bounds import (
     solve_bounds,
     solve_min_cost_bounds,
 )
-from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
+from pdmp_cdf import cdf_solver
+from pdmp_cdf.cdf_solver import MinimalCost, solve_cdf, solve_min_cost
 from pdmp_cdf.errors import ConfigError
 from pdmp_cdf.model import RateBounds, RateMatrix
 
@@ -180,3 +181,55 @@ class TestFixedRateSweep:
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, restrict=True)):
             own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
             assert np.array_equal(field.values, solve_cdf(spec, grid, restrict=own, rates=rm).values)
+
+    def test_level_shifts_match_their_own_restricted_solves(self, ex4):
+        # tau = 1.6 ds reads two levels per step, with fractional weights
+        spec, grid = ex4
+        rms = default_rate_grid((1.0, 2.5))
+        tau = 1.6 * grid.ds
+        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
+            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            assert np.array_equal(field.values,
+                                  solve_cdf(spec, grid, tau=tau, restrict=own, rates=rm).values)
+
+    def test_steps_are_built_once_per_mode(self, ex4, monkeypatch):
+        spec, grid = ex4
+        built = []
+        init = cdf_solver.SemiLagrangianStep.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[3] if len(args) > 3 else kwargs["mode"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cdf_solver.SemiLagrangianStep, "__init__", counting)
+        fields = fixed_rate_sweep(spec, grid, default_rate_grid(), restrict=True)
+        assert len(fields) == 16
+        assert sorted(built) == list(range(spec.n_modes))
+
+    def test_fields_own_their_levels_and_share_the_clamp(self, ex4):
+        # one array per field, as separate solves allocate them, so a sweep
+        # can reuse memory freed by earlier work; one clamp counts every matrix
+        spec, grid = ex4
+        fields = fixed_rate_sweep(spec, grid, default_rate_grid((1.0, 4.0)), restrict=True)
+        for field in fields:
+            assert field.values.shape == (spec.n_modes, grid.n_levels, grid.n_nodes)
+            assert field.values.flags.owndata and field.values.flags.c_contiguous
+            assert field.clamp is fields[0].clamp
+        assert fields[0].clamp.count > 0
+
+    def test_2d_matrices_match_their_own_restricted_solves(self):
+        # the attainment probabilities settle after 11, 9, 6 and 2 passes; the
+        # fast decays stop on changes of at most 1e-15 that the slow ones would
+        # keep writing, so each matrix must stop on its own pass
+        spec = catalog.example3()
+        grid = build_grid(spec, 5e-2, 5e-2, 1.0)
+        rms = [RateMatrix.uniform(4, 1.0), RateMatrix.uniform(4, 6.6),
+               RateMatrix.uniform(4, 6.66), RateMatrix(20.0 * np.roll(np.eye(4), 1, axis=1))]
+        stacked = MinimalCost(spec, grid).stacked(
+            [(dataclasses.replace(spec, rates=rm), None) for rm in rms])
+        fields = fixed_rate_sweep(spec, grid, rms, restrict=True)
+        for r, (rm, field) in enumerate(zip(rms, fields)):
+            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            assert np.array_equal(stacked.w0[r], own.w0)
+            assert np.array_equal(field.values,
+                                  solve_cdf(spec, grid, restrict=own, rates=rm).values)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdmp_cdf
-from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, control
+from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, control, simulate
 from pdmp_cdf.bounds import default_rate_grid
 from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.cli import (
@@ -18,6 +19,8 @@ from pdmp_cdf.cli import (
     EXIT_CONVERGENCE,
     EXIT_NUMERICS,
     Exporter,
+    _field_rows,
+    _parse_slices,
     load_problem,
     main,
     serialize_problem,
@@ -236,6 +239,31 @@ class TestCommands:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].endswith("rate_12,rate_21,kind")
         assert all(line.endswith("sample") for line in lines[1:])
+
+    def test_sweep_manifest_counts_matrices_and_clamp(self, tmp_path, caplog):
+        argv = ["sweep", "--problem", "example4", "--dx", "0.02", "--ds", "0.02",
+                "--s-max", "0.5", "--rates", "1,4", "--slice", "s=0.24"]
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            assert main(argv + ["--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        (rec,) = [r for r in caplog.records if "CDF" in r.getMessage()]
+        what, count, largest = rec.args
+        assert what == "restricted CDF sweep over 4 rate matrices"
+        assert manifest["rate_matrices"] == 4
+        assert manifest["clamp"] == {"count": count, "largest": largest}
+        spec, grid, *_ = load_problem("example4", {"numerics": {"dx": 0.02, "ds": 0.02,
+                                                               "s_max": 0.5}})
+        clamp = bounds.fixed_rate_sweep(spec, grid, default_rate_grid((1.0, 4.0)),
+                                        restrict=True)[0].clamp
+        assert (clamp.count, clamp.largest) == (count, largest) and count > 0
+        doc = {"schema_version": 1, "problem": "example4",
+               "numerics": {"dx": 0.02, "ds": 0.02, "s_max": 0.5},
+               "run": {"restrict": False}, "output": {}}
+        out = tmp_path / "u"
+        assert main(["sweep", "--problem", write_config(tmp_path, doc), "--rates", "1,4",
+                     "--slice", "s=0.24", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rate_matrices"] == 4 and manifest["clamp"] is None
 
     def test_sweep_honours_tau(self, tmp_path):
         # every row of sweep.csv is its matrix's own restricted solve at the configured tau
@@ -477,6 +505,11 @@ class TestRunValues:
         (["sweep", "--problem", "example4"], {"rates": ["1", "two"]}),
         (["threshold", *EX5_DS2], {"thresholds": "0.2,abc"}),
         (["threshold", *EX5_DS2], {"thresholds": [0.2, True]}),
+        (["min-cost", "--problem", "example1", "--dx", "0.01", "--ds", "0.01", "--slice", "s=abc"],
+         {}),
+        (["min-cost", "--problem", "example1", "--slice", "s=0.5"], {}),
+        (["hjb", "--problem", "example5", "--dx", "0.02", "--ds", "0.01", "--slice", "s=9"], {}),
+        (["simulate", "--problem", "example1", "--n", "10", "--slice", "x=5"], {}),
     ])
     def test_bad_export_requests_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys,
                                                           argv, run):
@@ -486,7 +519,8 @@ class TestRunValues:
         for mod, name in ((cdf_solver, "solve_min_cost"), (cdf_solver, "solve_cdf"),
                           (bounds, "solve_bounds"), (bounds, "solve_min_cost_bounds"),
                           (bounds, "fixed_rate_sweep"), (control, "solve_hjb_expectation"),
-                          (control, "solve_threshold"), (control, "load_policy")):
+                          (control, "solve_threshold"), (control, "load_policy"),
+                          (simulate, "run_batch")):
             monkeypatch.setattr(mod, name, refuse)
         if run:
             problem = argv[argv.index("--problem") + 1]
@@ -528,6 +562,55 @@ def test_write_rows_matches_row_wise_formatting(tmp_path):
     assert exporter.write_rows("e.csv", ["x"], []).read_text() == "x\n"
     with pytest.raises(ValueError):
         exporter.write_rows("r.csv", ["x", "y"], [(1, 2), (3,)])
+
+
+def row_wise_field_rows(field_values, grid, slices, lo=None, hi=None):
+    """The one-row-at-a-time formula that `_field_rows` builds by columns."""
+    rows = []
+    m = field_values.shape[0]
+    for kind, items in slices:
+        if kind == "s":
+            for n in items:
+                for i in range(m):
+                    for k in range(grid.n_nodes):
+                        row = [*(float(c) for c in grid.points[k]), i + 1, float(n * grid.ds),
+                               float(field_values[i, n, k])]
+                        if lo is not None:
+                            row += [float(lo[i, n, k]), float(hi[i, n, k])]
+                        rows.append(row)
+        else:
+            for pt in items:
+                for i in range(m):
+                    curves = [grid.curve(f[i], pt) for f in (field_values, lo, hi) if f is not None]
+                    for n in range(grid.n_levels):
+                        rows.append([*(float(c) for c in pt), i + 1, float(n * grid.ds),
+                                     *(float(c[n]) for c in curves)])
+    return rows
+
+
+@pytest.mark.parametrize("name, dx, texts", [
+    ("example1", 0.02, ["s=0.1,0.5", "x=0.3,0.71", "s=1.0"]),
+    ("example3", 0.1, ["s=0.2,0.6", "at=0.4:0.3,0.25:0.75"]),
+])
+def test_field_rows_match_the_row_wise_formula(tmp_path, name, dx, texts):
+    spec = catalog.builtin(name)
+    grid = build_grid(spec, dx, dx / 3, 1.0)
+    rng = np.random.default_rng(4)
+    shape = (spec.n_modes, grid.n_levels, grid.n_nodes)
+    values, lo, hi = (rng.random(shape) / 3 for _ in range(3))
+    slices = _parse_slices(texts, grid)
+    exporter = Exporter(str(tmp_path), {}, {})
+    for bounds_cols in ({}, {"lo": lo, "hi": hi}):
+        want = row_wise_field_rows(values, grid, slices, **bounds_cols)
+        got = _field_rows(values, grid, slices, **bounds_cols)
+        assert [list(row) for row in got] == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        header = [f"c{j}" for j in range(len(want[0]))]
+        assert (exporter.write_rows("got.csv", header, got).read_bytes()
+                == exporter.write_rows("want.csv", header, want).read_bytes())
+    got = _field_rows(values, grid, slices, extra=(1.0, 4.0, "sample"))
+    assert [list(row) for row in got] == [row + [1.0, 4.0, "sample"]
+                                          for row in row_wise_field_rows(values, grid, slices)]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
