@@ -55,17 +55,6 @@ class MinCostBounds:
         return MinCostField(self.grid, self.s0, self.w0_lower)
 
 
-def optimal_rates_pointwise(
-    diffs: np.ndarray, bounds: RateBounds, sense: str, mode: int
-) -> np.ndarray:
-    """Bang-bang optimal rates out of ``mode`` for one node update.
-
-    ``diffs[j]`` is the interpolated value gap w_j - w_i at the step foot;
-    the rule is `RateBounds.extreme_rates`.
-    """
-    return bounds.extreme_rates(sense, diffs, mode)
-
-
 def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds, sense: str):
     """Level update of one bound field: per-source foot values, then the bang-bang mix.
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import catalog, cdf_solver, control, discrete, simulate
+from .csvtable import Table, write_csv
 from .errors import ConfigError, ConvergenceError, NumericsError, PdmpError
 from .model import (
     ControlSet,
@@ -168,51 +169,6 @@ def parse_problem(doc: dict | str, n_angles: int | None = None) -> ProblemSpec:
     )
 
 
-def serialize_problem(spec: ProblemSpec) -> dict:
-    """Inverse of ``parse_problem`` for full problem documents."""
-    def scalar(f: ScalarField) -> dict:
-        if f.kind == "constant":
-            return {"kind": "constant", "value": f.value}
-        return {"kind": "tabulated", "values": np.asarray(f.values).tolist()}
-
-    def vector(f: VectorField) -> dict:
-        if f.kind == "constant":
-            return {"kind": "constant", "vector": f.vector.tolist()}
-        if f.kind == "control_offset":
-            return {"kind": "control_offset", "offset": f.vector.tolist()}
-        return {"kind": "tabulated", "values": np.asarray(f.values).tolist()}
-
-    exit_doc: dict = {"kind": spec.exit_set.kind}
-    if spec.exit_set.kind == "faces":
-        exit_doc["faces"] = list(spec.exit_set.faces)
-    if spec.exit_set.kind == "boxes":
-        exit_doc["boxes"] = [[[lo, hi] for lo, hi in box] for box in spec.exit_set.boxes]
-    if spec.controls.empty:
-        controls: dict = {"kind": "none"}
-    elif spec.controls.kind == "unit_circle":
-        controls = {"kind": "unit_circle", "n_angles": spec.controls.n_angles}
-    else:
-        controls = {"kind": "list", "vectors": spec.controls.vectors.tolist()}
-    if spec.fixed_rates:
-        rates = {"kind": "fixed", "matrix": spec.rates.off_diagonal().tolist()}
-    else:
-        rates = {"kind": "bounds", "lower": spec.rates.lower.tolist(),
-                 "upper": spec.rates.upper.tolist()}
-    return {
-        "name": spec.name,
-        "dimension": spec.dim,
-        "domain": {"lo": spec.lo.tolist(), "hi": spec.hi.tolist()},
-        "exit": exit_doc,
-        "modes": [
-            {"dynamics": vector(m.dynamics), "cost": scalar(m.cost),
-             "exit_cost": scalar(m.exit_cost)}
-            for m in spec.modes
-        ],
-        "rates": rates,
-        "controls": controls,
-    }
-
-
 _NUMERICS_KEYS = {"dx", "ds", "s_max", "tau", "n_angles", "tol", "max_iter"}
 _RUN_KEYS = {"slices", "thresholds", "threshold", "rates", "samples", "seed", "start",
              "restrict", "horizon_cap", "dump_samples"}
@@ -287,21 +243,6 @@ def load_problem(path_or_name: str, overrides: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-_CSV_BLOCK = 256  # rows formatted together by `Exporter.write_rows`
-
-
-def _format_column(col: tuple) -> list[str]:
-    """CSV cells of one column: ``repr`` of floats, ``str`` of everything else."""
-    try:
-        return list(map(float.__repr__, col))  # all floats: the common case
-    except TypeError:
-        return [_fmt(v) if isinstance(v, float) else str(v) for v in col]
-
-
 class Exporter:
     """Writes long-form CSV slices plus a manifest for one run."""
 
@@ -315,22 +256,10 @@ class Exporter:
         self.grid_desc = grid_desc
         self.seed = seed
 
-    def write_rows(self, name: str, header: list[str], rows) -> Path:
-        """Write one CSV file; ``rows`` must be a sized sequence (a list), not a generator.
-
-        Every row has the same length.  Cells are formatted one column at a
-        time (`_format_column`) and then joined by row, a block of rows at a
-        time so that the formatted text never holds the whole file.
-        """
-        if len(set(map(len, rows))) > 1:
-            raise ValueError(f"{name}: rows of different lengths")
+    def write_rows(self, name: str, header: list[str], rows: Table) -> Path:
+        """Write one CSV file from the columns of ``rows`` (see `csvtable`)."""
         path = self.dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(rows), _CSV_BLOCK):
-                columns = [_format_column(col) for col in zip(*rows[start:start + _CSV_BLOCK])]
-                if columns:
-                    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        write_csv(path, header, rows)
         self.files.append(name)
         return path
 
@@ -412,18 +341,17 @@ def _parse_slices(texts: list[str], grid: Grid) -> list[tuple[str, list]]:
     return out
 
 
-def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None, extra=()):
-    """Long-form rows (x[, y], mode, s, value[, lo, hi], *extra) for checked slices.
+def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None, extra=()) -> Table:
+    """Long-form rows (x[, y], mode, s, value[, lo, hi], *extra) for checked slices, as columns.
 
     The slices come from `_parse_slices`.  A sheet runs over (level, mode,
-    node) and a point curve over (mode, level).  Each slice is built from
-    whole columns: index arithmetic picks the nodes, modes and levels,
-    ``tolist`` turns every column into Python numbers, and ``extra``
-    appends constant columns.
+    node) and a point curve over (mode, level).  Index arithmetic picks the
+    nodes, modes and levels of each slice, the slices are stacked, and
+    ``extra`` appends constant columns.
     """
     m = field_values.shape[0]
     fields = [f for f in (field_values, lo, hi) if f is not None]
-    rows = []
+    parts = []
     for kind, items in slices:
         if kind == "s":
             per_level = m * grid.n_nodes
@@ -439,10 +367,19 @@ def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None, extra=()):
             level = np.tile(np.arange(grid.n_levels), len(items) * m)
             values = [np.concatenate([grid.curve(f[i], pt) for pt in items for i in range(m)])
                       for f in fields]
-        columns = [*coords.T.tolist(), (mode + 1).tolist(), (level * grid.ds).tolist(),
-                   *(v.tolist() for v in values), *([c] * mode.size for c in extra)]
-        rows.extend(zip(*columns))
-    return rows
+        parts.append([*coords.T, mode + 1, level * grid.ds, *values])
+    return Table([*(np.concatenate(col) for col in zip(*parts)), *extra])
+
+
+def _node_mode_columns(grid: Grid, n_modes: int) -> list[np.ndarray]:
+    """Coordinate and 1-based mode columns of per-(node, mode) rows, node slowest."""
+    return [*np.repeat(grid.points, n_modes, axis=0).T,
+            np.tile(np.arange(1, n_modes + 1), grid.n_nodes)]
+
+
+def _inf_if_not_finite(values: np.ndarray) -> np.ndarray:
+    """Minimal costs as written: every non-finite value reads ``inf``."""
+    return np.where(np.isfinite(values), values, np.inf)
 
 
 def _header(dim: int, with_bounds: bool = False, extra: list[str] | None = None) -> list[str]:
@@ -495,9 +432,11 @@ def _cmd_solve_cdf(args) -> int:
         exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
                             {"nodes": g.n_nodes, "routes": g.n_routes, "ds": ds,
                              "n_levels": w.n_levels}, gdoc)
-        rows = [[k, i + 1, float(n * ds), float(w.values[i, n, k])]
-                for k in range(g.n_nodes) for i in range(g.n_routes)
-                for n in range(w.n_levels)]
+        per_node = g.n_routes * w.n_levels
+        rows = Table([np.repeat(np.arange(g.n_nodes), per_node),
+                      np.tile(np.repeat(np.arange(1, g.n_routes + 1), w.n_levels), g.n_nodes),
+                      np.tile(np.arange(w.n_levels) * ds, g.n_nodes * g.n_routes),
+                      w.values.transpose(2, 0, 1).reshape(-1)])
         exporter.write_rows("cdf.csv", ["node", "route", "s", "value"], rows)
         exporter.finish()
         return EXIT_OK
@@ -522,9 +461,9 @@ def _cmd_min_cost(args) -> int:
         exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
                             {"nodes": g.n_nodes, "routes": g.n_routes, "ds": 1.0, "n_levels": 0},
                             gdoc)
-        rows = [[k, i + 1, float(s0[i, k]) if np.isfinite(s0[i, k]) else "inf",
-                 float(w0[i, k])]
-                for k in range(g.n_nodes) for i in range(g.n_routes)]
+        rows = Table([np.repeat(np.arange(g.n_nodes), g.n_routes),
+                      np.tile(np.arange(1, g.n_routes + 1), g.n_nodes),
+                      _inf_if_not_finite(s0).T.reshape(-1), w0.T.reshape(-1)])
         exporter.write_rows("min_cost.csv", ["node", "route", "min_cost", "attain_prob"], rows)
         exporter.finish()
         return EXIT_OK
@@ -532,12 +471,8 @@ def _cmd_min_cost(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "min-cost", "problem": args.problem, "numerics": numerics})
     mc = cdf_solver.solve_min_cost(spec, grid)
-    rows = []
-    for k in range(grid.n_nodes):
-        for i in range(spec.n_modes):
-            rows.append([*(float(c) for c in grid.points[k]), i + 1,
-                         float(mc.s0[k]) if np.isfinite(mc.s0[k]) else "inf",
-                         float(mc.w0[i, k])])
+    rows = Table([*_node_mode_columns(grid, spec.n_modes),
+                  np.repeat(_inf_if_not_finite(mc.s0), spec.n_modes), mc.w0.T.reshape(-1)])
     exporter.write_rows("min_cost.csv", ["x", "y"][:spec.dim] + ["mode", "min_cost", "attain_prob"], rows)
     exporter.finish({"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask))})
     return EXIT_OK
@@ -571,11 +506,12 @@ def _cmd_sweep(args) -> int:
     rate_grid = bounds_mod.default_rate_grid(levels)
     fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics.get("tau"),
                                          restrict=run.get("restrict", True))
-    rows = []
+    tables = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
-        rows += _field_rows(field.values, grid, slices,
-                            extra=(float(off[0, 1]), float(off[1, 0]), "sample"))
+        tables.append(_field_rows(field.values, grid, slices,
+                                  extra=(float(off[0, 1]), float(off[1, 0]), "sample")))
+    rows = Table.concat(tables)
     exporter.write_rows("sweep.csv", _header(spec.dim, extra=["rate_12", "rate_21", "kind"]), rows)
     clamp = fields[0].clamp
     exporter.finish({"rate_matrices": len(rate_grid),
@@ -590,11 +526,8 @@ def _cmd_hjb(args) -> int:
                         {"cmd": "hjb", "problem": args.problem, "numerics": numerics})
     value, policy = control.solve_hjb_expectation(
         spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
-    rows = []
-    for k in range(grid.n_nodes):
-        for i in range(spec.n_modes):
-            rows.append([*(float(c) for c in grid.points[k]), i + 1,
-                         float(value.u[i, k]), int(policy.actions[i, 0, k])])
+    rows = Table([*_node_mode_columns(grid, spec.n_modes), value.u.T.reshape(-1),
+                  policy.actions[:, 0, :].T.reshape(-1)])
     exporter.write_rows("expected_cost.csv", ["x", "y"][:spec.dim] + ["mode", "value", "action"], rows)
     if args.policy_out:
         control.save_policy(policy, args.policy_out)
@@ -663,7 +596,7 @@ def _cmd_simulate(args) -> int:
     batch = simulate.run_batch(spec, start, n, seed, policy=policy, threshold=threshold,
                                horizon_cap=run.get("horizon_cap"), grid=grid)
     ecdf = simulate.empirical_cdf(batch)
-    rows = list(zip(ecdf.costs.tolist(), ecdf.evaluate(ecdf.costs).tolist()))
+    rows = Table([ecdf.costs, ecdf.evaluate(ecdf.costs)])
     exporter.write_rows("empirical_cdf.csv", ["cost", "cdf"], rows)
     if args.dump_samples or run.get("dump_samples"):
         simulate.write_samples_csv(batch, str(exporter.dir / "samples.csv"))

@@ -230,9 +230,6 @@ class ScalarField:
     def min_value(self) -> float:
         return self.value if self.kind == "constant" else float(self.values.min())
 
-    def max_value(self) -> float:
-        return self.value if self.kind == "constant" else float(self.values.max())
-
 
 @dataclass(frozen=True)
 class VectorField:

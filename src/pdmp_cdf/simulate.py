@@ -29,7 +29,6 @@ and event, with the 64x64->128-bit products done on 32-bit limbs
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import Policy
+from .csvtable import Table, write_csv
 from .errors import ConfigError, NumericsError
 from .model import Grid, ProblemSpec
 
@@ -763,16 +763,13 @@ def estimate_mean(samples) -> tuple[float, float]:
 
 
 def write_samples_csv(batch: BatchResult, path: str) -> None:
-    """One row per sample: stream index, start, outcome flags, cost, switches."""
-    start = [repr(float(v)) for v in batch.start_x]
-    mode0 = batch.start_mode + 1
-    costs = [repr(v) if math.isfinite(v) else "inf" for v in batch.costs.tolist()]
-    columns = zip(batch.exited.astype(int).tolist(), batch.escaped.astype(int).tolist(),
-                  batch.censored.astype(int).tolist(), costs, batch.switch_counts.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        coords = [f"x0_{a}" for a in range(batch.start_x.size)]
-        writer.writerow(["sample", *coords, "mode0", "exited", "escaped", "censored",
-                         "cost", "switches"])
-        writer.writerows([i, *start, mode0, ex, es, ce, cost, sw]
-                         for i, (ex, es, ce, cost, sw) in enumerate(columns))
+    """One row per sample: stream index, start, outcome flags, cost, switches.
+
+    A cost that is not finite (a censored or escaped sample) reads ``inf``.
+    """
+    coords = [f"x0_{a}" for a in range(batch.start_x.size)]
+    header = ["sample", *coords, "mode0", "exited", "escaped", "censored", "cost", "switches"]
+    write_csv(path, header, Table([
+        np.arange(batch.n), *(float(v) for v in batch.start_x), batch.start_mode + 1,
+        batch.exited.astype(int), batch.escaped.astype(int), batch.censored.astype(int),
+        np.where(np.isfinite(batch.costs), batch.costs, np.inf), batch.switch_counts]))

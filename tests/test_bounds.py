@@ -8,7 +8,6 @@ from pdmp_cdf import build_grid, catalog
 from pdmp_cdf.bounds import (
     default_rate_grid,
     fixed_rate_sweep,
-    optimal_rates_pointwise,
     solve_bounds,
     solve_min_cost_bounds,
 )
@@ -51,7 +50,6 @@ class TestPointwiseRates:
         gaps = np.array([-0.5, 0.0, 0.5])
         for sense in ("min", "max"):
             row = rb.extreme_rates(sense, gaps, 1)
-            assert np.array_equal(optimal_rates_pointwise(gaps, rb, sense, 1), row)
             assert [rb.extreme_rates(sense, g, 1, j) for j, g in enumerate(gaps)] == list(row)
             per_node = rb.extreme_rates(sense, gaps, 2, 0)
             assert np.array_equal(per_node, [rb.extreme_rates(sense, g, 2, 0) for g in gaps])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -23,9 +24,9 @@ from pdmp_cdf.cli import (
     _parse_slices,
     load_problem,
     main,
-    serialize_problem,
 )
 from pdmp_cdf.control import Policy, save_policy
+from pdmp_cdf.csvtable import Table
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import (
     ControlSet,
@@ -36,6 +37,7 @@ from pdmp_cdf.model import (
     ScalarField,
     VectorField,
 )
+from reference_config import serialize_problem
 
 
 def specs_equal(a, b) -> bool:
@@ -72,6 +74,22 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def one_way_spec() -> ProblemSpec:
+    """Nothing moves right, so the nodes left of the exit box cannot reach an exit."""
+    modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
+                           ScalarField.constant(0.0)) for v in ([-0.4, 1.0], [0.0, -1.0]))
+    return ProblemSpec(
+        dim=2, lo=np.zeros(2), hi=np.array([2.0, 1.0]),
+        exit_set=ExitSpec("boxes", boxes=(((2.0, 2.0), (0.0, 1.0)), ((0.5, 0.75), (0.4, 0.6)))),
+        modes=modes, rates=RateMatrix.uniform(2, 1.0), name="one_way")
+
+
+def one_way_config(tmp_path) -> str:
+    doc = {"schema_version": 1, "problem": serialize_problem(one_way_spec()),
+           "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+    return write_config(tmp_path, doc)
 
 
 class TestProblemLoading:
@@ -331,17 +349,9 @@ class TestCommands:
         assert json.loads((out / "manifest.json").read_text())["unreachable_nodes"] == 0
 
     def test_min_cost_manifest_counts_unreachable_nodes(self, tmp_path):
-        # nothing moves right, so the nodes left of the exit box cannot reach an exit
-        modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
-                               ScalarField.constant(0.0)) for v in ([-0.4, 1.0], [0.0, -1.0]))
-        spec = ProblemSpec(
-            dim=2, lo=np.zeros(2), hi=np.array([2.0, 1.0]),
-            exit_set=ExitSpec("boxes", boxes=(((2.0, 2.0), (0.0, 1.0)), ((0.5, 0.75), (0.4, 0.6)))),
-            modes=modes, rates=RateMatrix.uniform(2, 1.0), name="one_way")
-        doc = {"schema_version": 1, "problem": serialize_problem(spec),
-               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+        spec = one_way_spec()
         out = tmp_path / "m"
-        assert main(["min-cost", "--problem", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert main(["min-cost", "--problem", one_way_config(tmp_path), "--out", str(out)]) == 0
         rows = (out / "min_cost.csv").read_text().strip().splitlines()[1:]
         inf_rows = sum(row.split(",")[3] == "inf" for row in rows)
         unreachable = json.loads((out / "manifest.json").read_text())["unreachable_nodes"]
@@ -543,6 +553,13 @@ class TestRunValues:
         assert main(["simulate", "--problem", cfg, *pol, "--out", str(tmp_path / "p")]) == EXIT_CONFIG
 
 
+def row_wise_csv(header, rows) -> str:
+    """The row-at-a-time formula: repr(float(v)) for floats, str(v) for everything else."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+
+
 def test_write_rows_matches_row_wise_formatting(tmp_path):
     # floats are written with repr(float(v)), everything else with str(v), row by row
     tiny = 5e-324
@@ -551,17 +568,17 @@ def test_write_rows_matches_row_wise_formatting(tmp_path):
         (np.int64(4), np.float64(2.5e-310), 1e300, True), (5, 7, np.float32(0.1), None),
     ]
     rows += [(i, i / 7.0, -i * tiny, f"r{i}") for i in range(6, 40)]
-    want = "a,b,c,d\n" + "".join(
-        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows)
+    want = row_wise_csv(["a", "b", "c", "d"], rows)
     exporter = Exporter(str(tmp_path), {}, {})
-    assert exporter.write_rows("t.csv", ["a", "b", "c", "d"], rows).read_text() == want
+    columns = Table([np.array(col, dtype=object) for col in zip(*rows)])  # the same Python values
+    assert exporter.write_rows("t.csv", ["a", "b", "c", "d"], columns).read_text() == want
     floats = [(0.1 * i, -0.0, tiny * i) for i in range(10_000)]  # several row blocks
     want = "x,y,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in floats)
-    assert exporter.write_rows("f.csv", ["x", "y", "z"], floats).read_text() == want
-    assert exporter.write_rows("e.csv", ["x"], []).read_text() == "x\n"
+    columns = Table([np.array(col) for col in zip(*floats)])
+    assert exporter.write_rows("f.csv", ["x", "y", "z"], columns).read_text() == want
+    assert exporter.write_rows("e.csv", ["x"], Table([np.array([])])).read_text() == "x\n"
     with pytest.raises(ValueError):
-        exporter.write_rows("r.csv", ["x", "y"], [(1, 2), (3,)])
+        exporter.write_rows("r.csv", ["x", "y"], Table([np.array([1, 3]), np.array([2])]))
 
 
 def row_wise_field_rows(field_values, grid, slices, lo=None, hi=None):
@@ -603,14 +620,15 @@ def test_field_rows_match_the_row_wise_formula(tmp_path, name, dx, texts):
     for bounds_cols in ({}, {"lo": lo, "hi": hi}):
         want = row_wise_field_rows(values, grid, slices, **bounds_cols)
         got = _field_rows(values, grid, slices, **bounds_cols)
-        assert [list(row) for row in got] == want
-        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        assert len(got) == len(want)
         header = [f"c{j}" for j in range(len(want[0]))]
         assert (exporter.write_rows("got.csv", header, got).read_bytes()
-                == exporter.write_rows("want.csv", header, want).read_bytes())
+                == row_wise_csv(header, want).encode())
     got = _field_rows(values, grid, slices, extra=(1.0, 4.0, "sample"))
-    assert [list(row) for row in got] == [row + [1.0, 4.0, "sample"]
-                                          for row in row_wise_field_rows(values, grid, slices)]
+    want = [row + [1.0, 4.0, "sample"] for row in row_wise_field_rows(values, grid, slices)]
+    header = [f"c{j}" for j in range(len(want[0]))]
+    assert (exporter.write_rows("extra.csv", header, got).read_bytes()
+            == row_wise_csv(header, want).encode())
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -721,3 +739,81 @@ class TestGraphProblems:
         assert len(lines) == 1 + 2 * 2 * 51    # two sheets, two modes
         actions = {int(l.split(",")[-1]) for l in lines[1:]}
         assert actions <= {0, 1}
+
+
+# A graph on which node 3 loops on both routes and route 1 leaves nodes 1 and 2 only
+# through that loop (every step on route 1 switches to route 2 and back).
+UNREACHABLE_GRAPH = {
+    "schema_version": 1,
+    "problem": {"kind": "graph", "name": "loop", "successors": [[1, 2, 3, 3], [0, 0, 1, 3]],
+                "step_costs": [[1, 2, 1, 1], [1, 1, 1, 1]],
+                "exit_costs": [[0, 0, 0, 0], [0.5, 0, 0, 0]], "exit_nodes": [0],
+                "switch_probs": [[0.0, 1.0], [1.0, 0.0]]},
+    "numerics": {"ds": 1.0, "s_max": 4.0}, "run": {}, "output": {},
+}
+
+
+class TestExportEdgeCases:
+    """Files whose rows are unusual; the expected bytes are those of the row-wise writer."""
+
+    def test_all_censored_samples(self, tmp_path):
+        doc = {"schema_version": 1, "problem": "example1",
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0},
+               "run": {"samples": 3, "seed": 5, "start": [[0.5], 2], "horizon_cap": 0.01,
+                       "dump_samples": True}, "output": {}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--problem", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["censored"] == 3
+        assert (out / "empirical_cdf.csv").read_bytes() == b"cost,cdf\n"
+        assert (out / "samples.csv").read_bytes() == (
+            b"sample,x0_0,mode0,exited,escaped,censored,cost,switches\n"
+            b"0,0.5,2,0,0,1,inf,0\n1,0.5,2,0,0,1,inf,0\n2,0.5,2,0,0,1,inf,0\n")
+
+    def test_grid_min_cost_with_unreachable_nodes(self, tmp_path):
+        out = tmp_path / "m"
+        assert main(["min-cost", "--problem", one_way_config(tmp_path), "--out", str(out)]) == 0
+        data = (out / "min_cost.csv").read_bytes()
+        assert data.count(b",inf,") == 1494
+        assert hashlib.sha256(data).hexdigest() == (
+            "3a1322f293e1b5715a17f497d8d9f30d5a62ac341060f48df557f2bcc33ade93")
+
+    def test_graph_min_cost_with_unreachable_node(self, tmp_path):
+        out = tmp_path / "m"
+        cfg = write_config(tmp_path, UNREACHABLE_GRAPH)
+        assert main(["min-cost", "--problem", cfg, "--out", str(out)]) == 0
+        assert (out / "min_cost.csv").read_bytes() == (
+            b"node,route,min_cost,attain_prob\n0,1,0.0,1.0\n0,2,0.5,1.0\n1,1,inf,0.0\n"
+            b"1,2,1.0,1.0\n2,1,inf,0.0\n2,2,inf,0.0\n3,1,inf,0.0\n3,2,inf,0.0\n")
+
+
+def test_every_exported_table_counts_its_rows(tmp_path, monkeypatch):
+    # len() of the table handed to write_rows is the number of data rows in its file
+    counted = []
+    write_rows = Exporter.write_rows
+
+    def counting(self, name, header, rows):
+        path = write_rows(self, name, header, rows)
+        counted.append((path, len(rows)))
+        return path
+
+    monkeypatch.setattr(Exporter, "write_rows", counting)
+    ex1 = ["--problem", "example1", "--dx", "0.05", "--ds", "0.025", "--s-max", "1.0"]
+    graph = write_config(tmp_path, UNREACHABLE_GRAPH, "graph.json")
+    pol = str(tmp_path / "exp.policy")
+    for i, argv in enumerate((
+        ["solve-cdf", *ex1, "--slice", "s=0.5", "--slice", "x=0.3"],
+        ["solve-cdf", "--problem", graph],
+        ["min-cost", *ex1],
+        ["min-cost", "--problem", graph],
+        ["bounds", "--problem", "example4", "--dx", "0.05", "--ds", "0.025", "--s-max", "1.0"],
+        ["sweep", *ex1, "--rates", "1,2", "--slice", "s=0.5", "--slice", "x=0.3"],
+        ["hjb", *EX5_GRID, "--policy-out", pol],
+        ["threshold", *EX5_GRID, "--slice", "x=0.4", "--thresholds", "0.2,0.4"],
+        ["evaluate-policy", *EX5_GRID, "--policy-in", pol],
+        ["simulate", *EX5_GRID, "--n", "50", "--start", "0.4:1", "--dump-samples"],
+    )):
+        assert main([*argv, "--out", str(tmp_path / f"{i}_{argv[0]}")]) == 0
+    assert len(counted) == 11
+    for path, n_rows in counted:
+        assert len(path.read_bytes().splitlines()) == 1 + n_rows, path.name
+    assert len((tmp_path / "9_simulate" / "samples.csv").read_bytes().splitlines()) == 1 + 50
