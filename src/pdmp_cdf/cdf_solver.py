@@ -32,12 +32,12 @@ matrices: a leading rate axis rides through the mixing, the sparse
 products (one right-hand column per matrix) and ``_sweep``, and
 ``solve_cdf`` is its one-matrix case.
 
-Expected exit costs, uncontrolled here and expectation-optimal in the
-control module, are solved by one routine: Howard's policy iteration over
-the stacked steps of every mode, which alternates a minimization pass (one
-product per mode) with an exact sparse solve of the frozen policy, whose
-matrix is a row selection of the stacks.  With one action per mode that is
-a single linear solve plus the pass that confirms it.
+Expected exit costs, expectation-optimal in the control module, are
+solved by one routine: Howard's policy iteration over the stacked steps of
+every mode, which alternates a minimization pass (one product per mode)
+with an exact sparse solve of the frozen policy, whose matrix is a row
+selection of the stacks.  With one action per mode that is a single
+linear solve plus the pass that confirms it.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
@@ -517,29 +517,6 @@ def _sweep(spec, grid, restrict, update, what: str, n_rates: int | None = None):
 # ---------------------------------------------------------------------------
 # expected cost
 # ---------------------------------------------------------------------------
-
-
-def solve_expected(
-    spec: ProblemSpec,
-    grid: Grid,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    tau: float | None = None,
-) -> np.ndarray:
-    """Expected exit cost u[mode, node] of an uncontrolled problem.
-
-    This is policy iteration with one action per mode: one sparse solve of
-    the linear semi-Lagrangian system, then one pass that confirms the
-    residual is below ``tol``.
-    """
-    spec.require_fixed_rates()
-    if spec.controlled:
-        raise ConfigError("use the control module for controlled problems")
-    if tau is None:
-        speed = spec.max_speed()
-        tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)]) for i in range(spec.n_modes)]
-    return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
 
 
 def policy_iteration(
@@ -1041,52 +1018,3 @@ def _min_cost_sweep_1d(grid: Grid, table: CandidateTable,
     else:
         raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
     return np.array(s), sweep + 1, updates
-
-
-# ---------------------------------------------------------------------------
-# Eulerian cross-check
-# ---------------------------------------------------------------------------
-
-
-def eulerian_step(field: CdfField, n: int, mode: int) -> np.ndarray:
-    """Upwind finite-difference form of the level update (1D cross-check).
-
-    Valid for d = 1, unit running cost, strictly positive mode velocity and
-    tau = ds; under those conditions it reproduces the semi-Lagrangian level
-    update exactly (up to roundoff).  The coupling terms are evaluated at
-    the shifted point x + f*ds; evaluating them at the node itself would
-    destroy monotonicity.
-    """
-    spec, grid = field.spec, field.grid
-    if spec is None or grid.dim != 1:
-        raise NumericsError("eulerian step needs a 1D field with its problem attached")
-    mode_spec = spec.modes[mode]
-    if mode_spec.cost.kind != "constant" or abs(mode_spec.cost.value - 1.0) > 1e-15:
-        raise NumericsError("eulerian step requires a unit running cost")
-    if field.tau is None or abs(field.tau - grid.ds) > 1e-15 * max(1.0, grid.ds):
-        raise NumericsError("eulerian step requires tau = ds")
-    vel = mode_spec.dynamics.at(grid, grid.points)[:, 0]
-    if np.any(vel[~grid.exit_mask] <= 0.0):
-        raise NumericsError("eulerian step requires a strictly positive velocity")
-    if not grid.exit_mask[-1]:
-        raise NumericsError("eulerian step requires the right boundary in the exit set")
-    ds, dx = grid.ds, grid.dx[0]
-    lam = spec.require_fixed_rates().off_diagonal()[mode]
-    w_n = field.values[:, n, :]
-    out = w_n[mode].copy()
-    k = np.where(~grid.exit_mask)[0]
-    theta = vel[k] * ds / dx
-    if np.any(theta > 1.0 + 1e-12):
-        raise NumericsError("eulerian step violates its CFL bound f*ds <= dx")
-    upwind = w_n[mode, k] + theta * (w_n[mode, np.minimum(k + 1, grid.n_nodes - 1)] - w_n[mode, k])
-    coupling = np.zeros(k.size)
-    shifted = np.clip(grid.points[k, 0] + vel[k] * ds, grid.lo[0], grid.hi[0])[:, None]
-    idx, wts = grid.spatial_stencil(shifted)
-    for j in range(spec.n_modes):
-        if j == mode:
-            continue
-        diff_nodes = w_n[j] - w_n[mode]
-        coupling += lam[j] * np.einsum("cn,cn->n", wts, diff_nodes[idx])
-    out[k] = upwind + ds * coupling
-    out[grid.exit_mask] = (n + 1) * grid.ds >= exit_costs(spec, grid)[mode] - 1e-15
-    return out

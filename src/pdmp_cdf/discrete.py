@@ -2,11 +2,10 @@
 
 A deterministic route is a feedback map F_i on the node set; after every
 step the active route may switch with known probabilities.  This module
-computes the deterministic per-route cost, the expected cumulative cost,
-the full cost CDF (single upward sweep over thresholds), the minimal
-attainable cost with its attainment probability (Dijkstra on the extended
-node-route graph), and an exact forward-propagation oracle used to verify
-all of the above.
+computes the full cost CDF (single upward sweep over thresholds), the
+minimal attainable cost with its attainment probability (Dijkstra on the
+extended node-route graph), and an exact forward-propagation oracle used
+to verify both.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, SingularSystemError
+from .errors import ConfigError, NumericsError
 
 UNREACHABLE = math.inf  # sentinel for nodes that never reach the exit set
 
@@ -91,68 +90,6 @@ class DiscreteCdf:
             return 0.0
         n = min(int(math.floor(s / self.ds + 1e-12)), self.n_levels - 1)
         return float(self.values[route, n, node])
-
-
-def solve_deterministic_cost(g: RoutedGraph, route: int) -> np.ndarray:
-    """Cumulative cost of following one route with no switching.
-
-    Nodes whose route path loops without reaching the exit set get the
-    ``UNREACHABLE`` (+inf) sentinel.
-    """
-    n = g.n_nodes
-    cost = np.full(n, np.nan)
-    cost[g.exit_mask] = g.exit_costs[route, g.exit_mask]
-    state = np.zeros(n, dtype=np.int8)  # 0 new, 1 on stack, 2 done
-    state[g.exit_mask] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        k = start
-        while state[k] == 0:
-            state[k] = 1
-            path.append(k)
-            k = int(g.successors[route, k])
-        if state[k] == 1:  # walked into our own stack: a loop off the exit set
-            tail = UNREACHABLE
-        else:
-            tail = cost[k]
-        for node in reversed(path):
-            tail = g.step_costs[route, node] + tail if math.isfinite(tail) else UNREACHABLE
-            cost[node] = tail
-            state[node] = 2
-    return cost
-
-
-def solve_expected_cost(g: RoutedGraph, residual_tol: float = 1e-10) -> np.ndarray:
-    """Expected cumulative cost u[route, node] via a dense linear solve."""
-    m, n = g.n_routes, g.n_nodes
-    size = m * n
-    a = np.eye(size)
-    b = np.zeros(size)
-    for i in range(m):
-        for k in range(n):
-            row = i * n + k
-            if g.exit_mask[k]:
-                b[row] = g.exit_costs[i, k]
-                continue
-            b[row] = g.step_costs[i, k]
-            succ = int(g.successors[i, k])
-            for j in range(m):
-                a[row, j * n + succ] -= g.switch_probs[i, j]
-    try:
-        u = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "expected-cost system is singular; the process may never exit"
-        ) from exc
-    residual = float(np.max(np.abs(a @ u - b)))
-    if residual > residual_tol * max(1.0, float(np.max(np.abs(u)))):
-        raise SingularSystemError(
-            f"expected-cost solve is unreliable (residual {residual:.3g}); "
-            "the process may exit with probability below one"
-        )
-    return u.reshape(m, n)
 
 
 def _bc_values(g: RoutedGraph, s: float) -> np.ndarray:
@@ -267,42 +204,6 @@ def solve_min_cost(g: RoutedGraph, tie_tol: float = 1e-12) -> tuple[np.ndarray, 
         for (i2, k2) in rev[i * n + k]:
             if not final[i2, k2]:
                 settle(i2, k2)
-    return s0, w0
-
-
-def bellman_ford_min_cost(g: RoutedGraph, tie_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration oracle for ``solve_min_cost`` (independent path)."""
-    m, n = g.n_routes, g.n_nodes
-    s0 = np.full((m, n), UNREACHABLE)
-    s0[:, g.exit_mask] = g.exit_costs[:, g.exit_mask]
-    allowed = [np.where(g.switch_probs[i] > 0.0)[0] for i in range(m)]
-    for _ in range(m * n + 1):
-        changed = False
-        for i in range(m):
-            for k in range(n):
-                if g.exit_mask[k]:
-                    continue
-                y = int(g.successors[i, k])
-                best = float(s0[allowed[i], y].min(initial=UNREACHABLE))
-                cand = g.step_costs[i, k] + best if math.isfinite(best) else UNREACHABLE
-                if cand < s0[i, k] - tie_tol:
-                    s0[i, k] = cand
-                    changed = True
-        if not changed:
-            break
-    # probabilities by increasing label order (labels strictly decrease along steps)
-    w0 = np.zeros((m, n))
-    w0[:, g.exit_mask] = 1.0
-    order = sorted(
-        ((s0[i, k], k, i) for i in range(m) for k in range(n)
-         if math.isfinite(s0[i, k]) and not g.exit_mask[k])
-    )
-    for _, k, i in order:
-        y = int(g.successors[i, k])
-        opts = s0[allowed[i], y]
-        best = float(opts.min())
-        members = allowed[i][opts <= best + tie_tol]
-        w0[i, k] = float(np.sum(g.switch_probs[i, members] * w0[members, y]))
     return s0, w0
 
 

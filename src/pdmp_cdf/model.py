@@ -593,9 +593,6 @@ class Grid:
     def s_levels(self) -> np.ndarray:
         return np.arange(self.n_levels) * self.ds
 
-    def flat_index(self, multi: np.ndarray) -> np.ndarray:
-        return np.asarray(multi, dtype=int) @ self._strides
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         tol = GEOM_RTOL * self.dx

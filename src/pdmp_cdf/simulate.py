@@ -5,9 +5,11 @@ velocities every trajectory is integrated in closed form: exit times come
 from exact segment/boundary intersections (``ExitSpec.first_hit``, which
 the CDF step uses too; a policy face event reads ``ExitSpec.face_exits``
 and ``ExitSpec.in_boxes``) and the only randomness is the exponential
-switch clock and the successor-mode draw.  Tabulated velocity
-fields fall back to a classical 4-stage one-step integrator with step
-length bounded by dx/|f|.
+switch clock and the successor-mode draw.  Problems with a tabulated
+(per-node) velocity, running cost or exit cost run through the same
+lockstep loop, with one classical 4-stage integrator step of length at
+most dx/|f| per event, cut where its chord first meets the exit set
+(``ExitSpec.first_hit`` again).
 
 Randomness contract v2 (``philox4x64-10/v2``): sample ``i`` of a run with
 seed ``s`` and stream offset ``o`` has the Philox4x64-10 key ``(s, o + i)``.
@@ -78,7 +80,7 @@ class BatchResult:
     escaped: np.ndarray
     censored: np.ndarray
     switch_counts: np.ndarray
-    events: np.ndarray     # event-loop steps per sample; integrator steps if tabulated
+    events: np.ndarray     # event-loop steps per sample (integrator steps for tabulated fields)
     exit_times: np.ndarray
     occupancy: np.ndarray  # (n, M) time spent per mode
     samples: list[TrajectorySample] | None = None
@@ -286,9 +288,13 @@ def run_batch(
 ) -> BatchResult:
     """Simulate ``n`` independent trajectories from one start configuration.
 
-    Constant (or control-offset) velocities and constant running/exit costs
-    are integrated exactly; the whole batch advances in lockstep over
-    events, so the cost is a few vector operations per generated event.
+    The whole batch advances in lockstep over events, so the cost is a few
+    vector operations per event.  When every velocity, running cost and
+    exit cost is constant in space, events are exact: a sample moves
+    straight to its first exit or escape (``ExitSpec.first_hit``), to its
+    next switch or to the horizon.  Otherwise an event is one 4-stage
+    integrator step (`_integrator_step`) on fields interpolated on ``grid``,
+    which is then required; policies over tabulated fields are rejected.
 
     With a policy, events are run-length: each (mode, level, cell) of the
     policy and (mode, cell) of its fallback has a precomputed radius, the
@@ -300,7 +306,8 @@ def run_batch(
     axes it merely moved along are recomputed (`_settle_in_boxes`).  At
     radius 0 (action interfaces, next to the boundary, and while the sliding
     or stuck guard is active) an event is the per-cell step.  ``events``
-    counts each sample's loop steps.
+    counts each sample's loop steps.  Switch draws, exits, escapes,
+    censoring, ``record`` and ``occupancy`` are shared by all three motions.
 
     ``threshold`` is the cost budget of a level-dependent policy and must be
     finite; it is rejected without one.  ``horizon_cap`` must be positive
@@ -325,27 +332,26 @@ def run_batch(
         threshold = _number(threshold, "cost threshold")
         if not math.isfinite(threshold):
             raise ConfigError(f"cost threshold {threshold} must be finite")
-    if any(ms.dynamics.kind == "tabulated" for ms in spec.modes):
-        if policy is not None:
-            raise ConfigError("policies over tabulated dynamics are not supported")
-        return _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid,
-                                    stream_offset)
-    for ms in spec.modes:
-        if ms.cost.kind != "constant" or ms.exit_cost.kind != "constant":
-            raise ConfigError("batch simulation needs constant running and exit costs")
+    integrate = any(f.kind == "tabulated" for ms in spec.modes
+                    for f in (ms.dynamics, ms.cost, ms.exit_cost))
     if policy is not None:
+        if integrate:
+            raise ConfigError("policies over tabulated fields are not supported")
         policy.require_fits(spec)
         if policy.s_dependent and threshold is None:
             raise ConfigError("a level-dependent policy needs a cost threshold")
+    if integrate and grid is None:
+        raise ConfigError("tabulated fields need the grid for interpolation")
     cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
 
     m = spec.n_modes
     d = spec.dim
     totals, cum = _jump_tables(spec)
-    cost_rate = np.array([ms.cost.value for ms in spec.modes])
-    q_exit = np.array([ms.exit_cost.value for ms in spec.modes])
+    exit_costs = [ms.exit_cost for ms in spec.modes]
     face_exits = spec.exit_set.face_exits(d)
-    offsets = np.array([ms.dynamics.vector for ms in spec.modes])
+    if not integrate:
+        cost_rate = np.array([ms.cost.value for ms in spec.modes])
+        offsets = np.array([ms.dynamics.vector for ms in spec.modes])
     ctrl_vecs = policy.control_set.vectors if policy is not None else None
 
     index = _stream_indices(seed, stream_offset, n)
@@ -367,6 +373,13 @@ def run_batch(
     exit_points = np.full((n, d), np.nan)
     occupancy = np.zeros((n, m))
     alive = np.ones(n, dtype=bool)
+
+    def exit_now(sel):
+        costs[sel] = c[sel] + _per_mode(exit_costs, grid, mode[sel], x[sel])
+        exited[sel] = True
+        exit_times[sel] = t[sel]
+        exit_points[sel] = x[sel]
+        alive[sel] = False
 
     use_cells = policy is not None
     if use_cells:
@@ -395,59 +408,66 @@ def run_batch(
         events[act] += 1
         xm = x[act]
         md = mode[act]
-        if use_cells:
-            flat = cell[act] @ strides
-            sc = s_cell[act]
-            below = sc < 0
-            lvl = np.clip(sc, 0, policy.n_levels - 1)
-            a_idx = np.where(below, policy.fallback[md, flat], policy.actions[md, lvl, flat])
-            rad = np.where(below, fallback_radius[md, flat], radius[md, lvl, flat]).astype(int)
-            v = ctrl_vecs[a_idx] + offsets[md]
-            sliding = slide_axis[act]
-            if np.any(sliding >= 0):
-                rows = np.where(sliding >= 0)[0]
-                v = v.copy()
-                v[rows, sliding[rows]] = 0.0
-                rad[rows] = 0
-            stuck = zero_streak[act] >= 6
-            if np.any(stuck):
-                v = v.copy()
-                v[stuck] = 0.0
-                rad[stuck] = 0
+        if integrate:
+            kinds = ["switch", "horizon", "exit", "escape"]
+            x_new, dt, crate, hit = _integrator_step(spec, grid, md, xm, t[act],
+                                                     next_switch[act], cap)
         else:
-            v = offsets[md]
-        crate = cost_rate[md]
+            if use_cells:
+                flat = cell[act] @ strides
+                sc = s_cell[act]
+                below = sc < 0
+                lvl = np.clip(sc, 0, policy.n_levels - 1)
+                a_idx = np.where(below, policy.fallback[md, flat], policy.actions[md, lvl, flat])
+                rad = np.where(below, fallback_radius[md, flat], radius[md, lvl, flat]).astype(int)
+                v = ctrl_vecs[a_idx] + offsets[md]
+                sliding = slide_axis[act]
+                if np.any(sliding >= 0):
+                    rows = np.where(sliding >= 0)[0]
+                    v = v.copy()
+                    v[rows, sliding[rows]] = 0.0
+                    rad[rows] = 0
+                stuck = zero_streak[act] >= 6
+                if np.any(stuck):
+                    v = v.copy()
+                    v[stuck] = 0.0
+                    rad[stuck] = 0
+            else:
+                v = offsets[md]
+            crate = cost_rate[md]
 
-        dt_switch = next_switch[act] - t[act]
-        dt_hor = cap - t[act]
-        cands = [dt_switch, dt_hor]
-        kinds = ["switch", "horizon"]
-        if use_cells:
-            if policy.s_dependent:
-                s_rem = threshold - c[act]
-                dt_s = np.where(sc >= 0, (s_rem - (sc - rad) * policy.ds) / crate, np.inf)
-                cands.append(np.maximum(dt_s, 0.0))
-                kinds.append("s_cell")
-            for a in range(d):
-                # faces of the sample's box: its cell grown by `rad` cells each way
-                lo_face = policy.lo[a] + (cell[act, a] - rad) * policy.dx[a]
-                hi_face = lo_face + (2 * rad + 1) * policy.dx[a]
-                va = v[:, a]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dt_a = np.where(va > 0, (hi_face - xm[:, a]) / va,
-                                    np.where(va < 0, (lo_face - xm[:, a]) / va, np.inf))
-                cands.append(np.maximum(dt_a, 0.0))
-                kinds.append(f"face{a}")
-        else:
-            t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, xm, v)
-            cands.extend([t_exit, t_escape])
-            kinds.extend(["exit", "escape"])
+            dt_switch = next_switch[act] - t[act]
+            dt_hor = cap - t[act]
+            cands = [dt_switch, dt_hor]
+            kinds = ["switch", "horizon"]
+            if use_cells:
+                if policy.s_dependent:
+                    s_rem = threshold - c[act]
+                    dt_s = np.where(sc >= 0, (s_rem - (sc - rad) * policy.ds) / crate, np.inf)
+                    cands.append(np.maximum(dt_s, 0.0))
+                    kinds.append("s_cell")
+                for a in range(d):
+                    # faces of the sample's box: its cell grown by `rad` cells each way
+                    lo_face = policy.lo[a] + (cell[act, a] - rad) * policy.dx[a]
+                    hi_face = lo_face + (2 * rad + 1) * policy.dx[a]
+                    va = v[:, a]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        dt_a = np.where(va > 0, (hi_face - xm[:, a]) / va,
+                                        np.where(va < 0, (lo_face - xm[:, a]) / va, np.inf))
+                    cands.append(np.maximum(dt_a, 0.0))
+                    kinds.append(f"face{a}")
+            else:
+                t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, xm, v)
+                cands.extend([t_exit, t_escape])
+                kinds.extend(["exit", "escape"])
 
-        mat = np.vstack(cands)
-        which = np.argmin(mat, axis=0)
-        dt = mat[which, np.arange(act.size)]
+            mat = np.vstack(cands)
+            which = np.argmin(mat, axis=0)
+            dt = mat[which, np.arange(act.size)]
+            hit = which == np.arange(len(kinds))[:, None]
+            x_new = xm + v * dt[:, None]
 
-        x[act] += v * dt[:, None]
+        x[act] = x_new
         c[act] += crate * dt
         t[act] += dt
         occupancy[act, md] += dt
@@ -466,8 +486,7 @@ def run_batch(
                 _settle_in_boxes(wide, act, which, kinds, rad, v, x, c, cell, s_cell,
                                  policy, threshold)
 
-        for k_id, kname in enumerate(kinds):
-            hits = which == k_id
+        for kname, hits in zip(kinds, hit):
             sel = act[hits]
             if sel.size == 0:
                 continue
@@ -505,13 +524,8 @@ def run_batch(
                 is_exit_face = (at_hi & face_exits[a, 1]) | (at_lo & face_exits[a, 0])
                 done_exit = is_exit_face | spec.exit_set.in_boxes(x[sel], 1e-12)
                 done_escape = (at_hi | at_lo) & ~done_exit
-                ex_sel = sel[done_exit]
-                if ex_sel.size:
-                    costs[ex_sel] = c[ex_sel] + q_exit[mode[ex_sel]]
-                    exited[ex_sel] = True
-                    exit_times[ex_sel] = t[ex_sel]
-                    exit_points[ex_sel] = x[ex_sel]
-                    alive[ex_sel] = False
+                if done_exit.any():
+                    exit_now(sel[done_exit])
                 esc_sel = sel[done_escape]
                 if esc_sel.size:
                     escaped[esc_sel] = True
@@ -523,11 +537,7 @@ def run_batch(
                     cell[mv, a] = np.clip(cell[mv, a] + np.where(going_up[move], jump, -jump),
                                           0, policy.shape[a] - 2)
             elif kname == "exit":
-                costs[sel] = c[sel] + q_exit[mode[sel]]
-                exited[sel] = True
-                exit_times[sel] = t[sel]
-                exit_points[sel] = x[sel]
-                alive[sel] = False
+                exit_now(sel)
             elif kname == "escape":
                 escaped[sel] = True
                 alive[sel] = False
@@ -548,6 +558,65 @@ def run_batch(
         escaped=escaped, censored=censored, switch_counts=switch_counts.astype(int),
         events=events, exit_times=exit_times, occupancy=occupancy, samples=recs,
     )
+
+
+def _per_mode(fields, grid: Grid | None, modes: np.ndarray, points: np.ndarray,
+              action: np.ndarray | None = None) -> np.ndarray:
+    """Each row's value of ``fields[mode]`` at its point, one ``at`` call per mode present."""
+    out = None
+    for k, f in enumerate(fields):
+        rows = modes == k
+        if rows.any():
+            value = f.at(grid, points[rows], action)
+            if out is None:
+                out = np.empty((modes.size,) + value.shape[1:])
+            out[rows] = value
+    return out
+
+
+def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.ndarray,
+                     t: np.ndarray, t_switch: np.ndarray, cap: float):
+    """One classical 4-stage step for each sample of a problem with tabulated fields.
+
+    The step length is ``dx_min / |f|`` (the time to the horizon when the
+    sample does not move), shortened to the horizon and to the next switch
+    (at least 1e-15).  The step ends early where its chord first meets the
+    exit set or a non-exit face (``ExitSpec.first_hit``); a tie goes to the
+    exit.  The running cost is charged at the rate of the start point.  A
+    ``control_offset`` velocity moves at its offset (the zero action), as in
+    exact motion without a policy.
+
+    Returns the new points, the step times, the cost rates and the masks of
+    the events ``switch``, ``horizon``, ``exit`` and ``escape`` (a step may
+    both switch and reach the horizon).
+    """
+    velocity = [ms.dynamics for ms in spec.modes]
+    still = np.zeros(spec.dim)
+    k1 = _per_mode(velocity, grid, modes, x, still)
+    speed = np.linalg.norm(k1, axis=1)
+    with np.errstate(divide="ignore"):
+        h = np.where(speed > 0, grid.dx.min() / speed, cap - t)
+    h = np.minimum(np.minimum(h, cap - t), np.maximum(t_switch - t, 1e-15))
+
+    def stage(k, share):
+        return _per_mode(velocity, grid, modes,
+                         np.clip(x + share * h[:, None] * k, grid.lo, grid.hi), still)
+
+    k2 = stage(k1, 0.5)
+    k3 = stage(k2, 0.5)
+    k4 = stage(k3, 1.0)
+    step = (h / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+    t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, x, step)
+    theta = np.minimum(t_exit, t_escape)
+    ends = theta <= 1.0
+    share = np.minimum(theta, 1.0)
+    x_new = np.clip(x + share[:, None] * step, spec.lo, spec.hi)
+    dt = h * share
+    crate = _per_mode([ms.cost for ms in spec.modes], grid, modes, x)
+    t_new = t + dt
+    to_exit = ends & (t_exit <= t_escape)
+    hit = np.array([~ends & (t_new >= t_switch), ~ends & (t_new >= cap), to_exit, ends & ~to_exit])
+    return x_new, dt, crate, hit
 
 
 def _settle_in_boxes(wide, act, which, kinds, rad, v, x, c, cell, s_cell, policy, threshold):
@@ -573,104 +642,6 @@ def _settle_in_boxes(wide, act, which, kinds, rad, v, x, c, cell, s_cell, policy
         entered = np.ceil((threshold - c[smp]) / policy.ds) - 1
         keep = (level < 0) | (kind == kinds.index("s_cell"))
         s_cell[smp] = np.where(keep, level, np.clip(entered, level - r, level))
-
-
-def _run_batch_tabulated(spec, x0, mode0, n, seed, horizon_cap, record, grid, offset):
-    if grid is None:
-        raise ConfigError("tabulated velocity fields need the grid for interpolation")
-    runs = [
-        _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap)
-        for index in _stream_indices(seed, offset, n)
-    ]
-    samples = [rec for rec, _ in runs]
-    costs = np.array([s.cost for s in samples])
-    m = spec.n_modes
-    return BatchResult(
-        start_x=x0, start_mode=mode0, seed=seed, costs=costs,
-        exited=np.array([s.exited for s in samples]),
-        escaped=np.array([s.escaped for s in samples]),
-        censored=np.array([s.censored for s in samples]),
-        switch_counts=np.array([s.n_switches for s in samples]),
-        events=np.array([steps for _, steps in runs], dtype=np.int64),
-        exit_times=np.array([s.exit_time if s.exit_time is not None else np.nan for s in samples]),
-        occupancy=np.zeros((n, m)),
-        samples=samples if record else None,
-    )
-
-
-def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
-    """One-step 4-stage integration path for space-varying velocities.
-
-    Draws from the stream ``(seed, index)`` exactly as `run_batch` does.
-    Returns the sample and its number of integrator steps.
-    """
-    stream = np.array([index], dtype=np.uint64)
-    cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
-    rec = TrajectorySample(np.array(x0, float), mode0, modes=[mode0])
-    x = np.array(x0, dtype=float)
-    mode = mode0
-    totals, cum = _jump_tables(spec)
-    t = c = 0.0
-    clock = float(_event_draws(seed, stream, np.zeros(1))[1][0])
-    t_next = clock / totals[mode] if totals[mode] > 0 else math.inf
-    dx_min = float(grid.dx.min())
-    steps = 0
-
-    def vel(p, mode_now):
-        return spec.modes[mode_now].dynamics.at(grid, p[None, :])[0]
-
-    while t < cap:
-        steps += 1
-        v = vel(x, mode)
-        speed = float(np.linalg.norm(v))
-        h = dx_min / speed if speed > 0 else cap - t
-        h = min(h, cap - t, max(t_next - t, 1e-15))
-        k1 = v
-        k2 = vel(np.clip(x + 0.5 * h * k1, grid.lo, grid.hi), mode)
-        k3 = vel(np.clip(x + 0.5 * h * k2, grid.lo, grid.hi), mode)
-        k4 = vel(np.clip(x + h * k3, grid.lo, grid.hi), mode)
-        step = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x_new = x + step
-        inside = bool(np.all((x_new >= grid.lo) & (x_new <= grid.hi)))
-        if not inside:
-            lo_f, hi_f = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo_f + hi_f)
-                p = x + mid * step
-                if np.all((p >= grid.lo) & (p <= grid.hi)):
-                    lo_f = mid
-                else:
-                    hi_f = mid
-            x_new = np.clip(x + hi_f * step, grid.lo, grid.hi)
-            h = h * hi_f
-        c += float(spec.modes[mode].cost.at(grid, x[None, :])[0]) * h
-        t += h
-        x = x_new
-        if not inside:
-            if _point_on_exit(spec, grid, x):
-                qv = float(spec.modes[mode].exit_cost.at(grid, x[None, :])[0])
-                rec.cost = c + qv
-                rec.exited = True
-                rec.exit_time = t
-                rec.exit_point = x.copy()
-            else:
-                rec.escaped = True
-            return rec, steps
-        if t >= t_next:
-            u, e = _event_draws(seed, stream, np.array([len(rec.modes)]))
-            mode = int(_successors(cum, np.array([mode]), u)[0])
-            rec.switch_times.append(t)
-            rec.modes.append(mode)
-            rec.cost_checkpoints.append((t, c))
-            t_next = t + (float(e[0]) / totals[mode] if totals[mode] > 0 else math.inf)
-    rec.censored = True
-    return rec, steps
-
-
-def _point_on_exit(spec, grid, x) -> bool:
-    on_face = np.abs(x[:, None] - np.column_stack([spec.lo, spec.hi])) <= 1e-9 * float(grid.dx.min())
-    return bool(np.any(on_face & spec.exit_set.face_exits(spec.dim))
-                or spec.exit_set.in_boxes(x, 1e-12)[0])
 
 
 def sample_trajectory(

@@ -1,12 +1,14 @@
-"""Per-cell reference for policy-driven Monte-Carlo runs.
+"""Reference loops for Monte-Carlo runs that the package once ran itself.
 
-This is the lockstep event loop that `simulate.run_batch` ran before it
-crossed whole constant-action boxes: every event stops at the next face of
-the sample's policy cell, at the next cost level, at its next switch or at
-the horizon.  It shares only the randomness contract (`_event_draws`,
-`_successors`, `_jump_tables`, `_stream_indices`) and the exit geometry
-(`ExitSpec.face_exits`, `ExitSpec.in_boxes`) with the package, so a test
-against it checks the run-length stepping and not the draws.
+`per_cell_batch` is the lockstep event loop that `simulate.run_batch` ran
+before it crossed whole constant-action boxes: every event stops at the
+next face of the sample's policy cell, at the next cost level, at its next
+switch or at the horizon.  `per_sample_tabulated_batch` is the integrator
+that ran problems with tabulated fields one sample at a time, with a
+bisection at the domain boundary.  Both share only the randomness contract
+(`_event_draws`, `_successors`, `_jump_tables`, `_stream_indices`) and the
+exit geometry (`ExitSpec.face_exits`, `ExitSpec.in_boxes`) with the
+package, so a test against them checks the stepping and not the draws.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from pdmp_cdf.simulate import (
+    TrajectorySample,
     _event_draws,
     _jump_tables,
     _stream_indices,
@@ -170,3 +173,102 @@ def per_cell_batch(spec, start, n, seed, policy, threshold=None, horizon_cap=Non
         "costs": costs, "exited": exited, "escaped": escaped, "censored": censored,
         "switch_counts": switch_counts.astype(int), "final_mode": mode, "events": events,
     }
+
+
+def per_sample_tabulated_batch(spec, grid, start, n, seed, horizon_cap=None):
+    """Integrate ``n`` samples one at a time with the 4-stage one-step scheme.
+
+    Returns the samples and a dict of per-sample arrays: ``costs``,
+    ``exited``, ``escaped``, ``censored``, ``switch_counts``, ``final_mode``,
+    ``exit_times`` and ``events`` (integrator steps).
+    """
+    x0 = np.array(start[0], dtype=float).reshape(-1)
+    mode0 = int(start[1])
+    runs = [_sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap)
+            for index in _stream_indices(seed, 0, n)]
+    samples = [rec for rec, _ in runs]
+    return samples, {
+        "costs": np.array([s.cost for s in samples]),
+        "exited": np.array([s.exited for s in samples]),
+        "escaped": np.array([s.escaped for s in samples]),
+        "censored": np.array([s.censored for s in samples]),
+        "switch_counts": np.array([s.n_switches for s in samples]),
+        "final_mode": np.array([s.modes[-1] for s in samples]),
+        "exit_times": np.array([np.nan if s.exit_time is None else s.exit_time for s in samples]),
+        "events": np.array([steps for _, steps in runs], dtype=np.int64),
+    }
+
+
+def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
+    """One-step 4-stage integration path for space-varying velocities.
+
+    Draws from the stream ``(seed, index)`` exactly as `run_batch` does.
+    Returns the sample and its number of integrator steps.
+    """
+    stream = np.array([index], dtype=np.uint64)
+    cap = horizon_cap if horizon_cap is not None else default_horizon(spec)
+    rec = TrajectorySample(np.array(x0, float), mode0, modes=[mode0])
+    x = np.array(x0, dtype=float)
+    mode = mode0
+    totals, cum = _jump_tables(spec)
+    t = c = 0.0
+    clock = float(_event_draws(seed, stream, np.zeros(1))[1][0])
+    t_next = clock / totals[mode] if totals[mode] > 0 else math.inf
+    dx_min = float(grid.dx.min())
+    steps = 0
+
+    def vel(p, mode_now):
+        return spec.modes[mode_now].dynamics.at(grid, p[None, :])[0]
+
+    while t < cap:
+        steps += 1
+        v = vel(x, mode)
+        speed = float(np.linalg.norm(v))
+        h = dx_min / speed if speed > 0 else cap - t
+        h = min(h, cap - t, max(t_next - t, 1e-15))
+        k1 = v
+        k2 = vel(np.clip(x + 0.5 * h * k1, grid.lo, grid.hi), mode)
+        k3 = vel(np.clip(x + 0.5 * h * k2, grid.lo, grid.hi), mode)
+        k4 = vel(np.clip(x + h * k3, grid.lo, grid.hi), mode)
+        step = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x_new = x + step
+        inside = bool(np.all((x_new >= grid.lo) & (x_new <= grid.hi)))
+        if not inside:
+            lo_f, hi_f = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo_f + hi_f)
+                p = x + mid * step
+                if np.all((p >= grid.lo) & (p <= grid.hi)):
+                    lo_f = mid
+                else:
+                    hi_f = mid
+            x_new = np.clip(x + hi_f * step, grid.lo, grid.hi)
+            h = h * hi_f
+        c += float(spec.modes[mode].cost.at(grid, x[None, :])[0]) * h
+        t += h
+        x = x_new
+        if not inside:
+            if _point_on_exit(spec, grid, x):
+                qv = float(spec.modes[mode].exit_cost.at(grid, x[None, :])[0])
+                rec.cost = c + qv
+                rec.exited = True
+                rec.exit_time = t
+                rec.exit_point = x.copy()
+            else:
+                rec.escaped = True
+            return rec, steps
+        if t >= t_next:
+            u, e = _event_draws(seed, stream, np.array([len(rec.modes)]))
+            mode = int(_successors(cum, np.array([mode]), u)[0])
+            rec.switch_times.append(t)
+            rec.modes.append(mode)
+            rec.cost_checkpoints.append((t, c))
+            t_next = t + (float(e[0]) / totals[mode] if totals[mode] > 0 else math.inf)
+    rec.censored = True
+    return rec, steps
+
+
+def _point_on_exit(spec, grid, x) -> bool:
+    on_face = np.abs(x[:, None] - np.column_stack([spec.lo, spec.hi])) <= 1e-9 * float(grid.dx.min())
+    return bool(np.any(on_face & spec.exit_set.face_exits(spec.dim))
+                or spec.exit_set.in_boxes(x, 1e-12)[0])

@@ -6,6 +6,9 @@ interpolated node by node with ``grid.interp_nodes``.  The min-cost update
 candidates are built here too, node by node in scalar arithmetic, so the
 label-setting reference shares neither the package's candidate table nor
 its sweeps.  A test against them checks the solver and not the scheme.
+`solve_expected` (the uncontrolled expected cost) and `eulerian_step` (an
+upwind finite-difference form of the 1D level update) are cross-checks of
+the scheme itself.
 """
 
 import heapq
@@ -13,7 +16,15 @@ import math
 
 import numpy as np
 
-from pdmp_cdf.cdf_solver import ESCAPE_COST, SemiLagrangianStep
+from pdmp_cdf.cdf_solver import (
+    ESCAPE_COST,
+    SemiLagrangianStep,
+    StepStack,
+    exit_costs,
+    policy_iteration,
+)
+from pdmp_cdf.errors import ConfigError, NumericsError
+from pdmp_cdf.model import CdfField, Grid, ProblemSpec
 
 
 def _feet(spec, grid, step, action=None):
@@ -134,7 +145,7 @@ def plain_candidates(spec, grid):
                 if not inside:
                     continue
                 c["const"][k] = cost[k] * h
-                c["foot_a"][k] = grid.flat_index(nb)
+                c["foot_a"][k] = flat_index(grid, nb)
                 if d == 2:
                     other = 1 - axis
                     f = abs(vel[k, other]) * h / grid.dx[other]
@@ -142,7 +153,7 @@ def plain_candidates(spec, grid):
                     nb2 = nb.copy()
                     nb2[other] += int(np.sign(vel[k, other]))
                     if f > 1e-15 and all(0 <= nb2[a] < grid.shape[a] for a in range(d)):
-                        c["foot_b"][k] = grid.flat_index(nb2)
+                        c["foot_b"][k] = flat_index(grid, nb2)
                         c["frac"][k] = f
                 if mode.dynamics.kind == "tabulated":
                     c["h_at_foot"][k] = min(_cell_times(grid, vel[c["foot_a"][k]]))
@@ -178,7 +189,7 @@ def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
             nb = multi[k] + off
             if np.any(nb < 0) or np.any(nb >= grid.shape):
                 continue
-            k2 = int(grid.flat_index(nb))
+            k2 = int(flat_index(grid, nb))
             best = min(_candidate_value(c, s0, k2) for c in cands)
             if not final[k2] and not ex[k2] and best < s0[k2]:
                 s0[k2] = best
@@ -222,3 +233,75 @@ def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
     if filled != len(picks):
         raise AssertionError("the attainment-probability dependencies form a cycle")
     return s0, w0
+
+
+def flat_index(grid, multi: np.ndarray) -> np.ndarray:
+    """Flat node indices of multi-indices, in the grid's C order."""
+    return np.asarray(multi, dtype=int) @ grid._strides
+
+
+def solve_expected(
+    spec: ProblemSpec,
+    grid: Grid,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+    tau: float | None = None,
+) -> np.ndarray:
+    """Expected exit cost u[mode, node] of an uncontrolled problem.
+
+    This is policy iteration with one action per mode: one sparse solve of
+    the linear semi-Lagrangian system, then one pass that confirms the
+    residual is below ``tol``.
+    """
+    spec.require_fixed_rates()
+    if spec.controlled:
+        raise ConfigError("use the control module for controlled problems")
+    if tau is None:
+        speed = spec.max_speed()
+        tau = grid.dx.min() / speed if speed > 0 else grid.ds
+    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)]) for i in range(spec.n_modes)]
+    return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
+
+
+def eulerian_step(field: CdfField, n: int, mode: int) -> np.ndarray:
+    """Upwind finite-difference form of the level update (1D cross-check).
+
+    Valid for d = 1, unit running cost, strictly positive mode velocity and
+    tau = ds; under those conditions it reproduces the semi-Lagrangian level
+    update exactly (up to roundoff).  The coupling terms are evaluated at
+    the shifted point x + f*ds; evaluating them at the node itself would
+    destroy monotonicity.
+    """
+    spec, grid = field.spec, field.grid
+    if spec is None or grid.dim != 1:
+        raise NumericsError("eulerian step needs a 1D field with its problem attached")
+    mode_spec = spec.modes[mode]
+    if mode_spec.cost.kind != "constant" or abs(mode_spec.cost.value - 1.0) > 1e-15:
+        raise NumericsError("eulerian step requires a unit running cost")
+    if field.tau is None or abs(field.tau - grid.ds) > 1e-15 * max(1.0, grid.ds):
+        raise NumericsError("eulerian step requires tau = ds")
+    vel = mode_spec.dynamics.at(grid, grid.points)[:, 0]
+    if np.any(vel[~grid.exit_mask] <= 0.0):
+        raise NumericsError("eulerian step requires a strictly positive velocity")
+    if not grid.exit_mask[-1]:
+        raise NumericsError("eulerian step requires the right boundary in the exit set")
+    ds, dx = grid.ds, grid.dx[0]
+    lam = spec.require_fixed_rates().off_diagonal()[mode]
+    w_n = field.values[:, n, :]
+    out = w_n[mode].copy()
+    k = np.where(~grid.exit_mask)[0]
+    theta = vel[k] * ds / dx
+    if np.any(theta > 1.0 + 1e-12):
+        raise NumericsError("eulerian step violates its CFL bound f*ds <= dx")
+    upwind = w_n[mode, k] + theta * (w_n[mode, np.minimum(k + 1, grid.n_nodes - 1)] - w_n[mode, k])
+    coupling = np.zeros(k.size)
+    shifted = np.clip(grid.points[k, 0] + vel[k] * ds, grid.lo[0], grid.hi[0])[:, None]
+    idx, wts = grid.spatial_stencil(shifted)
+    for j in range(spec.n_modes):
+        if j == mode:
+            continue
+        diff_nodes = w_n[j] - w_n[mode]
+        coupling += lam[j] * np.einsum("cn,cn->n", wts, diff_nodes[idx])
+    out[k] = upwind + ds * coupling
+    out[grid.exit_mask] = (n + 1) * grid.ds >= exit_costs(spec, grid)[mode] - 1e-15
+    return out

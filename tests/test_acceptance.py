@@ -15,7 +15,7 @@ import pytest
 
 from pdmp_cdf import build_grid, catalog
 from pdmp_cdf.bounds import default_rate_grid, fixed_rate_sweep, solve_bounds
-from pdmp_cdf.cdf_solver import eulerian_step, solve_cdf, solve_min_cost
+from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.control import prolong, solve_hjb_expectation, solve_threshold, synthesize_policy
 from pdmp_cdf.discrete import RoutedGraph, brute_force_cdf
 from pdmp_cdf.discrete import solve_cdf as discrete_solve_cdf
@@ -30,6 +30,7 @@ from pdmp_cdf.model import (
     VectorField,
 )
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
+from reference_solvers import eulerian_step
 
 DKW99_1E5 = math.sqrt(math.log(200.0) / (2 * 100000))  # ~0.00515
 DKW99_1E4 = math.sqrt(math.log(200.0) / (2 * 10000))   # ~0.0163

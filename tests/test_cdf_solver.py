@@ -14,9 +14,7 @@ from pdmp_cdf.bounds import solve_bounds
 from pdmp_cdf.cdf_solver import (
     MinimalCost,
     causal_tau,
-    eulerian_step,
     solve_cdf,
-    solve_expected,
     solve_min_cost,
 )
 from pdmp_cdf.errors import NumericsError
@@ -33,7 +31,13 @@ from pdmp_cdf.model import (
     VectorField,
 )
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
-from reference_solvers import label_setting_min_cost, level_sweep, plain_candidates
+from reference_solvers import (
+    eulerian_step,
+    label_setting_min_cost,
+    level_sweep,
+    plain_candidates,
+    solve_expected,
+)
 
 
 @pytest.fixture(scope="module")

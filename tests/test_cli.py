@@ -495,6 +495,22 @@ class TestRunValues:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["censored"] == 0 and manifest["exited"] == 20
 
+    def test_tabulated_costs_run_without_a_policy_only(self, tmp_path, capsys):
+        spec = catalog.example5()
+        grid = build_grid(spec, 0.02, 0.01, 1.0)
+        pdoc = serialize_problem(spec)
+        pdoc["modes"][0]["cost"] = {"kind": "tabulated",
+                                    "values": (1.0 + grid.points[:, 0]).tolist()}
+        doc = {"schema_version": 1, "problem": pdoc,
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0},
+               "run": {"samples": 20, "start": [[0.4], 1], "horizon_cap": 5.0}, "output": {}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--problem", cfg, "--out", str(tmp_path / "o")]) == 0
+        pol = self.ex5_policy(tmp_path, 1)
+        assert main(["simulate", "--problem", cfg, "--policy-in", pol,
+                     "--out", str(tmp_path / "p")]) == EXIT_CONFIG
+        assert "policies over tabulated fields" in capsys.readouterr().err
+
     EX5_DS2 = ["--problem", "example5", "--dx", "0.02", "--ds", "0.02", "--s-max", "1.0"]
 
     @pytest.mark.parametrize("argv, run", [

@@ -6,14 +6,12 @@ import pytest
 from pdmp_cdf.discrete import (
     UNREACHABLE,
     RoutedGraph,
-    bellman_ford_min_cost,
     brute_force_cdf,
     solve_cdf,
-    solve_deterministic_cost,
-    solve_expected_cost,
     solve_min_cost,
 )
 from pdmp_cdf.errors import NumericsError, SingularSystemError
+from reference_discrete import bellman_ford_min_cost, solve_deterministic_cost, solve_expected_cost
 
 
 def line_graph(n=6, p=None, q_exit=0.0):

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmp_cdf
 from pdmp_cdf import build_grid, catalog, simulate
 from pdmp_cdf.cdf_solver import solve_min_cost
 from pdmp_cdf.control import Policy, solve_hjb_expectation, solve_threshold, synthesize_policy
@@ -33,7 +36,7 @@ from pdmp_cdf.simulate import (
     sample_trajectory,
     write_samples_csv,
 )
-from reference_simulate import per_cell_batch
+from reference_simulate import per_cell_batch, per_sample_tabulated_batch
 
 EX1 = catalog.example1()
 
@@ -161,6 +164,127 @@ class TestTabulatedDynamics:
         # events count integrator steps here: dx / |f| = 0.01 time units each
         batch = run_batch(spec, (np.array([0.4]), 0), 3, seed=0, grid=grid)
         assert np.all((batch.events >= 60) & (batch.events <= 61))
+
+    @pytest.mark.parametrize("name", ["example1-nodes", "1d-varying-cost", "2d-rotating",
+                                      "2d-rotating-box"])
+    def test_matches_the_per_sample_reference(self, name):
+        spec, grid, start, cap = tabulated_case(name)
+        batch = run_batch(spec, start, 100, seed=5, horizon_cap=cap, grid=grid, record=True)
+        samples, ref = per_sample_tabulated_batch(spec, grid, start, 100, 5, horizon_cap=cap)
+        # the reference looks for exit boxes only where a step leaves the domain,
+        # so a sample that ends in a box agrees with it only up to there
+        in_box = batch.exited & (spec.exit_set.kind == "boxes")
+        assert in_box.any() == (name == "2d-rotating-box")
+        boxed = [(got, want) for got, want, b in zip(batch.samples, samples, in_box) if b]
+        for got, want in boxed:
+            assert spec.exit_set.in_boxes(got.exit_point, 1e-12)[0]
+            k = len(got.switch_times)
+            assert got.modes == want.modes[:k + 1]
+            assert np.allclose(got.switch_times, want.switch_times[:k], rtol=0.0, atol=1e-12)
+        same = ~in_box
+        for key in ("exited", "escaped", "censored", "switch_counts", "events"):
+            assert np.array_equal(getattr(batch, key)[same], ref[key][same]), key
+        final = np.array([s.modes[-1] for s in batch.samples])
+        assert np.array_equal(final[same], ref["final_mode"][same])
+        assert batch.switch_counts.any() and not batch.censored[same].all()
+        for key in ("costs", "exit_times"):
+            got, want = getattr(batch, key)[same], ref[key][same]
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite), key
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12), key
+
+    @pytest.mark.parametrize("name, fields", [
+        ("example3-box", "velocity"), ("example3-box", "costs"), ("example1", "costs")])
+    def test_tabulated_copies_match_the_closed_form(self, name, fields):
+        # an interior exit box is reached inside the domain, and tabulated
+        # costs need not be constant
+        if name == "example1":
+            spec, dx, start, cap = EX1, 1e-2, (np.array([0.4]), 0), None
+        else:
+            spec = dataclasses.replace(catalog.example3(),
+                                       exit_set=ExitSpec("boxes", boxes=(((0.6, 0.8), (0.2, 0.4)),)))
+            dx, start, cap = 5e-2, (np.array([0.5, 0.5]), 2), 6.0
+        grid = build_grid(spec, dx, dx, 1.0)
+        kw = dict(start=start, n=300, seed=5, horizon_cap=cap)
+        closed = run_batch(spec, **kw)
+        tabulated = run_batch(node_values(spec, grid, fields), grid=grid, **kw)
+        assert closed.exited.sum() >= 30
+        for key in ("exited", "escaped", "censored", "switch_counts"):
+            assert np.array_equal(getattr(tabulated, key), getattr(closed, key)), key
+        finite = np.isfinite(closed.costs)
+        assert np.array_equal(np.isfinite(tabulated.costs), finite)
+        assert np.max(np.abs(tabulated.costs[finite] - closed.costs[finite])) <= 1e-12
+
+    def test_occupancy_rows_sum_to_the_time_in_the_run(self):
+        grid = build_grid(EX1, 2e-2, 2e-2, 1.0)
+        batch = run_batch(node_values(EX1, grid, "velocity"), (np.array([0.4]), 0), 300, seed=5,
+                          horizon_cap=0.8, grid=grid)
+        assert batch.exited.any() and batch.censored.any() and not batch.escaped.any()
+        want = np.where(batch.censored, 0.8, batch.exit_times)
+        assert np.max(np.abs(batch.occupancy.sum(axis=1) - want)) <= 1e-12
+        # immobile modes: the time in each mode is the closed form's
+        grid = build_grid(EX1, 0.05, 0.05, 1.0)
+        kw = dict(start=(np.array([0.5]), 2), n=200, seed=31, horizon_cap=15.0)
+        closed = run_batch(immobile_spec(RATES3), **kw)
+        tabulated = run_batch(immobile_spec(RATES3, velocity="tabulated", grid=grid), grid=grid, **kw)
+        assert np.max(np.abs(tabulated.occupancy - closed.occupancy)) <= 1e-12
+
+    def test_policies_and_missing_grids_rejected(self):
+        grid = build_grid(EX1, 0.05, 0.05, 1.0)
+        with pytest.raises(ConfigError, match="grid"):
+            run_batch(immobile_spec(RATES3, velocity="tabulated", grid=grid), (np.array([0.5]), 0),
+                      3, seed=0, horizon_cap=1.0)
+        ex5 = catalog.example5()
+        grid = build_grid(ex5, 0.02, 0.01, 1.0)
+        actions = np.zeros((2, 1, grid.n_nodes), dtype=np.int16)
+        policy = Policy(ex5.controls, actions, actions[:, 0], grid.lo, grid.dx, grid.shape,
+                        grid.ds, provenance="expectation")
+        run_batch(ex5, (np.array([0.4]), 0), 3, seed=0, policy=policy, grid=grid)
+        with pytest.raises(ConfigError, match="tabulated"):
+            run_batch(node_values(ex5, grid, "costs"), (np.array([0.4]), 0), 3, seed=0,
+                      policy=policy, grid=grid)
+
+
+def node_values(spec, grid, fields):
+    """``spec`` with each mode's velocity, or its running and exit costs, given per node."""
+    def tabulate(ms):
+        if fields == "velocity":
+            return dataclasses.replace(
+                ms, dynamics=VectorField("tabulated", values=ms.dynamics.at(grid, grid.points)))
+        return dataclasses.replace(
+            ms, cost=ScalarField("tabulated", values=ms.cost.node_values(grid)),
+            exit_cost=ScalarField("tabulated", values=ms.exit_cost.node_values(grid)))
+    return dataclasses.replace(spec, modes=tuple(tabulate(ms) for ms in spec.modes))
+
+
+def tabulated_case(name):
+    """Problem, grid, start and horizon cap of one per-sample reference case."""
+    if name == "example1-nodes":
+        grid = build_grid(EX1, 2e-2, 2e-2, 1.0)
+        return node_values(EX1, grid, "velocity"), grid, (np.array([0.4]), 0), None
+    if name == "1d-varying-cost":
+        # a space-varying velocity, running cost and exit cost next to a constant mode
+        grid = build_grid(EX1, 2e-2, 1e-2, 1.0)
+        p = grid.points[:, 0]
+        varying = ModeSpec(VectorField("tabulated", values=(0.3 + p)[:, None]),
+                           ScalarField("tabulated", values=1.0 + 0.5 * p),
+                           ScalarField("tabulated", values=0.2 * p))
+        return (dataclasses.replace(EX1, modes=(varying, EX1.modes[1])), grid,
+                (np.array([0.5]), 0), None)
+    # rotation about the centre plus each example3 mode's velocity; x_min is an
+    # escape, or the whole boundary is, around an interior exit box
+    ex3 = catalog.example3()
+    grid = build_grid(ex3, 5e-2, 5e-2, 1.0)
+    px, py = grid.points[:, 0], grid.points[:, 1]
+    rotation = np.column_stack([-(py - 0.5), px - 0.5])
+    modes = tuple(dataclasses.replace(ms, dynamics=VectorField(
+        "tabulated", values=rotation + 0.5 * ms.dynamics.vector)) for ms in ex3.modes)
+    if name == "2d-rotating":
+        exits = ExitSpec("faces", faces=("x_max", "y_min", "y_max"))
+    else:
+        exits = ExitSpec("boxes", boxes=(((0.6, 0.8), (0.2, 0.4)),))
+    return (dataclasses.replace(ex3, modes=modes, exit_set=exits), grid,
+            (np.array([0.3, 0.6]), 1), 4.0)
 
 
 def oracle_block(seed, index, event):
@@ -494,3 +618,14 @@ class TestRunLengthEvents:
         for spec, start in ((EX1, (np.array([0.4]), 0)), (catalog.example3(), (np.array([0.5, 0.5]), 2))):
             batch = run_batch(spec, start, 500, seed=4)
             assert np.array_equal(batch.events, batch.switch_counts + 1)
+
+
+def test_only_run_batch_draws_events():
+    # one loop consumes the randomness contract, whatever the motion
+    callers = set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "_event_draws" for node in ast.walk(top)):
+                callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("simulate.py", "run_batch")}
