@@ -33,11 +33,13 @@ products (one right-hand column per matrix) and ``_sweep``, and
 ``solve_cdf`` is its one-matrix case.
 
 Expected exit costs, expectation-optimal in the control module, are
-solved by one routine: Howard's policy iteration over the stacked steps of
-every mode, which alternates a minimization pass (one product per mode)
-with an exact sparse solve of the frozen policy, whose matrix is a row
-selection of the stacks.  With one action per mode that is a single
-linear solve plus the pass that confirms it.
+solved by one routine: modified policy iteration over the stacked steps
+of every mode.  Its Bellman steps (one product per mode) advance u, and
+an exact sparse solve of the frozen policy, whose matrix is a row
+selection of the stacks, runs only on the first step, once the
+minimizing actions stop changing, or after a grid crossing's worth of
+Bellman steps.  With one action per mode that is a single linear solve
+plus the step that confirms it.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
@@ -57,7 +59,9 @@ scipy.sparse is imported inside the functions that use it, so importing
 the package (and starting the CLI) does not pay for it.  Fallbacks are
 reported on the ``pdmp_cdf`` logger: a failed sparse LU at WARNING, the
 monotonicity clamp of restricted sweeps at DEBUG.  The minimal-cost solve
-logs its candidate count, pass counts and node updates at DEBUG.
+logs its candidate count, pass counts and node updates at DEBUG, and the
+policy iteration its exact solves, Bellman steps, LU fallbacks and final
+residual.
 """
 
 from __future__ import annotations
@@ -529,12 +533,23 @@ def policy_iteration(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest expected exit cost over the actions stacked in ``stacks[mode]``.
 
-    Howard's policy iteration: each pass minimizes one Bellman application
-    over the actions, stops when that changes u by less than ``tol``, and
-    otherwise solves the sparse linear fixed point of the minimizing policy
-    exactly.  ``max_iter`` caps the number of passes.  A failed
-    factorization (improper interim policy) is logged as a warning and
-    falls back to iterating the frozen operator.
+    Modified policy iteration: each step minimizes one Bellman application
+    over the actions and stops when that changes u by less than ``tol``.
+    Otherwise it solves the sparse linear fixed point of the minimizing
+    policy exactly, but only on the first step, once the minimizing
+    actions equal the previous step's, or after ``ceil(|hi - lo| / dx_min)``
+    Bellman steps in a row; between those solves the Bellman step's u is
+    the next iterate.  The default tau is dx_min over the fastest speed,
+    so one step carries information at most dx_min and the cap crosses
+    the box along its diagonal (``max(grid.shape)`` steps cross it only
+    along an axis).  From a cold start the greedy policy changes about a
+    node per mode per step, and an exact solve of each interim policy
+    would cost one sparse LU each; the Bellman steps settle it first.
+    ``max_iter`` caps the number of exact solves.  A failed factorization
+    (improper interim policy) is logged as a warning and falls back to
+    iterating the frozen operator.  One DEBUG record on ``pdmp_cdf``
+    reports the exact solves, Bellman steps, LU fallbacks and the final
+    residual.
 
     Each mode's actions share one row of transition probabilities, so a
     Bellman application mixes u over the modes once and applies the mode's
@@ -568,13 +583,25 @@ def policy_iteration(
     u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
     u[:, ex] = q_rows[:, ex]
     delta = math.inf
-    for _ in range(max_iter):
+    cap = math.ceil(float(np.linalg.norm(grid.hi - grid.lo)) / grid.dx.min())
+    run = cap  # Bellman steps since the last exact solve; the first step solves
+    solves = steps = fallbacks = 0
+    previous = None
+    while True:
         best, actions = improve(u)
         best[:, ex] = q_rows[:, ex]
         delta = float(np.max(np.abs(best - u)))
         u = best
-        if delta < tol:
-            return u, improve(u)[1]
+        steps += 1
+        if delta < tol or solves == max_iter:
+            break
+        settled = np.array_equal(actions, previous)
+        previous = actions
+        if not settled and run < cap:
+            run += 1
+            continue
+        run = 0
+        solves += 1
         rows = actions * n_nodes + nodes
         frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)], format="csr") @ mix
         rhs = np.concatenate([st.const[r] for st, r in zip(stacks, rows)])
@@ -582,6 +609,7 @@ def policy_iteration(
         try:
             u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
         except RuntimeError as exc:
+            fallbacks += 1
             log.warning("policy iteration: sparse LU of the frozen policy failed (%s); "
                         "iterating its operator %d times instead", exc, _FROZEN_ITERATIONS)
             flat = u.ravel()
@@ -589,8 +617,12 @@ def policy_iteration(
                 flat = rhs + frozen @ flat
             u = flat.reshape(m, n_nodes)
         u[:, ex] = q_rows[:, ex]
-    raise ConvergenceError(f"policy iteration did not converge in {max_iter} passes",
-                           residual=delta)
+    log.debug("policy iteration: %d exact solves, %d Bellman steps, %d LU fallbacks, "
+              "residual %.3g", solves, steps, fallbacks, delta)
+    if delta >= tol:
+        raise ConvergenceError(f"policy iteration did not converge in {max_iter} exact solves",
+                               residual=delta)
+    return u, improve(u)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -520,12 +520,23 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _iteration_numerics(numerics: dict) -> dict:
+    """The policy iteration's ``tol`` and ``max_iter``, checked before any solve."""
+    tol = numerics.get("tol", 1e-8)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+        raise ConfigError(f"numerics.tol must be a finite number > 0, got {tol!r}")
+    max_iter = _whole_number(numerics.get("max_iter", 1000), "numerics.max_iter")
+    if max_iter < 1:
+        raise ConfigError(f"numerics.max_iter {max_iter} must be at least 1")
+    return {"tol": tol, "max_iter": max_iter}
+
+
 def _cmd_hjb(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    iteration = _iteration_numerics(numerics)
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "hjb", "problem": args.problem, "numerics": numerics})
-    value, policy = control.solve_hjb_expectation(
-        spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
+    value, policy = control.solve_hjb_expectation(spec, grid, **iteration)
     rows = Table([*_node_mode_columns(grid, spec.n_modes), value.u.T.reshape(-1),
                   policy.actions[:, 0, :].T.reshape(-1)])
     exporter.write_rows("expected_cost.csv", ["x", "y"][:spec.dim] + ["mode", "value", "action"], rows)
@@ -537,6 +548,7 @@ def _cmd_hjb(args) -> int:
 
 def _cmd_threshold(args) -> int:
     spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+    iteration = _iteration_numerics(numerics)
     slices = _default_slices(run, args, grid)
     thresholds = args.thresholds or run.get("thresholds")
     if thresholds:
@@ -544,8 +556,7 @@ def _cmd_threshold(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
-    hjb = control.solve_hjb_expectation(
-        spec, grid, tol=numerics.get("tol", 1e-8), max_iter=int(numerics.get("max_iter", 1000)))
+    hjb = control.solve_hjb_expectation(spec, grid, **iteration)
     tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
     exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
                         _field_rows(tv.w.values, grid, slices))

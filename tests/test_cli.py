@@ -400,6 +400,34 @@ class TestExitCodes:
         assert main(["threshold", "--problem", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_CONVERGENCE
 
+    @pytest.mark.parametrize("command", ["hjb", "threshold"])
+    @pytest.mark.parametrize("numerics", [
+        {"tol": "x"}, {"tol": 0}, {"tol": -1}, {"tol": float("nan")}, {"tol": float("inf")},
+        {"tol": True}, {"tol": [1e-8]},
+        {"max_iter": "abc"}, {"max_iter": 2.7}, {"max_iter": True}, {"max_iter": 0},
+        {"max_iter": -5}, {"max_iter": [3]},
+    ])
+    def test_bad_iteration_numerics_rejected_before_any_solve(self, tmp_path, monkeypatch,
+                                                              capsys, command, numerics):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before numerics.tol and max_iter were checked")
+
+        monkeypatch.setattr(cdf_solver, "solve_min_cost", refuse)
+        monkeypatch.setattr(control, "solve_hjb_expectation", refuse)
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, **numerics},
+               "run": {"restrict": True}, "output": {}}
+        assert main([command, "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_iteration_numerics_range_ends_accepted(self, tmp_path):
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, "tol": 1, "max_iter": 1e0},
+               "run": {}, "output": {}}
+        assert main(["hjb", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 0
+
 
 class TestRunValues:
     SIM = ["simulate", "--problem", "example1", "--start", "0.4:1"]

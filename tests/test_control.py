@@ -1,13 +1,15 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from pdmp_cdf import build_grid, catalog
-from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
+from pdmp_cdf.cdf_solver import policy_iteration, solve_cdf, solve_min_cost
 from pdmp_cdf.control import (
     Policy,
+    _action_stacks,
     evaluate_policy_cdf,
     load_policy,
     prolong,
@@ -26,7 +28,7 @@ from pdmp_cdf.model import (
     ScalarField,
     VectorField,
 )
-from reference_solvers import value_iteration
+from reference_solvers import action_values, howard_every_pass, value_iteration
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,86 @@ class TestExpectationOptimal:
         u_f, _ = solve_hjb_expectation(spec, fine, tol=1e-9, initial=warm)
         u_ref, _ = solve_hjb_expectation(spec, fine, tol=1e-9)
         assert np.abs(u_f.u - u_ref.u).max() < 1e-7
+
+
+def on_grid(spec, dx, ds, s_max, tol=1e-8):
+    return spec, build_grid(spec, dx, ds, s_max), tol
+
+
+def stay_or_move():
+    """One mode moving left, right or not at all; the cold-start policy stays put."""
+    spec = ProblemSpec(
+        dim=1, lo=np.array([0.0]), hi=np.array([1.0]), exit_set=ExitSpec("boundary"),
+        modes=(ModeSpec(VectorField.control_offset([0.0]), ScalarField.constant(1.0),
+                        ScalarField.constant(0.0)),),
+        rates=RateMatrix(np.zeros((1, 1))),
+        controls=ControlSet.from_list([[0.0], [-1.0], [1.0]]))
+    return on_grid(spec, 0.1, 0.1, 1.0, tol=1e-10)
+
+
+POLICY_CASES = {
+    "example5": lambda: on_grid(catalog.example5(), 8e-3, 4e-3, 1.0),
+    "example6": lambda: on_grid(catalog.example6(16), 5e-2, 5e-2, 0.5),
+    "failed_lu": stay_or_move,
+}
+
+
+def hjb_stacks(spec, grid):
+    return _action_stacks(spec, grid, grid.dx.min() / spec.max_speed())
+
+
+def solve_report(caplog) -> dict:
+    """Counts of the one DEBUG record that a policy-iteration solve logs."""
+    texts = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG and r.getMessage().startswith("policy iteration:")]
+    assert len(texts) == 1
+    found = re.fullmatch(r"policy iteration: (\d+) exact solves, (\d+) Bellman steps, "
+                         r"(\d+) LU fallbacks, residual (\S+)", texts[0])
+    assert found, texts[0]
+    solves, steps, fallbacks, residual = found.groups()
+    return {"solves": int(solves), "steps": int(steps), "fallbacks": int(fallbacks),
+            "residual": float(residual)}
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("case", sorted(POLICY_CASES))
+    def test_matches_howard_with_an_lu_every_pass(self, case):
+        spec, grid, tol = POLICY_CASES[case]()
+        stacks = hjb_stacks(spec, grid)
+        u_ref, a_ref = howard_every_pass(spec, grid, stacks, tol=tol)
+        u, actions = policy_iteration(spec, grid, stacks, None, tol, 1000)
+        assert np.abs(u - u_ref).max() <= 1e-12
+        # actions may differ only where both are minimizers at the reference u
+        for i, vals in enumerate(action_values(stacks, u_ref)):
+            nodes = np.nonzero(actions[i] != a_ref[i])[0]
+            gap = np.abs(vals[actions[i, nodes], nodes] - vals[a_ref[i, nodes], nodes])
+            assert np.all(gap < 1e-12)
+
+    def test_reports_a_failed_lu(self, caplog):
+        spec, grid, tol = stay_or_move()
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            solve_hjb_expectation(spec, grid, tol=tol)
+        report = solve_report(caplog)
+        assert report["fallbacks"] == 1
+        assert report["residual"] < tol
+
+    def test_solves_exactly_once_the_policy_settles(self, caplog):
+        spec, grid, tol = POLICY_CASES["example5"]()
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            solve_hjb_expectation(spec, grid, tol=tol)
+        report = solve_report(caplog)
+        # an LU on every pass takes 82 here
+        assert 1 <= report["solves"] <= 10
+        assert report["steps"] > report["solves"]
+        assert report["fallbacks"] == 0 and report["residual"] < tol
+
+    def test_fine_example5_converges_within_the_default_cap(self):
+        # an LU on every pass needs more than the default 1000 here
+        spec = catalog.example5()
+        grid = build_grid(spec, 5e-4, 2.5e-4, 0.8)
+        value, _ = solve_hjb_expectation(spec, grid)
+        assert np.all(np.isfinite(value.u))
+        assert np.all(value.u[:, grid.exit_mask] == 0.0)
 
 
 class TestThresholdValue:
