@@ -108,7 +108,7 @@ def solve_bounds(
             "the adversarial update would leave [0, 1]"
         )
     steps = [
-        SemiLagrangianStep(spec, grid, tau, i, costs=node_costs[i], rates=None)
+        SemiLagrangianStep(spec, grid, tau, i, costs=node_costs[i])
         for i in range(spec.n_modes)
     ]
     stack = StepStack(steps)

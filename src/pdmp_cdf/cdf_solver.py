@@ -26,11 +26,14 @@ fixed-rate sweep block-diagonally; the actions of one mode, or the modes
 of a bound sweep, on shared columns) and is the only code that assembles
 and applies level operators: ``gather``, one sparse product per level
 shift, is the level update of the CDF, bound and threshold sweeps alike,
-and all three run through ``_sweep``.  The steps do not depend on the
-switching rates, so one fixed-rate CDF sweep serves several rate
-matrices: a leading rate axis rides through the mixing, the sparse
-products (one right-hand column per matrix) and ``_sweep``, and
-``solve_cdf`` is its one-matrix case.
+and all three run through ``_sweep``.  Steps are pure geometry; the
+switching rates enter at the stack, which alone turns a list of rate
+matrices into one-step probabilities I + tau*Q, the capped steps' mixes
+I + theta*tau*Q and the expected-cost constants.  So one fixed-rate CDF
+sweep serves several rate matrices: a leading rate axis rides through
+the mixing, the sparse products (one right-hand column per matrix) and
+``_sweep``, and ``solve_cdf`` is its one-matrix case.  The bound sweep
+stacks its steps without rates and mixes its own bang-bang rates.
 
 Expected exit costs, expectation-optimal in the control module, are
 solved by one routine: modified policy iteration over the stacked steps
@@ -69,7 +72,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +86,7 @@ from .model import (
 )
 
 ESCAPE_COST = 1e30  # expected-cost sentinel for trajectories leaving off the exit set
+ARGMIN_RTOL = 1e-9  # relative slack for the modes that attain a node's minimal cost
 _FROZEN_ITERATIONS = 50  # operator iterations when the frozen policy's LU fails
 
 log = logging.getLogger(__name__)
@@ -131,13 +134,10 @@ class SemiLagrangianStep:
     every shift is 1 and every frac 0.  ``StepStack`` assembles the sparse
     operators from them.
 
-    Everything above is independent of the switching rates.  The parts
-    that depend on them are computed from ``rates`` when first read:
-    ``probs`` (this mode's row of one-step transition probabilities),
-    ``cap_probs`` (the capped steps' mode mix) and ``expected_const``, the
-    constant part of the expected-cost update (the running cost of a
-    regular step, the boundary value of a capped one, ``ESCAPE_COST`` for
-    an escaping one); each is None without rates.
+    A step is pure geometry: the switching rates enter only where steps
+    are stacked (``StepStack``).  ``cap_theta_tau`` is each capped step's
+    duration, ``cap_ds`` its cost and ``cap_q`` every mode's exit cost at
+    its crossing point.
     """
 
     def __init__(
@@ -149,7 +149,6 @@ class SemiLagrangianStep:
         action: np.ndarray | None = None,
         velocities: np.ndarray | None = None,
         costs: np.ndarray | None = None,
-        rates: RateMatrix | None = None,
     ):
         self.spec = spec
         self.grid = grid
@@ -161,9 +160,6 @@ class SemiLagrangianStep:
         cost = costs if costs is not None else spec.modes[mode].cost.at(grid, pts, action)
         self.node_cost = np.asarray(cost, dtype=float)
         disp = tau * np.asarray(vel, dtype=float)
-        if rates is None and spec.fixed_rates:
-            rates = spec.rates
-        self.rates = rates
 
         t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, pts, disp)
         theta = np.minimum(t_exit, t_escape)
@@ -192,7 +188,7 @@ class SemiLagrangianStep:
         if np.any(self.shift < 1):
             raise NumericsError("causality violated: some step reads its own threshold level")
 
-        # capped steps: transition probabilities over the shortened interval
+        # capped steps: the shortened interval, its cost and the exit costs at the crossing
         th = theta[self.cap_nodes]
         qx = pts[self.cap_nodes] + th[:, None] * disp[self.cap_nodes]
         self.cap_theta_tau = np.clip(th, 0.0, 1.0) * tau
@@ -201,39 +197,15 @@ class SemiLagrangianStep:
             [spec.modes[j].exit_cost.at(grid, qx) for j in range(m)]
         ) if self.cap_nodes.size else np.zeros((0, m))
 
-    @cached_property
-    def probs(self) -> np.ndarray | None:
-        if self.rates is None:
-            return None
-        return transition_probabilities(self.rates, self.tau)[self.mode]
-
-    @cached_property
-    def cap_probs(self) -> np.ndarray | None:
-        if self.rates is None:
-            return None
-        modes = np.full(self.cap_nodes.size, self.mode)
-        return _cap_mix(modes, self.cap_theta_tau, self.rates.matrix)
-
-    @cached_property
-    def expected_const(self) -> np.ndarray | None:
-        if self.rates is None:
-            return None
-        const = np.zeros(self.grid.n_nodes)
-        const[self.reg_nodes] = self.tau * self.node_cost[self.reg_nodes]
-        const[self.cap_nodes] = self.cap_ds + np.einsum("kj,kj->k", self.cap_probs, self.cap_q)
-        const[self.esc_nodes] = ESCAPE_COST
-        return const
-
 
 def _cap_mix(modes: np.ndarray, theta_tau: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mode mix of capped steps out of ``modes`` over ``theta_tau``: I + theta*tau*Q, row by row.
 
-    ``q`` is one generator matrix (M, M), or several stacked (R, M, M),
-    which gives the mixes a leading rate axis: shape ``q.shape[:-2] + (K, M)``.
+    ``q`` holds R generator matrices (R, M, M); the mixes are (R, K, M).
     """
-    mix = np.zeros(q.shape[:-2] + (modes.size, q.shape[-1]))
-    mix[..., np.arange(modes.size), modes] = 1.0
-    mix += theta_tau[:, None] * q[..., modes, :]
+    mix = np.zeros((q.shape[0], modes.size, q.shape[-1]))
+    mix[:, np.arange(modes.size), modes] = 1.0
+    mix += theta_tau[:, None] * q[:, modes, :]
     return mix
 
 
@@ -277,14 +249,21 @@ class StepStack:
     its own block of that input (the modes of a fixed-rate sweep, each
     reading its own mixed level); otherwise every step reads the same input
     (the actions of one mode, or the modes of a bound sweep reading every
-    source mode).  ``probs`` holds the steps' probability rows, ``const`` the
-    stacked ``expected_const``, and the ``cap_*`` arrays collect the capped
-    steps under their stacked rows.  Given ``rates``, a list of R rate
-    matrices, ``probs`` (R, B, M) and ``cap_probs`` (R, n_cap, M) carry one
-    entry per matrix on a leading axis and the rate-dependent parts of the
-    steps are never computed (``const`` is None); this is how one sweep
-    serves every matrix of a fixed-rate sweep.  The stack keeps no
-    reference to the steps, so their stencils can be freed once it is built.
+    source mode).  The ``cap_*`` arrays collect the capped steps under
+    their stacked rows.
+
+    This is also the one place where switching rates become probabilities.
+    Given ``rates``, a list of R rate matrices, a leading axis carries one
+    entry per matrix: ``probs`` (R, B, M) holds each step's row of the
+    one-step probabilities I + tau*Q, ``cap_probs`` (R, n_cap, M) the
+    capped steps' mix I + theta*tau*Q, and ``const`` (R, B * N) the
+    constant part of the expected-cost update: the running cost tau*C of a
+    regular row, the boundary value of a capped row, ``ESCAPE_COST`` on an
+    escaping row.  One sweep thus serves every matrix of a fixed-rate sweep,
+    and the expected-cost solvers read entry 0.  Without ``rates`` (the
+    bound sweep, which mixes its own bang-bang rates) all three are None.
+    The stack keeps no reference to the steps, so their stencils can be
+    freed once it is built.
     """
 
     def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False,
@@ -304,19 +283,21 @@ class StepStack:
         self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
         self.cap_ds = np.concatenate([st.cap_ds for st in steps])
         self.cap_q = np.concatenate([st.cap_q for st in steps])
-        if rates is not None:
-            modes = [st.mode for st in steps]
-            cap_modes = np.repeat(modes, [st.cap_nodes.size for st in steps])
-            theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
-            tau = steps[0].tau
-            self.probs = np.array([transition_probabilities(rm, tau)[modes] for rm in rates])
-            self.cap_probs = _cap_mix(cap_modes, theta_tau, np.array([rm.matrix for rm in rates]))
-            self.const = None
+        self.probs = self.cap_probs = self.const = None
+        if rates is None:
             return
-        rated = steps[0].rates is not None
-        self.probs = np.array([st.probs for st in steps]) if rated else None
-        self.const = np.concatenate([st.expected_const for st in steps]) if rated else None
-        self.cap_probs = np.concatenate([st.cap_probs for st in steps]) if rated else None
+        modes = [st.mode for st in steps]
+        cap_modes = np.repeat(modes, [st.cap_nodes.size for st in steps])
+        theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
+        tau = steps[0].tau
+        self.probs = np.array([transition_probabilities(rm, tau)[modes] for rm in rates])
+        self.cap_probs = _cap_mix(cap_modes, theta_tau, np.array([rm.matrix for rm in rates]))
+        self.const = np.zeros((len(rates), len(steps) * n))
+        for b, st in enumerate(steps):
+            self.const[:, b * n + st.reg_nodes] = tau * st.node_cost[st.reg_nodes]
+            self.const[:, b * n + st.esc_nodes] = ESCAPE_COST
+        self.const[:, self.cap_rows] = self.cap_ds + np.einsum("rkj,kj->rk", self.cap_probs,
+                                                               self.cap_q)
 
     def gather(self, n: int, read) -> np.ndarray:
         """Every stacked row's foot value at level n: one sparse product per level shift.
@@ -338,11 +319,8 @@ class StepStack:
         return ((n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15).astype(float)
 
     def cap_cdf(self, n: int) -> np.ndarray:
-        """Fixed-rate CDF values of the capped rows at level n: the indicator's mode mix.
-
-        With a leading rate axis on ``cap_probs`` the result has it too.
-        """
-        return np.einsum("...kj,kj->...k", self.cap_probs, self.cap_indicator(n))
+        """Fixed-rate CDF values of the capped rows at level n, one row per rate matrix: (R, n_cap)."""
+        return np.einsum("rkj,kj->rk", self.cap_probs, self.cap_indicator(n))
 
 
 def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -565,7 +543,7 @@ def policy_iteration(
     ex = grid.exit_mask
     ex_flat = np.tile(ex, m)
     q_rows = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
-    probs = np.array([stack.probs[0] for stack in stacks])
+    probs = np.array([stack.probs[0, 0] for stack in stacks])
     mix = sparse.kron(sparse.csr_matrix(probs), sparse.identity(n_nodes), format="csr")
     eye = sparse.identity(m * n_nodes, format="csr")
     nodes = np.arange(n_nodes)
@@ -575,7 +553,7 @@ def policy_iteration(
         best = np.empty((m, n_nodes))
         actions = np.empty((m, n_nodes), dtype=int)
         for i, stack in enumerate(stacks):
-            vals = (stack.const + stack.interp @ mixed[i]).reshape(-1, n_nodes)
+            vals = (stack.const[0] + stack.interp @ mixed[i]).reshape(-1, n_nodes)
             actions[i] = np.argmin(vals, axis=0)
             best[i] = vals[actions[i], nodes]
         return best, actions
@@ -604,7 +582,7 @@ def policy_iteration(
         solves += 1
         rows = actions * n_nodes + nodes
         frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)], format="csr") @ mix
-        rhs = np.concatenate([st.const[r] for st, r in zip(stacks, rows)])
+        rhs = np.concatenate([st.const[0, r] for st, r in zip(stacks, rows)])
         rhs[ex_flat] = q_rows[:, ex].ravel()
         try:
             u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
@@ -834,10 +812,7 @@ def _transport_rates(spec: ProblemSpec, sense: str | None) -> tuple[np.ndarray, 
     return rb.extreme_rates(extreme, 1.0), rb.extreme_rates(extreme, -1.0)
 
 
-def solve_min_cost(
-    spec: ProblemSpec, grid: Grid, rate_sense: str | None = None,
-    argmin_rtol: float = 1e-9,
-) -> MinCostField:
+def solve_min_cost(spec: ProblemSpec, grid: Grid, rate_sense: str | None = None) -> MinCostField:
     """Minimal attainable cost s0 and its attainment probability per mode.
 
     ``rate_sense`` selects the probability transport rates: ``None`` uses
@@ -846,7 +821,7 @@ def solve_min_cost(
     that need w0 for several rate choices build one ``MinimalCost`` and
     ask it for all of them at once (``MinimalCost.stacked``).
     """
-    return MinimalCost(spec, grid).field(spec, rate_sense, argmin_rtol)
+    return MinimalCost(spec, grid).field(spec, rate_sense)
 
 
 class MinimalCost:
@@ -893,17 +868,15 @@ class MinimalCost:
                 raise NumericsError("no node can reach the exit set (all speeds vanish?)")
         self.s0 = s0
 
-    def field(self, spec: ProblemSpec, rate_sense: str | None = None,
-              argmin_rtol: float = 1e-9) -> MinCostField:
+    def field(self, spec: ProblemSpec, rate_sense: str | None = None) -> MinCostField:
         """s0 with the attainment probability w0 under ``spec``'s rates.
 
         ``spec`` may differ from the one this was built from in its rates only.
         """
-        stacked = self.stacked([(spec, rate_sense)], argmin_rtol)
+        stacked = self.stacked([(spec, rate_sense)])
         return MinCostField(self.grid, self.s0, stacked.w0[0])
 
-    def stacked(self, choices: list[tuple[ProblemSpec, str | None]],
-                argmin_rtol: float = 1e-9) -> MinCostField:
+    def stacked(self, choices: list[tuple[ProblemSpec, str | None]]) -> MinCostField:
         """s0 with one w0 per rate choice ``(spec, rate_sense)``, stacked: w0 is (R, M, N).
 
         Each choice's w0 equals its own ``field`` bit for bit.
@@ -913,10 +886,10 @@ class MinimalCost:
         rates = (np.array([up for up, _ in transport]), np.array([down for _, down in transport]))
         q_min = self.q_exit.min(axis=0)
         w0 = np.zeros((len(choices), self.q_exit.shape[0], grid.n_nodes))
-        exit_argmin = self.q_exit <= q_min + argmin_rtol * np.maximum(1.0, q_min)
+        exit_argmin = self.q_exit <= q_min + ARGMIN_RTOL * np.maximum(1.0, q_min)
         w0[:, :, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
         fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
-        w0_passes = fill(grid, self.table, self.s0, w0, rates, argmin_rtol)
+        w0_passes = fill(grid, self.table, self.s0, w0, rates)
         log.debug("minimal cost: %d candidates, %d s0 passes, %d node updates, %d w0 passes",
                   self.table.mode.size, self.passes, self.updates, w0_passes)
         return MinCostField(grid, self.s0, w0)
@@ -937,7 +910,7 @@ def _coupling(foot: np.ndarray, i: int, up: np.ndarray, down: np.ndarray):
     return coupling
 
 
-def _w0_ordered(grid, table, s0, w0, rates, argmin_rtol) -> int:
+def _w0_ordered(grid, table, s0, w0, rates) -> int:
     """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass.
 
     A node's candidates and the modes that attain its s0 are selected once;
@@ -960,7 +933,7 @@ def _w0_ordered(grid, table, s0, w0, rates, argmin_rtol) -> int:
             best = min(best, val)
         if not math.isfinite(best):
             continue
-        tol = argmin_rtol * max(1.0, abs(best))
+        tol = ARGMIN_RTOL * max(1.0, abs(best))
         for i, (val, c) in per_mode_best.items():
             if val <= best + tol:
                 foot = w0[:, :, table.foot_a[c, k]]
@@ -969,7 +942,7 @@ def _w0_ordered(grid, table, s0, w0, rates, argmin_rtol) -> int:
     return 1
 
 
-def _w0_fixed_point(grid, table, s0, w0, rates, argmin_rtol, max_iter=100000) -> int:
+def _w0_fixed_point(grid, table, s0, w0, rates, max_iter=100000) -> int:
     """Vectorized transport of the attainment probability to its fixed point.
 
     Each node takes, in every mode whose best candidate attains s0, the
@@ -1000,7 +973,7 @@ def _w0_fixed_point(grid, table, s0, w0, rates, argmin_rtol, max_iter=100000) ->
     best_all = np.min([best_i for best_i, *_ in picked], axis=0)
     per_mode = []
     for best_i, fa, fb, frac, h in picked:
-        member = live & (best_i <= best_all + argmin_rtol * np.maximum(1.0, np.abs(best_all)))
+        member = live & (best_i <= best_all + ARGMIN_RTOL * np.maximum(1.0, np.abs(best_all)))
         per_mode.append((member, np.maximum(fa, 0), np.maximum(fb, 0), frac, h))
     dirty = np.flatnonzero(np.any([member for member, *_ in per_mode], axis=0))
     up, down = (r[..., None] for r in rates)  # each rate against a row of nodes

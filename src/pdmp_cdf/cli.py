@@ -213,9 +213,16 @@ def load_problem(path_or_name: str, overrides: dict | None = None):
         for section in ("numerics", "run", "output"):
             doc[section].update({k: v for k, v in overrides.get(section, {}).items() if v is not None})
     numerics = doc["numerics"]
+    if _is_graph(doc):
+        raise ConfigError("graph problems run only solve-cdf and min-cost")
     name = doc["problem"] if isinstance(doc["problem"], str) else None
     defaults = dict(catalog.DEFAULT_NUMERICS.get(name, {})) if name else {}
     merged = {**defaults, **{k: v for k, v in numerics.items() if v is not None}}
+    if "n_angles" in merged:
+        if name != "example6":
+            raise ConfigError("n_angles is read by the built-in example6 only; a unit-circle "
+                              "control set takes controls.n_angles from the problem document")
+        merged["n_angles"] = _whole_number(merged["n_angles"], "numerics.n_angles")
     spec = parse_problem(doc["problem"], n_angles=merged.get("n_angles"))
     for key in ("dx", "ds", "s_max"):
         if key not in merged:
@@ -405,31 +412,41 @@ def _default_slices(run: dict, args, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
+def _is_graph(doc: dict) -> bool:
+    return isinstance(doc["problem"], dict) and doc["problem"].get("kind") == "graph"
+
+
+_GRAPH_NUMERICS = {"ds": 1.0, "s_max": 10.0}  # the only numerics a graph reads, with defaults
+
+
 def _graph_doc(args) -> dict | None:
-    if args.problem in catalog.BUILTIN_NAMES:
+    """The checked config of a graph problem, or None for any other problem.
+
+    The config passes ``load_config`` like every other.  A graph reads only
+    ``numerics.ds`` and ``numerics.s_max``, each a finite number > 0; any
+    other numerics or run key and every grid flag are configuration errors.
+    """
+    doc = load_config(args.problem)
+    if not _is_graph(doc):
         return None
-    p = Path(args.problem)
-    if not p.exists():
-        return None
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError:
-        return None
-    prob = doc.get("problem")
-    if isinstance(prob, dict) and prob.get("kind") == "graph":
-        return doc
-    return None
+    flags = [f"--{key.replace('_', '-')}" for key in ("dx", "ds", "s_max", "n_angles", "slice")
+             if getattr(args, key, None) is not None]
+    if flags:
+        raise ConfigError(f"a graph problem reads no grid flags: {', '.join(flags)}")
+    _check_keys(doc["numerics"], set(_GRAPH_NUMERICS), "config.numerics of a graph problem")
+    _check_keys(doc["run"], set(), "config.run of a graph problem")
+    for key, default in _GRAPH_NUMERICS.items():
+        _positive_number(doc["numerics"].get(key, default), f"numerics.{key}")
+    return doc
 
 
 def _cmd_solve_cdf(args) -> int:
     gdoc = _graph_doc(args)
     if gdoc is not None:
         g = parse_graph(gdoc["problem"])
-        numerics = gdoc.get("numerics", {})
-        ds = float(numerics.get("ds", 1.0))
-        s_max = float(numerics.get("s_max", 10.0))
+        ds, s_max = (float(gdoc["numerics"].get(k, v)) for k, v in _GRAPH_NUMERICS.items())
         w = discrete.solve_cdf(g, s_max=s_max, ds=ds)
-        exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
+        exporter = Exporter(_out_dir(args, gdoc["output"]),
                             {"nodes": g.n_nodes, "routes": g.n_routes, "ds": ds,
                              "n_levels": w.n_levels}, gdoc)
         per_node = g.n_routes * w.n_levels
@@ -458,7 +475,7 @@ def _cmd_min_cost(args) -> int:
     if gdoc is not None:
         g = parse_graph(gdoc["problem"])
         s0, w0 = discrete.solve_min_cost(g)
-        exporter = Exporter(_out_dir(args, gdoc.get("output", {})),
+        exporter = Exporter(_out_dir(args, gdoc["output"]),
                             {"nodes": g.n_nodes, "routes": g.n_routes, "ds": 1.0, "n_levels": 0},
                             gdoc)
         rows = Table([np.repeat(np.arange(g.n_nodes), g.n_routes),
@@ -520,11 +537,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _positive_number(value, what: str):
+    """A finite number > 0 from a config; bools, strings and lists are ConfigErrors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _iteration_numerics(numerics: dict) -> dict:
     """The policy iteration's ``tol`` and ``max_iter``, checked before any solve."""
-    tol = numerics.get("tol", 1e-8)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-        raise ConfigError(f"numerics.tol must be a finite number > 0, got {tol!r}")
+    tol = _positive_number(numerics.get("tol", 1e-8), "numerics.tol")
     max_iter = _whole_number(numerics.get("max_iter", 1000), "numerics.max_iter")
     if max_iter < 1:
         raise ConfigError(f"numerics.max_iter {max_iter} must be at least 1")

@@ -157,7 +157,7 @@ class ThresholdValue:
 def _action_stacks(spec, grid, tau) -> list[StepStack]:
     """One stack of all actions' steps per mode; each mode's steps are freed once stacked."""
     return [StepStack([SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a))
-                       for a in range(spec.controls.n_actions)])
+                       for a in range(spec.controls.n_actions)], rates=[spec.rates])
             for i in range(spec.n_modes)]
 
 
@@ -288,13 +288,13 @@ def solve_threshold(
         wmax = np.empty((m, n_nodes))
         for i, stack in enumerate(stacks):
             # [W, V] candidates of every action, the modes mixed first
-            probs = stack.probs[0]
+            probs = stack.probs[0, 0]
             cand = stack.gather(n, lambda lo, p: np.column_stack(
                 [probs @ level(lo + p) if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
             wc = cand[:, 0]
-            wc[stack.cap_rows] = stack.cap_cdf(n)
+            wc[stack.cap_rows] = stack.cap_cdf(n)[0]
             vals = wc.reshape(n_act, n_nodes)
-            vcand = (stack.const + cand[:, 1]).reshape(n_act, n_nodes)
+            vcand = (stack.const[0] + cand[:, 1]).reshape(n_act, n_nodes)
             wmax[i] = vals.max(axis=0)
             tied = vals >= wmax[i][None, :] - TIE_TOL
             vmasked = np.where(tied, vcand, np.inf)
@@ -335,7 +335,6 @@ def evaluate_policy_cdf(
     spec: ProblemSpec,
     grid: Grid,
     tau: float | None = None,
-    restrict: MinCostField | None = None,
 ) -> CdfField:
     """Exit-cost CDF of a level-independent feedback policy.
 
@@ -363,7 +362,7 @@ def evaluate_policy_cdf(
         else:
             vels[i] = dyn.at(grid, grid.points)
         costs[i] = spec.modes[i].cost.at(grid, grid.points)
-    return solve_cdf(spec, grid, tau=tau, restrict=restrict, velocities=vels, costs=costs)
+    return solve_cdf(spec, grid, tau=tau, velocities=vels, costs=costs)
 
 
 # ---------------------------------------------------------------------------

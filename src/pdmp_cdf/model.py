@@ -137,46 +137,22 @@ class RateBounds:
         raise ConfigError(f"unknown optimization sense {sense!r}")
 
 
-def transition_probabilities(rates: RateMatrix, tau: float, method: str = "first_order") -> np.ndarray:
-    """Mode-transition probabilities over a step of length ``tau``.
+def transition_probabilities(rates: RateMatrix, tau: float) -> np.ndarray:
+    """Mode-transition probabilities over a step of length ``tau``: I + tau * Q.
 
-    ``first_order`` returns I + tau * Q, the linearization used inside the
-    semi-Lagrangian sweeps.  ``exact`` returns the matrix exponential
-    exp(tau * Q), computed by scaling-and-squaring on a truncated Taylor
-    series (the mode count is small, so this is cheap and accurate to
-    ~1e-12 relative).
+    This first-order rule is the one every semi-Lagrangian sweep mixes
+    modes with; it is a valid stochastic matrix while tau times the largest
+    total rate is at most one.
     """
     if tau < 0.0:
         raise NumericsError("step length tau must be nonnegative")
-    q = rates.matrix
-    if method == "first_order":
-        max_total = float(rates.total_rates().max(initial=0.0))
-        if tau * max_total > 1.0 + 1e-12:
-            raise NumericsError(
-                f"first-order probabilities invalid: tau * max total rate = "
-                f"{tau * max_total:.6g} exceeds 1"
-            )
-        return np.eye(rates.n_modes) + tau * q
-    if method == "exact":
-        return _expm(tau * q)
-    raise ConfigError(f"unknown transition-probability method {method!r}")
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a Taylor series."""
-    norm = float(np.max(np.sum(np.abs(a), axis=1), initial=0.0))
-    n_squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    b = a / (2.0**n_squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 80):
-        term = term @ b / k
-        result = result + term
-        if float(np.max(np.abs(term))) < 1e-16 * max(1.0, float(np.max(np.abs(result)))):
-            break
-    for _ in range(n_squarings):
-        result = result @ result
-    return result
+    max_total = float(rates.total_rates().max(initial=0.0))
+    if tau * max_total > 1.0 + 1e-12:
+        raise NumericsError(
+            f"first-order probabilities invalid: tau * max total rate = "
+            f"{tau * max_total:.6g} exceeds 1"
+        )
+    return np.eye(rates.n_modes) + tau * rates.matrix
 
 
 # ---------------------------------------------------------------------------

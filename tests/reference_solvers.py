@@ -10,6 +10,10 @@ its sweeps.  A test against them checks the solver and not the scheme.
 upwind finite-difference form of the 1D level update) are cross-checks of
 the scheme itself.  `howard_every_pass` is plain Howard policy iteration
 over the package's stacked operators, with a sparse LU on every pass.
+The references mix modes with one-step probabilities they compute
+themselves (``step_probs``, ``cap_probs``), and `transition_probabilities`
+keeps the exact matrix exponential that the package's first-order rule is
+checked against.
 """
 
 import heapq
@@ -17,6 +21,7 @@ import math
 
 import numpy as np
 
+from pdmp_cdf import model
 from pdmp_cdf.cdf_solver import (
     ESCAPE_COST,
     SemiLagrangianStep,
@@ -26,6 +31,45 @@ from pdmp_cdf.cdf_solver import (
 )
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import CdfField, Grid, ProblemSpec
+
+
+def transition_probabilities(rates, tau, method="first_order"):
+    """The package's first-order I + tau*Q, or the exact exp(tau*Q) with ``method="exact"``."""
+    if method == "first_order":
+        return model.transition_probabilities(rates, tau)
+    if method == "exact":
+        return _expm(tau * rates.matrix)
+    raise ConfigError(f"unknown transition-probability method {method!r}")
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring over a Taylor series."""
+    norm = float(np.max(np.sum(np.abs(a), axis=1), initial=0.0))
+    n_squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
+    b = a / (2.0**n_squarings)
+    result = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, 80):
+        term = term @ b / k
+        result = result + term
+        if float(np.max(np.abs(term))) < 1e-16 * max(1.0, float(np.max(np.abs(result)))):
+            break
+    for _ in range(n_squarings):
+        result = result @ result
+    return result
+
+
+def step_probs(q, step):
+    """The step's mode row of the one-step probabilities, I + tau*Q, entry by entry."""
+    m = q.shape[0]
+    return np.array([(j == step.mode) + step.tau * q[step.mode, j] for j in range(m)])
+
+
+def cap_probs(q, step):
+    """The capped nodes' mode mix over their shortened steps, I + theta*tau*Q, row by row."""
+    m = q.shape[0]
+    return np.array([[(j == step.mode) + tt * q[step.mode, j] for j in range(m)]
+                     for tt in step.cap_theta_tau]).reshape(-1, m)
 
 
 def _feet(spec, grid, step, action=None):
@@ -43,6 +87,7 @@ def value_iteration(spec, grid, tol=1e-13, max_iter=200_000):
             for row in steps]
     ex = grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
+    rates = spec.rates.matrix
     u = np.where(ex, q, 0.0)
     for _ in range(max_iter):
         new = np.empty_like(u)
@@ -50,10 +95,11 @@ def value_iteration(spec, grid, tol=1e-13, max_iter=200_000):
             per_action = []
             for st, foot_pts in zip(row, feet[i]):
                 vals = np.full(grid.n_nodes, ESCAPE_COST)
-                foot = sum(st.probs[j] * grid.interp_nodes(u[j], foot_pts)
+                probs = step_probs(rates, st)
+                foot = sum(probs[j] * grid.interp_nodes(u[j], foot_pts)
                            for j in range(spec.n_modes))
                 vals[st.reg_nodes] = st.tau * st.node_cost[st.reg_nodes] + foot
-                vals[st.cap_nodes] = st.cap_ds + (st.cap_probs * st.cap_q).sum(axis=1)
+                vals[st.cap_nodes] = st.cap_ds + (cap_probs(rates, st) * st.cap_q).sum(axis=1)
                 per_action.append(vals)
             new[i] = np.min(per_action, axis=0)
         new[:, ex] = q[:, ex]
@@ -77,6 +123,8 @@ def level_sweep(spec, grid, tau, u=None, action=None):
     ex = grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
     steps = [SemiLagrangianStep(spec, grid, tau, i, action=action) for i in range(m)]
+    probs = [step_probs(spec.rates.matrix, st) for st in steps]
+    caps = [cap_probs(spec.rates.matrix, st) for st in steps]
     feet = [_feet(spec, grid, st, action) for st in steps]
     costs = [spec.modes[i].cost.at(grid, grid.points, action) for i in range(m)]
     w = np.zeros((m, ns, nn))
@@ -91,7 +139,7 @@ def level_sweep(spec, grid, tau, u=None, action=None):
                 frac = shift - off if shift > 1 and shift - off >= 1e-12 else 0.0
 
                 def at(arr, lvl):
-                    return sum(st.probs[j] * grid.interp_nodes(arr[j, lvl], feet[i][k:k + 1])[0]
+                    return sum(probs[i][j] * grid.interp_nodes(arr[j, lvl], feet[i][k:k + 1])[0]
                                for j in range(m))
 
                 lo = n - shift
@@ -100,8 +148,8 @@ def level_sweep(spec, grid, tau, u=None, action=None):
                 v[i, n, k] = tau * costs[i][k] + (1.0 - frac) * at(v, max(lo, 0)) \
                     + frac * at(v, max(lo + 1, 0))
             bc = (n * grid.ds - st.cap_ds)[:, None] >= st.cap_q - 1e-15
-            w[i, n, st.cap_nodes] = (st.cap_probs * bc).sum(axis=1)
-            v[i, n, st.cap_nodes] = st.cap_ds + (st.cap_probs * st.cap_q).sum(axis=1)
+            w[i, n, st.cap_nodes] = (caps[i] * bc).sum(axis=1)
+            v[i, n, st.cap_nodes] = st.cap_ds + (caps[i] * st.cap_q).sum(axis=1)
             v[i, n, st.esc_nodes] = ESCAPE_COST
             if u is not None:
                 v[i, n] = np.where(w[i, n] <= 0.0, u[i], v[i, n])
@@ -260,7 +308,8 @@ def solve_expected(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)]) for i in range(spec.n_modes)]
+    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)], rates=[spec.rates])
+              for i in range(spec.n_modes)]
     return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
 
 
@@ -279,7 +328,7 @@ def howard_every_pass(spec, grid, stacks, initial=None, tol=1e-8, max_iter=1000)
     m, n_nodes = spec.n_modes, grid.n_nodes
     ex = grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
-    probs = np.array([stack.probs[0] for stack in stacks])
+    probs = np.array([stack.probs[0, 0] for stack in stacks])
     mix = sparse.kron(sparse.csr_matrix(probs), sparse.identity(n_nodes), format="csr")
     eye = sparse.identity(m * n_nodes, format="csr")
     nodes = np.arange(n_nodes)
@@ -297,7 +346,7 @@ def howard_every_pass(spec, grid, stacks, initial=None, tol=1e-8, max_iter=1000)
         rows = actions * n_nodes + nodes
         frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)],
                                    format="csr") @ mix
-        rhs = np.concatenate([st.const[r] for st, r in zip(stacks, rows)])
+        rhs = np.concatenate([st.const[0, r] for st, r in zip(stacks, rows)])
         rhs[np.tile(ex, m)] = q[:, ex].ravel()
         try:
             u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
@@ -312,8 +361,8 @@ def howard_every_pass(spec, grid, stacks, initial=None, tol=1e-8, max_iter=1000)
 
 def action_values(stacks, u):
     """Bellman value of every action at u: one (n_actions, n_nodes) array per mode."""
-    mixed = np.array([stack.probs[0] for stack in stacks]) @ u
-    return [(stack.const + stack.interp @ mixed[i]).reshape(-1, u.shape[1])
+    mixed = np.array([stack.probs[0, 0] for stack in stacks]) @ u
+    return [(stack.const[0] + stack.interp @ mixed[i]).reshape(-1, u.shape[1])
             for i, stack in enumerate(stacks)]
 
 

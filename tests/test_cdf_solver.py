@@ -458,3 +458,85 @@ def test_only_the_step_stack_reads_level_operators():
                    for node in ast.walk(top)):
                 readers.add((path.name, getattr(top, "name", None)))
     assert readers == {("cdf_solver.py", "StepStack")}
+
+
+class TestStepStackRates:
+    """Rates become probabilities at the stack: I + tau*Q per step, I + theta*tau*Q per cap."""
+
+    VEL = (1.0, -1.5, 0.25)
+    COST = (1.0, 2.0, 1.5)
+    Q_EXIT = (0.0, 0.3, 0.1)
+    OFF = ([[0.0, 2.0, 1.0], [0.5, 0.0, 3.0], [1.5, 0.25, 0.0]],
+           [[0.0, 0.1, 4.0], [2.5, 0.0, 0.0], [0.0, 6.0, 0.0]])
+
+    def problem(self):
+        # exits through x_min only: leftward steps near it are capped, rightward
+        # steps near x_max escape
+        modes = tuple(ModeSpec(VectorField.constant([v]), ScalarField.constant(c),
+                               ScalarField.constant(q))
+                      for v, c, q in zip(self.VEL, self.COST, self.Q_EXIT))
+        spec = ProblemSpec(dim=1, lo=np.zeros(1), hi=np.ones(1),
+                           exit_set=ExitSpec("faces", faces=("x_min",)), modes=modes,
+                           rates=RateMatrix(self.OFF[0]))
+        return spec, build_grid(spec, 0.05, 0.05, 1.0)
+
+    def test_each_matrix_gives_its_own_probabilities_and_constants(self):
+        spec, grid = self.problem()
+        tau = 0.07
+        steps = [cdf_solver.SemiLagrangianStep(spec, grid, tau, i) for i in range(3)]
+        stack = cdf_solver.StepStack(steps, diagonal=True,
+                                     rates=[RateMatrix(off) for off in self.OFF])
+        x, n = grid.points[:, 0], grid.n_nodes
+        live = ~grid.exit_mask
+        assert stack.probs.shape == (2, 3, 3) and stack.const.shape == (2, 3 * n)
+        cap_rows, cap_probs, seen = [], [[], []], {"capped": 0, "escaping": 0}
+        for r, off in enumerate(self.OFF):
+            q = np.array(off) - np.diag(np.sum(off, axis=1))
+            for i, (v, c) in enumerate(zip(self.VEL, self.COST)):
+                eye = np.eye(3)[i]
+                assert np.allclose(stack.probs[r, i], eye + tau * q[i], rtol=0, atol=1e-15)
+                # time to the exit face x_min, or to the escape face x_max
+                reach = x / -v if v < 0 else (1.0 - x) / v
+                ends = live & (reach <= tau)
+                const = np.where(live, tau * c, 0.0)
+                if v > 0:
+                    const[ends] = cdf_solver.ESCAPE_COST
+                    seen["escaping"] += int(ends.sum())
+                else:
+                    theta_tau = reach[ends]
+                    mix = eye + theta_tau[:, None] * q[i]
+                    const[ends] = theta_tau * c + mix @ np.array(self.Q_EXIT)
+                    if r == 0:
+                        cap_rows.extend(i * n + np.flatnonzero(ends))
+                    cap_probs[r].append(mix)
+                    seen["capped"] += int(ends.sum())
+                assert np.allclose(stack.const[r, i * n:(i + 1) * n], const,
+                                   rtol=1e-14, atol=1e-14)
+        assert seen["capped"] > 0 and seen["escaping"] > 0
+        assert np.array_equal(stack.cap_rows, cap_rows)
+        assert np.allclose(stack.cap_probs, [np.concatenate(p) for p in cap_probs],
+                           rtol=0, atol=1e-14)
+
+    def test_without_rates_the_stack_holds_no_probabilities(self):
+        spec, grid = self.problem()
+        stack = cdf_solver.StepStack([cdf_solver.SemiLagrangianStep(spec, grid, 0.07, i)
+                                      for i in range(3)])
+        assert stack.probs is None and stack.cap_probs is None and stack.const is None
+        assert stack.cap_rows.size > 0
+
+
+def test_only_the_step_stack_turns_rates_into_probabilities():
+    # one rule, in one place: StepStack.__init__ mixes I + tau*Q and I + theta*tau*Q
+    callers = set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defs = [(f"{top.name}.{d.name}", d) for d in top.body
+                    if isinstance(d, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else [
+                (getattr(top, "name", None), top)]
+            for name, node in defs:
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id in ("transition_probabilities", "_cap_mix")):
+                        callers.add((path.name, name, call.func.id))
+    assert callers == {("cdf_solver.py", "StepStack.__init__", "transition_probabilities"),
+                       ("cdf_solver.py", "StepStack.__init__", "_cap_mix")}

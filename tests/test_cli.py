@@ -429,6 +429,52 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 0
 
 
+class TestAngleCount:
+    """Only the built-in example6 reads ``--n-angles`` and ``numerics.n_angles``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hjb", "--problem", "example5", "--n-angles", "16"],
+        ["solve-cdf", "--problem", "example1", "--n-angles", "4"],
+        ["min-cost", "--problem", "example3", "--n-angles", "8"],
+    ])
+    def test_flag_on_another_problem_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "example6 only" in capsys.readouterr().err
+
+    def test_numerics_on_another_problem_rejected(self, tmp_path):
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, "n_angles": 8},
+               "run": {}, "output": {}}
+        assert main(["hjb", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_custom_unit_circle_problem_rejects_it(self, tmp_path):
+        problem = serialize_problem(catalog.example6(8))
+        assert problem["controls"] == {"kind": "unit_circle", "n_angles": 8}
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.1, "ds": 0.05, "s_max": 0.2, "n_angles": 4},
+               "run": {}, "output": {}}
+        assert main(["min-cost", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["abc", 2.5, True, 1])
+    def test_bad_count_rejected(self, tmp_path, value):
+        doc = {"schema_version": 1, "problem": "example6",
+               "numerics": {"dx": 0.1, "ds": 0.05, "s_max": 0.2, "n_angles": value},
+               "run": {}, "output": {}}
+        assert main(["min-cost", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_example6_reads_it(self, tmp_path):
+        grid = ["--dx", "0.1", "--ds", "0.05", "--s-max", "0.2"]
+        for angles in ("4", "8"):
+            assert main(["hjb", "--problem", "example6", "--n-angles", angles, *grid,
+                         "--policy-out", str(tmp_path / f"{angles}.policy"),
+                         "--out", str(tmp_path / angles)]) == 0
+            policy = control.load_policy(str(tmp_path / f"{angles}.policy"))
+            assert policy.control_set.n_angles == int(angles)
+
+
 class TestRunValues:
     SIM = ["simulate", "--problem", "example1", "--start", "0.4:1"]
 
@@ -766,6 +812,56 @@ class TestGraphProblems:
         lines = (out / "min_cost.csv").read_text().strip().splitlines()
         assert lines[0] == "node,route,min_cost,attain_prob"
         assert len(lines) == 1 + 6 * 2
+
+    @pytest.mark.parametrize("change", [
+        {"schema_version": 7},
+        {"numerics": {"ds": 1.0, "s_mx": 6.0}},
+        {"numerics": {"ds": 1.0, "s_max": 6.0, "dx": "bogus"}},
+        {"numerics": {"ds": 1.0, "s_max": 6.0, "tau": 1.0}},
+        {"numerics": {"ds": "abc", "s_max": 6.0}},
+        {"numerics": {"ds": True, "s_max": 6.0}},
+        {"numerics": {"ds": 0, "s_max": 6.0}},
+        {"numerics": {"ds": 1.0, "s_max": float("inf")}},
+        {"numerics": {"ds": 1.0, "s_max": [6.0]}},
+        {"run": {"whatever": 1}},
+        {"run": {"slices": ["s=1"]}},
+        {"output": {"dir": "o", "format": "csv"}},
+    ])
+    @pytest.mark.parametrize("command", ["solve-cdf", "min-cost"])
+    def test_graph_config_checked_like_grid_configs(self, tmp_path, capsys, command, change):
+        cfg = write_config(tmp_path, {**self.graph_doc(), **change})
+        assert main([command, "--problem", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--slice", "s=99", "--ds", "0.5", "--s-max", "2"], ["--ds", "0.5"], ["--s-max", "2"],
+        ["--dx", "0.1"], ["--n-angles", "4"], ["--slice", "s=1"],
+    ])
+    def test_grid_flags_on_a_graph_rejected(self, tmp_path, flags):
+        cfg = write_config(tmp_path, self.graph_doc())
+        out = tmp_path / "o"
+        assert main(["solve-cdf", "--problem", cfg, *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_graph_numerics_defaults_and_whole_numbers(self, tmp_path):
+        doc = self.graph_doc()
+        del doc["numerics"]
+        out = tmp_path / "d"
+        assert main(["solve-cdf", "--problem", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert len((out / "cdf.csv").read_text().strip().splitlines()) == 1 + 6 * 2 * 11
+        doc["numerics"] = {"ds": 1, "s_max": 6}
+        out = tmp_path / "w"
+        assert main(["solve-cdf", "--problem", write_config(tmp_path, doc, "w.json"),
+                     "--out", str(out)]) == 0
+        assert len((out / "cdf.csv").read_text().strip().splitlines()) == 1 + 6 * 2 * 7
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep", "hjb", "threshold", "simulate",
+                                         "evaluate-policy"])
+    def test_graph_problem_on_a_grid_command_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.graph_doc())
+        assert main([command, "--problem", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "graph problems run only solve-cdf and min-cost" in capsys.readouterr().err
 
     def test_off_grid_slice_threshold_rejected(self, tmp_path):
         rc = main(["solve-cdf", "--problem", "example1", "--dx", "0.02", "--ds", "0.02",

@@ -316,7 +316,7 @@ class TestThresholdValue:
 class TestPolicyEvaluation:
     def test_threshold_value_dominates_lifted_expectation_policy(self, ex5):
         spec, grid, (value, policy), mc, tv = ex5
-        field = evaluate_policy_cdf(policy, spec, grid, restrict=None)
+        field = evaluate_policy_cdf(policy, spec, grid)
         tv_plain = solve_threshold(spec, grid, hjb=(value, policy))
         assert (field.values - tv_plain.w.values).max() <= 1e-12
 

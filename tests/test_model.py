@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmp_cdf
-from pdmp_cdf import build_grid, catalog, cfl_max_ds, transition_probabilities
+from pdmp_cdf import build_grid, catalog, cfl_max_ds
 from pdmp_cdf.cdf_solver import SemiLagrangianStep
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import (
@@ -23,6 +23,7 @@ from pdmp_cdf.model import (
     VectorField,
 )
 from pdmp_cdf.simulate import run_batch
+from reference_solvers import transition_probabilities
 
 
 def two_state_exact(l12, l21, tau):
