@@ -4,11 +4,14 @@ Rates are allowed to change over time within entrywise intervals
 [lower_ij, upper_ij]; nature plays against (or for) the process by picking
 the rate matrix pointwise.  Because each semi-Lagrangian update is affine
 in the rates, the pointwise optimizer is bang-bang and known in closed
-form, so the bound sweep costs the same as a fixed-rate solve: the modes'
-steps are one shared-column ``StepStack``, whose ``gather`` gives every
-mode's per-source foot values at once, and the bang-bang rate choice
+form, so both envelopes come from one sweep that costs about one
+fixed-rate solve: ``_sweep`` carries the upper and the lower envelope on a
+leading field axis, the modes' steps are one shared-column ``StepStack``,
+whose ``gather`` gives both fields' per-source foot values in one product
+per level shift, and each side's bang-bang rate choice
 (``RateBounds.extreme_rates``, which the minimal-cost solve's probability
-transport uses too) mixes them.
+transport uses too) mixes them.  The modes' steps come from the same
+set-up as the fixed-rate sweep's (``cdf_solver._mode_steps``).
 
 Fixed-rate samples (``fixed_rate_sweep``) come from one rate-stacked run
 of ``solve_cdf``'s sweep: the modes' steps are built once, and every level
@@ -24,10 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdf_solver import (MinimalCost, SemiLagrangianStep, StepStack, _solve_cdfs, _sweep,
-                         causal_tau, check_causality)
+from .cdf_solver import MinimalCost, StepStack, _mode_steps, _solve_cdfs, _sweep
 from .errors import ConfigError, NumericsError
 from .model import CdfField, Grid, MinCostField, ProblemSpec, RateBounds, RateMatrix
+
+_SIDES = (("max", "upper"), ("min", "lower"))  # the sweep's fields, upper first
 
 
 @dataclass(frozen=True)
@@ -36,48 +40,36 @@ class BoundPair:
 
     lower: CdfField
     upper: CdfField
-    rate_bounds: RateBounds
 
 
-@dataclass(frozen=True)
-class MinCostBounds:
-    """Minimal-cost field with attainment-probability envelopes."""
+def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds):
+    """Level update of both envelopes: per-source foot values, then each side's bang-bang mix.
 
-    s0: np.ndarray
-    w0_upper: np.ndarray
-    w0_lower: np.ndarray
-    grid: Grid
-
-    def upper_field(self) -> MinCostField:
-        return MinCostField(self.grid, self.s0, self.w0_upper)
-
-    def lower_field(self) -> MinCostField:
-        return MinCostField(self.grid, self.s0, self.w0_lower)
-
-
-def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds, sense: str):
-    """Level update of one bound field: per-source foot values, then the bang-bang mix.
-
-    Row ``i * N + k`` of the gather holds mode i's foot values of every
-    source mode; escaping rows are empty, so their mix is 0.
+    One product per level shift gathers every field's foot values of every
+    source mode (2M right-hand columns, field by field).  Row ``i * N + k``
+    of the gather holds mode i's foot values; escaping rows are empty, so
+    their mix is 0.
     """
     m, n_nodes = bounds.n_modes, stack.n_nodes
-    zero = np.zeros((n_nodes, m))
+    zero = np.zeros((n_nodes, 2 * m))
 
     def update(level, n: int) -> np.ndarray:
-        src = stack.gather(n, lambda lo, p: level(lo + p).T if lo >= 0 else zero)
-        src[stack.cap_rows] = stack.cap_indicator(n)
-        out = np.zeros((m, n_nodes))
-        for i in range(m):
-            rows = slice(i * n_nodes, (i + 1) * n_nodes)
-            base = src[rows, i]
-            acc = base.copy()
-            for j in range(m):
-                if j == i:
-                    continue
-                diff = src[rows, j] - base
-                acc = acc + step_len[rows] * bounds.extreme_rates(sense, diff, i, j) * diff
-            out[i] = acc
+        src = stack.gather(n, lambda lo, p: level(lo + p).reshape(2 * m, n_nodes).T
+                           if lo >= 0 else zero)
+        src[stack.cap_rows] = np.tile(stack.cap_indicator(n), 2)
+        out = np.zeros((2, m, n_nodes))
+        for f, (sense, _) in enumerate(_SIDES):
+            side = src[:, f * m:(f + 1) * m]
+            for i in range(m):
+                rows = slice(i * n_nodes, (i + 1) * n_nodes)
+                base = side[rows, i]
+                acc = base.copy()
+                for j in range(m):
+                    if j == i:
+                        continue
+                    diff = side[rows, j] - base
+                    acc = acc + step_len[rows] * bounds.extreme_rates(sense, diff, i, j) * diff
+                out[f, i] = acc
         return out
 
     return update
@@ -87,54 +79,45 @@ def solve_bounds(
     spec: ProblemSpec,
     grid: Grid,
     tau: float | None = None,
-    restrict: MinCostBounds | None = None,
+    restrict: MinCostField | None = None,
 ) -> BoundPair:
-    """Upper and lower CDF envelopes by adversarial-rate sweeps.
+    """Upper and lower CDF envelopes by one adversarial-rate sweep.
 
-    The per-node optimizer uses only previous-level values, consistent with
-    the causal sweep, so no within-level iteration is needed.  The implied
-    one-step probabilities must stay valid: tau times the largest total
-    upper rate may not exceed one.
+    The sweep carries both envelopes as two fields, upper first; a
+    ``restrict`` from ``solve_min_cost_bounds`` seeds each with its own w0,
+    and the two share one monotone clamp.  The per-node optimizer uses only
+    previous-level values, consistent with the causal sweep, so no
+    within-level iteration is needed.  The implied one-step probabilities
+    must stay valid: tau times the largest total upper rate may not exceed
+    one.
     """
     rb = spec.require_rate_bounds()
-    node_costs = np.array([spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)])
-    if tau is None:
-        tau = causal_tau(spec, grid, node_costs)
-    check_causality(tau, float(node_costs.min()), grid.ds)
+    steps, tau = _mode_steps(spec, grid, tau)
     max_total = float(rb.upper.sum(axis=1).max())
     if tau * max_total > 1.0 + 1e-12:
         raise NumericsError(
             f"tau * max total upper rate = {tau * max_total:.6g} exceeds 1; "
             "the adversarial update would leave [0, 1]"
         )
-    steps = [
-        SemiLagrangianStep(spec, grid, tau, i, costs=node_costs[i])
-        for i in range(spec.n_modes)
-    ]
     stack = StepStack(steps)
-    step_len = np.full(stack.n_nodes * len(steps), tau)
-    step_len[stack.cap_rows] = np.concatenate([st.cap_theta_tau for st in steps])
-    fields = {}
-    for sense, name in (("max", "upper"), ("min", "lower")):
-        mc = None
-        if restrict is not None:
-            mc = restrict.upper_field() if sense == "max" else restrict.lower_field()
-        w, clamp = _sweep(spec, grid, mc, _bound_update(stack, step_len, rb, sense),
-                          f"{name} bound sweep")
-        fields[name] = CdfField(grid, w, spec=spec, tau=tau, variant=f"rate-bounds-{name}",
-                                clamp=clamp)
-    return BoundPair(lower=fields["lower"], upper=fields["upper"], rate_bounds=rb)
+    del steps
+    step_len = np.full(stack.n_nodes * spec.n_modes, tau)
+    step_len[stack.cap_rows] = stack.cap_theta_tau
+    w, clamp = _sweep(spec, grid, restrict, _bound_update(stack, step_len, rb), "bound sweep", 2)
+    upper, lower = (CdfField(grid, values, spec=spec, tau=tau, variant=f"rate-bounds-{name}",
+                             clamp=clamp) for values, (_, name) in zip(w, _SIDES))
+    return BoundPair(lower=lower, upper=upper)
 
 
-def solve_min_cost_bounds(spec: ProblemSpec, grid: Grid) -> MinCostBounds:
-    """Minimal attainable cost with envelope attainment probabilities.
+def solve_min_cost_bounds(spec: ProblemSpec, grid: Grid) -> MinCostField:
+    """Minimal attainable cost with both envelopes' attainment probabilities.
 
+    w0 is (2, M, N), upper first: the seeds of ``solve_bounds``' two fields.
     The minimal cost itself is rate-independent; only the probability
     transport term is extremized within the bounds.
     """
     spec.require_rate_bounds()
-    both = MinimalCost(spec, grid).stacked([(spec, "upper"), (spec, "lower")])
-    return MinCostBounds(s0=both.s0, w0_upper=both.w0[0], w0_lower=both.w0[1], grid=grid)
+    return MinimalCost(spec, grid).stacked([(spec, name) for _, name in _SIDES])
 
 
 def default_rate_grid(levels=(1.0, 2.0, 3.0, 4.0)) -> list[RateMatrix]:

@@ -33,7 +33,12 @@ I + theta*tau*Q and the expected-cost constants.  So one fixed-rate CDF
 sweep serves several rate matrices: a leading rate axis rides through
 the mixing, the sparse products (one right-hand column per matrix) and
 ``_sweep``, and ``solve_cdf`` is its one-matrix case.  The bound sweep
-stacks its steps without rates and mixes its own bang-bang rates.
+stacks its steps without rates and carries its two envelopes on the same
+leading field axis, mixing its own bang-bang rates; the threshold sweep
+is ``_sweep``'s one-field case.  The fixed-rate and bound sweeps share
+one set-up, ``_mode_steps``.  A policy enters a step only as actions
+(``VectorField.at``, the one velocity rule): one per step for the
+actions of a mode, one per node for a frozen policy.
 
 Expected exit costs, expectation-optimal in the control module, are
 solved by one routine: modified policy iteration over the stacked steps
@@ -121,6 +126,9 @@ def check_causality(tau: float, min_cost: float, ds: float) -> None:
 class SemiLagrangianStep:
     """Precomputed one-step update of one (mode, action) pair: node classes and foot stencils.
 
+    ``action`` is one action, or one per node (a frozen policy); see
+    ``VectorField.at``.
+
     Nodes are classified once: *regular* steps stay in the domain and read
     the interpolated previous solution, *capped* steps reach the exit set
     at a fraction theta of the step and evaluate the boundary condition at
@@ -147,8 +155,6 @@ class SemiLagrangianStep:
         tau: float,
         mode: int,
         action: np.ndarray | None = None,
-        velocities: np.ndarray | None = None,
-        costs: np.ndarray | None = None,
     ):
         self.spec = spec
         self.grid = grid
@@ -156,10 +162,8 @@ class SemiLagrangianStep:
         self.mode = mode
         m = spec.n_modes
         pts = grid.points
-        vel = velocities if velocities is not None else spec.modes[mode].dynamics.at(grid, pts, action)
-        cost = costs if costs is not None else spec.modes[mode].cost.at(grid, pts, action)
-        self.node_cost = np.asarray(cost, dtype=float)
-        disp = tau * np.asarray(vel, dtype=float)
+        self.node_cost = spec.modes[mode].cost.at(grid, pts)
+        disp = tau * spec.modes[mode].dynamics.at(grid, pts, action)
 
         t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, pts, disp)
         theta = np.minimum(t_exit, t_escape)
@@ -250,7 +254,8 @@ class StepStack:
     reading its own mixed level); otherwise every step reads the same input
     (the actions of one mode, or the modes of a bound sweep reading every
     source mode).  The ``cap_*`` arrays collect the capped steps under
-    their stacked rows.
+    their stacked rows: ``cap_theta_tau`` their durations, ``cap_ds`` their
+    costs and ``cap_q`` the exit costs at their crossings.
 
     This is also the one place where switching rates become probabilities.
     Given ``rates``, a list of R rate matrices, a leading axis carries one
@@ -281,6 +286,7 @@ class StepStack:
                 self.level_ops.append((shift, parts,
                                        _assemble(steps, width, diagonal, shift, parts)))
         self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
+        self.cap_theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
         self.cap_ds = np.concatenate([st.cap_ds for st in steps])
         self.cap_q = np.concatenate([st.cap_q for st in steps])
         self.probs = self.cap_probs = self.const = None
@@ -288,10 +294,10 @@ class StepStack:
             return
         modes = [st.mode for st in steps]
         cap_modes = np.repeat(modes, [st.cap_nodes.size for st in steps])
-        theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
         tau = steps[0].tau
         self.probs = np.array([transition_probabilities(rm, tau)[modes] for rm in rates])
-        self.cap_probs = _cap_mix(cap_modes, theta_tau, np.array([rm.matrix for rm in rates]))
+        self.cap_probs = _cap_mix(cap_modes, self.cap_theta_tau,
+                                  np.array([rm.matrix for rm in rates]))
         self.const = np.zeros((len(rates), len(steps) * n))
         for b, st in enumerate(steps):
             self.const[:, b * n + st.reg_nodes] = tau * st.node_cost[st.reg_nodes]
@@ -368,18 +374,17 @@ def solve_cdf(
     grid: Grid,
     tau: float | None = None,
     restrict: MinCostField | None = None,
-    velocities: np.ndarray | None = None,
-    costs: np.ndarray | None = None,
+    actions: np.ndarray | None = None,
     rates: RateMatrix | None = None,
 ) -> CdfField:
-    """Solve for the exit-cost CDF of an uncontrolled problem.
+    """Solve for the exit-cost CDF of an uncontrolled problem, or of a frozen policy.
 
-    ``velocities``/``costs`` (shape (M, n_nodes, d) and (M, n_nodes)) replace
-    the per-mode fields when given; this is how policy-frozen dynamics are
-    evaluated.  ``restrict`` zeroes all levels below the rounded-up minimal
-    attainable cost and seeds the first active level with its attainment
-    probability, which both speeds up the sweep and removes smearing at the
-    lower envelope.
+    ``actions`` (shape (M, n_nodes, d)) freezes a policy: mode i moves
+    under action ``actions[i, k]`` at node k (``VectorField.at``), which is
+    how a controlled problem runs here.  ``restrict`` zeroes all levels
+    below the rounded-up minimal attainable cost and seeds the first active
+    level with its attainment probability, which both speeds up the sweep
+    and removes smearing at the lower envelope.
 
     Each level update mixes the previous levels over the modes with the
     one-step transition probabilities and applies the block-diagonal stack
@@ -388,9 +393,23 @@ def solve_cdf(
     """
     if rates is not None:
         spec = replace(spec, rates=rates)
-    (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict,
-                          velocities, costs)
+    (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict, actions)
     return field
+
+
+def _mode_steps(spec: ProblemSpec, grid: Grid, tau: float | None,
+                actions: np.ndarray | None = None) -> tuple[list[SemiLagrangianStep], float]:
+    """One step per mode and their tau (default: causal): the one set-up of a modes' sweep.
+
+    ``actions`` is None or (M, n_nodes, d), one action per mode and node.
+    """
+    node_costs = np.array([spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)])
+    if tau is None:
+        tau = causal_tau(spec, grid, node_costs)
+    check_causality(tau, float(node_costs.min()), grid.ds)
+    steps = [SemiLagrangianStep(spec, grid, tau, i, None if actions is None else actions[i])
+             for i in range(spec.n_modes)]
+    return steps, tau
 
 
 def _solve_cdfs(
@@ -399,8 +418,7 @@ def _solve_cdfs(
     rates: list[RateMatrix],
     tau: float | None = None,
     restrict: MinCostField | None = None,
-    velocities: np.ndarray | None = None,
-    costs: np.ndarray | None = None,
+    actions: np.ndarray | None = None,
 ) -> list[CdfField]:
     """The exit-cost CDF under each rate matrix of ``rates``, from one sweep.
 
@@ -414,22 +432,9 @@ def _solve_cdfs(
     stacked (R, M, N).  Each field keeps its own (M, L, N) values (see
     ``_sweep``), and the fields share the restricted sweep's clamp.
     """
-    if spec.controlled and velocities is None:
-        raise ConfigError("controlled problems need the control module (or frozen fields)")
-    node_costs = costs if costs is not None else np.array(
-        [spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)]
-    )
-    if tau is None:
-        tau = causal_tau(spec, grid, node_costs)
-    check_causality(tau, float(node_costs.min()), grid.ds)
-    steps = [
-        SemiLagrangianStep(
-            spec, grid, tau, i,
-            velocities=None if velocities is None else velocities[i],
-            costs=node_costs[i],
-        )
-        for i in range(spec.n_modes)
-    ]
+    if spec.controlled and actions is None:
+        raise ConfigError("controlled problems need the control module (or frozen actions)")
+    steps, tau = _mode_steps(spec, grid, tau, actions)
     stack = StepStack(steps, diagonal=True, rates=rates)
     n_rates, rows = len(rates), spec.n_modes * grid.n_nodes
     zero = np.zeros((rows, n_rates))
@@ -449,31 +454,31 @@ def _solve_cdfs(
             for r, rm in enumerate(rates)]
 
 
-def _sweep(spec, grid, restrict, update, what: str, n_rates: int | None = None):
-    """Causal upward sweep; ``update(level, n)`` gives every mode's level n off the exit set.
+def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
+    """Causal upward sweep of ``n_fields`` fields; ``update(level, n)`` gives their level n.
 
-    ``level(k)`` is the field's level k < n, shape (M, N).  With ``n_rates``
-    the sweep carries that many fields of a rate-stacked CDF sweep on a
-    leading axis: ``level(k)`` and the update have shape (R, M, N), and the
-    seeding uses one ``first_level`` with ``restrict.w0`` per field when it
-    is stacked.  Each field is its own (M, L, N) array, as separate solves
-    would allocate them: one (R, M, L, N) array needs fresh pages for all
-    of it, where arrays of one field's size reuse memory freed by earlier
-    work.  The level just below n is kept stacked, so the common
-    one-level-back read costs no copy.
+    ``level(k)`` holds every field's level k < n and the update returns level
+    n, both (F, M, N): the rate matrices of a rate-stacked CDF sweep, the
+    bound sweep's two envelopes or the threshold sweep's one field.  The
+    seeding uses one ``first_level`` with ``restrict.w0``, one (M, N) seed
+    for every field or one per field, stacked (F, M, N).  Each field is its
+    own (M, L, N) array, as separate solves would allocate them: one
+    (F, M, L, N) array needs fresh pages for all of it, where arrays of one
+    field's size reuse memory freed by earlier work.  The level just below n
+    is kept stacked, so the common one-level-back read costs no copy.
 
-    It owns level 0, the restricted seeding with its clamp and the exit
-    rows.  Returns the field (a list of R fields with ``n_rates``) and the
-    clamp (None without ``restrict``).
+    It owns level 0, the restricted seeding with one clamp for all fields
+    and the exit rows (the update's exit rows are overwritten).  Returns the
+    F fields and the clamp (None without ``restrict``).
     """
     ex = grid.exit_mask
     q_exit = exit_costs(spec, grid)
-    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_rates or 1)]
+    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_fields)]
     for w in fields:
         w[:, 0, ex] = 0.0 >= q_exit - 1e-15
 
     def stored(k: int) -> np.ndarray:
-        return fields[0][:, k] if n_rates is None else np.stack([w[:, k] for w in fields])
+        return np.stack([w[:, k] for w in fields])
 
     def level(k: int) -> np.ndarray:
         return prev if k == n - 1 else stored(k)
@@ -488,12 +493,12 @@ def _sweep(spec, grid, restrict, update, what: str, n_rates: int | None = None):
             vals = np.where(n == first_level, restrict.w0, vals)
             vals = clamp.apply(vals, prev)
         vals[..., ex] = n * grid.ds >= q_exit - 1e-15
-        for w, v in zip(fields, [vals] if n_rates is None else vals):
+        for w, v in zip(fields, vals):
             w[:, n] = v
         prev = vals
     if clamp is not None:
         clamp.report(f"restricted {what}")
-    return (fields[0] if n_rates is None else fields), clamp
+    return fields, clamp
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +691,7 @@ def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
             block = actions[lo:lo + per_block]
             vel = [mode.dynamics.at(grid, pts, a) for a in block]
             vel = [np.column_stack([v[:, axis] for v in vel]) for axis in range(grid.dim)]
-            cost = np.column_stack([mode.cost.at(grid, pts, a) for a in block])
+            cost = np.repeat(mode.cost.at(grid, pts)[:, None], len(block), axis=1)
             cols = slice(row, row + len(block))
             out = _fill_block(grid, multi, vel, cost, mode.dynamics.kind == "tabulated")
             for arr, vals in zip((table.const, table.frac, table.foot_a, table.foot_b,

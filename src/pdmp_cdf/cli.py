@@ -200,13 +200,33 @@ def load_config(path_or_name: str) -> dict:
     return doc
 
 
+def _grid_numerics(numerics: dict, dim: int) -> None:
+    """Check ``ds``, ``s_max``, ``tau`` and ``dx`` (a scalar, or one entry per axis) before use.
+
+    Each must be a finite number > 0; anything else is a ConfigError.
+    """
+    for key in ("ds", "s_max", "tau"):
+        if key in numerics:
+            _positive_number(numerics[key], f"numerics.{key}")
+    dx = numerics["dx"]
+    if isinstance(dx, list):
+        if len(dx) != dim:
+            raise ConfigError(f"numerics.dx lists {len(dx)} spacings for a {dim}D problem")
+        for a, value in enumerate(dx):
+            _positive_number(value, f"numerics.dx[{a}]")
+    else:
+        _positive_number(dx, "numerics.dx")
+
+
 def load_problem(path_or_name: str, overrides: dict | None = None):
     """Load, validate, and discretize a problem configuration.
 
-    Returns (spec, grid, numerics, run, output).  Validation rejects
-    non-causal step policies outright; the uniform-step inequality is
-    enforced only for space-varying velocities, where the exact boundary
-    capping used by the solvers is unavailable.
+    Returns (spec, grid, numerics, run, output).  The grid numerics are
+    checked first (`_grid_numerics`).  Validation rejects non-causal step
+    policies outright (``cdf_solver.check_causality``, the solvers' rule);
+    the uniform-step inequality is enforced only for space-varying
+    velocities, where the exact boundary capping used by the solvers is
+    unavailable.
     """
     doc = load_config(path_or_name)
     if overrides:
@@ -227,14 +247,10 @@ def load_problem(path_or_name: str, overrides: dict | None = None):
     for key in ("dx", "ds", "s_max"):
         if key not in merged:
             raise ConfigError(f"config.numerics.{key} is required for custom problems")
+    _grid_numerics(merged, spec.dim)
     grid = build_grid(spec, merged["dx"], merged["ds"], merged["s_max"])
-
-    min_c = spec.min_cost_rate()
-    tau = merged.get("tau")
-    if tau is not None and tau * min_c < grid.ds * (1 - 1e-9):
-        raise NumericsError(
-            f"configured tau={tau:.6g} breaks causality: tau*minC={tau*min_c:.6g} < ds={grid.ds:.6g}"
-        )
+    if "tau" in merged:
+        cdf_solver.check_causality(merged["tau"], spec.min_cost_rate(), grid.ds)
     ds_max = cfl_max_ds(spec, merged["dx"])
     exact_capping = all(m.dynamics.constant_in_space for m in spec.modes)
     if merged["ds"] > ds_max * (1 + 1e-9) and not exact_capping:
@@ -558,7 +574,7 @@ def _cmd_hjb(args) -> int:
     iteration = _iteration_numerics(numerics)
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "hjb", "problem": args.problem, "numerics": numerics})
-    value, policy = control.solve_hjb_expectation(spec, grid, **iteration)
+    value, policy = control.solve_hjb_expectation(spec, grid, tau=numerics.get("tau"), **iteration)
     rows = Table([*_node_mode_columns(grid, spec.n_modes), value.u.T.reshape(-1),
                   policy.actions[:, 0, :].T.reshape(-1)])
     exporter.write_rows("expected_cost.csv", ["x", "y"][:spec.dim] + ["mode", "value", "action"], rows)
@@ -578,7 +594,7 @@ def _cmd_threshold(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
-    hjb = control.solve_hjb_expectation(spec, grid, **iteration)
+    hjb = control.solve_hjb_expectation(spec, grid, tau=numerics.get("tau"), **iteration)
     tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
     exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
                         _field_rows(tv.w.values, grid, slices))

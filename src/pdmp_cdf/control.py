@@ -290,7 +290,7 @@ def solve_threshold(
             # [W, V] candidates of every action, the modes mixed first
             probs = stack.probs[0, 0]
             cand = stack.gather(n, lambda lo, p: np.column_stack(
-                [probs @ level(lo + p) if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
+                [probs @ level(lo + p)[0] if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
             wc = cand[:, 0]
             wc[stack.cap_rows] = stack.cap_cdf(n)[0]
             vals = wc.reshape(n_act, n_nodes)
@@ -302,9 +302,9 @@ def solve_threshold(
             fallback = (wmax[i] <= 0.0) | (n <= seeded)
             actions[i, n] = np.where(fallback, a_star[i], a_hat)
             v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
-        return wmax
+        return wmax[None]
 
-    w, clamp = _sweep(spec, grid, restrict, update, "threshold sweep")
+    (w,), clamp = _sweep(spec, grid, restrict, update, "threshold sweep", 1)
 
     # boundary-cell lookups read the exit-node entries; give them the law of
     # the nearest interior node instead of meaningless boundary updates
@@ -338,10 +338,10 @@ def evaluate_policy_cdf(
 ) -> CdfField:
     """Exit-cost CDF of a level-independent feedback policy.
 
-    The policy freezes per-node dynamics and running costs, reducing the
-    problem to an uncontrolled solve.  Level-dependent policies have no
-    such reduction (their success probability is threshold-specific), so
-    they must be evaluated by simulation instead.
+    The policy enters the CDF sweep as its actions, one per mode and node,
+    which reduces the problem to an uncontrolled solve.  Level-dependent
+    policies have no such reduction (their success probability is
+    threshold-specific), so they must be evaluated by simulation instead.
     """
     if policy.s_dependent:
         raise ConfigError(
@@ -350,19 +350,7 @@ def evaluate_policy_cdf(
     policy.require_fits(spec)
     if tuple(policy.shape) != grid.shape:
         raise ConfigError("policy was synthesized on a different grid")
-    m = spec.n_modes
-    vels = np.empty((m, grid.n_nodes, grid.dim))
-    costs = np.empty((m, grid.n_nodes))
-    for i in range(m):
-        a_idx = policy.actions[i, 0]
-        a_vec = policy.control_set.vectors[a_idx]
-        dyn = spec.modes[i].dynamics
-        if dyn.kind == "control_offset":
-            vels[i] = a_vec + dyn.vector[None, :]
-        else:
-            vels[i] = dyn.at(grid, grid.points)
-        costs[i] = spec.modes[i].cost.at(grid, grid.points)
-    return solve_cdf(spec, grid, tau=tau, velocities=vels, costs=costs)
+    return solve_cdf(spec, grid, tau=tau, actions=policy.control_set.vectors[policy.actions[:, 0]])
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,6 @@ class RateBounds:
         off = rates.off_diagonal()
         return bool(np.all(off >= self.lower - tol) and np.all(off <= self.upper + tol))
 
-    def midpoint(self) -> RateMatrix:
-        return RateMatrix(0.5 * (self.lower + self.upper))
-
     def extreme_rates(self, sense: str, gap, i=slice(None), j=slice(None)) -> np.ndarray:
         """Bang-bang rates i -> j that extremize the coupling ``rate * gap``.
 
@@ -165,9 +162,7 @@ class ScalarField:
     """Running or exit cost of one mode.
 
     ``constant`` carries a single value; ``tabulated`` carries one value per
-    grid node (multilinearly interpolated).  Action-dependence is accepted in
-    the call signature for forward compatibility but the built-in kinds do
-    not use it.
+    grid node (multilinearly interpolated).
     """
 
     kind: str  # "constant" | "tabulated"
@@ -192,7 +187,7 @@ class ScalarField:
     def constant(cls, value: float) -> "ScalarField":
         return cls("constant", value=float(value))
 
-    def at(self, grid: "Grid", points: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
+    def at(self, grid: "Grid", points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         if self.kind == "constant":
             return np.full(pts.shape[0], self.value)
@@ -256,14 +251,19 @@ class VectorField:
         return self.kind in ("constant", "control_offset")
 
     def at(self, grid: "Grid", points: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
+        """Velocity at ``points`` (n, d) under one action (d,) or one per point (n, d).
+
+        This is the one velocity rule: only ``control_offset`` reads the
+        action, f = action + vector, and it needs one; the other kinds ignore it.
+        """
         pts = np.atleast_2d(points)
         if self.kind == "constant":
             return np.broadcast_to(self.vector, (pts.shape[0], self.vector.size)).copy()
         if self.kind == "control_offset":
             if action is None:
                 raise ConfigError("control-offset velocity needs an action value")
-            vec = np.asarray(action, dtype=float).reshape(-1) + self.vector
-            return np.broadcast_to(vec, (pts.shape[0], vec.size)).copy()
+            vec = np.asarray(action, dtype=float) + self.vector
+            return np.broadcast_to(vec, (pts.shape[0], self.vector.size)).copy()
         d = self.values.shape[-1]
         flat = self.values.reshape(-1, d)
         out = np.empty((pts.shape[0], d))
@@ -698,9 +698,6 @@ class CdfField:
     @property
     def n_modes(self) -> int:
         return self.values.shape[0]
-
-    def level(self, mode: int, n: int) -> np.ndarray:
-        return self.values[mode, n]
 
     def evaluate(self, mode: int, x, s: float) -> float:
         pt = np.atleast_2d(np.asarray(x, dtype=float))

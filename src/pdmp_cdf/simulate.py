@@ -309,9 +309,12 @@ def run_batch(
     counts each sample's loop steps.  Switch draws, exits, escapes,
     censoring, ``record`` and ``occupancy`` are shared by all three motions.
 
-    ``threshold`` is the cost budget of a level-dependent policy and must be
-    finite; it is rejected without one.  ``horizon_cap`` must be positive
-    (``inf`` is allowed).  Bad values raise `ConfigError`.
+    Velocities come from ``VectorField.at`` alone, as (mode, action) rows
+    built once: a policy's action moves only ``control_offset`` modes, and
+    such a mode without a policy has no velocity, so the run raises
+    `ConfigError`.  ``threshold`` is the cost budget of a level-dependent
+    policy and must be finite; it is rejected without one.  ``horizon_cap``
+    must be positive (``inf`` is allowed).  Bad values raise `ConfigError`.
     """
     x0 = np.array(start[0], dtype=float).reshape(-1)
     mode0 = int(start[1])
@@ -351,8 +354,11 @@ def run_batch(
     face_exits = spec.exit_set.face_exits(d)
     if not integrate:
         cost_rate = np.array([ms.cost.value for ms in spec.modes])
-        offsets = np.array([ms.dynamics.vector for ms in spec.modes])
-    ctrl_vecs = policy.control_set.vectors if policy is not None else None
+        # velocity of each (mode, action) by the one velocity rule; without a
+        # policy one row per mode, and a control-offset mode has no velocity
+        actions = policy.control_set.vectors if policy is not None else None
+        points = np.zeros((1 if actions is None else actions.shape[0], d))
+        velocity = np.array([ms.dynamics.at(grid, points, actions) for ms in spec.modes])
 
     index = _stream_indices(seed, stream_offset, n)
     x = np.tile(x0, (n, 1))
@@ -416,11 +422,10 @@ def run_batch(
             if use_cells:
                 flat = cell[act] @ strides
                 sc = s_cell[act]
-                below = sc < 0
                 lvl = np.clip(sc, 0, policy.n_levels - 1)
-                a_idx = np.where(below, policy.fallback[md, flat], policy.actions[md, lvl, flat])
-                rad = np.where(below, fallback_radius[md, flat], radius[md, lvl, flat]).astype(int)
-                v = ctrl_vecs[a_idx] + offsets[md]
+                rad = np.where(sc < 0, fallback_radius[md, flat],
+                               radius[md, lvl, flat]).astype(int)
+                v = velocity[md, policy.action_index_at_cell(md, sc, flat)]
                 sliding = slide_axis[act]
                 if np.any(sliding >= 0):
                     rows = np.where(sliding >= 0)[0]
@@ -433,7 +438,7 @@ def run_batch(
                     v[stuck] = 0.0
                     rad[stuck] = 0
             else:
-                v = offsets[md]
+                v = velocity[md, 0]
             crate = cost_rate[md]
 
             dt_switch = next_switch[act] - t[act]
@@ -560,14 +565,13 @@ def run_batch(
     )
 
 
-def _per_mode(fields, grid: Grid | None, modes: np.ndarray, points: np.ndarray,
-              action: np.ndarray | None = None) -> np.ndarray:
+def _per_mode(fields, grid: Grid | None, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Each row's value of ``fields[mode]`` at its point, one ``at`` call per mode present."""
     out = None
     for k, f in enumerate(fields):
         rows = modes == k
         if rows.any():
-            value = f.at(grid, points[rows], action)
+            value = f.at(grid, points[rows])
             if out is None:
                 out = np.empty((modes.size,) + value.shape[1:])
             out[rows] = value
@@ -582,17 +586,14 @@ def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.nda
     sample does not move), shortened to the horizon and to the next switch
     (at least 1e-15).  The step ends early where its chord first meets the
     exit set or a non-exit face (``ExitSpec.first_hit``); a tie goes to the
-    exit.  The running cost is charged at the rate of the start point.  A
-    ``control_offset`` velocity moves at its offset (the zero action), as in
-    exact motion without a policy.
+    exit.  The running cost is charged at the rate of the start point.
 
     Returns the new points, the step times, the cost rates and the masks of
     the events ``switch``, ``horizon``, ``exit`` and ``escape`` (a step may
     both switch and reach the horizon).
     """
     velocity = [ms.dynamics for ms in spec.modes]
-    still = np.zeros(spec.dim)
-    k1 = _per_mode(velocity, grid, modes, x, still)
+    k1 = _per_mode(velocity, grid, modes, x)
     speed = np.linalg.norm(k1, axis=1)
     with np.errstate(divide="ignore"):
         h = np.where(speed > 0, grid.dx.min() / speed, cap - t)
@@ -600,7 +601,7 @@ def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.nda
 
     def stage(k, share):
         return _per_mode(velocity, grid, modes,
-                         np.clip(x + share * h[:, None] * k, grid.lo, grid.hi), still)
+                         np.clip(x + share * h[:, None] * k, grid.lo, grid.hi))
 
     k2 = stage(k1, 0.5)
     k3 = stage(k2, 0.5)

@@ -10,6 +10,9 @@ its sweeps.  A test against them checks the solver and not the scheme.
 upwind finite-difference form of the 1D level update) are cross-checks of
 the scheme itself.  `howard_every_pass` is plain Howard policy iteration
 over the package's stacked operators, with a sparse LU on every pass.
+`per_side_bounds` is the bound sweep run one envelope at a time, each
+side with its own gather, seed and clamp, which the two-field sweep of
+``bounds.solve_bounds`` must equal bit for bit.
 The references mix modes with one-step probabilities they compute
 themselves (``step_probs``, ``cap_probs``), and `transition_probabilities`
 keeps the exact matrix exponential that the package's first-order rule is
@@ -24,8 +27,11 @@ import numpy as np
 from pdmp_cdf import model
 from pdmp_cdf.cdf_solver import (
     ESCAPE_COST,
+    MinimalCost,
     SemiLagrangianStep,
     StepStack,
+    _sweep,
+    causal_tau,
     exit_costs,
     policy_iteration,
 )
@@ -126,7 +132,7 @@ def level_sweep(spec, grid, tau, u=None, action=None):
     probs = [step_probs(spec.rates.matrix, st) for st in steps]
     caps = [cap_probs(spec.rates.matrix, st) for st in steps]
     feet = [_feet(spec, grid, st, action) for st in steps]
-    costs = [spec.modes[i].cost.at(grid, grid.points, action) for i in range(m)]
+    costs = [spec.modes[i].cost.at(grid, grid.points) for i in range(m)]
     w = np.zeros((m, ns, nn))
     v = np.zeros((m, ns, nn))
     w[:, 0] = ex & (0.0 >= q - 1e-15)
@@ -180,7 +186,7 @@ def plain_candidates(spec, grid):
     for i, mode in enumerate(spec.modes):
         for act in actions:
             vel = mode.dynamics.at(grid, grid.points, act)
-            cost = mode.cost.at(grid, grid.points, act)
+            cost = mode.cost.at(grid, grid.points)
             c = {"mode": i, "const": np.full(n, math.inf), "frac": np.zeros(n),
                  "foot_a": np.full(n, -1), "foot_b": np.full(n, -1), "h_at_foot": np.zeros(n)}
             for k in range(n):
@@ -408,3 +414,51 @@ def eulerian_step(field: CdfField, n: int, mode: int) -> np.ndarray:
     out[k] = upwind + ds * coupling
     out[grid.exit_mask] = (n + 1) * grid.ds >= exit_costs(spec, grid)[mode] - 1e-15
     return out
+
+
+def _side_update(stack, step_len, bounds, sense):
+    """Level update of one bound field: per-source foot values, then the bang-bang mix."""
+    m, n_nodes = bounds.n_modes, stack.n_nodes
+    zero = np.zeros((n_nodes, m))
+
+    def update(level, n):
+        src = stack.gather(n, lambda lo, p: level(lo + p)[0].T if lo >= 0 else zero)
+        src[stack.cap_rows] = stack.cap_indicator(n)
+        out = np.zeros((m, n_nodes))
+        for i in range(m):
+            rows = slice(i * n_nodes, (i + 1) * n_nodes)
+            base = src[rows, i]
+            acc = base.copy()
+            for j in range(m):
+                if j == i:
+                    continue
+                diff = src[rows, j] - base
+                acc = acc + step_len[rows] * bounds.extreme_rates(sense, diff, i, j) * diff
+            out[i] = acc
+        return out[None]
+
+    return update
+
+
+def per_side_bounds(spec, grid, tau=None, restrict=False):
+    """Upper and lower envelopes swept one side at a time: ((upper, clamp), (lower, clamp)).
+
+    Each side gathers its own foot values, and with ``restrict`` is seeded
+    by its own ``MinimalCost.field`` and keeps its own monotone clamp.
+    """
+    rb = spec.require_rate_bounds()
+    node_costs = np.array([spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)])
+    if tau is None:
+        tau = causal_tau(spec, grid, node_costs)
+    steps = [SemiLagrangianStep(spec, grid, tau, i) for i in range(spec.n_modes)]
+    stack = StepStack(steps)
+    step_len = np.full(stack.n_nodes * len(steps), tau)
+    step_len[stack.cap_rows] = np.concatenate([st.cap_theta_tau for st in steps])
+    mc = MinimalCost(spec, grid) if restrict else None
+    sides = []
+    for sense, name in (("max", "upper"), ("min", "lower")):
+        seed = mc.field(spec, name) if restrict else None
+        (w,), clamp = _sweep(spec, grid, seed, _side_update(stack, step_len, rb, sense),
+                             f"{name} bound sweep", 1)
+        sides.append((w, clamp))
+    return sides

@@ -11,10 +11,19 @@ from pdmp_cdf.bounds import (
     solve_bounds,
     solve_min_cost_bounds,
 )
-from pdmp_cdf import cdf_solver
-from pdmp_cdf.cdf_solver import MinimalCost, solve_cdf, solve_min_cost
+from pdmp_cdf import bounds, cdf_solver
+from pdmp_cdf.cdf_solver import MinimalCost, SemiLagrangianStep, solve_cdf, solve_min_cost
 from pdmp_cdf.errors import ConfigError
-from pdmp_cdf.model import RateBounds, RateMatrix
+from pdmp_cdf.model import (
+    ExitSpec,
+    ModeSpec,
+    ProblemSpec,
+    RateBounds,
+    RateMatrix,
+    ScalarField,
+    VectorField,
+)
+from reference_solvers import per_side_bounds
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +113,13 @@ class TestMinCostBounds:
         mcb = solve_min_cost_bounds(degenerate, grid)
         plain = solve_min_cost(catalog.example1(), grid)
         assert np.abs(mcb.s0 - plain.s0).max() <= 1e-12
-        assert np.abs(mcb.w0_upper - plain.w0).max() <= 1e-12
-        assert np.abs(mcb.w0_lower - plain.w0).max() <= 1e-12
+        assert np.abs(mcb.w0[0] - plain.w0).max() <= 1e-12
+        assert np.abs(mcb.w0[1] - plain.w0).max() <= 1e-12
 
     def test_one_s0_serves_both_senses(self, ex4):
         spec, grid = ex4
         mcb = solve_min_cost_bounds(spec, grid)
-        for sense, w0 in (("upper", mcb.w0_upper), ("lower", mcb.w0_lower)):
+        for sense, w0 in (("upper", mcb.w0[0]), ("lower", mcb.w0[1])):
             own = solve_min_cost(spec, grid, rate_sense=sense)
             assert np.array_equal(mcb.s0, own.s0)
             assert np.array_equal(w0, own.w0)
@@ -120,9 +129,9 @@ class TestMinCostBounds:
         spec, grid = ex4
         mcb = solve_min_cost_bounds(spec, grid)
         k = round(0.75 / grid.dx[0])
-        assert abs(mcb.w0_upper[0, k] - math.exp(-0.25)) < 0.01
-        assert abs(mcb.w0_lower[0, k] - math.exp(-1.0)) < 0.01
-        assert np.all(mcb.w0_lower <= mcb.w0_upper + 1e-12)
+        assert abs(mcb.w0[0][0, k] - math.exp(-0.25)) < 0.01
+        assert abs(mcb.w0[1][0, k] - math.exp(-1.0)) < 0.01
+        assert np.all(mcb.w0[1] <= mcb.w0[0] + 1e-12)
 
 
 class TestFixedRateSweep:
@@ -231,3 +240,47 @@ class TestFixedRateSweep:
             assert np.array_equal(stacked.w0[r], own.w0)
             assert np.array_equal(field.values,
                                   solve_cdf(spec, grid, restrict=own, rates=rm).values)
+
+
+class TestOneSweep:
+    """Both envelopes ride one sweep; it equals the per-side sweeps bit for bit."""
+
+    # exits on x_max and y_max, escapes through the other two faces; running
+    # costs 1, 2 and 1.5 read 1, 2 and 1.5 levels back at the default tau
+    SPEC = ProblemSpec(
+        dim=2, lo=np.zeros(2), hi=np.ones(2), exit_set=ExitSpec("faces", faces=("x_max", "y_max")),
+        modes=tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(c),
+                             ScalarField.constant(q))
+                    for v, c, q in (([1.5, 0.6], 1.0, 0.0), ([-1.0, 1.2], 2.0, 0.1),
+                                    ([0.8, -1.6], 1.5, 0.2))),
+        rates=RateBounds([[0, 0.5, 0.2], [0.3, 0, 0.6], [0.4, 0.1, 0]],
+                         [[0, 1.5, 1.0], [1.2, 0, 2.0], [1.0, 0.8, 0]]))
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return build_grid(self.SPEC, 0.05, 0.04, 1.6)
+
+    def test_the_grid_has_fractions_caps_and_escapes(self, grid):
+        steps = [SemiLagrangianStep(self.SPEC, grid, grid.ds, i) for i in range(3)]
+        assert any(np.any(st.frac > 0) for st in steps)
+        assert any(st.cap_nodes.size for st in steps)
+        assert any(st.esc_nodes.size for st in steps)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    @pytest.mark.parametrize("tau", [None, 0.08])
+    def test_matches_the_per_side_reference(self, grid, monkeypatch, restrict, tau):
+        calls = []
+        sweep = bounds._sweep
+        monkeypatch.setattr(bounds, "_sweep", lambda *a: calls.append(a) or sweep(*a))
+        mcb = solve_min_cost_bounds(self.SPEC, grid) if restrict else None
+        pair = solve_bounds(self.SPEC, grid, tau=tau, restrict=mcb)
+        assert len(calls) == 1
+        (upper, up_clamp), (lower, low_clamp) = per_side_bounds(self.SPEC, grid, tau, restrict)
+        assert np.array_equal(pair.upper.values, upper)
+        assert np.array_equal(pair.lower.values, lower)
+        assert np.any(upper != lower)
+        assert pair.upper.clamp is pair.lower.clamp
+        if restrict:
+            # one clamp counts both sides' raises
+            assert pair.upper.clamp.count == up_clamp.count + low_clamp.count
+            assert pair.upper.clamp.largest == max(up_clamp.largest, low_clamp.largest)

@@ -429,6 +429,48 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 0
 
 
+class TestGridNumerics:
+    """``dx``, ``ds``, ``s_max`` and ``tau`` are checked before use, and ``hjb`` reads ``tau``."""
+
+    @pytest.mark.parametrize("numerics", [
+        {"tau": "abc"}, {"dx": "abc"}, {"ds": "abc"}, {"s_max": "abc"}, {"s_max": math.inf},
+        {"tau": True}, {"tau": 0}, {"ds": -0.01}, {"dx": [0.02, 0.02]}, {"dx": [math.nan]},
+        {"dx": [True]},
+    ])
+    def test_bad_config_values_rejected(self, tmp_path, capsys, numerics):
+        doc = {"schema_version": 1, "problem": "example1",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, **numerics},
+               "run": {}, "output": {}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))  # JSON reads 1e400 as inf
+        assert main(["solve-cdf", "--problem", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--dx", "nan"], ["--s-max", "nan"], ["--ds", "inf"]])
+    def test_bad_flags_rejected(self, tmp_path, capsys, flags):
+        assert main(["solve-cdf", "--problem", "example1", *flags,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_hjb_honours_tau(self, tmp_path):
+        spec = catalog.example5()
+        grid = build_grid(spec, 0.02, 0.01, 1.0)
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0, "tau": 0.02},
+               "run": {}, "output": {}}
+        assert main(["hjb", "--problem", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "t")]) == 0
+        assert main(["hjb", "--problem", "example5", "--dx", "0.02", "--ds", "0.01",
+                     "--s-max", "1.0", "--out", str(tmp_path / "d")]) == 0
+        rows = np.loadtxt(tmp_path / "t" / "expected_cost.csv", delimiter=",", skiprows=1)
+        value, policy = control.solve_hjb_expectation(spec, grid, tau=0.02)
+        assert np.array_equal(rows[:, 2], value.u.T.reshape(-1))
+        assert np.array_equal(rows[:, 3], policy.actions[:, 0, :].T.reshape(-1))
+        assert ((tmp_path / "t" / "expected_cost.csv").read_bytes()
+                != (tmp_path / "d" / "expected_cost.csv").read_bytes())
+
+
 class TestAngleCount:
     """Only the built-in example6 reads ``--n-angles`` and ``numerics.n_angles``."""
 
@@ -535,8 +577,8 @@ class TestRunValues:
                             ControlSet.from_list([[-1.0], [1.0]]), 2, [0.0], [0.02], (51,),
                             n_levels=n_levels)
 
-    def ex5_config(self, tmp_path, run):
-        doc = {"schema_version": 1, "problem": "example5",
+    def ex5_config(self, tmp_path, run, problem="example5"):
+        doc = {"schema_version": 1, "problem": problem,
                "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0},
                "run": {"samples": 20, "start": [[0.4], 1], **run}, "output": {}}
         return write_config(tmp_path, doc)
@@ -565,12 +607,13 @@ class TestRunValues:
     def test_infinite_horizon_cap_accepted(self, tmp_path):
         out = tmp_path / "o"
         cfg = self.ex5_config(tmp_path, {"horizon_cap": math.inf})
-        assert main(["simulate", "--problem", cfg, "--out", str(out)]) == 0
+        pol = self.ex5_policy(tmp_path, 1)
+        assert main(["simulate", "--problem", cfg, "--policy-in", pol, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["censored"] == 0 and manifest["exited"] == 20
 
     def test_tabulated_costs_run_without_a_policy_only(self, tmp_path, capsys):
-        spec = catalog.example5()
+        spec = catalog.example1()
         grid = build_grid(spec, 0.02, 0.01, 1.0)
         pdoc = serialize_problem(spec)
         pdoc["modes"][0]["cost"] = {"kind": "tabulated",
@@ -584,6 +627,20 @@ class TestRunValues:
         assert main(["simulate", "--problem", cfg, "--policy-in", pol,
                      "--out", str(tmp_path / "p")]) == EXIT_CONFIG
         assert "policies over tabulated fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["example5", "mixed"])
+    def test_control_offset_problem_needs_a_policy(self, tmp_path, capsys, problem):
+        # a control-offset mode moves only under an action; a constant mode beside it does not
+        # make the problem runnable without a policy
+        if problem == "mixed":
+            pdoc = serialize_problem(catalog.example5())
+            pdoc["modes"][0]["dynamics"] = {"kind": "constant", "vector": [0.5]}
+            problem = write_config(tmp_path, {"schema_version": 1, "problem": pdoc,
+                                              "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0},
+                                              "run": {}, "output": {}})
+        assert main(["simulate", "--problem", problem, *EX5_GRID[2:], "--n", "20",
+                     "--start", "0.4:1", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "control-offset velocity needs an action" in capsys.readouterr().err
 
     EX5_DS2 = ["--problem", "example5", "--dx", "0.02", "--ds", "0.02", "--s-max", "1.0"]
 
@@ -633,13 +690,15 @@ class TestRunValues:
 
     @pytest.mark.parametrize("n_levels", [None, 1])
     def test_threshold_without_level_dependent_policy_rejected(self, tmp_path, n_levels):
-        # no policy, or an expectation policy with one level: nothing reads a threshold
+        # no policy (on the uncontrolled example1, as example5 needs one), or an
+        # expectation policy with one level: nothing reads a threshold
+        problem = "example1" if n_levels is None else "example5"
         pol = [] if n_levels is None else ["--policy-in", self.ex5_policy(tmp_path, n_levels)]
-        argv = ["simulate", *EX5_GRID, "--n", "20", "--start", "0.4:1", *pol,
-                "--out", str(tmp_path / "o")]
+        argv = ["simulate", "--problem", problem, *EX5_GRID[2:], "--n", "20", "--start", "0.4:1",
+                *pol, "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert main(argv + ["--threshold", "0.3"]) == EXIT_CONFIG
-        cfg = self.ex5_config(tmp_path, {"threshold": 0.3})
+        cfg = self.ex5_config(tmp_path, {"threshold": 0.3}, problem)
         assert main(["simulate", "--problem", cfg, *pol, "--out", str(tmp_path / "p")]) == EXIT_CONFIG
 
 
@@ -950,7 +1009,8 @@ def test_every_exported_table_counts_its_rows(tmp_path, monkeypatch):
         ["hjb", *EX5_GRID, "--policy-out", pol],
         ["threshold", *EX5_GRID, "--slice", "x=0.4", "--thresholds", "0.2,0.4"],
         ["evaluate-policy", *EX5_GRID, "--policy-in", pol],
-        ["simulate", *EX5_GRID, "--n", "50", "--start", "0.4:1", "--dump-samples"],
+        ["simulate", *EX5_GRID, "--n", "50", "--start", "0.4:1", "--policy-in", pol,
+         "--dump-samples"],
     )):
         assert main([*argv, "--out", str(tmp_path / f"{i}_{argv[0]}")]) == 0
     assert len(counted) == 11

@@ -9,7 +9,8 @@ import pytest
 import pdmp_cdf
 from pdmp_cdf import build_grid, catalog, simulate
 from pdmp_cdf.cdf_solver import solve_min_cost
-from pdmp_cdf.control import Policy, solve_hjb_expectation, solve_threshold, synthesize_policy
+from pdmp_cdf.control import (Policy, evaluate_policy_cdf, solve_hjb_expectation, solve_threshold,
+                              synthesize_policy)
 from pdmp_cdf.errors import ConfigError
 from pdmp_cdf.model import (
     ControlSet,
@@ -629,3 +630,53 @@ def test_only_run_batch_draws_events():
                    and node.func.id == "_event_draws" for node in ast.walk(top)):
                 callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("simulate.py", "run_batch")}
+
+
+def test_only_the_model_reads_a_velocity_vector():
+    # one velocity rule, VectorField.at: no other module applies f = a + offset itself
+    readers = set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        if any(isinstance(node, ast.Attribute) and node.attr == "vector"
+               for node in ast.walk(ast.parse(path.read_text()))):
+            readers.add(path.name)
+    assert readers == {"model.py"}
+
+
+class TestMixedVelocityKinds:
+    """A constant mode beside a control-offset mode: the action moves the second only."""
+
+    SPEC = ProblemSpec(
+        dim=1, lo=np.array([0.0]), hi=np.array([1.0]),
+        exit_set=ExitSpec("faces", faces=("x_max",)),
+        modes=(ModeSpec(VectorField.constant([0.5]), ScalarField.constant(1.0),
+                        ScalarField.constant(0.0)),
+               ModeSpec(VectorField.control_offset([0.0]), ScalarField.constant(1.0),
+                        ScalarField.constant(0.0))),
+        rates=RateMatrix([[0.0, 1.0], [1.0, 0.0]]), controls=ControlSet.from_list([[-1.0], [1.0]]))
+    START = (np.array([0.5]), 0)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        grid = build_grid(self.SPEC, 0.01, 0.005, 2.5)
+        value, policy = solve_hjb_expectation(self.SPEC, grid)
+        batch = run_batch(self.SPEC, self.START, 20000, seed=3, policy=policy)
+        return grid, value, policy, batch
+
+    def test_samples_match_the_policy_cdf(self, solved):
+        grid, _, policy, batch = solved
+        field = evaluate_policy_cdf(policy, self.SPEC, grid)
+        ecdf = empirical_cdf(batch)
+        # the grid smears the no-switch atom at s = 1 (0.79 against 1.0), so
+        # the thresholds stay away from it
+        for s in (0.6, 0.7, 0.8, 1.5, 2.0):
+            assert abs(ecdf(s) - field.evaluate(0, self.START[0], s)) <= ecdf.dkw_epsilon() + 0.03
+
+    def test_mean_cost_matches_the_expected_cost(self, solved):
+        _, value, _, batch = solved
+        assert batch.exited.all()
+        mean, se = estimate_mean(batch)
+        assert abs(mean - value.evaluate(0, self.START[0])) <= 3 * se + 0.002
+
+    def test_control_offset_without_a_policy_rejected(self):
+        with pytest.raises(ConfigError, match="control-offset velocity needs an action"):
+            run_batch(self.SPEC, self.START, 10, seed=0)
