@@ -53,7 +53,10 @@ The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
 rounded-up levels remove smearing at the lower envelope.  Their upwind
 candidates are one ``CandidateTable``, a row per (mode, action) and a
-column per node, filled a block of actions at a time.  In 1D,
+column per node.  One fill path writes it a block of actions at a time
+over broadcast shapes: a velocity constant in space is one row per block,
+evaluated once per action, and only the in-grid masks and the entries
+are per node.  In 1D,
 alternating-direction Gauss-Seidel sweeps read its rows node by node.  In
 2D a frontier sweep evaluates only the dirty columns: first the live
 neighbours of the exit nodes, then the 3^d neighbourhood of the nodes
@@ -612,7 +615,7 @@ def policy_iteration(
 # minimal attainable cost
 # ---------------------------------------------------------------------------
 
-_TABLE_BLOCK = 1 << 17  # candidate-node entries filled at once, so temporaries stay small
+_TABLE_BLOCK = 1 << 19  # candidate-node entries filled at once, so temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -630,8 +633,11 @@ class CandidateTable:
     and ``foot_b`` the diagonal neighbour the foot leans towards with
     weight ``frac`` (-1 and 0 where the foot is ``foot_a`` itself).
     ``h_at_foot`` is the step duration with the foot-point speed, which
-    transports the attainment probability.  Feet are always grid
-    neighbours of their node.
+    transports the attainment probability.  It differs from the step
+    duration only for tabulated velocities: without a tabulated mode it is
+    a read-only broadcast view of one duration per row, (C, 1), and it is
+    stored in full otherwise.  Feet are always grid neighbours of their
+    node.
     """
 
     const: np.ndarray      # (C, n)
@@ -668,7 +674,11 @@ def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
 
     The arrays are stored column by column (Fortran order), so that the
     frontier sweep gathers each dirty node's candidates as one contiguous
-    run; blocks are computed node-major for the same reason.
+    run; each block is written straight into its columns, node-major.  A
+    mode whose velocity is constant in space is evaluated once per action,
+    at one point, so a block's velocities are one row; a tabulated mode's
+    are evaluated at every node.  Whether a node has a neighbour below and
+    above on each axis is computed once per table.
     """
     actions: list[np.ndarray | None]
     if spec.controlled:
@@ -677,26 +687,28 @@ def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
         actions = [None]
     n, pts = grid.n_nodes, grid.points
     shape = (spec.n_modes * len(actions), n)
+    tabulated = not all(mode.dynamics.constant_in_space for mode in spec.modes)
+    h_at_foot = np.empty(shape if tabulated else (shape[0], 1), order="F")
     table = CandidateTable(
         const=np.empty(shape, order="F"), frac=np.empty(shape, order="F"),
         foot_a=np.empty(shape, dtype=np.int32, order="F"),
         foot_b=np.empty(shape, dtype=np.int32, order="F"),
-        h_at_foot=np.empty(shape, order="F"),
+        h_at_foot=h_at_foot if tabulated else np.broadcast_to(h_at_foot, shape),
         mode=np.repeat(np.arange(spec.n_modes), len(actions)))
     multi = [m[:, None].astype(np.int32) for m in np.unravel_index(np.arange(n), grid.shape)]
+    room = [(m > 0, m < size - 1) for m, size in zip(multi, grid.shape)]
     per_block = max(1, _TABLE_BLOCK // n)
     row = 0
     for mode in spec.modes:
+        sites = pts[:1] if mode.dynamics.constant_in_space else pts
+        cost = mode.cost.at(grid, pts)[:, None]
         for lo in range(0, len(actions), per_block):
             block = actions[lo:lo + per_block]
-            vel = [mode.dynamics.at(grid, pts, a) for a in block]
-            vel = [np.column_stack([v[:, axis] for v in vel]) for axis in range(grid.dim)]
-            cost = np.repeat(mode.cost.at(grid, pts)[:, None], len(block), axis=1)
+            vel = np.stack([mode.dynamics.at(grid, sites, a) for a in block], axis=-1)
             cols = slice(row, row + len(block))
-            out = _fill_block(grid, multi, vel, cost, mode.dynamics.kind == "tabulated")
-            for arr, vals in zip((table.const, table.frac, table.foot_a, table.foot_b,
-                                  table.h_at_foot), out):
-                arr.T[:, cols] = vals
+            out = [arr.T[:, cols] for arr in (table.const, table.frac, table.foot_a,
+                                              table.foot_b, h_at_foot)]
+            _fill_block(grid, multi, room, list(vel.swapaxes(0, 1)), cost, out)
             row += len(block)
     return table
 
@@ -708,47 +720,57 @@ def _axis_times(grid: Grid, vel: list[np.ndarray]) -> list[np.ndarray]:
         return [np.where(sp > 0, dx / sp, np.inf) for sp, dx in zip(speed, grid.dx)]
 
 
-def _inside(index: np.ndarray, size: int) -> np.ndarray:
-    return (index >= 0) & (index < size)
+def _fill_block(grid: Grid, multi, room, vel: list[np.ndarray], cost: np.ndarray, out) -> None:
+    """Write the table entries of one block of B actions into ``out``, node-major.
 
-
-def _fill_block(grid: Grid, multi, vel: list[np.ndarray], cost: np.ndarray, tabulated: bool):
-    """Table entries of one block of actions, node-major.
-
-    ``vel`` holds one (n, B) array per axis and ``cost`` is (n, B); returns
-    ``const``, ``frac``, ``foot_a``, ``foot_b`` and ``h_at_foot``, each
-    (n, B).  The step crosses the face of the axis it reaches first (axis 0
-    on a tie); the diagonal foot ``foot_b`` is the neighbour one step along
-    the sign of the velocity on every axis.
+    ``vel`` holds one array per axis, (1, B) for a velocity constant in
+    space and (n, B) for a tabulated one, and ``cost`` is (n, 1); ``multi``
+    holds each node's (n, 1) index per axis and ``room`` whether it has a
+    neighbour below and above on that axis.  ``out`` is the (n, B) column
+    views of ``const``, ``frac``, ``foot_a``, ``foot_b`` and ``h_at_foot``;
+    the last is (1, B) when the table shares one duration per row.  The
+    step crosses the face of the axis it reaches first (axis 0 on a tie);
+    the diagonal foot ``foot_b`` is the neighbour one step along the sign
+    of the velocity on every axis.  What depends on the velocity alone
+    keeps its shape; only the in-grid masks and the entries are per node.
     """
+    const, frac, foot_a, foot_b, h_at_foot = out
     t = _axis_times(grid, vel)
     step = [np.sign(v).astype(np.int32) for v in vel]
-    inside = [_inside(m + st, size) for m, st, size in zip(multi, step, grid.shape)]
+    inside = [((st >= 0) | below) & ((st <= 0) | above) for st, (below, above) in zip(step, room)]
     if grid.dim == 1:
         h = t[0]
         in_range = np.isfinite(h) & inside[0]
-        foot_a = np.where(in_range, multi[0] + step[0], -1)
-        foot_b, frac = -1, 0.0
+        np.add(multi[0], step[0], out=foot_a)
+        foot_b[...] = -1
+        frac[...] = 0.0
     else:
         node = multi[0] * grid.shape[1] + multi[1]
         on1 = t[1] < t[0]
         h = np.minimum(t[0], t[1])
-        in_range = np.isfinite(h) & np.where(on1, inside[1], inside[0])
-        foot_a = np.where(in_range, node + np.where(on1, step[1], step[0] * grid.shape[1]), -1)
-        with np.errstate(invalid="ignore"):  # inf * 0 where h is inf; masked below
-            frac = np.minimum(np.abs(np.where(on1, vel[0], vel[1])) * h
+        in_range = np.isfinite(h) & ((on1 & inside[1]) | (~on1 & inside[0]))
+        np.add(node, np.where(on1, step[1], step[0] * grid.shape[1]), out=foot_a)
+        with np.errstate(invalid="ignore"):  # inf * 0 where h is inf; zeroed next
+            lean = np.minimum(np.abs(np.where(on1, vel[0], vel[1])) * h
                               / np.where(on1, grid.dx[0], grid.dx[1]), 1.0)
-        ok = in_range & (frac > 1e-15) & inside[0] & inside[1]
-        foot_b = np.where(ok, node + step[0] * grid.shape[1] + step[1], -1)
-        frac = np.where(ok, frac, 0.0)
-    h_at_foot = h
-    if tabulated:
+        lean = np.where(lean > 1e-15, lean, 0.0)
+        diagonal = in_range & inside[0] & inside[1] & (lean > 0.0)
+        np.add(node, step[0] * grid.shape[1] + step[1], out=foot_b)
+        np.copyto(foot_b, -1, where=~diagonal)
+        np.multiply(diagonal, lean, out=frac)
+    out_of_range = ~in_range
+    np.copyto(foot_a, -1, where=out_of_range)
+    np.multiply(cost, h, out=const)
+    np.copyto(const, np.inf, where=out_of_range)
+    if h.shape[0] == 1:
+        h_at_foot[...] = h
+    else:
         # the duration with the foot-point (neighbour) speed, used for the
         # probability transport term of the first-order recursion
-        foot = np.maximum(foot_a, 0), np.arange(cost.shape[1])
-        t = _axis_times(grid, [np.where(in_range, v[foot], v) for v in vel])
-        h_at_foot = t[0] if grid.dim == 1 else np.minimum(t[0], t[1])
-    return np.where(in_range, cost * h, np.inf), frac, foot_a, foot_b, h_at_foot
+        foot = np.maximum(foot_a, 0)
+        t = _axis_times(grid, [np.where(in_range, np.take_along_axis(v, foot, axis=0), v)
+                               for v in vel])
+        h_at_foot[...] = t[0] if grid.dim == 1 else np.minimum(t[0], t[1])
 
 
 def _near(grid: Grid, nodes: np.ndarray) -> np.ndarray:
@@ -850,9 +872,10 @@ class MinimalCost:
     is selected once, and each transport step updates a length-R vector.
     ``field`` is the one-choice case.
 
-    ``passes`` and ``updates`` count the s0 passes and node decreases;
-    every w0 fill logs them at DEBUG on the ``pdmp_cdf`` logger with the
-    candidate count and its w0 passes.
+    ``passes`` and ``updates`` count the s0 passes and node decreases, and
+    ``w0_passes`` the passes of the last w0 fill.  Every w0 fill logs them
+    at DEBUG on the ``pdmp_cdf`` logger with the candidate count, and the
+    field it returns carries the same four numbers as ``counters``.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
@@ -867,6 +890,7 @@ class MinimalCost:
         s0[ex] = self.q_exit.min(axis=0)
         sweep = _min_cost_sweep_1d if grid.dim == 1 else _frontier_sweep
         s0, self.passes, self.updates = sweep(grid, self.table, s0)
+        self.w0_passes = 0
         if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
             bad = np.where(~np.isfinite(s0) & ~grid.exit_mask)[0]
             if bad.size == n - ex.size:
@@ -879,7 +903,7 @@ class MinimalCost:
         ``spec`` may differ from the one this was built from in its rates only.
         """
         stacked = self.stacked([(spec, rate_sense)])
-        return MinCostField(self.grid, self.s0, stacked.w0[0])
+        return MinCostField(self.grid, self.s0, stacked.w0[0], stacked.counters)
 
     def stacked(self, choices: list[tuple[ProblemSpec, str | None]]) -> MinCostField:
         """s0 with one w0 per rate choice ``(spec, rate_sense)``, stacked: w0 is (R, M, N).
@@ -894,10 +918,12 @@ class MinimalCost:
         exit_argmin = self.q_exit <= q_min + ARGMIN_RTOL * np.maximum(1.0, q_min)
         w0[:, :, grid.exit_mask] = np.where(exit_argmin, 1.0, 0.0)
         fill = _w0_ordered if grid.dim == 1 else _w0_fixed_point
-        w0_passes = fill(grid, self.table, self.s0, w0, rates)
+        self.w0_passes = fill(grid, self.table, self.s0, w0, rates)
+        counters = {"candidates": int(self.table.mode.size), "s0_passes": self.passes,
+                    "node_updates": self.updates, "w0_passes": self.w0_passes}
         log.debug("minimal cost: %d candidates, %d s0 passes, %d node updates, %d w0 passes",
-                  self.table.mode.size, self.passes, self.updates, w0_passes)
-        return MinCostField(grid, self.s0, w0)
+                  *counters.values())
+        return MinCostField(grid, self.s0, w0, counters)
 
 
 def _coupling(foot: np.ndarray, i: int, up: np.ndarray, down: np.ndarray):

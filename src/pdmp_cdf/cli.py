@@ -478,7 +478,7 @@ def _cmd_solve_cdf(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "solve-cdf", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
-    if run.get("restrict", True):
+    if _run_flag(run, "restrict", True):
         restrict = cdf_solver.solve_min_cost(spec, grid)
     field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict)
     exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
@@ -507,7 +507,8 @@ def _cmd_min_cost(args) -> int:
     rows = Table([*_node_mode_columns(grid, spec.n_modes),
                   np.repeat(_inf_if_not_finite(mc.s0), spec.n_modes), mc.w0.T.reshape(-1)])
     exporter.write_rows("min_cost.csv", ["x", "y"][:spec.dim] + ["mode", "min_cost", "attain_prob"], rows)
-    exporter.finish({"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask))})
+    exporter.finish({"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask)),
+                     "min_cost": mc.counters})
     return EXIT_OK
 
 
@@ -517,7 +518,7 @@ def _cmd_bounds(args) -> int:
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "bounds", "problem": args.problem, "numerics": numerics, "run": run})
     restrict = None
-    if run.get("restrict", True):
+    if _run_flag(run, "restrict", True):
         restrict = bounds_mod.solve_min_cost_bounds(spec, grid)
     pair = bounds_mod.solve_bounds(spec, grid, tau=numerics.get("tau"), restrict=restrict)
     mid = 0.5 * (pair.lower.values + pair.upper.values)
@@ -538,7 +539,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
     rate_grid = bounds_mod.default_rate_grid(levels)
     fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics.get("tau"),
-                                         restrict=run.get("restrict", True))
+                                         restrict=_run_flag(run, "restrict", True))
     tables = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
@@ -551,6 +552,14 @@ def _cmd_sweep(args) -> int:
                      "clamp": None if clamp is None else {"count": clamp.count,
                                                           "largest": clamp.largest}})
     return EXIT_OK
+
+
+def _run_flag(run: dict, key: str, default: bool) -> bool:
+    """A run switch such as ``restrict``: a JSON true or false, else a ConfigError naming the key."""
+    value = run.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"run.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _positive_number(value, what: str):
@@ -593,7 +602,7 @@ def _cmd_threshold(args) -> int:
         slices = slices + [("s", _sheet_levels(_numbers(thresholds, "thresholds"), grid))]
     exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
                         {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
-    restrict = cdf_solver.solve_min_cost(spec, grid) if run.get("restrict", False) else None
+    restrict = cdf_solver.solve_min_cost(spec, grid) if _run_flag(run, "restrict", False) else None
     hjb = control.solve_hjb_expectation(spec, grid, tau=numerics.get("tau"), **iteration)
     tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
     exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
@@ -632,6 +641,7 @@ def _cmd_simulate(args) -> int:
     policy = control.load_policy(args.policy_in) if args.policy_in else None
     threshold = args.threshold if args.threshold is not None else run.get("threshold")
     start_doc = run.get("start")
+    dump_samples = _run_flag(run, "dump_samples", False) or args.dump_samples
     try:
         if args.start:
             coords, _, mode = args.start.rpartition(":")
@@ -647,7 +657,7 @@ def _cmd_simulate(args) -> int:
     ecdf = simulate.empirical_cdf(batch)
     rows = Table([ecdf.costs, ecdf.evaluate(ecdf.costs)])
     exporter.write_rows("empirical_cdf.csv", ["cost", "cdf"], rows)
-    if args.dump_samples or run.get("dump_samples"):
+    if dump_samples:
         simulate.write_samples_csv(batch, str(exporter.dir / "samples.csv"))
         exporter.files.append("samples.csv")
     extra = {

@@ -721,12 +721,17 @@ class CdfField:
 
 
 class MinCostField:
-    """Minimal attainable cost s0 per node and attainment probability per mode."""
+    """Minimal attainable cost s0 per node and attainment probability per mode.
 
-    def __init__(self, grid: Grid, s0: np.ndarray, w0: np.ndarray):
+    ``counters`` holds the solve's counts (candidates, s0 passes, node
+    updates, w0 passes) when a solver produced the field, else None.
+    """
+
+    def __init__(self, grid: Grid, s0: np.ndarray, w0: np.ndarray, counters: dict | None = None):
         self.grid = grid
         self.s0 = s0
         self.w0 = w0
+        self.counters = counters
 
     def first_level(self) -> np.ndarray:
         """Conservatively rounded-up first active level per node."""

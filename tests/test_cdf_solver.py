@@ -3,9 +3,12 @@ import logging
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmp_cdf
 from pdmp_cdf import build_grid, catalog
@@ -114,6 +117,58 @@ def _min_cost_problem(name, n_angles, dx):
     return spec, build_grid(spec, dx, dx, 0.5)
 
 
+@st.composite
+def _table_problems(draw):
+    """A small random grid problem and a table block size, often one that splits modes.
+
+    Velocities, control offsets and controls come from one pool: zero,
+    axis-aligned and diagonal-tie vectors (|v_x| / dx = |v_y| / dy exactly,
+    a power of two times the spacings) besides arbitrary ones.  Spacings
+    may differ per axis; velocities and running costs may be tabulated.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    dx = [draw(st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5])) for _ in range(dim)]
+    counts = [draw(st.integers(2, 6)) for _ in range(dim)]
+    n = math.prod(counts)
+
+    def vector():
+        kind = draw(st.sampled_from(["zero", "axis", "tie", "any"]))
+        if kind == "zero":
+            return [0.0] * dim
+        if kind == "axis":
+            v = [0.0] * dim
+            v[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-2.0, -1.0, 0.5, 3.0]))
+            return v
+        if kind == "tie":
+            scale = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+            return [draw(st.sampled_from([-scale, scale])) * d for d in dx]
+        return [draw(st.floats(-3.0, 3.0, allow_subnormal=False)) for _ in range(dim)]
+
+    def cost():
+        if draw(st.booleans()):
+            return ScalarField.constant(draw(st.floats(0.5, 3.0)))
+        return ScalarField("tabulated", values=draw(st.lists(st.floats(0.25, 3.0),
+                                                             min_size=n, max_size=n)))
+
+    kinds = draw(st.lists(st.sampled_from(["constant", "control_offset", "tabulated"]),
+                          min_size=1, max_size=3))
+    modes = []
+    for kind in kinds:
+        if kind == "tabulated":
+            dynamics = VectorField("tabulated", values=np.array([vector() for _ in range(n)]))
+        else:
+            dynamics = VectorField(kind, vector=np.array(vector()))
+        modes.append(ModeSpec(dynamics, cost(), ScalarField.constant(0.0)))
+    controls = ControlSet.none()
+    if "control_offset" in kinds or draw(st.booleans()):
+        controls = ControlSet.from_list([vector() for _ in range(draw(st.integers(1, 4)))])
+    spec = ProblemSpec(dim=dim, lo=np.zeros(dim), hi=np.array(dx) * (np.array(counts) - 1),
+                       exit_set=ExitSpec("boundary"), modes=tuple(modes),
+                       rates=RateMatrix.uniform(len(modes), 1.0), controls=controls)
+    rows = len(modes) * max(1, controls.n_actions)
+    return spec, build_grid(spec, dx, 0.5, 1.0), draw(st.integers(1, rows * n))
+
+
 class TestMinCost:
     def test_distance_to_nearest_exit(self, ex1_coarse):
         spec, grid, mc, _ = ex1_coarse
@@ -172,6 +227,21 @@ class TestMinCost:
         if name == "tabulated":  # row 0: cost 1, so const is the step time at the node
             inside = table.foot_a[0] >= 0
             assert np.any(table.h_at_foot[0, inside] != table.const[0, inside])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_table_problems())
+    def test_candidate_table_matches_plain_builder_on_random_problems(self, problem):
+        spec, grid, block = problem
+        with mock.patch.object(cdf_solver, "_TABLE_BLOCK", block):
+            table = cdf_solver._candidate_table(spec, grid)
+        plain = plain_candidates(spec, grid)
+        assert table.mode.tolist() == [c["mode"] for c in plain]
+        for key in ("const", "frac", "h_at_foot"):  # bit for bit, the sign of zero included
+            expected = np.array([c[key] for c in plain])
+            got = np.ascontiguousarray(getattr(table, key))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
+        for key in ("foot_a", "foot_b"):
+            assert np.array_equal(getattr(table, key), np.array([c[key] for c in plain])), key
 
     def test_passes_are_reported(self, caplog):
         spec, grid = _min_cost_problem("example3", None, 0.05)

@@ -358,6 +358,20 @@ class TestCommands:
         assert unreachable > 0
         assert unreachable == inf_rows / spec.n_modes
 
+    @pytest.mark.parametrize("problem, flags, candidates", [
+        ("example3", [], 4), ("example6", ["--n-angles", "16"], 4 * 16)])
+    def test_min_cost_manifest_reports_the_solver_counters(self, tmp_path, caplog, problem,
+                                                           flags, candidates):
+        out = tmp_path / "m"
+        with caplog.at_level(logging.DEBUG, logger="pdmp_cdf"):
+            assert main(["min-cost", "--problem", problem, *flags, "--dx", "0.1", "--ds", "0.1",
+                         "--out", str(out)]) == 0
+        (rec,) = [r for r in caplog.records if r.getMessage().startswith("minimal cost:")]
+        counters = json.loads((out / "manifest.json").read_text())["min_cost"]
+        keys = ("candidates", "s0_passes", "node_updates", "w0_passes")
+        assert counters == dict(zip(keys, rec.args))
+        assert counters["candidates"] == candidates and counters["w0_passes"] > 0
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -537,6 +551,40 @@ class TestRunValues:
                "output": {}}
         assert main(["simulate", "--problem", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, problem, key, value", [
+        ("solve-cdf", "example1", "restrict", "false"), ("solve-cdf", "example1", "restrict", 0),
+        ("bounds", "example4", "restrict", None), ("sweep", "example1", "restrict", 1),
+        ("threshold", "example5", "restrict", "true"),
+        ("simulate", "example1", "dump_samples", "no"), ("simulate", "example1", "dump_samples", 1),
+    ])
+    def test_run_flags_must_be_json_booleans(self, tmp_path, capsys, command, problem, key, value):
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.05, "ds": 0.025, "s_max": 1.0},
+               "run": {key: value}, "output": {}}
+        out = tmp_path / "o"
+        assert main([command, "--problem", write_config(tmp_path, doc),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"run.{key} must be true or false" in capsys.readouterr().err
+        assert not out.exists() or not any(out.glob("*.csv"))
+
+    def test_run_flags_take_json_booleans(self, tmp_path):
+        def run(command, run_doc, name):
+            doc = {"schema_version": 1, "problem": "example1",
+                   "numerics": {"dx": 0.05, "ds": 0.025, "s_max": 1.0}, "run": run_doc,
+                   "output": {}}
+            out = tmp_path / name
+            assert main([command, "--problem", write_config(tmp_path, doc, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            return out
+
+        default = (run("solve-cdf", {}, "default") / "cdf.csv").read_bytes()
+        assert (run("solve-cdf", {"restrict": True}, "on") / "cdf.csv").read_bytes() == default
+        assert (run("solve-cdf", {"restrict": False}, "off") / "cdf.csv").read_bytes() != default
+        sim = {"samples": 5, "start": [[0.4], 1]}
+        assert (run("simulate", {**sim, "dump_samples": True}, "dump") / "samples.csv").exists()
+        assert not (run("simulate", {**sim, "dump_samples": False}, "nodump")
+                    / "samples.csv").exists()
 
     @pytest.mark.parametrize("start", ["0.4:x", "0.4", "0.4:3", "0.4:0", "2.0:1", "nan:1"])
     def test_bad_start_rejected(self, tmp_path, start):
