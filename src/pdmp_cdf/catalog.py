@@ -123,7 +123,7 @@ def example6(n_angles: int = 32) -> ProblemSpec:
 def builtin(name: str, n_angles: int | None = None) -> ProblemSpec:
     """Look up a built-in problem by name."""
     if name == "example6":
-        return example6(n_angles or DEFAULT_NUMERICS["example6"]["n_angles"])
+        return example6(DEFAULT_NUMERICS["example6"]["n_angles"] if n_angles is None else n_angles)
     makers = {
         "example1": example1, "example2": example2, "example3": example3,
         "example4": example4, "example5": example5,

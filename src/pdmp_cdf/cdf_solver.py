@@ -52,16 +52,23 @@ plus the step that confirms it.
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
 rounded-up levels remove smearing at the lower envelope.  Their upwind
-candidates are one ``CandidateTable``, a row per (mode, action) and a
-column per node.  One fill path writes it a block of actions at a time
-over broadcast shapes: a velocity constant in space is one row per block,
-evaluated once per action, and only the in-grid masks and the entries
-are per node.  In 1D,
-alternating-direction Gauss-Seidel sweeps read its rows node by node.  In
-2D a frontier sweep evaluates only the dirty columns: first the live
-neighbours of the exit nodes, then the 3^d neighbourhood of the nodes
-that decreased, which gives the full Jacobi iteration's fixed point bit
-for bit because feet are grid neighbours; w0 is iterated the same way.
+candidates are one ``CandidateTable`` with a row per (mode, action).  Feet
+are grid neighbours, so a row is a neighbour stencil: the step cost, the
+direction of the axis neighbour the step crosses to and of the diagonal it
+leans towards, the lean and the transport duration.  Each is one value per
+row when the mode's fields are constant in space, and one per node only
+where a field is tabulated; every mode's rows come from one
+``VectorField.at`` call over all its actions.  Without a tabulated field
+the table holds no (row, node) array: ``CandidateTable.values`` reads the
+field once at the neighbours of the nodes asked for and lets each row pick
+its directions, in the order a stored table's entries would be combined,
+so the values are the same bit for bit.  In 1D, alternating-direction
+Gauss-Seidel sweeps read its materialized rows node by node (a 1D table
+is a few rows).  In 2D a frontier sweep evaluates only the dirty columns:
+first the live neighbours of the exit nodes, then the 3^d neighbourhood
+of the nodes that decreased, which gives the full Jacobi iteration's
+fixed point bit for bit because feet are grid neighbours; w0 is iterated
+the same way.
 s0 does not depend on the switching rates, so ``MinimalCost`` computes
 it once, selects each node's transport candidates once, and fills w0 for
 all rate choices at once.
@@ -80,6 +87,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -615,7 +623,15 @@ def policy_iteration(
 # minimal attainable cost
 # ---------------------------------------------------------------------------
 
-_TABLE_BLOCK = 1 << 19  # candidate-node entries filled at once, so temporaries stay small
+
+class Candidates(NamedTuple):
+    """Materialized candidate entries, one per (row, node) pair asked for."""
+
+    const: np.ndarray      # step cost, inf where the foot leaves the grid
+    frac: np.ndarray       # weight on the diagonal foot, 0 without one
+    foot_a: np.ndarray     # int32 neighbour across the face, -1 where the foot leaves the grid
+    foot_b: np.ndarray     # int32 diagonal neighbour, -1 without one
+    h_at_foot: np.ndarray  # step duration with the foot-point speed
 
 
 @dataclass(frozen=True)
@@ -623,29 +639,39 @@ class CandidateTable:
     """Upwind update candidates of the minimal-cost solve, one row per (mode, action).
 
     Rows run mode by mode and, within a mode, action by action; ``mode[c]``
-    is row c's mode.  Columns are nodes.  Candidate c moves node k along
-    its velocity to the first cell face, and its value for a node field v is
+    is row c's mode.  Candidate c moves node k along its velocity to the
+    first cell face, and its value for a node field v is
 
-        const[c, k] + (1 - frac[c, k]) * v[foot_a[c, k]] + frac[c, k] * v[foot_b[c, k]]
+        const[c] + (1 - frac[c]) * v[foot_a] + frac[c] * v[foot_b]
 
-    ``const`` is the running cost times the step duration, ``inf`` where
-    the foot leaves the grid; ``foot_a`` is the neighbour across the face
-    and ``foot_b`` the diagonal neighbour the foot leans towards with
-    weight ``frac`` (-1 and 0 where the foot is ``foot_a`` itself).
-    ``h_at_foot`` is the step duration with the foot-point speed, which
-    transports the attainment probability.  It differs from the step
-    duration only for tabulated velocities: without a tabulated mode it is
-    a read-only broadcast view of one duration per row, (C, 1), and it is
-    stored in full otherwise.  Feet are always grid neighbours of their
-    node.
+    Feet are grid neighbours, so a row stores them as directions, not as
+    node indices: ``foot`` is the axis neighbour across the face (id
+    ``2 * axis + (velocity > 0)``, or ``2 * dim`` when the velocity is
+    zero) and ``diag`` the diagonal neighbour the foot leans towards with
+    weight ``frac`` (id ``2 * (v_0 > 0) + (v_1 > 0)`` in 2D, or the last id
+    when the lean is 0).  ``const`` is the running cost times the step
+    duration (inf where the duration is), and ``h_at_foot`` the duration
+    with the foot-point speed, which transports the attainment probability.
+
+    Each of these is a (C, 1) column when every mode gives it one value per
+    row (velocities and running costs constant in space) and (C, n) when a
+    tabulated field makes it vary by node.  ``axis_nb`` (2 * dim + 1, n)
+    and ``diag_nb`` (n_diag + 1, n) say once per grid which neighbour each
+    direction reaches from each node: its index, n for a missing axis
+    neighbour (it reads inf), and n + 1 for a missing diagonal and on the
+    last ("none") row (they read 0).
+    ``values`` evaluates candidates on demand from these stencils and
+    ``entries`` materializes them; both are bit for bit the stored table's.
     """
 
-    const: np.ndarray      # (C, n)
-    frac: np.ndarray       # (C, n)
-    foot_a: np.ndarray     # (C, n) int32
-    foot_b: np.ndarray     # (C, n) int32
-    h_at_foot: np.ndarray  # (C, n)
+    const: np.ndarray      # (C, 1) or (C, n)
+    frac: np.ndarray       # (C, 1) or (C, n)
+    foot: np.ndarray       # (C, 1) or (C, n) int8 direction ids
+    diag: np.ndarray       # (C, 1) or (C, n) int8 direction ids
+    h_at_foot: np.ndarray  # (C, 1) or (C, n)
     mode: np.ndarray       # (C,)
+    axis_nb: np.ndarray    # (2 * dim + 1, n) int32
+    diag_nb: np.ndarray    # (n_diag + 1, n) int32
 
     def mode_rows(self, i: int) -> slice:
         rows = np.flatnonzero(self.mode == i)
@@ -655,122 +681,149 @@ class CandidateTable:
                cols: np.ndarray | None = None) -> np.ndarray:
         """Values of candidates ``rows`` at nodes ``cols`` (all nodes if None).
 
-        A candidate is ``inf`` wherever a foot it reads is infinite, even
-        with zero weight.
+        The field is read once at the neighbours of ``cols``: a missing axis
+        neighbour reads inf, a missing diagonal and the "none" direction read
+        0 with weight 0.  A candidate is ``inf`` wherever a foot it reads is
+        infinite, even with zero weight.
         """
-        def take(arr):  # (node, candidate) layout: each column is contiguous
-            return (arr.T if cols is None else arr.T.take(cols, axis=0))[:, rows]
-
-        padded = np.append(vals, 0.0)  # foot -1 reads 0: no diagonal foot adds 0 * 0
-        frac = take(self.frac)
+        axis_nb, diag_nb = (self.axis_nb, self.diag_nb) if cols is None else (
+            self.axis_nb[:, cols], self.diag_nb[:, cols])
+        padded = np.append(vals, (np.inf, 0.0))
+        diag = _cells(self.diag, rows, cols)
+        frac = _pick(diag_nb < vals.size, diag) * _cells(self.frac, rows, cols)
         with np.errstate(invalid="ignore"):
-            out = take(self.const) + (1.0 - frac) * padded.take(take(self.foot_a))
-            out += frac * padded.take(take(self.foot_b))
-        return np.fmin(out, np.inf, out=out).T  # nan (0 * inf) -> inf
+            out = _pick(padded[axis_nb], _cells(self.foot, rows, cols))
+            out *= 1.0 - frac
+            out += _cells(self.const, rows, cols)
+            lean = _pick(padded[diag_nb], diag)
+            lean *= frac
+            out += lean
+        return np.fmin(out, np.inf, out=out)  # nan (0 * inf) -> inf
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> Candidates:
+        """The entries of rows ``rows`` at nodes ``cols``, two index arrays broadcast together."""
+        shape = np.broadcast_shapes(rows.shape, cols.shape)
+
+        def at(arr):
+            return np.broadcast_to(arr[rows, cols if arr.shape[1] > 1 else 0], shape)
+
+        n = self.axis_nb.shape[1]
+        across = self.axis_nb[at(self.foot), cols]
+        toward = self.diag_nb[at(self.diag), cols]
+        has_a, has_b = across < n, toward < n
+        return Candidates(const=np.where(has_a, at(self.const), np.inf),
+                          frac=at(self.frac) * has_b,
+                          foot_a=np.where(has_a, across, -1), foot_b=np.where(has_b, toward, -1),
+                          h_at_foot=at(self.h_at_foot))
+
+    def materialize(self) -> Candidates:
+        """Every entry, (C, n) each: the 1D loops read whole rows."""
+        return self.entries(np.arange(self.mode.size)[:, None], np.arange(self.axis_nb.shape[1]))
+
+
+def _cells(arr: np.ndarray, rows: slice, cols: np.ndarray | None) -> np.ndarray:
+    """Rows ``rows`` of a (C, 1) or (C, n) table field, at nodes ``cols`` when it is per node."""
+    arr = arr[rows]
+    return arr if cols is None or arr.shape[1] == 1 else arr[:, cols]
+
+
+def _pick(arr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row ``ids[c, k]`` of column k of ``arr`` for every (c, k); ``ids`` is (r, 1) or (r, m)."""
+    if ids.shape[1] == 1:  # whole rows: about ten times faster than a broadcast take_along_axis
+        return arr[ids[:, 0]]
+    return np.take_along_axis(arr, ids, axis=0)
+
+
+def _neighbours(grid: Grid, signs: list[tuple[int, ...]], missing: int) -> np.ndarray:
+    """Flat index of each node's neighbour one step along each ``signs`` vector.
+
+    ``missing`` where that neighbour is off the grid; a last row of n + 1
+    stands for no neighbour at all.
+    """
+    n = grid.n_nodes
+    multi = np.indices(grid.shape).reshape(grid.dim, n)
+    out = np.full((len(signs) + 1, n), n + 1, dtype=np.int32)
+    for row, sign in zip(out, signs):
+        nb = multi + np.array(sign)[:, None]
+        inside = np.all((nb >= 0) & (nb < np.array(grid.shape)[:, None]), axis=0)
+        row[:] = np.where(inside, np.ravel_multi_index(nb, grid.shape, mode="clip"), missing)
+    return out
 
 
 def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
-    """Fill the table one mode at a time, in blocks of about ``_TABLE_BLOCK`` entries.
+    """Each mode's rows from one ``VectorField.at`` call over all its actions.
 
-    The arrays are stored column by column (Fortran order), so that the
-    frontier sweep gathers each dirty node's candidates as one contiguous
-    run; each block is written straight into its columns, node-major.  A
-    mode whose velocity is constant in space is evaluated once per action,
-    at one point, so a block's velocities are one row; a tabulated mode's
-    are evaluated at every node.  Whether a node has a neighbour below and
-    above on each axis is computed once per table.
+    A velocity constant in space is evaluated at one point per action, so
+    its rows are (A, 1) columns; a tabulated one is evaluated at every node
+    once, as it ignores the action, and its one (1, n) row stands for all A.
+    A constant running cost is one value per mode.  Each field is stacked at
+    the widest shape any mode gives it.
     """
-    actions: list[np.ndarray | None]
-    if spec.controlled:
-        actions = [spec.controls.action(a) for a in range(spec.controls.n_actions)]
-    else:
-        actions = [None]
-    n, pts = grid.n_nodes, grid.points
-    shape = (spec.n_modes * len(actions), n)
-    tabulated = not all(mode.dynamics.constant_in_space for mode in spec.modes)
-    h_at_foot = np.empty(shape if tabulated else (shape[0], 1), order="F")
-    table = CandidateTable(
-        const=np.empty(shape, order="F"), frac=np.empty(shape, order="F"),
-        foot_a=np.empty(shape, dtype=np.int32, order="F"),
-        foot_b=np.empty(shape, dtype=np.int32, order="F"),
-        h_at_foot=h_at_foot if tabulated else np.broadcast_to(h_at_foot, shape),
-        mode=np.repeat(np.arange(spec.n_modes), len(actions)))
-    multi = [m[:, None].astype(np.int32) for m in np.unravel_index(np.arange(n), grid.shape)]
-    room = [(m > 0, m < size - 1) for m, size in zip(multi, grid.shape)]
-    per_block = max(1, _TABLE_BLOCK // n)
-    row = 0
+    dim, n = grid.dim, grid.n_nodes
+    units = [tuple(s if b == a else 0 for b in range(dim)) for a in range(dim) for s in (-1, 1)]
+    axis_nb = _neighbours(grid, units, n)  # a missing axis neighbour reads inf
+    diag_nb = _neighbours(grid, [(s0, s1) for s0 in (-1, 1) for s1 in (-1, 1)] if dim == 2 else [],
+                          n + 1)  # a missing diagonal reads 0
+    actions = spec.controls.vectors if spec.controlled else None
+    n_act = spec.controls.n_actions if spec.controlled else 1
+    parts = []
     for mode in spec.modes:
-        sites = pts[:1] if mode.dynamics.constant_in_space else pts
-        cost = mode.cost.at(grid, pts)[:, None]
-        for lo in range(0, len(actions), per_block):
-            block = actions[lo:lo + per_block]
-            vel = np.stack([mode.dynamics.at(grid, sites, a) for a in block], axis=-1)
-            cols = slice(row, row + len(block))
-            out = [arr.T[:, cols] for arr in (table.const, table.frac, table.foot_a,
-                                              table.foot_b, h_at_foot)]
-            _fill_block(grid, multi, room, list(vel.swapaxes(0, 1)), cost, out)
-            row += len(block)
-    return table
+        if mode.dynamics.constant_in_space:
+            sites, shape = np.broadcast_to(grid.points[0], (n_act, dim)), (n_act, 1)
+        else:
+            sites, shape = grid.points, (1, n)
+        vel = mode.dynamics.at(grid, sites, actions)
+        cost = mode.cost.at(grid, grid.points[:1] if mode.cost.kind == "constant" else grid.points)
+        parts.append(_mode_rows(grid, axis_nb, [v.reshape(shape) for v in vel.T], cost[None, :]))
+    fields = {}
+    for key in parts[0]:
+        width = max(part[key].shape[1] for part in parts)
+        fields[key] = np.concatenate([np.broadcast_to(part[key], (n_act, width)) for part in parts])
+    return CandidateTable(**fields, mode=np.repeat(np.arange(spec.n_modes), n_act),
+                          axis_nb=axis_nb, diag_nb=diag_nb)
 
 
-def _axis_times(grid: Grid, vel: list[np.ndarray]) -> list[np.ndarray]:
-    """Time to cross one cell along each axis, inf where that speed is zero."""
+def _axis_times(grid: Grid, vel: list[np.ndarray]) -> np.ndarray:
+    """Time to cross one cell along each axis, inf where that speed is zero: (d, ...)."""
     speed = [np.abs(v) for v in vel]
     with np.errstate(divide="ignore"):
-        return [np.where(sp > 0, dx / sp, np.inf) for sp, dx in zip(speed, grid.dx)]
+        return np.stack([np.where(sp > 0, dx / sp, np.inf) for sp, dx in zip(speed, grid.dx)])
 
 
-def _fill_block(grid: Grid, multi, room, vel: list[np.ndarray], cost: np.ndarray, out) -> None:
-    """Write the table entries of one block of B actions into ``out``, node-major.
+def _mode_rows(grid: Grid, axis_nb: np.ndarray, vel: list[np.ndarray], cost: np.ndarray) -> dict:
+    """One mode's table fields from its velocity, one (r, 1) or (1, n) array per axis.
 
-    ``vel`` holds one array per axis, (1, B) for a velocity constant in
-    space and (n, B) for a tabulated one, and ``cost`` is (n, 1); ``multi``
-    holds each node's (n, 1) index per axis and ``room`` whether it has a
-    neighbour below and above on that axis.  ``out`` is the (n, B) column
-    views of ``const``, ``frac``, ``foot_a``, ``foot_b`` and ``h_at_foot``;
-    the last is (1, B) when the table shares one duration per row.  The
-    step crosses the face of the axis it reaches first (axis 0 on a tie);
-    the diagonal foot ``foot_b`` is the neighbour one step along the sign
-    of the velocity on every axis.  What depends on the velocity alone
-    keeps its shape; only the in-grid masks and the entries are per node.
+    ``cost`` is (1, 1) or (1, n).  The step crosses the face of the axis it
+    reaches first (axis 0 on a tie); in 2D the foot leans towards the
+    diagonal neighbour one step along the sign of the velocity on both
+    axes, by the fraction of a cell the other component covers meanwhile.
+    Only a tabulated velocity needs the in-grid foot, for the duration with
+    the foot-point speed.
     """
-    const, frac, foot_a, foot_b, h_at_foot = out
     t = _axis_times(grid, vel)
-    step = [np.sign(v).astype(np.int32) for v in vel]
-    inside = [((st >= 0) | below) & ((st <= 0) | above) for st, (below, above) in zip(step, room)]
-    if grid.dim == 1:
-        h = t[0]
-        in_range = np.isfinite(h) & inside[0]
-        np.add(multi[0], step[0], out=foot_a)
-        foot_b[...] = -1
-        frac[...] = 0.0
-    else:
-        node = multi[0] * grid.shape[1] + multi[1]
-        on1 = t[1] < t[0]
-        h = np.minimum(t[0], t[1])
-        in_range = np.isfinite(h) & ((on1 & inside[1]) | (~on1 & inside[0]))
-        np.add(node, np.where(on1, step[1], step[0] * grid.shape[1]), out=foot_a)
+    axis = np.argmin(t, axis=0)
+    h = np.min(t, axis=0)
+    v = np.stack(vel)
+    crossing = np.take_along_axis(v, axis[None], axis=0)[0]
+    foot = np.where(np.isfinite(h), 2 * axis + (crossing > 0), 2 * grid.dim).astype(np.int8)
+    if grid.dim == 2:
+        other = 1 - axis
         with np.errstate(invalid="ignore"):  # inf * 0 where h is inf; zeroed next
-            lean = np.minimum(np.abs(np.where(on1, vel[0], vel[1])) * h
-                              / np.where(on1, grid.dx[0], grid.dx[1]), 1.0)
-        lean = np.where(lean > 1e-15, lean, 0.0)
-        diagonal = in_range & inside[0] & inside[1] & (lean > 0.0)
-        np.add(node, step[0] * grid.shape[1] + step[1], out=foot_b)
-        np.copyto(foot_b, -1, where=~diagonal)
-        np.multiply(diagonal, lean, out=frac)
-    out_of_range = ~in_range
-    np.copyto(foot_a, -1, where=out_of_range)
-    np.multiply(cost, h, out=const)
-    np.copyto(const, np.inf, where=out_of_range)
-    if h.shape[0] == 1:
-        h_at_foot[...] = h
+            lean = np.minimum(np.abs(np.take_along_axis(v, other[None], axis=0)[0]) * h
+                              / grid.dx[other], 1.0)
+        frac = np.where(lean > 1e-15, lean, 0.0)
+        diag = np.where(frac > 0.0, 2 * (v[0] > 0) + (v[1] > 0), 4).astype(np.int8)
     else:
-        # the duration with the foot-point (neighbour) speed, used for the
-        # probability transport term of the first-order recursion
-        foot = np.maximum(foot_a, 0)
-        t = _axis_times(grid, [np.where(in_range, np.take_along_axis(v, foot, axis=0), v)
-                               for v in vel])
-        h_at_foot[...] = t[0] if grid.dim == 1 else np.minimum(t[0], t[1])
+        frac, diag = np.zeros(h.shape), np.zeros(h.shape, dtype=np.int8)
+    h_at_foot = h
+    if h.shape[1] > 1:
+        across = np.take_along_axis(axis_nb, foot.astype(np.intp), axis=0)
+        inside = across < grid.n_nodes
+        at = np.where(inside, across, 0)
+        h_at_foot = np.min(_axis_times(grid, [np.where(inside, np.take_along_axis(va, at, axis=1),
+                                                       va) for va in vel]), axis=0)
+    # running costs are positive, so const is inf where the duration is
+    return {"const": cost * h, "frac": frac, "foot": foot, "diag": diag, "h_at_foot": h_at_foot}
 
 
 def _near(grid: Grid, nodes: np.ndarray) -> np.ndarray:
@@ -813,13 +866,13 @@ def _frontier_sweep(grid: Grid, table: CandidateTable, s0: np.ndarray,
     raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
 
 
-def _node_candidates(table: CandidateTable) -> list[list[tuple[float, int]]]:
+def _node_candidates(ent: Candidates) -> list[list[tuple[float, int]]]:
     """Per node, its candidates' (const, foot_a) in row order, for the 1D loops.
 
     A 1D step has no diagonal foot: its value is ``const + v[foot_a]``.
     """
     return [list(zip(const, foot)) for const, foot in
-            zip(table.const.T.tolist(), table.foot_a.T.tolist())]
+            zip(ent.const.T.tolist(), ent.foot_a.T.tolist())]
 
 
 def _step_value(cand: tuple[float, int], vals) -> float:
@@ -854,18 +907,19 @@ def solve_min_cost(spec: ProblemSpec, grid: Grid, rate_sense: str | None = None)
 class MinimalCost:
     """The rate-independent part of the minimal-cost solve: the candidate table and s0.
 
-    Every (mode, action) is one row of a ``CandidateTable`` over all nodes,
-    and s0 is the fixed point of ``s0[k] = min(s0[k], min_c value_c(s0)[k])``
-    from the exit costs.  The grid's dimension picks the iteration.  In 1D,
-    alternating-direction Gauss-Seidel sweeps over the nodes reach it in a
-    few passes and w0 is filled in increasing-s0 order.  In 2D a frontier
-    sweep does Jacobi passes over the dirty columns of the table only: the
-    first dirty set is the live neighbours of the exit nodes, the next one
-    the 3^d neighbourhood of the nodes that decreased, so each pass costs
-    the frontier's width instead of the whole grid.  w0 is then the fixed
-    point of the transport along each mode's best candidate, read from the
-    table one mode block at a time and iterated over the neighbourhood of
-    the last changes in the same way.
+    Every (mode, action) is one row of a ``CandidateTable``, evaluated on
+    demand at the nodes a pass asks for, and s0 is the fixed point of
+    ``s0[k] = min(s0[k], min_c value_c(s0)[k])`` from the exit costs.  The
+    grid's dimension picks the iteration.  In 1D, alternating-direction
+    Gauss-Seidel sweeps over the nodes reach it in a few passes and w0 is
+    filled in increasing-s0 order.  In 2D a frontier sweep does Jacobi
+    passes over the dirty columns of the table only: the first dirty set is
+    the live neighbours of the exit nodes, the next one the 3^d
+    neighbourhood of the nodes that decreased, so each pass costs the
+    frontier's width instead of the whole grid.  w0 is then the fixed
+    point of the transport along each mode's best candidate, picked from
+    one mode's rows at a time and iterated over the neighbourhood of the
+    last changes in the same way.
 
     w0 is filled for all rate choices at once (``stacked``): the candidate
     each node and mode transports along does not depend on the rates, so it
@@ -949,7 +1003,8 @@ def _w0_ordered(grid, table, s0, w0, rates) -> int:
     """
     interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
     order = interior[np.argsort(s0[interior], kind="stable")]
-    cands = _node_candidates(table)
+    ent = table.materialize()
+    cands = _node_candidates(ent)
     for k in order:
         best = math.inf
         per_mode_best: dict[int, tuple[float, int]] = {}
@@ -967,8 +1022,8 @@ def _w0_ordered(grid, table, s0, w0, rates) -> int:
         tol = ARGMIN_RTOL * max(1.0, abs(best))
         for i, (val, c) in per_mode_best.items():
             if val <= best + tol:
-                foot = w0[:, :, table.foot_a[c, k]]
-                step = foot[:, i] + float(table.h_at_foot[c, k]) * _coupling(foot, i, *rates)
+                foot = w0[:, :, ent.foot_a[c, k]]
+                step = foot[:, i] + float(ent.h_at_foot[c, k]) * _coupling(foot, i, *rates)
                 w0[:, i, k] = step.clip(0.0, 1.0)
     return 1
 
@@ -998,9 +1053,8 @@ def _w0_fixed_point(grid, table, s0, w0, rates, max_iter=100000) -> int:
         rows = table.mode_rows(i)
         vals = table.values(s0, rows)
         pick = np.argmin(vals, axis=0)
-        c = rows.start + pick
-        picked.append((vals[pick, cols], table.foot_a[c, cols], table.foot_b[c, cols],
-                       table.frac[c, cols], table.h_at_foot[c, cols]))
+        ent = table.entries(rows.start + pick, cols)
+        picked.append((vals[pick, cols], ent.foot_a, ent.foot_b, ent.frac, ent.h_at_foot))
     best_all = np.min([best_i for best_i, *_ in picked], axis=0)
     per_mode = []
     for best_i, fa, fb, frac, h in picked:
@@ -1031,7 +1085,7 @@ def _min_cost_sweep_1d(grid: Grid, table: CandidateTable,
                        s0: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Alternating-direction Gauss-Seidel sweeps; returns s0, the sweep count and the decreases."""
     n = grid.n_nodes
-    cands = _node_candidates(table)
+    cands = _node_candidates(table.materialize())
     s = s0.tolist()
     updates = 0
     for sweep in range(n + 2):

@@ -1,9 +1,9 @@
 import ast
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from pdmp_cdf.model import (
 )
 from pdmp_cdf.simulate import empirical_cdf, estimate_mean, run_batch
 from reference_solvers import (
+    _candidate_value,
     eulerian_step,
     label_setting_min_cost,
     level_sweep,
@@ -119,7 +120,7 @@ def _min_cost_problem(name, n_angles, dx):
 
 @st.composite
 def _table_problems(draw):
-    """A small random grid problem and a table block size, often one that splits modes.
+    """A small random grid problem.
 
     Velocities, control offsets and controls come from one pool: zero,
     axis-aligned and diagonal-tie vectors (|v_x| / dx = |v_y| / dy exactly,
@@ -165,8 +166,7 @@ def _table_problems(draw):
     spec = ProblemSpec(dim=dim, lo=np.zeros(dim), hi=np.array(dx) * (np.array(counts) - 1),
                        exit_set=ExitSpec("boundary"), modes=tuple(modes),
                        rates=RateMatrix.uniform(len(modes), 1.0), controls=controls)
-    rows = len(modes) * max(1, controls.n_actions)
-    return spec, build_grid(spec, dx, 0.5, 1.0), draw(st.integers(1, rows * n))
+    return spec, build_grid(spec, dx, 0.5, 1.0)
 
 
 class TestMinCost:
@@ -211,37 +211,83 @@ class TestMinCost:
         if name == "anisotropic":  # the case is meant to leave some nodes unreachable
             assert 0 < np.isinf(s0).sum() < np.isfinite(s0[~grid.exit_mask]).sum()
 
-    @pytest.mark.parametrize("name, n_angles, dx, block", [
-        ("example1", None, 0.05, 1 << 17), ("example3", None, 0.05, 1 << 17),
-        ("anisotropic", None, (0.05, 0.1), 1 << 17), ("tabulated", None, 0.05, 1 << 17),
-        ("example6", 16, 0.1, 1000)])
-    def test_candidate_table_matches_plain_builder(self, monkeypatch, name, n_angles, dx, block):
-        # a block of 1000 entries holds 8 of the 121-node rows: two blocks per mode
-        monkeypatch.setattr(cdf_solver, "_TABLE_BLOCK", block)
+    @pytest.mark.parametrize("name, n_angles, dx", [
+        # the ids keep the block sizes the table was once filled in
+        pytest.param("example1", None, 0.05, id="example1-None-0.05-131072"),
+        pytest.param("example3", None, 0.05, id="example3-None-0.05-131072"),
+        pytest.param("anisotropic", None, (0.05, 0.1), id="anisotropic-None-dx2-131072"),
+        pytest.param("tabulated", None, 0.05, id="tabulated-None-0.05-131072"),
+        pytest.param("example6", 16, 0.1, id="example6-16-0.1-1000")])
+    def test_candidate_table_matches_plain_builder(self, name, n_angles, dx):
         spec, grid = _min_cost_problem(name, n_angles, dx)
         table = cdf_solver._candidate_table(spec, grid)
+        entries = table.materialize()
         plain = plain_candidates(spec, grid)
         assert table.mode.tolist() == [c["mode"] for c in plain]
         for key in ("const", "foot_a", "foot_b", "frac", "h_at_foot"):
-            assert np.array_equal(getattr(table, key), np.array([c[key] for c in plain])), key
+            assert np.array_equal(getattr(entries, key), np.array([c[key] for c in plain])), key
         if name == "tabulated":  # row 0: cost 1, so const is the step time at the node
-            inside = table.foot_a[0] >= 0
-            assert np.any(table.h_at_foot[0, inside] != table.const[0, inside])
+            inside = entries.foot_a[0] >= 0
+            assert np.any(entries.h_at_foot[0, inside] != entries.const[0, inside])
+        if name in ("example3", "example6"):  # velocities constant in space: one value per row
+            for key in ("const", "frac", "foot", "diag", "h_at_foot"):
+                assert getattr(table, key).shape == (table.mode.size, 1), key
 
     @settings(max_examples=200, deadline=None)
     @given(_table_problems())
     def test_candidate_table_matches_plain_builder_on_random_problems(self, problem):
-        spec, grid, block = problem
-        with mock.patch.object(cdf_solver, "_TABLE_BLOCK", block):
-            table = cdf_solver._candidate_table(spec, grid)
+        spec, grid = problem
+        table = cdf_solver._candidate_table(spec, grid)
+        entries = table.materialize()
         plain = plain_candidates(spec, grid)
         assert table.mode.tolist() == [c["mode"] for c in plain]
         for key in ("const", "frac", "h_at_foot"):  # bit for bit, the sign of zero included
             expected = np.array([c[key] for c in plain])
-            got = np.ascontiguousarray(getattr(table, key))
+            got = np.ascontiguousarray(getattr(entries, key))
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
         for key in ("foot_a", "foot_b"):
-            assert np.array_equal(getattr(table, key), np.array([c[key] for c in plain])), key
+            assert np.array_equal(getattr(entries, key), np.array([c[key] for c in plain])), key
+
+    @settings(max_examples=200, deadline=None)
+    @given(_table_problems(), st.data())
+    def test_values_match_reference_on_random_problems(self, problem, data):
+        # the sweeps read candidates only through values and entries
+        spec, grid = problem
+        table = cdf_solver._candidate_table(spec, grid)
+        plain = plain_candidates(spec, grid)
+        n, n_rows = grid.n_nodes, len(plain)
+        field = np.array(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 5.0), st.just(math.inf)), min_size=n, max_size=n)))
+        lo = data.draw(st.integers(0, n_rows - 1))
+        rows = slice(lo, data.draw(st.integers(lo + 1, n_rows)))
+        cols = None
+        if data.draw(st.booleans()):
+            cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        got = table.values(field, rows, cols)
+        nodes = range(n) if cols is None else cols
+        expected = np.array([[_candidate_value(c, field, k) for k in nodes] for c in plain[rows]])
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        # entries of one drawn row per node, as the attainment-probability fill picks them
+        nodes = np.arange(n) if cols is None else cols
+        picks = np.array(data.draw(st.lists(st.integers(0, n_rows - 1),
+                                            min_size=nodes.size, max_size=nodes.size)))
+        entries = table.entries(picks, nodes)
+        for key in ("const", "frac", "foot_a", "foot_b", "h_at_foot"):
+            expected = np.array([plain[c][key][k] for c, k in zip(picks, nodes)])
+            assert np.array_equal(getattr(entries, key), expected), key
+
+    def test_two_dimensional_solve_stays_small(self):
+        # 200 angles at dx 2e-2: 800 candidate rows over 51^2 nodes, so a stored
+        # (row, node) table of 24 bytes an entry would alone take 50 MB
+        spec = catalog.example6(200)
+        grid = build_grid(spec, 2e-2, 2e-2, 1.0)
+        tracemalloc.start()
+        try:
+            solve_min_cost(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
 
     def test_passes_are_reported(self, caplog):
         spec, grid = _min_cost_problem("example3", None, 0.05)

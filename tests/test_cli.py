@@ -513,7 +513,15 @@ class TestAngleCount:
         assert main(["min-cost", "--problem", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", ["abc", 2.5, True, 1])
+    @pytest.mark.parametrize("angles", ["0", "1", "-3"])
+    def test_too_few_angles_flag_rejected(self, tmp_path, capsys, angles):
+        # 0 is a count like any other, not a request for the default
+        assert main(["min-cost", "--problem", "example6", "--n-angles", angles, "--dx", "0.1",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "at least 2 angles" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["abc", 2.5, True, 1, 0])
     def test_bad_count_rejected(self, tmp_path, value):
         doc = {"schema_version": 1, "problem": "example6",
                "numerics": {"dx": 0.1, "ds": 0.05, "s_max": 0.2, "n_angles": value},
