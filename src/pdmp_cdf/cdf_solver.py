@@ -784,9 +784,9 @@ def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
 
 
 def _axis_times(grid: Grid, vel: list[np.ndarray]) -> np.ndarray:
-    """Time to cross one cell along each axis, inf where that speed is zero: (d, ...)."""
+    """Time to cross one cell along each axis, inf where that speed is zero or too small: (d, ...)."""
     speed = [np.abs(v) for v in vel]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.stack([np.where(sp > 0, dx / sp, np.inf) for sp, dx in zip(speed, grid.dx)])
 
 

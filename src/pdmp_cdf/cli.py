@@ -1,10 +1,11 @@
 """Command-line front end: problem loading, solver orchestration, CSV export.
 
-Configurations are strict JSON documents (unknown keys are errors); every
-run writes long-form CSV slices plus a JSON manifest carrying the config
-hash, so reruns are verifiable byte for byte.  No plotting happens here;
-the column contract is documented in the README so any external plotter
-can reproduce the figures.
+Configurations are strict JSON documents, checked once before any solve
+against `SCHEMA`, the one table of what each command reads.  Every run
+writes long-form CSV slices plus a JSON manifest carrying the config hash,
+so reruns are verifiable byte for byte.  No plotting happens here; the
+column contract is documented in the README so any external plotter can
+reproduce the figures.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -169,14 +171,183 @@ def parse_problem(doc: dict | str, n_angles: int | None = None) -> ProblemSpec:
     )
 
 
-_NUMERICS_KEYS = {"dx", "ds", "s_max", "tau", "n_angles", "tol", "max_iter"}
-_RUN_KEYS = {"slices", "thresholds", "threshold", "rates", "samples", "seed", "start",
-             "restrict", "horizon_cap", "dump_samples"}
-_OUTPUT_KEYS = {"dir"}
+# ---------------------------------------------------------------------------
+# the config schema: one table of every numerics, run and output key
+# ---------------------------------------------------------------------------
+
+SECTIONS = ("numerics", "run", "output")
+SWEEPS = frozenset({"solve-cdf", "bounds", "sweep", "threshold", "evaluate-policy"})  # level sweeps
+GRID = SWEEPS | {"min-cost", "hjb", "simulate"}  # every command, on a grid problem
+GRAPH = "graph"  # the column of a graph problem, which runs solve-cdf and min-cost only
+_ITERATION, _SIMULATE = frozenset({"hjb", "threshold"}), frozenset({"simulate"})
+
+
+class Rule(NamedTuple):
+    """A value rule: its text, and ``parse``, which returns the typed value or raises ValueError."""
+
+    text: str
+    parse: Callable
+
+
+def _real(low: float, high: float) -> Callable:
+    """Numbers (never bools) with ``low < value <= high``; NaN fails every comparison."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value <= high:
+            raise ValueError(value)
+        return value
+    return parse
+
+
+def _whole(least: int, below: float = math.inf) -> Callable:
+    """Integers in ``[least, below)``, integral floats such as ``1e5`` included, never bools."""
+    def parse(value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or not least <= value < below:
+            raise ValueError(value)
+        return value
+    return parse
+
+
+def _instance(kind: type) -> Callable:
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(value)
+        return value
+    return parse
+
+
+def _numbers(values) -> list[float]:
+    """Finite numbers from a comma list ('0.2,0.4') or a JSON list; at least one."""
+    items = values.split(",") if isinstance(values, str) else values
+    out = [float(v) for v in items]
+    if not out or any(isinstance(v, bool) for v in items) or not all(map(math.isfinite, out)):
+        raise ValueError(values)
+    return out
+
+
+def _spacing(value):
+    """One spacing, or a list of one per axis."""
+    if isinstance(value, list) and value:
+        return [_POSITIVE.parse(v) for v in value]
+    return _POSITIVE.parse(value)
+
+
+def _slice_texts(value) -> list[str]:
+    """One slice request or a list of them; `_parse_slices` reads them against the grid."""
+    texts = [value] if isinstance(value, str) else value
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError(value)
+    return texts
+
+
+def _start(value) -> tuple[list[float], int]:
+    """``'x[,y]:mode'`` (the flag) or ``[[x, y], mode]`` (a config), 1-based: (point, mode index)."""
+    if isinstance(value, str):
+        point, _, mode = value.rpartition(":")
+        return [float(v) for v in point.split(",")], int(mode) - 1
+    point, mode = value
+    return np.array(point, dtype=float).reshape(-1).tolist(), _whole(1)(mode) - 1
+
+
+_POSITIVE = Rule("a finite number > 0", _real(0.0, sys.float_info.max))
+_COUNT = Rule("a whole number >= 1", _whole(1))
+_SWITCH = Rule("true or false", _instance(bool))
+_NUMBERS = Rule("finite numbers, as a comma list or a JSON list", _numbers)
+
+
+class Key(NamedTuple):
+    """One row of `SCHEMA`: the key's value rule, default, readers (columns) and flag.
+
+    A dict ``default`` holds one value per column, its ``None`` entry the
+    rest.  ``flag_readers`` narrows the columns that take the flag, and
+    ``problem`` names the one problem that reads the key.
+    """
+
+    rule: Rule
+    default: object
+    readers: frozenset
+    flag: str | None = None
+    flag_readers: frozenset | None = None
+    problem: str | None = None
+
+
+SCHEMA: dict[tuple[str, str], Key] = {
+    ("numerics", "dx"): Key(Rule("a finite number > 0, or a list of one per axis", _spacing),
+                            None, GRID, "--dx"),
+    ("numerics", "ds"): Key(_POSITIVE, {GRAPH: 1.0, None: None}, GRID | {GRAPH}, "--ds", GRID),
+    ("numerics", "s_max"): Key(_POSITIVE, {GRAPH: 10.0, None: None}, GRID | {GRAPH}, "--s-max", GRID),
+    ("numerics", "tau"): Key(_POSITIVE, None, SWEEPS | {"hjb"}),
+    ("numerics", "n_angles"): Key(Rule("a count of at least 2 angles", _whole(2)), None, GRID,
+                                  "--n-angles", problem="example6"),
+    ("numerics", "tol"): Key(_POSITIVE, 1e-8, _ITERATION),
+    ("numerics", "max_iter"): Key(_COUNT, 1000, _ITERATION),
+    ("run", "slices"): Key(Rule("a slice request or a list of them", _slice_texts), None, SWEEPS,
+                           "--slice"),
+    ("run", "thresholds"): Key(_NUMBERS, None, frozenset({"threshold"}), "--thresholds"),
+    ("run", "rates"): Key(_NUMBERS, (1.0, 2.0, 3.0, 4.0), frozenset({"sweep"}), "--rates"),
+    ("run", "restrict"): Key(_SWITCH, {"threshold": False, None: True},
+                             frozenset({"solve-cdf", "bounds", "sweep", "threshold"})),
+    ("run", "samples"): Key(_COUNT, 10000, _SIMULATE, "--n"),
+    ("run", "seed"): Key(Rule("a whole number in [0, 2**64)", _whole(0, 2**64)), 0, _SIMULATE,
+                         "--seed"),
+    ("run", "start"): Key(Rule("'x[,y]:mode' or [[x, y], mode], 1-based", _start), None, _SIMULATE,
+                          "--start"),
+    ("run", "threshold"): Key(Rule("a finite number", _real(-math.inf, sys.float_info.max)), None,
+                              _SIMULATE, "--threshold"),
+    ("run", "horizon_cap"): Key(Rule("a number > 0 (Infinity allowed)", _real(0.0, math.inf)), None,
+                                _SIMULATE),
+    ("run", "dump_samples"): Key(_SWITCH, False, _SIMULATE, "--dump-samples"),
+    ("output", "dir"): Key(Rule("a string", _instance(str)), "out", GRID | {GRAPH}, "--out"),
+}
+_UNSET = object()
+
+
+def _check(doc: dict, flags: dict, column: str | None, name: str | None) -> tuple[dict, ...]:
+    """The one config check: a config and its flags against ``column`` of `SCHEMA`.
+
+    A flag replaces its key's config value.  An unknown key, a key or flag
+    the column does not read, and a value that breaks its rule are
+    ConfigErrors naming it.  Returns (numerics, run, output): the value of
+    every key the column reads (every key without a column), an unset key
+    taking the built-in problem's default, else the table's.
+    """
+    for section in SECTIONS:
+        _check_keys(doc[section], {key for sec, key in SCHEMA if sec == section}, f"config.{section}")
+    values = {section: {} for section in SECTIONS}
+    builtin = catalog.DEFAULT_NUMERICS.get(name, {})
+    for (section, key), entry in SCHEMA.items():
+        flagged = flags.get(section, {}).get(key)
+        if flagged is None:
+            value, what, readers = doc[section].get(key, _UNSET), f"{section}.{key}", entry.readers
+        else:
+            value, what = flagged, entry.flag or f"{section}.{key}"
+            readers = entry.flag_readers or entry.readers
+        reads = column is None or column in readers
+        if value is _UNSET:
+            if reads:
+                default = entry.default
+                if isinstance(default, dict):
+                    default = default.get(column, default[None])
+                values[section][key] = builtin.get(key, default)
+        elif not reads:
+            raise ConfigError(f"{'a graph problem' if column == GRAPH else column} does not read {what}")
+        elif entry.problem not in (None, name):
+            raise ConfigError(f"{what} is read by the built-in {entry.problem} only")
+        else:
+            try:
+                values[section][key] = entry.rule.parse(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{what} must be {entry.rule.text}, got {value!r}") from None
+    return tuple(values[section] for section in SECTIONS)
 
 
 def load_config(path_or_name: str) -> dict:
-    """Read a config file, or synthesize one from a builtin problem name."""
+    """Read a config file, or synthesize one from a builtin problem name.
+
+    This checks the outline only: the known top-level keys, ``schema_version``
+    1, a problem name or object, and sections that are objects.
+    """
     if path_or_name in catalog.BUILTIN_NAMES:
         return {"schema_version": SCHEMA_VERSION, "problem": path_or_name,
                 "numerics": {}, "run": {}, "output": {}}
@@ -185,80 +356,63 @@ def load_config(path_or_name: str) -> dict:
         raise ConfigError(f"no such problem file or builtin name: {path_or_name}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"config {path_or_name} is not valid JSON: {exc}") from exc
-    _check_keys(doc, {"schema_version", "problem", "numerics", "run", "output"}, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path_or_name} is not a JSON object")
+    _check_keys(doc, {"schema_version", "problem", *SECTIONS}, "config")
     version = _need(doc, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}; this tool reads {SCHEMA_VERSION}")
-    _check_keys(doc.get("numerics", {}), _NUMERICS_KEYS, "config.numerics")
-    _check_keys(doc.get("run", {}), _RUN_KEYS, "config.run")
-    _check_keys(doc.get("output", {}), _OUTPUT_KEYS, "config.output")
-    doc.setdefault("numerics", {})
-    doc.setdefault("run", {})
-    doc.setdefault("output", {})
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}; this tool reads {SCHEMA_VERSION}")
+    if not isinstance(_need(doc, "problem", "config"), (str, dict)):
+        raise ConfigError("config.problem must be a built-in name or a problem object")
+    for section in SECTIONS:
+        if not isinstance(doc.setdefault(section, {}), dict):
+            raise ConfigError(f"config.{section} must be a JSON object")
     return doc
 
 
-def _grid_numerics(numerics: dict, dim: int) -> None:
-    """Check ``ds``, ``s_max``, ``tau`` and ``dx`` (a scalar, or one entry per axis) before use.
+def load_problem(path_or_name: str, flags: dict | None = None, command: str | None = None):
+    """Load a config, check it once for ``command`` (`_check`), and discretize it.
 
-    Each must be a finite number > 0; anything else is a ConfigError.
-    """
-    for key in ("ds", "s_max", "tau"):
-        if key in numerics:
-            _positive_number(numerics[key], f"numerics.{key}")
-    dx = numerics["dx"]
-    if isinstance(dx, list):
-        if len(dx) != dim:
-            raise ConfigError(f"numerics.dx lists {len(dx)} spacings for a {dim}D problem")
-        for a, value in enumerate(dx):
-            _positive_number(value, f"numerics.dx[{a}]")
-    else:
-        _positive_number(dx, "numerics.dx")
-
-
-def load_problem(path_or_name: str, overrides: dict | None = None):
-    """Load, validate, and discretize a problem configuration.
-
-    Returns (spec, grid, numerics, run, output).  The grid numerics are
-    checked first (`_grid_numerics`).  Validation rejects non-causal step
-    policies outright (``cdf_solver.check_causality``, the solvers' rule);
-    the uniform-step inequality is enforced only for space-varying
-    velocities, where the exact boundary capping used by the solvers is
-    unavailable.
+    ``flags`` holds flag values by section, None where unset.  Returns
+    (problem, grid, numerics, run, output), with slices and thresholds
+    checked against the grid; a graph comes back as its
+    `discrete.RoutedGraph` with grid None.  Non-causal level-sweep steps
+    are rejected outright (``cdf_solver.check_causality``); ``hjb``'s
+    ``tau`` is its expected-cost step, which has no such rule.  The
+    uniform-step inequality binds only space-varying velocities, where the
+    solvers' exact boundary capping is unavailable.
     """
     doc = load_config(path_or_name)
-    if overrides:
-        for section in ("numerics", "run", "output"):
-            doc[section].update({k: v for k, v in overrides.get(section, {}).items() if v is not None})
-    numerics = doc["numerics"]
-    if _is_graph(doc):
-        raise ConfigError("graph problems run only solve-cdf and min-cost")
     name = doc["problem"] if isinstance(doc["problem"], str) else None
-    defaults = dict(catalog.DEFAULT_NUMERICS.get(name, {})) if name else {}
-    merged = {**defaults, **{k: v for k, v in numerics.items() if v is not None}}
-    if "n_angles" in merged:
-        if name != "example6":
-            raise ConfigError("n_angles is read by the built-in example6 only; a unit-circle "
-                              "control set takes controls.n_angles from the problem document")
-        merged["n_angles"] = _whole_number(merged["n_angles"], "numerics.n_angles")
-    spec = parse_problem(doc["problem"], n_angles=merged.get("n_angles"))
+    if isinstance(doc["problem"], dict) and doc["problem"].get("kind") == "graph":
+        if command not in (None, "solve-cdf", "min-cost"):
+            raise ConfigError("graph problems run only solve-cdf and min-cost")
+        return (parse_graph(doc["problem"]), None, *_check(doc, flags or {}, GRAPH, name))
+    numerics, run, output = _check(doc, flags or {}, command, name)
+    spec = parse_problem(doc["problem"], n_angles=numerics["n_angles"])
     for key in ("dx", "ds", "s_max"):
-        if key not in merged:
+        if numerics[key] is None:
             raise ConfigError(f"config.numerics.{key} is required for custom problems")
-    _grid_numerics(merged, spec.dim)
-    grid = build_grid(spec, merged["dx"], merged["ds"], merged["s_max"])
-    if "tau" in merged:
-        cdf_solver.check_causality(merged["tau"], spec.min_cost_rate(), grid.ds)
-    ds_max = cfl_max_ds(spec, merged["dx"])
+    dx, ds = numerics["dx"], numerics["ds"]
+    if isinstance(dx, list) and len(dx) != spec.dim:
+        raise ConfigError(f"numerics.dx lists {len(dx)} spacings for a {spec.dim}D problem")
+    grid = build_grid(spec, dx, ds, numerics["s_max"])
+    if numerics.get("tau") is not None and command != "hjb":
+        cdf_solver.check_causality(numerics["tau"], spec.min_cost_rate(), grid.ds)
+    ds_max = cfl_max_ds(spec, dx)
     exact_capping = all(m.dynamics.constant_in_space for m in spec.modes)
-    if merged["ds"] > ds_max * (1 + 1e-9) and not exact_capping:
+    if ds > ds_max * (1 + 1e-9) and not exact_capping:
         raise NumericsError(
-            f"threshold spacing ds={merged['ds']:.6g} exceeds the uniform-step limit "
+            f"threshold spacing ds={ds:.6g} exceeds the uniform-step limit "
             f"{ds_max:.6g} and the velocity fields are space-varying; refine ds or dx"
         )
-    return spec, grid, merged, doc["run"], doc["output"]
+    if "slices" in run:
+        run["slices"] = _parse_slices(run["slices"], grid)
+    if run.get("thresholds"):
+        run["thresholds"] = _sheet_levels(run["thresholds"], grid)
+    return spec, grid, numerics, run, output
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +421,14 @@ def load_problem(path_or_name: str, overrides: dict | None = None):
 
 
 class Exporter:
-    """Writes long-form CSV slices plus a manifest for one run."""
+    """Writes long-form CSV slices plus a manifest for one run.
+
+    The directory is made with the first file, so a run that fails before
+    it writes anything leaves none.
+    """
 
     def __init__(self, out_dir: str, grid_desc: dict, config_doc: dict, seed=None):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
         self.t0 = time.time()
         canonical = json.dumps(config_doc, sort_keys=True, default=str).encode()
@@ -281,6 +438,7 @@ class Exporter:
 
     def write_rows(self, name: str, header: list[str], rows: Table) -> Path:
         """Write one CSV file from the columns of ``rows`` (see `csvtable`)."""
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         write_csv(path, header, rows)
         self.files.append(name)
@@ -308,23 +466,6 @@ def _grid_desc(grid: Grid) -> dict:
             "ds": grid.ds, "n_levels": grid.n_levels}
 
 
-def _out_dir(args, output: dict) -> str:
-    """``--out``, else the config's ``output.dir``, else ``./out``."""
-    return args.out or output.get("dir", "out")
-
-
-def _numbers(values, what: str) -> list[float]:
-    """Finite numbers from a comma list ('0.2,0.4') or a JSON list; anything else is a ConfigError."""
-    items = values.split(",") if isinstance(values, str) else values
-    try:
-        out = [float(v) for v in items]
-    except (TypeError, ValueError):
-        out = []
-    if not out or any(isinstance(v, bool) for v in items) or not all(map(math.isfinite, out)):
-        raise ConfigError(f"bad {what} {values!r}; use a comma list of finite numbers")
-    return out
-
-
 def _sheet_levels(values: list[float], grid: Grid) -> list[int]:
     """Level indices of threshold sheets, each of which must be a level of the grid."""
     levels = [int(round(s / grid.ds)) for s in values]
@@ -335,29 +476,34 @@ def _sheet_levels(values: list[float], grid: Grid) -> list[int]:
     return levels
 
 
-def _parse_slices(texts: list[str], grid: Grid) -> list[tuple[str, list]]:
+def _parse_slices(texts: list[str] | None, grid: Grid) -> list[tuple[str, list]]:
     """Parse and check slice requests: 's=0.25,0.5' sheets, 'x=0.3,0.7' or 'at=0.4:0.3' curves.
 
     Sheets become level indices and must be grid levels; curve points must
-    lie in the domain.  A bad request is a ConfigError, raised before any solve.
+    lie in the domain.  A bad request is a ConfigError, raised before any
+    solve.  Without requests: sheets at 1/4, 1/2, 3/4 and all of s_max
+    (nearest levels).
     """
+    if not texts:
+        last = grid.n_levels - 1
+        return [("s", list(dict.fromkeys(round(f * last) for f in (0.25, 0.5, 0.75, 1.0))))]
     out: list[tuple[str, list]] = []
     for text in texts:
-        if not isinstance(text, str) or "=" not in text:
-            raise ConfigError(f"bad slice {text!r}; use s=..., x=..., or at=...")
         axis, _, vals = text.partition("=")
         axis = axis.strip()
-        if axis == "s":
-            out.append(("s", _sheet_levels(_numbers(vals, "slice thresholds"), grid)))
-            continue
-        if axis == "x" and grid.dim == 1:
-            pts = [[v] for v in _numbers(vals, "slice points")]
-        elif axis == "at":
-            pts = [_numbers(chunk.split(":"), "slice point") for chunk in vals.split(",")]
-            if any(len(pt) != grid.dim for pt in pts):
-                raise ConfigError(f"slice points {vals!r} have the wrong dimension")
-        else:
-            raise ConfigError(f"bad slice axis {axis!r} for dimension {grid.dim}")
+        try:
+            if axis == "s":
+                out.append(("s", _sheet_levels(_numbers(vals), grid)))
+                continue
+            if axis == "at" or axis == "x" and grid.dim == 1:  # a 1D point is one number
+                pts = [_numbers(chunk.split(":")) for chunk in vals.split(",")]
+            else:
+                raise ConfigError(f"bad slice {text!r} for dimension {grid.dim}; "
+                                  "use s=..., x=... (1D) or at=... (2D)")
+        except ValueError:
+            raise ConfigError(f"bad slice {text!r}; use a comma list of finite numbers") from None
+        if any(len(pt) != grid.dim for pt in pts):
+            raise ConfigError(f"slice points {vals!r} have the wrong dimension")
         if not np.all(grid.contains(np.array(pts))):
             raise ConfigError(f"slice points {vals!r} lie outside the domain")
         out.append(("point", pts))
@@ -412,199 +558,91 @@ def _header(dim: int, with_bounds: bool = False, extra: list[str] | None = None)
     return cols + (extra or [])
 
 
-def _default_slices(run: dict, args, grid: Grid):
-    """The requested slices, else sheets at 1/4, 1/2, 3/4 and all of s_max (nearest levels)."""
-    texts = args.slice if args.slice else run.get("slices")
-    if not texts:
-        last = grid.n_levels - 1
-        return [("s", list(dict.fromkeys(round(f * last) for f in (0.25, 0.5, 0.75, 1.0))))]
-    if isinstance(texts, str):
-        texts = [texts]
-    return _parse_slices(texts, grid)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the checked values and the run's exporter, and
+# returns the manifest's extra entries
 # ---------------------------------------------------------------------------
 
 
-def _is_graph(doc: dict) -> bool:
-    return isinstance(doc["problem"], dict) and doc["problem"].get("kind") == "graph"
+def _graph_cdf(args, g, grid, numerics, run, exporter):
+    ds, s_max = float(numerics["ds"]), float(numerics["s_max"])
+    w = discrete.solve_cdf(g, s_max=s_max, ds=ds)
+    exporter.grid_desc.update({"ds": ds, "n_levels": w.n_levels})
+    per_node = g.n_routes * w.n_levels
+    rows = Table([np.repeat(np.arange(g.n_nodes), per_node),
+                  np.tile(np.repeat(np.arange(1, g.n_routes + 1), w.n_levels), g.n_nodes),
+                  np.tile(np.arange(w.n_levels) * ds, g.n_nodes * g.n_routes),
+                  w.values.transpose(2, 0, 1).reshape(-1)])
+    exporter.write_rows("cdf.csv", ["node", "route", "s", "value"], rows)
 
 
-_GRAPH_NUMERICS = {"ds": 1.0, "s_max": 10.0}  # the only numerics a graph reads, with defaults
+def _graph_min_cost(args, g, grid, numerics, run, exporter):
+    s0, w0 = discrete.solve_min_cost(g)
+    exporter.grid_desc.update({"ds": 1.0, "n_levels": 0})
+    rows = Table([np.repeat(np.arange(g.n_nodes), g.n_routes),
+                  np.tile(np.arange(1, g.n_routes + 1), g.n_nodes),
+                  _inf_if_not_finite(s0).T.reshape(-1), w0.T.reshape(-1)])
+    exporter.write_rows("min_cost.csv", ["node", "route", "min_cost", "attain_prob"], rows)
 
 
-def _graph_doc(args) -> dict | None:
-    """The checked config of a graph problem, or None for any other problem.
-
-    The config passes ``load_config`` like every other.  A graph reads only
-    ``numerics.ds`` and ``numerics.s_max``, each a finite number > 0; any
-    other numerics or run key and every grid flag are configuration errors.
-    """
-    doc = load_config(args.problem)
-    if not _is_graph(doc):
-        return None
-    flags = [f"--{key.replace('_', '-')}" for key in ("dx", "ds", "s_max", "n_angles", "slice")
-             if getattr(args, key, None) is not None]
-    if flags:
-        raise ConfigError(f"a graph problem reads no grid flags: {', '.join(flags)}")
-    _check_keys(doc["numerics"], set(_GRAPH_NUMERICS), "config.numerics of a graph problem")
-    _check_keys(doc["run"], set(), "config.run of a graph problem")
-    for key, default in _GRAPH_NUMERICS.items():
-        _positive_number(doc["numerics"].get(key, default), f"numerics.{key}")
-    return doc
+def _cmd_solve_cdf(args, spec, grid, numerics, run, exporter):
+    restrict = cdf_solver.solve_min_cost(spec, grid) if run["restrict"] else None
+    field = cdf_solver.solve_cdf(spec, grid, tau=numerics["tau"], restrict=restrict)
+    exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, run["slices"]))
 
 
-def _cmd_solve_cdf(args) -> int:
-    gdoc = _graph_doc(args)
-    if gdoc is not None:
-        g = parse_graph(gdoc["problem"])
-        ds, s_max = (float(gdoc["numerics"].get(k, v)) for k, v in _GRAPH_NUMERICS.items())
-        w = discrete.solve_cdf(g, s_max=s_max, ds=ds)
-        exporter = Exporter(_out_dir(args, gdoc["output"]),
-                            {"nodes": g.n_nodes, "routes": g.n_routes, "ds": ds,
-                             "n_levels": w.n_levels}, gdoc)
-        per_node = g.n_routes * w.n_levels
-        rows = Table([np.repeat(np.arange(g.n_nodes), per_node),
-                      np.tile(np.repeat(np.arange(1, g.n_routes + 1), w.n_levels), g.n_nodes),
-                      np.tile(np.arange(w.n_levels) * ds, g.n_nodes * g.n_routes),
-                      w.values.transpose(2, 0, 1).reshape(-1)])
-        exporter.write_rows("cdf.csv", ["node", "route", "s", "value"], rows)
-        exporter.finish()
-        return EXIT_OK
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    slices = _default_slices(run, args, grid)
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "solve-cdf", "problem": args.problem, "numerics": numerics, "run": run})
-    restrict = None
-    if _run_flag(run, "restrict", True):
-        restrict = cdf_solver.solve_min_cost(spec, grid)
-    field = cdf_solver.solve_cdf(spec, grid, tau=numerics.get("tau"), restrict=restrict)
-    exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
-    exporter.finish()
-    return EXIT_OK
-
-
-def _cmd_min_cost(args) -> int:
-    gdoc = _graph_doc(args)
-    if gdoc is not None:
-        g = parse_graph(gdoc["problem"])
-        s0, w0 = discrete.solve_min_cost(g)
-        exporter = Exporter(_out_dir(args, gdoc["output"]),
-                            {"nodes": g.n_nodes, "routes": g.n_routes, "ds": 1.0, "n_levels": 0},
-                            gdoc)
-        rows = Table([np.repeat(np.arange(g.n_nodes), g.n_routes),
-                      np.tile(np.arange(1, g.n_routes + 1), g.n_nodes),
-                      _inf_if_not_finite(s0).T.reshape(-1), w0.T.reshape(-1)])
-        exporter.write_rows("min_cost.csv", ["node", "route", "min_cost", "attain_prob"], rows)
-        exporter.finish()
-        return EXIT_OK
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "min-cost", "problem": args.problem, "numerics": numerics})
+def _cmd_min_cost(args, spec, grid, numerics, run, exporter):
     mc = cdf_solver.solve_min_cost(spec, grid)
     rows = Table([*_node_mode_columns(grid, spec.n_modes),
                   np.repeat(_inf_if_not_finite(mc.s0), spec.n_modes), mc.w0.T.reshape(-1)])
     exporter.write_rows("min_cost.csv", ["x", "y"][:spec.dim] + ["mode", "min_cost", "attain_prob"], rows)
-    exporter.finish({"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask)),
-                     "min_cost": mc.counters})
-    return EXIT_OK
+    return {"unreachable_nodes": int(np.count_nonzero(np.isinf(mc.s0) & ~grid.exit_mask)),
+            "min_cost": mc.counters}
 
 
-def _cmd_bounds(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    slices = _default_slices(run, args, grid)
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "bounds", "problem": args.problem, "numerics": numerics, "run": run})
-    restrict = None
-    if _run_flag(run, "restrict", True):
-        restrict = bounds_mod.solve_min_cost_bounds(spec, grid)
-    pair = bounds_mod.solve_bounds(spec, grid, tau=numerics.get("tau"), restrict=restrict)
+def _cmd_bounds(args, spec, grid, numerics, run, exporter):
+    restrict = bounds_mod.solve_min_cost_bounds(spec, grid) if run["restrict"] else None
+    pair = bounds_mod.solve_bounds(spec, grid, tau=numerics["tau"], restrict=restrict)
     mid = 0.5 * (pair.lower.values + pair.upper.values)
     exporter.write_rows(
         "bounds.csv", _header(spec.dim, with_bounds=True),
-        _field_rows(mid, grid, slices, lo=pair.lower.values, hi=pair.upper.values))
-    exporter.finish()
-    return EXIT_OK
+        _field_rows(mid, grid, run["slices"], lo=pair.lower.values, hi=pair.upper.values))
 
 
-def _cmd_sweep(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    slices = _default_slices(run, args, grid)
-    levels = _numbers(args.rates or run.get("rates", [1.0, 2.0, 3.0, 4.0]), "rate levels")
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "sweep", "problem": args.problem, "numerics": numerics, "run": run})
+def _cmd_sweep(args, spec, grid, numerics, run, exporter):
     if spec.n_modes != 2:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
-    rate_grid = bounds_mod.default_rate_grid(levels)
-    fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics.get("tau"),
-                                         restrict=_run_flag(run, "restrict", True))
+    rate_grid = bounds_mod.default_rate_grid(run["rates"])
+    fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics["tau"],
+                                         restrict=run["restrict"])
     tables = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
-        tables.append(_field_rows(field.values, grid, slices,
+        tables.append(_field_rows(field.values, grid, run["slices"],
                                   extra=(float(off[0, 1]), float(off[1, 0]), "sample")))
     rows = Table.concat(tables)
     exporter.write_rows("sweep.csv", _header(spec.dim, extra=["rate_12", "rate_21", "kind"]), rows)
     clamp = fields[0].clamp
-    exporter.finish({"rate_matrices": len(rate_grid),
-                     "clamp": None if clamp is None else {"count": clamp.count,
-                                                          "largest": clamp.largest}})
-    return EXIT_OK
+    return {"rate_matrices": len(rate_grid),
+            "clamp": None if clamp is None else {"count": clamp.count, "largest": clamp.largest}}
 
 
-def _run_flag(run: dict, key: str, default: bool) -> bool:
-    """A run switch such as ``restrict``: a JSON true or false, else a ConfigError naming the key."""
-    value = run.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"run.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _positive_number(value, what: str):
-    """A finite number > 0 from a config; bools, strings and lists are ConfigErrors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
-    return value
-
-
-def _iteration_numerics(numerics: dict) -> dict:
-    """The policy iteration's ``tol`` and ``max_iter``, checked before any solve."""
-    tol = _positive_number(numerics.get("tol", 1e-8), "numerics.tol")
-    max_iter = _whole_number(numerics.get("max_iter", 1000), "numerics.max_iter")
-    if max_iter < 1:
-        raise ConfigError(f"numerics.max_iter {max_iter} must be at least 1")
-    return {"tol": tol, "max_iter": max_iter}
-
-
-def _cmd_hjb(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    iteration = _iteration_numerics(numerics)
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "hjb", "problem": args.problem, "numerics": numerics})
-    value, policy = control.solve_hjb_expectation(spec, grid, tau=numerics.get("tau"), **iteration)
+def _cmd_hjb(args, spec, grid, numerics, run, exporter):
+    value, policy = control.solve_hjb_expectation(spec, grid, tau=numerics["tau"],
+                                                  tol=numerics["tol"], max_iter=numerics["max_iter"])
     rows = Table([*_node_mode_columns(grid, spec.n_modes), value.u.T.reshape(-1),
                   policy.actions[:, 0, :].T.reshape(-1)])
     exporter.write_rows("expected_cost.csv", ["x", "y"][:spec.dim] + ["mode", "value", "action"], rows)
     if args.policy_out:
         control.save_policy(policy, args.policy_out)
-    exporter.finish()
-    return EXIT_OK
 
 
-def _cmd_threshold(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    iteration = _iteration_numerics(numerics)
-    slices = _default_slices(run, args, grid)
-    thresholds = args.thresholds or run.get("thresholds")
-    if thresholds:
-        slices = slices + [("s", _sheet_levels(_numbers(thresholds, "thresholds"), grid))]
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "threshold", "problem": args.problem, "numerics": numerics, "run": run})
-    restrict = cdf_solver.solve_min_cost(spec, grid) if _run_flag(run, "restrict", False) else None
-    hjb = control.solve_hjb_expectation(spec, grid, tau=numerics.get("tau"), **iteration)
-    tv = control.solve_threshold(spec, grid, tau=numerics.get("tau"), restrict=restrict, hjb=hjb)
+def _cmd_threshold(args, spec, grid, numerics, run, exporter):
+    slices = run["slices"] + ([("s", run["thresholds"])] if run["thresholds"] else [])
+    restrict = cdf_solver.solve_min_cost(spec, grid) if run["restrict"] else None
+    # tau is the sweep's step; the tie-breaking expectation solve keeps its own default step
+    hjb = control.solve_hjb_expectation(spec, grid, tol=numerics["tol"], max_iter=numerics["max_iter"])
+    tv = control.solve_threshold(spec, grid, tau=numerics["tau"], restrict=restrict, hjb=hjb)
     exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
                         _field_rows(tv.w.values, grid, slices))
     # synthesized action map at the fixed-threshold slices; actions are
@@ -616,52 +654,21 @@ def _cmd_threshold(args) -> int:
     policy = control.synthesize_policy(tv, spec, grid)
     if args.policy_out:
         control.save_policy(policy, args.policy_out)
-    exporter.finish()
-    return EXIT_OK
 
 
-def _whole_number(value, what: str) -> int:
-    """An integer run value; integral floats such as ``1e5`` are accepted."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    return value
-
-
-def _cmd_simulate(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
-    seed = _whole_number(args.seed if args.seed is not None else run.get("seed", 0), "seed")
-    n = _whole_number(args.n if args.n is not None else run.get("samples", 10000), "sample count")
-    if n < 1:
-        raise ConfigError(f"sample count {n} must be at least 1")
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "simulate", "problem": args.problem, "numerics": numerics,
-                         "run": run, "n": n, "seed": seed}, seed=seed)
+def _cmd_simulate(args, spec, grid, numerics, run, exporter):
     policy = control.load_policy(args.policy_in) if args.policy_in else None
-    threshold = args.threshold if args.threshold is not None else run.get("threshold")
-    start_doc = run.get("start")
-    dump_samples = _run_flag(run, "dump_samples", False) or args.dump_samples
-    try:
-        if args.start:
-            coords, _, mode = args.start.rpartition(":")
-            start = (np.array([float(v) for v in coords.split(",")]), int(mode) - 1)
-        elif start_doc:
-            start = (np.array(start_doc[0], dtype=float).reshape(-1), int(start_doc[1]) - 1)
-        else:
-            start = (0.5 * (spec.lo + spec.hi), 0)
-    except (ValueError, TypeError, IndexError, KeyError):
-        raise ConfigError("bad start; use 'x[,y]:mode' or [[x, y], mode] (1-based mode)") from None
-    batch = simulate.run_batch(spec, start, n, seed, policy=policy, threshold=threshold,
-                               horizon_cap=run.get("horizon_cap"), grid=grid)
+    start = run["start"] or (0.5 * (spec.lo + spec.hi), 0)
+    batch = simulate.run_batch(spec, start, run["samples"], run["seed"], policy=policy,
+                               threshold=run["threshold"], horizon_cap=run["horizon_cap"], grid=grid)
     ecdf = simulate.empirical_cdf(batch)
     rows = Table([ecdf.costs, ecdf.evaluate(ecdf.costs)])
     exporter.write_rows("empirical_cdf.csv", ["cost", "cdf"], rows)
-    if dump_samples:
+    if run["dump_samples"]:
         simulate.write_samples_csv(batch, str(exporter.dir / "samples.csv"))
         exporter.files.append("samples.csv")
     extra = {
-        "n_samples": n,
+        "n_samples": run["samples"],
         "rng": simulate.RNG_CONTRACT,
         "switches": int(batch.switch_counts.sum()),
         "events": int(batch.events.sum()),
@@ -673,23 +680,16 @@ def _cmd_simulate(args) -> int:
     if bool(batch.exited.all()):
         mean, se = simulate.estimate_mean(batch)
         extra.update({"mean": mean, "standard_error": se})
-    exporter.finish(extra)
-    return EXIT_OK
+    return extra
 
 
-def _cmd_evaluate_policy(args) -> int:
-    spec, grid, numerics, run, output = load_problem(args.problem, _overrides(args))
+def _cmd_evaluate_policy(args, spec, grid, numerics, run, exporter):
     if not args.policy_in:
         raise ConfigError("evaluate-policy requires --policy-in")
-    exporter = Exporter(_out_dir(args, output), _grid_desc(grid),
-                        {"cmd": "evaluate-policy", "problem": args.problem,
-                         "numerics": numerics, "run": run})
-    slices = _default_slices(run, args, grid)
     policy = control.load_policy(args.policy_in)
-    field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics.get("tau"))
-    exporter.write_rows("policy_cdf.csv", _header(spec.dim), _field_rows(field.values, grid, slices))
-    exporter.finish()
-    return EXIT_OK
+    field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics["tau"])
+    exporter.write_rows("policy_cdf.csv", _header(spec.dim),
+                        _field_rows(field.values, grid, run["slices"]))
 
 
 # ---------------------------------------------------------------------------
@@ -697,33 +697,21 @@ def _cmd_evaluate_policy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _overrides(args) -> dict:
-    return {
-        "numerics": {"dx": args.dx, "ds": args.ds, "s_max": args.s_max,
-                     "n_angles": getattr(args, "n_angles", None)},
-        "run": {},
-        "output": {},
-    }
-
-
-def _add_common(p: argparse.ArgumentParser, policy_io: bool = False) -> None:
-    p.add_argument("--problem", required=True,
-                   help="builtin name (example1..example6) or path to a JSON config")
-    p.add_argument("--dx", type=float, default=None, help="spatial grid spacing")
-    p.add_argument("--ds", type=float, default=None, help="cost-threshold spacing")
-    p.add_argument("--s-max", dest="s_max", type=float, default=None, help="largest threshold")
-    p.add_argument("--n-angles", dest="n_angles", type=int, default=None,
-                   help="control directions for unit-circle control sets")
-    p.add_argument("--slice", action="append", default=None,
-                   help="export slice: 's=0.25,0.5', 'x=0.3' (1D) or 'at=0.4:0.3' (2D)")
-    p.add_argument("--out", default=None,
-                   help="output directory (default: the config's output.dir, else ./out)")
-    if policy_io:
-        p.add_argument("--policy-out", dest="policy_out", default=None,
-                       help="write the synthesized policy to this file")
-
-
-_WRITES_NO_SLICES = {"min-cost", "hjb", "simulate"}
+def _execute(args) -> None:
+    """Check the config and flags once (`load_problem`), then run the command and export."""
+    flags = {section: {} for section in SECTIONS}
+    for (section, key), entry in SCHEMA.items():
+        if entry.flag:
+            flags[section][key] = getattr(args, entry.flag[2:].replace("-", "_"), None)
+    problem, grid, numerics, run, output = load_problem(args.problem, flags, args.command)
+    desc = ({"nodes": problem.n_nodes, "routes": problem.n_routes} if grid is None
+            else _grid_desc(grid))
+    # the config hash covers the command, --problem and every value the command read
+    exporter = Exporter(output["dir"], desc, {"cmd": args.command, "problem": args.problem,
+                                              "numerics": numerics, "run": run},
+                        seed=run.get("seed"))
+    command = args.graph_fn if grid is None else args.fn
+    exporter.finish(command(args, problem, grid, numerics, run, exporter))
 
 
 def main(argv=None) -> int:
@@ -734,39 +722,50 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, policy_io in (
-        ("solve-cdf", _cmd_solve_cdf, False),
-        ("min-cost", _cmd_min_cost, False),
-        ("bounds", _cmd_bounds, False),
-        ("sweep", _cmd_sweep, False),
-        ("hjb", _cmd_hjb, True),
-        ("threshold", _cmd_threshold, True),
-        ("simulate", _cmd_simulate, False),
-        ("evaluate-policy", _cmd_evaluate_policy, False),
+    for name, fn, graph_fn in (
+        ("solve-cdf", _cmd_solve_cdf, _graph_cdf),
+        ("min-cost", _cmd_min_cost, _graph_min_cost),
+        ("bounds", _cmd_bounds, None),
+        ("sweep", _cmd_sweep, None),
+        ("hjb", _cmd_hjb, None),
+        ("threshold", _cmd_threshold, None),
+        ("simulate", _cmd_simulate, None),
+        ("evaluate-policy", _cmd_evaluate_policy, None),
     ):
         p = sub.add_parser(name)
-        _add_common(p, policy_io=policy_io)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, graph_fn=graph_fn)
+        p.add_argument("--problem", required=True,
+                       help="builtin name (example1..example6) or path to a JSON config")
+        p.add_argument("--dx", type=float, default=None, help="spatial grid spacing")
+        p.add_argument("--ds", type=float, default=None, help="cost-threshold spacing")
+        p.add_argument("--s-max", dest="s_max", type=float, default=None, help="largest threshold")
+        p.add_argument("--n-angles", dest="n_angles", type=int, default=None,
+                       help="control directions of the built-in example6")
+        p.add_argument("--slice", action="append", default=None,
+                       help="export slice: 's=0.25,0.5', 'x=0.3' (1D) or 'at=0.4:0.3' (2D)")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: the config's output.dir, else ./out)")
+        if name in ("hjb", "threshold"):
+            p.add_argument("--policy-out", dest="policy_out", default=None,
+                           help="write the synthesized policy to this file")
+        if name in ("simulate", "evaluate-policy"):
+            p.add_argument("--policy-in", dest="policy_in", default=None)
         if name == "sweep":
             p.add_argument("--rates", default=None, help="comma list of sweep rate levels")
         if name == "threshold":
             p.add_argument("--thresholds", default=None,
                            help="comma list of deadline values to export as sheets")
         if name == "simulate":
-            p.add_argument("--policy-in", dest="policy_in", default=None)
             p.add_argument("--threshold", type=float, default=None)
             p.add_argument("--n", type=int, default=None, help="sample count")
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--start", default=None, help="start as 'x[,y]:mode' (1-based mode)")
-            p.add_argument("--dump-samples", dest="dump_samples", action="store_true")
-        if name == "evaluate-policy":
-            p.add_argument("--policy-in", dest="policy_in", default=None)
+            p.add_argument("--dump-samples", dest="dump_samples", action="store_true", default=None)
 
     args = parser.parse_args(argv)
     try:
-        if args.slice and args.command in _WRITES_NO_SLICES:
-            raise ConfigError(f"{args.command} writes no slices; --slice is not read")
-        return args.fn(args)
+        _execute(args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

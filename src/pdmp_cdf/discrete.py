@@ -142,10 +142,10 @@ def solve_cdf(g: RoutedGraph, s_max: float, ds: float = 1.0) -> DiscreteCdf:
             hi_ok = lo_ok & (hi_w[i] > 0.0)
             vals = np.zeros(n)
             for j in range(m):
-                col = w[j][:, succ]
+                # index the successors' levels directly: no (levels, nodes) copy per route pair
                 contrib = np.zeros(n)
-                contrib[lo_ok] = (1.0 - hi_w[i][lo_ok]) * col[lo_lvl[lo_ok], np.arange(n)[lo_ok]]
-                contrib[hi_ok] += hi_w[i][hi_ok] * col[np.minimum(hi_lvl[hi_ok], lvl - 1), np.arange(n)[hi_ok]]
+                contrib[lo_ok] = (1.0 - hi_w[i][lo_ok]) * w[j, lo_lvl[lo_ok], succ[lo_ok]]
+                contrib[hi_ok] += hi_w[i][hi_ok] * w[j, np.minimum(hi_lvl[hi_ok], lvl - 1), succ[hi_ok]]
                 vals += g.switch_probs[i, j] * contrib
             w[i, lvl, interior] = vals[interior]
     return DiscreteCdf(w, ds)

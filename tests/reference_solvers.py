@@ -165,7 +165,8 @@ def level_sweep(spec, grid, tau, u=None, action=None):
 
 
 def _cell_times(grid, v):
-    return [grid.dx[a] / abs(v[a]) if abs(v[a]) > 0 else math.inf for a in range(grid.dim)]
+    with np.errstate(over="ignore"):  # a tiny speed never crosses: inf
+        return [grid.dx[a] / abs(v[a]) if abs(v[a]) > 0 else math.inf for a in range(grid.dim)]
 
 
 def plain_candidates(spec, grid):

@@ -2,6 +2,7 @@ import ast
 import logging
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,6 +171,23 @@ def _table_problems(draw):
 
 
 class TestMinCost:
+    @pytest.mark.parametrize("velocities", [[[1e-320], [-1.0]], [[1e-320, 0.0], [-1.0, 1e-320]]])
+    def test_a_speed_too_small_to_cross_a_cell_warns_nothing(self, velocities):
+        # dx / speed overflows to inf: that mode's step never crosses a cell, as its duration says
+        dim = len(velocities[0])
+        modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
+                               ScalarField.constant(0.0)) for v in velocities)
+        spec = ProblemSpec(dim=dim, lo=np.zeros(dim), hi=np.ones(dim),
+                           exit_set=ExitSpec("boundary"), modes=modes,
+                           rates=RateMatrix.uniform(2, 1.0), name="stalled")
+        grid = build_grid(spec, 0.1, 0.1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = solve_min_cost(spec, grid)
+            plain_candidates(spec, grid)
+        if dim == 1:  # the minimal cost is the fast mode's run to x = 0
+            assert np.allclose(mc.s0, np.where(grid.exit_mask, 0.0, grid.points[:, 0]))
+
     def test_distance_to_nearest_exit(self, ex1_coarse):
         spec, grid, mc, _ = ex1_coarse
         x = grid.points[:, 0]

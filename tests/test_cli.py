@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import pdmp_cdf
-from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, control, simulate
+from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, cli, control, simulate
 from pdmp_cdf.bounds import default_rate_grid
 from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.cli import (
@@ -428,12 +429,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(cdf_solver, "solve_min_cost", refuse)
         monkeypatch.setattr(control, "solve_hjb_expectation", refuse)
+        # restrict makes threshold's min-cost solve the first one due; hjb does not read it
         doc = {"schema_version": 1, "problem": "example5",
                "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, **numerics},
-               "run": {"restrict": True}, "output": {}}
+               "run": {"restrict": True} if command == "threshold" else {}, "output": {}}
         assert main([command, "--problem", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+        (key,) = numerics
+        assert f"configuration error: numerics.{key} must be" in capsys.readouterr().err
 
     def test_iteration_numerics_range_ends_accepted(self, tmp_path):
         doc = {"schema_version": 1, "problem": "example5",
@@ -441,6 +444,103 @@ class TestExitCodes:
                "run": {}, "output": {}}
         assert main(["hjb", "--problem", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == 0
+
+
+class TestSchema:
+    """`cli.SCHEMA` says what each command reads; anything else exits with code 2 before any solve."""
+
+    @pytest.mark.parametrize("command, problem, section, key, value", [
+        ("solve-cdf", "example1", "numerics", "tol", 1e-8),
+        ("solve-cdf", "example1", "numerics", "max_iter", 0),
+        ("solve-cdf", "example1", "run", "samples", "many"),
+        ("solve-cdf", "example1", "run", "seed", "x"),
+        ("solve-cdf", "example1", "run", "start", 5),
+        ("hjb", "example5", "run", "restrict", True),
+        ("hjb", "example5", "run", "slices", ["s=abc"]),
+        ("min-cost", "example1", "numerics", "tol", "x"),
+        ("bounds", "example4", "run", "thresholds", "zz"),
+        ("bounds", "example4", "run", "dump_samples", 3),
+        ("simulate", "example1", "numerics", "tau", 0.05),
+        ("simulate", "example1", "numerics", "tol", -1),
+        ("simulate", "example1", "run", "restrict", "no"),
+        ("simulate", "example1", "run", "rates", "q"),
+    ])
+    def test_keys_the_command_does_not_read_rejected_before_any_solve(
+            self, tmp_path, monkeypatch, capsys, command, problem, section, key, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before the config was checked")
+
+        for mod, name in ((cdf_solver, "solve_min_cost"), (cdf_solver, "solve_cdf"),
+                          (bounds, "solve_bounds"), (bounds, "solve_min_cost_bounds"),
+                          (control, "solve_hjb_expectation"), (simulate, "run_batch")):
+            monkeypatch.setattr(mod, name, refuse)
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+        doc[section][key] = value
+        out = tmp_path / "o"
+        assert main([command, "--problem", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+        assert f"configuration error: {command} does not read {section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"output": {"dir": 5}}, {"numerics": []}, {"problem": 7}, {"run": {"slices": 5}},
+        {"schema_version": True},
+    ])
+    def test_malformed_documents_rejected(self, tmp_path, monkeypatch, capsys, change):
+        monkeypatch.chdir(tmp_path)  # no --out: it would stand in for output.dir
+        doc = {"schema_version": 1, "problem": "example1",
+               "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+        assert main(["solve-cdf", "--problem", write_config(tmp_path, {**doc, **change})]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+    def test_unreadable_config_files_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()  # a directory
+        else:
+            path.write_bytes(content)  # not UTF-8
+        assert main(["solve-cdf", "--problem", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.GRID))
+    def test_every_flag_in_the_table_is_a_flag_of_its_readers(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        words = set(re.split(r"[\s\[\],]+", capsys.readouterr().out))
+        for entry in cli.SCHEMA.values():
+            if entry.flag and command in (entry.flag_readers or entry.readers):
+                assert entry.flag in words, entry.flag
+
+    def test_readme_table_agrees_with_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split(" | ")]
+            if len(cells) == 5 and re.fullmatch(r"`(numerics|run|output)\.\w+`", cells[0]):
+                rows[tuple(cells[0].strip("`").split("."))] = cells
+        assert set(rows) == set(cli.SCHEMA)
+        words = {"all": cli.GRID, "sweeps": cli.SWEEPS}
+        for (section, key), entry in cli.SCHEMA.items():
+            _, text, _, read_by, flag = rows[section, key]
+            assert text == entry.rule.text, key
+            commands, _, only = read_by.partition(";")
+            readers = set()
+            for word in commands.split(","):
+                readers |= words.get(word.strip(), {word.strip().strip("`")})
+            assert readers == entry.readers, key
+            assert (f"`{entry.problem}` only" in only) if entry.problem else not only, key
+            assert flag.split(" ")[0].strip("`") == (entry.flag or ""), key
+            assert ("not on a graph" in flag) == (entry.flag_readers is not None), key
+
+    def test_readme_example_config_is_valid_for_its_command(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        command, example = re.search(r"A config for `([\w-]+)`:\n\n```json\n(.*?)```", readme,
+                                     re.S).groups()
+        spec, grid, numerics, run, output = load_problem(
+            write_config(tmp_path, json.loads(example)), command=command)
+        assert run["slices"] == [("s", [250, 500])] and run["restrict"] is True
 
 
 class TestGridNumerics:
@@ -483,6 +583,43 @@ class TestGridNumerics:
         assert np.array_equal(rows[:, 3], policy.actions[:, 0, :].T.reshape(-1))
         assert ((tmp_path / "t" / "expected_cost.csv").read_bytes()
                 != (tmp_path / "d" / "expected_cost.csv").read_bytes())
+
+    def test_hjb_tau_is_its_expected_cost_step(self, tmp_path):
+        # tau = 0.005 breaks the level sweeps' causality rule at ds 0.01 (tau * min C >= ds);
+        # hjb's tau is its expected-cost step, which has no such rule
+        spec = catalog.example5()
+        grid = build_grid(spec, 0.02, 0.01, 1.0)
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0, "tau": 0.005},
+               "run": {}, "output": {}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["hjb", "--problem", cfg, "--out", str(tmp_path / "h")]) == 0
+        rows = np.loadtxt(tmp_path / "h" / "expected_cost.csv", delimiter=",", skiprows=1)
+        value, policy = control.solve_hjb_expectation(spec, grid, tau=0.005)
+        assert np.array_equal(rows[:, 2], value.u.T.reshape(-1))
+        assert np.array_equal(rows[:, 3], policy.actions[:, 0, :].T.reshape(-1))
+        assert main(["threshold", "--problem", cfg, "--out", str(tmp_path / "t")]) == EXIT_NUMERICS
+
+    def test_threshold_tie_break_keeps_its_default_step(self, tmp_path, monkeypatch):
+        # tau is the threshold sweep's step; the tie-breaking expectation solve runs at its
+        # own default step, as solve_threshold(hjb=None) does
+        spec = catalog.example5()
+        grid = build_grid(spec, 0.02, 0.01, 0.5)
+        want = tmp_path / "want.policy"
+        control.save_policy(control.synthesize_policy(
+            control.solve_threshold(spec, grid, tau=0.02), spec, grid), str(want))
+        steps = []
+        solve = control.solve_hjb_expectation
+        monkeypatch.setattr(control, "solve_hjb_expectation",
+                            lambda *a, **kw: steps.append(kw.get("tau")) or solve(*a, **kw))
+        doc = {"schema_version": 1, "problem": "example5",
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 0.5, "tau": 0.02},
+               "run": {}, "output": {}}
+        got = tmp_path / "got.policy"
+        assert main(["threshold", "--problem", write_config(tmp_path, doc), "--policy-out",
+                     str(got), "--out", str(tmp_path / "t")]) == 0
+        assert steps == [None]
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestAngleCount:
