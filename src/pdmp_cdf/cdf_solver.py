@@ -62,13 +62,14 @@ where a field is tabulated; every mode's rows come from one
 the table holds no (row, node) array: ``CandidateTable.values`` reads the
 field once at the neighbours of the nodes asked for and lets each row pick
 its directions, in the order a stored table's entries would be combined,
-so the values are the same bit for bit.  In 1D, alternating-direction
-Gauss-Seidel sweeps read its materialized rows node by node (a 1D table
-is a few rows).  In 2D a frontier sweep evaluates only the dirty columns:
-first the live neighbours of the exit nodes, then the 3^d neighbourhood
-of the nodes that decreased, which gives the full Jacobi iteration's
-fixed point bit for bit because feet are grid neighbours; w0 is iterated
-the same way.
+so the values are the same bit for bit.  In 1D every candidate reads one
+foot, so s0 is a shortest path: the finite entries of the materialized
+table (a 1D table is a few rows) are edges foot -> node of one label
+setting, ``discrete.label_setting``.  In 2D a frontier sweep evaluates
+only the dirty columns: first the live neighbours of the exit nodes, then
+the 3^d neighbourhood of the nodes that decreased, which gives the full
+Jacobi iteration's fixed point bit for bit because feet are grid
+neighbours; w0 is iterated the same way.
 s0 does not depend on the switching rates, so ``MinimalCost`` computes
 it once, selects each node's transport candidates once, and fills w0 for
 all rate choices at once.
@@ -91,6 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .discrete import label_setting
 from .errors import ConfigError, ConvergenceError, NumericsError
 from .model import (
     CdfField,
@@ -386,7 +388,6 @@ def solve_cdf(
     tau: float | None = None,
     restrict: MinCostField | None = None,
     actions: np.ndarray | None = None,
-    rates: RateMatrix | None = None,
 ) -> CdfField:
     """Solve for the exit-cost CDF of an uncontrolled problem, or of a frozen policy.
 
@@ -402,8 +403,6 @@ def solve_cdf(
     of the modes' step operators: one sparse product per level shift.  This
     is the one-matrix case of ``_solve_cdfs``.
     """
-    if rates is not None:
-        spec = replace(spec, rates=rates)
     (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict, actions)
     return field
 
@@ -866,18 +865,16 @@ def _frontier_sweep(grid: Grid, table: CandidateTable, s0: np.ndarray,
     raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
 
 
-def _node_candidates(ent: Candidates) -> list[list[tuple[float, int]]]:
-    """Per node, its candidates' (const, foot_a) in row order, for the 1D loops.
+def _label_setting_1d(grid: Grid, table: CandidateTable,
+                      s0: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """1D s0 as a shortest path: each candidate reads one foot, an edge foot_a -> k.
 
-    A 1D step has no diagonal foot: its value is ``const + v[foot_a]``.
+    Returns s0, one pass and the number of label decreases.
     """
-    return [list(zip(const, foot)) for const, foot in
-            zip(ent.const.T.tolist(), ent.foot_a.T.tolist())]
-
-
-def _step_value(cand: tuple[float, int], vals) -> float:
-    const, a = cand
-    return math.inf if a < 0 else const + vals[a]
+    ent = table.materialize()
+    rows, cols = np.nonzero(np.isfinite(ent.const) & ~grid.exit_mask)
+    s0, updates = label_setting(ent.foot_a[rows, cols], cols, ent.const[rows, cols], s0)
+    return s0, 1, updates
 
 
 def _transport_rates(spec: ProblemSpec, sense: str | None) -> tuple[np.ndarray, np.ndarray]:
@@ -910,9 +907,9 @@ class MinimalCost:
     Every (mode, action) is one row of a ``CandidateTable``, evaluated on
     demand at the nodes a pass asks for, and s0 is the fixed point of
     ``s0[k] = min(s0[k], min_c value_c(s0)[k])`` from the exit costs.  The
-    grid's dimension picks the iteration.  In 1D, alternating-direction
-    Gauss-Seidel sweeps over the nodes reach it in a few passes and w0 is
-    filled in increasing-s0 order.  In 2D a frontier sweep does Jacobi
+    grid's dimension picks the solver.  In 1D a candidate reads one foot,
+    so s0 is a shortest path, found by one label setting (one pass), and
+    w0 is filled in increasing-s0 order.  In 2D a frontier sweep does Jacobi
     passes over the dirty columns of the table only: the first dirty set is
     the live neighbours of the exit nodes, the next one the 3^d
     neighbourhood of the nodes that decreased, so each pass costs the
@@ -942,7 +939,7 @@ class MinimalCost:
         self.q_exit = exit_costs(spec, grid)
         s0 = np.full(n, math.inf)
         s0[ex] = self.q_exit.min(axis=0)
-        sweep = _min_cost_sweep_1d if grid.dim == 1 else _frontier_sweep
+        sweep = _label_setting_1d if grid.dim == 1 else _frontier_sweep
         s0, self.passes, self.updates = sweep(grid, self.table, s0)
         self.w0_passes = 0
         if not np.all(np.isfinite(s0[~grid.exit_mask])) and np.any(~grid.exit_mask):
@@ -1004,12 +1001,14 @@ def _w0_ordered(grid, table, s0, w0, rates) -> int:
     interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
     order = interior[np.argsort(s0[interior], kind="stable")]
     ent = table.materialize()
-    cands = _node_candidates(ent)
+    # per node, its candidates' (const, foot_a) in row order: a 1D step has no diagonal foot
+    cands = [list(zip(const, foot)) for const, foot in
+             zip(ent.const.T.tolist(), ent.foot_a.T.tolist())]
     for k in order:
         best = math.inf
         per_mode_best: dict[int, tuple[float, int]] = {}
-        for c, cand in enumerate(cands[k]):
-            val = _step_value(cand, s0)
+        for c, (const, a) in enumerate(cands[k]):
+            val = const + s0[a] if a >= 0 else math.inf
             if not math.isfinite(val):
                 continue
             i = int(table.mode[c])
@@ -1079,32 +1078,3 @@ def _w0_fixed_point(grid, table, s0, w0, rates, max_iter=100000) -> int:
         moved = np.any(change[active] > 0.0, axis=(0, 1))
         dirty = np.flatnonzero(_near(grid, dirty[moved]))
     raise ConvergenceError("attainment-probability sweeps did not converge")
-
-
-def _min_cost_sweep_1d(grid: Grid, table: CandidateTable,
-                       s0: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Alternating-direction Gauss-Seidel sweeps; returns s0, the sweep count and the decreases."""
-    n = grid.n_nodes
-    cands = _node_candidates(table.materialize())
-    s = s0.tolist()
-    updates = 0
-    for sweep in range(n + 2):
-        changed = False
-        order = range(n) if sweep % 2 == 0 else range(n - 1, -1, -1)
-        for k in order:
-            if grid.exit_mask[k]:
-                continue
-            best = s[k]
-            for cand in cands[k]:
-                val = _step_value(cand, s)
-                if val < best - 1e-15:
-                    best = val
-            if best < s[k] - 1e-15:
-                s[k] = best
-                changed = True
-                updates += 1
-        if not changed:
-            break
-    else:
-        raise ConvergenceError("minimal-cost sweeps did not reach a fixed point")
-    return np.array(s), sweep + 1, updates

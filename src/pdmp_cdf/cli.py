@@ -372,8 +372,9 @@ def load_config(path_or_name: str) -> dict:
     return doc
 
 
-def load_problem(path_or_name: str, flags: dict | None = None, command: str | None = None):
-    """Load a config, check it once for ``command`` (`_check`), and discretize it.
+def load_problem(config: str | dict, flags: dict | None = None, command: str | None = None):
+    """Load a config (or take a document `load_config` read), check it once for
+    ``command`` (`_check`), and discretize it.
 
     ``flags`` holds flag values by section, None where unset.  Returns
     (problem, grid, numerics, run, output), with slices and thresholds
@@ -384,7 +385,7 @@ def load_problem(path_or_name: str, flags: dict | None = None, command: str | No
     uniform-step inequality binds only space-varying velocities, where the
     solvers' exact boundary capping is unavailable.
     """
-    doc = load_config(path_or_name)
+    doc = config if isinstance(config, dict) else load_config(config)
     name = doc["problem"] if isinstance(doc["problem"], str) else None
     if isinstance(doc["problem"], dict) and doc["problem"].get("kind") == "graph":
         if command not in (None, "solve-cdf", "min-cost"):
@@ -703,11 +704,12 @@ def _execute(args) -> None:
     for (section, key), entry in SCHEMA.items():
         if entry.flag:
             flags[section][key] = getattr(args, entry.flag[2:].replace("-", "_"), None)
-    problem, grid, numerics, run, output = load_problem(args.problem, flags, args.command)
+    doc = load_config(args.problem)
+    problem, grid, numerics, run, output = load_problem(doc, flags, args.command)
     desc = ({"nodes": problem.n_nodes, "routes": problem.n_routes} if grid is None
             else _grid_desc(grid))
-    # the config hash covers the command, --problem and every value the command read
-    exporter = Exporter(output["dir"], desc, {"cmd": args.command, "problem": args.problem,
+    # the config hash covers the command, the problem run (not its file) and every value read
+    exporter = Exporter(output["dir"], desc, {"cmd": args.command, "problem": doc["problem"],
                                               "numerics": numerics, "run": run},
                         seed=run.get("seed"))
     command = args.graph_fn if grid is None else args.fn

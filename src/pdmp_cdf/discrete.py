@@ -3,9 +3,9 @@
 A deterministic route is a feedback map F_i on the node set; after every
 step the active route may switch with known probabilities.  This module
 computes the full cost CDF (single upward sweep over thresholds), the
-minimal attainable cost with its attainment probability (Dijkstra on the
-extended node-route graph), and an exact forward-propagation oracle used
-to verify both.
+minimal attainable cost with its attainment probability (``label_setting``,
+the package's one shortest-path routine, on the extended node-route graph),
+and an exact forward-propagation oracle used to verify both.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError
 
 UNREACHABLE = math.inf  # sentinel for nodes that never reach the exit set
+TIE_TOL = 1e-12  # slack for the routes that attain a label's minimal cost
 
 
 @dataclass(frozen=True)
@@ -151,60 +152,72 @@ def solve_cdf(g: RoutedGraph, s_max: float, ds: float = 1.0) -> DiscreteCdf:
     return DiscreteCdf(w, ds)
 
 
-def solve_min_cost(g: RoutedGraph, tie_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def label_setting(src: np.ndarray, dst: np.ndarray, cost: np.ndarray,
+                  s0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Shortest paths from the finite labels of ``s0`` (Dijkstra's label setting).
+
+    Label u starts at ``s0[u]``, and edge e runs from label ``src[e]`` to
+    label ``dst[e]`` at a nonnegative ``cost[e]``.  Every label ends at the
+    least ``s0[src] + cost`` over its in-edges, or keeps its own ``s0``
+    where that is smaller; a candidate replaces a label only when strictly
+    smaller.  Returns the labels and the number of decreases.
+    """
+    order = np.argsort(src, kind="stable")
+    start = np.searchsorted(src[order], np.arange(s0.size + 1)).tolist()
+    to, step = dst[order].tolist(), cost[order].tolist()
+    s = s0.tolist()
+    heap = [(v, u) for u, v in enumerate(s) if v < math.inf]
+    heapq.heapify(heap)
+    decreases = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > s[u]:  # a stale entry: u has decreased since
+            continue
+        for e in range(start[u], start[u + 1]):
+            cand, v = d + step[e], to[e]
+            if cand < s[v]:
+                s[v] = cand
+                decreases += 1
+                heapq.heappush(heap, (cand, v))
+    return np.array(s), decreases
+
+
+def solve_min_cost(g: RoutedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Minimal attainable cost and its probability per (route, node).
 
     Treats switches as free choices among routes with positive switching
-    probability and runs label-setting over (node, route) labels; the
-    attainment probability accumulates over the argmin routes as labels
-    become final.  Unreachable labels get (+inf, 0).
+    probability, so s0 is a shortest path over (route, node) labels: an
+    edge runs from (j, succ_i(k)) to every live (i, k) with p_ij > 0 at
+    cost K_i(k) (``label_setting``).  w0 is then filled in increasing s0:
+    each label sums p_ij * w0[j, succ_i(k)] over the routes j that attain
+    its minimum within ``TIE_TOL``, in route order.  Unreachable labels
+    get (+inf, 0).
     """
     m, n = g.n_routes, g.n_nodes
-    s0 = np.full((m, n), UNREACHABLE)
-    w0 = np.zeros((m, n))
-    s0[:, g.exit_mask] = g.exit_costs[:, g.exit_mask]
-    w0[:, g.exit_mask] = 1.0
+    live = np.flatnonzero(~g.exit_mask)
+    s0 = np.where(g.exit_mask, g.exit_costs, UNREACHABLE)
+    route, to = np.nonzero(g.switch_probs > 0.0)  # every (i, j) with p_ij > 0
+    src = to[:, None] * n + g.successors[route][:, live]
+    dst = np.broadcast_to(route[:, None] * n + live, src.shape)
+    s0, _ = label_setting(src.ravel(), dst.ravel(), g.step_costs[route][:, live].ravel(),
+                          s0.ravel())
+    s0 = s0.reshape(m, n)
 
-    allowed = [np.where(g.switch_probs[i] > 0.0)[0] for i in range(m)]
-    # reverse adjacency: label (y, j) finalized -> labels (x, i) with F_i(x) = y, p_ij > 0
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(m * n)]
+    # per label, (j * n, p_ij) for the routes j that attain its minimum, in route order
+    pairs = []
     for i in range(m):
-        for k in range(n):
-            if g.exit_mask[k]:
-                continue
-            y = int(g.successors[i, k])
-            for j in allowed[i]:
-                rev[j * n + y].append((i, k))
-
-    final = np.zeros((m, n), dtype=bool)
-    heap: list[tuple[float, int, int]] = []
-    for i in range(m):
-        for k in np.where(g.exit_mask)[0]:
-            heapq.heappush(heap, (s0[i, k], int(k), i))
-
-    def settle(i: int, k: int) -> None:
-        """Recompute the tentative label and probability of (node k, route i)."""
-        y = int(g.successors[i, k])
-        opts = s0[allowed[i], y]
-        best = float(opts.min(initial=UNREACHABLE))
-        if not math.isfinite(best):
-            return
-        cand = g.step_costs[i, k] + best
-        if cand < s0[i, k] - tie_tol:
-            s0[i, k] = cand
-            members = allowed[i][opts <= best + tie_tol]
-            w0[i, k] = float(np.sum(g.switch_probs[i, members] * w0[members, y]))
-            heapq.heappush(heap, (cand, k, i))
-
-    while heap:
-        val, k, i = heapq.heappop(heap)
-        if final[i, k] or val > s0[i, k] + tie_tol:
-            continue
-        final[i, k] = True
-        for (i2, k2) in rev[i * n + k]:
-            if not final[i2, k2]:
-                settle(i2, k2)
-    return s0, w0
+        allowed = np.flatnonzero(g.switch_probs[i] > 0.0)
+        opts = s0[allowed][:, g.successors[i]]
+        offer = list(zip((allowed * n).tolist(), g.switch_probs[i, allowed].tolist()))
+        pairs += [[jp for jp, hit in zip(offer, row) if hit]
+                  for row in (opts <= opts.min(axis=0) + TIE_TOL).T.tolist()]
+    labels = np.flatnonzero(np.isfinite(s0) & ~g.exit_mask)
+    labels = labels[np.argsort(s0.ravel()[labels], kind="stable")]
+    flat = np.where(g.exit_mask, 1.0, np.zeros((m, n))).ravel().tolist()
+    succ = g.successors.ravel().tolist()
+    for u in labels.tolist():
+        flat[u] = sum(p * flat[jn + succ[u]] for jn, p in pairs[u])
+    return s0, np.array(flat).reshape(m, n)
 
 
 def brute_force_cdf(

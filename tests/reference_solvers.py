@@ -20,6 +20,7 @@ checked against.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -228,7 +229,8 @@ def _candidate_value(cand, values, k):
 
 
 def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
-    """2D minimal cost s0 by label setting, and w0 filled in dependency order."""
+    """Minimal cost s0 by label setting over each node's 3^d neighbourhood, and w0 filled
+    in dependency order."""
     cands = plain_candidates(spec, grid)
     n, m, ex = grid.n_nodes, spec.n_modes, grid.exit_mask
     q = np.array([mode.exit_cost.node_values(grid) for mode in spec.modes])
@@ -241,8 +243,10 @@ def label_setting_min_cost(spec, grid, argmin_rtol=1e-9):
         if final[k] or val > s0[k]:
             continue
         final[k] = True
-        for off in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        for off in itertools.product((-1, 0, 1), repeat=grid.dim):
             nb = multi[k] + off
+            if not any(off):
+                continue
             if np.any(nb < 0) or np.any(nb >= grid.shape):
                 continue
             k2 = int(flat_index(grid, nb))

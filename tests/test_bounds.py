@@ -93,7 +93,7 @@ class TestBoundPair:
         spec, grid = ex4
         pair = solve_bounds(spec, grid)
         for rm in default_rate_grid((1.0, 2.5, 4.0)):
-            field = solve_cdf(spec, grid, rates=rm)
+            field = solve_cdf(dataclasses.replace(spec, rates=rm), grid)
             assert (pair.lower.values - field.values).max() <= 1e-10
             assert (field.values - pair.upper.values).max() <= 1e-10
 
@@ -139,7 +139,7 @@ class TestFixedRateSweep:
         spec, grid = ex4
         rm = RateMatrix.uniform(2, 2.0)
         field = fixed_rate_sweep(spec, grid, [rm])[0]
-        plain = solve_cdf(spec, grid, rates=rm)
+        plain = solve_cdf(dataclasses.replace(spec, rates=rm), grid)
         assert np.array_equal(field.values, plain.values)
 
     def test_default_grid_is_bracketed(self, ex4):
@@ -153,8 +153,8 @@ class TestFixedRateSweep:
 
     def test_swapped_rates_mirror(self, ex4):
         spec, grid = ex4
-        fa = solve_cdf(spec, grid, rates=RateMatrix([[0, 1], [3, 0]]))
-        fb = solve_cdf(spec, grid, rates=RateMatrix([[0, 3], [1, 0]]))
+        fa = solve_cdf(dataclasses.replace(spec, rates=RateMatrix([[0, 1], [3, 0]])), grid)
+        fb = solve_cdf(dataclasses.replace(spec, rates=RateMatrix([[0, 3], [1, 0]])), grid)
         assert np.abs(fa.values[0] - fb.values[1][:, ::-1]).max() <= 1e-12
         assert np.abs(fa.values[1] - fb.values[0][:, ::-1]).max() <= 1e-12
 
@@ -167,18 +167,20 @@ class TestFixedRateSweep:
         spec, grid = ex4
         rms = default_rate_grid((1.0, 4.0))
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms)):
-            assert np.array_equal(field.values, solve_cdf(spec, grid, rates=rm).values)
+            fixed = dataclasses.replace(spec, rates=rm)
+            assert np.array_equal(field.values, solve_cdf(fixed, grid).values)
 
     def test_each_matrix_matches_its_own_solve_at_a_given_tau(self, ex4):
         spec, grid = ex4
         rms = default_rate_grid((1.0, 4.0))
         tau = 2.0 * grid.ds
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
-            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
-            plain = solve_cdf(spec, grid, tau=tau, restrict=own, rates=rm)
+            fixed = dataclasses.replace(spec, rates=rm)
+            own = solve_min_cost(fixed, grid)
+            plain = solve_cdf(fixed, grid, tau=tau, restrict=own)
             assert field.tau == tau
             assert np.array_equal(field.values, plain.values)
-            assert not np.array_equal(field.values, solve_cdf(spec, grid, restrict=own, rates=rm).values)
+            assert not np.array_equal(field.values, solve_cdf(fixed, grid, restrict=own).values)
 
     def test_restricted_matrix_matches_its_own_restricted_solve(self, ex4):
         # the sweep computes s0 once; each matrix's w0 and CDF must equal a
@@ -186,8 +188,9 @@ class TestFixedRateSweep:
         spec, grid = ex4
         rms = default_rate_grid((1.0, 4.0))
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, restrict=True)):
-            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
-            assert np.array_equal(field.values, solve_cdf(spec, grid, restrict=own, rates=rm).values)
+            fixed = dataclasses.replace(spec, rates=rm)
+            own = solve_min_cost(fixed, grid)
+            assert np.array_equal(field.values, solve_cdf(fixed, grid, restrict=own).values)
 
     def test_level_shifts_match_their_own_restricted_solves(self, ex4):
         # tau = 1.6 ds reads two levels per step, with fractional weights
@@ -195,9 +198,10 @@ class TestFixedRateSweep:
         rms = default_rate_grid((1.0, 2.5))
         tau = 1.6 * grid.ds
         for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
-            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            fixed = dataclasses.replace(spec, rates=rm)
+            own = solve_min_cost(fixed, grid)
             assert np.array_equal(field.values,
-                                  solve_cdf(spec, grid, tau=tau, restrict=own, rates=rm).values)
+                                  solve_cdf(fixed, grid, tau=tau, restrict=own).values)
 
     def test_steps_are_built_once_per_mode(self, ex4, monkeypatch):
         spec, grid = ex4
@@ -236,10 +240,10 @@ class TestFixedRateSweep:
             [(dataclasses.replace(spec, rates=rm), None) for rm in rms])
         fields = fixed_rate_sweep(spec, grid, rms, restrict=True)
         for r, (rm, field) in enumerate(zip(rms, fields)):
-            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            fixed = dataclasses.replace(spec, rates=rm)
+            own = solve_min_cost(fixed, grid)
             assert np.array_equal(stacked.w0[r], own.w0)
-            assert np.array_equal(field.values,
-                                  solve_cdf(spec, grid, restrict=own, rates=rm).values)
+            assert np.array_equal(field.values, solve_cdf(fixed, grid, restrict=own).values)
 
 
 class TestOneSweep:

@@ -170,17 +170,26 @@ def _table_problems(draw):
     return spec, build_grid(spec, dx, 0.5, 1.0)
 
 
+STALLED_1D = [[1e-320], [-1.0]]
+
+
+def _stalled(velocities):
+    """One mode per velocity on the unit box; a speed of 1e-320 never crosses a cell."""
+    dim = len(velocities[0])
+    modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
+                           ScalarField.constant(0.0)) for v in velocities)
+    spec = ProblemSpec(dim=dim, lo=np.zeros(dim), hi=np.ones(dim),
+                       exit_set=ExitSpec("boundary"), modes=modes,
+                       rates=RateMatrix.uniform(2, 1.0), name="stalled")
+    return spec, build_grid(spec, 0.1, 0.1, 1.0)
+
+
 class TestMinCost:
-    @pytest.mark.parametrize("velocities", [[[1e-320], [-1.0]], [[1e-320, 0.0], [-1.0, 1e-320]]])
+    @pytest.mark.parametrize("velocities", [STALLED_1D, [[1e-320, 0.0], [-1.0, 1e-320]]])
     def test_a_speed_too_small_to_cross_a_cell_warns_nothing(self, velocities):
         # dx / speed overflows to inf: that mode's step never crosses a cell, as its duration says
-        dim = len(velocities[0])
-        modes = tuple(ModeSpec(VectorField.constant(v), ScalarField.constant(1.0),
-                               ScalarField.constant(0.0)) for v in velocities)
-        spec = ProblemSpec(dim=dim, lo=np.zeros(dim), hi=np.ones(dim),
-                           exit_set=ExitSpec("boundary"), modes=modes,
-                           rates=RateMatrix.uniform(2, 1.0), name="stalled")
-        grid = build_grid(spec, 0.1, 0.1, 1.0)
+        spec, grid = _stalled(velocities)
+        dim = spec.dim
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mc = solve_min_cost(spec, grid)
@@ -228,6 +237,20 @@ class TestMinCost:
         assert np.array_equal(mc.w0, w0)
         if name == "anisotropic":  # the case is meant to leave some nodes unreachable
             assert 0 < np.isinf(s0).sum() < np.isfinite(s0[~grid.exit_mask]).sum()
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example5", "stalled"])
+    def test_one_dimensional_label_setting_matches_reference(self, name):
+        # example5 carries both of its actions as candidate rows
+        if name == "stalled":
+            spec, grid = _stalled(STALLED_1D)
+        else:
+            spec, grid = _min_cost_problem(name, None, 1e-2)
+        mc = solve_min_cost(spec, grid)
+        s0, w0 = label_setting_min_cost(spec, grid)
+        assert np.array_equal(mc.s0, s0)
+        assert np.array_equal(mc.w0, w0)
+        assert mc.counters["s0_passes"] == 1
+        assert mc.counters["node_updates"] >= np.isfinite(s0[~grid.exit_mask]).sum()
 
     @pytest.mark.parametrize("name, n_angles, dx", [
         # the ids keep the block sizes the table was once filled in

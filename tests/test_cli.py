@@ -93,6 +93,18 @@ def one_way_config(tmp_path) -> str:
     return write_config(tmp_path, doc)
 
 
+# A graph on which node 3 loops on both routes and route 1 leaves nodes 1 and 2 only
+# through that loop (every step on route 1 switches to route 2 and back).
+UNREACHABLE_GRAPH = {
+    "schema_version": 1,
+    "problem": {"kind": "graph", "name": "loop", "successors": [[1, 2, 3, 3], [0, 0, 1, 3]],
+                "step_costs": [[1, 2, 1, 1], [1, 1, 1, 1]],
+                "exit_costs": [[0, 0, 0, 0], [0.5, 0, 0, 0]], "exit_nodes": [0],
+                "switch_probs": [[0.0, 1.0], [1.0, 0.0]]},
+    "numerics": {"ds": 1.0, "s_max": 4.0}, "run": {}, "output": {},
+}
+
+
 class TestProblemLoading:
     def test_builtin_example1(self):
         spec, grid, numerics, run, output = load_problem("example1")
@@ -203,6 +215,31 @@ class TestCommands:
         assert manifest["files"] == ["cdf.csv"]
         assert len(manifest["config_sha256"]) == 64
 
+    def test_config_hash_follows_an_edit_in_place(self, tmp_path):
+        hashes = []
+        for name in ("example1", "example2"):
+            doc = {"schema_version": 1, "problem": serialize_problem(catalog.builtin(name)),
+                   "numerics": {"dx": 0.1, "ds": 0.1, "s_max": 1.0}, "run": {}, "output": {}}
+            cfg = write_config(tmp_path, doc)  # the same path, rewritten
+            out = tmp_path / name
+            assert main(["min-cost", "--problem", cfg, "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_sha256"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1, "problem": serialize_problem(catalog.example1()),
+         "numerics": {"dx": 0.1, "ds": 0.1, "s_max": 1.0}, "run": {}, "output": {}},
+        UNREACHABLE_GRAPH], ids=["grid", "graph"])
+    def test_config_hash_ignores_where_the_document_lies(self, tmp_path, doc):
+        hashes = set()
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            cfg = write_config(tmp_path / where, doc, f"{where}.json")
+            assert main(["min-cost", "--problem", cfg, "--out", str(tmp_path / where)]) == 0
+            manifest = json.loads((tmp_path / where / "manifest.json").read_text())
+            hashes.add(manifest["config_sha256"])
+        assert len(hashes) == 1
+
     def test_default_sheets_follow_the_grid(self, tmp_path):
         # quarter, half, three quarters and all of s_max, at the nearest levels
         out = tmp_path / "short"
@@ -296,10 +333,10 @@ class TestCommands:
         spec, grid, *_ = load_problem("example4", {"numerics": doc["numerics"]})
         fields = {}
         for rm in default_rate_grid((1.0, 4.0)):
-            own = solve_min_cost(dataclasses.replace(spec, rates=rm), grid)
+            fixed = dataclasses.replace(spec, rates=rm)
             off = rm.off_diagonal()
-            fields[off[0, 1], off[1, 0]] = solve_cdf(spec, grid, tau=0.1, restrict=own,
-                                                     rates=rm).values
+            fields[off[0, 1], off[1, 0]] = solve_cdf(fixed, grid, tau=0.1,
+                                                     restrict=solve_min_cost(fixed, grid)).values
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "x,mode,s,value,rate_12,rate_21,kind"
         for line in lines[1:]:
@@ -973,16 +1010,36 @@ def test_field_rows_match_the_row_wise_formula(tmp_path, name, dx, texts):
             == row_wise_csv(header, want).encode())
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse takes a noticeable share of start-up; only solvers load it
+def fresh_python(code: str, *args: str) -> str:
+    """The standard output of ``code`` run by a new interpreter that imports this package."""
     src_dir = str(Path(pdmp_cdf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, pdmp_cdf.cli; print('scipy.sparse' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse takes a noticeable share of start-up; only solvers load it
+    assert fresh_python("import sys, pdmp_cdf.cli; print('scipy.sparse' in sys.modules)") == "False"
+
+
+def test_graph_commands_min_cost_and_simulate_never_import_scipy(tmp_path):
+    # importing scipy.sparse takes about as long as a whole graph min-cost or solve-cdf
+    graph = write_config(tmp_path, UNREACHABLE_GRAPH, "graph.json")
+    runs = [["solve-cdf", "--problem", graph], ["min-cost", "--problem", graph],
+            ["min-cost", "--problem", "example1", "--dx", "0.05", "--ds", "0.05"],
+            ["min-cost", "--problem", "example3", "--dx", "0.1", "--ds", "0.1"],
+            ["simulate", "--problem", "example1", "--n", "200"]]
+    runs = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    code = ("import json, sys\nfrom pdmp_cdf.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    codes, loaded = json.loads(fresh_python(code, json.dumps(runs)))
+    assert codes == [0] * len(runs)
+    assert loaded == []
 
 
 EX5_GRID = ["--problem", "example5", "--dx", "0.02", "--ds", "0.01", "--s-max", "1.0"]
@@ -1131,18 +1188,6 @@ class TestGraphProblems:
         assert len(lines) == 1 + 2 * 2 * 51    # two sheets, two modes
         actions = {int(l.split(",")[-1]) for l in lines[1:]}
         assert actions <= {0, 1}
-
-
-# A graph on which node 3 loops on both routes and route 1 leaves nodes 1 and 2 only
-# through that loop (every step on route 1 switches to route 2 and back).
-UNREACHABLE_GRAPH = {
-    "schema_version": 1,
-    "problem": {"kind": "graph", "name": "loop", "successors": [[1, 2, 3, 3], [0, 0, 1, 3]],
-                "step_costs": [[1, 2, 1, 1], [1, 1, 1, 1]],
-                "exit_costs": [[0, 0, 0, 0], [0.5, 0, 0, 0]], "exit_nodes": [0],
-                "switch_probs": [[0.0, 1.0], [1.0, 0.0]]},
-    "numerics": {"ds": 1.0, "s_max": 4.0}, "run": {}, "output": {},
-}
 
 
 class TestExportEdgeCases:

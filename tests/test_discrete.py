@@ -42,6 +42,21 @@ def random_graph(rng, n_max=12, m_max=3):
     return RoutedGraph(succ, costs, q, ex, p)
 
 
+def fractional_graph(rng, n_max=30, m_max=4):
+    """Fractional step and exit costs, and some switch probabilities exactly zero."""
+    n = int(rng.integers(3, n_max + 1))
+    m = int(rng.integers(1, m_max + 1))
+    succ = rng.integers(0, n, size=(m, n))
+    costs = rng.random((m, n)) * 3.0 + 0.01
+    q = np.where(rng.random((m, n)) < 0.3, 0.0, rng.random((m, n)) * 2.0)
+    ex = np.zeros(n, dtype=bool)
+    ex[rng.choice(n, size=max(1, n // 4), replace=False)] = True
+    p = np.where(rng.random((m, m)) < 0.35, 0.0, rng.random((m, m)) + 0.05)
+    p[np.arange(m), rng.integers(0, m, m)] += 0.1  # every row keeps a positive entry
+    p /= p.sum(axis=1, keepdims=True)
+    return RoutedGraph(succ, costs, q, ex, p)
+
+
 class TestDeterministicCost:
     def test_step_counting(self):
         g = line_graph()
@@ -177,6 +192,17 @@ class TestMinCost:
         assert np.array_equal(s0, s0b)
         assert np.allclose(w0, w0b, atol=1e-15)
 
+    def test_long_single_route_chain(self):
+        # every node steps once toward node 0: s0 counts the steps, w0 is 1
+        n = 5000
+        succ = np.maximum(np.arange(n) - 1, 0)[None, :]
+        ex = np.zeros(n, dtype=bool)
+        ex[0] = True
+        g = RoutedGraph(succ, np.ones((1, n)), np.zeros((1, n)), ex, np.eye(1))
+        s0, w0 = solve_min_cost(g)
+        assert np.array_equal(s0[0], np.arange(n, dtype=float))
+        assert np.all(w0 == 1.0)
+
     def test_first_positive_level_of_brute_force(self):
         g = line_graph()
         s0, w0 = solve_min_cost(g)
@@ -232,6 +258,15 @@ class TestRandomGraphEquivalence:
             assert np.array_equal(np.isfinite(s0), np.isfinite(s0b))
             assert np.allclose(s0[both], s0b[both], atol=1e-12)
             assert np.allclose(w0, w0b, atol=1e-12)
+
+    def test_label_setting_matches_bellman_ford_with_fractional_costs(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            g = fractional_graph(rng)
+            s0, w0 = solve_min_cost(g)
+            s0b, w0b = bellman_ford_min_cost(g)
+            assert np.array_equal(s0, s0b)
+            assert np.array_equal(w0, w0b)
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(7)
