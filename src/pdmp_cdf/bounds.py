@@ -48,28 +48,32 @@ def _bound_update(stack: StepStack, step_len: np.ndarray, bounds: RateBounds):
     One product per level shift gathers every field's foot values of every
     source mode (2M right-hand columns, field by field).  Row ``i * N + k``
     of the gather holds mode i's foot values; escaping rows are empty, so
-    their mix is 0.
+    their mix is 0.  Both sides are mixed together, source modes in mode
+    order: the "min" side's rates are ``extreme_rates``' "max" rule on the
+    negated gap (upper where the gap is nonpositive), so one call serves
+    both sides of each mode pair.
     """
     m, n_nodes = bounds.n_modes, stack.n_nodes
     zero = np.zeros((n_nodes, 2 * m))
+    orient = np.array([[1.0] if sense == "max" else [-1.0] for sense, _ in _SIDES])
 
     def update(level, n: int) -> np.ndarray:
         src = stack.gather(n, lambda lo, p: level(lo + p).reshape(2 * m, n_nodes).T
-                           if lo >= 0 else zero)
-        src[stack.cap_rows] = np.tile(stack.cap_indicator(n), 2)
-        out = np.zeros((2, m, n_nodes))
-        for f, (sense, _) in enumerate(_SIDES):
-            side = src[:, f * m:(f + 1) * m]
-            for i in range(m):
-                rows = slice(i * n_nodes, (i + 1) * n_nodes)
-                base = side[rows, i]
-                acc = base.copy()
-                for j in range(m):
-                    if j == i:
-                        continue
-                    diff = side[rows, j] - base
-                    acc = acc + step_len[rows] * bounds.extreme_rates(sense, diff, i, j) * diff
-                out[f, i] = acc
+                           if lo >= 0 else zero).reshape(-1, 2, m)
+        src[stack.cap_rows] = stack.cap_indicator(n)[:, None]
+        # (mode of the row, field, source mode, node)
+        by_source = src.reshape(m, n_nodes, 2, m).transpose(0, 2, 3, 1)
+        out = np.empty((2, m, n_nodes))
+        for i in range(m):
+            rows = slice(i * n_nodes, (i + 1) * n_nodes)
+            base = by_source[i, :, i]
+            acc = base.copy()
+            for j in range(m):
+                if j == i:
+                    continue
+                diff = by_source[i, :, j] - base
+                acc = acc + step_len[rows] * bounds.extreme_rates("max", orient * diff, i, j) * diff
+            out[:, i] = acc
         return out
 
     return update

@@ -40,6 +40,14 @@ one set-up, ``_mode_steps``.  A policy enters a step only as actions
 (``VectorField.at``, the one velocity rule): one per step for the
 actions of a mode, one per node for a frozen policy.
 
+On the grids in use a level costs numpy calls more than arithmetic, so
+the per-level work is a fixed handful of whole-array calls, each giving
+the same bits as the plain steps it replaces (``tests/reference_solvers``
+keeps those): the fixed-rate level stays C-ordered through the sparse
+product, the capped rows' values are recomputed only at the levels where
+one of them switches on, and ``_sweep`` seeds, writes the exit rows and
+clamps with preallocated or cached arrays.
+
 Expected exit costs, expectation-optimal in the control module, are
 solved by one routine: modified policy iteration over the stacked steps
 of every mode.  Its Bellman steps (one product per mode) advance u, and
@@ -65,7 +73,9 @@ its directions, in the order a stored table's entries would be combined,
 so the values are the same bit for bit.  In 1D every candidate reads one
 foot, so s0 is a shortest path: the finite entries of the materialized
 table (a 1D table is a few rows) are edges foot -> node of one label
-setting, ``discrete.label_setting``.  In 2D a frontier sweep evaluates
+setting, ``discrete.label_setting``, and w0 is transported node by node
+in increasing s0 on plain floats, along candidates picked for all nodes
+at once.  In 2D a frontier sweep evaluates
 only the dirty columns: first the live neighbours of the exit nodes, then
 the 3^d neighbourhood of the nodes that decreased, which gives the full
 Jacobi iteration's fixed point bit for bit because feet are grid
@@ -85,6 +95,7 @@ residual.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -268,7 +279,12 @@ class StepStack:
     (the actions of one mode, or the modes of a bound sweep reading every
     source mode).  The ``cap_*`` arrays collect the capped steps under
     their stacked rows: ``cap_theta_tau`` their durations, ``cap_ds`` their
-    costs and ``cap_q`` the exit costs at their crossings.
+    costs and ``cap_q`` the exit costs at their crossings.  A capped row
+    reads its boundary indicator (``cap_indicator``), which switches on
+    where ``n * ds - cap_ds`` reaches an exit cost; ``cap_flips`` lists
+    those levels (``_switch_levels``), so the indicator and ``cap_cdf`` are
+    computed once between two of them (``_Stepwise``) and shared, read-only,
+    by every level in between.
 
     This is also the one place where switching rates become probabilities.
     Given ``rates``, a list of R rate matrices, a leading axis carries one
@@ -302,6 +318,12 @@ class StepStack:
         self.cap_theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
         self.cap_ds = np.concatenate([st.cap_ds for st in steps])
         self.cap_q = np.concatenate([st.cap_q for st in steps])
+        bar = self.cap_q - 1e-15
+        self.cap_flips = _switch_levels(self.ds, self.cap_ds, bar, steps[0].grid.n_levels)
+        self._indicator = _Stepwise(self.cap_flips, lambda n: _switched_on(
+            n, self.ds, self.cap_ds, bar).astype(float))
+        self._cdf = _Stepwise(self.cap_flips, lambda n: np.einsum(
+            "rkj,kj->rk", self.cap_probs, self._indicator(n)))
         self.probs = self.cap_probs = self.const = None
         if rates is None:
             return
@@ -326,20 +348,61 @@ class StepStack:
         whole shift whose lower level is negative, the threshold's V reads
         level ``max(n - s + p, 0)``.  Capped rows are left to the caller.
         """
-        total = 0.0
+        total = None
         for shift, parts, op in self.level_ops:
             x = read(n - shift, 0) if parts == 1 else np.concatenate(
                 [read(n - shift, p) for p in range(parts)])
-            total = total + op @ x
+            part = op @ x  # sums from +0.0, so never -0.0: the first part needs no 0.0 + part
+            total = part if total is None else total + part
         return total
 
     def cap_indicator(self, n: int) -> np.ndarray:
-        """Per-final-mode boundary indicator of the capped rows at level n."""
-        return ((n * self.ds - self.cap_ds)[:, None] >= self.cap_q - 1e-15).astype(float)
+        """Per-final-mode boundary indicator of the capped rows at grid level n (read-only)."""
+        return self._indicator(n)
 
     def cap_cdf(self, n: int) -> np.ndarray:
-        """Fixed-rate CDF values of the capped rows at level n, one row per rate matrix: (R, n_cap)."""
-        return np.einsum("rkj,kj->rk", self.cap_probs, self.cap_indicator(n))
+        """Fixed-rate CDF values of the capped rows at grid level n: (R, n_cap), read-only."""
+        return self._cdf(n)
+
+
+def _switched_on(n, ds: float, cost: np.ndarray, bar: np.ndarray) -> np.ndarray:
+    """The boundary indicator of exit and capped rows: ``n * ds - cost[k] >= bar[k, j]``.
+
+    Exit rows have ``cost`` 0, where ``n * ds - 0.0`` is ``n * ds`` exactly.
+    """
+    return n * ds - cost[:, None] >= bar
+
+
+def _switch_levels(ds: float, cost: np.ndarray, bar: np.ndarray, n_levels: int) -> list[int]:
+    """The levels 0 < n < n_levels at which some entry of ``_switched_on`` turns on.
+
+    Each entry is nondecreasing in n.  Its first level is estimated by
+    division and then moved one level at a time while ``_switched_on``
+    says the estimate is off; so the levels are exact.
+    """
+    first = np.clip(np.ceil((bar + cost[:, None]) / ds), 0, n_levels).astype(np.int64)
+    while np.any(down := (first > 0) & _switched_on(first - 1, ds, cost, bar)):
+        first -= down
+    while np.any(up := (first < n_levels) & ~_switched_on(first, ds, cost, bar)):
+        first += up
+    return sorted(set(first[(first > 0) & (first < n_levels)].tolist()))
+
+
+class _Stepwise:
+    """A read-only array of the level that changes only at ``levels``: computed once per stretch."""
+
+    def __init__(self, levels: list[int], compute):
+        self.levels = levels
+        self.compute = compute
+        self.stretch = self.value = None
+
+    def __call__(self, n: int) -> np.ndarray:
+        stretch = bisect.bisect_right(self.levels, n)
+        if stretch != self.stretch:
+            self.value = self.compute(n)
+            self.value.flags.writeable = False
+            self.stretch = stretch
+        return self.value
 
 
 def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -351,26 +414,17 @@ def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
 
 
 class MonotoneClamp:
-    """Keeps a restricted sweep's levels nondecreasing in s and reports the raises.
+    """The counters of a restricted sweep's monotone clamp, and their log record.
 
     The seeded envelope is an O(ds) approximation, so the first updates
-    above it can dip below the previous level; ``apply`` raises them to it
-    and ``report`` logs how many live-node values were raised and the
-    largest raise.
+    above it can dip below the previous level; ``_sweep`` raises them to it
+    and counts here how many live-node values it raised (``count``) and
+    the largest raise (``largest``).  ``report`` logs both.
     """
 
-    def __init__(self, grid: Grid):
-        self.live = ~grid.exit_mask
+    def __init__(self):
         self.count = 0
         self.largest = 0.0
-
-    def apply(self, vals: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        gap = np.where(self.live, prev - vals, 0.0)
-        raised = gap > 0.0
-        if raised.any():
-            self.count += int(raised.sum())
-            self.largest = max(self.largest, float(gap.max()))
-        return np.maximum(vals, prev)
 
     def report(self, what: str) -> None:
         log.debug("%s: %d values raised to the previous level, largest raise %.3g",
@@ -450,11 +504,12 @@ def _solve_cdfs(
     zero = np.zeros((rows, n_rates))
 
     def update(level, n: int) -> np.ndarray:
-        # each part's level mixed over the modes, one column per matrix: (M * N, R)
-        vals = stack.gather(n, lambda lo, p: zero if lo < 0 else
-                            (stack.probs @ level(lo + p)).reshape(n_rates, rows).T)
+        # each part's level mixed over the modes, as C-ordered (M * N, R) columns
+        vals = stack.gather(n, lambda lo, p: zero if lo < 0 else np.ascontiguousarray(
+            (stack.probs @ level(lo + p)).reshape(n_rates, rows).T))
         vals[stack.cap_rows] = stack.cap_cdf(n).T
-        return vals.T.reshape(n_rates, spec.n_modes, grid.n_nodes)
+        # back to a contiguous (R, M, N) level; with one matrix both transposes are views
+        return np.ascontiguousarray(vals.T).reshape(n_rates, spec.n_modes, grid.n_nodes)
 
     matrices = "matrix" if n_rates == 1 else "matrices"
     w, clamp = _sweep(spec, grid, restrict, update, f"CDF sweep over {n_rates} rate {matrices}",
@@ -470,22 +525,35 @@ def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
     ``level(k)`` holds every field's level k < n and the update returns level
     n, both (F, M, N): the rate matrices of a rate-stacked CDF sweep, the
     bound sweep's two envelopes or the threshold sweep's one field.  The
-    seeding uses one ``first_level`` with ``restrict.w0``, one (M, N) seed
-    for every field or one per field, stacked (F, M, N).  Each field is its
-    own (M, L, N) array, as separate solves would allocate them: one
-    (F, M, L, N) array needs fresh pages for all of it, where arrays of one
-    field's size reuse memory freed by earlier work.  The level just below n
-    is kept stacked, so the common one-level-back read costs no copy.
+    update's array is the sweep's to change in place.  The seeding uses one
+    ``first_level`` with ``restrict.w0``, one (M, N) seed for every field or
+    one per field, stacked (F, M, N).  Each field is its own (M, L, N)
+    array, as separate solves would allocate them: one (F, M, L, N) array
+    needs fresh pages for all of it, where arrays of one field's size reuse
+    memory freed by earlier work.  The level just below n is kept stacked,
+    so the common one-level-back read costs no copy.
 
     It owns level 0, the restricted seeding with one clamp for all fields
-    and the exit rows (the update's exit rows are overwritten).  Returns the
-    F fields and the clamp (None without ``restrict``).
+    and the exit rows (the update's exit rows are overwritten).  Per level
+    that is a few whole-array numpy calls.  The seeding zeros the nodes
+    whose first level lies above n and copies w0 at the nodes whose first
+    level is n; after the last such level only never-attained nodes are
+    zeroed.  The exit rows are written next, from an indicator recomputed
+    only at the levels where n * ds passes an exit cost (the capped rows'
+    rule with cost 0); they only switch on as n grows, so their gaps to
+    the previous level are never positive.
+    The clamp then takes every gap into one buffer, and only when one is
+    positive counts the raises, records the largest and takes the maximum
+    in place.  Returns the F fields and the clamp (None without
+    ``restrict``).
     """
-    ex = grid.exit_mask
-    q_exit = exit_costs(spec, grid)
+    ex = np.flatnonzero(grid.exit_mask)
+    reach, none = exit_costs(spec, grid) - 1e-15, np.zeros(spec.n_modes)
+    exit_rows = _Stepwise(_switch_levels(grid.ds, none, reach, grid.n_levels),
+                          lambda n: _switched_on(n, grid.ds, none, reach).astype(float))
     fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_fields)]
     for w in fields:
-        w[:, 0, ex] = 0.0 >= q_exit - 1e-15
+        w[:, 0, ex] = exit_rows(0)
 
     def stored(k: int) -> np.ndarray:
         return np.stack([w[:, k] for w in fields])
@@ -493,16 +561,37 @@ def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
     def level(k: int) -> np.ndarray:
         return prev if k == n - 1 else stored(k)
 
-    first_level = restrict.first_level() if restrict is not None else None
-    clamp = MonotoneClamp(grid) if restrict is not None else None
+    clamp = None
+    if restrict is not None:
+        clamp = MonotoneClamp()
+        first = restrict.first_level()
+        never = first >= grid.n_levels
+        zero_never = bool(never.any())
+        order = np.argsort(first, kind="stable")
+        levels, starts = np.unique(first[order], return_index=True)
+        seeds = dict(zip(levels.tolist(), np.split(order, starts[1:])))  # level -> its nodes
+        last_seed = int(first[~never].max(initial=0))
+        gap = np.empty((n_fields, spec.n_modes, grid.n_nodes))
     prev = stored(0)
     for n in range(1, grid.n_levels):
         vals = update(level, n)
-        if first_level is not None:
-            vals = np.where(n < first_level, 0.0, vals)
-            vals = np.where(n == first_level, restrict.w0, vals)
-            vals = clamp.apply(vals, prev)
-        vals[..., ex] = n * grid.ds >= q_exit - 1e-15
+        if clamp is not None:
+            if n <= last_seed:
+                vals = np.where(first > n, 0.0, vals)
+                at = seeds.get(n)
+                if at is not None:
+                    vals[..., at] = restrict.w0[..., at]
+            elif zero_never:
+                vals = np.where(never, 0.0, vals)
+        vals[..., ex] = exit_rows(n)
+        if clamp is not None:
+            # exit rows only switch on as n grows, so their gaps are never positive
+            np.subtract(prev, vals, out=gap)
+            top = gap.max()
+            if top > 0.0:
+                clamp.count += int(np.count_nonzero(gap > 0.0))
+                clamp.largest = max(clamp.largest, float(top))
+                np.maximum(vals, prev, out=vals)
         for w, v in zip(fields, vals):
             w[:, n] = v
         prev = vals
@@ -995,35 +1084,46 @@ def _coupling(foot: np.ndarray, i: int, up: np.ndarray, down: np.ndarray):
 def _w0_ordered(grid, table, s0, w0, rates) -> int:
     """Attainment probabilities filled in increasing-s0 (accepted) order, in one pass.
 
-    A node's candidates and the modes that attain its s0 are selected once;
-    the transport then updates every rate choice's w0 (axis 0) together.
+    What a node transports along does not depend on w0, so it is selected
+    for all nodes at once: per mode the first row with the mode's least
+    ``const + s0[foot]``, and the modes within ``ARGMIN_RTOL`` of the node's
+    best.  The transport then runs node by node in increasing s0 (stable),
+    attaining modes in mode order, on plain floats from ``tolist``, each
+    rate choice (axis 0 of ``w0``) on its own rows: ``_coupling``'s terms in
+    mode order, ``>=`` picking the rate for nonnegative gaps, and the clip
+    to [0, 1] as ``np.clip`` does it.  ``w0`` is written back once.
     """
-    interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
-    order = interior[np.argsort(s0[interior], kind="stable")]
+    m, n = w0.shape[1], grid.n_nodes
     ent = table.materialize()
-    # per node, its candidates' (const, foot_a) in row order: a 1D step has no diagonal foot
-    cands = [list(zip(const, foot)) for const, foot in
-             zip(ent.const.T.tolist(), ent.foot_a.T.tolist())]
-    for k in order:
-        best = math.inf
-        per_mode_best: dict[int, tuple[float, int]] = {}
-        for c, (const, a) in enumerate(cands[k]):
-            val = const + s0[a] if a >= 0 else math.inf
-            if not math.isfinite(val):
-                continue
-            i = int(table.mode[c])
-            prev = per_mode_best.get(i)
-            if prev is None or val < prev[0]:
-                per_mode_best[i] = (val, c)
-            best = min(best, val)
-        if not math.isfinite(best):
-            continue
-        tol = ARGMIN_RTOL * max(1.0, abs(best))
-        for i, (val, c) in per_mode_best.items():
-            if val <= best + tol:
-                foot = w0[:, :, ent.foot_a[c, k]]
-                step = foot[:, i] + float(ent.h_at_foot[c, k]) * _coupling(foot, i, *rates)
-                w0[:, i, k] = step.clip(0.0, 1.0)
+    vals = ent.const + s0[ent.foot_a]  # const is inf where there is no foot (foot_a -1)
+    pick = np.empty((m, n), dtype=np.intp)
+    for i in range(m):
+        rows = table.mode_rows(i)
+        pick[i] = rows.start + np.argmin(vals[rows], axis=0)
+    mode_best = np.take_along_axis(vals, pick, axis=0)
+    best = mode_best.min(axis=0)
+    attains = mode_best <= best + ARGMIN_RTOL * np.maximum(1.0, np.abs(best))
+    interior = np.flatnonzero(~grid.exit_mask & np.isfinite(s0) & np.isfinite(best))
+    order = interior[np.argsort(s0[interior], kind="stable")]
+    at, modes = np.nonzero(attains[:, order].T)
+    nodes = order[at]
+    rows = pick[modes, nodes]
+    # per mode i, each choice's row of mode i and the (row j, up, down) of every other mode j
+    w = w0.tolist()
+    terms = [[(wr[i], [(wr[j], up[i][j], down[i][j]) for j in range(m) if j != i])
+              for wr, up, down in zip(w, rates[0].tolist(), rates[1].tolist())]
+             for i in range(m)]
+    for k, i, a, h in zip(nodes.tolist(), modes.tolist(), ent.foot_a[rows, nodes].tolist(),
+                          ent.h_at_foot[rows, nodes].tolist()):
+        for wi, others in terms[i]:
+            fi = wi[a]
+            coupling = 0.0
+            for wj, up, down in others:
+                diff = wj[a] - fi
+                coupling = coupling + (up if diff >= 0.0 else down) * diff
+            step = fi + h * coupling
+            wi[k] = 0.0 if step < 0.0 else 1.0 if step > 1.0 else step
+    w0[...] = w
     return 1
 
 

@@ -29,6 +29,7 @@ from .model import (
     ControlSet,
     ExitSpec,
     Grid,
+    MinCostField,
     ModeSpec,
     ProblemSpec,
     RateBounds,
@@ -586,10 +587,19 @@ def _graph_min_cost(args, g, grid, numerics, run, exporter):
     exporter.write_rows("min_cost.csv", ["node", "route", "min_cost", "attain_prob"], rows)
 
 
+def _sweep_report(clamp, restrict: MinCostField | None = None) -> dict:
+    """A sweep's manifest entries: its clamp (null unrestricted) and its seed's counters."""
+    report = {"clamp": None if clamp is None else {"count": clamp.count, "largest": clamp.largest}}
+    if restrict is not None:
+        report["min_cost"] = restrict.counters
+    return report
+
+
 def _cmd_solve_cdf(args, spec, grid, numerics, run, exporter):
     restrict = cdf_solver.solve_min_cost(spec, grid) if run["restrict"] else None
     field = cdf_solver.solve_cdf(spec, grid, tau=numerics["tau"], restrict=restrict)
     exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, run["slices"]))
+    return _sweep_report(field.clamp, restrict)
 
 
 def _cmd_min_cost(args, spec, grid, numerics, run, exporter):
@@ -608,6 +618,7 @@ def _cmd_bounds(args, spec, grid, numerics, run, exporter):
     exporter.write_rows(
         "bounds.csv", _header(spec.dim, with_bounds=True),
         _field_rows(mid, grid, run["slices"], lo=pair.lower.values, hi=pair.upper.values))
+    return _sweep_report(pair.lower.clamp, restrict)
 
 
 def _cmd_sweep(args, spec, grid, numerics, run, exporter):
@@ -623,9 +634,7 @@ def _cmd_sweep(args, spec, grid, numerics, run, exporter):
                                   extra=(float(off[0, 1]), float(off[1, 0]), "sample")))
     rows = Table.concat(tables)
     exporter.write_rows("sweep.csv", _header(spec.dim, extra=["rate_12", "rate_21", "kind"]), rows)
-    clamp = fields[0].clamp
-    return {"rate_matrices": len(rate_grid),
-            "clamp": None if clamp is None else {"count": clamp.count, "largest": clamp.largest}}
+    return {"rate_matrices": len(rate_grid), **_sweep_report(fields[0].clamp)}
 
 
 def _cmd_hjb(args, spec, grid, numerics, run, exporter):
@@ -655,6 +664,7 @@ def _cmd_threshold(args, spec, grid, numerics, run, exporter):
     policy = control.synthesize_policy(tv, spec, grid)
     if args.policy_out:
         control.save_policy(policy, args.policy_out)
+    return _sweep_report(tv.w.clamp, restrict)
 
 
 def _cmd_simulate(args, spec, grid, numerics, run, exporter):

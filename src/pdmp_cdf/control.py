@@ -70,14 +70,21 @@ class Policy:
     containing cell's lower-corner node, and fall back to the
     expectation-optimal action once the budget is spent.  An
     expectation-optimal policy stores a single level.
+
+    ``actions`` and ``fallback`` are read-only, and no one else can write
+    them (a writable input is copied), so what is derived from them stays
+    valid: ``radii`` keeps the simulator's run-length radii per exit set
+    (``simulate._constant_action_radii``), computed once per policy however
+    many batches run it.
     """
 
     def __init__(self, control_set: ControlSet, actions: np.ndarray, fallback: np.ndarray,
                  lo: np.ndarray, dx: np.ndarray, shape: tuple[int, ...], ds: float,
                  provenance: str):
         self.control_set = control_set
-        self.actions = np.ascontiguousarray(actions, dtype=np.int16)
-        self.fallback = np.ascontiguousarray(fallback, dtype=np.int16)
+        self.actions = _read_only(actions)
+        self.fallback = _read_only(fallback)
+        self.radii: dict = {}
         self.lo = np.asarray(lo, dtype=float)
         self.dx = np.asarray(dx, dtype=float)
         self.shape = tuple(int(v) for v in shape)
@@ -135,6 +142,17 @@ class Policy:
                               f"{self.control_set.vectors.shape[1]}, the problem {spec.dim}")
 
 
+def _read_only(actions) -> np.ndarray:
+    """``actions`` as a read-only int16 C-ordered array that no one else can write.
+
+    A read-only input is viewed; a writable one is copied.
+    """
+    arr = np.ascontiguousarray(actions, dtype=np.int16)
+    arr = arr.copy() if arr.flags.writeable and np.may_share_memory(arr, actions) else arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ThresholdValue:
     """Optimal success probability W, companion expectation V, chosen actions."""
@@ -190,6 +208,7 @@ def solve_hjb_expectation(
     actions = actions.astype(np.int16)
     fill = _nearest_interior(grid)
     actions[:, grid.exit_mask] = actions[:, fill[grid.exit_mask]]
+    actions.flags.writeable = False
     policy = Policy(spec.controls, actions[:, None, :], actions, grid.lo, grid.dx,
                     grid.shape, grid.ds, provenance="expectation")
     return ValueField(grid, u), policy
@@ -311,6 +330,7 @@ def solve_threshold(
     fill = _nearest_interior(grid)
     if np.any(ex):
         actions[:, :, ex] = actions[:, :, fill[ex]]
+    actions.flags.writeable = False  # a policy views it, and caches what it derives from it
 
     wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal", clamp=clamp)
     return ThresholdValue(grid=grid, spec=spec, w=wf, v=v, actions=actions,
@@ -408,8 +428,8 @@ def load_policy(path: str) -> Policy:
     if actions.size != n_modes * n_levels * n_nodes or fallback.size != n_modes * n_nodes:
         raise ConfigError(f"policy arrays do not hold {n_modes} modes x {n_levels} levels "
                           f"x {n_nodes} nodes")
-    return Policy(cs, actions.reshape(n_modes, n_levels, n_nodes).copy(),
-                  fallback.reshape(n_modes, n_nodes).copy(), np.array(g["lo"]),
+    return Policy(cs, actions.reshape(n_modes, n_levels, n_nodes),
+                  fallback.reshape(n_modes, n_nodes), np.array(g["lo"]),
                   np.array(g["dx"]), shape, float(g["ds"]),
                   provenance=doc.get("provenance", "unknown"))
 

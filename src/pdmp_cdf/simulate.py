@@ -229,8 +229,12 @@ def _constant_action_radii(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarra
     that crosses a box face therefore never lands on an exit or an escape,
     never skips the fallback, and never starts from the top level, whose
     budget may exceed one level when the threshold is above ``s_max``.  Nodes
-    on the last index of an axis start no cell and get 0.
+    on the last index of an axis start no cell and get 0.  They are computed
+    once per policy and exit set, and kept read-only in ``policy.radii``.
     """
+    cached = policy.radii.get(spec.exit_set)
+    if cached is not None:
+        return cached
     shape = policy.shape
     blocked = np.zeros(shape, dtype=bool)
     for a, size in enumerate(shape):
@@ -256,7 +260,11 @@ def _constant_action_radii(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarra
     else:
         radius = _chessboard_radii(actions[:, 0], blocked)[:, None]
     fallback = _chessboard_radii(policy.fallback.reshape(m, *shape), blocked)
-    return radius.reshape(policy.actions.shape), fallback.reshape(policy.fallback.shape)
+    radii = radius.reshape(policy.actions.shape), fallback.reshape(policy.fallback.shape)
+    for arr in radii:
+        arr.flags.writeable = False
+    policy.radii[spec.exit_set] = radii
+    return radii
 
 
 def _jump_tables(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:

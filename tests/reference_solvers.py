@@ -12,7 +12,11 @@ the scheme itself.  `howard_every_pass` is plain Howard policy iteration
 over the package's stacked operators, with a sparse LU on every pass.
 `per_side_bounds` is the bound sweep run one envelope at a time, each
 side with its own gather, seed and clamp, which the two-field sweep of
-``bounds.solve_bounds`` must equal bit for bit.
+``bounds.solve_bounds`` must equal bit for bit.  `reference_sweep` is the
+level sweep with its seeding and monotone clamp as whole-array
+``np.where`` steps, and `reference_w0_ordered` the 1D attainment fill as a
+per-node loop over numpy vectors of the rate choices; ``cdf_solver._sweep``
+and ``cdf_solver._w0_ordered`` must equal them bit for bit.
 The references mix modes with one-step probabilities they compute
 themselves (``step_probs``, ``cap_probs``), and `transition_probabilities`
 keeps the exact matrix exponential that the package's first-order rule is
@@ -27,6 +31,7 @@ import numpy as np
 
 from pdmp_cdf import model
 from pdmp_cdf.cdf_solver import (
+    ARGMIN_RTOL,
     ESCAPE_COST,
     MinimalCost,
     SemiLagrangianStep,
@@ -467,3 +472,100 @@ def per_side_bounds(spec, grid, tau=None, restrict=False):
                              f"{name} bound sweep", 1)
         sides.append((w, clamp))
     return sides
+
+
+class _ReferenceClamp:
+    """The monotone clamp as a gap array per level: the counters of ``cdf_solver.MonotoneClamp``."""
+
+    def __init__(self, grid):
+        self.live = ~grid.exit_mask
+        self.count = 0
+        self.largest = 0.0
+
+    def apply(self, vals, prev):
+        gap = np.where(self.live, prev - vals, 0.0)
+        raised = gap > 0.0
+        if raised.any():
+            self.count += int(raised.sum())
+            self.largest = max(self.largest, float(gap.max()))
+        return np.maximum(vals, prev)
+
+
+def reference_sweep(spec, grid, restrict, update, what, n_fields):
+    """``cdf_solver._sweep`` with its seeding, clamp and exit rows as whole-array steps per level.
+
+    Same signature and results: the F fields and the clamp (None without
+    ``restrict``).  ``what`` is not logged.
+    """
+    ex = grid.exit_mask
+    q_exit = exit_costs(spec, grid)
+    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_fields)]
+    for w in fields:
+        w[:, 0, ex] = 0.0 >= q_exit - 1e-15
+
+    def stored(k):
+        return np.stack([w[:, k] for w in fields])
+
+    def level(k):
+        return prev if k == n - 1 else stored(k)
+
+    first_level = restrict.first_level() if restrict is not None else None
+    clamp = _ReferenceClamp(grid) if restrict is not None else None
+    prev = stored(0)
+    for n in range(1, grid.n_levels):
+        vals = update(level, n)
+        if first_level is not None:
+            vals = np.where(n < first_level, 0.0, vals)
+            vals = np.where(n == first_level, restrict.w0, vals)
+            vals = clamp.apply(vals, prev)
+        vals[..., ex] = n * grid.ds >= q_exit - 1e-15
+        for w, v in zip(fields, vals):
+            w[:, n] = v
+        prev = vals
+    return fields, clamp
+
+
+def _reference_coupling(foot, i, up, down):
+    coupling = 0.0
+    for j in range(foot.shape[1]):
+        if j != i:
+            diff = foot[:, j] - foot[:, i]
+            coupling = coupling + np.where(diff >= 0.0, up[:, i, j], down[:, i, j]) * diff
+    return coupling
+
+
+def reference_w0_ordered(grid, table, s0, w0, rates):
+    """``cdf_solver._w0_ordered`` node by node: candidates picked in Python, numpy over the choices.
+
+    Each node in increasing s0 (stable) scans its candidates in row order
+    for every mode's first least ``const + s0[foot]``; each mode within
+    ``ARGMIN_RTOL`` of the best transports ``w0`` of all rate choices
+    (axis 0) at once.
+    """
+    interior = np.where(~grid.exit_mask & np.isfinite(s0))[0]
+    order = interior[np.argsort(s0[interior], kind="stable")]
+    ent = table.materialize()
+    cands = [list(zip(const, foot)) for const, foot in
+             zip(ent.const.T.tolist(), ent.foot_a.T.tolist())]
+    for k in order:
+        best = math.inf
+        per_mode_best = {}
+        for c, (const, a) in enumerate(cands[k]):
+            val = const + s0[a] if a >= 0 else math.inf
+            if not math.isfinite(val):
+                continue
+            i = int(table.mode[c])
+            prev = per_mode_best.get(i)
+            if prev is None or val < prev[0]:
+                per_mode_best[i] = (val, c)
+            best = min(best, val)
+        if not math.isfinite(best):
+            continue
+        tol = ARGMIN_RTOL * max(1.0, abs(best))
+        for i, (val, c) in per_mode_best.items():
+            if val <= best + tol:
+                foot = w0[:, :, ent.foot_a[c, k]]
+                coupling = _reference_coupling(foot, i, *rates)
+                step = foot[:, i] + float(ent.h_at_foot[c, k]) * coupling
+                w0[:, i, k] = step.clip(0.0, 1.0)
+    return 1

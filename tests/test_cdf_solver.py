@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import pdmp_cdf
 from pdmp_cdf import build_grid, catalog
 from pdmp_cdf import cdf_solver
-from pdmp_cdf.bounds import solve_bounds
+from pdmp_cdf import bounds, control
+from pdmp_cdf.bounds import default_rate_grid, fixed_rate_sweep, solve_bounds, solve_min_cost_bounds
 from pdmp_cdf.cdf_solver import (
     MinimalCost,
     causal_tau,
@@ -41,6 +42,8 @@ from reference_solvers import (
     label_setting_min_cost,
     level_sweep,
     plain_candidates,
+    reference_sweep,
+    reference_w0_ordered,
     solve_expected,
 )
 
@@ -674,6 +677,24 @@ class TestStepStackRates:
         assert np.allclose(stack.cap_probs, [np.concatenate(p) for p in cap_probs],
                            rtol=0, atol=1e-14)
 
+    def test_capped_rows_are_recomputed_only_where_they_change(self):
+        # exit costs 0.3 and 0.1 switch capped rows on part way up the grid;
+        # every level, asked in any order, reads what the expression gives there
+        spec, grid = self.problem()
+        steps = [cdf_solver.SemiLagrangianStep(spec, grid, 0.07, i) for i in range(3)]
+        stack = cdf_solver.StepStack(steps, diagonal=True,
+                                     rates=[RateMatrix(off) for off in self.OFF])
+        direct = [((n * grid.ds - stack.cap_ds)[:, None] >= stack.cap_q - 1e-15).astype(float)
+                  for n in range(grid.n_levels)]
+        changes = [n for n in range(1, grid.n_levels)
+                   if not np.array_equal(direct[n], direct[n - 1])]
+        assert stack.cap_flips == changes and len(changes) > 1
+        for n in np.random.default_rng(3).permutation(grid.n_levels).tolist():
+            assert np.array_equal(stack.cap_indicator(n), direct[n])
+            assert np.array_equal(stack.cap_cdf(n),
+                                  np.einsum("rkj,kj->rk", stack.cap_probs, direct[n]))
+        assert not stack.cap_cdf(0).flags.writeable
+
     def test_without_rates_the_stack_holds_no_probabilities(self):
         spec, grid = self.problem()
         stack = cdf_solver.StepStack([cdf_solver.SemiLagrangianStep(spec, grid, 0.07, i)
@@ -697,3 +718,123 @@ def test_only_the_step_stack_turns_rates_into_probabilities():
                         callers.add((path.name, name, call.func.id))
     assert callers == {("cdf_solver.py", "StepStack.__init__", "transition_probabilities"),
                        ("cdf_solver.py", "StepStack.__init__", "_cap_mix")}
+
+
+class TestSameAnswersAsTheReferenceLoops:
+    """The sweep's seeding, clamp and exit rows, and the 1D attainment fill, bit for bit.
+
+    ``reference_sweep`` and ``reference_w0_ordered`` (tests/reference_solvers.py)
+    keep the whole-array seeding and clamp and the per-node fill loop.
+    """
+
+    @staticmethod
+    def _ex4_fixed():
+        return replace(catalog.example4(), rates=RateMatrix([[0.0, 2.0], [3.0, 0.0]]))
+
+    @staticmethod
+    def _run(monkeypatch, solve, reference):
+        if reference:
+            for module in (cdf_solver, bounds, control):
+                monkeypatch.setattr(module, "_sweep", reference_sweep)
+        fields = solve()
+        monkeypatch.undo()
+        return [f.values for f in fields], fields[0].clamp
+
+    @pytest.mark.parametrize("restrict", [False, True], ids=["plain", "restricted"])
+    @pytest.mark.parametrize("case", ["example1", "example2", "example3", "example4",
+                                      "sweep16", "bounds", "threshold5"])
+    def test_sweeps_equal_the_whole_array_sweep(self, monkeypatch, case, restrict):
+        if case in ("example1", "example2", "example3", "example4"):
+            spec = self._ex4_fixed() if case == "example4" else catalog.builtin(case)
+            grid = build_grid(spec, 0.05 if case == "example3" else 0.01, 0.01, 1.0)
+            mc = solve_min_cost(spec, grid) if restrict else None
+
+            def solve():
+                return [solve_cdf(spec, grid, restrict=mc)]
+        elif case == "sweep16":
+            spec = catalog.example4()
+            grid = build_grid(spec, 0.01, 0.01, 1.0)
+
+            def solve():
+                return fixed_rate_sweep(spec, grid, default_rate_grid(), restrict=restrict)
+        elif case == "bounds":
+            spec = catalog.example4()
+            grid = build_grid(spec, 0.01, 0.01, 1.0)
+            mc = solve_min_cost_bounds(spec, grid) if restrict else None
+
+            def solve():
+                pair = solve_bounds(spec, grid, restrict=mc)
+                return [pair.upper, pair.lower]
+        else:
+            spec = catalog.example5()
+            grid = build_grid(spec, 0.01, 0.005, 0.8)
+            mc = solve_min_cost(spec, grid) if restrict else None
+            hjb = solve_hjb_expectation(spec, grid)
+
+            def solve():
+                return [solve_threshold(spec, grid, restrict=mc, hjb=hjb).w]
+        got, clamp = self._run(monkeypatch, solve, reference=False)
+        want, ref_clamp = self._run(monkeypatch, solve, reference=True)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        if restrict:
+            assert (clamp.count, clamp.largest) == (ref_clamp.count, ref_clamp.largest)
+        else:
+            assert clamp is None and ref_clamp is None
+
+    def test_the_clamp_is_exercised(self):
+        # example2's restricted sweep raises values, so the clamp comparisons above bite
+        spec = catalog.example2()
+        grid = build_grid(spec, 0.01, 0.01, 1.0)
+        assert solve_cdf(spec, grid, restrict=solve_min_cost(spec, grid)).clamp.count > 0
+
+    @staticmethod
+    def _w0_pair(monkeypatch, spec, grid, choices):
+        mc = MinimalCost(spec, grid)
+        got = mc.stacked(choices).w0
+        monkeypatch.setattr(cdf_solver, "_w0_ordered", reference_w0_ordered)
+        want = mc.stacked(choices).w0
+        monkeypatch.undo()
+        return got, want
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "example5", "bounds2", "sweep16"])
+    def test_w0_equals_the_per_node_loop(self, monkeypatch, case):
+        spec = catalog.builtin(case) if case.startswith("example") else catalog.example4()
+        grid = build_grid(spec, 0.01, 0.01, 1.0)
+        if case == "bounds2":
+            choices = [(spec, "upper"), (spec, "lower")]
+        elif case == "sweep16":
+            choices = [(replace(spec, rates=rm), None) for rm in default_rate_grid()]
+        else:
+            choices = [(spec, None)]
+        got, want = self._w0_pair(monkeypatch, spec, grid, choices)
+        assert got.shape == (len(choices), spec.n_modes, grid.n_nodes)
+        assert got.tobytes() == want.tobytes()
+        assert np.any((got > 0.0) & (got < 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_w0_equals_the_per_node_loop_on_random_1d_problems(self, data):
+        m = data.draw(st.integers(2, 3))
+        faces = data.draw(st.sampled_from([("x_min",), ("x_max",), ("x_min", "x_max")]))
+        speed = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.75, 1.0, 3.0])
+        modes = tuple(ModeSpec(VectorField.constant([data.draw(speed)]),
+                               ScalarField.constant(data.draw(st.sampled_from([0.5, 1.0, 2.0]))),
+                               ScalarField.constant(data.draw(st.sampled_from([0.0, 0.1]))))
+                      for _ in range(m))
+        rates = [[0.0 if i == j else data.draw(st.floats(0.0, 4.0)) for j in range(m)]
+                 for i in range(m)]
+        spec = ProblemSpec(dim=1, lo=np.zeros(1), hi=np.ones(1),
+                           exit_set=ExitSpec("faces", faces=faces), modes=modes,
+                           rates=RateMatrix(rates))
+        grid = build_grid(spec, data.draw(st.sampled_from([0.05, 0.1, 0.125])), 0.05, 1.0)
+        try:
+            mc = MinimalCost(spec, grid)
+        except NumericsError:  # no node reaches the exits
+            return
+        got = mc.stacked([(spec, None)]).w0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cdf_solver, "_w0_ordered", reference_w0_ordered)
+            want = mc.stacked([(spec, None)]).w0
+        assert got.tobytes() == want.tobytes()

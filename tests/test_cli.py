@@ -321,6 +321,35 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rate_matrices"] == 4 and manifest["clamp"] is None
 
+    @pytest.mark.parametrize("command, problem, numerics", [
+        ("solve-cdf", "example2", {"dx": 0.02, "ds": 0.02, "s_max": 1.0}),
+        ("bounds", "example4", {"dx": 0.02, "ds": 0.02, "s_max": 1.0}),
+        ("threshold", "example5", {"dx": 0.02, "ds": 0.01, "s_max": 0.8}),
+    ])
+    @pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "plain"])
+    def test_sweep_manifests_report_the_clamp_and_min_cost_counters(
+            self, tmp_path, command, problem, numerics, restrict):
+        doc = {"schema_version": 1, "problem": problem, "numerics": numerics,
+               "run": {"restrict": restrict, "slices": ["s=0.4"]}, "output": {}}
+        out = tmp_path / "out"
+        assert main([command, "--problem", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        spec, grid, *_ = load_problem(problem, {"numerics": numerics})
+        if command == "solve-cdf":
+            mc = solve_min_cost(spec, grid) if restrict else None
+            clamp = solve_cdf(spec, grid, restrict=mc).clamp
+        elif command == "bounds":
+            mc = bounds.solve_min_cost_bounds(spec, grid) if restrict else None
+            clamp = bounds.solve_bounds(spec, grid, restrict=mc).lower.clamp
+        else:
+            mc = solve_min_cost(spec, grid) if restrict else None
+            clamp = control.solve_threshold(spec, grid, restrict=mc).w.clamp
+        if restrict:
+            assert manifest["clamp"] == {"count": clamp.count, "largest": clamp.largest}
+            assert manifest["min_cost"] == mc.counters and mc.counters["candidates"] > 0
+        else:
+            assert manifest["clamp"] is None and "min_cost" not in manifest
+
     def test_sweep_honours_tau(self, tmp_path):
         # every row of sweep.csv is its matrix's own restricted solve at the configured tau
         doc = {"schema_version": 1, "problem": "example4",

@@ -583,6 +583,44 @@ class TestRunLengthEvents:
         assert np.all(batch.events <= ref["events"])
         assert batch.events.sum() < ref["events"].sum()
 
+    def test_radii_are_computed_once_per_policy_and_exit_set(self, monkeypatch):
+        # three batches on one policy compute each radius array once, and draw
+        # the samples of batches that each compute them anew
+        spec = catalog.example5()
+        grid = build_grid(spec, 8e-3, 4e-3, 0.8)
+        tv = solve_threshold(spec, grid, hjb=solve_hjb_expectation(spec, grid),
+                             restrict=solve_min_cost(spec, grid))
+        calls = []
+        chessboard = simulate._chessboard_radii
+        monkeypatch.setattr(simulate, "_chessboard_radii",
+                            lambda *args: calls.append(args[0].shape) or chessboard(*args))
+        policy = synthesize_policy(tv, spec, grid)
+        start = (np.array([0.4]), 0)
+        cached = [run_batch(spec, start, 300, seed=s, policy=policy, threshold=0.38)
+                  for s in (1, 2, 3)]
+        assert len(calls) == 2  # the actions and the fallback
+        fresh = [run_batch(spec, start, 300, seed=s, policy=synthesize_policy(tv, spec, grid),
+                           threshold=0.38) for s in (1, 2, 3)]
+        assert len(calls) == 2 + 3 * 2
+        for a, b in zip(cached, fresh):
+            for key in ("costs", "exited", "escaped", "censored", "switch_counts", "events"):
+                assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
+        # another exit set has its own radii; the policy's arrays and the
+        # threshold value's actions they view are read-only
+        one_face = dataclasses.replace(spec, exit_set=ExitSpec("faces", faces=("x_min",)))
+        run_batch(one_face, start, 10, seed=1, policy=policy, threshold=0.38)
+        assert len(calls) == 2 + 3 * 2 + 2 and set(policy.radii) == {spec.exit_set,
+                                                                      one_face.exit_set}
+        assert np.shares_memory(policy.actions, tv.actions)
+        for frozen in (policy.actions, tv.actions):
+            with pytest.raises(ValueError):
+                frozen[0, 0, 0] = 1
+        # a writable array is copied, so later writes to it change nothing
+        mine = tv.actions.copy()
+        own = synthesize_policy(dataclasses.replace(tv, actions=mine), spec, grid)
+        mine[...] = 1 - mine
+        assert np.array_equal(own.actions, tv.actions)
+
     def test_radius_zero_policy_is_the_per_cell_loop(self):
         # actions alternate between neighbouring cells and levels: every radius is 0
         spec = catalog.example5()
