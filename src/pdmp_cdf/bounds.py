@@ -16,20 +16,21 @@ set-up as the fixed-rate sweep's (``cdf_solver._mode_steps``).
 Fixed-rate samples (``fixed_rate_sweep``) come from one rate-stacked run
 of ``solve_cdf``'s sweep: the modes' steps are built once, and every level
 update carries all rate matrices together.  The minimal attainable cost
-does not depend on the rates either, so the restricted sweeps and
-``solve_min_cost_bounds`` compute it once and fill the attainment
-probabilities of every rate choice in one pass.
+does not depend on the rates either, so a restricted rate sweep takes one
+``MinimalCost.stacked`` seed, and ``solve_min_cost_bounds`` computes it
+once; each fills the attainment probabilities of every rate choice in one
+pass.  Both sweeps store whole fields, or only the slices of a ``Keep``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cdf_solver import MinimalCost, StepStack, _mode_steps, _solve_cdfs, _sweep
 from .errors import ConfigError, NumericsError
-from .model import CdfField, Grid, MinCostField, ProblemSpec, RateBounds, RateMatrix
+from .model import CdfField, Grid, Keep, MinCostField, ProblemSpec, RateBounds, RateMatrix
 
 _SIDES = (("max", "upper"), ("min", "lower"))  # the sweep's fields, upper first
 
@@ -84,6 +85,7 @@ def solve_bounds(
     grid: Grid,
     tau: float | None = None,
     restrict: MinCostField | None = None,
+    keep: Keep | None = None,
 ) -> BoundPair:
     """Upper and lower CDF envelopes by one adversarial-rate sweep.
 
@@ -93,7 +95,9 @@ def solve_bounds(
     previous-level values, consistent with the causal sweep, so no
     within-level iteration is needed.  The implied one-step probabilities
     must stay valid: tau times the largest total upper rate may not exceed
-    one.
+    one.  The sweep holds the levels its steps read back; each envelope is
+    whole (M, L, N), or with ``keep`` only that keep's sheets and node
+    columns.
     """
     rb = spec.require_rate_bounds()
     steps, tau = _mode_steps(spec, grid, tau)
@@ -107,9 +111,11 @@ def solve_bounds(
     del steps
     step_len = np.full(stack.n_nodes * spec.n_modes, tau)
     step_len[stack.cap_rows] = stack.cap_theta_tau
-    w, clamp = _sweep(spec, grid, restrict, _bound_update(stack, step_len, rb), "bound sweep", 2)
+    fields, clamp = _sweep(spec, grid, restrict, _bound_update(stack, step_len, rb), "bound sweep",
+                           2, stack.depth, keep)
     upper, lower = (CdfField(grid, values, spec=spec, tau=tau, variant=f"rate-bounds-{name}",
-                             clamp=clamp) for values, (_, name) in zip(w, _SIDES))
+                             clamp=clamp, keep=keep, columns=columns)
+                    for (values, columns), (_, name) in zip(fields, _SIDES))
     return BoundPair(lower=lower, upper=upper)
 
 
@@ -138,17 +144,21 @@ def fixed_rate_sweep(
     grid: Grid,
     rate_grid: list[RateMatrix],
     tau: float | None = None,
-    restrict: bool = False,
+    restrict: MinCostField | None = None,
+    keep: Keep | None = None,
 ) -> list[CdfField]:
     """Fixed-rate CDFs for a list of candidate rate matrices.
 
     Every matrix must respect the problem's rate bounds when bounds are
     given.  These solves sample the fixed-unknown-rates uncertainty model;
     they are labeled as samples, not bounds, in exported data.  One sweep
-    serves all matrices, and with ``restrict`` one s0 with the stacked w0 of
-    every matrix seeds it; each field equals its matrix's own
-    ``solve_cdf`` bit for bit.  The fields share the restricted sweep's
-    clamp.
+    serves all matrices.  ``restrict`` seeds it with one s0 and a w0 per
+    matrix, stacked (R, M, N): ``MinimalCost(spec, grid).stacked`` over the
+    matrices (one (M, N) w0 seeds every matrix alike).  Each field equals
+    its matrix's own ``solve_cdf`` with that seed bit for bit, and the
+    fields share the restricted sweep's clamp.  The sweep holds the levels
+    its steps read back; each field is whole (M, L, N), or with ``keep``
+    only that keep's sheets and node columns.
     """
     rb = spec.rates if isinstance(spec.rates, RateBounds) else None
     for k, rm in enumerate(rate_grid):
@@ -158,7 +168,4 @@ def fixed_rate_sweep(
             raise ConfigError(f"rate matrix {k} lies outside the problem's rate bounds")
     if not rate_grid:
         return []
-    mc = None
-    if restrict:
-        mc = MinimalCost(spec, grid).stacked([(replace(spec, rates=rm), None) for rm in rate_grid])
-    return _solve_cdfs(spec, grid, rate_grid, tau=tau, restrict=mc)
+    return _solve_cdfs(spec, grid, rate_grid, tau=tau, restrict=restrict, keep=keep)

@@ -46,7 +46,10 @@ the same bits as the plain steps it replaces (``tests/reference_solvers``
 keeps those): the fixed-rate level stays C-ordered through the sparse
 product, the capped rows' values are recomputed only at the levels where
 one of them switches on, and ``_sweep`` seeds, writes the exit rows and
-clamps with preallocated or cached arrays.
+clamps with preallocated or cached arrays.  A sweep holds only the levels
+its steps read back (a ring as deep as the deepest level shift) and, of
+each field, the slices a caller asks for (a ``Keep``: whole levels and
+node columns); without one every field is kept whole.
 
 Expected exit costs, expectation-optimal in the control module, are
 solved by one routine: modified policy iteration over the stacked steps
@@ -108,6 +111,7 @@ from .errors import ConfigError, ConvergenceError, NumericsError
 from .model import (
     CdfField,
     Grid,
+    Keep,
     MinCostField,
     ProblemSpec,
     RateMatrix,
@@ -340,6 +344,11 @@ class StepStack:
         self.const[:, self.cap_rows] = self.cap_ds + np.einsum("rkj,kj->rk", self.cap_probs,
                                                                self.cap_q)
 
+    @property
+    def depth(self) -> int:
+        """The deepest level shift: ``gather`` at level n reads no level below n - depth."""
+        return self.level_ops[-1][0]
+
     def gather(self, n: int, read) -> np.ndarray:
         """Every stacked row's foot value at level n: one sparse product per level shift.
 
@@ -442,6 +451,7 @@ def solve_cdf(
     tau: float | None = None,
     restrict: MinCostField | None = None,
     actions: np.ndarray | None = None,
+    keep: Keep | None = None,
 ) -> CdfField:
     """Solve for the exit-cost CDF of an uncontrolled problem, or of a frozen policy.
 
@@ -455,9 +465,11 @@ def solve_cdf(
     Each level update mixes the previous levels over the modes with the
     one-step transition probabilities and applies the block-diagonal stack
     of the modes' step operators: one sparse product per level shift.  This
-    is the one-matrix case of ``_solve_cdfs``.
+    is the one-matrix case of ``_solve_cdfs``.  The sweep holds the levels
+    its steps read back; the field is whole (M, L, N), or with ``keep``
+    only that keep's sheets and node columns, the same values bit for bit.
     """
-    (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict, actions)
+    (field,) = _solve_cdfs(spec, grid, [spec.require_fixed_rates()], tau, restrict, actions, keep)
     return field
 
 
@@ -483,6 +495,7 @@ def _solve_cdfs(
     tau: float | None = None,
     restrict: MinCostField | None = None,
     actions: np.ndarray | None = None,
+    keep: Keep | None = None,
 ) -> list[CdfField]:
     """The exit-cost CDF under each rate matrix of ``rates``, from one sweep.
 
@@ -493,8 +506,9 @@ def _solve_cdfs(
     one sparse product per level shift with R right-hand columns.
     ``restrict`` is one minimal-cost field (s0 does not depend on the rates)
     whose w0 is a single (M, N) seed for every matrix or one per matrix,
-    stacked (R, M, N).  Each field keeps its own (M, L, N) values (see
-    ``_sweep``), and the fields share the restricted sweep's clamp.
+    stacked (R, M, N).  Each field holds what ``keep`` asks for, all of it
+    by default (see ``_sweep``), and the fields share the restricted
+    sweep's clamp.
     """
     if spec.controlled and actions is None:
         raise ConfigError("controlled problems need the control module (or frozen actions)")
@@ -512,26 +526,34 @@ def _solve_cdfs(
         return np.ascontiguousarray(vals.T).reshape(n_rates, spec.n_modes, grid.n_nodes)
 
     matrices = "matrix" if n_rates == 1 else "matrices"
-    w, clamp = _sweep(spec, grid, restrict, update, f"CDF sweep over {n_rates} rate {matrices}",
-                      n_rates)
-    return [CdfField(grid, w[r], spec=spec if rm is spec.rates else replace(spec, rates=rm),
-                     tau=tau, variant="fixed-rates", clamp=clamp)
-            for r, rm in enumerate(rates)]
+    fields, clamp = _sweep(spec, grid, restrict, update,
+                           f"CDF sweep over {n_rates} rate {matrices}", n_rates, stack.depth, keep)
+    return [CdfField(grid, values, spec=spec if rm is spec.rates else replace(spec, rates=rm),
+                     tau=tau, variant="fixed-rates", clamp=clamp, keep=keep, columns=columns)
+            for (values, columns), rm in zip(fields, rates)]
 
 
-def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
+def _sweep(spec, grid, restrict, update, what: str, n_fields: int, depth: int,
+           keep: Keep | None = None):
     """Causal upward sweep of ``n_fields`` fields; ``update(level, n)`` gives their level n.
 
-    ``level(k)`` holds every field's level k < n and the update returns level
-    n, both (F, M, N): the rate matrices of a rate-stacked CDF sweep, the
+    ``level(k)`` holds every field's level k and the update returns level n,
+    both (F, M, N): the rate matrices of a rate-stacked CDF sweep, the
     bound sweep's two envelopes or the threshold sweep's one field.  The
-    update's array is the sweep's to change in place.  The seeding uses one
-    ``first_level`` with ``restrict.w0``, one (M, N) seed for every field or
-    one per field, stacked (F, M, N).  Each field is its own (M, L, N)
-    array, as separate solves would allocate them: one (F, M, L, N) array
-    needs fresh pages for all of it, where arrays of one field's size reuse
-    memory freed by earlier work.  The level just below n is kept stacked,
-    so the common one-level-back read costs no copy.
+    update's array is the sweep's to change in place; the update must not
+    change what ``level`` gives it.  The seeding uses one ``first_level``
+    with ``restrict.w0``, one (M, N) seed for every field or one per field,
+    stacked (F, M, N).
+
+    What the sweep holds: the levels the update reads back, n - depth to
+    n - 1, in a ring of the update's own arrays, so reading them costs no
+    copy (``depth`` is the deepest level shift of the update's steps,
+    ``StepStack.depth``, 1 when every step reads the level just below);
+    and of each field only its ``keep``: the whole levels ``keep.levels``,
+    one (M, K, N) array per field, and the node columns ``keep.nodes`` at
+    every level, (M, L, C) views of one array.  Without ``keep`` every
+    level is kept whole, so each field is its own (M, L, N) array, as
+    separate solves would allocate them.
 
     It owns level 0, the restricted seeding with one clamp for all fields
     and the exit rows (the update's exit rows are overwritten).  Per level
@@ -544,36 +566,49 @@ def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
     the previous level are never positive.
     The clamp then takes every gap into one buffer, and only when one is
     positive counts the raises, records the largest and takes the maximum
-    in place.  Returns the F fields and the clamp (None without
-    ``restrict``).
+    in place.  Returns one ``(values, columns)`` pair per field (columns
+    None without ``keep``) and the clamp (None without ``restrict``).
     """
+    m, n_levels, n_nodes = spec.n_modes, grid.n_levels, grid.n_nodes
     ex = np.flatnonzero(grid.exit_mask)
-    reach, none = exit_costs(spec, grid) - 1e-15, np.zeros(spec.n_modes)
-    exit_rows = _Stepwise(_switch_levels(grid.ds, none, reach, grid.n_levels),
+    reach, none = exit_costs(spec, grid) - 1e-15, np.zeros(m)
+    exit_rows = _Stepwise(_switch_levels(grid.ds, none, reach, n_levels),
                           lambda n: _switched_on(n, grid.ds, none, reach).astype(float))
-    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_fields)]
-    for w in fields:
-        w[:, 0, ex] = exit_rows(0)
+    kept = range(n_levels) if keep is None else keep.levels.tolist()
+    slot = {k: i for i, k in enumerate(kept)}  # level -> its index in the stored values
+    fields = [np.zeros((m, len(kept), n_nodes)) for _ in range(n_fields)]
+    nodes = None if keep is None else keep.nodes
+    columns = None if keep is None else np.zeros((n_fields, m, n_levels, nodes.size))
 
-    def stored(k: int) -> np.ndarray:
-        return np.stack([w[:, k] for w in fields])
+    def store(n: int, vals: np.ndarray) -> None:
+        i = slot.get(n)
+        if i is not None:
+            for w, v in zip(fields, vals):
+                w[:, i] = v
+        if nodes is not None and nodes.size:
+            columns[:, :, n] = vals[..., nodes]
+
+    ring = [None] * depth  # level k sits at ring[k % depth]
 
     def level(k: int) -> np.ndarray:
-        return prev if k == n - 1 else stored(k)
+        return ring[k % depth]
 
     clamp = None
     if restrict is not None:
         clamp = MonotoneClamp()
         first = restrict.first_level()
-        never = first >= grid.n_levels
+        never = first >= n_levels
         zero_never = bool(never.any())
         order = np.argsort(first, kind="stable")
         levels, starts = np.unique(first[order], return_index=True)
         seeds = dict(zip(levels.tolist(), np.split(order, starts[1:])))  # level -> its nodes
         last_seed = int(first[~never].max(initial=0))
-        gap = np.empty((n_fields, spec.n_modes, grid.n_nodes))
-    prev = stored(0)
-    for n in range(1, grid.n_levels):
+        gap = np.empty((n_fields, m, n_nodes))
+    prev = np.zeros((n_fields, m, n_nodes))
+    prev[..., ex] = exit_rows(0)
+    store(0, prev)
+    ring[0] = prev
+    for n in range(1, n_levels):
         vals = update(level, n)
         if clamp is not None:
             if n <= last_seed:
@@ -592,12 +627,11 @@ def _sweep(spec, grid, restrict, update, what: str, n_fields: int):
                 clamp.count += int(np.count_nonzero(gap > 0.0))
                 clamp.largest = max(clamp.largest, float(top))
                 np.maximum(vals, prev, out=vals)
-        for w, v in zip(fields, vals):
-            w[:, n] = v
-        prev = vals
+        store(n, vals)
+        ring[n % depth] = prev = vals
     if clamp is not None:
         clamp.report(f"restricted {what}")
-    return fields, clamp
+    return [(w, None if columns is None else columns[f]) for f, w in enumerate(fields)], clamp
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,9 +27,11 @@ from . import catalog, cdf_solver, control, discrete, simulate
 from .csvtable import Table, write_csv
 from .errors import ConfigError, ConvergenceError, NumericsError, PdmpError
 from .model import (
+    CdfField,
     ControlSet,
     ExitSpec,
     Grid,
+    Keep,
     MinCostField,
     ModeSpec,
     ProblemSpec,
@@ -512,31 +515,39 @@ def _parse_slices(texts: list[str] | None, grid: Grid) -> list[tuple[str, list]]
     return out
 
 
-def _field_rows(field_values, grid: Grid, slices, lo=None, hi=None, extra=()) -> Table:
+def _keep(slices, grid: Grid) -> Keep:
+    """What a sweep must store for checked slices: their sheet levels and curve stencil nodes."""
+    return Keep.of(grid, [n for kind, items in slices if kind == "s" for n in items],
+                   [pt for kind, items in slices if kind == "point" for pt in items])
+
+
+def _field_rows(field, grid: Grid, slices, lo=None, hi=None, extra=()) -> Table:
     """Long-form rows (x[, y], mode, s, value[, lo, hi], *extra) for checked slices, as columns.
 
-    The slices come from `_parse_slices`.  A sheet runs over (level, mode,
-    node) and a point curve over (mode, level).  Index arithmetic picks the
-    nodes, modes and levels of each slice, the slices are stacked, and
-    ``extra`` appends constant columns.
+    The slices come from `_parse_slices`.  ``field``, ``lo`` and ``hi`` are
+    CdfFields, whole or swept with the slices' `_keep`, or (M, L, N) arrays.
+    A sheet runs over (level, mode, node), read by `CdfField.sheets`, and a
+    point curve over (mode, level), read by `CdfField.curve`.  Index
+    arithmetic lays out the nodes, modes and levels of each slice, the
+    slices are stacked, and ``extra`` appends constant columns.
     """
-    m = field_values.shape[0]
-    fields = [f for f in (field_values, lo, hi) if f is not None]
+    fields = [f if isinstance(f, CdfField) else CdfField(grid, f)
+              for f in (field, lo, hi) if f is not None]
+    m = fields[0].n_modes
     parts = []
     for kind, items in slices:
         if kind == "s":
-            per_level = m * grid.n_nodes
             node = np.tile(np.arange(grid.n_nodes), len(items) * m)
             mode = np.tile(np.repeat(np.arange(m), grid.n_nodes), len(items))
-            level = np.repeat(np.asarray(items, dtype=int), per_level)
+            level = np.repeat(np.asarray(items, dtype=int), m * grid.n_nodes)
             coords = grid.points[node]
-            values = [f[mode, level, node] for f in fields]
+            values = [f.sheets(items).transpose(1, 0, 2).reshape(-1) for f in fields]
         else:
             per_point = m * grid.n_levels
             coords = np.repeat(np.asarray(items, dtype=float), per_point, axis=0)
             mode = np.tile(np.repeat(np.arange(m), grid.n_levels), len(items))
             level = np.tile(np.arange(grid.n_levels), len(items) * m)
-            values = [np.concatenate([grid.curve(f[i], pt) for pt in items for i in range(m)])
+            values = [np.concatenate([f.curve(i, pt) for pt in items for i in range(m)])
                       for f in fields]
         parts.append([*coords.T, mode + 1, level * grid.ds, *values])
     return Table([*(np.concatenate(col) for col in zip(*parts)), *extra])
@@ -597,8 +608,9 @@ def _sweep_report(clamp, restrict: MinCostField | None = None) -> dict:
 
 def _cmd_solve_cdf(args, spec, grid, numerics, run, exporter):
     restrict = cdf_solver.solve_min_cost(spec, grid) if run["restrict"] else None
-    field = cdf_solver.solve_cdf(spec, grid, tau=numerics["tau"], restrict=restrict)
-    exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field.values, grid, run["slices"]))
+    field = cdf_solver.solve_cdf(spec, grid, tau=numerics["tau"], restrict=restrict,
+                                 keep=_keep(run["slices"], grid))
+    exporter.write_rows("cdf.csv", _header(spec.dim), _field_rows(field, grid, run["slices"]))
     return _sweep_report(field.clamp, restrict)
 
 
@@ -613,11 +625,14 @@ def _cmd_min_cost(args, spec, grid, numerics, run, exporter):
 
 def _cmd_bounds(args, spec, grid, numerics, run, exporter):
     restrict = bounds_mod.solve_min_cost_bounds(spec, grid) if run["restrict"] else None
-    pair = bounds_mod.solve_bounds(spec, grid, tau=numerics["tau"], restrict=restrict)
-    mid = 0.5 * (pair.lower.values + pair.upper.values)
-    exporter.write_rows(
-        "bounds.csv", _header(spec.dim, with_bounds=True),
-        _field_rows(mid, grid, run["slices"], lo=pair.lower.values, hi=pair.upper.values))
+    keep = _keep(run["slices"], grid)
+    pair = bounds_mod.solve_bounds(spec, grid, tau=numerics["tau"], restrict=restrict, keep=keep)
+    lo, hi = pair.lower, pair.upper
+    # the midpoint of the kept slices only: each value as the whole fields' midpoint has it
+    mid = CdfField(grid, 0.5 * (lo.values + hi.values), keep=keep,
+                   columns=0.5 * (lo.columns + hi.columns))
+    exporter.write_rows("bounds.csv", _header(spec.dim, with_bounds=True),
+                        _field_rows(mid, grid, run["slices"], lo=lo, hi=hi))
     return _sweep_report(pair.lower.clamp, restrict)
 
 
@@ -625,16 +640,18 @@ def _cmd_sweep(args, spec, grid, numerics, run, exporter):
     if spec.n_modes != 2:
         raise ConfigError("the rate sweep grid is defined for two-mode problems")
     rate_grid = bounds_mod.default_rate_grid(run["rates"])
+    restrict = cdf_solver.MinimalCost(spec, grid).stacked(
+        [(replace(spec, rates=rm), None) for rm in rate_grid]) if run["restrict"] else None
     fields = bounds_mod.fixed_rate_sweep(spec, grid, rate_grid, tau=numerics["tau"],
-                                         restrict=run["restrict"])
+                                         restrict=restrict, keep=_keep(run["slices"], grid))
     tables = []
     for rm, field in zip(rate_grid, fields):
         off = rm.off_diagonal()
-        tables.append(_field_rows(field.values, grid, run["slices"],
+        tables.append(_field_rows(field, grid, run["slices"],
                                   extra=(float(off[0, 1]), float(off[1, 0]), "sample")))
     rows = Table.concat(tables)
     exporter.write_rows("sweep.csv", _header(spec.dim, extra=["rate_12", "rate_21", "kind"]), rows)
-    return {"rate_matrices": len(rate_grid), **_sweep_report(fields[0].clamp)}
+    return {"rate_matrices": len(rate_grid), **_sweep_report(fields[0].clamp, restrict)}
 
 
 def _cmd_hjb(args, spec, grid, numerics, run, exporter):
@@ -652,9 +669,9 @@ def _cmd_threshold(args, spec, grid, numerics, run, exporter):
     restrict = cdf_solver.solve_min_cost(spec, grid) if run["restrict"] else None
     # tau is the sweep's step; the tie-breaking expectation solve keeps its own default step
     hjb = control.solve_hjb_expectation(spec, grid, tol=numerics["tol"], max_iter=numerics["max_iter"])
-    tv = control.solve_threshold(spec, grid, tau=numerics["tau"], restrict=restrict, hjb=hjb)
-    exporter.write_rows("threshold_cdf.csv", _header(spec.dim),
-                        _field_rows(tv.w.values, grid, slices))
+    tv = control.solve_threshold(spec, grid, tau=numerics["tau"], restrict=restrict, hjb=hjb,
+                                 keep=_keep(slices, grid))
+    exporter.write_rows("threshold_cdf.csv", _header(spec.dim), _field_rows(tv.w, grid, slices))
     # synthesized action map at the fixed-threshold slices; actions are
     # per-node labels, so only node-exact sheets are exported
     sheet_slices = [(kind, items) for kind, items in slices if kind == "s"]
@@ -698,9 +715,9 @@ def _cmd_evaluate_policy(args, spec, grid, numerics, run, exporter):
     if not args.policy_in:
         raise ConfigError("evaluate-policy requires --policy-in")
     policy = control.load_policy(args.policy_in)
-    field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics["tau"])
-    exporter.write_rows("policy_cdf.csv", _header(spec.dim),
-                        _field_rows(field.values, grid, run["slices"]))
+    field = control.evaluate_policy_cdf(policy, spec, grid, tau=numerics["tau"],
+                                        keep=_keep(run["slices"], grid))
+    exporter.write_rows("policy_cdf.csv", _header(spec.dim), _field_rows(field, grid, run["slices"]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ the previous levels of ``[W, V]`` are mixed over the modes and one
 ``StepStack.gather`` (one sparse product per level shift) gives the
 candidates of every action; ``_sweep`` owns level 0, the restricted
 seeding, the monotone clamp and the exit rows, as for the CDF and the
-bounds.  The policy iteration's Bellman pass is the same product on u.
+bounds, and stores W whole or only a ``Keep``'s slices of it; V and the
+actions are stored whole.  The policy iteration's Bellman pass is the
+same product on u.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .cdf_solver import (
     solve_cdf,
 )
 from .errors import ConfigError
-from .model import CdfField, ControlSet, Grid, MinCostField, ProblemSpec
+from .model import CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
 
@@ -270,13 +272,16 @@ def solve_threshold(
     restrict: MinCostField | None = None,
     hjb: tuple[ValueField, Policy] | None = None,
     hjb_tol: float = 1e-8,
+    keep: Keep | None = None,
 ) -> ThresholdValue:
     """Maximal success probability for every threshold level at once.
 
     The sweep needs the expectation-optimal solution for tie-breaking; it
     is computed here unless passed in.  ``restrict`` (minimal-cost field of
     the controlled problem) zeroes hopeless levels exactly and seeds the
-    first attainable one.
+    first attainable one.  W is whole (M, L, N), or with ``keep`` only that
+    keep's sheets and node columns; the companion V and the actions are
+    always whole, as a policy reads every level.
     """
     spec.require_fixed_rates()
     if spec.controls.empty:
@@ -323,7 +328,8 @@ def solve_threshold(
             v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
         return wmax[None]
 
-    (w,), clamp = _sweep(spec, grid, restrict, update, "threshold sweep", 1)
+    ((w, columns),), clamp = _sweep(spec, grid, restrict, update, "threshold sweep", 1,
+                                    max(stack.depth for stack in stacks), keep)
 
     # boundary-cell lookups read the exit-node entries; give them the law of
     # the nearest interior node instead of meaningless boundary updates
@@ -332,7 +338,8 @@ def solve_threshold(
         actions[:, :, ex] = actions[:, :, fill[ex]]
     actions.flags.writeable = False  # a policy views it, and caches what it derives from it
 
-    wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal", clamp=clamp)
+    wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal", clamp=clamp,
+                  keep=keep, columns=columns)
     return ThresholdValue(grid=grid, spec=spec, w=wf, v=v, actions=actions,
                           u=u, a_star=a_star, tau=tau)
 
@@ -355,13 +362,15 @@ def evaluate_policy_cdf(
     spec: ProblemSpec,
     grid: Grid,
     tau: float | None = None,
+    keep: Keep | None = None,
 ) -> CdfField:
     """Exit-cost CDF of a level-independent feedback policy.
 
     The policy enters the CDF sweep as its actions, one per mode and node,
-    which reduces the problem to an uncontrolled solve.  Level-dependent
-    policies have no such reduction (their success probability is
-    threshold-specific), so they must be evaluated by simulation instead.
+    which reduces the problem to an uncontrolled solve (``solve_cdf``,
+    which also reads ``keep``).  Level-dependent policies have no such
+    reduction (their success probability is threshold-specific), so they
+    must be evaluated by simulation instead.
     """
     if policy.s_dependent:
         raise ConfigError(
@@ -370,7 +379,8 @@ def evaluate_policy_cdf(
     policy.require_fits(spec)
     if tuple(policy.shape) != grid.shape:
         raise ConfigError("policy was synthesized on a different grid")
-    return solve_cdf(spec, grid, tau=tau, actions=policy.control_set.vectors[policy.actions[:, 0]])
+    return solve_cdf(spec, grid, tau=tau, actions=policy.control_set.vectors[policy.actions[:, 0]],
+                     keep=keep)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -605,10 +605,23 @@ class Grid:
         vals = np.asarray(node_values, dtype=float).reshape(-1)
         return np.einsum("cn,cn->n", w, vals[idx])
 
-    def curve(self, level_values: np.ndarray, x) -> np.ndarray:
-        """A (levels, nodes) field's values over all its levels at one spatial point."""
+    def curve(self, level_values: np.ndarray, x, nodes: np.ndarray | None = None) -> np.ndarray:
+        """A (levels, nodes) field's values over all its levels at one spatial point.
+
+        ``nodes`` names the node of each column of ``level_values`` (sorted,
+        as a sweep keeps them: ``Keep``); None means every node in order.
+        """
         idx, w = self.spatial_stencil(np.atleast_2d(np.asarray(x, dtype=float)))
-        return np.einsum("c,mc->m", w[:, 0], level_values[:, idx[:, 0]])
+        cols = idx[:, 0] if nodes is None else _positions(nodes, idx[:, 0], "stencil nodes")
+        return np.einsum("c,mc->m", w[:, 0], level_values[:, cols])
+
+
+def _positions(kept: np.ndarray, wanted, what: str) -> np.ndarray:
+    """Positions of ``wanted`` in the sorted ``kept``; a ValueError when one is not kept."""
+    wanted = np.asarray(wanted)
+    if not np.all(np.isin(wanted, kept)):
+        raise ValueError(f"{what} {np.setdiff1d(wanted, kept).tolist()} were not kept")
+    return np.searchsorted(kept, wanted)
 
 
 def _axis_counts(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray) -> list[int]:
@@ -676,6 +689,28 @@ def build_grid(
 # ---------------------------------------------------------------------------
 
 
+class Keep(NamedTuple):
+    """The slices a sweep stores of each field: whole levels, and node columns at every level.
+
+    ``levels`` (the sheets) and ``nodes`` (the curve points' interpolation
+    stencils) are sorted and distinct.  A field swept with a keep holds
+    only these: ``values`` (M, len(levels), N) and ``columns`` (M, L,
+    len(nodes)).
+    """
+
+    levels: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid, levels=(), points=()) -> "Keep":
+        """The sheet ``levels`` and every stencil node of the curve ``points``."""
+        levels = np.unique(np.asarray(levels, dtype=np.intp))
+        if levels.size and (levels[0] < 0 or levels[-1] >= grid.n_levels):
+            raise ValueError(f"sheet levels {levels.tolist()} outside 0..{grid.n_levels - 1}")
+        idx, _ = grid.spatial_stencil(np.asarray(points, dtype=float).reshape(-1, grid.dim))
+        return cls(levels, np.unique(idx))
+
+
 class CdfField:
     """Per-mode grid function W[mode, level, node] approximating a CDF.
 
@@ -684,22 +719,38 @@ class CdfField:
     (zero off the exit set, the exit-cost indicator on it).  ``clamp`` is
     the monotone clamp of the restricted sweep that produced the field
     (None when unrestricted); the fields of one rate-stacked sweep share it.
+
+    Without ``keep`` the field is whole: ``values`` is (M, L, N).  With a
+    ``Keep`` it holds that keep's slices only, ``values`` its levels and
+    ``columns`` its node columns; ``sheets`` and ``curve`` read either kind,
+    ``evaluate`` only a whole field.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, spec: ProblemSpec | None = None,
-                 tau: float | None = None, variant: str = "", clamp=None):
+                 tau: float | None = None, variant: str = "", clamp=None,
+                 keep: Keep | None = None, columns: np.ndarray | None = None):
         self.grid = grid
         self.values = values
         self.spec = spec
         self.tau = tau
         self.variant = variant
         self.clamp = clamp
+        self.keep = keep
+        self.columns = columns
 
     @property
     def n_modes(self) -> int:
         return self.values.shape[0]
 
+    def sheets(self, levels) -> np.ndarray:
+        """Every mode's values at the grid levels ``levels``: (M, len(levels), N)."""
+        if self.keep is not None:
+            levels = _positions(self.keep.levels, levels, "sheet levels")
+        return self.values[:, levels]
+
     def evaluate(self, mode: int, x, s: float) -> float:
+        if self.keep is not None:
+            raise ValueError("a field swept with a keep holds its slices only; sweep it whole")
         pt = np.atleast_2d(np.asarray(x, dtype=float))
         grid = self.grid
         if s < 0.0:
@@ -717,7 +768,9 @@ class CdfField:
 
     def curve(self, mode: int, x) -> np.ndarray:
         """CDF values over all grid levels at one spatial point."""
-        return self.grid.curve(self.values[mode], x)
+        if self.keep is None:
+            return self.grid.curve(self.values[mode], x)
+        return self.grid.curve(self.columns[mode], x, self.keep.nodes)
 
 
 class MinCostField:

@@ -26,6 +26,7 @@ checked against.
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -468,10 +469,15 @@ def per_side_bounds(spec, grid, tau=None, restrict=False):
     sides = []
     for sense, name in (("max", "upper"), ("min", "lower")):
         seed = mc.field(spec, name) if restrict else None
-        (w,), clamp = _sweep(spec, grid, seed, _side_update(stack, step_len, rb, sense),
-                             f"{name} bound sweep", 1)
+        ((w, _),), clamp = _sweep(spec, grid, seed, _side_update(stack, step_len, rb, sense),
+                                  f"{name} bound sweep", 1, stack.depth)
         sides.append((w, clamp))
     return sides
+
+
+def stacked_seed(spec, grid, rate_grid):
+    """A restricted rate sweep's seed: one s0 with every matrix's w0, as the sweep command builds it."""
+    return MinimalCost(spec, grid).stacked([(replace(spec, rates=rm), None) for rm in rate_grid])
 
 
 class _ReferenceClamp:
@@ -491,11 +497,13 @@ class _ReferenceClamp:
         return np.maximum(vals, prev)
 
 
-def reference_sweep(spec, grid, restrict, update, what, n_fields):
+def reference_sweep(spec, grid, restrict, update, what, n_fields, depth, keep=None):
     """``cdf_solver._sweep`` with its seeding, clamp and exit rows as whole-array steps per level.
 
-    Same signature and results: the F fields and the clamp (None without
-    ``restrict``).  ``what`` is not logged.
+    Same signature and results: one ``(values, columns)`` pair per field and
+    the clamp (None without ``restrict``).  Every level is stored whole and
+    read back from the whole fields, whatever ``depth`` says; ``keep`` then
+    slices them.  ``what`` is not logged.
     """
     ex = grid.exit_mask
     q_exit = exit_costs(spec, grid)
@@ -522,7 +530,9 @@ def reference_sweep(spec, grid, restrict, update, what, n_fields):
         for w, v in zip(fields, vals):
             w[:, n] = v
         prev = vals
-    return fields, clamp
+    if keep is None:
+        return [(w, None) for w in fields], clamp
+    return [(w[:, keep.levels], w[..., keep.nodes]) for w in fields], clamp
 
 
 def _reference_coupling(foot, i, up, down):

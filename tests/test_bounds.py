@@ -23,7 +23,7 @@ from pdmp_cdf.model import (
     ScalarField,
     VectorField,
 )
-from reference_solvers import per_side_bounds
+from reference_solvers import per_side_bounds, stacked_seed
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,8 @@ class TestFixedRateSweep:
         spec, grid = ex4
         rms = default_rate_grid((1.0, 4.0))
         tau = 2.0 * grid.ds
-        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
+        fields = fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=stacked_seed(spec, grid, rms))
+        for rm, field in zip(rms, fields):
             fixed = dataclasses.replace(spec, rates=rm)
             own = solve_min_cost(fixed, grid)
             plain = solve_cdf(fixed, grid, tau=tau, restrict=own)
@@ -187,7 +188,8 @@ class TestFixedRateSweep:
         # solve that computes its own min-cost field from scratch
         spec, grid = ex4
         rms = default_rate_grid((1.0, 4.0))
-        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, restrict=True)):
+        fields = fixed_rate_sweep(spec, grid, rms, restrict=stacked_seed(spec, grid, rms))
+        for rm, field in zip(rms, fields):
             fixed = dataclasses.replace(spec, rates=rm)
             own = solve_min_cost(fixed, grid)
             assert np.array_equal(field.values, solve_cdf(fixed, grid, restrict=own).values)
@@ -197,7 +199,8 @@ class TestFixedRateSweep:
         spec, grid = ex4
         rms = default_rate_grid((1.0, 2.5))
         tau = 1.6 * grid.ds
-        for rm, field in zip(rms, fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=True)):
+        fields = fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=stacked_seed(spec, grid, rms))
+        for rm, field in zip(rms, fields):
             fixed = dataclasses.replace(spec, rates=rm)
             own = solve_min_cost(fixed, grid)
             assert np.array_equal(field.values,
@@ -213,7 +216,8 @@ class TestFixedRateSweep:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cdf_solver.SemiLagrangianStep, "__init__", counting)
-        fields = fixed_rate_sweep(spec, grid, default_rate_grid(), restrict=True)
+        fields = fixed_rate_sweep(spec, grid, default_rate_grid(),
+                                  restrict=stacked_seed(spec, grid, default_rate_grid()))
         assert len(fields) == 16
         assert sorted(built) == list(range(spec.n_modes))
 
@@ -221,7 +225,8 @@ class TestFixedRateSweep:
         # one array per field, as separate solves allocate them, so a sweep
         # can reuse memory freed by earlier work; one clamp counts every matrix
         spec, grid = ex4
-        fields = fixed_rate_sweep(spec, grid, default_rate_grid((1.0, 4.0)), restrict=True)
+        rms = default_rate_grid((1.0, 4.0))
+        fields = fixed_rate_sweep(spec, grid, rms, restrict=stacked_seed(spec, grid, rms))
         for field in fields:
             assert field.values.shape == (spec.n_modes, grid.n_levels, grid.n_nodes)
             assert field.values.flags.owndata and field.values.flags.c_contiguous
@@ -238,7 +243,7 @@ class TestFixedRateSweep:
                RateMatrix.uniform(4, 6.66), RateMatrix(20.0 * np.roll(np.eye(4), 1, axis=1))]
         stacked = MinimalCost(spec, grid).stacked(
             [(dataclasses.replace(spec, rates=rm), None) for rm in rms])
-        fields = fixed_rate_sweep(spec, grid, rms, restrict=True)
+        fields = fixed_rate_sweep(spec, grid, rms, restrict=stacked)
         for r, (rm, field) in enumerate(zip(rms, fields)):
             fixed = dataclasses.replace(spec, rates=rm)
             own = solve_min_cost(fixed, grid)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import logging
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from pdmp_cdf.control import solve_hjb_expectation, solve_threshold
 from pdmp_cdf.model import (
     ControlSet,
     ExitSpec,
+    Keep,
     MinCostField,
     ModeSpec,
     ProblemSpec,
@@ -45,6 +47,7 @@ from reference_solvers import (
     reference_sweep,
     reference_w0_ordered,
     solve_expected,
+    stacked_seed,
 )
 
 
@@ -742,7 +745,7 @@ class TestSameAnswersAsTheReferenceLoops:
 
     @pytest.mark.parametrize("restrict", [False, True], ids=["plain", "restricted"])
     @pytest.mark.parametrize("case", ["example1", "example2", "example3", "example4",
-                                      "sweep16", "bounds", "threshold5"])
+                                      "sweep16", "sweep16_two_levels", "bounds", "threshold5"])
     def test_sweeps_equal_the_whole_array_sweep(self, monkeypatch, case, restrict):
         if case in ("example1", "example2", "example3", "example4"):
             spec = self._ex4_fixed() if case == "example4" else catalog.builtin(case)
@@ -751,12 +754,16 @@ class TestSameAnswersAsTheReferenceLoops:
 
             def solve():
                 return [solve_cdf(spec, grid, restrict=mc)]
-        elif case == "sweep16":
+        elif case.startswith("sweep16"):
+            # at tau = 1.6 ds every step reads two levels back, so the sweep's ring holds two
             spec = catalog.example4()
             grid = build_grid(spec, 0.01, 0.01, 1.0)
+            tau = 1.6 * grid.ds if case == "sweep16_two_levels" else None
 
             def solve():
-                return fixed_rate_sweep(spec, grid, default_rate_grid(), restrict=restrict)
+                rms = default_rate_grid()
+                seed = stacked_seed(spec, grid, rms) if restrict else None
+                return fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=seed)
         elif case == "bounds":
             spec = catalog.example4()
             grid = build_grid(spec, 0.01, 0.01, 1.0)
@@ -838,3 +845,98 @@ class TestSameAnswersAsTheReferenceLoops:
             patch.setattr(cdf_solver, "_w0_ordered", reference_w0_ordered)
             want = mc.stacked([(spec, None)]).w0
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _slice_requests(draw, grid):
+    """Sheet levels and curve points: on nodes, between them, and pairs in one cell."""
+    levels = draw(st.lists(st.integers(0, grid.n_levels - 1), max_size=3))
+    fractions = st.sampled_from([0.0, 0.3, 0.5, 1.0])  # 0 and 1 are nodes
+    points = []
+    for _ in range(draw(st.integers(0, 2))):
+        cell = [draw(st.integers(0, n - 2)) for n in grid.shape]
+        for _ in range(draw(st.integers(1, 2))):  # a second point shares the first one's stencil
+            points.append([grid.lo[a] + (c + draw(fractions)) * grid.dx[a]
+                           for a, c in enumerate(cell)])
+    return levels, points
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_slices_case(case: str, restrict: bool):
+    """A sweep case of ``TestKeptSlices``: (spec, grid, solve), ``solve(keep)`` giving its fields.
+
+    The seed and the tie-breaking HJB solve are made once per case.
+    """
+    spec = {"cdf1": catalog.example2, "cdf2d": catalog.example3,
+            "threshold5": catalog.example5}.get(case, catalog.example4)()
+    dx, ds, s_max = {"cdf2d": (0.1, 0.05, 1.0), "threshold5": (0.02, 0.01, 0.6)}.get(
+        case, (0.02, 0.02, 1.0))
+    grid = build_grid(spec, dx, ds, s_max)
+    rms = default_rate_grid()
+    seed = None if not restrict else (
+        solve_min_cost_bounds(spec, grid) if case == "bounds"
+        else stacked_seed(spec, grid, rms) if case.startswith("sweep16")
+        else solve_min_cost(spec, grid))
+    if case in ("cdf1", "cdf2d"):
+        def solve(keep):
+            return [solve_cdf(spec, grid, restrict=seed, keep=keep)]
+    elif case == "bounds":
+        def solve(keep):
+            pair = solve_bounds(spec, grid, restrict=seed, keep=keep)
+            return [pair.upper, pair.lower]
+    elif case == "threshold5":
+        hjb = solve_hjb_expectation(spec, grid)
+
+        def solve(keep):
+            return [solve_threshold(spec, grid, restrict=seed, hjb=hjb, keep=keep).w]
+    else:
+        tau = 1.6 * grid.ds if case == "sweep16_two_levels" else None
+
+        def solve(keep):
+            return fixed_rate_sweep(spec, grid, rms, tau=tau, restrict=seed, keep=keep)
+    return spec, grid, solve, solve(None)
+
+
+class TestKeptSlices:
+    """A sweep given a ``Keep`` stores exactly the whole sweep's slices, byte for byte."""
+
+    CASES = ["cdf1", "cdf2d", "bounds", "sweep16", "sweep16_two_levels", "threshold5"]
+
+    @pytest.mark.parametrize("restrict", [False, True], ids=["plain", "restricted"])
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_kept_slices_equal_the_whole_fields(self, case, restrict, data):
+        spec, grid, solve, whole = _kept_slices_case(case, restrict)
+        levels, points = data.draw(_slice_requests(grid))
+        keep = Keep.of(grid, levels, points)
+        kept = solve(keep)
+        assert len(kept) == len(whole) and len(whole) in (1, 2, 16)
+        for k, w in zip(kept, whole):
+            assert k.values.shape == (spec.n_modes, keep.levels.size, grid.n_nodes)
+            assert k.values.tobytes() == w.values[:, keep.levels].tobytes()
+            assert k.columns.tobytes() == w.values[..., keep.nodes].tobytes()
+            assert k.sheets(levels).tobytes() == w.sheets(levels).tobytes()
+            for pt in points:
+                for i in range(spec.n_modes):
+                    assert k.curve(i, pt).tobytes() == w.curve(i, pt).tobytes()
+            if restrict:
+                assert (k.clamp.count, k.clamp.largest) == (w.clamp.count, w.clamp.largest)
+
+    def test_the_two_level_case_reads_two_levels_back(self):
+        spec, grid, *_ = _kept_slices_case("sweep16_two_levels", False)
+        steps, _ = cdf_solver._mode_steps(spec, grid, 1.6 * grid.ds)
+        stack = cdf_solver.StepStack(steps, diagonal=True, rates=default_rate_grid())
+        assert stack.depth == 2 and [parts for _, parts, _ in stack.level_ops] == [2]
+
+    def test_slices_that_were_not_kept_are_refused(self):
+        spec, grid, *_ = _kept_slices_case("cdf1", False)
+        field = solve_cdf(spec, grid, keep=Keep.of(grid, [3], [[0.5]]))
+        with pytest.raises(ValueError):
+            field.sheets([4])
+        with pytest.raises(ValueError):
+            field.curve(0, [0.3])
+        with pytest.raises(ValueError):
+            field.evaluate(0, [0.5], 0.1)
+        with pytest.raises(ValueError):
+            Keep.of(grid, [grid.n_levels])

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from pdmp_cdf.model import (
     VectorField,
 )
 from reference_config import serialize_problem
+from reference_solvers import stacked_seed
 
 
 def specs_equal(a, b) -> bool:
@@ -309,8 +311,8 @@ class TestCommands:
         assert manifest["clamp"] == {"count": count, "largest": largest}
         spec, grid, *_ = load_problem("example4", {"numerics": {"dx": 0.02, "ds": 0.02,
                                                                "s_max": 0.5}})
-        clamp = bounds.fixed_rate_sweep(spec, grid, default_rate_grid((1.0, 4.0)),
-                                        restrict=True)[0].clamp
+        rms = default_rate_grid((1.0, 4.0))
+        clamp = bounds.fixed_rate_sweep(spec, grid, rms, restrict=stacked_seed(spec, grid, rms))[0].clamp
         assert (clamp.count, clamp.largest) == (count, largest) and count > 0
         doc = {"schema_version": 1, "problem": "example4",
                "numerics": {"dx": 0.02, "ds": 0.02, "s_max": 0.5},
@@ -325,6 +327,7 @@ class TestCommands:
         ("solve-cdf", "example2", {"dx": 0.02, "ds": 0.02, "s_max": 1.0}),
         ("bounds", "example4", {"dx": 0.02, "ds": 0.02, "s_max": 1.0}),
         ("threshold", "example5", {"dx": 0.02, "ds": 0.01, "s_max": 0.8}),
+        ("sweep", "example4", {"dx": 0.02, "ds": 0.02, "s_max": 1.0}),
     ])
     @pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "plain"])
     def test_sweep_manifests_report_the_clamp_and_min_cost_counters(
@@ -341,6 +344,10 @@ class TestCommands:
         elif command == "bounds":
             mc = bounds.solve_min_cost_bounds(spec, grid) if restrict else None
             clamp = bounds.solve_bounds(spec, grid, restrict=mc).lower.clamp
+        elif command == "sweep":
+            rms = default_rate_grid()
+            mc = stacked_seed(spec, grid, rms) if restrict else None
+            clamp = bounds.fixed_rate_sweep(spec, grid, rms, restrict=mc)[0].clamp
         else:
             mc = solve_min_cost(spec, grid) if restrict else None
             clamp = control.solve_threshold(spec, grid, restrict=mc).w.clamp
@@ -1048,6 +1055,37 @@ def fresh_python(code: str, *args: str) -> str:
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+class TestSweepMemory:
+    """A sweep holds the levels it reads back and the slices its command exports, no whole field."""
+
+    @staticmethod
+    def _peak(argv, out) -> int:
+        """Peak traced bytes of one command, after a first run has made the imports and caches."""
+        assert main([*argv, "--out", str(out / "first")]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(out / "traced")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _whole_field_bytes(name, numerics) -> int:
+        spec, grid, *_ = load_problem(name, {"numerics": numerics})
+        return spec.n_modes * grid.n_levels * grid.n_nodes * 8
+
+    def test_sweep_peaks_below_its_sixteen_whole_fields(self, tmp_path):
+        argv = ["sweep", "--problem", "example4", "--dx", "1e-2", "--ds", "1e-2",
+                "--slice", "s=0.5", "--slice", "x=0.3"]
+        whole = self._whole_field_bytes("example4", {"dx": 1e-2, "ds": 1e-2})
+        assert self._peak(argv, tmp_path) < 16 * whole
+
+    def test_solve_cdf_peaks_below_one_whole_field(self, tmp_path):
+        argv = ["solve-cdf", "--problem", "example1", "--slice", "s=0.25,0.5,0.75,1.0",
+                "--slice", "x=0.3,0.7"]
+        assert self._peak(argv, tmp_path) < self._whole_field_bytes("example1", {})
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

@@ -1,5 +1,6 @@
 """The same-answers tool (tools/same_answers.py) at the benchmark's tiny size."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,15 @@ sys.path.insert(0, str(ROOT / "tools"))
 import same_answers  # noqa: E402
 
 
-def test_a_tree_against_itself_reports_nothing():
+def test_a_tree_against_itself_reports_nothing(capsys):
     assert same_answers.compare(ROOT / "src", ROOT / "src", sizes=["tiny"]) == []
+    # and one peak-RSS line per workload, from each tree's own process
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" peak RSS: ")[0] for line in lines] == [
+        f"{workload}/tiny" for workload in same_answers.WORKLOADS]
+    for line in lines:
+        old, new = (float(v) for v in re.findall(r"(?:old|new) ([0-9.]+) MB", line))
+        assert old > 10.0 and new > 10.0
 
 
 def test_a_changed_tree_reports_exactly_what_changed(tmp_path):

@@ -13,7 +13,10 @@ records its argv and exit code; ``perfbench/`` is imported, never edited,
 and no check is run.  Exit codes and the SHA-256 of every output file
 except ``manifest.json`` (which holds wall times) are compared, and every
 difference is printed with the argv of the command that wrote the file.
-Exit status: 0 when nothing differs, 1 when something does, 2 on a usage
+Each process also reports its own peak resident set size (``ru_maxrss``,
+in MB of 10**6 bytes, as the benchmark's ``peak_rss_mb``), and one line
+per workload and size prints both trees' peaks, so one run shows the
+same answers and the memory change.  Exit status: 0 when nothing differs, 1 when something does, 2 on a usage
 or git error.  This is differential testing (McKeeman, Digital Technical
 Journal 10(1), 1998): two revisions are compared live, nothing is stored.
 """
@@ -24,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -72,7 +76,7 @@ def run_command(main, argv: list[str]) -> int:
 
 
 def collect(workload: str, size: str, work: Path, seed: int) -> dict:
-    """Run one workload's set-up and round in this process; their records and file digests."""
+    """Run one workload's set-up and round in this process: records, file digests, peak RSS."""
     import workloads
     from pdmp_cdf import cli
 
@@ -95,7 +99,8 @@ def collect(workload: str, size: str, work: Path, seed: int) -> dict:
     for rec in records:
         rec["out"] = Path(rec["out"]).relative_to(work).as_posix()
         rec["argv"] = [arg.replace(str(work), "{work}") for arg in rec["argv"]]
-    return {"records": records, "files": files}
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # ru_maxrss is KiB
+    return {"records": records, "files": files, "peak_rss_mb": peak_mb}
 
 
 def run_tree(src: Path, workload: str, size: str, seed: int) -> dict:
@@ -145,13 +150,19 @@ def differences(old: dict, new: dict) -> list[str]:
 
 
 def compare(old_src: Path, new_src: Path, workloads=WORKLOADS, sizes=SIZES) -> list[str]:
-    """Differences of the new tree's outputs from the old tree's, each prefixed workload/size."""
+    """Differences of the new tree's outputs from the old tree's, each prefixed workload/size.
+
+    Prints each workload and size's peak RSS under both trees as it goes.
+    """
     found = []
     for size in sizes:
         for workload in workloads:
             old = run_tree(old_src, workload, size, SEED)
             new = run_tree(new_src, workload, size, SEED)
             found += [f"{workload}/{size} {d}" for d in differences(old, new)]
+            a, b = old["peak_rss_mb"], new["peak_rss_mb"]
+            print(f"{workload}/{size} peak RSS: old {a:.1f} MB, new {b:.1f} MB ({b / a - 1:+.1%})",
+                  flush=True)
     return found
 
 
