@@ -7,7 +7,7 @@ prints.
 
 import logging
 
-from .errors import ConfigError, ConvergenceError, NumericsError, PdmpError, SingularSystemError
+from .errors import ConfigError, ConvergenceError, NumericsError, PdmpError
 from .model import (
     CdfField,
     ControlSet,
@@ -35,5 +35,5 @@ __all__ = [
     "ProblemSpec", "RateBounds", "RateMatrix", "ScalarField", "VectorField",
     "build_grid", "cfl_max_ds", "transition_probabilities",
     "bounds", "catalog", "cdf_solver", "control", "discrete", "simulate",
-    "ConfigError", "ConvergenceError", "NumericsError", "PdmpError", "SingularSystemError",
+    "ConfigError", "ConvergenceError", "NumericsError", "PdmpError",
 ]

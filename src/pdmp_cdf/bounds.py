@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf_solver import MinimalCost, StepStack, _mode_steps, _solve_cdfs, _sweep
+from .cdf_solver import MinimalCost, StepStack, _mode_steps, _solve_cdfs, _sweep, exit_costs
 from .errors import ConfigError, NumericsError
 from .model import CdfField, Grid, Keep, MinCostField, ProblemSpec, RateBounds, RateMatrix
 
@@ -111,11 +111,10 @@ def solve_bounds(
     del steps
     step_len = np.full(stack.n_nodes * spec.n_modes, tau)
     step_len[stack.cap_rows] = stack.cap_theta_tau
-    fields, clamp = _sweep(spec, grid, restrict, _bound_update(stack, step_len, rb), "bound sweep",
-                           2, stack.depth, keep)
-    upper, lower = (CdfField(grid, values, spec=spec, tau=tau, variant=f"rate-bounds-{name}",
-                             clamp=clamp, keep=keep, columns=columns)
-                    for (values, columns), (_, name) in zip(fields, _SIDES))
+    fields, clamp = _sweep(grid.exit_mask, exit_costs(spec, grid), grid.ds, grid.n_levels, restrict,
+                           _bound_update(stack, step_len, rb), "bound sweep", 2, stack.depth, keep)
+    upper, lower = (CdfField(grid, values, spec=spec, tau=tau, clamp=clamp, keep=keep,
+                             columns=columns) for values, columns in fields)
     return BoundPair(lower=lower, upper=upper)
 
 

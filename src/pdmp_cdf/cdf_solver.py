@@ -38,7 +38,9 @@ leading field axis, mixing its own bang-bang rates; the threshold sweep
 is ``_sweep``'s one-field case.  The fixed-rate and bound sweeps share
 one set-up, ``_mode_steps``.  A policy enters a step only as actions
 (``VectorField.at``, the one velocity rule): one per step for the
-actions of a mode, one per node for a frozen policy.
+actions of a mode, one per node for a frozen policy.  The routed graph's
+CDF (``discrete.solve_cdf``) runs through ``_sweep`` too, with one-point
+stencils that it gathers without scipy.
 
 On the grids in use a level costs numpy calls more than arithmetic, so
 the per-level work is a fixed handful of whole-array calls, each giving
@@ -526,24 +528,28 @@ def _solve_cdfs(
         return np.ascontiguousarray(vals.T).reshape(n_rates, spec.n_modes, grid.n_nodes)
 
     matrices = "matrix" if n_rates == 1 else "matrices"
-    fields, clamp = _sweep(spec, grid, restrict, update,
-                           f"CDF sweep over {n_rates} rate {matrices}", n_rates, stack.depth, keep)
+    fields, clamp = _sweep(grid.exit_mask, exit_costs(spec, grid), grid.ds, grid.n_levels, restrict,
+                           update, f"CDF sweep over {n_rates} rate {matrices}", n_rates,
+                           stack.depth, keep)
     return [CdfField(grid, values, spec=spec if rm is spec.rates else replace(spec, rates=rm),
-                     tau=tau, variant="fixed-rates", clamp=clamp, keep=keep, columns=columns)
+                     tau=tau, clamp=clamp, keep=keep, columns=columns)
             for (values, columns), rm in zip(fields, rates)]
 
 
-def _sweep(spec, grid, restrict, update, what: str, n_fields: int, depth: int,
-           keep: Keep | None = None):
+def _sweep(exit_mask: np.ndarray, q_exit: np.ndarray, ds: float, n_levels: int, restrict,
+           update, what: str, n_fields: int, depth: int, keep: Keep | None = None):
     """Causal upward sweep of ``n_fields`` fields; ``update(level, n)`` gives their level n.
 
     ``level(k)`` holds every field's level k and the update returns level n,
     both (F, M, N): the rate matrices of a rate-stacked CDF sweep, the
-    bound sweep's two envelopes or the threshold sweep's one field.  The
-    update's array is the sweep's to change in place; the update must not
-    change what ``level`` gives it.  The seeding uses one ``first_level``
-    with ``restrict.w0``, one (M, N) seed for every field or one per field,
-    stacked (F, M, N).
+    bound sweep's two envelopes, the threshold sweep's one field or the
+    routed graph's (``discrete.solve_cdf``).  Of the problem the sweep
+    reads only the N-node ``exit_mask``, every mode's exit costs at those
+    nodes (``q_exit``, (M, n_exit)), the threshold spacing ``ds`` and the
+    level count ``n_levels``.  The update's array is the sweep's to change
+    in place; the update must not change what ``level`` gives it.  The
+    seeding uses one ``first_level`` with ``restrict.w0``, one (M, N) seed
+    for every field or one per field, stacked (F, M, N).
 
     What the sweep holds: the levels the update reads back, n - depth to
     n - 1, in a ring of the update's own arrays, so reading them costs no
@@ -569,11 +575,11 @@ def _sweep(spec, grid, restrict, update, what: str, n_fields: int, depth: int,
     in place.  Returns one ``(values, columns)`` pair per field (columns
     None without ``keep``) and the clamp (None without ``restrict``).
     """
-    m, n_levels, n_nodes = spec.n_modes, grid.n_levels, grid.n_nodes
-    ex = np.flatnonzero(grid.exit_mask)
-    reach, none = exit_costs(spec, grid) - 1e-15, np.zeros(m)
-    exit_rows = _Stepwise(_switch_levels(grid.ds, none, reach, n_levels),
-                          lambda n: _switched_on(n, grid.ds, none, reach).astype(float))
+    m, n_nodes = q_exit.shape[0], exit_mask.size
+    ex = np.flatnonzero(exit_mask)
+    reach, none = q_exit - 1e-15, np.zeros(m)
+    exit_rows = _Stepwise(_switch_levels(ds, none, reach, n_levels),
+                          lambda n: _switched_on(n, ds, none, reach).astype(float))
     kept = range(n_levels) if keep is None else keep.levels.tolist()
     slot = {k: i for i, k in enumerate(kept)}  # level -> its index in the stored values
     fields = [np.zeros((m, len(kept), n_nodes)) for _ in range(n_fields)]

@@ -44,11 +44,12 @@ from .cdf_solver import (
     _sweep,
     causal_tau,
     check_causality,
+    exit_costs,
     policy_iteration,
     solve_cdf,
 )
 from .errors import ConfigError
-from .model import CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec
+from .model import GEOM_RTOL, CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
 
@@ -133,9 +134,14 @@ class Policy:
         return self.action_index_at_cell(mode, s_cell, flat)
 
     def require_fits(self, spec: ProblemSpec) -> None:
-        """Reject a policy whose dimension, mode count or controls differ from the problem's."""
+        """Reject a policy whose dimension, domain, mode count or controls differ from the problem's."""
         if len(self.shape) != spec.dim:
             raise ConfigError(f"policy is {len(self.shape)}D but the problem is {spec.dim}D")
+        hi = self.lo + self.dx * (np.array(self.shape) - 1)
+        tol = GEOM_RTOL * (spec.hi - spec.lo)
+        if np.any(np.abs(self.lo - spec.lo) > tol) or np.any(np.abs(hi - spec.hi) > tol):
+            raise ConfigError(f"policy covers {self.lo.tolist()} to {hi.tolist()} but the "
+                              f"problem's domain is {spec.lo.tolist()} to {spec.hi.tolist()}")
         if self.actions.shape[0] != spec.n_modes:
             raise ConfigError(f"policy has {self.actions.shape[0]} modes but the problem "
                               f"has {spec.n_modes}")
@@ -271,7 +277,6 @@ def solve_threshold(
     tau: float | None = None,
     restrict: MinCostField | None = None,
     hjb: tuple[ValueField, Policy] | None = None,
-    hjb_tol: float = 1e-8,
     keep: Keep | None = None,
 ) -> ThresholdValue:
     """Maximal success probability for every threshold level at once.
@@ -287,7 +292,7 @@ def solve_threshold(
     if spec.controls.empty:
         raise ConfigError("threshold synthesis needs a nonempty control set")
     if hjb is None:
-        hjb = solve_hjb_expectation(spec, grid, tol=hjb_tol)
+        hjb = solve_hjb_expectation(spec, grid)
     value, exp_policy = hjb
     u = value.u
     a_star = exp_policy.fallback
@@ -328,7 +333,8 @@ def solve_threshold(
             v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
         return wmax[None]
 
-    ((w, columns),), clamp = _sweep(spec, grid, restrict, update, "threshold sweep", 1,
+    ((w, columns),), clamp = _sweep(ex, exit_costs(spec, grid), grid.ds, grid.n_levels, restrict,
+                                    update, "threshold sweep", 1,
                                     max(stack.depth for stack in stacks), keep)
 
     # boundary-cell lookups read the exit-node entries; give them the law of
@@ -338,8 +344,7 @@ def solve_threshold(
         actions[:, :, ex] = actions[:, :, fill[ex]]
     actions.flags.writeable = False  # a policy views it, and caches what it derives from it
 
-    wf = CdfField(grid, w, spec=spec, tau=tau, variant="threshold-optimal", clamp=clamp,
-                  keep=keep, columns=columns)
+    wf = CdfField(grid, w, spec=spec, tau=tau, clamp=clamp, keep=keep, columns=columns)
     return ThresholdValue(grid=grid, spec=spec, w=wf, v=v, actions=actions,
                           u=u, a_star=a_star, tau=tau)
 
@@ -423,18 +428,26 @@ def save_policy(policy: Policy, path: str) -> None:
 
 
 def load_policy(path: str) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != POLICY_FORMAT:
-        raise ConfigError(f"not a policy file (format {doc.get('format')!r})")
-    if "n_modes" not in doc:
-        raise ConfigError("policy file does not state its mode count (n_modes)")
-    g = doc["grid"]
-    shape = tuple(int(v) for v in g["shape"])
-    n_modes, n_levels, n_nodes = int(doc["n_modes"]), int(g["n_levels"]), int(np.prod(shape))
-    cs = _control_from_json(doc["control_set"])
-    actions = np.frombuffer(base64.b64decode(doc["actions_b64"]), dtype="<i2")
-    fallback = np.frombuffer(base64.b64decode(doc["fallback_b64"]), dtype="<i2")
+    """Read a policy file; a document that is not one or lacks a key is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != POLICY_FORMAT:
+            raise ConfigError(f"{path} is not a {POLICY_FORMAT} policy file")
+        g = doc["grid"]
+        shape = tuple(int(v) for v in g["shape"])
+        n_modes, n_levels, n_nodes = int(doc["n_modes"]), int(g["n_levels"]), int(np.prod(shape))
+        cs = _control_from_json(doc["control_set"])
+        actions = np.frombuffer(base64.b64decode(doc["actions_b64"]), dtype="<i2")
+        fallback = np.frombuffer(base64.b64decode(doc["fallback_b64"]), dtype="<i2")
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"policy file {path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"policy file {path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"policy file {path} is malformed: {exc}") from None
     if actions.size != n_modes * n_levels * n_nodes or fallback.size != n_modes * n_nodes:
         raise ConfigError(f"policy arrays do not hold {n_modes} modes x {n_levels} levels "
                           f"x {n_nodes} nodes")

@@ -2,8 +2,8 @@
 
 A deterministic route is a feedback map F_i on the node set; after every
 step the active route may switch with known probabilities.  This module
-computes the full cost CDF (single upward sweep over thresholds), the
-minimal attainable cost with its attainment probability (``label_setting``,
+computes the full cost CDF (the grid solvers' upward sweep over thresholds),
+the minimal attainable cost with its attainment probability (``label_setting``,
 the package's one shortest-path routine, on the extended node-route graph),
 and an exact forward-propagation oracle used to verify both.
 """
@@ -86,29 +86,19 @@ class DiscreteCdf:
     def s_levels(self) -> np.ndarray:
         return np.arange(self.n_levels) * self.ds
 
-    def at(self, route: int, node: int, s: float) -> float:
-        if s < 0.0:
-            return 0.0
-        n = min(int(math.floor(s / self.ds + 1e-12)), self.n_levels - 1)
-        return float(self.values[route, n, node])
-
-
-def _bc_values(g: RoutedGraph, s: float) -> np.ndarray:
-    """Boundary/initial values at threshold s: indicator on exit nodes, else 0."""
-    vals = np.zeros((g.n_routes, g.n_nodes))
-    ex = g.exit_mask
-    vals[:, ex] = (s >= g.exit_costs[:, ex] - 1e-15).astype(float)
-    return vals
-
 
 def solve_cdf(g: RoutedGraph, s_max: float, ds: float = 1.0) -> DiscreteCdf:
-    """Cost CDF by one upward sweep over thresholds.
+    """Cost CDF by one upward sweep over thresholds, ``cdf_solver._sweep``.
 
-    Each level reads only strictly lower levels (step costs are positive),
-    so no iteration is needed.  Step costs that fall between levels are
-    resolved by linear interpolation in the threshold, which requires
-    every step cost to be at least ``ds``.
+    A route step is a one-point stencil: route i at a live node k reads its
+    successor ``shift`` = ceil(K_i(k) / ds) levels below, with weight ``hi_w``
+    on the level above (linear interpolation, which needs every step cost to
+    be at least ``ds``; a whole shift below level 0 reads zero), and mixes
+    the source routes by p_ij in route order.  The past levels sit in one
+    array, so a level is one gather of every row, whatever the shifts.
     """
+    from .cdf_solver import _sweep  # cdf_solver imports label_setting from here
+
     if ds <= 0.0:
         raise NumericsError("threshold spacing must be positive")
     min_k = float(g.step_costs[:, ~g.exit_mask].min()) if np.any(~g.exit_mask) else ds
@@ -119,36 +109,32 @@ def solve_cdf(g: RoutedGraph, s_max: float, ds: float = 1.0) -> DiscreteCdf:
             f"smallest step cost {min_k:.6g} is below the threshold spacing {ds:.6g}; "
             "the sweep would not be causal"
         )
-    n_levels = int(round(s_max / ds)) + 1
     m, n = g.n_routes, g.n_nodes
-    w = np.zeros((m, n_levels, n))
-    for lvl in range(n_levels):
-        w[:, lvl, g.exit_mask] = _bc_values(g, lvl * ds)[:, g.exit_mask]
+    rows = np.flatnonzero(np.tile(~g.exit_mask, m))  # live (route, node) rows i * n + k
+    offs = g.step_costs.ravel()[rows] / ds
+    shift = np.ceil(offs - 1e-12).astype(int)
+    hi_w = np.where(shift - offs > 1e-12, shift - offs, 0.0)
+    hi_shift = np.maximum(shift - 1, 1)  # the level above, but never the level being swept
+    depth = int(shift.max(initial=1))
+    past = np.zeros((depth, m, n))  # level k at k % depth; one not yet swept (below 0) reads 0
+    cols = np.arange(m)[:, None] * n + g.successors.ravel()[rows]  # (M, rows): (j, successor)
+    probs = g.switch_probs[rows // n].T  # (M, rows): p_ij of each row's route i
 
-    interior = ~g.exit_mask
-    # per (route, node): reading position lvl - offset with interpolation
-    offs = g.step_costs / ds
-    lo_shift = np.ceil(offs - 1e-12).astype(int)  # lower level distance
-    hi_w = np.where(lo_shift - offs > 1e-12, lo_shift - offs, 0.0)  # weight on lvl - lo_shift + 1
+    def read(levels: np.ndarray) -> np.ndarray:
+        return past.reshape(-1)[levels % depth * (m * n) + cols]
 
-    for lvl in range(1, n_levels):
-        for i in range(m):
-            # value at the successor node with threshold lvl*ds - K_i
-            succ = g.successors[i]
-            lo_lvl = lvl - lo_shift[i]
-            hi_lvl = lo_lvl + 1
-            # thresholds below zero take the flat zero extension, not a
-            # partial interpolation against level zero
-            lo_ok = lo_lvl >= 0
-            hi_ok = lo_ok & (hi_w[i] > 0.0)
-            vals = np.zeros(n)
-            for j in range(m):
-                # index the successors' levels directly: no (levels, nodes) copy per route pair
-                contrib = np.zeros(n)
-                contrib[lo_ok] = (1.0 - hi_w[i][lo_ok]) * w[j, lo_lvl[lo_ok], succ[lo_ok]]
-                contrib[hi_ok] += hi_w[i][hi_ok] * w[j, np.minimum(hi_lvl[hi_ok], lvl - 1), succ[hi_ok]]
-                vals += g.switch_probs[i, j] * contrib
-            w[i, lvl, interior] = vals[interior]
+    def update(level, lvl: int) -> np.ndarray:
+        past[(lvl - 1) % depth] = level(lvl - 1)[0]
+        x = read(lvl - shift)
+        if hi_w.any():
+            hi = np.where(shift <= lvl, hi_w, 0.0)  # a whole shift below level 0 reads zero
+            x = (1.0 - hi) * x + hi * read(lvl - hi_shift)
+        vals = np.zeros((1, m, n))
+        vals.reshape(-1)[rows] = sum(pj * xj for pj, xj in zip(probs, x))  # in route order
+        return vals
+
+    ((w, _),), _ = _sweep(g.exit_mask, g.exit_costs[:, g.exit_mask], ds,
+                          int(round(s_max / ds)) + 1, None, update, "graph CDF sweep", 1, 1)
     return DiscreteCdf(w, ds)
 
 

@@ -19,7 +19,3 @@ class ConvergenceError(PdmpError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class SingularSystemError(PdmpError):
-    """A linear system has no usable solution (process may never terminate)."""

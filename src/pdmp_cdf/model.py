@@ -552,7 +552,6 @@ class Grid:
         self.n_nodes = int(np.prod(self.shape))
         self.hi = self.lo + self.dx * (np.array(self.shape) - 1)
         axes = [self.lo[a] + self.dx[a] * np.arange(self.shape[a]) for a in range(self.dim)]
-        self.axes = axes
         mesh = np.meshgrid(*axes, indexing="ij")
         self.points = np.column_stack([m.reshape(-1) for m in mesh])
         self.points.setflags(write=False)
@@ -727,13 +726,12 @@ class CdfField:
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, spec: ProblemSpec | None = None,
-                 tau: float | None = None, variant: str = "", clamp=None,
-                 keep: Keep | None = None, columns: np.ndarray | None = None):
+                 tau: float | None = None, clamp=None, keep: Keep | None = None,
+                 columns: np.ndarray | None = None):
         self.grid = grid
         self.values = values
         self.spec = spec
         self.tau = tau
-        self.variant = variant
         self.clamp = clamp
         self.keep = keep
         self.columns = columns

@@ -4,6 +4,9 @@ The per-route cost without switching, the expected cost by one dense
 linear solve, and the minimal cost with its attainment probability by a
 fixed-point iteration.  They share only `RoutedGraph` with the package, so
 a test against them checks the package's solvers and not a copy of them.
+`reference_graph_cdf` is the graph CDF as its own level loop, route by
+route and source route by source route; ``discrete.solve_cdf``, which runs
+through ``cdf_solver._sweep``, must equal it bit for bit.
 """
 
 import math
@@ -11,7 +14,51 @@ import math
 import numpy as np
 
 from pdmp_cdf.discrete import UNREACHABLE, RoutedGraph
-from pdmp_cdf.errors import SingularSystemError
+from pdmp_cdf.errors import PdmpError
+
+
+class SingularSystemError(PdmpError):
+    """A linear system has no usable solution (process may never terminate)."""
+
+
+def reference_graph_cdf(g: RoutedGraph, s_max: float, ds: float = 1.0) -> np.ndarray:
+    """The graph CDF w[route, level, node] by a plain upward loop over the levels.
+
+    Exit rows hold the indicator of ``s >= exit cost``; route i at node k
+    reads its successor at threshold s - K_i(k), interpolated linearly
+    between levels, and a whole shift below level 0 reads zero.
+    """
+    n_levels = int(round(s_max / ds)) + 1
+    m, n = g.n_routes, g.n_nodes
+    w = np.zeros((m, n_levels, n))
+    ex = g.exit_mask
+    for lvl in range(n_levels):
+        w[:, lvl, ex] = (lvl * ds >= g.exit_costs[:, ex] - 1e-15).astype(float)
+
+    interior = ~g.exit_mask
+    # per (route, node): reading position lvl - offset with interpolation
+    offs = g.step_costs / ds
+    lo_shift = np.ceil(offs - 1e-12).astype(int)  # lower level distance
+    hi_w = np.where(lo_shift - offs > 1e-12, lo_shift - offs, 0.0)  # weight on lvl - lo_shift + 1
+
+    for lvl in range(1, n_levels):
+        for i in range(m):
+            # value at the successor node with threshold lvl*ds - K_i
+            succ = g.successors[i]
+            lo_lvl = lvl - lo_shift[i]
+            hi_lvl = lo_lvl + 1
+            # thresholds below zero take the flat zero extension, not a
+            # partial interpolation against level zero
+            lo_ok = lo_lvl >= 0
+            hi_ok = lo_ok & (hi_w[i] > 0.0)
+            vals = np.zeros(n)
+            for j in range(m):
+                contrib = np.zeros(n)
+                contrib[lo_ok] = (1.0 - hi_w[i][lo_ok]) * w[j, lo_lvl[lo_ok], succ[lo_ok]]
+                contrib[hi_ok] += hi_w[i][hi_ok] * w[j, np.minimum(hi_lvl[hi_ok], lvl - 1), succ[hi_ok]]
+                vals += g.switch_probs[i, j] * contrib
+            w[i, lvl, interior] = vals[interior]
+    return w
 
 
 def solve_deterministic_cost(g: RoutedGraph, route: int) -> np.ndarray:

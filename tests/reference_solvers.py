@@ -469,7 +469,8 @@ def per_side_bounds(spec, grid, tau=None, restrict=False):
     sides = []
     for sense, name in (("max", "upper"), ("min", "lower")):
         seed = mc.field(spec, name) if restrict else None
-        ((w, _),), clamp = _sweep(spec, grid, seed, _side_update(stack, step_len, rb, sense),
+        ((w, _),), clamp = _sweep(grid.exit_mask, exit_costs(spec, grid), grid.ds, grid.n_levels,
+                                  seed, _side_update(stack, step_len, rb, sense),
                                   f"{name} bound sweep", 1, stack.depth)
         sides.append((w, clamp))
     return sides
@@ -483,8 +484,8 @@ def stacked_seed(spec, grid, rate_grid):
 class _ReferenceClamp:
     """The monotone clamp as a gap array per level: the counters of ``cdf_solver.MonotoneClamp``."""
 
-    def __init__(self, grid):
-        self.live = ~grid.exit_mask
+    def __init__(self, exit_mask):
+        self.live = ~exit_mask
         self.count = 0
         self.largest = 0.0
 
@@ -497,7 +498,8 @@ class _ReferenceClamp:
         return np.maximum(vals, prev)
 
 
-def reference_sweep(spec, grid, restrict, update, what, n_fields, depth, keep=None):
+def reference_sweep(exit_mask, q_exit, ds, n_levels, restrict, update, what, n_fields, depth,
+                    keep=None):
     """``cdf_solver._sweep`` with its seeding, clamp and exit rows as whole-array steps per level.
 
     Same signature and results: one ``(values, columns)`` pair per field and
@@ -505,9 +507,8 @@ def reference_sweep(spec, grid, restrict, update, what, n_fields, depth, keep=No
     read back from the whole fields, whatever ``depth`` says; ``keep`` then
     slices them.  ``what`` is not logged.
     """
-    ex = grid.exit_mask
-    q_exit = exit_costs(spec, grid)
-    fields = [np.zeros((spec.n_modes, grid.n_levels, grid.n_nodes)) for _ in range(n_fields)]
+    ex = exit_mask
+    fields = [np.zeros((q_exit.shape[0], n_levels, ex.size)) for _ in range(n_fields)]
     for w in fields:
         w[:, 0, ex] = 0.0 >= q_exit - 1e-15
 
@@ -518,15 +519,15 @@ def reference_sweep(spec, grid, restrict, update, what, n_fields, depth, keep=No
         return prev if k == n - 1 else stored(k)
 
     first_level = restrict.first_level() if restrict is not None else None
-    clamp = _ReferenceClamp(grid) if restrict is not None else None
+    clamp = _ReferenceClamp(ex) if restrict is not None else None
     prev = stored(0)
-    for n in range(1, grid.n_levels):
+    for n in range(1, n_levels):
         vals = update(level, n)
         if first_level is not None:
             vals = np.where(n < first_level, 0.0, vals)
             vals = np.where(n == first_level, restrict.w0, vals)
             vals = clamp.apply(vals, prev)
-        vals[..., ex] = n * grid.ds >= q_exit - 1e-15
+        vals[..., ex] = n * ds >= q_exit - 1e-15
         for w, v in zip(fields, vals):
             w[:, n] = v
         prev = vals

@@ -271,7 +271,7 @@ def test_09_invariant_suites(ex1_fine, ex5_pipeline):
     fields.append(tv5.w)
     spec6 = catalog.example6(16)
     grid6 = build_grid(spec6, 1e-2, 1e-2, 0.5)
-    tv6 = solve_threshold(spec6, grid6, hjb_tol=1e-7)
+    tv6 = solve_threshold(spec6, grid6, hjb=solve_hjb_expectation(spec6, grid6, tol=1e-7))
     fields.append(tv6.w)
     for field in fields:
         check("range", field.values.min() >= -1e-12 and field.values.max() <= 1.0 + 1e-12)

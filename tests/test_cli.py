@@ -192,6 +192,20 @@ class TestProblemLoading:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_face_exits_match_the_whole_boundary(self, tmp_path):
+        # in 1D the two faces are the whole boundary, so the CDF is the same byte for byte
+        cdfs = []
+        for exit_doc in ({"kind": "faces", "faces": ["x_min", "x_max"]}, {"kind": "boundary"}):
+            pdoc = serialize_problem(catalog.example1())
+            pdoc["exit"] = exit_doc
+            doc = {"schema_version": 1, "problem": pdoc,
+                   "numerics": {"dx": 0.05, "ds": 0.05, "s_max": 1.0}, "run": {}, "output": {}}
+            out = tmp_path / exit_doc["kind"]
+            assert main(["solve-cdf", "--problem", write_config(tmp_path, doc, f"{out.name}.json"),
+                         "--out", str(out)]) == 0
+            cdfs.append((out / "cdf.csv").read_bytes())
+        assert cdfs[0] == cdfs[1]
+
     def test_inconsistent_rate_bounds_rejected(self, tmp_path):
         pdoc = serialize_problem(catalog.example4())
         pdoc["rates"] = {"kind": "bounds", "lower": [[0, 4], [4, 0]], "upper": [[0, 1], [1, 0]]}
@@ -1148,6 +1162,36 @@ class TestPolicyFit:
         rc = main(["evaluate-policy", *EX5_GRID, "--policy-in", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "50", "--start", "1.5:1"], ["evaluate-policy"]])
+    def test_policy_on_another_domain_rejected(self, tmp_path, command):
+        # 101 nodes on [0, 1], run on a copy of example5 on [0, 2] that has 101 nodes too
+        pol = write_policy(tmp_path / "p.policy", ControlSet.from_list([[-1.0], [1.0]]), 2,
+                           [0.0], [0.01], (101,))
+        spec = dataclasses.replace(catalog.example5(), hi=np.array([2.0]))
+        doc = {"schema_version": 1, "problem": serialize_problem(spec),
+               "numerics": {"dx": 0.02, "ds": 0.01, "s_max": 1.0}, "run": {}, "output": {}}
+        rc = main([*command, "--problem", write_config(tmp_path, doc), "--policy-in", pol,
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("malformed", ["no_grid", "not_json", "no_n_angles", "missing"])
+    def test_malformed_policy_file_exits_2(self, tmp_path, capsys, malformed):
+        path = tmp_path / "p.policy"
+        write_policy(path, ControlSet.from_list([[-1.0], [1.0]]), 2, [0.0], [0.02], (51,))
+        doc = json.loads(path.read_text())
+        doc["control_set"] = {"kind": "unit_circle"}
+        path.write_text({"no_grid": json.dumps({"format": "pdmp-policy/1", "n_modes": 2}),
+                         "not_json": "actions: none", "no_n_angles": json.dumps(doc),
+                         "missing": ""}[malformed])
+        if malformed == "missing":
+            path.unlink()
+        rc = main(["evaluate-policy", *EX5_GRID, "--policy-in", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert {"no_grid": "'grid'", "not_json": "not valid JSON", "no_n_angles": "'n_angles'",
+                "missing": "cannot read"}[malformed] in capsys.readouterr().err
 
 
 class TestGraphProblems:
