@@ -13,10 +13,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging.handlers
 import math
+import reprlib
 import sys
 import time
 from dataclasses import replace
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -68,113 +72,6 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _scalar_field(doc: dict, path: str) -> ScalarField:
-    _check_keys(doc, {"kind", "value", "values"}, path)
-    kind = _need(doc, "kind", path)
-    if kind == "constant":
-        return ScalarField.constant(float(_need(doc, "value", path)))
-    if kind == "tabulated":
-        return ScalarField("tabulated", values=np.array(_need(doc, "values", path), dtype=float))
-    raise ConfigError(f"unknown scalar field kind {kind!r} at {path}")
-
-
-def _vector_field(doc: dict, path: str) -> VectorField:
-    _check_keys(doc, {"kind", "vector", "offset", "values"}, path)
-    kind = _need(doc, "kind", path)
-    if kind == "constant":
-        return VectorField.constant(_need(doc, "vector", path))
-    if kind == "control_offset":
-        return VectorField.control_offset(_need(doc, "offset", path))
-    if kind == "tabulated":
-        return VectorField("tabulated", values=np.array(_need(doc, "values", path), dtype=float))
-    raise ConfigError(f"unknown velocity field kind {kind!r} at {path}")
-
-
-def _exit_spec(doc: dict, path: str) -> ExitSpec:
-    _check_keys(doc, {"kind", "faces", "boxes"}, path)
-    kind = _need(doc, "kind", path)
-    if kind in ("boundary", "none"):
-        return ExitSpec(kind)
-    if kind == "faces":
-        return ExitSpec("faces", faces=tuple(_need(doc, "faces", path)))
-    if kind == "boxes":
-        boxes = tuple(
-            tuple((float(lo), float(hi)) for lo, hi in box)
-            for box in _need(doc, "boxes", path)
-        )
-        return ExitSpec("boxes", boxes=boxes)
-    raise ConfigError(f"unknown exit set kind {kind!r} at {path}")
-
-
-def _controls(doc: dict, path: str) -> ControlSet:
-    _check_keys(doc, {"kind", "vectors", "n_angles"}, path)
-    kind = _need(doc, "kind", path)
-    if kind == "none":
-        return ControlSet.none()
-    if kind == "list":
-        return ControlSet.from_list(_need(doc, "vectors", path))
-    if kind == "unit_circle":
-        return ControlSet.unit_circle(int(_need(doc, "n_angles", path)))
-    raise ConfigError(f"unknown control set kind {kind!r} at {path}")
-
-
-def parse_graph(doc: dict) -> "discrete.RoutedGraph":
-    """Build a routed graph from a problem document with kind 'graph'."""
-    path = "problem"
-    _check_keys(doc, {"kind", "name", "successors", "step_costs", "exit_costs",
-                      "exit_nodes", "switch_probs"}, path)
-    succ = np.array(_need(doc, "successors", path), dtype=int)
-    n = succ.shape[1] if succ.ndim == 2 else 0
-    mask = np.zeros(n, dtype=bool)
-    mask[np.array(_need(doc, "exit_nodes", path), dtype=int)] = True
-    return discrete.RoutedGraph(
-        successors=succ,
-        step_costs=np.array(_need(doc, "step_costs", path), dtype=float),
-        exit_costs=np.array(_need(doc, "exit_costs", path), dtype=float),
-        exit_mask=mask,
-        switch_probs=np.array(_need(doc, "switch_probs", path), dtype=float),
-    )
-
-
-def parse_problem(doc: dict | str, n_angles: int | None = None) -> ProblemSpec:
-    """Build a ProblemSpec from a builtin name or a full problem document."""
-    if isinstance(doc, str):
-        return catalog.builtin(doc, n_angles=n_angles)
-    path = "problem"
-    _check_keys(doc, {"name", "dimension", "domain", "exit", "modes", "rates", "controls"}, path)
-    dim = int(_need(doc, "dimension", path))
-    dom = _need(doc, "domain", path)
-    _check_keys(dom, {"lo", "hi"}, f"{path}.domain")
-    modes = []
-    for k, mdoc in enumerate(_need(doc, "modes", path)):
-        mpath = f"{path}.modes[{k}]"
-        _check_keys(mdoc, {"dynamics", "cost", "exit_cost"}, mpath)
-        modes.append(ModeSpec(
-            dynamics=_vector_field(_need(mdoc, "dynamics", mpath), f"{mpath}.dynamics"),
-            cost=_scalar_field(_need(mdoc, "cost", mpath), f"{mpath}.cost"),
-            exit_cost=_scalar_field(_need(mdoc, "exit_cost", mpath), f"{mpath}.exit_cost"),
-        ))
-    rdoc = _need(doc, "rates", path)
-    _check_keys(rdoc, {"kind", "matrix", "lower", "upper"}, f"{path}.rates")
-    rkind = _need(rdoc, "kind", f"{path}.rates")
-    if rkind == "fixed":
-        rates = RateMatrix(np.array(_need(rdoc, "matrix", f"{path}.rates"), dtype=float))
-    elif rkind == "bounds":
-        rates = RateBounds(
-            np.array(_need(rdoc, "lower", f"{path}.rates"), dtype=float),
-            np.array(_need(rdoc, "upper", f"{path}.rates"), dtype=float),
-        )
-    else:
-        raise ConfigError(f"unknown rates kind {rkind!r} at {path}.rates")
-    controls = _controls(doc["controls"], f"{path}.controls") if "controls" in doc else ControlSet.none()
-    return ProblemSpec(
-        dim=dim, lo=np.array(dom["lo"], dtype=float), hi=np.array(dom["hi"], dtype=float),
-        exit_set=_exit_spec(_need(doc, "exit", path), f"{path}.exit"),
-        modes=tuple(modes), rates=rates, controls=controls,
-        name=str(doc.get("name", "custom")),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the config schema: one table of every numerics, run and output key
 # ---------------------------------------------------------------------------
@@ -221,6 +118,14 @@ def _instance(kind: type) -> Callable:
     return parse
 
 
+def _value(rule: Rule, value, what: str):
+    """``value`` read by ``rule``; a ConfigError naming ``what`` where it breaks the rule."""
+    try:
+        return rule.parse(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be {rule.text}, got {reprlib.repr(value)}") from None
+
+
 def _numbers(values) -> list[float]:
     """Finite numbers from a comma list ('0.2,0.4') or a JSON list; at least one."""
     items = values.split(",") if isinstance(values, str) else values
@@ -258,6 +163,11 @@ _POSITIVE = Rule("a finite number > 0", _real(0.0, sys.float_info.max))
 _COUNT = Rule("a whole number >= 1", _whole(1))
 _SWITCH = Rule("true or false", _instance(bool))
 _NUMBERS = Rule("finite numbers, as a comma list or a JSON list", _numbers)
+_FINITE = Rule("a finite number", _real(-math.inf, sys.float_info.max))
+_ANGLES = Rule("a count of at least 2 angles, below 2**15", _whole(2, 2**15))  # int16 actions
+_LIST = Rule("a list", _instance(list))
+_OBJECT = Rule("an object", _instance(dict))
+_STRING = Rule("a string", _instance(str))
 
 
 class Key(NamedTuple):
@@ -282,8 +192,7 @@ SCHEMA: dict[tuple[str, str], Key] = {
     ("numerics", "ds"): Key(_POSITIVE, {GRAPH: 1.0, None: None}, GRID | {GRAPH}, "--ds", GRID),
     ("numerics", "s_max"): Key(_POSITIVE, {GRAPH: 10.0, None: None}, GRID | {GRAPH}, "--s-max", GRID),
     ("numerics", "tau"): Key(_POSITIVE, None, SWEEPS | {"hjb"}),
-    ("numerics", "n_angles"): Key(Rule("a count of at least 2 angles", _whole(2)), None, GRID,
-                                  "--n-angles", problem="example6"),
+    ("numerics", "n_angles"): Key(_ANGLES, None, GRID, "--n-angles", problem="example6"),
     ("numerics", "tol"): Key(_POSITIVE, 1e-8, _ITERATION),
     ("numerics", "max_iter"): Key(_COUNT, 1000, _ITERATION),
     ("run", "slices"): Key(Rule("a slice request or a list of them", _slice_texts), None, SWEEPS,
@@ -297,12 +206,11 @@ SCHEMA: dict[tuple[str, str], Key] = {
                          "--seed"),
     ("run", "start"): Key(Rule("'x[,y]:mode' or [[x, y], mode], 1-based", _start), None, _SIMULATE,
                           "--start"),
-    ("run", "threshold"): Key(Rule("a finite number", _real(-math.inf, sys.float_info.max)), None,
-                              _SIMULATE, "--threshold"),
+    ("run", "threshold"): Key(_FINITE, None, _SIMULATE, "--threshold"),
     ("run", "horizon_cap"): Key(Rule("a number > 0 (Infinity allowed)", _real(0.0, math.inf)), None,
                                 _SIMULATE),
     ("run", "dump_samples"): Key(_SWITCH, False, _SIMULATE, "--dump-samples"),
-    ("output", "dir"): Key(Rule("a string", _instance(str)), "out", GRID | {GRAPH}, "--out"),
+    ("output", "dir"): Key(_STRING, "out", GRID | {GRAPH}, "--out"),
 }
 _UNSET = object()
 
@@ -339,11 +247,138 @@ def _check(doc: dict, flags: dict, column: str | None, name: str | None) -> tupl
         elif entry.problem not in (None, name):
             raise ConfigError(f"{what} is read by the built-in {entry.problem} only")
         else:
-            try:
-                values[section][key] = entry.rule.parse(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{what} must be {entry.rule.text}, got {value!r}") from None
+            values[section][key] = _value(entry.rule, value, what)
     return tuple(values[section] for section in SECTIONS)
+
+
+# ---------------------------------------------------------------------------
+# the problem schema: one table of every problem object, its kinds and keys
+# ---------------------------------------------------------------------------
+
+
+class Obj(NamedTuple):
+    """A problem object: its constructor, each key's shape, and the keys that may be absent
+    (they take the constructor's default).  A dict of Objs is an object of kinds."""
+
+    build: Callable
+    keys: dict
+    optional: frozenset = frozenset()
+
+
+def _array(*ndims: int, integral: bool = False) -> Callable:
+    """Arrays of finite numbers, ``ndim`` in ``ndims``: never strings, bools, nulls or ragged
+    lists; ``integral`` ones (node indices) hold whole numbers and come back as ints."""
+    def parse(value):
+        arr, leaves = np.array(value), value  # np.array raises a ValueError where ragged
+        for _ in range(arr.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if arr.ndim not in ndims or not set(map(type, leaves)) <= {int, float}:
+            raise ValueError(value)
+        arr = arr.astype(float)
+        if not np.all(np.isfinite(arr)) or integral and not np.all(arr == np.round(arr)):
+            raise ValueError(value)
+        return arr.astype(np.int64) if integral else arr
+    return parse
+
+
+def _boxes(value) -> tuple:
+    boxes = _array(3)(value)
+    if boxes.shape[2] != 2:
+        raise ValueError(value)
+    return tuple(tuple(map(tuple, box)) for box in boxes.tolist())
+
+
+def _problem(dimension, domain, exit, modes, rates, controls=ControlSet.none(), name="custom"):
+    return ProblemSpec(dimension, domain["lo"], domain["hi"], exit, tuple(modes), rates, controls,
+                       name)
+
+
+def _graph(successors, step_costs, exit_costs, exit_nodes, switch_probs, name=None):
+    """A routed graph from its problem object's keys; the ``name`` is read and dropped."""
+    n = successors.shape[1]
+    if np.any((exit_nodes < 0) | (exit_nodes >= n)):
+        raise ConfigError(f"exit_nodes must be node indices 0 to {n - 1}")
+    return discrete.RoutedGraph(successors, step_costs, exit_costs,
+                                np.isin(np.arange(n), exit_nodes), switch_probs)
+
+
+_AXES = Rule("a list of finite numbers, one per axis", _array(1))
+_MODES = Rule("a matrix of finite numbers, one row per mode", _array(2))
+_ROUTES = Rule("a matrix of finite numbers, one row per route", _array(2))
+
+# A key's shape is a `Rule` (a value), the name of an object here, or [name] (a list of them).
+PROBLEM: dict[str, Obj | dict[str, Obj]] = {
+    "problem": Obj(_problem, {"name": _STRING, "dimension": Rule("1 or 2", _whole(1, 3)),
+                              "domain": "domain", "exit": "exit", "modes": ["mode"], "rates": "rates",
+                              "controls": "controls"}, frozenset({"name", "controls"})),
+    "domain": Obj(dict, {"lo": _AXES, "hi": _AXES}),
+    "exit": {kind: Obj(partial(ExitSpec, kind), keys) for kind, keys in (
+        ("boundary", {}), ("none", {}),
+        ("faces", {"faces": Rule("a list of face names", lambda v: tuple(_instance(list)(v)))}),
+        ("boxes", {"boxes": Rule("a list of boxes, each a [lo, hi] pair per axis", _boxes)}))},
+    "mode": Obj(ModeSpec, {"dynamics": "velocity", "cost": "cost", "exit_cost": "cost"}),
+    "velocity": {"constant": Obj(VectorField.constant, {"vector": _AXES}),
+                 "control_offset": Obj(VectorField.control_offset, {"offset": _AXES}),
+                 "tabulated": Obj(partial(VectorField, "tabulated"), {"values": Rule(
+                     "a list of velocities (lists of finite numbers), one per grid node",
+                     _array(2))})},
+    "cost": {"constant": Obj(ScalarField.constant, {"value": _FINITE}),
+             "tabulated": Obj(partial(ScalarField, "tabulated"), {"values": Rule(
+                 "a list of finite numbers, one per grid node", _array(1))})},
+    "rates": {"fixed": Obj(lambda matrix: RateMatrix(matrix), {"matrix": _MODES}),
+              "bounds": Obj(RateBounds, {"lower": _MODES, "upper": _MODES})},
+    "controls": {"none": Obj(ControlSet.none, {}),
+                 "list": Obj(ControlSet.from_list, {"vectors": Rule(
+                     "a list of control vectors (or of numbers, in 1D)", _array(1, 2))}),
+                 "unit_circle": Obj(ControlSet.unit_circle, {"n_angles": _ANGLES})},
+    "graph": {"graph": Obj(_graph, {
+        "name": _STRING, "step_costs": _ROUTES, "exit_costs": _ROUTES, "switch_probs": _ROUTES,
+        "successors": Rule("a matrix of node indices, one row per route", _array(2, integral=True)),
+        "exit_nodes": Rule("a list of node indices", _array(1, integral=True)),
+    }, frozenset({"name"}))},
+}
+
+
+def _read(doc, shape, path: str):
+    """The one problem reader: ``doc`` at ``path`` read by ``shape`` (see `PROBLEM`).
+
+    A rule checks a value and a list reads each of its items.  An object
+    rejects unknown and missing keys (an object of kinds first takes its
+    ``kind``'s keys), reads each key and passes the values to its
+    constructor.  Every failure, the constructor's own included, is a
+    ConfigError that names its path.
+    """
+    if isinstance(shape, Rule):
+        return _value(shape, doc, path)
+    if isinstance(shape, list):
+        items = _value(_LIST, doc, path)
+        return [_read(item, shape[0], f"{path}[{k}]") for k, item in enumerate(items)]
+    obj, allowed = PROBLEM[shape], set()
+    _value(_OBJECT, doc, path)
+    if isinstance(obj, dict):
+        kind, allowed = _need(doc, "kind", path), {"kind"}
+        if not isinstance(kind, str) or kind not in obj:
+            raise ConfigError(f"unknown {shape} kind {kind!r} at {path}")
+        obj = obj[kind]
+    _check_keys(doc, allowed | set(obj.keys), path)
+    values = {key: _read(_need(doc, key, path), sub, f"{path}.{key}")
+              for key, sub in obj.keys.items() if key in doc or key not in obj.optional}
+    try:
+        return obj.build(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def parse_graph(doc: dict) -> "discrete.RoutedGraph":
+    """Build a routed graph from a problem document with kind 'graph'."""
+    return _read(doc, "graph", "problem")
+
+
+def parse_problem(doc: dict | str, n_angles: int | None = None) -> ProblemSpec:
+    """Build a ProblemSpec from a builtin name or a full problem document."""
+    if isinstance(doc, str):
+        return catalog.builtin(doc, n_angles=n_angles)
+    return _read(doc, "problem", "problem")
 
 
 def load_config(path_or_name: str) -> dict:
@@ -726,7 +761,11 @@ def _cmd_evaluate_policy(args, spec, grid, numerics, run, exporter):
 
 
 def _execute(args) -> None:
-    """Check the config and flags once (`load_problem`), then run the command and export."""
+    """Check the config and flags once (`load_problem`), then run the command and export.
+
+    The manifest lists the messages of the ``pdmp_cdf`` WARNING records the
+    command logged, under ``warnings``, when there is one.
+    """
     flags = {section: {} for section in SECTIONS}
     for (section, key), entry in SCHEMA.items():
         if entry.flag:
@@ -740,7 +779,16 @@ def _execute(args) -> None:
                                               "numerics": numerics, "run": run},
                         seed=run.get("seed"))
     command = args.graph_fn if grid is None else args.fn
-    exporter.finish(command(args, problem, grid, numerics, run, exporter))
+    log, caught = logging.getLogger("pdmp_cdf"), logging.handlers.BufferingHandler(math.inf)
+    caught.setLevel(logging.WARNING)  # fallbacks taken, such as a failed sparse LU
+    log.addHandler(caught)
+    try:
+        extra = command(args, problem, grid, numerics, run, exporter) or {}
+    finally:
+        log.removeHandler(caught)
+    if caught.buffer:
+        extra["warnings"] = [record.getMessage() for record in caught.buffer]
+    exporter.finish(extra)
 
 
 def main(argv=None) -> int:

@@ -175,7 +175,7 @@ class ScalarField:
         if self.kind == "constant" and not math.isfinite(self.value):
             raise ConfigError("constant field value must be finite")
         if self.kind == "tabulated":
-            if self.values is None:
+            if self.values is None or not np.size(self.values):
                 raise ConfigError("tabulated field needs node values")
             v = np.array(self.values, dtype=float)
             if not np.all(np.isfinite(v)):
@@ -226,7 +226,7 @@ class VectorField:
             v.setflags(write=False)
             object.__setattr__(self, "vector", v)
         else:
-            if self.values is None:
+            if self.values is None or not np.size(self.values):
                 raise ConfigError("tabulated velocity needs node values")
             v = np.array(self.values, dtype=float)
             if not np.all(np.isfinite(v)):
@@ -474,7 +474,14 @@ class ProblemSpec:
         controlled = any(m.dynamics.controlled for m in self.modes)
         if controlled and self.controls.empty:
             raise ConfigError("controlled dynamics require a nonempty control set")
+        if not self.controls.empty and self.controls.vectors.shape[1] != self.dim:
+            raise ConfigError(f"controls hold {self.controls.vectors.shape[1]}-component vectors "
+                              f"in a {self.dim}D problem")
         for k, m in enumerate(self.modes):
+            f = m.dynamics
+            if (f.vector.shape if f.constant_in_space else f.values.shape[-1:]) != (self.dim,):
+                raise ConfigError(f"modes[{k}].dynamics needs {self.dim}-component velocities "
+                                  f"in a {self.dim}D problem")
             if m.cost.min_value() <= 0.0:
                 raise ConfigError(f"running cost of mode {k} must be strictly positive")
             if m.exit_cost.min_value() < 0.0:
@@ -678,6 +685,13 @@ def build_grid(
     n_s_round = round(n_s)
     if abs(n_s - n_s_round) > GEOM_RTOL * max(1.0, n_s) or n_s_round < 1:
         raise NumericsError(f"cost spacing {ds:.6g} does not divide the cost range {s_max:.6g}")
+    n_nodes = math.prod(counts)
+    for k, m in enumerate(spec.modes):
+        for name, f, width in (("dynamics", m.dynamics, spec.dim), ("cost", m.cost, 1),
+                               ("exit_cost", m.exit_cost, 1)):
+            if f.kind == "tabulated" and f.values.size != n_nodes * width:
+                raise ConfigError(f"modes[{k}].{name} holds {f.values.size} values; a grid "
+                                  f"of {n_nodes} nodes needs {n_nodes * width}")
     axes = [spec.lo[a] + dxv[a] * np.arange(counts[a]) for a in range(spec.dim)]
     mask = _exit_mask(spec, axes, tuple(counts), dxv)
     return Grid(spec.lo, dxv, counts, ds, int(n_s_round) + 1, mask)

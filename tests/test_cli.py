@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pdmp_cdf
-from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, cli, control, simulate
+from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, cli, control, discrete, simulate
 from pdmp_cdf.bounds import default_rate_grid
 from pdmp_cdf.cdf_solver import solve_cdf, solve_min_cost
 from pdmp_cdf.cli import (
@@ -461,6 +461,26 @@ class TestCommands:
         assert counters["candidates"] == candidates and counters["w0_passes"] > 0
 
 
+    def test_manifest_lists_the_warnings_of_lost_fallbacks(self, tmp_path):
+        # the singular-LU problem of test_control: the first frozen policy never exits
+        problem = {"dimension": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "exit": {"kind": "boundary"},
+                   "modes": [{"dynamics": {"kind": "control_offset", "offset": [0.0]},
+                              "cost": {"kind": "constant", "value": 1.0},
+                              "exit_cost": {"kind": "constant", "value": 0.0}}],
+                   "rates": {"kind": "fixed", "matrix": [[0.0]]},
+                   "controls": {"kind": "list", "vectors": [[0.0], [-1.0], [1.0]]}}
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.1, "ds": 0.1, "s_max": 1.0, "tol": 1e-10}, "run": {}, "output": {}}
+        out = tmp_path / "lu"
+        assert main(["hjb", "--problem", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert len(warnings) == 1 and "LU" in warnings[0]
+        out = tmp_path / "clean"
+        assert main(["hjb", "--problem", "example5", "--dx", "0.1", "--ds", "0.05", "--s-max", "0.5",
+                     "--out", str(out)]) == 0
+        assert "warnings" not in json.loads((out / "manifest.json").read_text())
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         assert main(["solve-cdf", "--problem", "nonexistent.json",
@@ -628,6 +648,183 @@ class TestSchema:
         spec, grid, numerics, run, output = load_problem(
             write_config(tmp_path, json.loads(example)), command=command)
         assert run["slices"] == [("s", [250, 500])] and run["restrict"] is True
+
+
+DELETE = object()
+
+
+def edited(doc: dict, changes: dict) -> dict:
+    """A deep copy of ``doc`` with each dotted path ('modes.0.cost') set to its value, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in changes.items():
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+def key_path(dotted: str) -> str:
+    """The error-message path of a dotted path: 'modes.0.cost' -> 'problem.modes[0].cost'."""
+    return "problem" + "".join(f"[{k}]" if k.isdigit() else f".{k}" for k in dotted.split(".") if k)
+
+
+def readme_problem() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"full inline definition:\n\n```json\n(.*?)```", readme, re.S)[1])
+
+
+LINE_GRAPH = {"kind": "graph", "name": "line", "successors": [[1, 2, 3, 4, 5, 5], [0, 0, 1, 2, 3, 4]],
+              "step_costs": [[1, 1, 1, 1, 1, 1]] * 2, "exit_costs": [[0, 0, 0, 0, 0, 0]] * 2,
+              "exit_nodes": [0, 5], "switch_probs": [[0.5, 0.5], [0.5, 0.5]]}
+CONTROLLED = {"modes.0.dynamics": {"kind": "control_offset", "offset": [0.5]},
+              "modes.1.dynamics": {"kind": "control_offset", "offset": [-0.5]}}
+
+
+class TestProblemSchema:
+    """`cli.PROBLEM` says what each problem object reads; anything else exits with code 2
+    before any solve and names its key path."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_solvers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before the problem was checked")
+
+        for mod, name in ((cdf_solver, "solve_min_cost"), (cdf_solver, "solve_cdf"),
+                          (bounds, "solve_bounds"), (bounds, "solve_min_cost_bounds"),
+                          (control, "solve_hjb_expectation"), (simulate, "run_batch"),
+                          (discrete, "solve_cdf"), (discrete, "solve_min_cost")):
+            monkeypatch.setattr(mod, name, refuse)
+
+    def rejected(self, tmp_path, capsys, command, problem, numerics) -> str:
+        doc = {"schema_version": 1, "problem": problem, "numerics": numerics, "run": {},
+               "output": {}}
+        out = tmp_path / "o"
+        assert main([command, "--problem", write_config(tmp_path, doc), "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    # Each document ended in a traceback, or ran with a key ignored or a value
+    # coerced, before the problem object was read through one table.
+    @pytest.mark.parametrize("command, base, changes, path", [
+        # tracebacks
+        ("solve-cdf", "grid", {"domain.lo": DELETE}, "problem.domain.lo"),
+        ("solve-cdf", "grid", {"dimension": "x"}, "problem.dimension"),
+        ("solve-cdf", "grid", {"modes.0.cost.value": "abc"}, "problem.modes[0].cost.value"),
+        ("solve-cdf", "grid", {"modes.0.cost.value": None}, "problem.modes[0].cost.value"),
+        ("solve-cdf", "grid", {"modes.0.cost": 3}, "problem.modes[0].cost"),
+        ("solve-cdf", "grid", {"modes.0.dynamics.vector": "abc"}, "problem.modes[0].dynamics.vector"),
+        ("solve-cdf", "grid", {"rates.matrix": [[0, 2], [2]]}, "problem.rates.matrix"),
+        ("solve-cdf", "grid", {"rates.matrix": "x"}, "problem.rates.matrix"),
+        ("solve-cdf", "grid", {"exit": {"kind": "boxes", "boxes": [[0.2, 0.4]]}}, "problem.exit.boxes"),
+        ("solve-cdf", "grid", {"exit": {"kind": "boxes", "boxes": [[[0.2, 0.4, 0.5]]]}},
+         "problem.exit.boxes"),
+        ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "unit_circle", "n_angles": "x"}},
+         "problem.controls.n_angles"),
+        ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "list", "vectors": "x"}},
+         "problem.controls.vectors"),
+        ("solve-cdf", "grid", {"modes.0.cost": {"kind": "tabulated", "values": [1.0] * 10}},
+         "modes[0].cost"),
+        ("solve-cdf", "grid", {"modes.1.exit_cost": {"kind": "tabulated", "values": [0.0] * 10}},
+         "modes[1].exit_cost"),
+        ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "list", "vectors": [[1.0, 0.0], [-1.0, 0.0]]}},
+         "problem: controls"),
+        ("solve-cdf", "graph", {"exit_nodes": [9]}, "problem: exit_nodes"),
+        ("min-cost", "graph", {"exit_nodes": "x"}, "problem.exit_nodes"),
+        ("solve-cdf", "graph", {"successors": [[1, 2, 3, 4, 5, 5], [0, 0, 1]]}, "problem.successors"),
+        ("solve-cdf", "graph", {"step_costs": "x"}, "problem.step_costs"),
+        # keys silently ignored
+        ("solve-cdf", "grid", {"exit.faces": ["x_min"]}, "problem.exit"),
+        ("solve-cdf", "grid", {"exit": {"kind": "faces", "faces": ["x_min"], "boxes": [[[0.0, 0.0]]]}},
+         "problem.exit"),
+        ("solve-cdf", "grid", {"modes.0.cost.values": [1.0] * 11}, "problem.modes[0].cost"),
+        ("solve-cdf", "grid", {"modes.0.dynamics.offset": [0.5]}, "problem.modes[0].dynamics"),
+        ("solve-cdf", "grid", {"modes.0.dynamics.values": [[1.0]] * 11}, "problem.modes[0].dynamics"),
+        ("solve-cdf", "grid", {"rates.lower": [[0, 1], [1, 0]], "rates.upper": [[0, 3], [3, 0]]},
+         "problem.rates"),
+        ("solve-cdf", "grid", {"controls.vectors": [[1.0]]}, "problem.controls"),
+        # values silently coerced or accepted
+        ("solve-cdf", "grid", {"dimension": 1.5}, "problem.dimension"),
+        ("solve-cdf", "grid", {"modes.0.dynamics.vector": [[1], [2]]}, "problem.modes[0].dynamics.vector"),
+        ("solve-cdf", "grid", {"modes.0.dynamics.vector": [1, 0.5]}, "modes[0].dynamics"),
+        ("solve-cdf", "grid", {"modes.0.dynamics": {"kind": "tabulated", "values": [[1.0, 0.0]] * 11}},
+         "modes[0].dynamics"),
+        ("solve-cdf", "grid", {"name": [1]}, "problem.name"),
+        ("min-cost", "graph", {"exit_nodes": [1.5]}, "problem.exit_nodes"),
+        ("solve-cdf", "graph", {"successors": [[1, 2, 3, 4, 5, 5], [0, 0, 1.7, 2, 3, 4]]},
+         "problem.successors"),
+        ("solve-cdf", "graph", {"name": 5}, "problem.name"),
+        # policies store action indices as int16
+        ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "unit_circle", "n_angles": 2**15}},
+         "problem.controls.n_angles"),
+    ])
+    def test_malformed_problem_documents_rejected(self, tmp_path, capsys, command, base, changes,
+                                                  path):
+        if base == "grid":
+            problem, numerics = readme_problem(), {"dx": 0.1, "ds": 0.1, "s_max": 1.0}
+        else:
+            problem, numerics = LINE_GRAPH, {"ds": 1.0, "s_max": 6.0}
+        err = self.rejected(tmp_path, capsys, command, edited(problem, changes), numerics)
+        assert err.startswith("configuration error: ") and path in err, err
+
+    # A key only another kind of the object reads, keyed by the object's kind, or a
+    # required key of an object without kinds.
+    OTHER_KINDS_KEY = {"boundary": "faces", "constant": "values", "control_offset": "vector",
+                       "fixed": "lower", "bounds": "matrix", "none": "vectors", "list": "n_angles",
+                       "unit_circle": "vectors"}
+    REQUIRED_KEY = {"": "dimension", "domain": "hi", "modes.0": "exit_cost"}
+
+    @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+    @pytest.mark.parametrize("obj", ["", "domain", "exit", "modes.0", "modes.0.dynamics",
+                                     "modes.0.cost", "modes.1.exit_cost", "rates", "controls"])
+    def test_every_builtin_object_rejects_other_kinds_keys_and_missing_keys(
+            self, tmp_path, capsys, name, obj):
+        problem = serialize_problem(catalog.builtin(name))
+        target = problem
+        for part in filter(None, obj.split(".")):
+            target = target[int(part) if part.isdigit() else part]
+        if "kind" in target:
+            change = {f"{obj}.{self.OTHER_KINDS_KEY[target['kind']]}": 1}
+            what = f"unknown keys at {key_path(obj)}"
+        else:
+            key = self.REQUIRED_KEY[obj]
+            change = {f"{obj}.{key}".lstrip("."): DELETE}
+            what = f"missing required key {key_path(obj)}.{key}"
+        err = self.rejected(tmp_path, capsys, "solve-cdf", edited(problem, change),
+                            {"dx": 0.05, "ds": 0.05, "s_max": 0.5})
+        assert what in err, err
+
+    def test_readme_table_agrees_with_the_problem_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = set()
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 5 and cells[0].strip("`") in cli.PROBLEM:
+                rows.add((*cells[:4], bool(cells[4])))
+
+        def text(shape) -> str:
+            if isinstance(shape, cli.Rule):
+                return shape.text
+            return f"a list of `{shape[0]}` objects" if isinstance(shape, list) else f"the `{shape}` object"
+
+        table = set()
+        for name, entry in cli.PROBLEM.items():
+            for kind, obj in (entry.items() if isinstance(entry, dict) else [("", entry)]):
+                kind = f"`{kind}`" if kind else ""
+                table |= {(f"`{name}`", kind, f"`{key}`", text(shape), key in obj.optional)
+                          for key, shape in obj.keys.items()} or {(f"`{name}`", kind, "", "", False)}
+        assert rows == table
+
+    def test_readme_problem_reads_as_example1(self, tmp_path):
+        doc = {"schema_version": 1, "problem": readme_problem(),
+               "numerics": {"dx": 0.1, "ds": 0.1, "s_max": 1.0}, "run": {}, "output": {}}
+        spec, *_ = load_problem(write_config(tmp_path, doc), command="solve-cdf")
+        assert specs_equal(spec, dataclasses.replace(catalog.example1(), name="custom"))
 
 
 class TestGridNumerics:

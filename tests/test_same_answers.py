@@ -45,6 +45,7 @@ def test_a_changed_tree_reports_exactly_what_changed(tmp_path):
     assert heads == {
         "uncontrolled/tiny graph_min_cost: exit code 0 -> 2",
         "uncontrolled/tiny round/graph_min_cost/min_cost.csv: missing under the new tree",
+        "uncontrolled/tiny round/graph_min_cost/manifest.json: missing under the new tree",
         "uncontrolled/tiny round/graph_cdf/cdf.csv: differs",
         "uncontrolled/tiny round/small_graph_0_cdf/cdf.csv: differs",
         "uncontrolled/tiny round/small_graph_1_cdf/cdf.csv: differs",

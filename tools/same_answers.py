@@ -11,8 +11,10 @@ are read from ``perfbench/workloads.py`` through ``Recorder``, a stand-in for th
 benchmark's runner that runs each command with ``pdmp_cdf.cli.main`` and
 records its argv and exit code; ``perfbench/`` is imported, never edited,
 and no check is run.  Exit codes and the SHA-256 of every output file
-except ``manifest.json`` (which holds wall times) are compared, and every
-difference is printed with the argv of the command that wrote the file.
+are compared, each ``manifest.json`` without its ``wall_time_s``, so the
+manifests' counters (clamps, min-cost solves, simulated outcomes, warnings)
+count as answers too.  Every difference is printed with the argv of the
+command that wrote the file.
 Each process also reports its own peak resident set size (``ru_maxrss``,
 in MB of 10**6 bytes, as the benchmark's ``peak_rss_mb``), and one line
 per workload and size prints both trees' peaks, so one run shows the
@@ -38,7 +40,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("uncontrolled", "control", "montecarlo")
 SIZES = ("full", "tiny")
-SKIPPED = {"manifest.json"}
 SEED = 1
 
 
@@ -94,8 +95,13 @@ def collect(workload: str, size: str, work: Path, seed: int) -> dict:
     workloads.WORKLOADS[workload](runner, workloads.SIZES[size])
     files = {}
     for path in sorted(work.rglob("*")):
-        if path.is_file() and path.name not in SKIPPED:
-            files[path.relative_to(work).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":  # the one value that differs between reruns
+                manifest = json.loads(data)
+                del manifest["wall_time_s"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[path.relative_to(work).as_posix()] = hashlib.sha256(data).hexdigest()
     for rec in records:
         rec["out"] = Path(rec["out"]).relative_to(work).as_posix()
         rec["argv"] = [arg.replace(str(work), "{work}") for arg in rec["argv"]]
