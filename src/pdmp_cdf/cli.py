@@ -15,14 +15,12 @@ import hashlib
 import json
 import logging.handlers
 import math
-import reprlib
 import sys
 import time
 from dataclasses import replace
-from functools import partial
-from itertools import chain
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +43,10 @@ from .model import (
     VectorField,
     build_grid,
     cfl_max_ds,
+    grid_desc,
 )
+from .reader import (_ANGLES, _AXES, _COUNT, _FINITE, _HORIZON, _OBJECT, _POSITIVE, _STRING,
+                     CONTROLS, Obj, Rule, _array, _check_keys, _instance, _read, _value, _whole)
 
 SCHEMA_VERSION = 1
 
@@ -53,23 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_CONVERGENCE = 4
-
-
-# ---------------------------------------------------------------------------
-# strict config validation
-# ---------------------------------------------------------------------------
-
-
-def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
-
-
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"missing required key {path}.{key}")
-    return doc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -81,49 +65,6 @@ SWEEPS = frozenset({"solve-cdf", "bounds", "sweep", "threshold", "evaluate-polic
 GRID = SWEEPS | {"min-cost", "hjb", "simulate"}  # every command, on a grid problem
 GRAPH = "graph"  # the column of a graph problem, which runs solve-cdf and min-cost only
 _ITERATION, _SIMULATE = frozenset({"hjb", "threshold"}), frozenset({"simulate"})
-
-
-class Rule(NamedTuple):
-    """A value rule: its text, and ``parse``, which returns the typed value or raises ValueError."""
-
-    text: str
-    parse: Callable
-
-
-def _real(low: float, high: float) -> Callable:
-    """Numbers (never bools) with ``low < value <= high``; NaN fails every comparison."""
-    def parse(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value <= high:
-            raise ValueError(value)
-        return value
-    return parse
-
-
-def _whole(least: int, below: float = math.inf) -> Callable:
-    """Integers in ``[least, below)``, integral floats such as ``1e5`` included, never bools."""
-    def parse(value):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or not least <= value < below:
-            raise ValueError(value)
-        return value
-    return parse
-
-
-def _instance(kind: type) -> Callable:
-    def parse(value):
-        if not isinstance(value, kind):
-            raise ValueError(value)
-        return value
-    return parse
-
-
-def _value(rule: Rule, value, what: str):
-    """``value`` read by ``rule``; a ConfigError naming ``what`` where it breaks the rule."""
-    try:
-        return rule.parse(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be {rule.text}, got {reprlib.repr(value)}") from None
 
 
 def _numbers(values) -> list[float]:
@@ -151,31 +92,27 @@ def _slice_texts(value) -> list[str]:
 
 
 def _start(value) -> tuple[list[float], int]:
-    """``'x[,y]:mode'`` (the flag) or ``[[x, y], mode]`` (a config), 1-based: (point, mode index)."""
+    """``'x[,y]:mode'`` (the flag) or ``[[x, y], mode]`` (a config; a bare number is a 1D
+    point), the mode 1-based: (point, mode index)."""
     if isinstance(value, str):
         point, _, mode = value.rpartition(":")
-        return [float(v) for v in point.split(",")], int(mode) - 1
+        return _numbers(point), int(mode) - 1
     point, mode = value
-    return np.array(point, dtype=float).reshape(-1).tolist(), _whole(1)(mode) - 1
+    return _array(0, 1)(point).reshape(-1).tolist(), _whole(1)(mode) - 1
 
 
-_POSITIVE = Rule("a finite number > 0", _real(0.0, sys.float_info.max))
-_COUNT = Rule("a whole number >= 1", _whole(1))
-_SWITCH = Rule("true or false", _instance(bool))
+_SWITCH = Rule("true or false", _instance(bool), {"action": "store_const", "const": True})
 _NUMBERS = Rule("finite numbers, as a comma list or a JSON list", _numbers)
-_FINITE = Rule("a finite number", _real(-math.inf, sys.float_info.max))
-_ANGLES = Rule("a count of at least 2 angles, below 2**15", _whole(2, 2**15))  # int16 actions
-_LIST = Rule("a list", _instance(list))
-_OBJECT = Rule("an object", _instance(dict))
-_STRING = Rule("a string", _instance(str))
 
 
 class Key(NamedTuple):
     """One row of `SCHEMA`: the key's value rule, default, readers (columns) and flag.
 
     A dict ``default`` holds one value per column, its ``None`` entry the
-    rest.  ``flag_readers`` narrows the columns that take the flag, and
-    ``problem`` names the one problem that reads the key.
+    rest.  Every command takes the flag, which reads its text as the rule's
+    ``flag`` says; ``flag_readers`` narrows the columns that read it
+    (`_check` rejects it elsewhere), and ``problem`` names the one problem
+    that reads the key.
     """
 
     rule: Rule
@@ -187,28 +124,27 @@ class Key(NamedTuple):
 
 
 SCHEMA: dict[tuple[str, str], Key] = {
-    ("numerics", "dx"): Key(Rule("a finite number > 0, or a list of one per axis", _spacing),
-                            None, GRID, "--dx"),
+    ("numerics", "dx"): Key(Rule("a finite number > 0, or a list of one per axis", _spacing,
+                                 {"type": float}), None, GRID, "--dx"),
     ("numerics", "ds"): Key(_POSITIVE, {GRAPH: 1.0, None: None}, GRID | {GRAPH}, "--ds", GRID),
     ("numerics", "s_max"): Key(_POSITIVE, {GRAPH: 10.0, None: None}, GRID | {GRAPH}, "--s-max", GRID),
     ("numerics", "tau"): Key(_POSITIVE, None, SWEEPS | {"hjb"}),
     ("numerics", "n_angles"): Key(_ANGLES, None, GRID, "--n-angles", problem="example6"),
     ("numerics", "tol"): Key(_POSITIVE, 1e-8, _ITERATION),
     ("numerics", "max_iter"): Key(_COUNT, 1000, _ITERATION),
-    ("run", "slices"): Key(Rule("a slice request or a list of them", _slice_texts), None, SWEEPS,
-                           "--slice"),
+    ("run", "slices"): Key(Rule("a slice request or a list of them", _slice_texts,
+                                {"action": "append"}), None, SWEEPS, "--slice"),
     ("run", "thresholds"): Key(_NUMBERS, None, frozenset({"threshold"}), "--thresholds"),
     ("run", "rates"): Key(_NUMBERS, (1.0, 2.0, 3.0, 4.0), frozenset({"sweep"}), "--rates"),
     ("run", "restrict"): Key(_SWITCH, {"threshold": False, None: True},
                              frozenset({"solve-cdf", "bounds", "sweep", "threshold"})),
     ("run", "samples"): Key(_COUNT, 10000, _SIMULATE, "--n"),
-    ("run", "seed"): Key(Rule("a whole number in [0, 2**64)", _whole(0, 2**64)), 0, _SIMULATE,
-                         "--seed"),
+    ("run", "seed"): Key(Rule("a whole number in [0, 2**64)", _whole(0, 2**64), _COUNT.flag),
+                         0, _SIMULATE, "--seed"),
     ("run", "start"): Key(Rule("'x[,y]:mode' or [[x, y], mode], 1-based", _start), None, _SIMULATE,
                           "--start"),
     ("run", "threshold"): Key(_FINITE, None, _SIMULATE, "--threshold"),
-    ("run", "horizon_cap"): Key(Rule("a number > 0 (Infinity allowed)", _real(0.0, math.inf)), None,
-                                _SIMULATE),
+    ("run", "horizon_cap"): Key(_HORIZON, None, _SIMULATE),
     ("run", "dump_samples"): Key(_SWITCH, False, _SIMULATE, "--dump-samples"),
     ("output", "dir"): Key(_STRING, "out", GRID | {GRAPH}, "--out"),
 }
@@ -256,31 +192,6 @@ def _check(doc: dict, flags: dict, column: str | None, name: str | None) -> tupl
 # ---------------------------------------------------------------------------
 
 
-class Obj(NamedTuple):
-    """A problem object: its constructor, each key's shape, and the keys that may be absent
-    (they take the constructor's default).  A dict of Objs is an object of kinds."""
-
-    build: Callable
-    keys: dict
-    optional: frozenset = frozenset()
-
-
-def _array(*ndims: int, integral: bool = False) -> Callable:
-    """Arrays of finite numbers, ``ndim`` in ``ndims``: never strings, bools, nulls or ragged
-    lists; ``integral`` ones (node indices) hold whole numbers and come back as ints."""
-    def parse(value):
-        arr, leaves = np.array(value), value  # np.array raises a ValueError where ragged
-        for _ in range(arr.ndim - 1):
-            leaves = chain.from_iterable(leaves)
-        if arr.ndim not in ndims or not set(map(type, leaves)) <= {int, float}:
-            raise ValueError(value)
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)) or integral and not np.all(arr == np.round(arr)):
-            raise ValueError(value)
-        return arr.astype(np.int64) if integral else arr
-    return parse
-
-
 def _boxes(value) -> tuple:
     boxes = _array(3)(value)
     if boxes.shape[2] != 2:
@@ -302,7 +213,6 @@ def _graph(successors, step_costs, exit_costs, exit_nodes, switch_probs, name=No
                                 np.isin(np.arange(n), exit_nodes), switch_probs)
 
 
-_AXES = Rule("a list of finite numbers, one per axis", _array(1))
 _MODES = Rule("a matrix of finite numbers, one row per mode", _array(2))
 _ROUTES = Rule("a matrix of finite numbers, one row per route", _array(2))
 
@@ -327,10 +237,7 @@ PROBLEM: dict[str, Obj | dict[str, Obj]] = {
                  "a list of finite numbers, one per grid node", _array(1))})},
     "rates": {"fixed": Obj(lambda matrix: RateMatrix(matrix), {"matrix": _MODES}),
               "bounds": Obj(RateBounds, {"lower": _MODES, "upper": _MODES})},
-    "controls": {"none": Obj(ControlSet.none, {}),
-                 "list": Obj(ControlSet.from_list, {"vectors": Rule(
-                     "a list of control vectors (or of numbers, in 1D)", _array(1, 2))}),
-                 "unit_circle": Obj(ControlSet.unit_circle, {"n_angles": _ANGLES})},
+    "controls": CONTROLS,
     "graph": {"graph": Obj(_graph, {
         "name": _STRING, "step_costs": _ROUTES, "exit_costs": _ROUTES, "switch_probs": _ROUTES,
         "successors": Rule("a matrix of node indices, one row per route", _array(2, integral=True)),
@@ -339,57 +246,39 @@ PROBLEM: dict[str, Obj | dict[str, Obj]] = {
 }
 
 
-def _read(doc, shape, path: str):
-    """The one problem reader: ``doc`` at ``path`` read by ``shape`` (see `PROBLEM`).
-
-    A rule checks a value and a list reads each of its items.  An object
-    rejects unknown and missing keys (an object of kinds first takes its
-    ``kind``'s keys), reads each key and passes the values to its
-    constructor.  Every failure, the constructor's own included, is a
-    ConfigError that names its path.
-    """
-    if isinstance(shape, Rule):
-        return _value(shape, doc, path)
-    if isinstance(shape, list):
-        items = _value(_LIST, doc, path)
-        return [_read(item, shape[0], f"{path}[{k}]") for k, item in enumerate(items)]
-    obj, allowed = PROBLEM[shape], set()
-    _value(_OBJECT, doc, path)
-    if isinstance(obj, dict):
-        kind, allowed = _need(doc, "kind", path), {"kind"}
-        if not isinstance(kind, str) or kind not in obj:
-            raise ConfigError(f"unknown {shape} kind {kind!r} at {path}")
-        obj = obj[kind]
-    _check_keys(doc, allowed | set(obj.keys), path)
-    values = {key: _read(_need(doc, key, path), sub, f"{path}.{key}")
-              for key, sub in obj.keys.items() if key in doc or key not in obj.optional}
-    try:
-        return obj.build(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def parse_graph(doc: dict) -> "discrete.RoutedGraph":
     """Build a routed graph from a problem document with kind 'graph'."""
-    return _read(doc, "graph", "problem")
+    return _read(doc, "graph", "problem", PROBLEM)
 
 
 def parse_problem(doc: dict | str, n_angles: int | None = None) -> ProblemSpec:
     """Build a ProblemSpec from a builtin name or a full problem document."""
     if isinstance(doc, str):
         return catalog.builtin(doc, n_angles=n_angles)
-    return _read(doc, "problem", "problem")
+    return _read(doc, "problem", "problem", PROBLEM)
+
+
+def _config(schema_version, problem, **sections) -> dict:
+    return {"schema_version": schema_version, "problem": problem,
+            **{section: sections.get(section, {}) for section in SECTIONS}}
+
+
+# the outline of a config document; `SCHEMA` reads its sections, `PROBLEM` its problem object
+CONFIG = {"config": Obj(_config, {
+    "schema_version": Rule(f"{SCHEMA_VERSION}, the version this tool reads",
+                           _whole(SCHEMA_VERSION, SCHEMA_VERSION + 1)),
+    "problem": Rule("a built-in name or a problem object", _instance((str, dict))),
+    **dict.fromkeys(SECTIONS, _OBJECT)}, frozenset(SECTIONS))}
 
 
 def load_config(path_or_name: str) -> dict:
     """Read a config file, or synthesize one from a builtin problem name.
 
-    This checks the outline only: the known top-level keys, ``schema_version``
-    1, a problem name or object, and sections that are objects.
+    This reads the outline only (`CONFIG`): ``schema_version`` 1, a
+    problem name or object, and sections that are objects.
     """
     if path_or_name in catalog.BUILTIN_NAMES:
-        return {"schema_version": SCHEMA_VERSION, "problem": path_or_name,
-                "numerics": {}, "run": {}, "output": {}}
+        return _config(SCHEMA_VERSION, path_or_name)
     p = Path(path_or_name)
     if not p.exists():
         raise ConfigError(f"no such problem file or builtin name: {path_or_name}")
@@ -397,18 +286,7 @@ def load_config(path_or_name: str) -> dict:
         doc = json.loads(p.read_text())
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"config {path_or_name} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path_or_name} is not a JSON object")
-    _check_keys(doc, {"schema_version", "problem", *SECTIONS}, "config")
-    version = _need(doc, "schema_version", "config")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}; this tool reads {SCHEMA_VERSION}")
-    if not isinstance(_need(doc, "problem", "config"), (str, dict)):
-        raise ConfigError("config.problem must be a built-in name or a problem object")
-    for section in SECTIONS:
-        if not isinstance(doc.setdefault(section, {}), dict):
-            raise ConfigError(f"config.{section} must be a JSON object")
-    return doc
+    return _read(doc, "config", "config", CONFIG)
 
 
 def load_problem(config: str | dict, flags: dict | None = None, command: str | None = None):
@@ -499,11 +377,6 @@ class Exporter:
         path = self.dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         return path
-
-
-def _grid_desc(grid: Grid) -> dict:
-    return {"lo": grid.lo.tolist(), "dx": grid.dx.tolist(), "shape": list(grid.shape),
-            "ds": grid.ds, "n_levels": grid.n_levels}
 
 
 def _sheet_levels(values: list[float], grid: Grid) -> list[int]:
@@ -769,11 +642,11 @@ def _execute(args) -> None:
     flags = {section: {} for section in SECTIONS}
     for (section, key), entry in SCHEMA.items():
         if entry.flag:
-            flags[section][key] = getattr(args, entry.flag[2:].replace("-", "_"), None)
+            flags[section][key] = getattr(args, entry.flag[2:].replace("-", "_"))
     doc = load_config(args.problem)
     problem, grid, numerics, run, output = load_problem(doc, flags, args.command)
     desc = ({"nodes": problem.n_nodes, "routes": problem.n_routes} if grid is None
-            else _grid_desc(grid))
+            else grid_desc(grid))
     # the config hash covers the command, the problem run (not its file) and every value read
     exporter = Exporter(output["dir"], desc, {"cmd": args.command, "problem": doc["problem"],
                                               "numerics": numerics, "run": run},
@@ -791,7 +664,9 @@ def _execute(args) -> None:
     exporter.finish(extra)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once: parsing leaves an argparse parser as it was."""
     parser = argparse.ArgumentParser(
         prog="pdmp-cdf",
         description="Exit-cost CDFs, bounds, and threshold-optimal controls for "
@@ -813,33 +688,21 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn, graph_fn=graph_fn)
         p.add_argument("--problem", required=True,
                        help="builtin name (example1..example6) or path to a JSON config")
-        p.add_argument("--dx", type=float, default=None, help="spatial grid spacing")
-        p.add_argument("--ds", type=float, default=None, help="cost-threshold spacing")
-        p.add_argument("--s-max", dest="s_max", type=float, default=None, help="largest threshold")
-        p.add_argument("--n-angles", dest="n_angles", type=int, default=None,
-                       help="control directions of the built-in example6")
-        p.add_argument("--slice", action="append", default=None,
-                       help="export slice: 's=0.25,0.5', 'x=0.3' (1D) or 'at=0.4:0.3' (2D)")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: the config's output.dir, else ./out)")
+        # every command takes every table flag; `_check` rejects those it does not read
+        for (section, key), entry in SCHEMA.items():
+            if entry.flag:
+                p.add_argument(entry.flag, help=f"{section}.{key}: {entry.rule.text}",
+                               **entry.rule.flag)
         if name in ("hjb", "threshold"):
             p.add_argument("--policy-out", dest="policy_out", default=None,
                            help="write the synthesized policy to this file")
         if name in ("simulate", "evaluate-policy"):
             p.add_argument("--policy-in", dest="policy_in", default=None)
-        if name == "sweep":
-            p.add_argument("--rates", default=None, help="comma list of sweep rate levels")
-        if name == "threshold":
-            p.add_argument("--thresholds", default=None,
-                           help="comma list of deadline values to export as sheets")
-        if name == "simulate":
-            p.add_argument("--threshold", type=float, default=None)
-            p.add_argument("--n", type=int, default=None, help="sample count")
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--start", default=None, help="start as 'x[,y]:mode' (1-based mode)")
-            p.add_argument("--dump-samples", dest="dump_samples", action="store_true", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         _execute(args)
         return EXIT_OK

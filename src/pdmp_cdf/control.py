@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,10 @@ from .cdf_solver import (
     solve_cdf,
 )
 from .errors import ConfigError
-from .model import GEOM_RTOL, CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec
+from .model import (GEOM_RTOL, CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec,
+                    grid_desc)
+from .reader import (_AXES, _COUNT, _POSITIVE, _STRING, CONTROLS, Obj, Rule, _instance, _read,
+                     _whole)
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
 
@@ -72,7 +76,8 @@ class Policy:
     up at the remaining budget (threshold minus cost so far), taking the
     containing cell's lower-corner node, and fall back to the
     expectation-optimal action once the budget is spent.  An
-    expectation-optimal policy stores a single level.
+    expectation-optimal policy stores a single level.  Every stored action
+    and fallback is an index of one of the control set's actions.
 
     ``actions`` and ``fallback`` are read-only, and no one else can write
     them (a writable input is copied), so what is derived from them stays
@@ -93,8 +98,10 @@ class Policy:
         self.shape = tuple(int(v) for v in shape)
         self.ds = float(ds)
         self.provenance = provenance
-        if self.actions.max(initial=0) >= control_set.n_actions:
-            raise ConfigError("policy stores an action index outside its control set")
+        for name, indices in (("actions", self.actions), ("fallback", self.fallback)):
+            if indices.size and not 0 <= indices.min() <= indices.max() < control_set.n_actions:
+                raise ConfigError(f"{name} must be indices of the control set's "
+                                  f"{control_set.n_actions} actions")
         self._strides = np.array(
             [int(np.prod(self.shape[a + 1:], dtype=int)) for a in range(len(self.shape))], dtype=int
         )
@@ -399,75 +406,85 @@ def save_policy(policy: Policy, path: str) -> None:
     """Write a policy as a self-describing JSON document.
 
     The action array is row-major (mode, level, node) int16, little-endian,
-    base64-encoded; the header carries the grid descriptor and control set
-    so the file can be simulated without the original problem object.
+    base64-encoded; the header carries the grid descriptor and the control
+    set (as its `CONTROLS` object) so the file can be simulated without the
+    original problem object.  `POLICY` reads it back.
     """
+    cs = policy.control_set
     doc = {
         "format": POLICY_FORMAT,
         "provenance": policy.provenance,
-        "grid": {
-            "lo": policy.lo.tolist(),
-            "dx": policy.dx.tolist(),
-            "shape": list(policy.shape),
-            "ds": policy.ds,
-            "n_levels": policy.n_levels,
-        },
+        "grid": grid_desc(policy),
         "n_modes": policy.actions.shape[0],
-        "control_set": _control_to_json(policy.control_set),
+        "control_set": {"kind": cs.kind, **{key: np.asarray(getattr(cs, key)).tolist()
+                                            for key in CONTROLS[cs.kind].keys}},
         "dtype": "int16",
         "byte_order": "little",
-        "actions_b64": base64.b64encode(
-            policy.actions.astype("<i2").tobytes()
-        ).decode("ascii"),
-        "fallback_b64": base64.b64encode(
-            policy.fallback.astype("<i2").tobytes()
-        ).decode("ascii"),
+        **{f"{name}_b64": base64.b64encode(getattr(policy, name).astype("<i2").tobytes()).decode()
+           for name in ("actions", "fallback")},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
+def _exactly(text: str) -> Rule:
+    """The one value ``text``: what the writer puts there."""
+    def parse(value):
+        if value != text:
+            raise ValueError(value)
+        return value
+    return Rule(repr(text), parse)
+
+
+def _int16s(value) -> np.ndarray:
+    """The read-only little-endian int16 array that ``value``, base64 text, encodes."""
+    return np.frombuffer(base64.b64decode(_STRING.parse(value), validate=True), dtype="<i2")
+
+
+def _policy(grid, n_modes, control_set, actions_b64, fallback_b64, provenance="unknown",
+            **literals) -> Policy:
+    """A Policy from the values of its file (``literals``, its format, dtype and byte
+    order, are checked by their rules and build nothing)."""
+    if not len(grid["lo"]) == len(grid["dx"]) == len(grid["shape"]):
+        raise ConfigError("grid lo, dx and shape must give one entry per axis")
+    n_levels, n_nodes = grid["n_levels"], math.prod(grid["shape"])
+    if actions_b64.size != n_modes * n_levels * n_nodes or fallback_b64.size != n_modes * n_nodes:
+        raise ConfigError(f"actions_b64 and fallback_b64 do not hold {n_modes} modes x "
+                          f"{n_levels} levels x {n_nodes} nodes")
+    return Policy(control_set, actions_b64.reshape(n_modes, n_levels, n_nodes),
+                  fallback_b64.reshape(n_modes, n_nodes), grid["lo"], grid["dx"], grid["shape"],
+                  grid["ds"], provenance)
+
+
+_INT16S = Rule("base64 text of little-endian int16 values", _int16s)
+
+# The policy file, read by `reader._read` as `cli.PROBLEM` reads a problem.
+POLICY = {
+    "policy": Obj(_policy, {
+        "format": _exactly(POLICY_FORMAT), "provenance": _STRING, "grid": "grid",
+        "n_modes": _COUNT, "control_set": "controls", "dtype": _exactly("int16"),
+        "byte_order": _exactly("little"), "actions_b64": _INT16S, "fallback_b64": _INT16S,
+    }, frozenset({"provenance"})),
+    "grid": Obj(dict, {
+        "lo": _AXES, "dx": Rule("a list of finite numbers > 0, one per axis",
+                                lambda value: [_POSITIVE.parse(v) for v in _instance(list)(value)]),
+        "shape": Rule("a list of node counts (whole numbers >= 1), one per axis",
+                      lambda value: tuple(map(_whole(1), _instance(list)(value)))),
+        "ds": _POSITIVE, "n_levels": _COUNT,
+    }),
+    "controls": CONTROLS,
+}
+
+
 def load_policy(path: str) -> Policy:
-    """Read a policy file; a document that is not one or lacks a key is a ConfigError naming it."""
+    """Read a policy file through `POLICY`; a file that is not one is a ConfigError naming
+    the key path that breaks."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("format") != POLICY_FORMAT:
-            raise ConfigError(f"{path} is not a {POLICY_FORMAT} policy file")
-        g = doc["grid"]
-        shape = tuple(int(v) for v in g["shape"])
-        n_modes, n_levels, n_nodes = int(doc["n_modes"]), int(g["n_levels"]), int(np.prod(shape))
-        cs = _control_from_json(doc["control_set"])
-        actions = np.frombuffer(base64.b64decode(doc["actions_b64"]), dtype="<i2")
-        fallback = np.frombuffer(base64.b64decode(doc["fallback_b64"]), dtype="<i2")
     except OSError as exc:
         raise ConfigError(f"cannot read policy file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"policy file {path} is not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise ConfigError(f"policy file {path} lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"policy file {path} is malformed: {exc}") from None
-    if actions.size != n_modes * n_levels * n_nodes or fallback.size != n_modes * n_nodes:
-        raise ConfigError(f"policy arrays do not hold {n_modes} modes x {n_levels} levels "
-                          f"x {n_nodes} nodes")
-    return Policy(cs, actions.reshape(n_modes, n_levels, n_nodes),
-                  fallback.reshape(n_modes, n_nodes), np.array(g["lo"]),
-                  np.array(g["dx"]), shape, float(g["ds"]),
-                  provenance=doc.get("provenance", "unknown"))
+    return _read(doc, "policy", "policy", POLICY)
 
-
-def _control_to_json(cs: ControlSet) -> dict:
-    if cs.kind == "unit_circle":
-        return {"kind": "unit_circle", "n_angles": cs.n_angles}
-    if cs.kind == "list":
-        return {"kind": "list", "vectors": cs.vectors.tolist()}
-    return {"kind": "none"}
-
-
-def _control_from_json(doc: dict) -> ControlSet:
-    if doc["kind"] == "unit_circle":
-        return ControlSet.unit_circle(int(doc["n_angles"]))
-    if doc["kind"] == "list":
-        return ControlSet.from_list(doc["vectors"])
-    return ControlSet.none()

@@ -297,17 +297,21 @@ class ControlSet:
             v = np.atleast_2d(np.array(self.vectors, dtype=float))
             if v.size == 0 or not np.all(np.isfinite(v)):
                 raise ConfigError("control list must be nonempty and finite")
-            v.setflags(write=False)
-            object.__setattr__(self, "vectors", v)
+            key, n = "vectors", len(v)
         elif self.kind == "unit_circle":
             if self.n_angles < 2:
                 raise ConfigError("unit-circle control set needs at least 2 angles")
-            ang = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
-            v = np.column_stack([np.cos(ang), np.sin(ang)])
-            v.setflags(write=False)
-            object.__setattr__(self, "vectors", v)
+            key, n = "n_angles", self.n_angles
         else:
             raise ConfigError(f"unknown control set kind {self.kind!r}")
+        if n >= 2**15:
+            raise ConfigError(f"{key} gives {n} actions, but policies store action indices "
+                              "as int16: a control set holds fewer than 2**15")
+        if self.kind == "unit_circle":
+            ang = 2.0 * np.pi * np.arange(n) / n
+            v = np.column_stack([np.cos(ang), np.sin(ang)])
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
 
     @classmethod
     def none(cls) -> "ControlSet":
@@ -663,6 +667,12 @@ def _exit_mask(spec: ProblemSpec, axes: list[np.ndarray], shape: tuple[int, ...]
                     raise NumericsError(f"exit box edge {edge:.6g} is not grid-aligned on axis {a}")
     points = np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
     return es.in_boxes(points, GEOM_RTOL * dx)
+
+
+def grid_desc(grid) -> dict:
+    """The grid descriptor of a manifest and a policy file, for a `Grid` or a policy."""
+    return {"lo": grid.lo.tolist(), "dx": grid.dx.tolist(), "shape": list(grid.shape),
+            "ds": grid.ds, "n_levels": grid.n_levels}
 
 
 def build_grid(

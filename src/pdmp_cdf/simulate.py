@@ -32,7 +32,6 @@ and event, with the 64x64->128-bit products done on 32-bit limbs
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +40,7 @@ from .control import Policy
 from .csvtable import Table, write_csv
 from .errors import ConfigError, NumericsError
 from .model import Grid, ProblemSpec
+from .reader import _FINITE, _HORIZON, _value
 
 _MAX_EVENTS = 2_000_000
 _MOVE_RTOL = 1e-12  # a policy step shorter than this share of a cell crossing is roundoff
@@ -167,13 +167,6 @@ def _stream_indices(seed: int, offset: int, n: int) -> np.ndarray:
     if offset < 0 or offset + n - 1 > _MASK64:
         raise ConfigError("stream indices must lie in [0, 2**64)")
     return np.uint64(offset) + np.arange(n, dtype=np.uint64)
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float; strings, booleans and other non-numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{what} must be a number, not {value!r}")
-    return float(value)
 
 
 def _chessboard_radii(actions: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -333,16 +326,12 @@ def run_batch(
     if not 0 <= mode0 < spec.n_modes:
         raise ConfigError(f"start mode index {mode0} is outside [0, {spec.n_modes})")
     if horizon_cap is not None:
-        horizon_cap = _number(horizon_cap, "horizon cap")
-        if not horizon_cap > 0.0:
-            raise ConfigError(f"horizon cap {horizon_cap} must be positive")
+        horizon_cap = float(_value(_HORIZON, horizon_cap, "horizon cap"))
     if threshold is not None:
         if policy is None or not policy.s_dependent:
             raise ConfigError("a cost threshold needs a level-dependent policy; "
                               "only threshold policies read it")
-        threshold = _number(threshold, "cost threshold")
-        if not math.isfinite(threshold):
-            raise ConfigError(f"cost threshold {threshold} must be finite")
+        threshold = float(_value(_FINITE, threshold, "cost threshold"))
     integrate = any(f.kind == "tabulated" for ms in spec.modes
                     for f in (ms.dynamics, ms.cost, ms.exit_cost))
     if policy is not None:

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmp_cdf
 from pdmp_cdf import bounds, build_grid, catalog, cdf_solver, cli, control, discrete, simulate
@@ -620,6 +623,52 @@ class TestSchema:
             if entry.flag and command in (entry.flag_readers or entry.readers):
                 assert entry.flag in words, entry.flag
 
+    # a value each table flag's text reader takes, None for a switch
+    FLAG_TEXTS = {"--dx": "0.1", "--ds": "0.1", "--s-max": "1", "--n-angles": "4",
+                  "--slice": "s=0.5", "--thresholds": "0.5", "--rates": "1,2", "--n": "10",
+                  "--seed": "3", "--start": "0.4:1", "--threshold": "0.5", "--dump-samples": None,
+                  "--out": "o"}
+
+    @pytest.mark.parametrize("command, problem", [
+        *((command, "example1") for command in sorted(cli.GRID)), ("solve-cdf", "graph"),
+        ("min-cost", "graph")])
+    def test_flags_the_command_does_not_read_rejected(self, tmp_path, monkeypatch, capsys,
+                                                      command, problem):
+        monkeypatch.chdir(tmp_path)
+        assert set(self.FLAG_TEXTS) == {entry.flag for entry in cli.SCHEMA.values() if entry.flag}
+        column = cli.GRAPH if problem == "graph" else command
+        if problem == "graph":
+            problem = write_config(tmp_path, UNREACHABLE_GRAPH)
+        unread = [entry.flag for entry in cli.SCHEMA.values()
+                  if entry.flag and column not in (entry.flag_readers or entry.readers)]
+        assert unread
+        for flag in unread:
+            text = self.FLAG_TEXTS[flag]
+            argv = [command, "--problem", problem, flag, *([text] if text else [])]
+            assert main(argv) == EXIT_CONFIG, flag
+            assert "does not read " + flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_reach_the_check_as_their_rules_read_them(self, monkeypatch):
+        # the types the hand-written flags had, so config_sha256 stays as it was
+        seen = {}
+
+        def check(doc, flags, column, name):
+            seen.update({key: value for section in flags.values()
+                         for key, value in section.items() if value is not None})
+            raise ConfigError("checked")
+
+        monkeypatch.setattr(cli, "_check", check)
+        argv = [arg for flag, text in self.FLAG_TEXTS.items() for arg in (flag, text) if arg]
+        assert main(["simulate", "--problem", "example1", *argv]) == EXIT_CONFIG
+        assert seen == {"dx": 0.1, "ds": 0.1, "s_max": 1.0, "n_angles": 4, "slices": ["s=0.5"],
+                        "thresholds": "0.5", "rates": "1,2", "samples": 10, "seed": 3,
+                        "start": "0.4:1", "threshold": 0.5, "dump_samples": True, "dir": "o"}
+        assert {key: type(value) for key, value in seen.items()} == {
+            "dx": float, "ds": float, "s_max": float, "n_angles": int, "slices": list,
+            "thresholds": str, "rates": str, "samples": int, "seed": int, "start": str,
+            "threshold": float, "dump_samples": bool, "dir": str}
+
     def test_readme_table_agrees_with_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = {}
@@ -683,6 +732,30 @@ LINE_GRAPH = {"kind": "graph", "name": "line", "successors": [[1, 2, 3, 4, 5, 5]
               "exit_nodes": [0, 5], "switch_probs": [[0.5, 0.5], [0.5, 0.5]]}
 CONTROLLED = {"modes.0.dynamics": {"kind": "control_offset", "offset": [0.5]},
               "modes.1.dynamics": {"kind": "control_offset", "offset": [-0.5]}}
+
+
+def readme_and_table_rows(objects: dict) -> tuple[set, set]:
+    """The README's (object, kind, key, value, may be absent) rows of the objects in
+    ``objects``, and the same rows made from the table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = set()
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].strip("`") in objects:
+            rows.add((*cells[:4], bool(cells[4])))
+
+    def text(shape) -> str:
+        if isinstance(shape, cli.Rule):
+            return shape.text
+        return f"a list of `{shape[0]}` objects" if isinstance(shape, list) else f"the `{shape}` object"
+
+    table = set()
+    for name, entry in objects.items():
+        for kind, obj in (entry.items() if isinstance(entry, dict) else [("", entry)]):
+            kind = f"`{kind}`" if kind else ""
+            table |= {(f"`{name}`", kind, f"`{key}`", text(shape), key in obj.optional)
+                      for key, shape in obj.keys.items()} or {(f"`{name}`", kind, "", "", False)}
+    return rows, table
 
 
 class TestProblemSchema:
@@ -759,9 +832,11 @@ class TestProblemSchema:
         ("solve-cdf", "graph", {"successors": [[1, 2, 3, 4, 5, 5], [0, 0, 1.7, 2, 3, 4]]},
          "problem.successors"),
         ("solve-cdf", "graph", {"name": 5}, "problem.name"),
-        # policies store action indices as int16
+        # policies store action indices as int16: one check for both kinds
         ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "unit_circle", "n_angles": 2**15}},
-         "problem.controls.n_angles"),
+         "problem.controls: n_angles gives 32768 actions"),
+        ("hjb", "grid", {**CONTROLLED, "controls": {"kind": "list", "vectors": [[0.0]] * 2**15}},
+         "problem.controls: vectors gives 32768 actions"),
     ])
     def test_malformed_problem_documents_rejected(self, tmp_path, capsys, command, base, changes,
                                                   path):
@@ -800,24 +875,7 @@ class TestProblemSchema:
         assert what in err, err
 
     def test_readme_table_agrees_with_the_problem_schema(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = set()
-        for line in readme.splitlines():
-            cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if len(cells) == 5 and cells[0].strip("`") in cli.PROBLEM:
-                rows.add((*cells[:4], bool(cells[4])))
-
-        def text(shape) -> str:
-            if isinstance(shape, cli.Rule):
-                return shape.text
-            return f"a list of `{shape[0]}` objects" if isinstance(shape, list) else f"the `{shape}` object"
-
-        table = set()
-        for name, entry in cli.PROBLEM.items():
-            for kind, obj in (entry.items() if isinstance(entry, dict) else [("", entry)]):
-                kind = f"`{kind}`" if kind else ""
-                table |= {(f"`{name}`", kind, f"`{key}`", text(shape), key in obj.optional)
-                          for key, shape in obj.keys.items()} or {(f"`{name}`", kind, "", "", False)}
+        rows, table = readme_and_table_rows(cli.PROBLEM)
         assert rows == table
 
     def test_readme_problem_reads_as_example1(self, tmp_path):
@@ -1020,12 +1078,24 @@ class TestRunValues:
         assert main(["simulate", "--problem", "example1", "--n", "5", "--start", start,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("start", [[0.4], [[0.4]], [[0.4], "one"], [[0.4], 3]])
+    @pytest.mark.parametrize("start", [[0.4], [[0.4]], [[0.4], "one"], [[0.4], 3], [[True], 1],
+                                       ["0.4", 1]])
     def test_bad_config_start_rejected(self, tmp_path, start):
         doc = {"schema_version": 1, "problem": "example1", "numerics": {},
                "run": {"samples": 5, "start": start}, "output": {}}
         assert main(["simulate", "--problem", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_number_flags_read_as_the_config_reads_them(self, tmp_path):
+        # '--n 1e1' is "samples": 1e1 and '--seed 3.0' is "seed": 3.0, which a config takes
+        hashes = set()
+        for n, seed in (("10", "3"), ("1e1", "3.0")):
+            out = tmp_path / n
+            assert main(self.SIM + ["--n", n, "--seed", seed, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["n_samples"], manifest["seed"]) == (10, 3)
+            hashes.add(manifest["config_sha256"])
+        assert len(hashes) == 1
 
     def test_range_ends_accepted(self, tmp_path):
         doc = {"schema_version": 1, "problem": "example1", "numerics": {},
@@ -1299,6 +1369,9 @@ class TestSweepMemory:
         assert self._peak(argv, tmp_path) < self._whole_field_bytes("example1", {})
 
 
+EX5_COARSE = ["--problem", "example5", "--dx", "0.05", "--ds", "0.05"]
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse takes a noticeable share of start-up; only solvers load it
     assert fresh_python("import sys, pdmp_cdf.cli; print('scipy.sparse' in sys.modules)") == "False"
@@ -1307,10 +1380,13 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 def test_graph_commands_min_cost_and_simulate_never_import_scipy(tmp_path):
     # importing scipy.sparse takes about as long as a whole graph min-cost or solve-cdf
     graph = write_config(tmp_path, UNREACHABLE_GRAPH, "graph.json")
+    policy = str(tmp_path / "ex5.policy")
+    assert main(["hjb", *EX5_COARSE, "--policy-out", policy, "--out", str(tmp_path / "h")]) == 0
     runs = [["solve-cdf", "--problem", graph], ["min-cost", "--problem", graph],
             ["min-cost", "--problem", "example1", "--dx", "0.05", "--ds", "0.05"],
             ["min-cost", "--problem", "example3", "--dx", "0.1", "--ds", "0.1"],
-            ["simulate", "--problem", "example1", "--n", "200"]]
+            ["simulate", "--problem", "example1", "--n", "200"],
+            ["simulate", *EX5_COARSE, "--n", "200", "--policy-in", policy]]
     runs = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
     code = ("import json, sys\nfrom pdmp_cdf.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -1389,6 +1465,109 @@ class TestPolicyFit:
         assert rc == EXIT_CONFIG
         assert {"no_grid": "'grid'", "not_json": "not valid JSON", "no_n_angles": "'n_angles'",
                 "missing": "cannot read"}[malformed] in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ex5_policy(tmp_path_factory) -> dict:
+    """The document of the expectation policy that `hjb` saves for example5 at dx 0.05."""
+    path = tmp_path_factory.mktemp("policy") / "ex5.policy"
+    assert main(["hjb", *EX5_COARSE, "--policy-out", str(path),
+                 "--out", str(path.parent / "hjb")]) == 0
+    return json.loads(path.read_text())
+
+
+def int16s(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<i2").tobytes()).decode("ascii")
+
+
+def key_paths(doc: dict, prefix: str = "") -> list[str]:
+    """The dotted path of every key of ``doc``, nested objects' keys included."""
+    return [path for key, value in doc.items() for path in [prefix + key, *(
+        key_paths(value, f"{prefix}{key}.") if isinstance(value, dict) else [])]]
+
+
+class TestPolicyFile:
+    """`control.POLICY` says what a policy file holds; anything else exits with code 2 before
+    any solve and names its key path."""
+
+    N_NODES = 21  # example5 at dx 0.05
+
+    # Each file ran with exit code 0, ended in a traceback, or exited 2 with a wrong
+    # message, before the policy file was read through one table.
+    @pytest.mark.parametrize("command, changes, path", [
+        ("evaluate-policy", {"dtype": "float64"}, "policy.dtype"),
+        ("evaluate-policy", {"byte_order": "big"}, "policy.byte_order"),
+        ("evaluate-policy", {"n_modes": 2.5}, "policy.n_modes"),
+        ("evaluate-policy", {"grid.ds": True}, "policy.grid.ds"),
+        ("evaluate-policy", {"grid.shape": ["21"]}, "policy.grid.shape"),
+        ("evaluate-policy", {"grid.lo": [None]}, "policy.grid.lo"),
+        ("evaluate-policy", {"comment": "hand-edited"}, "unknown keys at policy: ['comment']"),
+        ("simulate", {"control_set.vectors": [[True], [1.0]]}, "policy.control_set.vectors"),
+        ("evaluate-policy", {"control_set": {"kind": "square"}},
+         "unknown controls kind 'square' at policy.control_set"),
+        ("evaluate-policy", {"actions_b64": int16s([-1] * 2 * N_NODES)}, "policy: actions"),
+        ("simulate", {"fallback_b64": int16s([-1] * 2 * N_NODES)}, "policy: fallback"),
+        ("simulate", {"fallback_b64": int16s([99] * 2 * N_NODES)}, "policy: fallback"),
+        ("evaluate-policy", {"actions_b64": "not base64!"}, "policy.actions_b64"),
+        # more of the same kinds
+        ("evaluate-policy", {"format": "pdmp-policy/2"}, "policy.format"),
+        ("evaluate-policy", {"grid.dx": [0.0]}, "policy.grid.dx"),
+        ("evaluate-policy", {"grid.lo": [0.0, 0.0]}, "policy: grid lo, dx and shape"),
+        ("evaluate-policy", {"grid.n_levels": 2}, "policy: actions_b64 and fallback_b64 do not hold"),
+        ("evaluate-policy", {"actions_b64": int16s([0] * 2 * N_NODES)[:-4]}, "policy.actions_b64"),
+        ("evaluate-policy", {"control_set": {"kind": "list", "vectors": [[1.0]] * 2**15}},
+         "policy.control_set: vectors gives 32768 actions"),
+        ("evaluate-policy", {"grid": DELETE}, "missing required key policy.grid"),
+    ])
+    def test_malformed_policy_files_rejected(self, tmp_path, monkeypatch, capsys, ex5_policy,
+                                             command, changes, path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before the policy file was checked")
+
+        for mod, name in ((cdf_solver, "solve_min_cost"), (cdf_solver, "solve_cdf"),
+                          (control, "solve_cdf"), (control, "evaluate_policy_cdf"),
+                          (control, "solve_hjb_expectation"), (simulate, "run_batch")):
+            monkeypatch.setattr(mod, name, refuse)
+        policy = tmp_path / "p.policy"
+        policy.write_text(json.dumps(edited(ex5_policy, changes)))
+        run = ["--n", "50", "--threshold", "0.2"] if command == "simulate" else []
+        out = tmp_path / "o"
+        assert main([command, *EX5_COARSE, *run, "--policy-in", str(policy),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and path in err, err
+        assert not out.exists()
+
+    def test_saved_policies_load_to_what_was_saved(self, tmp_path):
+        spec = catalog.example6(4)
+        grid = build_grid(spec, 0.25, 0.1, 0.3)
+        policy = control.synthesize_policy(control.solve_threshold(spec, grid), spec, grid)
+        save_policy(policy, str(tmp_path / "p.policy"))
+        back = control.load_policy(str(tmp_path / "p.policy"))
+        for name in ("actions", "fallback", "lo", "dx"):
+            assert np.array_equal(getattr(back, name), getattr(policy, name)), name
+        assert (back.shape, back.ds, back.provenance) == (policy.shape, policy.ds, "threshold")
+        assert back.control_set.n_angles == 4
+        assert np.array_equal(back.control_set.vectors, policy.control_set.vectors)
+
+    @pytest.mark.parametrize("control_set", [None, {"kind": "unit_circle", "n_angles": 2}])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), value=st.sampled_from(
+        [None, True, False, "text", math.inf, 10**400, [], [[0], [0, 1]]]))
+    def test_any_key_replaced_loads_or_is_a_config_error(self, tmp_path_factory, ex5_policy,
+                                                         control_set, data, value):
+        doc = edited(ex5_policy, {"control_set": control_set} if control_set else {})
+        doc = edited(doc, {data.draw(st.sampled_from(key_paths(doc))): value})
+        path = tmp_path_factory.mktemp("replaced") / "p.policy"
+        path.write_text(json.dumps(doc))  # math.inf is written as Infinity, as JSON reads 1e400
+        try:
+            control.load_policy(str(path))
+        except ConfigError:
+            pass
+
+    def test_readme_table_agrees_with_the_policy_table(self):
+        rows, table = readme_and_table_rows(control.POLICY)
+        assert rows == table
 
 
 class TestGraphProblems:
