@@ -75,16 +75,17 @@ where a field is tabulated; every mode's rows come from one
 the table holds no (row, node) array: ``CandidateTable.values`` reads the
 field once at the neighbours of the nodes asked for and lets each row pick
 its directions, in the order a stored table's entries would be combined,
-so the values are the same bit for bit.  In 1D every candidate reads one
-foot, so s0 is a shortest path: the finite entries of the materialized
-table (a 1D table is a few rows) are edges foot -> node of one label
-setting, ``discrete.label_setting``, and w0 is transported node by node
-in increasing s0 on plain floats, along candidates picked for all nodes
-at once.  In 2D a frontier sweep evaluates
-only the dirty columns: first the live neighbours of the exit nodes, then
-the 3^d neighbourhood of the nodes that decreased, which gives the full
-Jacobi iteration's fixed point bit for bit because feet are grid
-neighbours; w0 is iterated the same way.
+so the values are the same bit for bit, and ``CandidateTable.least``
+reduces them in blocks of columns, so the 2D passes build none either.
+In 1D every candidate reads one foot, so s0 is a shortest path: the
+finite entries of the materialized table (a 1D table is a few rows) are
+edges foot -> node of one label setting, ``discrete.label_setting``, and
+w0 is transported node by node in increasing s0 on plain floats, along
+candidates picked for all nodes at once.  In 2D a frontier sweep
+evaluates only the dirty columns: first the live neighbours of the exit
+nodes, then the 3^d neighbourhood of the nodes that decreased, which
+gives the full Jacobi iteration's fixed point bit for bit because feet
+are grid neighbours; w0 is iterated the same way.
 s0 does not depend on the switching rates, so ``MinimalCost`` computes
 it once, selects each node's transport candidates once, and fills w0 for
 all rate choices at once.
@@ -123,6 +124,7 @@ from .model import (
 ESCAPE_COST = 1e30  # expected-cost sentinel for trajectories leaving off the exit set
 ARGMIN_RTOL = 1e-9  # relative slack for the modes that attain a node's minimal cost
 _FROZEN_ITERATIONS = 50  # operator iterations when the frozen policy's LU fails
+_BLOCK_ENTRIES = 2**15  # (candidate, node) entries that CandidateTable.least holds at once
 
 log = logging.getLogger(__name__)
 
@@ -790,6 +792,8 @@ class CandidateTable:
     last ("none") row (they read 0).
     ``values`` evaluates candidates on demand from these stencils and
     ``entries`` materializes them; both are bit for bit the stored table's.
+    The 2D passes reduce candidates through ``least``, which runs ``values``
+    on blocks of columns and keeps each column's minimum and first argmin.
     """
 
     const: np.ndarray      # (C, 1) or (C, n)
@@ -814,11 +818,14 @@ class CandidateTable:
         0 with weight 0.  A candidate is ``inf`` wherever a foot it reads is
         infinite, even with zero weight.
         """
+        return self._values(np.append(vals, (np.inf, 0.0)), rows, cols)
+
+    def _values(self, padded: np.ndarray, rows: slice, cols: np.ndarray | None) -> np.ndarray:
+        """``values`` of the field ``padded`` with its (inf, 0) reads appended."""
         axis_nb, diag_nb = (self.axis_nb, self.diag_nb) if cols is None else (
             self.axis_nb[:, cols], self.diag_nb[:, cols])
-        padded = np.append(vals, (np.inf, 0.0))
         diag = _cells(self.diag, rows, cols)
-        frac = _pick(diag_nb < vals.size, diag) * _cells(self.frac, rows, cols)
+        frac = _pick(diag_nb < padded.size - 2, diag) * _cells(self.frac, rows, cols)
         with np.errstate(invalid="ignore"):
             out = _pick(padded[axis_nb], _cells(self.foot, rows, cols))
             out *= 1.0 - frac
@@ -827,6 +834,29 @@ class CandidateTable:
             lean *= frac
             out += lean
         return np.fmin(out, np.inf, out=out)  # nan (0 * inf) -> inf
+
+    def least(self, vals: np.ndarray, cols: np.ndarray, rows: slice = slice(None),
+              argmin: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each column's least value over candidates ``rows`` at nodes ``cols``, and its first
+        argmin (a row offset into ``rows``; None unless ``argmin``): ``values(...).min(axis=0)``
+        and ``np.argmin(values(...), axis=0)``.
+
+        The columns are reduced in blocks of about ``_BLOCK_ENTRIES`` (row, node)
+        entries, so no (rows, cols) matrix is held.  Each entry is computed as
+        ``values`` computes it and each column reduced over the same rows, so
+        the results are the whole matrix's bit for bit.  An argmin along the
+        rows can cost many times the min, so the s0 sweep asks for the min alone.
+        """
+        padded = np.append(vals, (np.inf, 0.0))
+        width = max(1, _BLOCK_ENTRIES // self.mode[rows].size)
+        best = np.empty(cols.size)
+        arg = np.empty(cols.size, dtype=np.intp) if argmin else None
+        for lo in range(0, cols.size, width):
+            block = self._values(padded, rows, cols[lo:lo + width])
+            block.min(axis=0, out=best[lo:lo + width])
+            if argmin:
+                block.argmin(axis=0, out=arg[lo:lo + width])
+        return best, arg
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> Candidates:
         """The entries of rows ``rows`` at nodes ``cols``, two index arrays broadcast together."""
@@ -974,9 +1004,11 @@ def _frontier_sweep(grid: Grid, table: CandidateTable, s0: np.ndarray,
     """Jacobi passes that evaluate only the columns whose feet changed.
 
     Every pass updates its dirty nodes from the previous pass's values, as
-    a full Jacobi pass would.  Feet are grid neighbours, so only the 3^d
-    neighbourhood of the nodes that decreased can change in the next pass;
-    the iterates, and so the fixed point, are those of the full iteration.
+    a full Jacobi pass would, each with its least candidate from
+    ``CandidateTable.least`` (block by block, the minimum alone).  Feet
+    are grid neighbours, so only the 3^d neighbourhood of the nodes that
+    decreased can change in the next pass; the iterates, and so the fixed
+    point, are those of the full iteration.
     Returns s0, the pass count and the number of node decreases.
     """
     live = ~grid.exit_mask
@@ -984,7 +1016,7 @@ def _frontier_sweep(grid: Grid, table: CandidateTable, s0: np.ndarray,
     updates = 0
     for passes in range(1, max_iter + 1):
         old = s0[dirty]
-        best = np.minimum(old, table.values(s0, cols=dirty).min(axis=0))
+        best = np.minimum(old, table.least(s0, dirty, argmin=False)[0])
         s0[dirty] = best
         lower = best < old
         updates += int(np.count_nonzero(lower))
@@ -1045,7 +1077,9 @@ class MinimalCost:
     frontier's width instead of the whole grid.  w0 is then the fixed
     point of the transport along each mode's best candidate, picked from
     one mode's rows at a time and iterated over the neighbourhood of the
-    last changes in the same way.
+    last changes in the same way.  Both reduce candidates with
+    ``CandidateTable.least``, in blocks of columns, so no (row, node)
+    matrix is held.
 
     w0 is filled for all rate choices at once (``stacked``): the candidate
     each node and mode transports along does not depend on the rates, so it
@@ -1172,6 +1206,8 @@ def _w0_fixed_point(grid, table, s0, w0, rates, max_iter=100000) -> int:
 
     Each node takes, in every mode whose best candidate attains s0, the
     transport along that candidate from its feet; other live nodes keep 0.
+    A mode's best candidate is the first least of its rows, from
+    ``CandidateTable.least`` over all nodes, block by block.
     These are Jacobi passes over the nodes near the last changes only, as
     in ``_frontier_sweep``.  A foot can have a larger s0 than its node (the
     diagonal foot), so the order is not that of s0; while the dependencies
@@ -1190,10 +1226,9 @@ def _w0_fixed_point(grid, table, s0, w0, rates, max_iter=100000) -> int:
     picked = []
     for i in range(m):
         rows = table.mode_rows(i)
-        vals = table.values(s0, rows)
-        pick = np.argmin(vals, axis=0)
+        best_i, pick = table.least(s0, cols, rows)
         ent = table.entries(rows.start + pick, cols)
-        picked.append((vals[pick, cols], ent.foot_a, ent.foot_b, ent.frac, ent.h_at_foot))
+        picked.append((best_i, ent.foot_a, ent.foot_b, ent.frac, ent.h_at_foot))
     best_all = np.min([best_i for best_i, *_ in picked], axis=0)
     per_mode = []
     for best_i, fa, fb, frac, h in picked:

@@ -664,6 +664,16 @@ def _execute(args) -> None:
     exporter.finish(extra)
 
 
+def _flag_reading(entry: Key) -> dict:
+    """argparse keywords of ``entry``'s flag.  A text its ``type`` cannot read is a
+    ConfigError naming the flag: argparse exits on a ValueError but lets it through."""
+    keywords = dict(entry.rule.flag)
+    if "type" in keywords:
+        keywords["type"] = partial(_value, entry.rule._replace(parse=keywords["type"]),
+                                   what=entry.flag)
+    return keywords
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command line, built once: parsing leaves an argparse parser as it was."""
@@ -692,7 +702,7 @@ def _parser() -> argparse.ArgumentParser:
         for (section, key), entry in SCHEMA.items():
             if entry.flag:
                 p.add_argument(entry.flag, help=f"{section}.{key}: {entry.rule.text}",
-                               **entry.rule.flag)
+                               **_flag_reading(entry))
         if name in ("hjb", "threshold"):
             p.add_argument("--policy-out", dest="policy_out", default=None,
                            help="write the synthesized policy to this file")
@@ -702,9 +712,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        _execute(args)
+        _execute(_parser().parse_args(argv))
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -100,10 +100,7 @@ def _array(*ndims: int, integral: bool = False) -> Callable:
 
 
 def number(text: str) -> int | float:
-    """A whole-number flag's text: an int where `int` reads it ('10'), else a float ('1e5').
-
-    argparse names the reader in its error: "invalid number value".
-    """
+    """A whole-number flag's text: an int where `int` reads it ('10'), else a float ('1e5')."""
     try:
         return int(text)
     except ValueError:

@@ -323,6 +323,27 @@ class TestMinCost:
             expected = np.array([plain[c][key][k] for c, k in zip(picks, nodes)])
             assert np.array_equal(getattr(entries, key), expected), key
 
+    @settings(max_examples=200, deadline=None)
+    @given(_table_problems(), st.data())
+    def test_least_reduces_values_block_by_block(self, problem, data):
+        # the sweeps reduce candidates through least; any block width gives the whole matrix's bits
+        spec, grid = problem
+        table = cdf_solver._candidate_table(spec, grid)
+        n, n_rows = grid.n_nodes, table.mode.size
+        field = np.array(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 5.0), st.just(math.inf)), min_size=n, max_size=n)))
+        lo = data.draw(st.integers(0, n_rows - 1))
+        rows = slice(lo, data.draw(st.integers(lo + 1, n_rows)))
+        cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        budget = data.draw(st.integers(1, 2 * (rows.stop - rows.start) * cols.size))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdf_solver, "_BLOCK_ENTRIES", budget)
+            best, arg = table.least(field, cols, rows)
+            alone, no_arg = table.least(field, cols, rows, argmin=False)
+        whole = table.values(field, rows, cols)
+        assert best.tobytes() == whole.min(axis=0).tobytes() == alone.tobytes()
+        assert arg.tobytes() == np.argmin(whole, axis=0).tobytes() and no_arg is None
+
     def test_two_dimensional_solve_stays_small(self):
         # 200 angles at dx 2e-2: 800 candidate rows over 51^2 nodes, so a stored
         # (row, node) table of 24 bytes an entry would alone take 50 MB
@@ -335,6 +356,19 @@ class TestMinCost:
         finally:
             tracemalloc.stop()
         assert peak < 25 * 2**20
+
+    def test_two_dimensional_solve_holds_no_candidate_matrix(self):
+        # the same solve reduces its candidates in blocks of columns: one (800, 2601)
+        # matrix of floats alone would take 16 MB, and the s0 and w0 passes made several
+        spec = catalog.example6(200)
+        grid = build_grid(spec, 2e-2, 2e-2, 1.0)
+        tracemalloc.start()
+        try:
+            solve_min_cost(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_passes_are_reported(self, caplog):
         spec, grid = _min_cost_problem("example3", None, 0.05)

@@ -669,6 +669,28 @@ class TestSchema:
             "thresholds": str, "rates": str, "samples": int, "seed": int, "start": str,
             "threshold": float, "dump_samples": bool, "dir": str}
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("simulate", "--n", "abc"), ("solve-cdf", "--dx", "abc"), ("simulate", "--seed", "x")])
+    def test_flag_text_its_reader_cannot_read_returns_2(self, tmp_path, monkeypatch, capsys,
+                                                        command, flag, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran on an unreadable flag")
+
+        for mod, name in ((cdf_solver, "solve_cdf"), (simulate, "run_batch")):
+            monkeypatch.setattr(mod, name, refuse)
+        out = tmp_path / "o"
+        argv = [command, "--problem", "example1", flag, text, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"configuration error: {flag} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_and_a_missing_command_still_exit(self, capsys):
+        with pytest.raises(SystemExit) as help_exit:
+            main(["solve-cdf", "--help"])
+        with pytest.raises(SystemExit) as missing:
+            main([])
+        assert (help_exit.value.code, missing.value.code) == (0, 2)
+
     def test_readme_table_agrees_with_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = {}
