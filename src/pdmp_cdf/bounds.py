@@ -6,15 +6,15 @@ the rate matrix pointwise.  Because each semi-Lagrangian update is affine
 in the rates, the pointwise optimizer is bang-bang and known in closed
 form, so both envelopes come from one sweep that costs about one
 fixed-rate solve: ``_sweep`` carries the upper and the lower envelope on a
-leading field axis, the modes' steps are one shared-column ``StepStack``,
-whose ``gather`` gives both fields' per-source foot values in one product
-per level shift, and each side's bang-bang rate choice
-(``RateBounds.extreme_rates``, which the minimal-cost solve's probability
-transport uses too) mixes them.  The modes' steps come from the same
-set-up as the fixed-rate sweep's (``cdf_solver._mode_steps``).
+leading field axis, the modes are the blocks of one step on shared
+columns, whose ``StepStack.gather`` gives both fields' per-source foot
+values in one product per level shift, and each side's bang-bang rate
+choice (``RateBounds.extreme_rates``, which the minimal-cost solve's
+probability transport uses too) mixes them.  The step comes from the
+fixed-rate sweep's set-up (``cdf_solver._mode_steps``).
 
 Fixed-rate samples (``fixed_rate_sweep``) come from one rate-stacked run
-of ``solve_cdf``'s sweep: the modes' steps are built once, and every level
+of ``solve_cdf``'s sweep: the modes' step is built once, and every level
 update carries all rate matrices together.  The minimal attainable cost
 does not depend on the rates either, so a restricted rate sweep takes one
 ``MinimalCost.stacked`` seed, and ``solve_min_cost_bounds`` computes it
@@ -100,15 +100,15 @@ def solve_bounds(
     columns.
     """
     rb = spec.require_rate_bounds()
-    steps, tau = _mode_steps(spec, grid, tau)
+    step, tau = _mode_steps(spec, grid, tau)
     max_total = float(rb.upper.sum(axis=1).max())
     if tau * max_total > 1.0 + 1e-12:
         raise NumericsError(
             f"tau * max total upper rate = {tau * max_total:.6g} exceeds 1; "
             "the adversarial update would leave [0, 1]"
         )
-    stack = StepStack(steps)
-    del steps
+    stack = StepStack(step)
+    del step
     step_len = np.full(stack.n_nodes * spec.n_modes, tau)
     step_len[stack.cap_rows] = stack.cap_theta_tau
     fields, clamp = _sweep(grid.exit_mask, exit_costs(spec, grid), grid.ds, grid.n_levels, restrict,

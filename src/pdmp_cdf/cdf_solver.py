@@ -20,8 +20,9 @@ that the simulator uses as well; a tie between an exit and an escape is an
 exit.
 
 Every kernel runs on one sparse-operator view of a step.  A
-``SemiLagrangianStep`` classifies the nodes and keeps its raw foot
-stencils.  A ``StepStack`` stacks several steps row-wise (the modes of a
+``SemiLagrangianStep`` classifies rows in blocks of N nodes, one mode per
+block (the modes of a sweep, or one mode's actions), and keeps their raw
+foot stencils.  A ``StepStack`` assembles one step (the modes of a
 fixed-rate sweep block-diagonally; the actions of one mode, or the modes
 of a bound sweep, on shared columns) and is the only code that assembles
 and applies level operators: ``gather``, one sparse product per level
@@ -33,14 +34,14 @@ I + theta*tau*Q and the expected-cost constants.  So one fixed-rate CDF
 sweep serves several rate matrices: a leading rate axis rides through
 the mixing, the sparse products (one right-hand column per matrix) and
 ``_sweep``, and ``solve_cdf`` is its one-matrix case.  The bound sweep
-stacks its steps without rates and carries its two envelopes on the same
+stacks its step without rates and carries its two envelopes on the same
 leading field axis, mixing its own bang-bang rates; the threshold sweep
 is ``_sweep``'s one-field case.  The fixed-rate and bound sweeps share
-one set-up, ``_mode_steps``.  A policy enters a step only as actions
-(``VectorField.at``, the one velocity rule): one per step for the
-actions of a mode, one per node for a frozen policy.  The routed graph's
-CDF (``discrete.solve_cdf``) runs through ``_sweep`` too, with one-point
-stencils that it gathers without scipy.
+one set-up, ``_mode_steps``: one step over the modes.  A policy enters a
+step only as actions (``VectorField.at``, the one velocity rule): one per
+block for the actions of a mode, one per node for a frozen policy.  The
+routed graph's CDF (``discrete.solve_cdf``) runs through ``_sweep`` too,
+with one-point stencils that it gathers without scipy.
 
 On the grids in use a level costs numpy calls more than arithmetic, so
 the per-level work is a fixed handful of whole-array calls, each giving
@@ -54,13 +55,13 @@ each field, the slices a caller asks for (a ``Keep``: whole levels and
 node columns); without one every field is kept whole.
 
 Expected exit costs, expectation-optimal in the control module, are
-solved by one routine: modified policy iteration over the stacked steps
-of every mode.  Its Bellman steps (one product per mode) advance u, and
-an exact sparse solve of the frozen policy, whose matrix is a row
-selection of the stacks, runs only on the first step, once the
-minimizing actions stop changing, or after a grid crossing's worth of
-Bellman steps.  With one action per mode that is a single linear solve
-plus the step that confirms it.
+solved by one routine: modified policy iteration over one stack per mode,
+whose blocks are the mode's actions.  Its Bellman steps (one product per
+mode) advance u, and an exact sparse solve of the frozen policy, whose
+matrix is a row selection of the stacks, runs only on the first step,
+once the minimizing actions stop changing, or after a grid crossing's
+worth of Bellman steps.  With one action per mode that is a single linear
+solve plus the step that confirms it.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
@@ -156,17 +157,20 @@ def check_causality(tau: float, min_cost: float, ds: float) -> None:
 
 
 class SemiLagrangianStep:
-    """Precomputed one-step update of one (mode, action) pair: node classes and foot stencils.
+    """Precomputed one-step update of blocks of N rows: row classes and foot stencils.
 
-    ``action`` is one action, or one per node (a frozen policy); see
-    ``VectorField.at``.
+    Row ``b * N + k`` is node k of block b.  ``mode`` is one mode (one
+    block) or one per block; ``action`` broadcasts against (blocks, N, d):
+    one action, one per block or one per node (``VectorField.at``).
+    Velocity and running cost are evaluated once per distinct mode; the
+    rest is elementwise over rows, so each block is its own step bit for bit.
 
-    Nodes are classified once: *regular* steps stay in the domain and read
+    Rows are classified once: *regular* steps stay in the domain and read
     the interpolated previous solution, *capped* steps reach the exit set
     at a fraction theta of the step and evaluate the boundary condition at
     the crossing, and *escaping* steps leave the domain off the exit set.
 
-    The foot stencils of the regular steps are kept raw: ``idx`` and ``wts``
+    The foot stencils of the regular rows are kept raw: ``idx`` and ``wts``
     (shape ``(2**dim, n_regular)``) are the multilinear interpolation at the
     feet, and ``shift`` and ``frac`` say which threshold levels each foot
     reads: weight ``1 - frac`` on level ``n - shift`` and ``frac`` on level
@@ -174,10 +178,9 @@ class SemiLagrangianStep:
     every shift is 1 and every frac 0.  ``StepStack`` assembles the sparse
     operators from them.
 
-    A step is pure geometry: the switching rates enter only where steps
-    are stacked (``StepStack``).  ``cap_theta_tau`` is each capped step's
-    duration, ``cap_ds`` its cost and ``cap_q`` every mode's exit cost at
-    its crossing point.
+    A step is pure geometry: the switching rates enter only at the stack.
+    ``cap_theta_tau`` is each capped step's duration, ``cap_ds`` its cost
+    and ``cap_q`` every mode's exit cost at its crossing point.
     """
 
     def __init__(
@@ -185,32 +188,42 @@ class SemiLagrangianStep:
         spec: ProblemSpec,
         grid: Grid,
         tau: float,
-        mode: int,
+        mode: int | np.ndarray,
         action: np.ndarray | None = None,
     ):
         self.spec = spec
         self.grid = grid
         self.tau = float(tau)
         self.mode = mode
-        m = spec.n_modes
-        pts = grid.points
-        self.node_cost = spec.modes[mode].cost.at(grid, pts)
-        disp = tau * spec.modes[mode].dynamics.at(grid, pts, action)
+        m, n, dim = spec.n_modes, grid.n_nodes, grid.dim
+        blocks = np.atleast_1d(mode)
+        pts = np.tile(grid.points, (blocks.size, 1))
+        acts = None if action is None else np.broadcast_to(action, (blocks.size, n, dim))
+        node_cost = np.empty((blocks.size, n))
+        disp = np.empty((blocks.size, n, dim))
+        for i in np.unique(blocks):
+            own = blocks == i
+            rows = np.count_nonzero(own) * n  # pts[:rows] are the points of the mode's rows
+            act = None if acts is None else acts[own].reshape(rows, dim)
+            node_cost[own] = spec.modes[i].cost.at(grid, grid.points)
+            disp[own] = (tau * spec.modes[i].dynamics.at(grid, pts[:rows], act)).reshape(-1, n, dim)
+        self.node_cost = node_cost.reshape(-1)
+        disp = disp.reshape(-1, dim)
 
         t_exit, t_escape = spec.exit_set.first_hit(spec.lo, spec.hi, pts, disp)
         theta = np.minimum(t_exit, t_escape)
-        ends = ~grid.exit_mask & (theta <= 1.0 + 1e-12)
+        exit_rows = np.tile(grid.exit_mask, blocks.size)
+        ends = ~exit_rows & (theta <= 1.0 + 1e-12)
         capped = ends & (t_exit <= t_escape)
         escaped = ends & ~capped
-        regular = ~grid.exit_mask & ~ends
+        regular = ~exit_rows & ~ends
 
         self.reg_nodes = np.where(regular)[0]
         self.cap_nodes = np.where(capped)[0]
         self.esc_nodes = np.where(escaped)[0]
 
         foot = np.clip(pts[self.reg_nodes] + disp[self.reg_nodes], grid.lo, grid.hi)
-        idx, wts = grid.spatial_stencil(foot) if self.reg_nodes.size else (
-            np.zeros((1 << grid.dim, 0), dtype=int), np.zeros((1 << grid.dim, 0)))
+        idx, wts = grid.spatial_stencil(foot)
         self.idx = idx.astype(np.int32)
         self.wts = wts
 
@@ -229,9 +242,7 @@ class SemiLagrangianStep:
         qx = pts[self.cap_nodes] + th[:, None] * disp[self.cap_nodes]
         self.cap_theta_tau = np.clip(th, 0.0, 1.0) * tau
         self.cap_ds = self.cap_theta_tau * self.node_cost[self.cap_nodes]
-        self.cap_q = np.column_stack(
-            [spec.modes[j].exit_cost.at(grid, qx) for j in range(m)]
-        ) if self.cap_nodes.size else np.zeros((0, m))
+        self.cap_q = np.column_stack([spec.modes[j].exit_cost.at(grid, qx) for j in range(m)])
 
 
 def _cap_mix(modes: np.ndarray, theta_tau: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -245,89 +256,83 @@ def _cap_mix(modes: np.ndarray, theta_tau: np.ndarray, q: np.ndarray) -> np.ndar
     return mix
 
 
-def _assemble(steps: list[SemiLagrangianStep], width: int, diagonal: bool,
+def _assemble(step: SemiLagrangianStep, width: int, diagonal: bool,
               shift: int | None = None, parts: int = 1):
-    """CSR matrix of the steps' foot stencils; row ``b * N + k`` is node k of ``steps[b]``.
+    """CSR matrix of the step's foot stencils, one row per step row.
 
     Columns run over (part, node) blocks of ``width``, offset by ``b * N``
-    with ``diagonal``.  With ``shift`` only the nodes reading that level
-    shift, weighted ``1 - frac`` (part 0) and ``frac`` (part 1).
+    in block b's rows with ``diagonal``.  With ``shift`` only the rows
+    reading that level shift, weighted ``1 - frac`` (part 0) and ``frac`` (part 1).
     """
     from scipy import sparse
 
-    n = steps[0].grid.n_nodes
-    itype = np.int32 if max(len(steps) * n, parts * width) < 2**31 else np.int64
-    rows, cols, vals = [], [], []
-    for b, st in enumerate(steps):
-        sel = slice(None) if shift is None else st.shift == shift
-        wts = st.wts[:, sel]
-        weights = [wts] if shift is None else [wts * (1.0 - st.frac[sel]), wts * st.frac[sel]]
-        idx = st.idx[:, sel].astype(itype) + (b * n if diagonal else 0)
-        row = np.broadcast_to((b * n + st.reg_nodes[sel]).astype(itype), idx.shape).ravel()
-        for p, part in enumerate(weights[:parts]):
-            rows.append(row)
-            cols.append((idx + p * width).ravel())
-            vals.append(part.ravel())
-    mat = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(len(steps) * n, parts * width))
+    n, n_rows = step.grid.n_nodes, step.node_cost.size
+    itype = np.int32 if max(n_rows, parts * width) < 2**31 else np.int64
+    sel = slice(None) if shift is None else step.shift == shift
+    rows = step.reg_nodes[sel].astype(itype)
+    cols = step.idx[:, sel].astype(itype) + (rows - rows % n if diagonal else 0)
+    wts = step.wts[:, sel]
+    weights = [wts] if shift is None else [wts * (1.0 - step.frac[sel]), wts * step.frac[sel]]
+    mat = sparse.csr_matrix(
+        (np.concatenate([w.ravel() for w in weights[:parts]]),
+         (np.tile(np.broadcast_to(rows, cols.shape).ravel(), parts),
+          np.concatenate([(cols + p * width).ravel() for p in range(parts)]))),
+        shape=(n_rows, parts * width))
     mat.eliminate_zeros()
     return mat
 
 
 class StepStack:
-    """Several steps stacked row-wise: the only place level operators are built and applied.
+    """One step's level operators: the only place they are built and applied.
 
-    Row ``b * N + k`` is node k of ``steps[b]``.  ``interp`` is the stacked
+    Row ``b * N + k`` is node k of the step's block b.  ``interp`` is the
     plain foot interpolation.  ``level_ops`` holds one ``(shift, parts,
-    matrix)`` triple per level shift of any step, assembled from the steps'
+    matrix)`` triple per level shift of any row, assembled from the step's
     stencils; ``gather`` applies them, one sparse product per shift, to the
-    previous levels stacked part by part.  With ``diagonal`` each step reads
-    its own block of that input (the modes of a fixed-rate sweep, each
-    reading its own mixed level); otherwise every step reads the same input
-    (the actions of one mode, or the modes of a bound sweep reading every
-    source mode).  The ``cap_*`` arrays collect the capped steps under
-    their stacked rows: ``cap_theta_tau`` their durations, ``cap_ds`` their
-    costs and ``cap_q`` the exit costs at their crossings.  A capped row
-    reads its boundary indicator (``cap_indicator``), which switches on
-    where ``n * ds - cap_ds`` reaches an exit cost; ``cap_flips`` lists
-    those levels (``_switch_levels``), so the indicator and ``cap_cdf`` are
-    computed once between two of them (``_Stepwise``) and shared, read-only,
-    by every level in between.
+    previous levels stacked part by part.  With ``diagonal`` each block
+    reads its own block of that input (the modes of a fixed-rate sweep,
+    each reading its own mixed level); otherwise every block reads the same
+    input (the actions of one mode, or the modes of a bound sweep reading
+    every source mode).  The ``cap_*`` arrays are the capped rows':
+    ``cap_theta_tau`` their durations, ``cap_ds`` their costs and ``cap_q``
+    the exit costs at their crossings.  A capped row reads its boundary
+    indicator (``cap_indicator``), which switches on where ``n * ds -
+    cap_ds`` reaches an exit cost; ``cap_flips`` lists those levels
+    (``_switch_levels``), so the indicator and ``cap_cdf`` are computed
+    once between two of them (``_Stepwise``) and shared, read-only, by
+    every level in between.
 
     This is also the one place where switching rates become probabilities.
     Given ``rates``, a list of R rate matrices, a leading axis carries one
-    entry per matrix: ``probs`` (R, B, M) holds each step's row of the
+    entry per matrix: ``probs`` (R, B, M) holds each block's row of the
     one-step probabilities I + tau*Q, ``cap_probs`` (R, n_cap, M) the
-    capped steps' mix I + theta*tau*Q, and ``const`` (R, B * N) the
+    capped rows' mix I + theta*tau*Q, and ``const`` (R, B * N) the
     constant part of the expected-cost update: the running cost tau*C of a
     regular row, the boundary value of a capped row, ``ESCAPE_COST`` on an
     escaping row.  One sweep thus serves every matrix of a fixed-rate sweep,
     and the expected-cost solvers read entry 0.  Without ``rates`` (the
     bound sweep, which mixes its own bang-bang rates) all three are None.
-    The stack keeps no reference to the steps, so their stencils can be
-    freed once it is built.
+    The stack keeps no reference to the step, so its stencils can be freed
+    once the stack is built.
     """
 
-    def __init__(self, steps: list[SemiLagrangianStep], diagonal: bool = False,
+    def __init__(self, step: SemiLagrangianStep, diagonal: bool = False,
                  rates: list[RateMatrix] | None = None):
-        self.n_nodes = n = steps[0].grid.n_nodes
-        self.ds = steps[0].grid.ds
-        width = len(steps) * n if diagonal else n
-        self.interp = _assemble(steps, width, diagonal)
-        if all(np.all(st.shift == 1) for st in steps):
+        self.n_nodes = n = step.grid.n_nodes
+        self.ds = step.grid.ds
+        width = step.node_cost.size if diagonal else n
+        self.interp = _assemble(step, width, diagonal)
+        if np.all(step.shift == 1):
             self.level_ops = [(1, 1, self.interp)]
         else:
             self.level_ops = []
-            for shift in sorted({int(s) for st in steps for s in np.unique(st.shift)}):
-                parts = 2 if any(np.any(st.frac[st.shift == shift] > 0.0) for st in steps) else 1
-                self.level_ops.append((shift, parts,
-                                       _assemble(steps, width, diagonal, shift, parts)))
-        self.cap_rows = np.concatenate([b * n + st.cap_nodes for b, st in enumerate(steps)])
-        self.cap_theta_tau = np.concatenate([st.cap_theta_tau for st in steps])
-        self.cap_ds = np.concatenate([st.cap_ds for st in steps])
-        self.cap_q = np.concatenate([st.cap_q for st in steps])
+            for s in np.unique(step.shift).tolist():
+                parts = 2 if np.any(step.frac[step.shift == s] > 0.0) else 1
+                self.level_ops.append((s, parts, _assemble(step, width, diagonal, s, parts)))
+        self.cap_rows, self.cap_theta_tau, self.cap_ds, self.cap_q = (
+            step.cap_nodes, step.cap_theta_tau, step.cap_ds, step.cap_q)
         bar = self.cap_q - 1e-15
-        self.cap_flips = _switch_levels(self.ds, self.cap_ds, bar, steps[0].grid.n_levels)
+        self.cap_flips = _switch_levels(self.ds, self.cap_ds, bar, step.grid.n_levels)
         self._indicator = _Stepwise(self.cap_flips, lambda n: _switched_on(
             n, self.ds, self.cap_ds, bar).astype(float))
         self._cdf = _Stepwise(self.cap_flips, lambda n: np.einsum(
@@ -335,16 +340,13 @@ class StepStack:
         self.probs = self.cap_probs = self.const = None
         if rates is None:
             return
-        modes = [st.mode for st in steps]
-        cap_modes = np.repeat(modes, [st.cap_nodes.size for st in steps])
-        tau = steps[0].tau
-        self.probs = np.array([transition_probabilities(rm, tau)[modes] for rm in rates])
-        self.cap_probs = _cap_mix(cap_modes, self.cap_theta_tau,
+        modes = np.atleast_1d(step.mode)
+        self.probs = np.array([transition_probabilities(rm, step.tau)[modes] for rm in rates])
+        self.cap_probs = _cap_mix(modes[self.cap_rows // n], self.cap_theta_tau,
                                   np.array([rm.matrix for rm in rates]))
-        self.const = np.zeros((len(rates), len(steps) * n))
-        for b, st in enumerate(steps):
-            self.const[:, b * n + st.reg_nodes] = tau * st.node_cost[st.reg_nodes]
-            self.const[:, b * n + st.esc_nodes] = ESCAPE_COST
+        self.const = np.zeros((len(rates), step.node_cost.size))
+        self.const[:, step.reg_nodes] = step.tau * step.node_cost[step.reg_nodes]
+        self.const[:, step.esc_nodes] = ESCAPE_COST
         self.const[:, self.cap_rows] = self.cap_ds + np.einsum("rkj,kj->rk", self.cap_probs,
                                                                self.cap_q)
 
@@ -478,8 +480,8 @@ def solve_cdf(
 
 
 def _mode_steps(spec: ProblemSpec, grid: Grid, tau: float | None,
-                actions: np.ndarray | None = None) -> tuple[list[SemiLagrangianStep], float]:
-    """One step per mode and their tau (default: causal): the one set-up of a modes' sweep.
+                actions: np.ndarray | None = None) -> tuple[SemiLagrangianStep, float]:
+    """One step whose blocks are the M modes, and its tau (default: causal): a sweep's set-up.
 
     ``actions`` is None or (M, n_nodes, d), one action per mode and node.
     """
@@ -487,9 +489,7 @@ def _mode_steps(spec: ProblemSpec, grid: Grid, tau: float | None,
     if tau is None:
         tau = causal_tau(spec, grid, node_costs)
     check_causality(tau, float(node_costs.min()), grid.ds)
-    steps = [SemiLagrangianStep(spec, grid, tau, i, None if actions is None else actions[i])
-             for i in range(spec.n_modes)]
-    return steps, tau
+    return SemiLagrangianStep(spec, grid, tau, np.arange(spec.n_modes), actions), tau
 
 
 def _solve_cdfs(
@@ -503,7 +503,7 @@ def _solve_cdfs(
 ) -> list[CdfField]:
     """The exit-cost CDF under each rate matrix of ``rates``, from one sweep.
 
-    The steps do not depend on the rates, so the modes' steps are built and
+    The step does not depend on the rates, so the modes' step is built and
     stacked once; ``spec``'s own rates are not read.  Level n of every
     matrix comes from one mixing product per shift part, the stacked
     probability matrices (R, M, M) times the previous levels (R, M, N), and
@@ -516,8 +516,9 @@ def _solve_cdfs(
     """
     if spec.controlled and actions is None:
         raise ConfigError("controlled problems need the control module (or frozen actions)")
-    steps, tau = _mode_steps(spec, grid, tau, actions)
-    stack = StepStack(steps, diagonal=True, rates=rates)
+    step, tau = _mode_steps(spec, grid, tau, actions)
+    stack = StepStack(step, diagonal=True, rates=rates)
+    del step
     n_rates, rows = len(rates), spec.n_modes * grid.n_nodes
     zero = np.zeros((rows, n_rates))
 
@@ -677,8 +678,8 @@ def policy_iteration(
 
     Each mode's actions share one row of transition probabilities, so a
     Bellman application mixes u over the modes once and applies the mode's
-    stacked interpolation (a ``StepStack`` of its actions' steps): one
-    sparse product for all its actions.  The
+    stacked interpolation (a ``StepStack`` of one step whose blocks are its
+    actions): one sparse product for all its actions.  The
     frozen policy's matrix is a row selection of those stacks.  Returns u
     and the minimizing action index per (mode, node) at u.
     """

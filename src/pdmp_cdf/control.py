@@ -18,15 +18,15 @@ expected cost V, then by action index.  On the hopeless region V is pinned
 to the expectation-optimal value so the stored action coincides with the
 expectation-optimal policy there.
 
-Both problems run on the stacked step operators of ``cdf_solver``: the
-steps of all actions of a mode are one ``StepStack`` and share one
-probability row.  The threshold sweep is the CDF's level update: per mode
-the previous levels of ``[W, V]`` are mixed over the modes and one
-``StepStack.gather`` (one sparse product per level shift) gives the
-candidates of every action; ``_sweep`` owns level 0, the restricted
-seeding, the monotone clamp and the exit rows, as for the CDF and the
-bounds, and stores W whole or only a ``Keep``'s slices of it; V and the
-actions are stored whole.  The policy iteration's Bellman pass is the
+Both problems run on the stacked step operators of ``cdf_solver``: per
+mode, one step whose blocks are the mode's actions is one ``StepStack``,
+and its rows share one probability row.  The threshold sweep is the CDF's
+level update: per mode the previous levels of ``[W, V]`` are mixed over
+the modes and one ``StepStack.gather`` (one sparse product per level
+shift) gives the candidates of every action; ``_sweep`` owns level 0, the
+restricted seeding, the monotone clamp and the exit rows, as for the CDF
+and the bounds, and stores W whole or only a ``Keep``'s slices of it; V
+and the actions are stored whole.  The policy iteration's Bellman pass is the
 same product on u.
 """
 
@@ -188,9 +188,10 @@ class ThresholdValue:
 
 
 def _action_stacks(spec, grid, tau) -> list[StepStack]:
-    """One stack of all actions' steps per mode; each mode's steps are freed once stacked."""
-    return [StepStack([SemiLagrangianStep(spec, grid, tau, i, action=spec.controls.action(a))
-                       for a in range(spec.controls.n_actions)], rates=[spec.rates])
+    """Per mode, the stack of one step whose blocks are its actions (freed once stacked)."""
+    vectors = spec.controls.vectors
+    return [StepStack(SemiLagrangianStep(spec, grid, tau, np.full(len(vectors), i),
+                                         action=vectors[:, None]), rates=[spec.rates])
             for i in range(spec.n_modes)]
 
 

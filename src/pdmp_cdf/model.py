@@ -336,9 +336,6 @@ class ControlSet:
     def n_actions(self) -> int:
         return 0 if self.empty else self.vectors.shape[0]
 
-    def action(self, index: int) -> np.ndarray:
-        return self.vectors[index]
-
 
 # ---------------------------------------------------------------------------
 # exit set
@@ -613,7 +610,8 @@ class Grid:
     def interp_nodes(self, node_values: np.ndarray, points: np.ndarray) -> np.ndarray:
         idx, w = self.spatial_stencil(points)
         vals = np.asarray(node_values, dtype=float).reshape(-1)
-        return np.einsum("cn,cn->n", w, vals[idx])
+        # corner by corner: einsum sums a lone point's corners in another order
+        return sum((w[c] * vals[idx[c]] for c in range(len(w))), np.zeros(w.shape[1]))
 
     def curve(self, level_values: np.ndarray, x, nodes: np.ndarray | None = None) -> np.ndarray:
         """A (levels, nodes) field's values over all its levels at one spatial point.

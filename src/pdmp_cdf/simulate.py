@@ -373,7 +373,6 @@ def run_batch(
     switch_counts = np.zeros(n, dtype=np.uint64)  # also each sample's contract event number
     events = np.zeros(n, dtype=np.int64)
     exit_times = np.full(n, np.nan)
-    exit_points = np.full((n, d), np.nan)
     occupancy = np.zeros((n, m))
     alive = np.ones(n, dtype=bool)
 
@@ -381,7 +380,6 @@ def run_batch(
         costs[sel] = c[sel] + _per_mode(exit_costs, grid, mode[sel], x[sel])
         exited[sel] = True
         exit_times[sel] = t[sel]
-        exit_points[sel] = x[sel]
         alive[sel] = False
 
     use_cells = policy is not None
@@ -554,7 +552,7 @@ def run_batch(
             rec.censored = bool(censored[i])
             if exited[i]:
                 rec.exit_time = float(exit_times[i])
-                rec.exit_point = exit_points[i].copy()
+                rec.exit_point = x[i].copy()  # a stopped sample's x never changes
     return BatchResult(
         start_x=x0, start_mode=mode0, seed=seed, costs=costs, exited=exited,
         escaped=escaped, censored=censored, switch_counts=switch_counts.astype(int),
@@ -680,16 +678,15 @@ class EmpiricalCdf:
     finite threshold, so the curve tops out below one when they exist.
     """
 
-    def __init__(self, finite_costs: np.ndarray, n_total: int, seed: int | None = None):
+    def __init__(self, finite_costs: np.ndarray, n_total: int):
         if n_total < 1:
             raise ConfigError("empirical CDF needs at least one sample")
         self.costs = np.sort(np.asarray(finite_costs, dtype=float))
         self.n_total = int(n_total)
-        self.seed = seed
 
     @classmethod
     def from_batch(cls, batch: BatchResult) -> "EmpiricalCdf":
-        return cls(batch.costs[np.isfinite(batch.costs)], batch.n, seed=batch.seed)
+        return cls(batch.costs[np.isfinite(batch.costs)], batch.n)
 
     def evaluate(self, s):
         pos = np.searchsorted(self.costs, np.asarray(s, dtype=float), side="right")

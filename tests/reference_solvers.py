@@ -325,7 +325,7 @@ def solve_expected(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    stacks = [StepStack([SemiLagrangianStep(spec, grid, tau, i)], rates=[spec.rates])
+    stacks = [StepStack(SemiLagrangianStep(spec, grid, tau, i), rates=[spec.rates])
               for i in range(spec.n_modes)]
     return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
 
@@ -462,7 +462,7 @@ def per_side_bounds(spec, grid, tau=None, restrict=False):
     if tau is None:
         tau = causal_tau(spec, grid, node_costs)
     steps = [SemiLagrangianStep(spec, grid, tau, i) for i in range(spec.n_modes)]
-    stack = StepStack(steps)
+    stack = StepStack(SemiLagrangianStep(spec, grid, tau, np.arange(spec.n_modes)))
     step_len = np.full(stack.n_nodes * len(steps), tau)
     step_len[stack.cap_rows] = np.concatenate([st.cap_theta_tau for st in steps])
     mc = MinimalCost(spec, grid) if restrict else None

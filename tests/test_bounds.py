@@ -219,7 +219,8 @@ class TestFixedRateSweep:
         fields = fixed_rate_sweep(spec, grid, default_rate_grid(),
                                   restrict=stacked_seed(spec, grid, default_rate_grid()))
         assert len(fields) == 16
-        assert sorted(built) == list(range(spec.n_modes))
+        (modes,) = built  # one step, whose blocks are the modes
+        assert sorted(np.atleast_1d(modes).tolist()) == list(range(spec.n_modes))
 
     def test_fields_own_their_levels_and_share_the_clamp(self, ex4):
         # one array per field, as separate solves allocate them, so a sweep

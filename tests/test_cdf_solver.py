@@ -433,6 +433,26 @@ class TestRestriction:
         assert count > 0 and largest == 1.0
         assert np.all(np.diff(field.values, axis=1) >= 0.0)
 
+    def test_never_attained_nodes_read_zero_at_every_level(self, monkeypatch):
+        # s0 = inf at live nodes 40..59: after the last seeded level (10) the
+        # sweep still zeroes them, as the whole-array reference sweep does
+        spec = catalog.example1()
+        grid = build_grid(spec, 0.01, 0.01, 0.5)
+        never = (np.arange(grid.n_nodes) >= 40) & (np.arange(grid.n_nodes) < 60)
+        assert not np.any(grid.exit_mask[never])
+        s0 = np.where(grid.exit_mask, 0.0, 0.1)
+        w0 = np.tile(np.where(grid.exit_mask, 1.0, 0.25), (2, 1))
+        attained = solve_cdf(spec, grid, restrict=MinCostField(grid, s0, w0))
+        assert np.any(attained.values[:, :, never] > 0.0)  # so the zeroing below bites
+        mc = MinCostField(grid, np.where(never, np.inf, s0), w0)
+        assert mc.first_level()[~never].max() == 10 < grid.n_levels - 1
+        field = solve_cdf(spec, grid, restrict=mc)
+        assert np.all(field.values[:, :, never] == 0.0)
+        monkeypatch.setattr(cdf_solver, "_sweep", reference_sweep)
+        ref = solve_cdf(spec, grid, restrict=mc)
+        assert field.values.tobytes() == ref.values.tobytes()
+        assert (field.clamp.count, field.clamp.largest) == (ref.clamp.count, ref.clamp.largest)
+
 
 class TestLevelShifts:
     """Running costs that reach several levels back, with fractional weights."""
@@ -680,8 +700,8 @@ class TestStepStackRates:
     def test_each_matrix_gives_its_own_probabilities_and_constants(self):
         spec, grid = self.problem()
         tau = 0.07
-        steps = [cdf_solver.SemiLagrangianStep(spec, grid, tau, i) for i in range(3)]
-        stack = cdf_solver.StepStack(steps, diagonal=True,
+        step = cdf_solver.SemiLagrangianStep(spec, grid, tau, np.arange(3))
+        stack = cdf_solver.StepStack(step, diagonal=True,
                                      rates=[RateMatrix(off) for off in self.OFF])
         x, n = grid.points[:, 0], grid.n_nodes
         live = ~grid.exit_mask
@@ -718,8 +738,8 @@ class TestStepStackRates:
         # exit costs 0.3 and 0.1 switch capped rows on part way up the grid;
         # every level, asked in any order, reads what the expression gives there
         spec, grid = self.problem()
-        steps = [cdf_solver.SemiLagrangianStep(spec, grid, 0.07, i) for i in range(3)]
-        stack = cdf_solver.StepStack(steps, diagonal=True,
+        step = cdf_solver.SemiLagrangianStep(spec, grid, 0.07, np.arange(3))
+        stack = cdf_solver.StepStack(step, diagonal=True,
                                      rates=[RateMatrix(off) for off in self.OFF])
         direct = [((n * grid.ds - stack.cap_ds)[:, None] >= stack.cap_q - 1e-15).astype(float)
                   for n in range(grid.n_levels)]
@@ -734,10 +754,75 @@ class TestStepStackRates:
 
     def test_without_rates_the_stack_holds_no_probabilities(self):
         spec, grid = self.problem()
-        stack = cdf_solver.StepStack([cdf_solver.SemiLagrangianStep(spec, grid, 0.07, i)
-                                      for i in range(3)])
+        stack = cdf_solver.StepStack(cdf_solver.SemiLagrangianStep(spec, grid, 0.07, np.arange(3)))
         assert stack.probs is None and stack.cap_probs is None and stack.const is None
         assert stack.cap_rows.size > 0
+
+
+@st.composite
+def _block_step_problems(draw):
+    """``_table_problems`` with exits on random faces or one grid-aligned box, and exit costs.
+
+    The exit costs are constant or tabulated, so the capped rows' ``cap_q``
+    varies too; the pseudo-timestep is causal or up to 2.5 times that, so
+    shifts and fractions vary with a tabulated running cost.
+    """
+    spec, grid = draw(_table_problems())
+    names = ("x_min", "x_max", "y_min", "y_max")[:2 * spec.dim]
+    if draw(st.booleans()):
+        exits = ExitSpec("faces", faces=tuple(draw(st.lists(st.sampled_from(names), min_size=1,
+                                                            max_size=len(names), unique=True))))
+    else:
+        box = []
+        for a, count in enumerate(grid.shape):
+            i = sorted(draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2)))
+            box.append(tuple(float(spec.lo[a] + k * grid.dx[a]) for k in i))
+        exits = ExitSpec("boxes", boxes=(tuple(box),))
+
+    def exit_cost():
+        if draw(st.booleans()):
+            return ScalarField.constant(draw(st.sampled_from([0.0, 0.1, 0.35])))
+        return ScalarField("tabulated", values=draw(st.lists(
+            st.floats(0.0, 1.0), min_size=grid.n_nodes, max_size=grid.n_nodes)))
+
+    modes = tuple(replace(mode, exit_cost=exit_cost()) for mode in spec.modes)
+    spec = replace(spec, exit_set=exits, modes=modes)
+    grid = build_grid(spec, grid.dx, 0.5, 1.0)
+    tau = causal_tau(spec, grid) * draw(st.sampled_from([1.0, 1.3, 1.6, 2.5]))
+    return spec, grid, tau
+
+
+class TestBlockSteps:
+    """A step over several blocks is its single-block steps stacked, rows offset by b * N."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_multi_block_step_equals_its_blocks_concatenated(self, data):
+        spec, grid, tau = data.draw(_block_step_problems())
+        n, dim = grid.n_nodes, grid.dim
+        modes = data.draw(st.lists(st.integers(0, spec.n_modes - 1), min_size=1, max_size=4))
+        # one action per block, or one per node of each block (a frozen policy)
+        per_node = data.draw(st.booleans())
+        actions = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0, allow_subnormal=False),
+            min_size=len(modes) * (n if per_node else 1) * dim,
+            max_size=len(modes) * (n if per_node else 1) * dim))).reshape(len(modes), -1, dim)
+        step = cdf_solver.SemiLagrangianStep(spec, grid, tau, np.array(modes), action=actions)
+        blocks = [cdf_solver.SemiLagrangianStep(spec, grid, tau, i, action=a)
+                  for i, a in zip(modes, actions)]
+
+        def same(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        for name in ("reg_nodes", "cap_nodes", "esc_nodes"):
+            same(getattr(step, name),
+                 np.concatenate([b * n + getattr(one, name) for b, one in enumerate(blocks)]))
+        for name in ("shift", "frac", "node_cost", "cap_theta_tau", "cap_ds", "cap_q"):
+            same(getattr(step, name), np.concatenate([getattr(one, name) for one in blocks]))
+        for name in ("idx", "wts"):
+            same(getattr(step, name), np.concatenate([getattr(one, name) for one in blocks],
+                                                     axis=1))
 
 
 def test_only_the_step_stack_turns_rates_into_probabilities():
@@ -959,8 +1044,8 @@ class TestKeptSlices:
 
     def test_the_two_level_case_reads_two_levels_back(self):
         spec, grid, *_ = _kept_slices_case("sweep16_two_levels", False)
-        steps, _ = cdf_solver._mode_steps(spec, grid, 1.6 * grid.ds)
-        stack = cdf_solver.StepStack(steps, diagonal=True, rates=default_rate_grid())
+        step, _ = cdf_solver._mode_steps(spec, grid, 1.6 * grid.ds)
+        stack = cdf_solver.StepStack(step, diagonal=True, rates=default_rate_grid())
         assert stack.depth == 2 and [parts for _, parts, _ in stack.level_ops] == [2]
 
     def test_slices_that_were_not_kept_are_refused(self):

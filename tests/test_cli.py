@@ -1764,3 +1764,48 @@ def test_every_exported_table_counts_its_rows(tmp_path, monkeypatch):
     for path, n_rows in counted:
         assert len(path.read_bytes().splitlines()) == 1 + n_rows, path.name
     assert len((tmp_path / "9_simulate" / "samples.csv").read_bytes().splitlines()) == 1 + 50
+
+
+# a four-node, two-route graph with exits at both ends; each rejection case below breaks one check
+LINE_GRAPH = {"kind": "graph", "name": "line", "successors": [[1, 2, 3, 3], [0, 0, 1, 2]],
+              "step_costs": [[1, 1, 1, 1]] * 2, "exit_costs": [[0, 0, 0, 0]] * 2,
+              "exit_nodes": [0, 3], "switch_probs": [[0.5, 0.5], [0.5, 0.5]]}
+COARSE = ["--dx", "0.1", "--ds", "0.1", "--s-max", "0.5"]
+
+
+@pytest.mark.parametrize("command,problem,flags,fault", [
+    ("evaluate-policy", "example5", COARSE, "evaluate-policy requires --policy-in"),
+    ("sweep", "example3", COARSE, "the rate sweep grid is defined for two-mode problems"),
+    ("solve-cdf", "example3", [*COARSE, "--slice", "x=0.3"], "bad slice 'x=0.3' for dimension 2"),
+    ("solve-cdf", "custom example1", [], "config.numerics.dx is required for custom problems"),
+    ("simulate", "example5", ["--n", "10", "--policy-in", "{threshold policy}"],
+     "a level-dependent policy needs a cost threshold"),
+    ("solve-cdf", {"step_costs": [[1, 1, 1]] * 2}, [], "graph arrays have inconsistent shapes"),
+    ("solve-cdf", {"successors": [[1, 2, 4, 3], [0, 0, 1, 2]]}, [],
+     "route successors must be valid node indices"),
+    ("solve-cdf", {"step_costs": [[1, 0, 1, 1], [1, 1, 1, 1]]}, [],
+     "step costs must be strictly positive off the exit set"),
+    ("solve-cdf", {"exit_costs": [[0, 0, 0, -1], [0, 0, 0, 0]]}, [],
+     "exit costs must be nonnegative"),
+    ("solve-cdf", {"switch_probs": [[0.5, 0.4], [0.5, 0.5]]}, [],
+     "switch probabilities must be row-stochastic"),
+], ids=["evaluate_without_policy", "sweep_on_four_modes", "x_slice_in_2d", "custom_without_dx",
+        "threshold_policy_without_threshold", "graph_shapes", "graph_successor",
+        "graph_zero_step_cost", "graph_negative_exit_cost", "graph_switch_rows"])
+def test_rejections_name_their_fault_and_write_nothing(tmp_path, capsys, command, problem, flags,
+                                                       fault):
+    if problem == "custom example1":
+        problem = write_config(tmp_path, {
+            "schema_version": 1, "problem": serialize_problem(catalog.example1()),
+            "numerics": {"ds": 0.1, "s_max": 0.5}, "run": {}, "output": {}})
+    elif isinstance(problem, dict):  # a change to LINE_GRAPH
+        problem = write_config(tmp_path, {
+            "schema_version": 1, "problem": {**LINE_GRAPH, **problem},
+            "numerics": {"ds": 1.0, "s_max": 4.0}, "run": {}, "output": {}})
+    policy = write_policy(tmp_path / "threshold.policy", ControlSet.from_list([[-1.0], [1.0]]),
+                          2, [0.0], [0.02], (51,), n_levels=2)
+    flags = [policy if flag == "{threshold policy}" else flag for flag in flags]
+    out = tmp_path / "o"
+    assert main([command, "--problem", problem, *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert fault in capsys.readouterr().err
+    assert not out.exists()

@@ -190,6 +190,15 @@ class TestInterpolation:
             v = field.evaluate(0, [x], s)
             assert field.values[0].min() - 1e-12 <= v <= field.values[0].max() + 1e-12
 
+    def test_a_point_reads_the_same_bits_alone_or_in_a_batch(self):
+        grid = build_grid(catalog.example3(), 0.1, 0.1, 1.0)
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal(grid.n_nodes) * 10
+        pts = rng.random((200, 2))
+        batch = grid.interp_nodes(vals, pts)
+        alone = np.array([grid.interp_nodes(vals, p[None])[0] for p in pts])
+        assert batch.tobytes() == alone.tobytes()
+
 
 class TestCflLimit:
     def test_unit_speed_unit_cost(self):

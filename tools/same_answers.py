@@ -112,7 +112,6 @@ def collect(workload: str, size: str, work: Path, seed: int) -> dict:
 def run_tree(src: Path, workload: str, size: str, seed: int) -> dict:
     """``collect`` in a fresh process whose ``PYTHONPATH`` is ``src`` and ``perfbench/``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
-    env.pop("PDMP_THREADS", None)
     with tempfile.TemporaryDirectory(prefix="same-answers-") as work:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--collect", workload, size,
