@@ -130,25 +130,19 @@ _BLOCK_ENTRIES = 2**15  # (candidate, node) entries that CandidateTable.least ho
 log = logging.getLogger(__name__)
 
 
-def causal_tau(spec: ProblemSpec, grid: Grid, costs: np.ndarray | None = None) -> float:
-    """Default pseudo-timestep: smallest tau keeping the sweep causal.
+def causal_tau(spec: ProblemSpec, grid: Grid, tau: float | None = None) -> float:
+    """The level sweeps' step ``tau``, by default ds / min C, C the running costs' node values.
 
-    Equality tau * min C = ds makes the threshold foot land exactly on the
-    previous level whenever the running cost is constant, which removes all
-    interpolation in s for the built-in problems.
+    The default makes the threshold foot land exactly on the previous level
+    whenever the running cost is constant, which removes all interpolation
+    in s for the built-in problems.  A NumericsError when tau * min C < ds.
     """
-    c_min = float(np.min(costs)) if costs is not None else spec.min_cost_rate()
-    if c_min <= 0.0:
-        raise NumericsError("running cost must be positive")
-    return grid.ds / c_min
-
-
-def check_causality(tau: float, min_cost: float, ds: float) -> None:
-    if tau * min_cost < ds * (1.0 - 1e-9):
-        raise NumericsError(
-            f"step tau={tau:.6g} with min running cost {min_cost:.6g} reads "
-            f"threshold levels above the current one (needs tau*C >= ds={ds:.6g})"
-        )
+    c_min = min(float(m.cost.node_values(grid).min()) for m in spec.modes)
+    tau = grid.ds / c_min if tau is None else tau
+    if tau * c_min < grid.ds * (1.0 - 1e-9):
+        raise NumericsError(f"step tau={tau:.6g} with min running cost {c_min:.6g} reads threshold "
+                            f"levels above the current one (needs tau*C >= ds={grid.ds:.6g})")
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +199,7 @@ class SemiLagrangianStep:
             own = blocks == i
             rows = np.count_nonzero(own) * n  # pts[:rows] are the points of the mode's rows
             act = None if acts is None else acts[own].reshape(rows, dim)
-            node_cost[own] = spec.modes[i].cost.at(grid, grid.points)
+            node_cost[own] = spec.modes[i].cost.node_values(grid)
             disp[own] = (tau * spec.modes[i].dynamics.at(grid, pts[:rows], act)).reshape(-1, n, dim)
         self.node_cost = node_cost.reshape(-1)
         disp = disp.reshape(-1, dim)
@@ -421,11 +415,8 @@ class _Stepwise:
 
 
 def exit_costs(spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    """Exit cost of every mode at the exit nodes, shape (M, n_exit_nodes)."""
-    pts = grid.points[grid.exit_mask]
-    if pts.shape[0] == 0:
-        return np.zeros((spec.n_modes, 0))
-    return np.array([spec.modes[i].exit_cost.at(grid, pts) for i in range(spec.n_modes)])
+    """Every mode's exit cost ``node_values`` at the exit nodes, (M, n_exit): the exit table."""
+    return np.array([mode.exit_cost.node_values(grid)[grid.exit_mask] for mode in spec.modes])
 
 
 class MonotoneClamp:
@@ -481,14 +472,11 @@ def solve_cdf(
 
 def _mode_steps(spec: ProblemSpec, grid: Grid, tau: float | None,
                 actions: np.ndarray | None = None) -> tuple[SemiLagrangianStep, float]:
-    """One step whose blocks are the M modes, and its tau (default: causal): a sweep's set-up.
+    """One step whose blocks are the M modes, and its tau (``causal_tau``): a sweep's set-up.
 
     ``actions`` is None or (M, n_nodes, d), one action per mode and node.
     """
-    node_costs = np.array([spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)])
-    if tau is None:
-        tau = causal_tau(spec, grid, node_costs)
-    check_causality(tau, float(node_costs.min()), grid.ds)
+    tau = causal_tau(spec, grid, tau)
     return SemiLagrangianStep(spec, grid, tau, np.arange(spec.n_modes), actions), tau
 
 
@@ -689,7 +677,7 @@ def policy_iteration(
     m, n_nodes = spec.n_modes, grid.n_nodes
     ex = grid.exit_mask
     ex_flat = np.tile(ex, m)
-    q_rows = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
+    q = exit_costs(spec, grid)
     probs = np.array([stack.probs[0, 0] for stack in stacks])
     mix = sparse.kron(sparse.csr_matrix(probs), sparse.identity(n_nodes), format="csr")
     eye = sparse.identity(m * n_nodes, format="csr")
@@ -706,7 +694,7 @@ def policy_iteration(
         return best, actions
 
     u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
-    u[:, ex] = q_rows[:, ex]
+    u[:, ex] = q
     delta = math.inf
     cap = math.ceil(float(np.linalg.norm(grid.hi - grid.lo)) / grid.dx.min())
     run = cap  # Bellman steps since the last exact solve; the first step solves
@@ -714,7 +702,7 @@ def policy_iteration(
     previous = None
     while True:
         best, actions = improve(u)
-        best[:, ex] = q_rows[:, ex]
+        best[:, ex] = q
         delta = float(np.max(np.abs(best - u)))
         u = best
         steps += 1
@@ -730,7 +718,7 @@ def policy_iteration(
         rows = actions * n_nodes + nodes
         frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)], format="csr") @ mix
         rhs = np.concatenate([st.const[0, r] for st, r in zip(stacks, rows)])
-        rhs[ex_flat] = q_rows[:, ex].ravel()
+        rhs[ex_flat] = q.ravel()
         try:
             u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
         except RuntimeError as exc:
@@ -741,7 +729,7 @@ def policy_iteration(
             for _ in range(_FROZEN_ITERATIONS):
                 flat = rhs + frozen @ flat
             u = flat.reshape(m, n_nodes)
-        u[:, ex] = q_rows[:, ex]
+        u[:, ex] = q
     log.debug("policy iteration: %d exact solves, %d Bellman steps, %d LU fallbacks, "
               "residual %.3g", solves, steps, fallbacks, delta)
     if delta >= tol:
@@ -932,7 +920,7 @@ def _candidate_table(spec: ProblemSpec, grid: Grid) -> CandidateTable:
         else:
             sites, shape = grid.points, (1, n)
         vel = mode.dynamics.at(grid, sites, actions)
-        cost = mode.cost.at(grid, grid.points[:1] if mode.cost.kind == "constant" else grid.points)
+        cost = mode.cost.node_values(grid)[:1 if mode.cost.kind == "constant" else None]
         parts.append(_mode_rows(grid, axis_nb, [v.reshape(shape) for v in vel.T], cost[None, :]))
     fields = {}
     for key in parts[0]:

@@ -297,8 +297,8 @@ def load_problem(config: str | dict, flags: dict | None = None, command: str | N
     (problem, grid, numerics, run, output), with slices and thresholds
     checked against the grid; a graph comes back as its
     `discrete.RoutedGraph` with grid None.  Non-causal level-sweep steps
-    are rejected outright (``cdf_solver.check_causality``); ``hjb``'s
-    ``tau`` is its expected-cost step, which has no such rule.  The
+    are rejected outright (``cdf_solver.causal_tau``, the sweeps' rule);
+    ``hjb``'s ``tau`` is its expected-cost step, which has no such rule.  The
     uniform-step inequality binds only space-varying velocities, where the
     solvers' exact boundary capping is unavailable.
     """
@@ -318,7 +318,7 @@ def load_problem(config: str | dict, flags: dict | None = None, command: str | N
         raise ConfigError(f"numerics.dx lists {len(dx)} spacings for a {spec.dim}D problem")
     grid = build_grid(spec, dx, ds, numerics["s_max"])
     if numerics.get("tau") is not None and command != "hjb":
-        cdf_solver.check_causality(numerics["tau"], spec.min_cost_rate(), grid.ds)
+        cdf_solver.causal_tau(spec, grid, numerics["tau"])
     ds_max = cfl_max_ds(spec, dx)
     exact_capping = all(m.dynamics.constant_in_space for m in spec.modes)
     if ds > ds_max * (1 + 1e-9) and not exact_capping:
@@ -647,9 +647,11 @@ def _execute(args) -> None:
     problem, grid, numerics, run, output = load_problem(doc, flags, args.command)
     desc = ({"nodes": problem.n_nodes, "routes": problem.n_routes} if grid is None
             else grid_desc(grid))
-    # the config hash covers the command, the problem run (not its file) and every value read
+    # the config hash covers the command, the problem run, every value read and the policy's bytes
+    policy = ({"policy_sha256": hashlib.sha256(control._policy_bytes(args.policy_in)).hexdigest()}
+              if getattr(args, "policy_in", None) else {})
     exporter = Exporter(output["dir"], desc, {"cmd": args.command, "problem": doc["problem"],
-                                              "numerics": numerics, "run": run},
+                                              "numerics": numerics, "run": run, **policy},
                         seed=run.get("seed"))
     command = args.graph_fn if grid is None else args.fn
     log, caught = logging.getLogger("pdmp_cdf"), logging.handlers.BufferingHandler(math.inf)
@@ -661,7 +663,7 @@ def _execute(args) -> None:
         log.removeHandler(caught)
     if caught.buffer:
         extra["warnings"] = [record.getMessage() for record in caught.buffer]
-    exporter.finish(extra)
+    exporter.finish({**policy, **extra})
 
 
 def _flag_reading(entry: Key) -> dict:

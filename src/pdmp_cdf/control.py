@@ -44,7 +44,6 @@ from .cdf_solver import (
     StepStack,
     _sweep,
     causal_tau,
-    check_causality,
     exit_costs,
     policy_iteration,
     solve_cdf,
@@ -266,12 +265,8 @@ def _nearest_interior(grid: Grid) -> np.ndarray:
 
 
 def prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
-    """Multilinear prolongation of per-mode node values onto a finer grid."""
-    m = values.shape[0]
-    out = np.empty((m, fine.n_nodes))
-    for i in range(m):
-        out[i] = coarse.interp_nodes(values[i], fine.points)
-    return out
+    """Multilinear prolongation of (M, N) node values onto a finer grid, one stencil for all M."""
+    return np.ascontiguousarray(coarse.interp_nodes(values.T, fine.points).T)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +300,15 @@ def solve_threshold(
     u = value.u
     a_star = exp_policy.fallback
 
-    if tau is None:
-        tau = causal_tau(spec, grid)
-    check_causality(tau, spec.min_cost_rate(), grid.ds)
+    tau = causal_tau(spec, grid, tau)
     stacks = _action_stacks(spec, grid, tau)
     m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
     v = np.zeros((m, grid.n_levels, n_nodes))
     actions = np.zeros((m, grid.n_levels, n_nodes), dtype=np.int16)
-    q_exit = np.array([spec.modes[i].exit_cost.node_values(grid) for i in range(m)])
+    q = exit_costs(spec, grid)
     ex = grid.exit_mask
-    v[:, 0] = np.where(ex, q_exit, u)
+    v[:, 0] = u
+    v[:, 0, ex] = q
     actions[:, 0] = a_star
     # levels up to the first attainable one keep the expectation-optimal law
     seeded = restrict.first_level() if restrict is not None else np.full(n_nodes, -1)
@@ -338,10 +332,11 @@ def solve_threshold(
             a_hat = np.argmin(vmasked, axis=0)
             fallback = (wmax[i] <= 0.0) | (n <= seeded)
             actions[i, n] = np.where(fallback, a_star[i], a_hat)
-            v[i, n] = np.where(ex, q_exit[i], np.where(fallback, u[i], vmasked[a_hat, cols]))
+            v[i, n] = np.where(fallback, u[i], vmasked[a_hat, cols])
+            v[i, n, ex] = q[i]
         return wmax[None]
 
-    ((w, columns),), clamp = _sweep(ex, exit_costs(spec, grid), grid.ds, grid.n_levels, restrict,
+    ((w, columns),), clamp = _sweep(ex, q, grid.ds, grid.n_levels, restrict,
                                     update, "threshold sweep", 1,
                                     max(stack.depth for stack in stacks), keep)
 
@@ -477,14 +472,20 @@ POLICY = {
 }
 
 
+def _policy_bytes(path: str) -> bytes:
+    """The bytes of a policy file; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file {path}: {exc.strerror}") from None
+
+
 def load_policy(path: str) -> Policy:
     """Read a policy file through `POLICY`; a file that is not one is a ConfigError naming
     the key path that breaks."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read policy file {path}: {exc.strerror}") from None
+        doc = json.loads(_policy_bytes(path).decode("utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"policy file {path} is not valid JSON: {exc}") from None
     return _read(doc, "policy", "policy", POLICY)

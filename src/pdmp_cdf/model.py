@@ -5,9 +5,10 @@ exit set, M deterministic modes (velocity field, running cost, exit cost
 each), a switching-rate description (a fixed rate matrix or entrywise
 interval bounds), and an optional control set.  Everything downstream
 (solvers, bounds, control synthesis, simulation) consumes these types.
-Two rules live here once for all of them: the exit geometry on
-``ExitSpec`` (exit faces, exit boxes and the first hit of a segment) and
-the bang-bang rate choice on ``RateBounds.extreme_rates``.
+Three rules live here once for all of them: the exit geometry on
+``ExitSpec`` (exit faces, exit boxes and the first hit of a segment), the
+bang-bang rate choice on ``RateBounds.extreme_rates``, and one value per
+node (``ScalarField.node_values``), read elsewhere by ``Grid.interp_nodes``.
 
 All types are immutable after construction and all operations here are
 pure, so they are safe to share across threads.
@@ -194,9 +195,8 @@ class ScalarField:
         return grid.interp_nodes(self.values.reshape(-1), pts)
 
     def node_values(self, grid: "Grid") -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(grid.n_nodes, self.value)
-        return np.asarray(self.values, dtype=float).reshape(-1)
+        """The one value at each node that every solve reads: the field at the nodes' points."""
+        return self.at(grid, grid.points)
 
     def min_value(self) -> float:
         return self.value if self.kind == "constant" else float(self.values.min())
@@ -264,12 +264,7 @@ class VectorField:
                 raise ConfigError("control-offset velocity needs an action value")
             vec = np.asarray(action, dtype=float) + self.vector
             return np.broadcast_to(vec, (pts.shape[0], self.vector.size)).copy()
-        d = self.values.shape[-1]
-        flat = self.values.reshape(-1, d)
-        out = np.empty((pts.shape[0], d))
-        for a in range(d):
-            out[:, a] = grid.interp_nodes(flat[:, a], pts)
-        return out
+        return grid.interp_nodes(self.values.reshape(-1, self.values.shape[-1]), pts)
 
     def max_speed(self, controls: "ControlSet") -> float:
         if self.kind == "constant":
@@ -608,10 +603,16 @@ class Grid:
         return idx, w
 
     def interp_nodes(self, node_values: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(N,) node values, or (N, K) columns, at ``points``: (n,) or (n, K), one stencil.
+
+        Corners are summed one by one from zero (einsum sums a lone point's in
+        another order), so every column and point gets its own call's bits.
+        """
         idx, w = self.spatial_stencil(points)
-        vals = np.asarray(node_values, dtype=float).reshape(-1)
-        # corner by corner: einsum sums a lone point's corners in another order
-        return sum((w[c] * vals[idx[c]] for c in range(len(w))), np.zeros(w.shape[1]))
+        vals = np.asarray(node_values, dtype=float)
+        w = w.reshape(w.shape + (1,) * (vals.ndim - 1))
+        return sum((w[c] * vals[idx[c]] for c in range(len(w))),
+                   np.zeros(w.shape[1:2] + vals.shape[1:]))
 
     def curve(self, level_values: np.ndarray, x, nodes: np.ndarray | None = None) -> np.ndarray:
         """A (levels, nodes) field's values over all its levels at one spatial point.
@@ -621,7 +622,8 @@ class Grid:
         """
         idx, w = self.spatial_stencil(np.atleast_2d(np.asarray(x, dtype=float)))
         cols = idx[:, 0] if nodes is None else _positions(nodes, idx[:, 0], "stencil nodes")
-        return np.einsum("c,mc->m", w[:, 0], level_values[:, cols])
+        return sum((w[c, 0] * level_values[:, cols[c]] for c in range(len(w))),
+                   np.zeros(level_values.shape[0]))
 
 
 def _positions(kept: np.ndarray, wanted, what: str) -> np.ndarray:
@@ -777,13 +779,13 @@ class CdfField:
             if self.spec is None:
                 return 0.0
             q = self.spec.modes[mode].exit_cost.node_values(grid)
-            vals = np.where(grid.exit_mask & (s >= q - 1e-15), 1.0, 0.0)
-            return float(grid.interp_nodes(vals, pt)[0])
-        rel = min(s / grid.ds, grid.n_levels - 1)
-        n_lo = min(int(rel), grid.n_levels - 2) if grid.n_levels > 1 else 0
-        th = rel - n_lo
-        lo_val = grid.interp_nodes(self.values[mode, n_lo], pt)[0]
-        hi_val = grid.interp_nodes(self.values[mode, min(n_lo + 1, grid.n_levels - 1)], pt)[0]
+            cols, th = np.where(grid.exit_mask & (s >= q - 1e-15), 1.0, 0.0)[:, None], 0.0
+        else:
+            rel = min(s / grid.ds, grid.n_levels - 1)
+            n_lo = min(int(rel), grid.n_levels - 2) if grid.n_levels > 1 else 0
+            th = rel - n_lo
+            cols = self.values[mode, [n_lo, min(n_lo + 1, grid.n_levels - 1)]].T
+        lo_val, hi_val = grid.interp_nodes(cols, pt)[0, [0, -1]]
         return float((1.0 - th) * lo_val + th * hi_val)
 
     def curve(self, mode: int, x) -> np.ndarray:

@@ -581,7 +581,9 @@ def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.nda
     sample does not move), shortened to the horizon and to the next switch
     (at least 1e-15).  The step ends early where its chord first meets the
     exit set or a non-exit face (``ExitSpec.first_hit``); a tie goes to the
-    exit.  The running cost is charged at the rate of the start point.
+    exit.  The running cost is charged over the step time taken at the rate
+    ``c1 + (2 (c2 - c1) + 2 (c3 - c1) + (c4 - c1)) / 6``, c_i the rate at
+    the uncut step's i-th stage point: a constant rate keeps its bits.
 
     Returns the new points, the step times, the cost rates and the masks of
     the events ``switch``, ``horizon``, ``exit`` and ``escape`` (a step may
@@ -593,10 +595,11 @@ def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.nda
     with np.errstate(divide="ignore"):
         h = np.where(speed > 0, grid.dx.min() / speed, cap - t)
     h = np.minimum(np.minimum(h, cap - t), np.maximum(t_switch - t, 1e-15))
+    points = [x]
 
     def stage(k, share):
-        return _per_mode(velocity, grid, modes,
-                         np.clip(x + share * h[:, None] * k, grid.lo, grid.hi))
+        points.append(np.clip(x + share * h[:, None] * k, grid.lo, grid.hi))
+        return _per_mode(velocity, grid, modes, points[-1])
 
     k2 = stage(k1, 0.5)
     k3 = stage(k2, 0.5)
@@ -608,7 +611,9 @@ def _integrator_step(spec: ProblemSpec, grid: Grid, modes: np.ndarray, x: np.nda
     share = np.minimum(theta, 1.0)
     x_new = np.clip(x + share[:, None] * step, spec.lo, spec.hi)
     dt = h * share
-    crate = _per_mode([ms.cost for ms in spec.modes], grid, modes, x)
+    c1, c2, c3, c4 = _per_mode([ms.cost for ms in spec.modes], grid, np.tile(modes, 4),
+                               np.concatenate(points)).reshape(4, -1)
+    crate = c1 + (2 * (c2 - c1) + 2 * (c3 - c1) + (c4 - c1)) / 6
     t_new = t + dt
     to_exit = ends & (t_exit <= t_escape)
     hit = np.array([~ends & (t_new >= t_switch), ~ends & (t_new >= cap), to_exit, ends & ~to_exit])

@@ -227,9 +227,14 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
         h = dx_min / speed if speed > 0 else cap - t
         h = min(h, cap - t, max(t_next - t, 1e-15))
         k1 = v
-        k2 = vel(np.clip(x + 0.5 * h * k1, grid.lo, grid.hi), mode)
-        k3 = vel(np.clip(x + 0.5 * h * k2, grid.lo, grid.hi), mode)
-        k4 = vel(np.clip(x + h * k3, grid.lo, grid.hi), mode)
+        p2 = np.clip(x + 0.5 * h * k1, grid.lo, grid.hi)
+        k2 = vel(p2, mode)
+        p3 = np.clip(x + 0.5 * h * k2, grid.lo, grid.hi)
+        k3 = vel(p3, mode)
+        p4 = np.clip(x + h * k3, grid.lo, grid.hi)
+        k4 = vel(p4, mode)
+        c1, c2, c3, c4 = (float(spec.modes[mode].cost.at(grid, p[None, :])[0])
+                          for p in (x, p2, p3, p4))
         step = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         x_new = x + step
         inside = bool(np.all((x_new >= grid.lo) & (x_new <= grid.hi)))
@@ -244,7 +249,8 @@ def _sample_tabulated(spec, grid, x0, mode0, seed, index, horizon_cap):
                     hi_f = mid
             x_new = np.clip(x + hi_f * step, grid.lo, grid.hi)
             h = h * hi_f
-        c += float(spec.modes[mode].cost.at(grid, x[None, :])[0]) * h
+        # the stages' weighted rate of the uncut step, over the time taken
+        c += (c1 + (2 * (c2 - c1) + 2 * (c3 - c1) + (c4 - c1)) / 6) * h
         t += h
         x = x_new
         if not inside:

@@ -458,9 +458,8 @@ def per_side_bounds(spec, grid, tau=None, restrict=False):
     by its own ``MinimalCost.field`` and keeps its own monotone clamp.
     """
     rb = spec.require_rate_bounds()
-    node_costs = np.array([spec.modes[i].cost.at(grid, grid.points) for i in range(spec.n_modes)])
     if tau is None:
-        tau = causal_tau(spec, grid, node_costs)
+        tau = causal_tau(spec, grid)
     steps = [SemiLagrangianStep(spec, grid, tau, i) for i in range(spec.n_modes)]
     stack = StepStack(SemiLagrangianStep(spec, grid, tau, np.arange(spec.n_modes)))
     step_len = np.full(stack.n_nodes * len(steps), tau)

@@ -666,6 +666,22 @@ class TestSchemeProperties:
             solve_cdf(spec, grid, tau=0.005)  # sub-causal step rejected
 
 
+@pytest.mark.parametrize("cost, bar, estimate, first", [
+    (0.5861230648127328, 0.11387693518726728, 7, 8),
+    (0.432679382545587, 4.867320617454414 - 1e-15, 54, 53),
+])
+def test_switch_levels_correct_the_division_estimate(cost, bar, estimate, first):
+    # the division's estimate is one level off either way; the levels are
+    # those where a scan of every level sees the indicator switch on
+    ds, n_levels = 0.1, 80
+    cost, bar = np.array([cost]), np.array([[bar]])
+    assert math.ceil((bar[0, 0] + cost[0]) / ds) == estimate
+    scan = [n for n in range(1, n_levels) if np.any(cdf_solver._switched_on(n, ds, cost, bar)
+                                                    & ~cdf_solver._switched_on(n - 1, ds, cost,
+                                                                               bar))]
+    assert cdf_solver._switch_levels(ds, cost, bar, n_levels) == scan == [first]
+
+
 def test_only_the_step_stack_reads_level_operators():
     # the CDF, bound and threshold sweeps all gather through StepStack.gather
     readers = set()

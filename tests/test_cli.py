@@ -1560,6 +1560,25 @@ class TestPolicyFile:
         assert err.startswith("configuration error: ") and path in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["evaluate-policy"],
+                                         ["simulate", "--n", "20", "--s-max", "0.5"]])
+    def test_config_hash_covers_the_policy_bytes_not_their_path(self, tmp_path, ex5_policy,
+                                                                command):
+        # two runs that differ only in the policy they read got one config_sha256
+        texts = {"a": json.dumps(ex5_policy), "b": json.dumps(ex5_policy),
+                 "c": json.dumps(edited(ex5_policy, {"actions_b64": int16s(
+                     [0] * 2 * self.N_NODES)}))}
+        hashes = {}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.policy").write_text(text)
+            out = tmp_path / name
+            assert main([*command, *EX5_COARSE, "--policy-in", str(tmp_path / f"{name}.policy"),
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["policy_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+            hashes[name] = manifest["config_sha256"]
+        assert hashes["a"] == hashes["b"] != hashes["c"]
+
     def test_saved_policies_load_to_what_was_saved(self, tmp_path):
         spec = catalog.example6(4)
         grid = build_grid(spec, 0.25, 0.1, 0.3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdmp_cdf import build_grid, catalog
-from pdmp_cdf.cdf_solver import policy_iteration, solve_cdf, solve_min_cost
+from pdmp_cdf.cdf_solver import exit_costs, policy_iteration, solve_cdf, solve_min_cost
 from pdmp_cdf.control import (
     Policy,
     _action_stacks,
@@ -378,3 +378,53 @@ class TestPolicyFile:
         # spent budget falls back to the expectation-optimal action
         a_fb = pol.action_index(0, [x_node], s_remaining=-0.01)
         assert a_fb == pol.fallback[0, k]
+
+    def test_lookup_of_one_level_needs_no_budget(self):
+        # a level-independent policy reads its one level whatever the budget;
+        # a level-dependent one needs the budget
+        cs = ControlSet.from_list([[-1.0], [1.0]])
+        actions = np.array([[[0, 1, 1]]])
+        pol = Policy(cs, actions, actions[:, 0], [0.0], [0.5], (3,), 0.1, "expectation")
+        assert [pol.action_index(0, [x]) for x in (0.1, 0.6, 1.0)] == [0, 1, 1]
+        assert pol.action_index(0, [0.1], s_remaining=-1.0) == 0
+        levels = Policy(cs, np.zeros((1, 2, 3)), np.zeros((1, 3)), [0.0], [0.5], (3,), 0.1,
+                        "threshold")
+        with pytest.raises(ConfigError, match="needs the remaining budget"):
+            levels.action_index(0, [0.3])
+
+
+def tabulated_costs(spec, grid, seed):
+    """``spec`` with every mode's running and exit cost drawn per node, uniformly."""
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(spec, modes=tuple(dataclasses.replace(
+        ms, cost=ScalarField("tabulated", values=rng.uniform(0.5, 1.5, grid.n_nodes)),
+        exit_cost=ScalarField("tabulated", values=rng.uniform(0.0, 0.5, grid.n_nodes)))
+        for ms in spec.modes))
+
+
+class TestOneValuePerNode:
+    """Every solve reads a tabulated field at the nodes as ``ScalarField.node_values``."""
+
+    def test_exit_values_are_the_exit_table(self):
+        # stored and interpolated node values differ in the last bits here at
+        # 43 of the 320 exit entries
+        spec = catalog.example6(4)
+        grid = build_grid(spec, 0.05, 0.05, 0.5)
+        spec = tabulated_costs(spec, grid, 30)
+        q = exit_costs(spec, grid).tobytes()
+        hjb = solve_hjb_expectation(spec, grid)
+        assert hjb[0].u[:, grid.exit_mask].tobytes() == q
+        tv = solve_threshold(spec, grid, hjb=hjb)
+        for n in range(grid.n_levels):
+            assert tv.v[:, n][:, grid.exit_mask].tobytes() == q, n
+
+    def test_threshold_and_cdf_sweeps_take_one_default_tau(self):
+        # the least running cost sits at x = 0.15, which the node read takes
+        # from the cell below, a hair above 1.0
+        spec = catalog.example5()
+        grid = build_grid(spec, 0.05, 0.05, 1.0)
+        rate = ScalarField("tabulated", values=np.where(np.arange(grid.n_nodes) == 3, 1.0, 2.0))
+        spec = dataclasses.replace(spec, modes=tuple(dataclasses.replace(ms, cost=rate)
+                                                     for ms in spec.modes))
+        actions = np.broadcast_to(spec.controls.vectors[1], (2, grid.n_nodes, 1))
+        assert solve_threshold(spec, grid).tau == solve_cdf(spec, grid, actions=actions).tau

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmp_cdf
-from pdmp_cdf import build_grid, catalog, cfl_max_ds
+from pdmp_cdf import build_grid, catalog, cfl_max_ds, model
 from pdmp_cdf.cdf_solver import SemiLagrangianStep
+from pdmp_cdf.control import prolong
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import (
     CdfField,
     ControlSet,
     ExitSpec,
+    Grid,
+    Keep,
     ModeSpec,
     ProblemSpec,
     RateBounds,
@@ -387,3 +391,132 @@ def test_only_the_model_spells_face_names():
     assert name.search((src / "model.py").read_text())
     assert [p.name for p in sorted(src.glob("*.py"))
             if p.name != "model.py" and name.search(p.read_text())] == []
+
+
+def test_only_the_model_reads_a_scalar_field_at_the_grid_nodes_with_at():
+    # every other module reads a field at the nodes through ScalarField.node_values;
+    # an `at` call whose points are the grid's own (velocities aside) is such a read
+    readers = set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at" and len(node.args) >= 2
+                    and getattr(node.func.value, "attr", None) != "dynamics"
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "points"
+                            for sub in ast.walk(node.args[1]))):
+                readers.add(path.name)
+    assert readers == {"model.py"}
+
+
+@st.composite
+def _grids(draw, dim):
+    shape = tuple(draw(st.integers(2, 6)) for _ in range(dim))
+    lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+    dx = np.array([draw(st.floats(0.05, 1.5)) for _ in range(dim)])
+    return lo, dx, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 17]),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_one_stencil_reads_every_column_as_its_own_call(data, dim, n, k, seed):
+    # interp_nodes over (N, K) columns, a tabulated velocity, prolong and Grid.curve
+    # each give the bits of the plain one-column calls they replace, for a lone
+    # point (n = 1) and for batches
+    lo, dx, shape = data.draw(_grids(dim))
+    grid = Grid(lo, dx, shape, 0.1, 5, np.zeros(math.prod(shape), dtype=bool))
+    rng = np.random.default_rng(seed)
+    pts = grid.lo + rng.random((n, dim)) * (grid.hi - grid.lo)
+    pts[0] = grid.points[rng.integers(grid.n_nodes)]  # a node's own point too
+    cols = rng.standard_normal((grid.n_nodes, k)) * 10
+    plain = np.column_stack([grid.interp_nodes(cols[:, j], pts) for j in range(k)])
+    assert grid.interp_nodes(cols, pts).tobytes() == plain.tobytes()
+    vel = rng.standard_normal((grid.n_nodes, dim))
+    plain = np.column_stack([grid.interp_nodes(vel[:, a], pts) for a in range(dim)])
+    assert VectorField("tabulated", values=vel).at(grid, pts).tobytes() == plain.tobytes()
+    r = data.draw(st.integers(1, 3))
+    fine = Grid(lo, dx / r, [(s - 1) * r + 1 for s in shape], 0.1, 5,
+                np.zeros(math.prod((s - 1) * r + 1 for s in shape), dtype=bool))
+    values = cols.T  # k modes
+    plain = np.array([grid.interp_nodes(values[i], fine.points) for i in range(k)])
+    assert prolong(values, grid, fine).tobytes() == plain.tobytes()
+    levels = rng.standard_normal((grid.n_levels, grid.n_nodes))
+    plain = np.array([grid.interp_nodes(levels[n], pts[-1:])[0] for n in range(grid.n_levels)])
+    assert grid.curve(levels, pts[-1]).tobytes() == plain.tobytes()
+    keep = Keep.of(grid, points=pts[-1:])
+    assert grid.curve(levels[:, keep.nodes], pts[-1], keep.nodes).tobytes() == plain.tobytes()
+
+
+def _mode(**changes) -> ModeSpec:
+    """A mode moving right at unit speed and cost, with ``changes`` to its fields."""
+    kw = dict(dynamics=VectorField.constant([1.0]), cost=ScalarField.constant(1.0),
+              exit_cost=ScalarField.constant(0.0))
+    return ModeSpec(**{**kw, **changes})
+
+
+def _one_mode(**changes) -> ProblemSpec:
+    """A 1D problem of one ``_mode()``, with ``changes`` to its fields."""
+    kw = dict(dim=1, lo=[0.0], hi=[1.0], exit_set=ExitSpec(), modes=(_mode(),),
+              rates=RateMatrix(np.zeros((1, 1))))
+    return ProblemSpec(**{**kw, **changes})
+
+
+MODEL_CHECKS = [
+    (lambda: RateMatrix([[0.0, 1.0]]), ConfigError, "rate matrix must be square"),
+    (lambda: RateBounds(np.zeros((2, 2)), np.zeros((3, 3))), ConfigError,
+     "rate bounds must be two square matrices of equal shape"),
+    (lambda: model.transition_probabilities(RateMatrix.uniform(2, 1.0), -0.1), NumericsError,
+     "step length tau must be nonnegative"),
+    (lambda: ScalarField("smooth"), ConfigError, "unknown scalar field kind 'smooth'"),
+    (lambda: ScalarField("constant", value=math.inf), ConfigError,
+     "constant field value must be finite"),
+    (lambda: ScalarField("tabulated"), ConfigError, "tabulated field needs node values"),
+    (lambda: ScalarField("tabulated", values=[1.0, math.nan]), ConfigError,
+     "tabulated field values must be finite"),
+    (lambda: VectorField("smooth"), ConfigError, "unknown vector field kind 'smooth'"),
+    (lambda: VectorField("constant", vector=[math.inf]), ConfigError,
+     "velocity parameters must be finite"),
+    (lambda: VectorField("tabulated"), ConfigError, "tabulated velocity needs node values"),
+    (lambda: VectorField("tabulated", values=[[math.nan]]), ConfigError,
+     "tabulated velocity values must be finite"),
+    (lambda: ControlSet.unit_circle(1), ConfigError,
+     "unit-circle control set needs at least 2 angles"),
+    (lambda: ControlSet("grid"), ConfigError, "unknown control set kind 'grid'"),
+    (lambda: ExitSpec("corners"), ConfigError, "unknown exit set kind 'corners'"),
+    (lambda: ExitSpec("faces"), ConfigError, "face exit set must list at least one face"),
+    (lambda: ExitSpec("boxes"), ConfigError, "box exit set must list at least one box"),
+    (lambda: _one_mode(dim=3), ConfigError, "only 1D and 2D domains are supported"),
+    (lambda: _one_mode(lo=[1.0], hi=[0.0]), ConfigError,
+     "domain box must have hi > lo on every axis"),
+    (lambda: _one_mode(modes=()), ConfigError, "at least one mode is required"),
+    (lambda: _one_mode(rates=RateMatrix.uniform(2, 1.0)), ConfigError,
+     "rate description size does not match mode count"),
+    (lambda: _one_mode(modes=(_mode(dynamics=VectorField.control_offset([0.0])),)), ConfigError,
+     "controlled dynamics require a nonempty control set"),
+    (lambda: _one_mode(controls=ControlSet.from_list([[1.0, 0.0]])), ConfigError,
+     "controls hold 2-component vectors in a 1D problem"),
+    (lambda: _one_mode(modes=(_mode(dynamics=VectorField.constant([1.0, 0.0])),)), ConfigError,
+     re.escape("modes[0].dynamics needs 1-component velocities in a 1D problem")),
+    (lambda: _one_mode(modes=(_mode(cost=ScalarField.constant(0.0)),)), ConfigError,
+     "running cost of mode 0 must be strictly positive"),
+    (lambda: _one_mode(modes=(_mode(exit_cost=ScalarField.constant(-0.5)),)), ConfigError,
+     "exit cost of mode 0 must be nonnegative"),
+    (lambda: _one_mode(rates=RateBounds.uniform(1, 0.0, 1.0)).require_fixed_rates(), ConfigError,
+     "this operation needs a fixed rate matrix, not rate bounds"),
+    (lambda: _one_mode().require_rate_bounds(), ConfigError,
+     "this operation needs rate bounds, not a fixed rate matrix"),
+    (lambda: build_grid(_one_mode(exit_set=ExitSpec("boxes", boxes=(((0.2, 0.4), (0.2, 0.4)),))),
+                        0.1, 0.1, 1.0), ConfigError,
+     "exit box dimensionality does not match the domain"),
+    (lambda: build_grid(_one_mode(), 0.0, 0.1, 1.0), NumericsError,
+     "grid spacings must be positive"),
+    (lambda: build_grid(_one_mode(), 0.1, 0.3, 1.0), NumericsError,
+     "cost spacing 0.3 does not divide the cost range 1"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", MODEL_CHECKS,
+                         ids=[message[:40] for _, _, message in MODEL_CHECKS])
+def test_model_checks_name_what_is_wrong(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

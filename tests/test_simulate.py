@@ -166,6 +166,21 @@ class TestTabulatedDynamics:
         batch = run_batch(spec, (np.array([0.4]), 0), 3, seed=0, grid=grid)
         assert np.all((batch.events >= 60) & (batch.events <= 61))
 
+    @pytest.mark.parametrize("dx", [0.1, 0.05, 0.02, 0.01])
+    def test_running_cost_charged_at_the_stage_points(self, dx):
+        # x' = 1 from 0 to the exit at 1 under the rate 1 + x costs 1.5 exactly;
+        # charging each step's start-point rate would give 1.5 - dx / 2
+        spec = ProblemSpec(dim=1, lo=[0.0], hi=[1.0], exit_set=ExitSpec("faces", faces=("x_max",)),
+                           modes=(ModeSpec(VectorField.constant([1.0]), ScalarField.constant(1.0),
+                                           ScalarField.constant(0.0)),),
+                           rates=RateMatrix(np.zeros((1, 1))))
+        grid = build_grid(spec, dx, dx, 1.0)
+        rate = ScalarField("tabulated", values=1.0 + grid.points[:, 0])
+        spec = dataclasses.replace(spec, modes=(dataclasses.replace(spec.modes[0], cost=rate),))
+        batch = run_batch(spec, (np.array([0.0]), 0), 3, seed=0, grid=grid)
+        assert batch.exited.all()
+        assert np.all(np.abs(batch.costs - 1.5) <= 1e-12)
+
     @pytest.mark.parametrize("name", ["example1-nodes", "1d-varying-cost", "2d-rotating",
                                       "2d-rotating-box"])
     def test_matches_the_per_sample_reference(self, name):
