@@ -54,14 +54,9 @@ its steps read back (a ring as deep as the deepest level shift) and, of
 each field, the slices a caller asks for (a ``Keep``: whole levels and
 node columns); without one every field is kept whole.
 
-Expected exit costs, expectation-optimal in the control module, are
-solved by one routine: modified policy iteration over one stack per mode,
-whose blocks are the mode's actions.  Its Bellman steps (one product per
-mode) advance u, and an exact sparse solve of the frozen policy, whose
-matrix is a row selection of the stacks, runs only on the first step,
-once the minimizing actions stop changing, or after a grid crossing's
-worth of Bellman steps.  With one action per mode that is a single linear
-solve plus the step that confirms it.
+Expected exit costs and threshold-optimal values are the control
+module's, which reduces the candidates of one stack per mode over the
+mode's actions; here only the minimal-cost candidates know actions.
 
 The minimal attainable cost s0 (free mode switching) and its attainment
 probability w0 restrict the CDF computation: their conservatively
@@ -92,12 +87,10 @@ it once, selects each node's transport candidates once, and fills w0 for
 all rate choices at once.
 
 scipy.sparse is imported inside the functions that use it, so importing
-the package (and starting the CLI) does not pay for it.  Fallbacks are
-reported on the ``pdmp_cdf`` logger: a failed sparse LU at WARNING, the
-monotonicity clamp of restricted sweeps at DEBUG.  The minimal-cost solve
-logs its candidate count, pass counts and node updates at DEBUG, and the
-policy iteration its exact solves, Bellman steps, LU fallbacks and final
-residual.
+the package (and starting the CLI) does not pay for it.  The monotonicity
+clamp of restricted sweeps is reported on the ``pdmp_cdf`` logger at
+DEBUG, and so are the minimal-cost solve's candidate count, pass counts
+and node updates.
 """
 
 from __future__ import annotations
@@ -112,19 +105,11 @@ import numpy as np
 
 from .discrete import label_setting
 from .errors import ConfigError, ConvergenceError, NumericsError
-from .model import (
-    CdfField,
-    Grid,
-    Keep,
-    MinCostField,
-    ProblemSpec,
-    RateMatrix,
-    transition_probabilities,
-)
+from .model import (CdfField, Grid, Keep, MinCostField, ProblemSpec, RateMatrix,
+                    transition_probabilities)
 
 ESCAPE_COST = 1e30  # expected-cost sentinel for trajectories leaving off the exit set
 ARGMIN_RTOL = 1e-9  # relative slack for the modes that attain a node's minimal cost
-_FROZEN_ITERATIONS = 50  # operator iterations when the frozen policy's LU fails
 _BLOCK_ENTRIES = 2**15  # (candidate, node) entries that CandidateTable.least holds at once
 
 log = logging.getLogger(__name__)
@@ -135,10 +120,14 @@ def causal_tau(spec: ProblemSpec, grid: Grid, tau: float | None = None) -> float
 
     The default makes the threshold foot land exactly on the previous level
     whenever the running cost is constant, which removes all interpolation
-    in s for the built-in problems.  A NumericsError when tau * min C < ds.
+    in s for the built-in problems.  A NumericsError when tau is not finite
+    (a running cost so small that ds / min C overflows) or tau * min C < ds.
     """
     c_min = min(float(m.cost.node_values(grid).min()) for m in spec.modes)
     tau = grid.ds / c_min if tau is None else tau
+    if not math.isfinite(tau):
+        raise NumericsError(f"step tau={tau:.6g} is not finite (min running cost {c_min:.6g}, "
+                            f"ds={grid.ds:.6g})")
     if tau * c_min < grid.ds * (1.0 - 1e-9):
         raise NumericsError(f"step tau={tau:.6g} with min running cost {c_min:.6g} reads threshold "
                             f"levels above the current one (needs tau*C >= ds={grid.ds:.6g})")
@@ -304,7 +293,7 @@ class StepStack:
     constant part of the expected-cost update: the running cost tau*C of a
     regular row, the boundary value of a capped row, ``ESCAPE_COST`` on an
     escaping row.  One sweep thus serves every matrix of a fixed-rate sweep,
-    and the expected-cost solvers read entry 0.  Without ``rates`` (the
+    and ``control.ActionStacks`` reads entry 0.  Without ``rates`` (the
     bound sweep, which mixes its own bang-bang rates) all three are None.
     The stack keeps no reference to the step, so its stencils can be freed
     once the stack is built.
@@ -629,113 +618,6 @@ def _sweep(exit_mask: np.ndarray, q_exit: np.ndarray, ds: float, n_levels: int, 
     if clamp is not None:
         clamp.report(f"restricted {what}")
     return [(w, None if columns is None else columns[f]) for f, w in enumerate(fields)], clamp
-
-
-# ---------------------------------------------------------------------------
-# expected cost
-# ---------------------------------------------------------------------------
-
-
-def policy_iteration(
-    spec: ProblemSpec,
-    grid: Grid,
-    stacks: list[StepStack],
-    initial: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest expected exit cost over the actions stacked in ``stacks[mode]``.
-
-    Modified policy iteration: each step minimizes one Bellman application
-    over the actions and stops when that changes u by less than ``tol``.
-    Otherwise it solves the sparse linear fixed point of the minimizing
-    policy exactly, but only on the first step, once the minimizing
-    actions equal the previous step's, or after ``ceil(|hi - lo| / dx_min)``
-    Bellman steps in a row; between those solves the Bellman step's u is
-    the next iterate.  The default tau is dx_min over the fastest speed,
-    so one step carries information at most dx_min and the cap crosses
-    the box along its diagonal (``max(grid.shape)`` steps cross it only
-    along an axis).  From a cold start the greedy policy changes about a
-    node per mode per step, and an exact solve of each interim policy
-    would cost one sparse LU each; the Bellman steps settle it first.
-    ``max_iter`` caps the number of exact solves.  A failed factorization
-    (improper interim policy) is logged as a warning and falls back to
-    iterating the frozen operator.  One DEBUG record on ``pdmp_cdf``
-    reports the exact solves, Bellman steps, LU fallbacks and the final
-    residual.
-
-    Each mode's actions share one row of transition probabilities, so a
-    Bellman application mixes u over the modes once and applies the mode's
-    stacked interpolation (a ``StepStack`` of one step whose blocks are its
-    actions): one sparse product for all its actions.  The
-    frozen policy's matrix is a row selection of those stacks.  Returns u
-    and the minimizing action index per (mode, node) at u.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    m, n_nodes = spec.n_modes, grid.n_nodes
-    ex = grid.exit_mask
-    ex_flat = np.tile(ex, m)
-    q = exit_costs(spec, grid)
-    probs = np.array([stack.probs[0, 0] for stack in stacks])
-    mix = sparse.kron(sparse.csr_matrix(probs), sparse.identity(n_nodes), format="csr")
-    eye = sparse.identity(m * n_nodes, format="csr")
-    nodes = np.arange(n_nodes)
-
-    def improve(u):
-        mixed = probs @ u
-        best = np.empty((m, n_nodes))
-        actions = np.empty((m, n_nodes), dtype=int)
-        for i, stack in enumerate(stacks):
-            vals = (stack.const[0] + stack.interp @ mixed[i]).reshape(-1, n_nodes)
-            actions[i] = np.argmin(vals, axis=0)
-            best[i] = vals[actions[i], nodes]
-        return best, actions
-
-    u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
-    u[:, ex] = q
-    delta = math.inf
-    cap = math.ceil(float(np.linalg.norm(grid.hi - grid.lo)) / grid.dx.min())
-    run = cap  # Bellman steps since the last exact solve; the first step solves
-    solves = steps = fallbacks = 0
-    previous = None
-    while True:
-        best, actions = improve(u)
-        best[:, ex] = q
-        delta = float(np.max(np.abs(best - u)))
-        u = best
-        steps += 1
-        if delta < tol or solves == max_iter:
-            break
-        settled = np.array_equal(actions, previous)
-        previous = actions
-        if not settled and run < cap:
-            run += 1
-            continue
-        run = 0
-        solves += 1
-        rows = actions * n_nodes + nodes
-        frozen = sparse.block_diag([st.interp[r] for st, r in zip(stacks, rows)], format="csr") @ mix
-        rhs = np.concatenate([st.const[0, r] for st, r in zip(stacks, rows)])
-        rhs[ex_flat] = q.ravel()
-        try:
-            u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
-        except RuntimeError as exc:
-            fallbacks += 1
-            log.warning("policy iteration: sparse LU of the frozen policy failed (%s); "
-                        "iterating its operator %d times instead", exc, _FROZEN_ITERATIONS)
-            flat = u.ravel()
-            for _ in range(_FROZEN_ITERATIONS):
-                flat = rhs + frozen @ flat
-            u = flat.reshape(m, n_nodes)
-        u[:, ex] = q
-    log.debug("policy iteration: %d exact solves, %d Bellman steps, %d LU fallbacks, "
-              "residual %.3g", solves, steps, fallbacks, delta)
-    if delta >= tol:
-        raise ConvergenceError(f"policy iteration did not converge in {max_iter} exact solves",
-                               residual=delta)
-    return u, improve(u)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ is the semi-Lagrangian form of the coupled Bellman system
 
     u_i(x) = min_a { tau C_i(x,a) + sum_j p_ij(tau) u_j(x + tau f_i(x,a)) },
 
-solved by the policy iteration of ``cdf_solver.policy_iteration``.  The
+solved by modified policy iteration (``policy_iteration``).  The
 threshold problem maximizes the probability of keeping the cumulative cost
 under each threshold level simultaneously,
 
@@ -18,43 +18,39 @@ expected cost V, then by action index.  On the hopeless region V is pinned
 to the expectation-optimal value so the stored action coincides with the
 expectation-optimal policy there.
 
-Both problems run on the stacked step operators of ``cdf_solver``: per
-mode, one step whose blocks are the mode's actions is one ``StepStack``,
-and its rows share one probability row.  The threshold sweep is the CDF's
-level update: per mode the previous levels of ``[W, V]`` are mixed over
-the modes and one ``StepStack.gather`` (one sparse product per level
-shift) gives the candidates of every action; ``_sweep`` owns level 0, the
-restricted seeding, the monotone clamp and the exit rows, as for the CDF
-and the bounds, and stores W whole or only a ``Keep``'s slices of it; V
-and the actions are stored whole.  The policy iteration's Bellman pass is the
-same product on u.
+Both problems take their candidates from one ``ActionStacks``, one
+``StepStack`` per mode whose blocks are the mode's actions, and reduce
+them over the actions.  The Bellman step mixes u over the modes and takes
+the smallest expected cost; the frozen policy's linear system is a row
+selection of the same stacks.  The threshold sweep is the CDF's level
+update: per mode the previous levels of ``[W, V]`` are mixed over the
+modes and one sparse product per level shift gives every action's
+candidates; ``_sweep`` owns level 0, the restricted seeding, the monotone
+clamp and the exit rows, as for the CDF, and stores W whole or only a
+``Keep``'s slices of it; V and the actions are stored whole.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf_solver import (
-    SemiLagrangianStep,
-    StepStack,
-    _sweep,
-    causal_tau,
-    exit_costs,
-    policy_iteration,
-    solve_cdf,
-)
-from .errors import ConfigError
+from .cdf_solver import SemiLagrangianStep, StepStack, _sweep, causal_tau, exit_costs, solve_cdf
+from .errors import ConfigError, ConvergenceError
 from .model import (GEOM_RTOL, CdfField, ControlSet, Grid, Keep, MinCostField, ProblemSpec,
                     grid_desc)
 from .reader import (_AXES, _COUNT, _POSITIVE, _STRING, CONTROLS, Obj, Rule, _instance, _read,
                      _whole)
 
 TIE_TOL = 1e-9  # probability slack for membership in the maximizing action set
+_FROZEN_ITERATIONS = 50  # operator iterations when the frozen policy's LU fails
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -186,25 +182,75 @@ class ThresholdValue:
 # ---------------------------------------------------------------------------
 
 
-def _action_stacks(spec, grid, tau) -> list[StepStack]:
-    """Per mode, the stack of one step whose blocks are its actions (freed once stacked)."""
-    vectors = spec.controls.vectors
-    return [StepStack(SemiLagrangianStep(spec, grid, tau, np.full(len(vectors), i),
-                                         action=vectors[:, None]), rates=[spec.rates])
-            for i in range(spec.n_modes)]
+class ActionStacks:
+    """Every mode's actions, one ``StepStack`` per mode: the controlled solves' candidates.
+
+    Stack i is one step of mode i whose blocks are its actions (row
+    ``a * N + k`` is action a at node k); its rows mix the modes with mode
+    i's probability row.  The stacks' one rate matrix is read here once:
+    ``probs`` (M, M) holds the probability rows, ``const`` each mode's
+    expected-cost constants (``candidates`` reads the capped rows' boundary
+    CDF, which changes with the level), ``depth`` the deepest level shift.
+    """
+
+    def __init__(self, stacks: list[StepStack]):
+        self.stacks = stacks
+        self.n_nodes = stacks[0].n_nodes
+        self.probs = np.array([stack.probs[0, 0] for stack in stacks])
+        self.const = [stack.const[0] for stack in stacks]
+        self.depth = max(stack.depth for stack in stacks)
+        self._mix = None
+
+    @classmethod
+    def of(cls, spec: ProblemSpec, grid: Grid, tau: float) -> ActionStacks:
+        """The stacks of ``spec``'s control set, each mode's step freed once stacked."""
+        vectors = spec.controls.vectors
+        return cls([StepStack(SemiLagrangianStep(spec, grid, tau, np.full(len(vectors), i),
+                                                 action=vectors[:, None]), rates=[spec.rates])
+                    for i in range(spec.n_modes)])
+
+    def candidates(self, i: int, x, n: int | None = None):
+        """Mode ``i``'s candidates of every action, viewed (actions, nodes).
+
+        An expected cost is the row's constant plus its foot value.  Without
+        ``n``, the Bellman step's: ``x`` is u mixed with mode i's probability
+        row, (N,), and the foot values its interpolation.  At level ``n``, the
+        threshold sweep's pair: ``x(lo, p)`` is ``StepStack.gather``'s read of
+        [W, V] mixed likewise, (N, 2); W's are the foot values with the capped
+        rows' boundary CDF, V's expected costs.
+        """
+        stack, shape = self.stacks[i], (-1, self.n_nodes)
+        if n is None:
+            return (self.const[i] + stack.interp @ x).reshape(shape)
+        foot = stack.gather(n, x)
+        w = foot[:, 0]
+        w[stack.cap_rows] = stack.cap_cdf(n)[0]
+        return w.reshape(shape), (self.const[i] + foot[:, 1]).reshape(shape)
+
+    def frozen(self, actions: np.ndarray):
+        """The linear system u = rhs + matrix @ u of the policy ``actions``, (M, N).
+
+        The matrix is the chosen rows of the stacks, block-diagonal over the
+        modes and mixed by the probability rows; rhs their constants.
+        """
+        from scipy import sparse
+
+        n = self.n_nodes
+        if self._mix is None:
+            self._mix = sparse.kron(sparse.csr_matrix(self.probs), sparse.identity(n),
+                                    format="csr")
+        rows = actions * n + np.arange(n)
+        matrix = sparse.block_diag([stack.interp[r] for stack, r in zip(self.stacks, rows)],
+                                   format="csr") @ self._mix
+        return matrix, np.concatenate([const[r] for const, r in zip(self.const, rows)])
 
 
-def solve_hjb_expectation(
-    spec: ProblemSpec,
-    grid: Grid,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    tau: float | None = None,
-    initial: np.ndarray | None = None,
-) -> tuple[ValueField, Policy]:
+def solve_hjb_expectation(spec: ProblemSpec, grid: Grid, tol: float = 1e-8, max_iter: int = 1000,
+                          tau: float | None = None,
+                          initial: np.ndarray | None = None) -> tuple[ValueField, Policy]:
     """Expectation-optimal value and feedback policy.
 
-    Modified policy iteration (``cdf_solver.policy_iteration``): Bellman
+    Modified policy iteration (``policy_iteration``): Bellman
     steps over all actions, with an exact sparse evaluation of the frozen
     minimizing policy once the actions stop changing between steps, on
     the first step, and at least once per grid crossing.  ``max_iter``
@@ -218,19 +264,100 @@ def solve_hjb_expectation(
     if tau is None:
         speed = spec.max_speed()
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
-    u, actions = policy_iteration(spec, grid, _action_stacks(spec, grid, tau), initial,
+    u, actions = policy_iteration(spec, grid, ActionStacks.of(spec, grid, tau), initial,
                                   tol, max_iter)
     actions = actions.astype(np.int16)
-    fill = _nearest_interior(grid)
-    actions[:, grid.exit_mask] = actions[:, fill[grid.exit_mask]]
+    _fill_exit_nodes(actions, grid)
     actions.flags.writeable = False
     policy = Policy(spec.controls, actions[:, None, :], actions, grid.lo, grid.dx,
                     grid.shape, grid.ds, provenance="expectation")
     return ValueField(grid, u), policy
 
 
-def _nearest_interior(grid: Grid) -> np.ndarray:
-    """Map every node to the closest non-exit node (itself when interior).
+def policy_iteration(spec: ProblemSpec, grid: Grid, stacks: ActionStacks,
+                     initial: np.ndarray | None, tol: float,
+                     max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest expected exit cost over the actions of ``stacks``, and its minimizing actions.
+
+    Modified policy iteration: each step minimizes one Bellman application
+    over the actions (one sparse product per mode) and stops when that
+    changes u by less than ``tol``.  Otherwise it solves the frozen
+    minimizing policy exactly, but only on the first step, once the
+    actions equal the previous step's, or after ``ceil(|hi - lo| /
+    dx_min)`` Bellman steps in a row, the steps the default tau (dx_min
+    over the fastest speed) takes to cross the box's diagonal.  From a cold
+    start the greedy policy changes about a node per mode per step, so the
+    Bellman steps settle it before a sparse LU is spent on it.  ``max_iter``
+    caps the exact solves.  A failed LU (improper interim policy) is
+    logged at WARNING and iterates the frozen operator instead; one DEBUG
+    record on ``pdmp_cdf`` reports the exact solves, Bellman steps, LU
+    fallbacks and the final residual.  With one action per mode this is a
+    single linear solve plus the step that confirms it.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    m, n_nodes = spec.n_modes, grid.n_nodes
+    ex = grid.exit_mask
+    q = exit_costs(spec, grid)
+    eye = sparse.identity(m * n_nodes, format="csr")
+    nodes = np.arange(n_nodes)
+
+    def improve(u):
+        mixed = stacks.probs @ u
+        best = np.empty((m, n_nodes))
+        actions = np.empty((m, n_nodes), dtype=int)
+        for i in range(m):
+            vals = stacks.candidates(i, mixed[i])
+            actions[i] = np.argmin(vals, axis=0)
+            best[i] = vals[actions[i], nodes]
+        return best, actions
+
+    u = np.zeros((m, n_nodes)) if initial is None else np.array(initial, dtype=float)
+    u[:, ex] = q
+    delta = math.inf
+    cap = math.ceil(float(np.linalg.norm(grid.hi - grid.lo)) / grid.dx.min())
+    run = cap  # Bellman steps since the last exact solve; the first step solves
+    solves = steps = fallbacks = 0
+    previous = None
+    while True:
+        best, actions = improve(u)
+        best[:, ex] = q
+        delta = float(np.max(np.abs(best - u)))
+        u = best
+        steps += 1
+        if delta < tol or solves == max_iter:
+            break
+        settled = np.array_equal(actions, previous)
+        previous = actions
+        if not settled and run < cap:
+            run += 1
+            continue
+        run = 0
+        solves += 1
+        frozen, rhs = stacks.frozen(actions)
+        rhs.reshape(m, n_nodes)[:, ex] = q
+        try:
+            u = splu((eye - frozen).tocsc()).solve(rhs).reshape(m, n_nodes)
+        except RuntimeError as exc:
+            fallbacks += 1
+            log.warning("policy iteration: sparse LU of the frozen policy failed (%s); "
+                        "iterating its operator %d times instead", exc, _FROZEN_ITERATIONS)
+            flat = u.ravel()
+            for _ in range(_FROZEN_ITERATIONS):
+                flat = rhs + frozen @ flat
+            u = flat.reshape(m, n_nodes)
+        u[:, ex] = q
+    log.debug("policy iteration: %d exact solves, %d Bellman steps, %d LU fallbacks, "
+              "residual %.3g", solves, steps, fallbacks, delta)
+    if delta >= tol:
+        raise ConvergenceError(f"policy iteration did not converge in {max_iter} exact solves",
+                               residual=delta)
+    return u, improve(u)[1]
+
+
+def _fill_exit_nodes(actions: np.ndarray, grid: Grid) -> None:
+    """Give each exit node's entries of ``actions`` (..., N) those of its closest non-exit node.
 
     Updates at exit nodes are pure boundary data and carry no meaningful
     action, but cell-based policy lookups can land on them (the lower
@@ -243,7 +370,7 @@ def _nearest_interior(grid: Grid) -> np.ndarray:
     mapping = np.arange(n)
     interior = ~grid.exit_mask
     if interior.all() or not interior.any():
-        return mapping
+        return
     shape = grid.shape
     strides = grid._strides
     multi = np.array(np.unravel_index(np.arange(n), shape)).T
@@ -261,7 +388,7 @@ def _nearest_interior(grid: Grid) -> np.ndarray:
                         seen[k2] = True
                         mapping[k2] = mapping[k]
                         queue.append(k2)
-    return mapping
+    actions[..., ~interior] = actions[..., mapping[~interior]]
 
 
 def prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
@@ -274,14 +401,10 @@ def prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def solve_threshold(
-    spec: ProblemSpec,
-    grid: Grid,
-    tau: float | None = None,
-    restrict: MinCostField | None = None,
-    hjb: tuple[ValueField, Policy] | None = None,
-    keep: Keep | None = None,
-) -> ThresholdValue:
+def solve_threshold(spec: ProblemSpec, grid: Grid, tau: float | None = None,
+                    restrict: MinCostField | None = None,
+                    hjb: tuple[ValueField, Policy] | None = None,
+                    keep: Keep | None = None) -> ThresholdValue:
     """Maximal success probability for every threshold level at once.
 
     The sweep needs the expectation-optimal solution for tie-breaking; it
@@ -301,8 +424,8 @@ def solve_threshold(
     a_star = exp_policy.fallback
 
     tau = causal_tau(spec, grid, tau)
-    stacks = _action_stacks(spec, grid, tau)
-    m, n_nodes, n_act = spec.n_modes, grid.n_nodes, spec.controls.n_actions
+    stacks = ActionStacks.of(spec, grid, tau)
+    m, n_nodes = spec.n_modes, grid.n_nodes
     v = np.zeros((m, grid.n_levels, n_nodes))
     actions = np.zeros((m, grid.n_levels, n_nodes), dtype=np.int16)
     q = exit_costs(spec, grid)
@@ -317,15 +440,10 @@ def solve_threshold(
 
     def update(level, n: int) -> np.ndarray:
         wmax = np.empty((m, n_nodes))
-        for i, stack in enumerate(stacks):
+        for i, probs in enumerate(stacks.probs):
             # [W, V] candidates of every action, the modes mixed first
-            probs = stack.probs[0, 0]
-            cand = stack.gather(n, lambda lo, p: np.column_stack(
-                [probs @ level(lo + p)[0] if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]))
-            wc = cand[:, 0]
-            wc[stack.cap_rows] = stack.cap_cdf(n)[0]
-            vals = wc.reshape(n_act, n_nodes)
-            vcand = (stack.const[0] + cand[:, 1]).reshape(n_act, n_nodes)
+            vals, vcand = stacks.candidates(i, lambda lo, p: np.column_stack(
+                [probs @ level(lo + p)[0] if lo >= 0 else zero, probs @ v[:, max(lo + p, 0)]]), n)
             wmax[i] = vals.max(axis=0)
             tied = vals >= wmax[i][None, :] - TIE_TOL
             vmasked = np.where(tied, vcand, np.inf)
@@ -337,14 +455,9 @@ def solve_threshold(
         return wmax[None]
 
     ((w, columns),), clamp = _sweep(ex, q, grid.ds, grid.n_levels, restrict,
-                                    update, "threshold sweep", 1,
-                                    max(stack.depth for stack in stacks), keep)
+                                    update, "threshold sweep", 1, stacks.depth, keep)
 
-    # boundary-cell lookups read the exit-node entries; give them the law of
-    # the nearest interior node instead of meaningless boundary updates
-    fill = _nearest_interior(grid)
-    if np.any(ex):
-        actions[:, :, ex] = actions[:, :, fill[ex]]
+    _fill_exit_nodes(actions, grid)
     actions.flags.writeable = False  # a policy views it, and caches what it derives from it
 
     wf = CdfField(grid, w, spec=spec, tau=tau, clamp=clamp, keep=keep, columns=columns)

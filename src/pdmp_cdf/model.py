@@ -634,18 +634,21 @@ def _positions(kept: np.ndarray, wanted, what: str) -> np.ndarray:
     return np.searchsorted(kept, wanted)
 
 
-def _axis_counts(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray) -> list[int]:
-    counts = []
-    for a in range(lo.size):
-        n_cells = (hi[a] - lo[a]) / dx[a]
-        rounded = round(n_cells)
-        if abs(n_cells - rounded) > GEOM_RTOL * max(1.0, abs(n_cells)) or rounded < 1:
-            raise NumericsError(
-                f"spacing {dx[a]:.6g} does not divide the axis-{a} extent "
-                f"{hi[a] - lo[a]:.6g}"
-            )
-        counts.append(int(rounded) + 1)
-    return counts
+_MAX_COUNT = 2**63 - 1  # the largest node or level count, an int64
+
+
+def _count(extent: float, spacing: float, names: tuple[str, str]) -> int:
+    """The points of ``spacing`` on ``extent``; a NumericsError naming both (``names``) unless
+    the cell count is whole, at least 1 and below ``_MAX_COUNT``."""
+    n_cells = float(extent) / float(spacing)  # inf without numpy's overflow warning
+    what = f"{names[0]} {spacing:.6g}"
+    if not n_cells < _MAX_COUNT:  # NaN and inf as well
+        raise NumericsError(f"{what} makes {n_cells:.6g} cells of the {names[1]} {extent:.6g}, "
+                            f"more than a 64-bit count holds")
+    rounded = round(n_cells)
+    if abs(n_cells - rounded) > GEOM_RTOL * max(1.0, abs(n_cells)) or rounded < 1:
+        raise NumericsError(f"{what} does not divide the {names[1]} {extent:.6g}")
+    return int(rounded) + 1
 
 
 def _exit_mask(spec: ProblemSpec, axes: list[np.ndarray], shape: tuple[int, ...], dx: np.ndarray) -> np.ndarray:
@@ -662,8 +665,8 @@ def _exit_mask(spec: ProblemSpec, axes: list[np.ndarray], shape: tuple[int, ...]
             raise ConfigError("exit box dimensionality does not match the domain")
         for a, edges in enumerate(box):
             for edge in edges:
-                rel = (edge - spec.lo[a]) / dx[a]
-                if abs(rel - round(rel)) > GEOM_RTOL * max(1.0, abs(rel)):
+                rel = (float(edge) - float(spec.lo[a])) / float(dx[a])  # inf without a warning
+                if not math.isfinite(rel) or abs(rel - round(rel)) > GEOM_RTOL * max(1.0, abs(rel)):
                     raise NumericsError(f"exit box edge {edge:.6g} is not grid-aligned on axis {a}")
     points = np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
     return es.in_boxes(points, GEOM_RTOL * dx)
@@ -690,12 +693,13 @@ def build_grid(
     dxv = np.broadcast_to(np.array(dx, dtype=float).reshape(-1), (spec.dim,)).astype(float)
     if np.any(dxv <= 0.0) or ds <= 0.0:
         raise NumericsError("grid spacings must be positive")
-    counts = _axis_counts(spec.lo, spec.hi, dxv)
-    n_s = s_max / ds
-    n_s_round = round(n_s)
-    if abs(n_s - n_s_round) > GEOM_RTOL * max(1.0, n_s) or n_s_round < 1:
-        raise NumericsError(f"cost spacing {ds:.6g} does not divide the cost range {s_max:.6g}")
+    counts = [_count(spec.hi[a] - spec.lo[a], dxv[a], ("spacing", f"axis-{a} extent"))
+              for a in range(spec.dim)]
+    n_levels = _count(s_max, ds, ("cost spacing", "cost range"))
     n_nodes = math.prod(counts)
+    if n_nodes > _MAX_COUNT:
+        raise NumericsError(f"spacings {dxv.tolist()} give {n_nodes:.6g} nodes, more than a "
+                            f"64-bit count holds")
     for k, m in enumerate(spec.modes):
         for name, f, width in (("dynamics", m.dynamics, spec.dim), ("cost", m.cost, 1),
                                ("exit_cost", m.exit_cost, 1)):
@@ -704,7 +708,7 @@ def build_grid(
                                   f"of {n_nodes} nodes needs {n_nodes * width}")
     axes = [spec.lo[a] + dxv[a] * np.arange(counts[a]) for a in range(spec.dim)]
     mask = _exit_mask(spec, axes, tuple(counts), dxv)
-    return Grid(spec.lo, dxv, counts, ds, int(n_s_round) + 1, mask)
+    return Grid(spec.lo, dxv, counts, ds, n_levels, mask)
 
 
 # ---------------------------------------------------------------------------

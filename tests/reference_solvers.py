@@ -40,8 +40,8 @@ from pdmp_cdf.cdf_solver import (
     _sweep,
     causal_tau,
     exit_costs,
-    policy_iteration,
 )
+from pdmp_cdf.control import ActionStacks, policy_iteration
 from pdmp_cdf.errors import ConfigError, NumericsError
 from pdmp_cdf.model import CdfField, Grid, ProblemSpec
 
@@ -327,7 +327,7 @@ def solve_expected(
         tau = grid.dx.min() / speed if speed > 0 else grid.ds
     stacks = [StepStack(SemiLagrangianStep(spec, grid, tau, i), rates=[spec.rates])
               for i in range(spec.n_modes)]
-    return policy_iteration(spec, grid, stacks, None, tol, max_iter)[0]
+    return policy_iteration(spec, grid, ActionStacks(stacks), None, tol, max_iter)[0]
 
 
 def howard_every_pass(spec, grid, stacks, initial=None, tol=1e-8, max_iter=1000):

@@ -693,6 +693,21 @@ def test_only_the_step_stack_reads_level_operators():
     assert readers == {("cdf_solver.py", "StepStack")}
 
 
+def test_only_the_step_stack_and_the_action_stacks_read_interp():
+    # the Bellman step, the frozen policy and the threshold update take their
+    # candidates from control.ActionStacks, beside which policy iteration lives
+    readers, homes = set(), set()
+    for path in sorted(Path(pdmp_cdf.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "interp"
+                   for node in ast.walk(top)):
+                readers.add((path.name, getattr(top, "name", None)))
+            if isinstance(top, ast.FunctionDef) and top.name == "policy_iteration":
+                homes.add(path.name)
+    assert readers == {("cdf_solver.py", "StepStack"), ("control.py", "ActionStacks")}
+    assert homes == {"control.py"}
+
+
 class TestStepStackRates:
     """Rates become probabilities at the stack: I + tau*Q per step, I + theta*tau*Q per cap."""
 

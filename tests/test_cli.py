@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -80,6 +81,20 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def within(seconds: float, call):
+    """``call()``, stopped by a TimeoutError once ``seconds`` of wall time have passed."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def one_way_spec() -> ProblemSpec:
@@ -504,6 +519,20 @@ class TestExitCodes:
         # spacing does not divide the domain extent
         assert main(["solve-cdf", "--problem", "example1", "--dx", "0.3", "--ds", "0.1",
                      "--s-max", "1.0", "--out", str(tmp_path)]) == EXIT_NUMERICS
+
+    def test_a_running_cost_too_small_for_a_finite_step_exits_3(self, tmp_path):
+        # ds / 5e-324 overflows to tau = inf; the sweep used to walk the NaN
+        # switch levels of its capped rows up one level at a time, for ever
+        problem = readme_problem()
+        for mode in problem["modes"]:
+            mode["cost"]["value"] = 5e-324
+        doc = {"schema_version": 1, "problem": problem,
+               "numerics": {"dx": 0.1, "ds": 0.05, "s_max": 0.5}, "run": {}, "output": {}}
+        spec, grid, *_ = load_problem(doc)
+        with pytest.raises(NumericsError, match="tau=inf is not finite"):
+            within(5.0, lambda: solve_cdf(spec, grid))
+        assert within(5.0, lambda: main(["solve-cdf", "--problem", write_config(tmp_path, doc),
+                                         "--out", str(tmp_path / "o")])) == EXIT_NUMERICS
 
     def test_convergence_error(self, tmp_path):
         doc = {"schema_version": 1, "problem": "example5",

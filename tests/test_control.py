@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from pdmp_cdf import build_grid, catalog
-from pdmp_cdf.cdf_solver import exit_costs, policy_iteration, solve_cdf, solve_min_cost
+from pdmp_cdf.cdf_solver import exit_costs, solve_cdf, solve_min_cost
 from pdmp_cdf.control import (
+    ActionStacks,
     Policy,
-    _action_stacks,
     evaluate_policy_cdf,
     load_policy,
+    policy_iteration,
     prolong,
     save_policy,
     solve_hjb_expectation,
@@ -164,7 +165,7 @@ POLICY_CASES = {
 
 
 def hjb_stacks(spec, grid):
-    return _action_stacks(spec, grid, grid.dx.min() / spec.max_speed())
+    return ActionStacks.of(spec, grid, grid.dx.min() / spec.max_speed())
 
 
 def solve_report(caplog) -> dict:
@@ -185,11 +186,11 @@ class TestPolicyIteration:
     def test_matches_howard_with_an_lu_every_pass(self, case):
         spec, grid, tol = POLICY_CASES[case]()
         stacks = hjb_stacks(spec, grid)
-        u_ref, a_ref = howard_every_pass(spec, grid, stacks, tol=tol)
+        u_ref, a_ref = howard_every_pass(spec, grid, stacks.stacks, tol=tol)
         u, actions = policy_iteration(spec, grid, stacks, None, tol, 1000)
         assert np.abs(u - u_ref).max() <= 1e-12
         # actions may differ only where both are minimizers at the reference u
-        for i, vals in enumerate(action_values(stacks, u_ref)):
+        for i, vals in enumerate(action_values(stacks.stacks, u_ref)):
             nodes = np.nonzero(actions[i] != a_ref[i])[0]
             gap = np.abs(vals[actions[i, nodes], nodes] - vals[a_ref[i, nodes], nodes])
             assert np.all(gap < 1e-12)

@@ -512,6 +512,9 @@ MODEL_CHECKS = [
      "grid spacings must be positive"),
     (lambda: build_grid(_one_mode(), 0.1, 0.3, 1.0), NumericsError,
      "cost spacing 0.3 does not divide the cost range 1"),
+    (lambda: build_grid(_one_mode(exit_set=ExitSpec("boxes", boxes=(((-1e308, 0.5),),))),
+                        0.1, 0.1, 1.0), NumericsError,
+     "exit box edge -1e[+]308 is not grid-aligned on axis 0"),
 ]
 
 
@@ -520,3 +523,22 @@ MODEL_CHECKS = [
 def test_model_checks_name_what_is_wrong(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("spec, dx, ds, s_max, message", [
+    (_one_mode(), 5e-324, 0.05, 0.5, "spacing 4.94066e-324 makes inf cells of the axis-0 extent 1"),
+    (_one_mode(), float("nan"), 0.05, 0.5, "spacing nan makes nan cells of the axis-0 extent 1"),
+    (_one_mode(), 0.1, 5e-324, 1e300,
+     "cost spacing 4.94066e-324 makes inf cells of the cost range 1e[+]300"),
+    (_one_mode(), 0.1, 1e-300, 1e-280, "cost spacing 1e-300 makes 1e[+]20 cells of the cost range"),
+    (catalog.example6(4), 1e-10, 0.05, 0.5, re.escape("spacings [1e-10, 1e-10] give 1e+20 nodes")),
+], ids=["inf-axis", "nan-axis", "inf-levels", "levels-beyond-int64", "nodes-beyond-int64"])
+def test_absurd_counts_are_rejected_before_anything_is_allocated(monkeypatch, spec, dx, ds,
+                                                                 s_max, message):
+    # each used to end in a bare OverflowError, or was accepted with 10**20 + 1 levels
+    def refuse(*args):
+        raise AssertionError("the exit mask was allocated before the counts were checked")
+
+    monkeypatch.setattr(model, "_exit_mask", refuse)
+    with pytest.raises(NumericsError, match=f"{message}.*more than a 64-bit count holds"):
+        build_grid(spec, dx, ds, s_max)
